@@ -126,15 +126,29 @@ def build_ic(cfg):
     raise ConfigError("initial.kind", "unknown kind {!r}".format(kind))
 
 
+_NUMERICS = (("numerics.tolerance", "tolerance"), ("numerics.R", "radius"),
+             ("numerics.delta", "delta"))
+
+
+def _numerics(cfg, fields=_NUMERICS):
+    """Solver keyword arguments from the numerics.* fields present."""
+    kw = {}
+    for field, arg in fields:
+        if field in cfg:
+            try:
+                kw[arg] = float(cfg[field])
+            except ValueError:
+                raise ConfigError(field, "not a number: {!r}".format(cfg[field]))
+    tol = kw.get("tolerance", 1.0)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError("numerics.tolerance",
+                          "must be finite and positive, got {}".format(tol))
+    return kw
+
+
 def build_solver(cfg, potential, ic):
     name = cfg.get("solver", "auto")
-    kw = {}
-    if "numerics.tolerance" in cfg:
-        kw["tolerance"] = float(cfg["numerics.tolerance"])
-    if "numerics.R" in cfg:
-        kw["radius"] = float(cfg["numerics.R"])
-    if "numerics.delta" in cfg:
-        kw["delta"] = float(cfg["numerics.delta"])
+    kw = _numerics(cfg)
     if name == "auto":
         name = "d4" if potential.njumps == 1 else "general"
     try:
@@ -159,7 +173,11 @@ def build_scenario(cfg):
 def _times(cfg):
     if "grid.t" not in cfg:
         raise ConfigError("grid.t", "missing")
-    return _floats("grid.t", cfg["grid.t"])
+    ts = _floats("grid.t", cfg["grid.t"])
+    if not all(np.isfinite(t) and t >= 0.0 for t in ts):
+        raise ConfigError("grid.t", "times must be finite and nonnegative, "
+                                    "got {!r}".format(cfg["grid.t"]))
+    return ts
 
 
 def _open_out(cfg):
@@ -180,9 +198,10 @@ def cmd_solve(args):
     if "grid.x" not in cfg:
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg["grid.x"])
+    ts = _times(cfg)
     out, close = _open_out(cfg)
     out.write("x\tt\tre_psi\tim_psi\tabs_psi\terr_estimate\n")
-    for t in _times(cfg):
+    for t in ts:
         for s in solver.evaluate_grid(xs, t):
             _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error])
     if close:
@@ -198,10 +217,11 @@ def cmd_compare(args):
     if "grid.x" not in cfg_a:
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg_a["grid.x"])
+    ts = _times(cfg_a)
     out, close = _open_out(cfg_a)
     out.write("x\tt\tre_psi_a\tim_psi_a\tre_psi_b\tim_psi_b\tabs_diff\terr_a\terr_b\n")
     worst = 0.0
-    for t in _times(cfg_a):
+    for t in ts:
         sa = sol_a.evaluate_grid(xs, t)
         sb = sol_b.evaluate_grid(xs, t)
         for a, b in zip(sa, sb):
@@ -225,10 +245,11 @@ def cmd_asymptote(args):
         gamma = float(cfg["ray.gamma"])
     except ValueError:
         raise ConfigError("ray.gamma", "not a number")
+    ts = _times(cfg)
     out, close = _open_out(cfg)
     out.write("t\tx\tre_psi\tim_psi\tabs_psi\n")
     try:
-        for t in _times(cfg):
+        for t in ts:
             v = leading_order(pot, ic, gamma, t)
             _emit(out, [t, gamma * t, v.real, v.imag, abs(v)])
     except ValueError as e:
@@ -242,17 +263,21 @@ def cmd_interface_map(args):
     cfg = parse_config(open(args.config).read())
     pot = build_potential(cfg)
     ic = build_ic(cfg)
-    kw = {}
-    if "numerics.tolerance" in cfg:
-        kw["tolerance"] = float(cfg["numerics.tolerance"])
-    if "numerics.R" in cfg:
-        kw["radius"] = float(cfg["numerics.R"])
-    imap = InterfaceMap(pot, ic, **kw)
+    kw = _numerics(cfg, _NUMERICS[:2])
+    try:
+        imap = InterfaceMap(pot, ic, **kw)
+    except ValueError as e:
+        raise ConfigError("numerics.R", str(e))
     which = cfg.get("map.interfaces", "all")
     if which == "all":
         idx = list(range(1, pot.njumps + 1))
     else:
-        idx = [int(p) for p in which.split(",")]
+        try:
+            idx = [int(p) for p in which.split(",")]
+        except ValueError:
+            raise ConfigError("map.interfaces",
+                              "expected 'all' or comma separated integers, "
+                              "got {!r}".format(which))
         if any(not 1 <= i <= pot.njumps for i in idx):
             raise ConfigError("map.interfaces",
                               "indices must lie in 1..{}".format(pot.njumps))

@@ -6,12 +6,19 @@ quarter-circle arc of radius R, traversed with the sector interior on the
 left.  Deformed variants replace a sector boundary by the real line (as a
 principal value) plus contributions hugging a branch cut.
 
-Quadrature is adaptive Gauss-Kronrod 7-15 with worst-panel-first refinement.
-Integrands are evaluated in batches (a whole panel of nodes per call) and the
+Quadrature is adaptive Gauss-Kronrod 7-15 with worst-panel-first bisection.
+The caller's integrand data are evaluated once per node, in batches: when
+the refinement needs children nobody has evaluated yet, it runs the loop
+ahead on the errors it knows and evaluates the children of up to 64 panels
+that loop will split; legs sharing a tag share calls of at most 480 nodes.
+The bisection itself replays the one-panel-at-a-time loop exactly (heap
+order, error updates, stopping rules), so the panels, nodes and results are
+bit-identical to it; speculation only decides what is evaluated when.  The
 final sum runs in a fixed order so repeated runs give bit-identical results.
 """
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,30 +395,54 @@ class NodeTable:
              sides, so a pv panel contributes 30 entries)
     w15      Kronrod weights times the complex jacobian
     w7       embedded Gauss weights on the same entries (zeros elsewhere)
+    cols     the caller's columns at z, shape (m, len(z)), from the one
+             evaluation per node made while refining
     panel    panel index per entry
-    tags     leg tag per panel
-    labels   leg label per panel
+    spans    (leg index, a, b) per panel, in table order
     sign     overall orientation sign of the path
     """
 
     z: np.ndarray
     w15: np.ndarray
     w7: np.ndarray
+    cols: np.ndarray
     panel: np.ndarray
-    tags: list
-    labels: list
+    spans: list
     sign: int
     n_panels: int
 
 
+# Nodes per call of the caller's column function; a larger call only grows
+# the temporaries of the transforms inside it.
+_CALL_NODES = 480
+# When the refinement needs children nobody has evaluated yet, it evaluates
+# those of up to this many panels it will split next, in one batch.
+_BATCH_PANELS = 64
+
+
+class _Panel:
+    __slots__ = ("leg", "a", "b", "err", "order", "nodes", "kids")
+
+    def __init__(self, leg, a, b, err, nodes):
+        self.leg, self.a, self.b, self.err = leg, a, b, err
+        self.nodes = nodes      # rows z, w15, w7, then the caller's columns
+        self.order = None       # creation counter, set when the panel goes live
+        self.kids = None        # the two halves, once evaluated
+
+
 def _panel_nodes(leg, a, b):
-    """Node locations and weighted jacobians for one panel of one leg."""
+    """Nodes and weighted jacobians of the panels [a_i, b_i] of one leg.
+
+    Returns (z, w15, w7), each with one row per panel.
+    """
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     s = mid + half * _XK
     if leg.kind == "pv":
         u = leg.half * s
-        z = np.concatenate([leg.center + u, leg.center - u]).astype(complex)
+        z = np.concatenate([leg.center + u, leg.center - u], axis=1).astype(complex)
         w15 = np.concatenate([_WK, _WK]) * (half * leg.half)
         w7 = np.concatenate([_WG, _WG]) * (half * leg.half)
         return z, w15.astype(complex), w7.astype(complex)
@@ -420,88 +451,180 @@ def _panel_nodes(leg, a, b):
     return z, _WK * jac, _WG * jac
 
 
-def build_node_table(path, probes, tolerance, max_panels=2000):
+def _evaluate(path, columns, probes, spans):
+    """New panels for spans (leg, a, b), with their error estimates.
+
+    Legs that share a tag and a node count share calls of `columns`, each
+    of at most _CALL_NODES nodes.  A panel's error is the largest over the
+    probes of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, computed with the
+    same scalar operations as a panel-at-a-time loop, so the refinement
+    decisions are bit-identical to it.
+    """
+    groups = {}
+    for i in sorted(range(len(spans)), key=lambda i: spans[i][0]):
+        leg = path.legs[spans[i][0]]
+        groups.setdefault((leg.tag, leg.kind == "pv"), []).append(i)
+    out = [None] * len(spans)
+    for (tag, _), idx in groups.items():
+        parts = []
+        for leg_idx, g in itertools.groupby(idx, key=lambda i: spans[i][0]):
+            g = list(g)
+            parts.append(_panel_nodes(path.legs[leg_idx], [spans[i][1] for i in g],
+                                      [spans[i][2] for i in g]))
+        z, w15, w7 = (np.concatenate(arrs) for arrs in zip(*parts))
+        per = z.shape[1]
+        step = _CALL_NODES // per
+        for lo in range(0, len(idx), step):
+            zc, c15, c7 = z[lo:lo + step], w15[lo:lo + step], w7[lo:lo + step]
+            n = zc.shape[0]
+            zf = zc.ravel()
+            cols = np.asarray(columns(zf, tag), dtype=complex).reshape(-1, zf.size)
+            v = cols if probes is None else np.asarray(probes(zf, cols), dtype=complex)
+            v = v.reshape(-1, n, per)
+            diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
+            block = np.concatenate([zc[None], c15[None], c7[None],
+                                    cols.reshape(-1, n, per)])
+            for j in range(n):
+                err = 0.0
+                for d in diff[:, j]:
+                    u = abs(d)
+                    err = max(err, min(u, (200.0 * u) ** 1.5))
+                leg_idx, a, b = spans[idx[lo + j]]
+                out[idx[lo + j]] = _Panel(leg_idx, a, b, err, block[:, j].copy())
+    return out
+
+
+def _next_to_split(heap, worst, total, n_alive, tolerance, max_panels):
+    """Panels the refinement will split next whose children are missing.
+
+    Runs the worst-first loop ahead on the errors already known, counting
+    every child not yet evaluated as error-free, and collects up to
+    _BATCH_PANELS panels it splits without known children.  `worst`, just
+    popped from the heap, comes first.
+    """
+    out = [worst]
+    total -= worst.err
+    n_alive += 1
+    seq = itertools.count()
+    front = [(heap[0][0], next(seq), 0, heap[0][2])] if heap else []
+    while (front and len(out) < _BATCH_PANELS and total > tolerance
+           and n_alive < max_panels):
+        _, _, i, p = heapq.heappop(front)
+        if p.err <= 1e-18:
+            break
+        if i is not None:
+            for c in (2 * i + 1, 2 * i + 2):
+                if c < len(heap):
+                    heapq.heappush(front, (heap[c][0], next(seq), c, heap[c][2]))
+        total -= p.err
+        n_alive += 1
+        if p.kids is None:
+            out.append(p)
+            continue
+        for kid in p.kids:
+            total += kid.err
+            heapq.heappush(front, (-kid.err, next(seq), None, kid))
+    return out
+
+
+def _halves(panels):
+    spans = []
+    for p in panels:
+        m = 0.5 * (p.a + p.b)
+        spans += [(p.leg, p.a, m), (p.leg, m, p.b)]
+    return spans
+
+
+def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     """Adaptively panel `path` until every probe integrand converges.
 
-    probes is a list of callables f(z, tag) -> complex array.  The returned
+    columns(z, tag) evaluates what the caller needs at a batch of nodes of
+    one leg: an array of shape (m, len(z)), or (len(z),) for m = 1.  It is
+    called once per node and the result is kept as NodeTable.cols.  probes(z,
+    cols) builds the probe integrands, shape (n_probe, len(z)), from those
+    columns; by default the columns themselves are the probes.  The returned
     NodeTable fixes the panel decomposition; any further integrand sharing
     the probes' resolution needs can be summed against it with
     table_integral.
+
+    Refinement bisects the worst panel first.  Children are evaluated ahead
+    of need, a batch at a time (_next_to_split), and kept on their parents
+    until the loop below reaches them, so the panels chosen are exactly
+    those of a one-panel-at-a-time loop.
     """
-    panels = []
-    counter = 0
     heap = []
+    counter = 0
 
-    def make_panel(leg_idx, a, b):
-        leg = path.legs[leg_idx]
-        z, w15, w7 = _panel_nodes(leg, a, b)
-        err = 0.0
-        for f in probes:
-            v = np.asarray(f(z, leg.tag), dtype=complex)
-            u = abs(np.sum(v * w15) - np.sum(v * w7))
-            err = max(err, min(u, (200.0 * u) ** 1.5))
-        return {"leg": leg_idx, "a": a, "b": b, "err": err, "dead": False,
-                "z": z, "w15": w15, "w7": w7}
+    def evaluate(spans):
+        return _evaluate(path, columns, probes, spans)
 
-    def add_panel(leg_idx, a, b):
+    def push(p):
         nonlocal counter
-        p = make_panel(leg_idx, a, b)
-        panels.append(p)
-        heapq.heappush(heap, (-p["err"], counter, p))
+        p.order = counter
+        heapq.heappush(heap, (-p.err, counter, p))
         counter += 1
 
+    initial = []
     for leg_idx, leg in enumerate(path.legs):
         bps = [0.0] + sorted(set(leg.splits)) + [1.0]
-        for a, b in zip(bps, bps[1:]):
-            add_panel(leg_idx, a, b)
+        initial += [(leg_idx, a, b) for a, b in zip(bps, bps[1:])]
+    panels = evaluate(initial)
+    for p in panels:
+        push(p)
 
-    total = sum(p["err"] for p in panels)
+    total = sum(p.err for p in panels)
     n_alive = len(panels)
 
     while total > tolerance and n_alive < max_panels:
         _, _, worst = heapq.heappop(heap)
-        if worst["dead"]:
-            continue
-        if worst["err"] <= 1e-18:
-            heapq.heappush(heap, (-worst["err"], counter, worst))
-            counter += 1
+        if worst.err <= 1e-18:
+            heapq.heappush(heap, (-worst.err, counter, worst))
             break
-        worst["dead"] = True
-        total -= worst["err"]
+        if worst.kids is None:
+            batch = _next_to_split(heap, worst, total, n_alive, tolerance,
+                                   max_panels)
+            try:
+                kids = evaluate(_halves(batch))
+            except Exception:
+                # a panel evaluated only ahead of need failed; let the one
+                # the loop needs now decide
+                batch = [worst]
+                kids = evaluate(_halves(batch))
+            for i, p in enumerate(batch):
+                p.kids = kids[2 * i:2 * i + 2]
+        total -= worst.err
         n_alive -= 1
-        m = 0.5 * (worst["a"] + worst["b"])
-        for lo, hi in ((worst["a"], m), (m, worst["b"])):
-            add_panel(worst["leg"], lo, hi)
-            total += panels[-1]["err"]
+        for kid in worst.kids:
+            push(kid)
+            total += kid.err
             n_alive += 1
+        worst.kids = worst.nodes = None
 
-    final = [p for p in panels if not p["dead"]]
-    err = sum(p["err"] for p in final)
+    final = sorted((entry[2] for entry in heap), key=lambda p: p.order)
+    err = sum(p.err for p in final)
     if err > 50.0 * max(tolerance, 1e-300) and len(final) >= max_panels:
-        worst = max(final, key=lambda p: p["err"])
-        leg = path.legs[worst["leg"]]
+        worst = max(final, key=lambda p: p.err)
+        leg = path.legs[worst.leg]
         raise QuadratureError(
             "quadrature failure on leg {} ({}): error {:.3e} after {} panels".format(
-                worst["leg"], leg.label, err, len(final)),
-            leg_index=worst["leg"], leg_label=leg.label)
+                worst.leg, leg.label, err, len(final)),
+            leg_index=worst.leg, leg_label=leg.label)
 
-    panels = sorted(final, key=lambda p: (p["leg"], p["a"]))
-    z = np.concatenate([p["z"] for p in panels])
-    w15 = np.concatenate([p["w15"] for p in panels])
-    w7 = np.concatenate([p["w7"] for p in panels])
-    pid = np.concatenate([np.full(len(p["z"]), i) for i, p in enumerate(panels)])
-    tags = [path.legs[p["leg"]].tag for p in panels]
-    labels = [path.legs[p["leg"]].label for p in panels]
-    return NodeTable(z=z, w15=w15, w7=w7, panel=pid, tags=tags, labels=labels,
-                     sign=path.sign, n_panels=len(panels))
+    final.sort(key=lambda p: (p.leg, p.a))
+    nodes = np.concatenate([p.nodes for p in final], axis=1)
+    sizes = [p.nodes.shape[1] for p in final]
+    pid = np.repeat(np.arange(len(final)), sizes)
+    return NodeTable(z=nodes[0], w15=nodes[1], w7=nodes[2], cols=nodes[3:],
+                     panel=pid, spans=[(p.leg, p.a, p.b) for p in final],
+                     sign=path.sign, n_panels=len(final))
 
 
 def table_integral(table, vals):
     """Weighted sum of integrand values over a frozen node table.
 
     Returns (value, error_estimate).  vals must be the integrand evaluated
-    at table.z (the caller handles per-tag branching using table.tags and
-    table.panel if it needs to).
+    at table.z, usually built from table.cols (which the column function
+    computed with each node's leg tag).
     """
     vals = np.asarray(vals, dtype=complex)
     contrib15 = vals * table.w15
@@ -528,10 +651,6 @@ def integrate(path, f, tolerance=1e-10, max_panels=2000, tail=0.0):
     analytic jump formula there).  Returns (value, error) where error adds
     the supplied truncation tail bound to the quadrature estimate.
     """
-    table = build_node_table(path, [f], tolerance, max_panels=max_panels)
-    vals = np.empty(len(table.z), dtype=complex)
-    for i in range(table.n_panels):
-        m = table.panel == i
-        vals[m] = f(table.z[m], table.tags[i])
-    value, err = table_integral(table, vals)
+    table = build_node_table(path, f, tolerance, max_panels=max_panels)
+    value, err = table_integral(table, table.cols[0])
     return value, err + tail

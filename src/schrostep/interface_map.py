@@ -10,8 +10,9 @@ contour integrals over the rotated fourth-quadrant sector boundary,
 without ever reconstructing the solution on an x grid.  The integrand is
 x-free, so the stationary point of the quadratic phase sits at the origin
 and the imaginary-axis tail correction is always in its safe regime.  One
-node table serves a whole batch of times; the unknowns are evaluated once
-per node and reused.
+node table serves a whole batch of times; the unknowns are solved once per
+node while the table is refined, kept as the table's columns, and reused
+for every time.
 """
 
 import numpy as np
@@ -38,23 +39,11 @@ class InterfaceMap:
             raise ValueError(
                 "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
                     self.radius, np.sqrt(2.0 * lam)))
-        self._ucache = {}
-
-    def _unknowns(self, z):
-        key = (z.shape, complex(z[0]), complex(z[-1]))
-        hit = self._ucache.get(key)
-        if hit is not None and np.array_equal(hit[0], z):
-            return hit[1]
-        X = solve_unknowns(self.potential, self.ic, z)
-        if len(self._ucache) > 64:
-            self._ucache.clear()
-        self._ucache[key] = (z.copy(), X)
-        return X
 
     def _col_weight(self, col, pref, t):
         def W(z, tag):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
-            X = self._unknowns(z)
+            X = solve_unknowns(self.potential, self.ic, z)
             return pref * z * np.exp(1j * z * z * t) * X[:, col]
         return W
 
@@ -99,21 +88,27 @@ class InterfaceMap:
                                     zero, tmin, 0.0, (0.0,), tol, 2.0 * R)
         T = max(abs(leg.end()) for leg in path.legs)
         budget = int(min(40000, max(2000, 3.0 * T * T * tmax / (2.0 * np.pi) + 500)))
-        probes = []
-        for col, pref in cols:
-            for tp in {tmin, tmax}:
-                probes.append(self._col_weight(col, pref, tp))
+
+        def unknowns(z, tag):
+            return solve_unknowns(self.potential, self.ic, z).T
+
+        def probes(z, X):
+            return [pref * z * np.exp(1j * z * z * tp) * X[col]
+                    for col, pref in cols for tp in {tmin, tmax}]
+
         try:
-            table = build_node_table(path, probes, tol, max_panels=budget)
+            table = build_node_table(path, unknowns, tol, max_panels=budget,
+                                     probes=probes)
         except QuadratureError:
-            table = build_node_table(path, probes, tol * 1e4, max_panels=budget)
-        X = self._unknowns(table.z)
+            table = build_node_table(path, unknowns, tol * 1e4, max_panels=budget,
+                                     probes=probes)
+        X = table.cols
         spec = {"generic": [(0, True)], "osc": [(2, ((-1j, -1j),), T)]}
         for i, t in live:
             ph = table.z * np.exp(1j * table.z * table.z * t)
             vals = []
             for col, pref in cols:
-                v, e = table_integral(table, pref * ph * X[:, col])
+                v, e = table_integral(table, pref * ph * X[col])
                 tails = _TailModel(path, spec, self._col_weight(col, pref, t),
                                    zero, t, 0.0, span=T)
                 corr, te = tails.at(0.0)

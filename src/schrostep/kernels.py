@@ -204,7 +204,7 @@ class PiecewisePotential:
         return np.stack([nu(a, kappa) for a in self.levels])
 
 
-@dataclass
+@dataclass(slots=True)
 class SolutionSample:
     """One evaluation of the solution: value, error estimate, optional slope."""
 

@@ -25,8 +25,8 @@ expansion is not safely convergent.
 
 The module also carries the scaffolding shared by the other solvers: an
 integral term is W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with
-W independent of x, so a whole grid of x values reuses one set of
-quadrature nodes and one batch of transform evaluations.
+W independent of x, so a whole grid of x values reuses one node table,
+whose W and c columns are evaluated once per node while it is refined.
 """
 
 import numpy as np
@@ -251,24 +251,12 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     return best
 
 
-def _panel_cache(table, fn):
-    """Evaluate fn(z, tag) panel by panel over a node table."""
-    out = np.empty(len(table.z), dtype=complex)
-    start = 0
-    for i in range(table.n_panels):
-        m = table.panel == i
-        n = int(np.sum(m))
-        out[start:start + n] = fn(table.z[start:start + n], table.tags[i])
-        start += n
-    return out
-
-
 def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     """Sum the integral terms over a batch of x values.
 
     Returns (values, errors) or (values, errors, dvalues, derrors) with one
-    entry per x.  Every term builds one node table from three probe points
-    and then reuses its transform evaluations for all x.
+    entry per x.  Every term builds one node table from three probe points,
+    evaluating W and c once per node, and then reuses those values for all x.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.shape, dtype=complex)
@@ -278,22 +266,24 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     tol_term = tolerance / max(1, len(terms))
     for term in terms:
         off = term.x_offset
-        probe_xs = {float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])}
-        probes = []
-        for xp in sorted(probe_xs):
-            def probe(z, tag, _xp=xp):
-                return term.weight(z, tag) * np.exp(1j * term.xcoef(z, tag) * (_xp - off))
-            probes.append(probe)
+        probe_xs = sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])})
+
+        def columns(z, tag):
+            return np.stack((term.weight(z, tag), term.xcoef(z, tag)))
+
+        def probes(z, cols):
+            W, C = cols
+            return [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
+
         try:
-            table = build_node_table(term.path, probes, tol_term,
-                                     max_panels=max_panels)
+            table = build_node_table(term.path, columns, tol_term,
+                                     max_panels=max_panels, probes=probes)
         except QuadratureError:
             # out of budget; take what the budget buys, the per-point error
             # estimates stay honest
-            table = build_node_table(term.path, probes, tol_term * 1e4,
-                                     max_panels=max_panels)
-        W = _panel_cache(table, term.weight)
-        C = _panel_cache(table, term.xcoef)
+            table = build_node_table(term.path, columns, tol_term * 1e4,
+                                     max_panels=max_panels, probes=probes)
+        W, C = table.cols
         for i, x in enumerate(xs):
             ph = np.exp(1j * C * (x - off))
             v, e = table_integral(table, W * ph)

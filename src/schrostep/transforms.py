@@ -279,7 +279,17 @@ def whole_line_hat(ic, k, origin=0.0):
     return complex(out[0]) if scalar else out
 
 
+# k values per block of _tabulated_hat, which keeps its (cells x k)
+# temporaries small whatever the batch size.
+_TAB_BLOCK = 128
+
+
 def _tabulated_hat(ic, k, a, b, origin):
+    if k.size > _TAB_BLOCK:
+        # near-equal blocks, none of one point: a one-point block would sum
+        # its cells in a different order and change the last bits
+        return np.concatenate([_tabulated_hat(ic, kb, a, b, origin) for kb in
+                               np.array_split(k, -(-k.size // _TAB_BLOCK))])
     xt = ic.x_table
     i0 = int(np.clip(np.searchsorted(xt, a, side="right") - 1, 0, xt.size - 2))
     i1 = int(np.clip(np.searchsorted(xt, b, side="left") - 1, 0, xt.size - 2))

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from schrostep import InitialCondition, PiecewisePotential, leading_order
 from schrostep.cli import main
@@ -134,3 +135,38 @@ def test_unknown_solver_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.cfg")]) == 2
     assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+THREE_JUMP_CFG = """
+potential.levels = 0, 1.5, -1, 0.5
+potential.interfaces = 0, 1, 2.5
+initial.kind = gaussian
+initial.center = -1.0
+grid.t = 0.5
+"""
+
+
+@pytest.mark.parametrize("cmd, base, line, field", [
+    ("solve", STEP_CFG, "numerics.tolerance = abc", "numerics.tolerance"),
+    ("solve", STEP_CFG, "numerics.tolerance = -1", "numerics.tolerance"),
+    ("solve", STEP_CFG, "numerics.tolerance = 0", "numerics.tolerance"),
+    ("solve", STEP_CFG, "numerics.tolerance = inf", "numerics.tolerance"),
+    ("solve", STEP_CFG, "numerics.tolerance = nan", "numerics.tolerance"),
+    ("solve", STEP_CFG, "numerics.R = wide", "numerics.R"),
+    ("solve", STEP_CFG, "numerics.delta = tilted", "numerics.delta"),
+    ("solve", STEP_CFG, "grid.t = 0.5, -0.25", "grid.t"),
+    ("solve", STEP_CFG, "grid.t = nan", "grid.t"),
+    ("interface-map", THREE_JUMP_CFG, "numerics.tolerance = -1", "numerics.tolerance"),
+    ("interface-map", THREE_JUMP_CFG, "numerics.R = wide", "numerics.R"),
+    ("interface-map", THREE_JUMP_CFG, "grid.t = -1", "grid.t"),
+    ("interface-map", THREE_JUMP_CFG, "map.interfaces = 1.5", "map.interfaces"),
+    ("interface-map", THREE_JUMP_CFG, "map.interfaces = first", "map.interfaces"),
+])
+def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line, field):
+    cfg = write(tmp_path, "bad.cfg", base + line + "\n")
+    assert main([cmd, cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == field

@@ -1,10 +1,15 @@
+import heapq
+
 import numpy as np
 import pytest
 
-from schrostep.contours import (ContourPath, KeyholeSpec, Leg, QuadratureError,
-                                boundary_of_DR, build_node_table,
-                                check_cut_clearance, deform_to_real_line,
-                                integrate, rotated_boundary, table_integral)
+from schrostep import InitialCondition, PiecewisePotential, StepSolver, nu
+from schrostep import contours, transforms
+from schrostep.contours import (_WG, _WK, _XK, ContourPath, KeyholeSpec, Leg,
+                                QuadratureError, boundary_of_DR,
+                                build_node_table, check_cut_clearance,
+                                deform_to_real_line, integrate,
+                                rotated_boundary, table_integral)
 
 # frozen in tools/make_reference_values.py
 SQRT_PI = 1.772453850905516
@@ -124,10 +129,173 @@ def test_cut_clearance_check():
 
 def test_node_table_multiple_probes_shared():
     path = ContourPath(legs=[Leg.line(-12.0, 12.0)])
-    probes = [lambda z, tag: np.exp(-z * z),
-              lambda z, tag: np.exp(-0.25 * z * z)]
-    table = build_node_table(path, probes, 1e-12)
+    columns = lambda z, tag: np.stack([np.exp(-z * z), np.exp(-0.25 * z * z)])
+    table = build_node_table(path, columns, 1e-12)
     v1, e1 = table_integral(table, np.exp(-table.z ** 2))
     v2, e2 = table_integral(table, np.exp(-0.25 * table.z ** 2))
     assert abs(v1 - SQRT_PI) < 1e-12
     assert abs(v2 - 2.0 * SQRT_PI) < 1e-11
+
+
+# -- exact replay of the panel-at-a-time refinement ------------------------
+
+
+def _reference_table(path, probes, tolerance, max_panels):
+    """Worst-panel-first bisection, one panel and one probe call at a time.
+
+    Returns the stop that ended refinement ('tolerance', 'budget' or
+    'floor'), the sorted panels (leg, a, b) and the concatenated z, w15, w7;
+    or raises QuadratureError, as the batched build must.
+    """
+    panels, heap = [], []
+    counter = 0
+
+    def nodes(leg, a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        s = mid + half * _XK
+        if leg.kind == "pv":
+            u = leg.half * s
+            z = np.concatenate([leg.center + u, leg.center - u]).astype(complex)
+            w15 = np.concatenate([_WK, _WK]) * (half * leg.half)
+            w7 = np.concatenate([_WG, _WG]) * (half * leg.half)
+            return z, w15.astype(complex), w7.astype(complex)
+        jac = leg.deriv(s) * half
+        return leg.point(s), _WK * jac, _WG * jac
+
+    def add(leg_idx, a, b):
+        nonlocal counter
+        leg = path.legs[leg_idx]
+        z, w15, w7 = nodes(leg, a, b)
+        err = 0.0
+        for f in probes:
+            v = np.asarray(f(z, leg.tag), dtype=complex)
+            u = abs(np.sum(v * w15) - np.sum(v * w7))
+            err = max(err, min(u, (200.0 * u) ** 1.5))
+        p = {"leg": leg_idx, "a": a, "b": b, "err": err, "z": z, "w15": w15, "w7": w7}
+        panels.append(p)
+        heapq.heappush(heap, (-err, counter, p))
+        counter += 1
+        return p
+
+    for leg_idx, leg in enumerate(path.legs):
+        bps = [0.0] + sorted(set(leg.splits)) + [1.0]
+        for a, b in zip(bps, bps[1:]):
+            add(leg_idx, a, b)
+    total = sum(p["err"] for p in panels)
+    alive = list(panels)
+    stop = "tolerance"
+    while total > tolerance:
+        if len(alive) >= max_panels:
+            stop = "budget"
+            break
+        _, _, worst = heapq.heappop(heap)
+        if worst["err"] <= 1e-18:
+            stop = "floor"
+            break
+        alive.remove(worst)
+        total -= worst["err"]
+        m = 0.5 * (worst["a"] + worst["b"])
+        for lo, hi in ((worst["a"], m), (m, worst["b"])):
+            alive.append(add(worst["leg"], lo, hi))
+            total += alive[-1]["err"]
+    alive.sort(key=lambda p: panels.index(p))
+    err = sum(p["err"] for p in alive)
+    if err > 50.0 * max(tolerance, 1e-300) and len(alive) >= max_panels:
+        worst = max(alive, key=lambda p: p["err"])
+        raise QuadratureError("reference", leg_index=worst["leg"])
+    alive.sort(key=lambda p: (p["leg"], p["a"]))
+    return (stop, [(p["leg"], p["a"], p["b"]) for p in alive],
+            *(np.concatenate([p[k] for p in alive]) for k in ("z", "w15", "w7")))
+
+
+def _step_weight_probes():
+    solver = StepSolver(PiecewisePotential([1.0, 2.0], [0.0]),
+                        InitialCondition.gaussian(center=-1.0, momentum=0.7))
+    W = solver._w_d4(1, 1.0)
+    return [lambda z, tag, xp=xp: W(z, tag) * np.exp(-1j * nu(1.0, z) * xp)
+            for xp in (-4.0, -2.0, 0.0)]
+
+
+_GAUSS_OSC = [lambda z, tag: np.exp(-z * z / 16.0) * np.cos(20.0 * z),
+              lambda z, tag: np.exp(-z * z)]
+
+# name: (path, probes, tolerance, max_panels, how refinement ends)
+REPLAY_CASES = {
+    "gaussian line": (ContourPath(legs=[Leg.line(-12.0, 12.0)]), _GAUSS_OSC,
+                      1e-13, 2000, "tolerance"),
+    "split pv leg": (deform_to_real_line(3, 30.0, cut=KeyholeSpec("real", 2.0)),
+                     [lambda z, tag: np.exp(-0.01 * z * z) * np.cos(15.0 * z)
+                      / (1.0 + np.abs(z.real - 2.0))],
+                     1e-11, 4000, "tolerance"),
+    "d4 step term": (rotated_boundary(4, 2.5, 16.0, np.pi / 8.0, lam=2.0),
+                     _step_weight_probes(), 1e-12, 4000, "tolerance"),
+    "budget exhausted": (ContourPath(legs=[Leg.line(0.0, 1.0, label="hot leg")]),
+                         [lambda z, tag: np.cos(4000.0 * z.real)], 1e-14, 150,
+                         "error"),
+    "budget exhausted, error kept": (ContourPath(legs=[Leg.line(-12.0, 12.0)]),
+                                     _GAUSS_OSC, 1e-13, 120, "budget"),
+    "roundoff floor": (ContourPath(legs=[Leg.line(-12.0, 12.0), Leg.line(12.0, 13.0)]),
+                       [lambda z, tag: np.exp(-0.25 * z * z) * np.cos(20.0 * z)],
+                       1e-30, 4000, "floor"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_batched_refinement_replays_panel_loop(case):
+    path, probes, tol, max_panels, how = REPLAY_CASES[case]
+    calls = []
+
+    def columns(z, tag):
+        calls.append(z.size)
+        return np.stack([f(z, tag) for f in probes])
+
+    if how == "error":
+        with pytest.raises(QuadratureError) as want:
+            _reference_table(path, probes, tol, max_panels)
+        with pytest.raises(QuadratureError) as got:
+            build_node_table(path, columns, tol, max_panels=max_panels)
+        assert got.value.leg_index == want.value.leg_index
+        assert got.value.leg_label == "hot leg"
+        return
+    stop, spans, z, w15, w7 = _reference_table(path, probes, tol, max_panels)
+    assert stop == how
+    table = build_node_table(path, columns, tol, max_panels=max_panels)
+    n_calls = len(calls)
+    assert table.spans == spans
+    for got, ref in ((table.z, z), (table.w15, w15), (table.w7, w7)):
+        np.testing.assert_array_equal(got, ref)
+    # the columns are the one evaluation per node made while refining
+    np.testing.assert_array_equal(table.cols, columns(table.z, path.legs[0].tag))
+    # n_panels / 8 + legs on 15-node panels; a pv panel carries 30 nodes
+    assert n_calls <= len(table.z) / 120 + len(path.legs)
+    assert max(calls[:n_calls]) <= 480
+
+
+def test_failed_speculation_falls_back_to_needed_panels(monkeypatch):
+    # the quiet second leg is never split by the panel loop; evaluating its
+    # halves ahead of need hits a node the integrand rejects, which must
+    # not surface as an error
+    path = ContourPath(legs=[Leg.line(-8.0, 8.0), Leg.line(8.0, 9.0)])
+
+    def f(z, tag):
+        if np.any(np.abs(z - 8.25) < 1e-12):
+            raise ValueError("rejected node")
+        return np.exp(-z * z)
+
+    def everything(heap, worst, *args):
+        return [worst] + [entry[2] for entry in heap if entry[2].kids is None]
+
+    _, spans, z, _, _ = _reference_table(path, [f], 1e-13, 2000)
+    monkeypatch.setattr(contours, "_next_to_split", everything)
+    table = build_node_table(path, f, 1e-13)
+    assert table.spans == spans and (1, 0.0, 1.0) in spans
+    np.testing.assert_array_equal(table.z, z)
+
+
+def test_chunked_tabulated_hat_matches_unchunked(monkeypatch):
+    x = np.linspace(-4.0, 2.0, 25)
+    ic = InitialCondition.tabulated(x, np.exp(-(x + 1.0) ** 2 + 0.7j * x))
+    k = np.linspace(-30.0, 30.0, 481) * np.exp(0.3j)
+    chunked = transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5)
+    monkeypatch.setattr(transforms, "_TAB_BLOCK", 10 ** 9)
+    np.testing.assert_array_equal(chunked, transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5))

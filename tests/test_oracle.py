@@ -1,10 +1,8 @@
-import os
-
 import numpy as np
 import pytest
 
 from schrostep import InitialCondition, PiecewisePotential
-from schrostep import oracle
+from schrostep import _accel, oracle
 from schrostep._accel import cn_evolve
 
 
@@ -56,20 +54,28 @@ def test_ground_state_energy_matches_bound_state():
 
 
 def test_cn_evolve_fallback_matches_compiled():
+    # the scipy fallback and the public kernel (compiled when numba is
+    # importable) both against a dense solve of the same Crank-Nicolson step
     rng = np.random.default_rng(11)
     n = 400
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n)
-    a1, b1 = cn_evolve(psi, v, 0.05, 1e-3, 40)
-    env = os.environ.copy()
-    # run the pure-scipy path in-process by calling the internal directly
-    from schrostep import _accel
-    dx, dt = 0.05, 1e-3
+    dx, dt, nsteps = 0.05, 1e-3, 40
     h = 0.5j * dt
     dplus = 1.0 + h * (2.0 / dx ** 2 + v)
     dminus = 1.0 - h * (2.0 / dx ** 2 + v)
     coff = complex(-h / dx ** 2)
-    a2, b2 = _accel._cn_evolve_scipy(np.array(psi, dtype=complex), dplus,
-                                     dminus, -coff, coff, 40)
-    assert np.max(np.abs(a1 - a2)) < 1e-11
-    assert abs(b1 - b2) < 1e-11
+    off = np.eye(n, k=1) + np.eye(n, k=-1)
+    lhs = np.diag(dplus) + coff * off
+    rhs = np.diag(dminus) - coff * off
+    step = np.linalg.solve(lhs, rhs)
+    want = psi.copy()
+    bmax = 0.0
+    for _ in range(nsteps):
+        want = step @ want
+        bmax = max(bmax, abs(want[0]), abs(want[-1]))
+    a1, b1 = cn_evolve(psi, v, dx, dt, nsteps)
+    a2, b2 = _accel._cn_evolve_scipy(psi.copy(), dplus, dminus, -coff, coff, nsteps)
+    for got, gotb in ((a1, b1), (a2, b2)):
+        assert np.max(np.abs(got - want)) < 1e-11
+        assert abs(gotb - bmax) < 1e-11
