@@ -21,18 +21,18 @@ Subcommands:
 
 Output is tab separated with a header row, %.17g everywhere, to
 output.path or stdout.  Configuration problems exit with status 2 and a
-one-line JSON object on stderr naming the offending field.  The
-SCHROSTEP_THREADS variable caps the compiled-kernel thread count.
+one-line JSON object on stderr naming the offending field; so does a
+quadrature that cannot meet numerics.tolerance within its panel budget.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .asymptotics import leading_order
+from .contours import QuadratureError
 from .general import GeneralSolver
 from .interface_map import InterfaceMap
 from .kernels import PiecewisePotential
@@ -199,11 +199,12 @@ def cmd_solve(args):
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg["grid.x"])
     ts = _times(cfg)
+    # evaluate everything first, so a failure leaves no partial output
+    samples = [s for t in ts for s in solver.evaluate_grid(xs, t)]
     out, close = _open_out(cfg)
     out.write("x\tt\tre_psi\tim_psi\tabs_psi\terr_estimate\n")
-    for t in ts:
-        for s in solver.evaluate_grid(xs, t):
-            _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error])
+    for s in samples:
+        _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error])
     if close:
         out.close()
     return 0
@@ -218,17 +219,16 @@ def cmd_compare(args):
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg_a["grid.x"])
     ts = _times(cfg_a)
+    pairs = [p for t in ts
+             for p in zip(sol_a.evaluate_grid(xs, t), sol_b.evaluate_grid(xs, t))]
     out, close = _open_out(cfg_a)
     out.write("x\tt\tre_psi_a\tim_psi_a\tre_psi_b\tim_psi_b\tabs_diff\terr_a\terr_b\n")
     worst = 0.0
-    for t in ts:
-        sa = sol_a.evaluate_grid(xs, t)
-        sb = sol_b.evaluate_grid(xs, t)
-        for a, b in zip(sa, sb):
-            d = abs(a.value - b.value)
-            worst = max(worst, d)
-            _emit(out, [a.x, a.t, a.value.real, a.value.imag,
-                        b.value.real, b.value.imag, d, a.error, b.error])
+    for a, b in pairs:
+        d = abs(a.value - b.value)
+        worst = max(worst, d)
+        _emit(out, [a.x, a.t, a.value.real, a.value.imag,
+                    b.value.real, b.value.imag, d, a.error, b.error])
     if close:
         out.close()
     print("max|psi_a - psi_b| = {:.6e}".format(worst), file=sys.stderr)
@@ -282,27 +282,19 @@ def cmd_interface_map(args):
             raise ConfigError("map.interfaces",
                               "indices must lie in 1..{}".format(pot.njumps))
     ts = _times(cfg)
+    samples = [s for ell in idx
+               for s in imap.trace_grid(ts, interface=ell, derivative=True)]
     out, close = _open_out(cfg)
     out.write("x\tt\tre_psi\tim_psi\tabs_psi\terr_estimate\tre_psi_x\tim_psi_x\n")
-    for ell in idx:
-        for s in imap.trace_grid(ts, interface=ell, derivative=True):
-            _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value),
-                        s.error, s.psi_x.real, s.psi_x.imag])
+    for s in samples:
+        _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value),
+                    s.error, s.psi_x.real, s.psi_x.imag])
     if close:
         out.close()
     return 0
 
 
 def main(argv=None):
-    threads = os.environ.get("SCHROSTEP_THREADS")
-    if threads:
-        try:
-            from . import _accel
-            if _accel.HAS_NUMBA:
-                import numba
-                numba.set_num_threads(max(1, int(threads)))
-        except (ImportError, ValueError):
-            pass
     ap = argparse.ArgumentParser(prog="schrostep", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("solve", help="evaluate a scenario on its grid")
@@ -326,6 +318,10 @@ def main(argv=None):
         return 2
     except FileNotFoundError as e:
         print(json.dumps({"error": str(e), "field": "config"}), file=sys.stderr)
+        return 2
+    except QuadratureError as e:
+        print(json.dumps({"error": str(e), "field": "numerics.tolerance"}),
+              file=sys.stderr)
         return 2
 
 

@@ -11,8 +11,9 @@ without ever reconstructing the solution on an x grid.  The integrand is
 x-free, so the stationary point of the quadratic phase sits at the origin
 and the imaginary-axis tail correction is always in its safe regime.  One
 node table serves a whole batch of times; the unknowns are solved once per
-node while the table is refined, kept as the table's columns, and reused
-for every time.
+node while the table is refined, kept as the table's columns, and every
+time is summed in one phased table_integral call, with W = pref kappa X,
+C = kappa^2 and the times in the place of x.
 """
 
 import numpy as np
@@ -103,16 +104,18 @@ class InterfaceMap:
             table = build_node_table(path, unknowns, tol * 1e4, max_panels=budget,
                                      probes=probes)
         X = table.cols
+        C = table.z * table.z
+        times = np.array([t for _, t in live])
+        sums = [table_integral(table, pref * table.z * X[col], C, times)
+                for col, pref in cols]
         spec = {"generic": [(0, True)], "osc": [(2, ((-1j, -1j),), T)]}
-        for i, t in live:
-            ph = table.z * np.exp(1j * table.z * table.z * t)
+        for row, (i, t) in enumerate(live):
             vals = []
-            for col, pref in cols:
-                v, e = table_integral(table, pref * ph * X[col])
+            for (col, pref), (v, e) in zip(cols, sums):
                 tails = _TailModel(path, spec, self._col_weight(col, pref, t),
                                    zero, t, 0.0, span=T)
                 corr, te = tails.at(0.0)
-                vals.append((v + corr, e + te))
+                vals.append((v[row] + corr, e[row] + te))
             if derivative:
                 out[i] = SolutionSample(x_ell, t, complex(vals[0][0]),
                                         float(vals[0][1]),

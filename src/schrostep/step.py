@@ -26,7 +26,8 @@ expansion is not safely convergent.
 The module also carries the scaffolding shared by the other solvers: an
 integral term is W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with
 W independent of x, so a whole grid of x values reuses one node table,
-whose W and c columns are evaluated once per node while it is refined.
+whose W and c columns are evaluated once per node while it is refined, and
+one phased table_integral call sums the term at every x of the grid.
 """
 
 import numpy as np
@@ -148,31 +149,36 @@ class _OscTail:
         return d1, d2, d3
 
     def estimate(self, x, derivative=False):
-        """Tail correction and error estimate at one evaluation point."""
+        """Tail corrections and error estimates at the evaluation points x.
+
+        The branch rules apply point by point: a point falls back to the
+        sampled-decay bound when a stationary point may hide beyond the cut,
+        when the expansion is not safely convergent, or when that bound is
+        already no larger than the expansion's residual.
+        """
         A = self.A * (1j * self.c) if derivative else self.A
         gen = _pair_tail(abs(A[0]), abs(A[1]), self.h, self.K)
-        X = x - self.x0
+        X = np.asarray(x, dtype=float) - self.x0
         c1, c2, c3 = self._fd(self.c)
         p1 = -2.0 * self.t * self.K + c1 * X
         # a stationary point must not hide beyond the cut
-        if abs(2.0 * self.t * self.K) < 1.3 * abs(c1 * X) or abs(p1) < 1e-12:
-            return 0.0j, gen
+        hidden = ((np.abs(2.0 * self.t * self.K) < 1.3 * np.abs(c1 * X))
+                  | (np.abs(p1) < 1e-12))
         a1, a2, a3 = self._fd(A)
-        g = 1j * p1
+        g = 1j * np.where(hidden, 1.0, p1)
         gp = 1j * (-2.0 * self.t + c2 * X)
         gpp = 1j * (c3 * X)
         B1 = A[0] / g
         B2 = a1 / g ** 2 - A[0] * gp / g ** 3
         B3 = (a2 / g ** 3 - 3.0 * a1 * gp / g ** 4 - A[0] * gpp / g ** 4
               + 3.0 * A[0] * gp * gp / g ** 5)
-        if abs(B2) > 0.5 * abs(B1) or abs(B3) > 0.7 * abs(B2) + 1e-300:
-            return 0.0j, gen
-        err = abs(B3) + 1e-13 * abs(B1)
-        if gen <= err:
-            return 0.0j, gen
+        diverging = ((np.abs(B2) > 0.5 * np.abs(B1))
+                     | (np.abs(B3) > 0.7 * np.abs(B2) + 1e-300))
+        err = np.abs(B3) + 1e-13 * np.abs(B1)
+        keep = ~hidden & ~diverging & ~(gen <= err)
         phi0 = -self.t * self.K * self.K + float(self.c[0]) * X
         corr = self.sign * np.exp(1j * phi0) * (-B1 + B2 - B3)
-        return corr, err
+        return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
 
 
 class _TailModel:
@@ -195,17 +201,14 @@ class _TailModel:
 
     def worst(self, xs, derivative=False):
         """Largest tail error estimate over the probe points (for acceptance)."""
-        out = self.generic_deriv if derivative else self.generic
-        for x in xs:
-            tot = self.generic_deriv if derivative else self.generic
-            for o in self.oscs:
-                tot += o.estimate(x, derivative)[1]
-            out = max(out, tot)
-        return out
+        base = self.generic_deriv if derivative else self.generic
+        return float(max([base, *self.at(xs, derivative)[1]]))
 
     def at(self, x, derivative=False):
-        corr = 0.0j
-        err = self.generic_deriv if derivative else self.generic
+        """Tail corrections and error estimates at the points x."""
+        x = np.asarray(x, dtype=float)
+        corr = np.zeros(x.shape, dtype=complex)
+        err = np.full(x.shape, self.generic_deriv if derivative else self.generic)
         for o in self.oscs:
             c, e = o.estimate(x, derivative)
             corr += c
@@ -256,7 +259,12 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
 
     Returns (values, errors) or (values, errors, dvalues, derrors) with one
     entry per x.  Every term builds one node table from three probe points,
-    evaluating W and c once per node, and then reuses those values for all x.
+    evaluating W and c once per node, and then sums W exp(i c (x - x0)) at
+    every x in one phased table_integral call: tiles of at most 2^12 complex
+    entries, with the phases of a uniform grid (any linspace) built from
+    two small exp tables, accurate to the rounding of a direct exp (see
+    table_integral).  The tail corrections and estimates are evaluated for
+    all x at once as well.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.shape, dtype=complex)
@@ -284,17 +292,14 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
             table = build_node_table(term.path, columns, tol_term * 1e4,
                                      max_panels=max_panels, probes=probes)
         W, C = table.cols
-        for i, x in enumerate(xs):
-            ph = np.exp(1j * C * (x - off))
-            v, e = table_integral(table, W * ph)
-            corr, tail = term.tails.at(x)
-            vals[i] += v + corr
-            errs[i] += e + tail
-            if derivative:
-                dv, de = table_integral(table, W * 1j * C * ph)
-                dcorr, dtail = term.tails.at(x, derivative=True)
-                dvals[i] += dv + dcorr
-                derrs[i] += de + dtail
+        sums = table_integral(table, W, C, xs - off, derivative=derivative)
+        corr, tail = term.tails.at(xs)
+        vals += sums[0] + corr
+        errs += sums[1] + tail
+        if derivative:
+            dcorr, dtail = term.tails.at(xs, derivative=True)
+            dvals += sums[2] + dcorr
+            derrs += sums[3] + dtail
     if derivative:
         return vals, errs, dvals, derrs
     return vals, errs

@@ -170,3 +170,17 @@ def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line
     lines = cap.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["field"] == field
+
+
+def test_unreachable_tolerance_exits_two_naming_it(tmp_path, capsys):
+    # the quadrature exhausts its panel budget at this tolerance and raises
+    # QuadratureError; the CLI reports it like a bad field, writing nothing
+    cfg = write(tmp_path, "tight.cfg", STEP_CFG + "numerics.tolerance = 1e-300\n")
+    assert main(["solve", cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["field"] == "numerics.tolerance"
+    assert "quadrature failure" in err["error"]

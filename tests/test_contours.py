@@ -299,3 +299,148 @@ def test_chunked_tabulated_hat_matches_unchunked(monkeypatch):
     chunked = transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5)
     monkeypatch.setattr(transforms, "_TAB_BLOCK", 10 ** 9)
     np.testing.assert_array_equal(chunked, transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5))
+
+
+# -- the phased sum against a per-point loop --------------------------------
+
+
+def _reference_phased(table, W, C, X, derivative=False):
+    """One X at a time, one direct exp per node, panel sums by bincount.
+
+    Returns rows (value, error, roundoff floor) per integrand, W and then,
+    with derivative, i C W; one column per X.
+    """
+    def panel_sums(v):
+        return (np.bincount(table.panel, v.real, table.n_panels)
+                + 1j * np.bincount(table.panel, v.imag, table.n_panels))
+
+    out = []
+    for f in ([W, 1j * C * W] if derivative else [W]):
+        vals, errs, floors = [], [], []
+        for x in X:
+            g = f * np.exp(1j * C * x)
+            i15, i7 = panel_sums(g * table.w15), panel_sums(g * table.w7)
+            u = np.abs(i15 - i7)
+            floor = 2.3e-16 * np.sum(np.abs(g * table.w15))
+            vals.append(table.sign * np.sum(i15))
+            errs.append(np.sum(np.minimum(u, (200.0 * u) ** 1.5)) + floor)
+            floors.append(floor)
+        out += [np.array(vals), np.array(errs), np.array(floors)]
+    return out
+
+
+def _assert_phased_matches(table, W, C, X, derivative=False):
+    """Values and errors within twice each point's roundoff floor + 1e-15."""
+    got = table_integral(table, W, C, X, derivative=derivative)
+    ref = _reference_phased(table, W, C, X, derivative)
+    assert len(got) == (4 if derivative else 2)
+    for i in range(len(got) // 2):
+        value, err = got[2 * i], got[2 * i + 1]
+        ref_value, ref_err, floor = ref[3 * i:3 * i + 3]
+        bound = 2.0 * floor + 1e-15
+        assert value.shape == err.shape == (len(X),)
+        assert np.all(np.abs(value - ref_value) <= bound)
+        assert np.all(np.abs(err - ref_err) <= bound)
+
+
+def _step_term_table(representation, region=1, t=0.5):
+    """A solver term's node table with its W and c columns."""
+    solver = StepSolver(PiecewisePotential([1.0, 2.0], [0.0]),
+                        InitialCondition.gaussian(center=-1.0, momentum=0.7),
+                        representation=representation)
+    term = solver._terms(region, t, True, 4.0)[0]
+
+    def columns(z, tag):
+        return np.stack((term.weight(z, tag), term.xcoef(z, tag)))
+
+    table = build_node_table(term.path, columns, 1e-10, max_panels=4000)
+    return table, table.cols[0], table.cols[1]
+
+
+_LINSPACE = np.linspace(-4.0, 4.0, 401)
+PHASED_GRIDS = {
+    "linspace": _LINSPACE,
+    "linspace with x_j - 1e-9": np.array(sorted(
+        set(_LINSPACE) | {p for xj in (-1.0, 0.5, 2.0) for p in (xj - 1e-9, xj)})),
+    "linspace, tail reversed": np.r_[_LINSPACE[:300], _LINSPACE[300:][::-1]],
+    # on the lattice, but far enough off it that the first-order term counts
+    "linspace jittered by 1e-12":
+        _LINSPACE + 1e-12 * np.random.default_rng(3).standard_normal(401),
+    "unsorted random": np.random.default_rng(7).uniform(-4.0, 4.0, 300),
+    "under 32 points": np.linspace(-4.0, 4.0, 20),
+}
+
+
+@pytest.mark.parametrize("grid", list(PHASED_GRIDS))
+@pytest.mark.parametrize("derivative", [False, True])
+def test_phased_sum_matches_per_point_loop(grid, derivative):
+    table, W, C = _step_term_table("d4")
+    _assert_phased_matches(table, W, C, PHASED_GRIDS[grid], derivative)
+
+
+def test_phased_sum_lattice_covers_the_linspace_points():
+    # the straddle points leave the other points on the lattice
+    X = PHASED_GRIDS["linspace with x_j - 1e-9"]
+    h, on, _, rho, _ = contours._lattice(X, 40.0)
+    assert np.count_nonzero(~on) == 3
+    assert abs(h - 0.02) < 1e-15
+    assert 40.0 * np.max(np.abs(rho)) <= 1e-8
+    assert contours._lattice(PHASED_GRIDS["linspace, tail reversed"], 40.0)[1].all()
+    assert contours._lattice(PHASED_GRIDS["linspace jittered by 1e-12"], 40.0)[1].all()
+    assert contours._lattice(PHASED_GRIDS["under 32 points"], 40.0) is None
+    assert contours._lattice(PHASED_GRIDS["unsorted random"], 40.0) is None
+
+
+def test_phased_sum_on_realline_table():
+    # 30-node principal-value panels next to 15-node cut panels
+    table, W, C = _step_term_table("realline", region=2)
+    assert {np.count_nonzero(table.panel == p) for p in range(table.n_panels)} == {15, 30}
+    _assert_phased_matches(table, W, C, _LINSPACE[200:], derivative=True)
+
+
+def test_phased_sum_on_30000_node_table():
+    leg = Leg.line(-60.0 - 2.0j, 60.0 + 2.0j)
+    n = 2000
+    edges = np.linspace(0.0, 1.0, n + 1)
+    z, w15, w7 = (a.ravel() for a in contours._panel_nodes(leg, edges[:-1], edges[1:]))
+    C = z + 0.05j * np.abs(z)
+    W = np.exp(-z * z / 400.0) * (1.0 + 0.1j * z)
+    table = contours.NodeTable(z=z, w15=w15, w7=w7, cols=np.stack([W, C]),
+                               panel=np.repeat(np.arange(n), 15),
+                               spans=[(0, a, b) for a, b in zip(edges, edges[1:])],
+                               sign=-1, n_panels=n)
+    assert z.size == 30000
+    _assert_phased_matches(table, W, C, np.linspace(-3.0, 3.0, 64))
+
+
+def test_single_integrand_form_keeps_scalar_result():
+    path = ContourPath(legs=[Leg.line(-12.0, 12.0)])
+    table = build_node_table(path, lambda z, tag: np.exp(-z * z), 1e-13)
+    value, err = table_integral(table, table.cols[0])
+    ref = _reference_phased(table, table.cols[0], np.zeros(table.z.size), [0.0])
+    assert isinstance(err, float)
+    assert abs(value - ref[0][0]) <= 2.0 * ref[2][0] + 1e-15
+    assert abs(err - ref[1][0]) <= 2.0 * ref[2][0] + 1e-15
+
+
+def test_interface_map_sums_all_times_in_one_phased_call(monkeypatch):
+    from schrostep import InterfaceMap, interface_map
+
+    calls = []
+
+    def spy(table, W, C=None, X=None, derivative=False):
+        out = table_integral(table, W, C, X, derivative)
+        calls.append((table, W, C, X, out))
+        return out
+
+    monkeypatch.setattr(interface_map, "table_integral", spy)
+    pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
+    ts = np.linspace(0.1, 1.2, 40)
+    got = InterfaceMap(pot, ic).trace_grid(ts, interface=2, derivative=True)
+    assert len(calls) == 2      # psi and psi_x, every time at once
+    for table, W, C, X, (value, err) in calls:
+        np.testing.assert_array_equal(X, ts)
+        np.testing.assert_array_equal(C, table.z * table.z)
+        _assert_phased_matches(table, W, C, X)
+    assert [s.t for s in got] == list(ts)

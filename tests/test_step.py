@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from schrostep import InitialCondition, PiecewisePotential, StepSolver, mirrored, sigma, step_coefficients
+from schrostep import step as step_module
+from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
+from schrostep.step import _OscTail, _pair_tail, eval_terms
 
 FREE = PiecewisePotential([0.0, 0.0], [0.0])
 UP = PiecewisePotential([1.0, 2.0], [0.0])
@@ -124,3 +127,94 @@ def test_tabulated_d4_error_estimate_is_honest():
                      tolerance=1e-10).evaluate_grid(xs, 0.5)
     for g, r in zip(got, ref):
         assert abs(g.value - r.value) <= g.error + r.error
+
+
+# -- the per-x layer: one phased sum per term, tails over all x ------------
+
+
+def _scalar_estimate(o, x, derivative=False):
+    """The one-point integration-by-parts tail, with the branch it took."""
+    A = o.A * (1j * o.c) if derivative else o.A
+    gen = _pair_tail(abs(A[0]), abs(A[1]), o.h, o.K)
+    X = x - o.x0
+    c1, c2, c3 = o._fd(o.c)
+    p1 = -2.0 * o.t * o.K + c1 * X
+    if abs(2.0 * o.t * o.K) < 1.3 * abs(c1 * X) or abs(p1) < 1e-12:
+        return 0.0j, gen, "stationary point beyond the cut"
+    a1, a2, a3 = o._fd(A)
+    g = 1j * p1
+    gp = 1j * (-2.0 * o.t + c2 * X)
+    gpp = 1j * (c3 * X)
+    B1 = A[0] / g
+    B2 = a1 / g ** 2 - A[0] * gp / g ** 3
+    B3 = (a2 / g ** 3 - 3.0 * a1 * gp / g ** 4 - A[0] * gpp / g ** 4
+          + 3.0 * A[0] * gp * gp / g ** 5)
+    if abs(B2) > 0.5 * abs(B1) or abs(B3) > 0.7 * abs(B2) + 1e-300:
+        return 0.0j, gen, "expansion not convergent"
+    err = abs(B3) + 1e-13 * abs(B1)
+    if gen <= err:
+        return 0.0j, gen, "decay bound smaller"
+    phi0 = -o.t * o.K * o.K + float(o.c[0]) * X
+    return o.sign * np.exp(1j * phi0) * (-B1 + B2 - B3), err, "kept"
+
+
+def _osc(growth, scale=1.0):
+    t, K = 0.5, 10.0
+
+    def weight(z, tag):
+        # slowly varying amplitude times the stripped quadratic phase
+        return scale * np.exp(-1j * t * z * z + growth * z) / z
+
+    return _OscTail(weight, lambda z, tag: z, 1.0, 1.0, K, t, -1, 0.25, "")
+
+
+def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
+    # array and scalar complex arithmetic may round differently in the
+    # last bit, so allow a few ulps
+    rtol = 4.0 * np.finfo(float).eps
+    xs = np.array([-3.0, 0.0, 2.0, 7.0, 9.0, 10.25, -12.0])
+    seen = set()
+    for o in (_osc(0.0), _osc(8.0), _osc(0.0, scale=0.0)):
+        for derivative in (False, True):
+            corr, err = o.estimate(xs, derivative)
+            for x, c, e in zip(xs, corr, err):
+                rc, re_, branch = _scalar_estimate(o, x, derivative)
+                seen.add(branch)
+                assert abs(c - rc) <= rtol * abs(rc) and abs(e - re_) <= rtol * re_
+                assert (c == 0.0) == (branch != "kept")
+    assert seen == {"kept", "stationary point beyond the cut",
+                    "expansion not convergent", "decay bound smaller"}
+
+
+def test_tail_model_worst_is_the_largest_point_estimate():
+    solver = StepSolver(UP, gaussian_ic())
+    tails = solver._terms(1, 0.5, True, 4.0)[0].tails
+    xs = np.linspace(-4.0, 0.0, 9)
+    for derivative in (False, True):
+        worst = tails.worst(xs, derivative=derivative)
+        assert isinstance(worst, float)
+        each = [tails.at(x, derivative)[1] for x in xs]
+        assert worst == max([tails.generic_deriv if derivative else tails.generic] + each)
+
+
+def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
+    calls = []
+
+    def spy(table, W, C=None, X=None, derivative=False):
+        out = table_integral(table, W, C, X, derivative)
+        calls.append((X, out))
+        return out
+
+    monkeypatch.setattr(step_module, "table_integral", spy)
+    terms = StepSolver(UP, gaussian_ic())._terms(1, 0.5, True, 4.0)
+    xs = np.linspace(-4.0, -0.05, 80)
+    got = eval_terms(terms, xs, 1e-8, derivative=True)
+    assert len(calls) == len(terms) == 1
+    X, sums = calls[0]
+    np.testing.assert_array_equal(X, xs - terms[0].x_offset)
+    # the phased sums plus the tails, evaluated over all x at once
+    corr, tail = terms[0].tails.at(xs)
+    dcorr, dtail = terms[0].tails.at(xs, derivative=True)
+    for a, b in zip(got, (sums[0] + corr, sums[1] + tail, sums[2] + dcorr,
+                          sums[3] + dtail)):
+        np.testing.assert_array_equal(a, b)
