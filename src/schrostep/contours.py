@@ -40,7 +40,6 @@ __all__ = [
     "rotated_boundary",
     "deform_to_real_line",
     "check_cut_clearance",
-    "integrate",
     "build_node_table",
     "table_integral",
     "NodeTable",
@@ -828,16 +827,3 @@ def table_integral(table, W, C=None, X=None, derivative=False):
         return val[0], err[0], val[1], err[1]
     return val[0], err[0]
 
-
-def integrate(path, f, tolerance=1e-10, max_panels=2000, tail=0.0):
-    """Integrate f along path adaptively.
-
-    f is called as f(z, tag) with a batch of nodes z and the tag of the leg
-    they belong to; it must return the integrand values (the cut-difference
-    leg receives points z = i*y on the cut and f is expected to supply the
-    analytic jump formula there).  Returns (value, error) where error adds
-    the supplied truncation tail bound to the quadrature estimate.
-    """
-    table = build_node_table(path, f, tolerance, max_panels=max_panels)
-    value, err = table_integral(table, table.cols[0])
-    return value, err + tail

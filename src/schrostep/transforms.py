@@ -76,8 +76,19 @@ def _gauss_hat_piece(amp, c, w, mu, k, a, b, origin):
 def _osc_moments(k, ta, tb, nmax):
     """Moments J_m = integral_ta^tb tau^m exp(-i k tau) dtau for m = 0..nmax.
 
-    ta, tb, k broadcast together.  Uses a power series where |k| * tau is
-    small and the stable upward recursion elsewhere.
+    ta, tb, k broadcast together.  Every entry takes the stable upward
+    recursion first; the entries where |k| max(|ta|, |tb|) < 0.5, where the
+    recursion cancels, are then overwritten by the 22-term power series
+
+        J_m = sum_j z^j (tb^(m+j+1) - ta^(m+j+1)) / (j! (m+j+1)),  z = -i k.
+
+    The power differences are tabulated once per (ta, tb) pair, with the
+    same scalar integer exponents as an all-entries sum, and gathered only
+    at those entries; with none (every node of the d4 and quadrant paths,
+    whose |k| stays above the arc radius) the series is skipped.  The terms
+    are summed in the same order as over the whole grid, and elementwise
+    numpy arithmetic does not depend on the array shape, so the moments are
+    bit-identical to evaluating the series everywhere and selecting.
     """
     k = np.asarray(k, dtype=complex)
     ta = np.asarray(ta, dtype=float)
@@ -86,25 +97,29 @@ def _osc_moments(k, ta, tb, nmax):
     span = np.maximum(np.abs(ta), np.abs(tb))
     small = np.abs(z) * span < 0.5
 
-    out_series = []
-    for m_idx in range(nmax + 1):
-        acc = np.zeros(np.broadcast(z, ta, tb).shape, dtype=complex)
-        zp = np.ones_like(acc)
-        fact = 1.0
-        for j in range(22):
-            acc = acc + zp * (tb ** (m_idx + j + 1) - ta ** (m_idx + j + 1)) / (fact * (m_idx + j + 1))
-            zp = zp * z
-            fact *= (j + 1)
-        out_series.append(acc)
-
     zs = np.where(small, 1.0, z)
     ea = np.exp(zs * ta)
     eb = np.exp(zs * tb)
-    out_rec = [(eb - ea) / zs]
+    out = [(eb - ea) / zs]
     for m_idx in range(1, nmax + 1):
-        out_rec.append((tb ** m_idx * eb - ta ** m_idx * ea - m_idx * out_rec[-1]) / zs)
+        out.append((tb ** m_idx * eb - ta ** m_idx * ea - m_idx * out[-1]) / zs)
+    if not np.any(small):
+        return out
 
-    return [np.where(small, s, r) for s, r in zip(out_series, out_rec)]
+    zg = np.broadcast_to(z, small.shape)[small]
+    dpow = [np.broadcast_to(tb ** p - ta ** p, small.shape)[small]
+            for p in range(1, nmax + 23)]
+    for m_idx in range(nmax + 1):
+        acc = np.zeros(zg.shape, dtype=complex)
+        zp = np.ones_like(acc)
+        fact = 1.0
+        for j in range(22):
+            acc = acc + zp * dpow[m_idx + j] / (fact * (m_idx + j + 1))
+            zp = zp * zg
+            fact *= (j + 1)
+        out[m_idx] = np.asarray(out[m_idx])
+        out[m_idx][small] = acc
+    return out
 
 
 def _gauss_moments(p, s, ta, tb, nmax):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from schrostep import InitialCondition, PiecewisePotential
-from schrostep import _accel, oracle
-from schrostep._accel import cn_evolve
+from schrostep import oracle
+from schrostep.oracle import cn_evolve
 
 
 def test_free_gaussian_reference_value():
@@ -53,9 +53,9 @@ def test_ground_state_energy_matches_bound_state():
     assert abs(np.sum(phi ** 2) * (x[1] - x[0]) - 1.0) < 1e-12
 
 
-def test_cn_evolve_fallback_matches_compiled():
-    # the scipy fallback and the public kernel (compiled when numba is
-    # importable) both against a dense solve of the same Crank-Nicolson step
+def test_cn_evolve_matches_dense_solve():
+    # the sparse-LU stepper against a dense solve of the same Crank-Nicolson
+    # step
     rng = np.random.default_rng(11)
     n = 400
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -74,8 +74,6 @@ def test_cn_evolve_fallback_matches_compiled():
     for _ in range(nsteps):
         want = step @ want
         bmax = max(bmax, abs(want[0]), abs(want[-1]))
-    a1, b1 = cn_evolve(psi, v, dx, dt, nsteps)
-    a2, b2 = _accel._cn_evolve_scipy(psi.copy(), dplus, dminus, -coff, coff, nsteps)
-    for got, gotb in ((a1, b1), (a2, b2)):
-        assert np.max(np.abs(got - want)) < 1e-11
-        assert abs(gotb - bmax) < 1e-11
+    got, gotb = cn_evolve(psi, v, dx, dt, nsteps)
+    assert np.max(np.abs(got - want)) < 1e-11
+    assert abs(gotb - bmax) < 1e-11

@@ -110,3 +110,90 @@ def test_tabulated_validation():
         InitialCondition.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         InitialCondition.gaussian(width=0.0)
+
+
+def _osc_moments_all_entries(k, ta, tb, nmax):
+    # the series summed at every entry and then selected: the reference the
+    # gathered series in transforms._osc_moments must reproduce bit for bit
+    k = np.asarray(k, dtype=complex)
+    ta = np.asarray(ta, dtype=float)
+    tb = np.asarray(tb, dtype=float)
+    z = -1j * k
+    span = np.maximum(np.abs(ta), np.abs(tb))
+    small = np.abs(z) * span < 0.5
+    out_series = []
+    for m_idx in range(nmax + 1):
+        acc = np.zeros(np.broadcast(z, ta, tb).shape, dtype=complex)
+        zp = np.ones_like(acc)
+        fact = 1.0
+        for j in range(22):
+            acc = acc + zp * (tb ** (m_idx + j + 1) - ta ** (m_idx + j + 1)) / (fact * (m_idx + j + 1))
+            zp = zp * z
+            fact *= (j + 1)
+        out_series.append(acc)
+    zs = np.where(small, 1.0, z)
+    ea = np.exp(zs * ta)
+    eb = np.exp(zs * tb)
+    out_rec = [(eb - ea) / zs]
+    for m_idx in range(1, nmax + 1):
+        out_rec.append((tb ** m_idx * eb - ta ** m_idx * ea - m_idx * out_rec[-1]) / zs)
+    return [np.where(small, s, r) for s, r in zip(out_series, out_rec)]
+
+
+# (ta, tb) as _tabulated_hat passes them: 0 <= ta < tb, local to a cell
+OSC_CELLS = [(0.0, 0.3), (0.25, 0.5), (0.1, 0.45)]
+# directions of k: real both ways, and complex in both half-planes
+OSC_DIRECTIONS = np.exp(1j * np.array([0.0, np.pi, 0.6, -0.6, 2.5, -2.5,
+                                       0.5 * np.pi, -0.5 * np.pi]))
+
+
+def _osc_k(factors):
+    # |k| max(|ta|, |tb|) = f for each factor f, for every cell's span
+    spans = [max(abs(a), abs(b)) for a, b in OSC_CELLS]
+    mags = np.array([0.5 * f / s for s in spans for f in factors])
+    return (mags[:, None] * OSC_DIRECTIONS).ravel()
+
+
+def test_osc_moments_bitwise_equal_to_all_entries_series():
+    from schrostep.transforms import _osc_moments
+    k = _osc_k([0.2, 0.999, 1.0 - 1e-12, 1.0 + 1e-12, 1.001, 5.0])
+    ta = np.array([a for a, _ in OSC_CELLS] + [-0.2])
+    tb = np.array([b for _, b in OSC_CELLS] + [0.15])
+    layouts = [(k[None, :], ta[:, None], tb[:, None]),
+               (k[:, None], ta[None, :], tb[None, :]),
+               (k, 0.25, 0.5)]
+    for args in layouts:
+        small = np.abs(args[0]) * np.maximum(np.abs(args[1]), np.abs(args[2])) < 0.5
+        assert small.any() and not small.all()
+        for nmax in (3, 4):
+            got = _osc_moments(*args, nmax)
+            want = _osc_moments_all_entries(*args, nmax)
+            assert len(got) == nmax + 1
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g.view(float), w.view(float))
+    # no small entry: the series is skipped, the recursion is unchanged
+    k = _osc_k([1.001, 5.0])
+    for nmax in (3, 4):
+        got = _osc_moments(k[None, :], ta[:3, None], tb[:3, None], nmax)
+        want = _osc_moments_all_entries(k[None, :], ta[:3, None], tb[:3, None], nmax)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(float), w.view(float))
+
+
+def test_osc_moments_match_mpmath_quadrature():
+    mp = pytest.importorskip("mpmath")
+    from schrostep.transforms import _osc_moments
+    for ta, tb in OSC_CELLS:
+        # |k| tb just below 0.5 and deeper (series), just above and 5x
+        # (recursion), along the real axis and into both half-planes
+        for factors in ([0.2, 0.999], [1.001, 5.0]):
+            k = (0.5 / tb * np.array(factors)[:, None] * OSC_DIRECTIONS[[0, 3, 4, 7]]).ravel()
+            J = _osc_moments(k, ta, tb, 3)
+            for m in range(4):
+                for kk, got in zip(k, J[m]):
+                    with mp.workdps(30):
+                        kc = mp.mpc(kk.real, kk.imag)
+                        want = complex(mp.quad(lambda y: y ** m * mp.exp(-1j * kc * y),
+                                               [ta, tb]))
+                    assert abs(got - want) <= 1e-13 * abs(want), (ta, tb, kk, m)
