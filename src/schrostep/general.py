@@ -11,14 +11,20 @@ numerics use the factorization A = A_L A_M with A_L diagonal (det A_L = 1):
 every entry of A_M and of the rescaled right-hand side stays bounded on the
 integration path, and the unknowns come out of A_M directly.  The raw
 assembly is kept for identity checks.
+
+GeneralSolver only declares the terms of a region j: one per neighbouring
+jump, with a weight built from the unknowns at that jump, x-coefficient
+-nu_j (offset x_j, the right jump) or +nu_j (offset x_{j-1}, the left
+jump), on the fourth-quadrant sector boundary.  Truncation, node tables,
+the panel budget and the free terms come from the shared core in `step`
+(`ContourSolver`).
 """
 
 import numpy as np
 
-from .contours import rotated_boundary
-from .kernels import SolutionSample, nu
-from .step import IntegralTerm, choose_truncation, eval_terms
-from .transforms import free_term, hat_transform
+from .kernels import nu
+from .step import ContourSolver
+from .transforms import hat_transform
 
 __all__ = ["GeneralSolver", "interface_system", "reduced_system",
            "rhs_reduced", "solve_unknowns"]
@@ -129,27 +135,16 @@ def solve_unknowns(potential, ic, kappa):
     return np.linalg.solve(AM, Y[..., None])[..., 0]
 
 
-class GeneralSolver:
+class GeneralSolver(ContourSolver):
     """Solution of the n-jump problem from the interface system.
 
     Works for any njumps >= 1; with a single jump it reproduces StepSolver's
     d4 representation through the 2x2 system instead of the closed form.
     """
 
-    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
-                 delta=np.pi / 8.0):
-        self.potential = potential
-        self.ic = ic
-        self.tolerance = float(tolerance)
-        self.delta = float(delta)
-        lam = potential.lam
-        self.radius = float(radius) if radius is not None else \
-            max(1.0, 1.25 * np.sqrt(2.0 * lam))
-        if not self.radius > np.sqrt(2.0 * lam):
-            raise ValueError(
-                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
-                    self.radius, np.sqrt(2.0 * lam)))
-        self._term_cache = {}
+    # bound in the class's own namespace, where the benchmark's tracer
+    # (perfbench/tracing.py) looks the method up
+    evaluate_grid = ContourSolver.evaluate_grid
 
     def _weight(self, region, t, side):
         """Integrand weight of one contribution to one region.
@@ -175,88 +170,16 @@ class GeneralSolver:
             return grow * core / _TWO_PI
         return W
 
-    def _terms(self, region, t, derivative, xmax):
-        xb = 2.0 ** np.ceil(np.log2(max(1.0, xmax)))
-        key = (region, float(t), bool(derivative), xb)
-        if key in self._term_cache:
-            return self._term_cache[key]
+    def _declare(self, region, t):
         pot = self.potential
-        n = pot.njumps
-        R, dlt, tol = self.radius, self.delta, self.tolerance
-        lam = pot.lam
         j = region
         alpha_j = pot.level(j)
-        builder = lambda T: (rotated_boundary(4, R, T, dlt, lam=lam),
-                             {"generic": [(0, True)],
-                              "osc": [(2, ((-1j, -1j),), T)]})
-        lo, hi = pot.region_bounds(j)
-        lo = max(lo, -xb)
-        hi = min(hi, xb)
-
         sides = []
-        if j <= n:
+        if j <= pot.njumps:
             sides.append(("right", -1.0, pot.interfaces[j - 1]))
         if j >= 2:
             sides.append(("left", 1.0, pot.interfaces[j - 2]))
-        out = []
-        ntm = len(sides)
-        for side, sgn, x0 in sides:
-            W = self._weight(j, t, side)
-            xc = lambda z, tag, _s=sgn: _s * nu(alpha_j, np.asarray(z, dtype=complex))
-            path, tails = choose_truncation(builder, W, xc, t, x0, (lo, hi),
-                                            tol / ntm, 2.0 * R,
-                                            derivative=derivative)
-            out.append(IntegralTerm(path, W, xc, x0, tails))
-        if len(self._term_cache) > 16:
-            self._term_cache.clear()
-        self._term_cache[key] = out
-        return out
-
-    def _budget(self, t, xspan, T):
-        cycles = (T * T * abs(t) + T * xspan) / _TWO_PI
-        return int(min(40000, max(2000, 3.0 * cycles + 500)))
-
-    def evaluate(self, x, t, region=None, derivative=False):
-        return self.evaluate_grid([x], t, region=region, derivative=derivative)[0]
-
-    def evaluate_grid(self, xs, t, region=None, derivative=False):
-        """Solution samples at the points xs and a single time t >= 0."""
-        xs = np.asarray(xs, dtype=float)
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if t == 0.0:
-            v = self.ic.evaluate(xs)
-            dv = self.ic.derivative(xs) if derivative else [None] * xs.size
-            return [SolutionSample(float(x), 0.0, complex(v[i]), 0.0,
-                                   psi_x=(complex(dv[i]) if derivative else None))
-                    for i, x in enumerate(xs)]
-        regions = np.full(xs.shape, region if region is not None else 0, dtype=int)
-        if region is None:
-            for i, x in enumerate(xs):
-                regions[i] = self.potential.region_of(x)
-        samples = [None] * xs.size
-        for j in np.unique(regions):
-            idx = np.where(regions == j)[0]
-            sub = xs[idx]
-            terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
-            T = max(abs(leg.end()) for tm in terms for leg in tm.path.legs)
-            budget = self._budget(t, float(np.ptp(sub)) + 1.0, T)
-            out = eval_terms(terms, sub, self.tolerance, max_panels=budget,
-                             derivative=derivative)
-            if derivative:
-                vals, errs, dvals, derrs = out
-            else:
-                vals, errs = out
-            for row, i in enumerate(idx):
-                if derivative:
-                    F, dF = free_term(self.ic, self.potential, int(j), float(xs[i]),
-                                      t, derivative=True)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]),
-                        psi_x=complex(dF + dvals[row]), psi_x_error=float(derrs[row]))
-                else:
-                    F = free_term(self.ic, self.potential, int(j), float(xs[i]), t)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]))
-        return samples
+        return [(self._weight(j, t, side),
+                 lambda z, tag, _s=sgn: _s * nu(alpha_j, np.asarray(z, dtype=complex)),
+                 x0, self.sector(4), 2.0 * self.radius)
+                for side, sgn, x0 in sides]

@@ -18,28 +18,17 @@ C = kappa^2 and the times in the place of x.
 
 import numpy as np
 
-from .contours import QuadratureError, build_node_table, rotated_boundary, table_integral
+from .contours import build_node_table, table_integral
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import _TailModel, choose_truncation
+from .step import (ContourSettings, _TailModel, build_with_retry,
+                   choose_truncation, panel_budget)
 
 __all__ = ["InterfaceMap"]
 
 
-class InterfaceMap:
-    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
-                 delta=np.pi / 8.0):
-        self.potential = potential
-        self.ic = ic
-        self.tolerance = float(tolerance)
-        self.delta = float(delta)
-        lam = potential.lam
-        self.radius = float(radius) if radius is not None else \
-            max(1.0, 1.25 * np.sqrt(2.0 * lam))
-        if not self.radius > np.sqrt(2.0 * lam):
-            raise ValueError(
-                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
-                    self.radius, np.sqrt(2.0 * lam)))
+class InterfaceMap(ContourSettings):
+    """Traces of psi (and psi_x) at the jumps, from the interface unknowns."""
 
     def _col_weight(self, col, pref, t):
         def W(z, tag):
@@ -59,7 +48,7 @@ class InterfaceMap:
             raise ValueError("interface must lie in 1..{}, got {}".format(n, ell))
         x_ell = self.potential.interfaces[ell - 1]
         ts = [float(t) for t in ts]
-        if any(t < 0.0 for t in ts):
+        if not all(t >= 0.0 for t in ts):
             raise ValueError("t must be nonnegative")
         out = [None] * len(ts)
         for i, t in enumerate(ts):
@@ -73,22 +62,17 @@ class InterfaceMap:
             return out
         tmin = min(t for _, t in live)
         tmax = max(t for _, t in live)
-        R, dlt, tol = self.radius, self.delta, self.tolerance
-        lam = self.potential.lam
-
-        def builder(T):
-            return (rotated_boundary(4, R, T, dlt, lam=lam),
-                    {"generic": [(0, True)], "osc": [(2, ((-1j, -1j),), T)]})
-
+        tol = self.tolerance
+        builder = self.sector(4)
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
         cols = [(ell - 1, -1.0 / np.pi)]
         if derivative:
             cols.append((n + ell - 1, 1j / np.pi))
         # truncation set by the slowest time, node density by the fastest
         path, _ = choose_truncation(builder, self._col_weight(*cols[0], tmin),
-                                    zero, tmin, 0.0, (0.0,), tol, 2.0 * R)
+                                    zero, tmin, 0.0, (0.0,), tol, 2.0 * self.radius)
         T = max(abs(leg.end()) for leg in path.legs)
-        budget = int(min(40000, max(2000, 3.0 * T * T * tmax / (2.0 * np.pi) + 500)))
+        budget = panel_budget(tmax, 0.0, T)
 
         def unknowns(z, tag):
             return solve_unknowns(self.potential, self.ic, z).T
@@ -97,18 +81,16 @@ class InterfaceMap:
             return [pref * z * np.exp(1j * z * z * tp) * X[col]
                     for col, pref in cols for tp in {tmin, tmax}]
 
-        try:
-            table = build_node_table(path, unknowns, tol, max_panels=budget,
-                                     probes=probes)
-        except QuadratureError:
-            table = build_node_table(path, unknowns, tol * 1e4, max_panels=budget,
-                                     probes=probes)
+        table = build_with_retry(
+            lambda tol: build_node_table(path, unknowns, tol, max_panels=budget,
+                                        probes=probes),
+            tol)
         X = table.cols
         C = table.z * table.z
         times = np.array([t for _, t in live])
         sums = [table_integral(table, pref * table.z * X[col], C, times)
                 for col, pref in cols]
-        spec = {"generic": [(0, True)], "osc": [(2, ((-1j, -1j),), T)]}
+        _, spec = builder(T)
         for row, (i, t) in enumerate(live):
             vals = []
             for (col, pref), (v, e) in zip(cols, sums):

@@ -16,16 +16,19 @@ enumerates those beta.
 WellSolver evaluates the time evolution from the closed forms, either with
 every term on the fourth-quadrant sector boundary in kappa ('d4') or mapped
 region by region onto the first/third-quadrant boundaries in the local
-variable ('quadrant').  Profiles with nonzero outer levels or asymmetric
-outer levels belong to GeneralSolver.
+variable ('quadrant').  It only declares the terms of a region: one for
+each outer region (offset 0 on the left, x2 on the right) and two for the
+middle one (offsets x2 and 0); truncation, node tables, the panel budget
+and the free terms come from the shared core in `step` (`ContourSolver`).
+Profiles with nonzero outer levels or asymmetric outer levels belong to
+GeneralSolver.
 """
 
 import numpy as np
 
-from .contours import rotated_boundary
-from .kernels import SolutionSample, nu
-from .step import IntegralTerm, choose_truncation, eval_terms
-from .transforms import free_term, hat_transform
+from .kernels import nu
+from .step import ContourSolver
+from .transforms import hat_transform
 
 __all__ = ["WellSolver", "scattering_a", "bound_states", "trig_denominator"]
 
@@ -112,7 +115,7 @@ def bound_states(alpha, x2, grid=1000):
     return np.array(roots)
 
 
-class WellSolver:
+class WellSolver(ContourSolver):
     """Time evolution over the profile (0, alpha, 0) with jumps at 0 and x2."""
 
     def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
@@ -124,21 +127,14 @@ class WellSolver:
                              "use GeneralSolver for other profiles")
         if representation not in ("d4", "quadrant"):
             raise ValueError("unknown representation {!r}".format(representation))
-        self.potential = potential
-        self.ic = ic
+        super().__init__(potential, ic, tolerance, radius, delta)
         self.alpha = potential.levels[1]
         self.x2 = potential.interfaces[1]
         self.representation = representation
-        self.tolerance = float(tolerance)
-        self.delta = float(delta)
-        lam = potential.lam
-        self.radius = float(radius) if radius is not None else \
-            max(1.0, 1.25 * np.sqrt(2.0 * lam))
-        if not self.radius > np.sqrt(2.0 * lam):
-            raise ValueError(
-                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
-                    self.radius, np.sqrt(2.0 * lam)))
-        self._term_cache = {}
+
+    # bound in the class's own namespace, where the benchmark's tracer
+    # (perfbench/tracing.py) looks the method up
+    evaluate_grid = ContourSolver.evaluate_grid
 
     # -- closed-form pieces ------------------------------------------------
 
@@ -233,110 +229,30 @@ class WellSolver:
             return -damp * self._numerators(kap, nuv, which) / _TWO_PI
         return W
 
-    # -- term assembly -------------------------------------------------------
+    # -- term declarations ---------------------------------------------------
 
-    def _terms(self, region, t, derivative, xmax):
-        xb = 2.0 ** np.ceil(np.log2(max(1.0, xmax)))
-        key = (self.representation, region, float(t), bool(derivative), xb)
-        if key in self._term_cache:
-            return self._term_cache[key]
-        R, dlt, tol = self.radius, self.delta, self.tolerance
-        lam = self.potential.lam
+    def _declare(self, region, t):
         al, x2 = self.alpha, self.x2
-
-        def sector(quad):
-            return lambda T: (rotated_boundary(quad, R, T, dlt, lam=lam),
-                              {"generic": [(0, True)],
-                               "osc": [(2, ((-1j, -1j) if quad == 4 else
-                                            ((-1.0, -1.0) if quad == 3 else
-                                             (1.0, 1.0)),), T)]})
-
-        specs = []
+        T0 = 2.0 * self.radius
         if self.representation == "d4":
             if region == 1:
-                specs.append((self._w_d4(1, t),
-                              lambda z, tag: -1j * np.asarray(z, dtype=complex),
-                              0.0, sector(4)))
-            elif region == 3:
-                specs.append((self._w_d4(3, t),
-                              lambda z, tag: 1j * np.asarray(z, dtype=complex),
-                              x2, sector(4)))
-            else:
-                specs.append((self._w_d4_mid("A", t),
-                              lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
-                              x2, sector(4)))
-                specs.append((self._w_d4_mid("B", t),
-                              lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
-                              0.0, sector(4)))
-        else:
-            ident = lambda z, tag: np.asarray(z, dtype=complex)
-            if region == 1:
-                specs.append((self._w_quad_outer(1, t), ident, 0.0, sector(3)))
-            elif region == 3:
-                specs.append((self._w_quad_outer(3, t), ident, x2, sector(1)))
-            else:
-                specs.append((self._w_quad_mid("A", t), ident, x2, sector(3)))
-                specs.append((self._w_quad_mid("B", t), ident, 0.0, sector(1)))
-
-        lo, hi = self.potential.region_bounds(region)
-        lo = max(lo, -xb)
-        hi = min(hi, xb)
-        out = []
-        for Wf, xc, x0, builder in specs:
-            path, tails = choose_truncation(builder, Wf, xc, t, x0, (lo, hi),
-                                            tol / len(specs), 2.0 * R,
-                                            derivative=derivative)
-            out.append(IntegralTerm(path, Wf, xc, x0, tails))
-        if len(self._term_cache) > 16:
-            self._term_cache.clear()
-        self._term_cache[key] = out
-        return out
-
-    def _budget(self, t, xspan, T):
-        cycles = (T * T * abs(t) + T * xspan) / _TWO_PI
-        return int(min(40000, max(2000, 3.0 * cycles + 500)))
-
-    def evaluate(self, x, t, region=None, derivative=False):
-        return self.evaluate_grid([x], t, region=region, derivative=derivative)[0]
-
-    def evaluate_grid(self, xs, t, region=None, derivative=False):
-        """Solution samples at the points xs and a single time t >= 0."""
-        xs = np.asarray(xs, dtype=float)
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("t must be nonnegative")
-        if t == 0.0:
-            v = self.ic.evaluate(xs)
-            dv = self.ic.derivative(xs) if derivative else [None] * xs.size
-            return [SolutionSample(float(x), 0.0, complex(v[i]), 0.0,
-                                   psi_x=(complex(dv[i]) if derivative else None))
-                    for i, x in enumerate(xs)]
-        regions = np.full(xs.shape, region if region is not None else 0, dtype=int)
-        if region is None:
-            for i, x in enumerate(xs):
-                regions[i] = self.potential.region_of(x)
-        samples = [None] * xs.size
-        for j in np.unique(regions):
-            idx = np.where(regions == j)[0]
-            sub = xs[idx]
-            terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
-            T = max(abs(leg.end()) for tm in terms for leg in tm.path.legs)
-            budget = self._budget(t, float(np.ptp(sub)) + 1.0, T)
-            out = eval_terms(terms, sub, self.tolerance, max_panels=budget,
-                             derivative=derivative)
-            if derivative:
-                vals, errs, dvals, derrs = out
-            else:
-                vals, errs = out
-            for row, i in enumerate(idx):
-                if derivative:
-                    F, dF = free_term(self.ic, self.potential, int(j), float(xs[i]),
-                                      t, derivative=True)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]),
-                        psi_x=complex(dF + dvals[row]), psi_x_error=float(derrs[row]))
-                else:
-                    F = free_term(self.ic, self.potential, int(j), float(xs[i]), t)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]))
-        return samples
+                return [(self._w_d4(1, t),
+                         lambda z, tag: -1j * np.asarray(z, dtype=complex),
+                         0.0, self.sector(4), T0)]
+            if region == 3:
+                return [(self._w_d4(3, t),
+                         lambda z, tag: 1j * np.asarray(z, dtype=complex),
+                         x2, self.sector(4), T0)]
+            return [(self._w_d4_mid("A", t),
+                     lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
+                     x2, self.sector(4), T0),
+                    (self._w_d4_mid("B", t),
+                     lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
+                     0.0, self.sector(4), T0)]
+        ident = lambda z, tag: np.asarray(z, dtype=complex)
+        if region == 1:
+            return [(self._w_quad_outer(1, t), ident, 0.0, self.sector(3), T0)]
+        if region == 3:
+            return [(self._w_quad_outer(3, t), ident, x2, self.sector(1), T0)]
+        return [(self._w_quad_mid("A", t), ident, x2, self.sector(3), T0),
+                (self._w_quad_mid("B", t), ident, 0.0, self.sector(1), T0)]

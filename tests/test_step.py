@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from schrostep import InitialCondition, PiecewisePotential, StepSolver, mirrored, sigma, step_coefficients
+from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
+                       StepSolver, WellSolver, mirrored, sigma, step_coefficients)
 from schrostep import step as step_module
 from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
@@ -77,9 +80,61 @@ def test_negative_time_rejected():
         s.evaluate(0.0, -0.1)
 
 
-def test_radius_guard():
-    with pytest.raises(ValueError):
-        StepSolver(UP, gaussian_ic(), radius=1.0)   # sqrt(2*2) = 2
+WELL = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+
+# every contour solver, with a profile it accepts; radius 1 fails the guard on
+# both (sqrt(2*2) = 2 and sqrt(2*3) = 2.45)
+CONTRACT = {
+    "step-d4": (UP, partial(StepSolver, representation="d4")),
+    "step-quadrant": (UP, partial(StepSolver, representation="quadrant")),
+    "step-realline": (UP, partial(StepSolver, representation="realline")),
+    "general": (UP, GeneralSolver),
+    "well-d4": (WELL, partial(WellSolver, representation="d4")),
+    "well-quadrant": (WELL, partial(WellSolver, representation="quadrant")),
+    "interface-map": (UP, InterfaceMap),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_solver_contract(name):
+    pot, make = CONTRACT[name]
+    ic = gaussian_ic()
+    with pytest.raises(ValueError, match="radius"):
+        make(pot, ic, radius=1.0)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            make(pot, ic, tolerance=tol)
+    s = make(pot, ic)
+    if name == "interface-map":
+        x = pot.interfaces[0]
+        bad_places = (0, pot.njumps + 1)
+
+        def one(t, place=None, **kw):
+            return s.trace(t, 1 if place is None else place, **kw)
+
+        def grid(t, **kw):
+            return s.trace_grid([t], **kw)
+    else:
+        x = -0.5
+        bad_places = (0, pot.nregions + 1)
+
+        def one(t, place=None, **kw):
+            return s.evaluate(x, t, region=place, **kw)
+
+        def grid(t, **kw):
+            return s.evaluate_grid([x], t, **kw)
+    for place in bad_places:
+        with pytest.raises(ValueError, match="region|interface"):
+            one(0.5, place)
+    for t in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            one(t)
+    start = one(0.0, derivative=True)
+    assert start.value == ic.evaluate(np.array([x]))[0]
+    assert start.psi_x == ic.derivative(np.array([x]))[0]
+    assert start.error == 0.0 and start.psi_x_error == 0.0
+    assert one(0.0).psi_x is None
+    assert one(0.5, derivative=True) == grid(0.5, derivative=True)[0]
 
 
 def test_step_coefficients_free_limit():
