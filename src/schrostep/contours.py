@@ -6,6 +6,15 @@ quarter-circle arc of radius R, traversed with the sector interior on the
 left.  Deformed variants replace a sector boundary by the real line (as a
 principal value) plus contributions hugging a branch cut.
 
+The corner variant of rotated_boundary keeps the arc only inside the decay
+sector.  It crosses the quadrant where the quadratic phase grows on straight
+legs through points of the hyperbola p q = c, with kappa = p e + q f in the
+quadrant's own axis directions e and f (exact constants such as 1 and -1j),
+so |exp(+-i kappa^2 t)| = exp(2 p q t).  With c = 1/t and neighbouring
+points in the ratio rho <= 2, that factor stays within
+exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (about e^2.1 for the (1, 2) step at
+t = 4), where the arc reaches exp(R^2 t) = e^25.
+
 Quadrature is adaptive Gauss-Kronrod 7-15 with worst-panel-first bisection.
 The caller's integrand data are evaluated once per node, in batches: when
 the refinement needs children nobody has evaluated yet, it runs the loop
@@ -262,7 +271,7 @@ def boundary_of_DR(quadrant, radius, truncation, lam=0.0):
     return ContourPath(legs=legs).validate_continuity()
 
 
-def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0):
+def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     """Sector boundary with one straight leg tilted into a decay sector.
 
     Quadrant 4 rotates the real leg counterclockwise by delta (exp(i k^2 t)
@@ -271,6 +280,19 @@ def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0):
     leg stays on its axis, where the transform factors provide the decay.
     Rotation never moves a leg closer to a branch cut than the arc already
     is, because the legs sweep through cut-free open sectors.
+
+    The quarter arc from the axis direction e (1, i, -i for quadrants 4, 1,
+    3) to the outgoing axis direction f (-i, 1, -1) crosses the quadrant
+    where the quadratic phase grows: with kappa = p e + q f (p, q > 0),
+    |exp(+-i kappa^2 t)| = exp(2 p q t), up to exp(R^2 t) on the arc.
+    Given corner = c (0 < c < R^2), the arc stops at R e and the quadrant
+    is crossed on straight legs through points of the hyperbola p q = c:
+    R e -> R e + (c/R) f, then n chords with p falling geometrically from R
+    to c/R by the ratio rho = (R^2 / c)^(1/n), n = max(8, ceil(log2(R^2 /
+    c))), then (c/R) e + R f -> R f.  On a chord p q stays within
+    c (1 + rho)^2 / (4 rho), so with c = 1/t the factor stays within
+    exp((1 + rho)^2 / (2 rho)) <= exp(9/4).  These legs lie in the open
+    quadrant, where no branch cut runs.
     """
     if quadrant not in (1, 3, 4):
         raise ValueError("rotated boundaries are built for quadrants 1, 3 and 4")
@@ -285,22 +307,25 @@ def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0):
         raise ValueError(
             "truncation {} must exceed the arc radius {}".format(truncation, radius))
     T, R = float(truncation), float(radius)
+    if corner is not None and not 0.0 < corner < R * R:
+        raise ValueError("corner constant {} must lie in (0, radius^2)".format(corner))
     half_pi = 0.5 * np.pi
-    if quadrant == 4:
-        u = np.exp(1j * delta)
-        legs = [Leg.line(T * u, R * u, "rotated real leg"),
-                Leg.arc(R, delta, -half_pi),
-                Leg.line(-1j * R, -1j * T, "imaginary leg")]
-    elif quadrant == 1:
-        u = np.exp(1j * (half_pi + delta))
-        legs = [Leg.line(T * u, R * u, "rotated imaginary leg"),
-                Leg.arc(R, half_pi + delta, 0.0),
-                Leg.line(R, T, "real leg")]
+    # angle of e, the axes e and f as exact constants, the two legs' labels
+    th, e, f, tilted, axis = {
+        4: (0.0, 1.0, -1j, "rotated real leg", "imaginary leg"),
+        1: (half_pi, 1j, 1.0, "rotated imaginary leg", "real leg"),
+        3: (-half_pi, -1j, -1.0, "rotated imaginary leg", "real leg")}[quadrant]
+    u = np.exp(1j * (th + delta))
+    legs = [Leg.line(T * u, R * u, tilted)]
+    if corner is None:
+        legs.append(Leg.arc(R, th + delta, th - half_pi))
     else:
-        u = np.exp(1j * (-half_pi + delta))
-        legs = [Leg.line(T * u, R * u, "rotated imaginary leg"),
-                Leg.arc(R, -half_pi + delta, -np.pi),
-                Leg.line(-R, -T, "real leg")]
+        legs.append(Leg.arc(R, th + delta, th))
+        n = max(8, int(np.ceil(np.log2(R * R / corner))))
+        p = R * (corner / (R * R)) ** (np.arange(n + 1) / n)
+        pts = [R * e] + [pk * e + (corner / pk) * f for pk in p] + [R * f]
+        legs += [Leg.line(a, b, "corner leg") for a, b in zip(pts, pts[1:])]
+    legs.append(Leg.line(R * f, T * f, axis))
     return ContourPath(legs=legs).validate_continuity()
 
 
@@ -707,9 +732,14 @@ def table_integral(table, W, C=None, X=None, derivative=False):
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
-    floor 2.3e-16 sum |W w15 exp(i C X)|, because heavy cancellation
-    (oscillatory integrands at large t) is invisible to the embedded-rule
-    difference.  The values carry table.sign.
+    floor 2.3e-16 (1 + |X| max|C|) sum |W w15 exp(i C X)|, because heavy
+    cancellation (oscillatory integrands at large t) is invisible to the
+    embedded-rule difference.  The first term charges the rounding of the
+    products and sums, the second that of the phase: C X and X itself carry
+    a relative rounding of about eps, which moves each phase by up to
+    eps |X| max|C| (a 4e-16 shift of X on a 30,000-node table with
+    |C| <= 60 moved values by 7.3 times the first term alone).  The values
+    carry table.sign.
 
     The sum runs in tiles of _FINE rows of X (fewer when there are fewer X)
     by the whole panels of one chunk (_chunks), so no temporary exceeds
@@ -746,7 +776,8 @@ def table_integral(table, W, C=None, X=None, derivative=False):
     # f w15 and C f w15 over the nodes (f = W, then with derivative i C W;
     # rho enters through the second), the panel errors, and sum |P f w15|
     # for the roundoff floor.
-    lat = None if single else _lattice(X, float(np.max(np.abs(C), initial=0.0)))
+    cmax = float(np.max(np.abs(C), initial=0.0))
+    lat = None if single else _lattice(X, cmax)
     on = np.zeros(n, dtype=bool)
     rows, groups, rho = np.arange(0), [], np.zeros(0)
     if lat is not None:
@@ -820,7 +851,7 @@ def table_integral(table, W, C=None, X=None, derivative=False):
     val = np.empty((ni, n), dtype=complex)
     err = np.empty((ni, n))
     val[:, rows] = table.sign * (sv[:, :ni] + 1j * rho * sv[:, ni:]).T
-    err[:, rows] = (se + 2.3e-16 * sa).T
+    err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
     if single:
         return val[0, 0], float(err[0, 0])
     if derivative:

@@ -181,5 +181,5 @@ class GeneralSolver(ContourSolver):
             sides.append(("left", 1.0, pot.interfaces[j - 2]))
         return [(self._weight(j, t, side),
                  lambda z, tag, _s=sgn: _s * nu(alpha_j, np.asarray(z, dtype=complex)),
-                 x0, self.sector(4), 2.0 * self.radius)
+                 x0, self.sector(4, t), 2.0 * self.radius)
                 for side, sgn, x0 in sides]

@@ -10,10 +10,15 @@ quadrant  each region in its own spectral variable: region 1 along the
 realline  the quadrant paths collapsed onto the real axis: a principal
           value integral plus branch-cut pieces (one-sided integrand over
           the real cut for region 1, an explicit jump integral up the
-          imaginary cut for region 2).  No arcs appear, so this form stays
-          accurate at large t where a sector arc would amplify roundoff;
-          it requires the jump to step up (alpha_2 >= alpha_1), otherwise
-          mirror the problem first (see `mirrored`).
+          imaginary cut for region 2).  It shares no contour with the
+          other two forms, which makes it their independent reference at
+          any t; it requires the jump to step up (alpha_2 >= alpha_1),
+          otherwise mirror the problem first (see `mirrored`).
+
+At large t the sector paths of d4 and quadrant leave their radius-R arc
+where it would cross the quadrant in which exp(+-i kappa^2 t) grows (up to
+exp(R^2 t)) and cross it on corner legs along the hyperbola p q = 1/t
+instead, where that factor stays within exp(9/4) (`ContourSettings.sector`).
 
 The half-line transforms in the weights decay only like 1/kappa, so the
 legs that stay on an axis carry oscillatory tails that no absolute
@@ -36,6 +41,8 @@ of a region.  A whole grid of x values reuses one node table per term,
 whose W and c columns are evaluated once per node while it is refined, and
 one phased table_integral call sums the term at every x of the grid.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -358,17 +365,40 @@ class ContourSettings:
                 "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
                     self.radius, np.sqrt(2.0 * lam)))
 
-    def sector(self, quad):
-        """Truncation builder T -> (path, tail spec) on a sector boundary.
+    def sector(self, quad, t):
+        """Truncation builder T -> (path, tail spec) on a sector boundary at time t.
 
         quad 4 is the fourth-quadrant boundary in kappa, 3 and 1 the third-
-        and first-quadrant ones; the leg on the imaginary axis (4), the
-        negative (3) or the positive (1) real axis is the oscillatory ray.
+        and first-quadrant ones; the last leg, on the imaginary axis (4), the
+        negative (3) or the positive (1) real axis, is the oscillatory ray.
+        While R^2 t <= 2 the path is the rotated boundary with its full
+        radius-R arc, on which |exp(+-i kappa^2 t)| stays within e^2.
+        Beyond, the arc keeps only its part in the decay sector and the
+        growth quadrant is crossed on the corner legs of rotated_boundary
+        through the hyperbola p q = 1/t, where that factor stays within
+        exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (rho the ratio between the
+        corner points, 1.5 at R^2 t = 25), instead of reaching exp(R^2 t).
+
+        The ray's first panels span at most two periods of exp(i t u^2)
+        each.  A 7-15 panel over many periods can pass the Kronrod-Gauss
+        comparison by accident, and the refinement then never splits it:
+        a three-jump InterfaceMap over t = 0.5..4 (T set by t = 0.5, nine
+        periods on one panel at t = 4) missed by 5.3e-8 against an estimate
+        of 9.8e-9, and a GeneralSolver derivative solve at t = 0.5 by 8e-8.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
-        return lambda T: (rotated_boundary(quad, R, T, dlt, lam=lam),
-                          {"generic": [(0, True)], "osc": [(2, ((ray, ray),), T)]})
+        corner = 1.0 / t if R * R * t > 2.0 else None
+
+        def build(T):
+            path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
+            leg = path.legs[-1]
+            n = int(np.ceil(t * (T * T - R * R) / (4.0 * np.pi)))
+            u = np.sqrt(R * R + (T * T - R * R) * np.arange(1, n) / n)
+            path.legs[-1] = replace(leg, splits=tuple((u - R) / (T - R)))
+            return path, {"generic": [(0, True)],
+                          "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
+        return build
 
 
 class ContourSolver(ContourSettings):
@@ -585,12 +615,12 @@ class StepSolver(ContourSolver):
             alpha_here = a1 if region == 1 else a2
             sgn = -1.0 if region == 1 else 1.0
             xc = lambda z, tag: sgn * nu(alpha_here, np.asarray(z, dtype=complex))
-            return [(self._w_d4(region, t), xc, 0.0, self.sector(4),
+            return [(self._w_d4(region, t), xc, 0.0, self.sector(4, t),
                      2.0 * self.radius)]
         ident = lambda z, tag: np.asarray(z, dtype=complex)
         quad = 3 if region == 1 else 1
         if self.representation == "quadrant":
-            return [(self._w_quadrant(region, t), ident, 0.0, self.sector(quad),
+            return [(self._w_quadrant(region, t), ident, 0.0, self.sector(quad, t),
                      2.0 * self.radius)]
         a = a2 - a1
         cut = None

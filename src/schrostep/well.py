@@ -238,21 +238,21 @@ class WellSolver(ContourSolver):
             if region == 1:
                 return [(self._w_d4(1, t),
                          lambda z, tag: -1j * np.asarray(z, dtype=complex),
-                         0.0, self.sector(4), T0)]
+                         0.0, self.sector(4, t), T0)]
             if region == 3:
                 return [(self._w_d4(3, t),
                          lambda z, tag: 1j * np.asarray(z, dtype=complex),
-                         x2, self.sector(4), T0)]
+                         x2, self.sector(4, t), T0)]
             return [(self._w_d4_mid("A", t),
                      lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
-                     x2, self.sector(4), T0),
+                     x2, self.sector(4, t), T0),
                     (self._w_d4_mid("B", t),
                      lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
-                     0.0, self.sector(4), T0)]
+                     0.0, self.sector(4, t), T0)]
         ident = lambda z, tag: np.asarray(z, dtype=complex)
         if region == 1:
-            return [(self._w_quad_outer(1, t), ident, 0.0, self.sector(3), T0)]
+            return [(self._w_quad_outer(1, t), ident, 0.0, self.sector(3, t), T0)]
         if region == 3:
-            return [(self._w_quad_outer(3, t), ident, x2, self.sector(1), T0)]
-        return [(self._w_quad_mid("A", t), ident, x2, self.sector(3), T0),
-                (self._w_quad_mid("B", t), ident, 0.0, self.sector(1), T0)]
+            return [(self._w_quad_outer(3, t), ident, x2, self.sector(1, t), T0)]
+        return [(self._w_quad_mid("A", t), ident, x2, self.sector(3, t), T0),
+                (self._w_quad_mid("B", t), ident, 0.0, self.sector(1, t), T0)]

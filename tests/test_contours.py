@@ -1,4 +1,5 @@
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,50 @@ def test_rotated_boundary_radius_guard():
     # closed chain from T e^{i delta} down to -iT
     assert abs(path.legs[0].start() - 10.0 * np.exp(1j * np.pi / 8)) < 1e-12
     assert abs(path.legs[2].end() - (-10.0j)) < 1e-12
+
+
+# the axis each quadrant's arc starts from (e) and the outgoing axis (f)
+_AXES = {4: (1.0, -1j), 3: (-1j, -1.0), 1: (1j, 1.0)}
+
+
+@pytest.mark.parametrize("t", [0.3, 4.0, 16.0])
+@pytest.mark.parametrize("quad", [4, 3, 1])
+def test_sector_crosses_the_growth_quadrant_on_corner_legs(quad, t):
+    solver = StepSolver(PiecewisePotential([1.0, 2.0], [0.0]),
+                        InitialCondition.gaussian())
+    R, T = solver.radius, 6.0 * solver.radius
+    path, spec = solver.sector(quad, t)(T)
+    path.validate_continuity()
+    e, f = _AXES[quad]
+    ray = path.legs[-1]
+    assert spec["osc"][0][0] == len(path.legs) - 1
+    assert (ray.z0, ray.z1) == (R * f, T * f)
+    # the ray's first panels span at most two periods of exp(i t u^2)
+    u = R + (T - R) * np.array([0.0, *ray.splits, 1.0])
+    assert np.all(t * np.diff(u * u) <= 4.0 * np.pi * (1.0 + 1e-12))
+    edges = np.linspace(0.0, 1.0, 33)
+    nodes = [contours._panel_nodes(leg, edges[:-1], edges[1:])[0].ravel()
+             for leg in path.legs]
+    # no rounding moves the ray off its axis
+    assert np.all((nodes[-1] * np.conj(f)).imag == 0.0)
+    # |exp(i kappa^2 t)| in quadrant 4, |exp(-i kappa^2 t)| in 3 and 1
+    z = np.concatenate(nodes)
+    growth = np.max(np.abs(np.exp((1j if quad == 4 else -1j) * z * z * t)))
+    corner = [n for leg, n in zip(path.legs, nodes) if leg.label == "corner leg"]
+    if R * R * t <= 2.0:
+        ref = rotated_boundary(quad, R, T, solver.delta, lam=2.0)
+        assert path.legs[:-1] == ref.legs[:-1] and path.sign == ref.sign
+        assert replace(ray, splits=()) == ref.legs[-1]
+        assert not corner
+        assert growth <= np.exp(2.0)
+    else:
+        assert len(corner) >= 10
+        zc = np.concatenate(corner)
+        # strictly inside the open quadrant, so off every cut of nu
+        assert np.all((zc * np.conj(e)).real > 0.0)
+        assert np.all((zc * np.conj(f)).real > 0.0)
+        assert growth <= np.exp(9.0 / 4.0)
+        assert growth >= np.exp(2.0) * (1.0 - 1e-12)
 
 
 def test_boundary_of_DR_orientation():
@@ -314,7 +359,8 @@ def _reference_phased(table, W, C, X, derivative=False):
     """One X at a time, one direct exp per node, panel sums by bincount.
 
     Returns rows (value, error, roundoff floor) per integrand, W and then,
-    with derivative, i C W; one column per X.
+    with derivative, i C W; one column per X.  The error charges the phase
+    rounding on top of that floor, 2.3e-16 |x| max|C| sum |g w15|.
     """
     def panel_sums(v):
         return (np.bincount(table.panel, v.real, table.n_panels)
@@ -328,8 +374,9 @@ def _reference_phased(table, W, C, X, derivative=False):
             i15, i7 = panel_sums(g * table.w15), panel_sums(g * table.w7)
             u = np.abs(i15 - i7)
             floor = 2.3e-16 * np.sum(np.abs(g * table.w15))
+            phase = abs(x) * np.max(np.abs(C), initial=0.0) * floor
             vals.append(table.sign * np.sum(i15))
-            errs.append(np.sum(np.minimum(u, (200.0 * u) ** 1.5)) + floor)
+            errs.append(np.sum(np.minimum(u, (200.0 * u) ** 1.5)) + floor + phase)
             floors.append(floor)
         out += [np.array(vals), np.array(errs), np.array(floors)]
     return out
@@ -405,6 +452,12 @@ def test_phased_sum_on_realline_table():
 
 
 def test_phased_sum_on_30000_node_table():
+    table, W, C = _synthetic_30000_node_table()
+    assert table.z.size == 30000
+    _assert_phased_matches(table, W, C, np.linspace(-3.0, 3.0, 64))
+
+
+def _synthetic_30000_node_table():
     leg = Leg.line(-60.0 - 2.0j, 60.0 + 2.0j)
     n = 2000
     edges = np.linspace(0.0, 1.0, n + 1)
@@ -415,8 +468,19 @@ def test_phased_sum_on_30000_node_table():
                                panel=np.repeat(np.arange(n), 15),
                                spans=[(0, a, b) for a, b in zip(edges, edges[1:])],
                                sign=-1, n_panels=n)
-    assert z.size == 30000
-    _assert_phased_matches(table, W, C, np.linspace(-3.0, 3.0, 64))
+    return table, W, C
+
+
+def test_phased_sum_error_covers_rounding_of_x():
+    # X is known only to its last bit: moving every X by one ulp (4.4e-16
+    # for 2 <= |X| <= 3) must not move a value by more than its error
+    table, W, C = _synthetic_30000_node_table()
+    X = np.linspace(-3.0, 3.0, 64)
+    for derivative in (False, True):
+        a = table_integral(table, W, C, X, derivative=derivative)
+        b = table_integral(table, W, C, np.nextafter(X, np.inf), derivative=derivative)
+        for i in range(0, len(a), 2):
+            assert np.all(np.abs(a[i] - b[i]) <= a[i + 1])
 
 
 def test_single_integrand_form_keeps_scalar_result():

@@ -95,3 +95,15 @@ def test_time_zero_and_negative_time():
     assert abs(got.value - ic.evaluate(np.array([0.3]))[0]) < 1e-14
     with pytest.raises(ValueError):
         g.evaluate(0.3, -1.0)
+
+
+def test_derivative_solve_keeps_value_estimate_honest():
+    # derivative=True truncates the axis ray further out (T = 73 against 45);
+    # a first panel there spanning many periods once passed the 7-15 check
+    # by accident and put the value 8e-8 off under an estimate of 9.8e-9
+    pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    ic = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+    ref = GeneralSolver(pot, ic, tolerance=1e-11).evaluate(2.5, 0.5)
+    for region in (3, 4):
+        got = GeneralSolver(pot, ic).evaluate(2.5, 0.5, region=region, derivative=True)
+        assert abs(got.value - ref.value) <= got.error + ref.error

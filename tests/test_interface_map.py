@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from schrostep import InitialCondition, InterfaceMap, PiecewisePotential, StepSolver
+from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
+                       StepSolver)
 from schrostep.oracle import free_gaussian
 
 
@@ -59,3 +60,14 @@ def test_interface_index_validation():
         imap.trace(0.5, interface=2)
     with pytest.raises(ValueError):
         imap.trace(-0.5)
+
+
+def test_fastest_time_of_a_wide_time_range_stays_honest():
+    # T is set by t = 0.5, so at t = 4 the axis ray holds about 1300 periods;
+    # a first panel spanning nine of them once passed the 7-15 check by
+    # accident and missed by 5.3e-8 under an estimate of 9.8e-9
+    pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    ic = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+    got = InterfaceMap(pot, ic).trace_grid([0.5, 4.0], interface=3)[1]
+    ref = GeneralSolver(pot, ic, tolerance=1e-10).evaluate(2.5, 4.0)
+    assert abs(got.value - ref.value) <= got.error + ref.error
