@@ -52,13 +52,7 @@ def test_well_general_solver_matches_well_solver(scale):
     _assert_agree(got, ref)
 
 
-@pytest.mark.parametrize("interface", [1, 2, pytest.param(3, marks=pytest.mark.xfail(
-    strict=True, reason=(
-        "the trace's axis-ray tail misses a tol 1e-11 GeneralSolver by 2.0e-9 "
-        "at t = 0.5 and 4.9e-10 at t = 1 while it claims 1.2e-10 and 2.0e-11: "
-        "the unknowns at x = 2.5 oscillate along the ray, and _OscTail's finite "
-        "differences take steps of 0.9 at K = 45 (a step of 0.02 makes every "
-        "time honest); ROADMAP item 2")))])
+@pytest.mark.parametrize("interface", [1, 2, 3])
 def test_interface_map_matches_general_solver_over_times(interface):
     ts = [0.5, 1.0, 2.0, 4.0]
     x = THREE.interfaces[interface - 1]

@@ -167,10 +167,6 @@ def test_error_estimates_are_honest_against_exact():
         assert abs(smp.value - w) <= 5.0 * smp.error + 1e-11
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: for 21-point tabulated data the d4 form at tol 1e-8 "
-    "reports error 2.01e-9 at x = 2, t = 0.5, but misses the realline "
-    "reference by 3.4e-9"))
 def test_tabulated_d4_error_estimate_is_honest():
     # a Gaussian (center -1, width 1, momentum 0.7) sampled on 21 points
     # spanning 3.5 widths either side
