@@ -83,8 +83,8 @@ class InterfaceMap(ContourSettings):
         # probe times from tmin to tmax in ratios of at most 2: the ends alone
         # left the tilted leg unresolved in between (three jumps, t = 0.3 to
         # 1.2: error estimate 4.2e-8 at t = 0.9)
-        n = int(np.ceil(np.log2(tmax / tmin)))
-        tprobe = tmin * (tmax / tmin) ** (np.arange(n + 1) / max(n, 1))
+        steps = int(np.ceil(np.log2(tmax / tmin)))
+        tprobe = tmin * (tmax / tmin) ** (np.arange(steps + 1) / max(steps, 1))
 
         def probes(z, X):
             return [pref * z * np.exp(1j * z * z * tp) * X[col]
