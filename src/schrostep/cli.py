@@ -28,6 +28,7 @@ quadrature that cannot meet numerics.tolerance within its panel budget.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .contours import QuadratureError
 from .general import GeneralSolver
 from .interface_map import InterfaceMap
 from .kernels import PiecewisePotential
-from .step import StepSolver
+from .step import ContourSettings, StepSolver
 from .transforms import InitialCondition
 from .well import WellSolver
 
@@ -130,25 +131,30 @@ _NUMERICS = (("numerics.tolerance", "tolerance"), ("numerics.R", "radius"),
              ("numerics.delta", "delta"))
 
 
-def _numerics(cfg, fields=_NUMERICS):
-    """Solver keyword arguments from the numerics.* fields present."""
+def _numerics(cfg, potential, ic):
+    """Solver keyword arguments from the numerics.* fields present.
+
+    Each value is checked on its own by ContourSettings, which every solver
+    and InterfaceMap share, so a bad one is reported under its own field.
+    """
     kw = {}
-    for field, arg in fields:
-        if field in cfg:
-            try:
-                kw[arg] = float(cfg[field])
-            except ValueError:
-                raise ConfigError(field, "not a number: {!r}".format(cfg[field]))
-    tol = kw.get("tolerance", 1.0)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ConfigError("numerics.tolerance",
-                          "must be finite and positive, got {}".format(tol))
+    for field, arg in _NUMERICS:
+        if field not in cfg:
+            continue
+        try:
+            kw[arg] = float(cfg[field])
+        except ValueError:
+            raise ConfigError(field, "not a number: {!r}".format(cfg[field]))
+        try:
+            ContourSettings(potential, ic, **{arg: kw[arg]})
+        except ValueError as e:
+            raise ConfigError(field, str(e))
     return kw
 
 
 def build_solver(cfg, potential, ic):
     name = cfg.get("solver", "auto")
-    kw = _numerics(cfg)
+    kw = _numerics(cfg, potential, ic)
     if name == "auto":
         name = "d4" if potential.njumps == 1 else "general"
     try:
@@ -156,9 +162,8 @@ def build_solver(cfg, potential, ic):
             return StepSolver(potential, ic, representation=name, **kw)
         if name == "general":
             return GeneralSolver(potential, ic, **kw)
-        if name in ("well", "well-quadrant"):
-            rep = "d4" if name == "well" else "quadrant"
-            return WellSolver(potential, ic, representation=rep, **kw)
+        if name == "well":
+            return WellSolver(potential, ic, **kw)
     except ValueError as e:
         raise ConfigError("solver", str(e))
     raise ConfigError("solver", "unknown solver {!r}".format(name))
@@ -193,7 +198,7 @@ def _emit(out, cols):
 
 
 def cmd_solve(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = parse_config(Path(args.config).read_text())
     pot, ic, solver = build_scenario(cfg)
     if "grid.x" not in cfg:
         raise ConfigError("grid.x", "missing")
@@ -211,8 +216,8 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    cfg_a = parse_config(open(args.config).read())
-    cfg_b = parse_config(open(args.config_b).read())
+    cfg_a = parse_config(Path(args.config).read_text())
+    cfg_b = parse_config(Path(args.config_b).read_text())
     pot_a, ic_a, sol_a = build_scenario(cfg_a)
     pot_b, ic_b, sol_b = build_scenario(cfg_b)
     if "grid.x" not in cfg_a:
@@ -236,7 +241,7 @@ def cmd_compare(args):
 
 
 def cmd_asymptote(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = parse_config(Path(args.config).read_text())
     pot = build_potential(cfg)
     ic = build_ic(cfg)
     if "ray.gamma" not in cfg:
@@ -260,14 +265,10 @@ def cmd_asymptote(args):
 
 
 def cmd_interface_map(args):
-    cfg = parse_config(open(args.config).read())
+    cfg = parse_config(Path(args.config).read_text())
     pot = build_potential(cfg)
     ic = build_ic(cfg)
-    kw = _numerics(cfg, _NUMERICS[:2])
-    try:
-        imap = InterfaceMap(pot, ic, **kw)
-    except ValueError as e:
-        raise ConfigError("numerics.R", str(e))
+    imap = InterfaceMap(pot, ic, **_numerics(cfg, pot, ic))
     which = cfg.get("map.interfaces", "all")
     if which == "all":
         idx = list(range(1, pot.njumps + 1))

@@ -1,10 +1,12 @@
 """Oriented contour paths in the complex plane and quadrature along them.
 
-The solution representations integrate along boundaries of quarter-plane
-sectors of radius-R "keystone" shape: two straight legs joined by a
-quarter-circle arc of radius R, traversed with the sector interior on the
-left.  Deformed variants replace a sector boundary by the real line (as a
-principal value) plus contributions hugging a branch cut.
+Two path builders serve every solver.  rotated_boundary gives the boundary
+of a quarter-plane sector: two straight legs, one tilted by delta into a
+decay sector, joined by a quarter-circle arc of radius R and traversed with
+the sector interior on the left.  deform_to_real_line replaces a sector
+boundary by the real line (as a principal value) plus contributions hugging
+a branch cut.  Neither path touches a branch cut: the arc radius must clear
+sqrt(2 Lambda), and the straight legs run through cut-free open sectors.
 
 The corner variant of rotated_boundary keeps the arc only inside the decay
 sector.  It crosses the quadrant where the quadratic phase grows on straight
@@ -24,9 +26,9 @@ The bisection itself replays the one-panel-at-a-time loop exactly (heap
 order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
 
-table_integral is the one summation over a finished table.  In its phased
-form it sums W exp(i C X) for a whole vector of X in one call, in tiles of
-at most 2^12 complex entries, and builds the phases of points on a uniform
+table_integral is the one summation over a finished table.  It sums
+W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
+complex entries, and builds the phases of points on a uniform
 lattice from two small exp tables instead of one exp per (X, node) pair.
 Every sum runs in a fixed order, so repeated runs give bit-identical
 results.
@@ -34,21 +36,17 @@ results.
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import BranchCutError
 
 __all__ = [
     "Leg",
     "ContourPath",
     "KeyholeSpec",
     "QuadratureError",
-    "boundary_of_DR",
     "rotated_boundary",
     "deform_to_real_line",
-    "check_cut_clearance",
     "build_node_table",
     "table_integral",
     "NodeTable",
@@ -231,46 +229,6 @@ class KeyholeSpec:
             raise ValueError("cut half_length must be positive")
 
 
-def boundary_of_DR(quadrant, radius, truncation, lam=0.0):
-    """Truncated boundary of the quarter-plane sector D_R in one quadrant.
-
-    The path runs with the sector interior on the left: incoming straight
-    leg from the truncation point toward the arc, clockwise quarter arc of
-    the given radius, outgoing straight leg back out to the truncation.
-    `lam` is the branch scale Lambda = max |alpha_j|; the arc must satisfy
-    radius > sqrt(2*Lambda) so the whole path clears every branch cut.
-    """
-    if quadrant not in (1, 2, 3, 4):
-        raise ValueError("quadrant must be 1, 2, 3 or 4, got {}".format(quadrant))
-    thresh = np.sqrt(2.0 * lam)
-    if not radius > thresh:
-        raise ValueError(
-            "arc radius {} too small: need radius > sqrt(2*Lambda) = {:.12g} "
-            "to clear the branch cuts".format(radius, thresh))
-    if not truncation > radius:
-        raise ValueError(
-            "truncation {} must exceed the arc radius {}".format(truncation, radius))
-    T, R = float(truncation), float(radius)
-    half_pi = 0.5 * np.pi
-    if quadrant == 1:
-        legs = [Leg.line(1j * T, 1j * R, "imaginary leg"),
-                Leg.arc(R, half_pi, 0.0),
-                Leg.line(R, T, "real leg")]
-    elif quadrant == 2:
-        legs = [Leg.line(-T, -R, "real leg"),
-                Leg.arc(R, np.pi, half_pi),
-                Leg.line(1j * R, 1j * T, "imaginary leg")]
-    elif quadrant == 3:
-        legs = [Leg.line(-1j * T, -1j * R, "imaginary leg"),
-                Leg.arc(R, -half_pi, -np.pi),
-                Leg.line(-R, -T, "real leg")]
-    else:
-        legs = [Leg.line(T, R, "real leg"),
-                Leg.arc(R, 0.0, -half_pi),
-                Leg.line(-1j * R, -1j * T, "imaginary leg")]
-    return ContourPath(legs=legs).validate_continuity()
-
-
 def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     """Sector boundary with one straight leg tilted into a decay sector.
 
@@ -368,53 +326,6 @@ def deform_to_real_line(quadrant, pv_half_length, cut=None):
             splits = (cut.half_length / pv_half_length,)
     legs = [Leg.pv(0.0, pv_half_length, tag=tag, splits=splits)] + extra
     return ContourPath(legs=legs, sign=sign)
-
-
-def _segment_hits_cut(z0, z1, axis, s):
-    """True if the straight segment z0 -> z1 meets the cut of half-length s."""
-    if axis == "imag":
-        a0, a1 = z0.real, z1.real
-        b0, b1 = z0.imag, z1.imag
-    else:
-        a0, a1 = z0.imag, z1.imag
-        b0, b1 = z0.real, z1.real
-    if a0 == 0.0 and a1 == 0.0:
-        lo, hi = min(b0, b1), max(b0, b1)
-        return hi >= -s and lo <= s
-    if (a0 > 0.0 and a1 > 0.0) or (a0 < 0.0 and a1 < 0.0):
-        return False
-    tstar = a0 / (a0 - a1)
-    bcross = b0 + tstar * (b1 - b0)
-    return abs(bcross) <= s
-
-
-def check_cut_clearance(path, levels):
-    """Raise BranchCutError if any untagged leg touches a branch cut."""
-    for alpha in levels:
-        if alpha == 0.0:
-            continue
-        axis = "imag" if alpha > 0.0 else "real"
-        s = np.sqrt(abs(alpha))
-        for leg in path.legs:
-            if leg.tag in ("cut-difference", "one-sided-below"):
-                continue
-            if leg.kind == "arc":
-                crosses = False
-                lo, hi = min(leg.th0, leg.th1), max(leg.th0, leg.th1)
-                targets = (0.5 * np.pi, -0.5 * np.pi, 1.5 * np.pi) if axis == "imag" \
-                    else (0.0, np.pi, -np.pi)
-                for th in targets:
-                    if lo - 1e-12 <= th <= hi + 1e-12:
-                        crosses = True
-                if crosses and leg.radius <= s:
-                    raise BranchCutError(alpha, leg.radius * np.exp(1j * leg.th0))
-            elif leg.kind == "pv":
-                if axis == "real":
-                    raise BranchCutError(alpha, complex(min(s, leg.half)))
-            else:
-                if _segment_hits_cut(leg.z0, leg.z1, axis, s):
-                    raise BranchCutError(alpha, leg.z0)
-    return path
 
 
 @dataclass
@@ -720,15 +631,14 @@ def _lattice(X, cmax):
     return h, on, kf[on].astype(np.int64), rho[on], Xq[on]
 
 
-def table_integral(table, W, C=None, X=None, derivative=False):
+def table_integral(table, W, C, X, derivative=False):
     """Integral of W exp(i C X) over a frozen node table, for each X.
 
     W and C are given at table.z, usually built from table.cols (which the
-    column function computed with each node's leg tag).  With C omitted
-    the integrand is W itself and the result is one pair (value, error).
-    Otherwise X is a vector and the result is (values, errors), one entry
-    per X, or with derivative=True (values, errors, dvalues, derrors), the
-    d-integrand being i C W exp(i C X).
+    column function computed with each node's leg tag), and X is a vector.
+    The result is (values, errors), one entry per X, or with
+    derivative=True (values, errors, dvalues, derrors), the d-integrand
+    being i C W exp(i C X).  A plain integral of W is C = 0 at X = [0].
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
@@ -765,9 +675,6 @@ def table_integral(table, W, C=None, X=None, derivative=False):
     value and the derivative share each tile.
     """
     W = np.asarray(W, dtype=complex)
-    single = C is None
-    if single:
-        C, X = np.zeros(W.shape), np.zeros(1)
     C = np.asarray(C, dtype=complex)
     X = np.asarray(X, dtype=float).ravel()
     ni, n = (2 if derivative else 1), X.size
@@ -777,7 +684,7 @@ def table_integral(table, W, C=None, X=None, derivative=False):
     # rho enters through the second), the panel errors, and sum |P f w15|
     # for the roundoff floor.
     cmax = float(np.max(np.abs(C), initial=0.0))
-    lat = None if single else _lattice(X, cmax)
+    lat = _lattice(X, cmax)
     on = np.zeros(n, dtype=bool)
     rows, groups, rho = np.arange(0), [], np.zeros(0)
     if lat is not None:
@@ -852,8 +759,6 @@ def table_integral(table, W, C=None, X=None, derivative=False):
     err = np.empty((ni, n))
     val[:, rows] = table.sign * (sv[:, :ni] + 1j * rho * sv[:, ni:]).T
     err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
-    if single:
-        return val[0, 0], float(err[0, 0])
     if derivative:
         return val[0], err[0], val[1], err[1]
     return val[0], err[0]

@@ -29,13 +29,10 @@ import numpy as np
 
 __all__ = [
     "BranchCutError",
-    "IndeterminateSignError",
     "PiecewisePotential",
-    "SpectralKernel",
     "SolutionSample",
     "nu",
     "omega",
-    "sign_of_re_minus_i_nu",
 ]
 
 
@@ -48,10 +45,6 @@ class BranchCutError(ValueError):
         super().__init__(
             "kappa = {} lies on the branch cut of nu for alpha = {}".format(kappa, alpha)
         )
-
-
-class IndeterminateSignError(ValueError):
-    """Raised by sign_of_re_minus_i_nu on the excluded set (Re kappa = 0 or cut)."""
 
 
 def _on_cut_mask(alpha, kap):
@@ -93,46 +86,6 @@ def omega(alpha, k):
     k = np.asarray(k, dtype=complex)
     out = 1j * (alpha + k * k)
     return complex(out) if out.ndim == 0 else out
-
-
-def sign_of_re_minus_i_nu(alpha, kappa):
-    """Sign of Re(-i nu(alpha, kappa)); equals sgn(Re kappa) off the cut.
-
-    kappa on the excluded set (imaginary axis, or the real cut segment when
-    alpha < 0) raises IndeterminateSignError.
-    """
-    kap = complex(kappa)
-    if kap.real == 0.0:
-        raise IndeterminateSignError(
-            "indeterminate sign: Re kappa = 0 at kappa = {}".format(kap)
-        )
-    if np.any(_on_cut_mask(alpha, kap)):
-        raise IndeterminateSignError(
-            "indeterminate sign: kappa = {} on the cut for alpha = {}".format(kap, alpha)
-        )
-    val = (-1j * nu(alpha, kap)).real
-    return 1 if val > 0.0 else -1
-
-
-@dataclass(frozen=True)
-class SpectralKernel:
-    """A single potential level alpha with its spectral map and cut geometry."""
-
-    alpha: float
-
-    def nu(self, kappa):
-        return nu(self.alpha, kappa)
-
-    def omega(self, k):
-        return omega(self.alpha, k)
-
-    def cut_segment(self):
-        """Return (axis, half_length) of the branch cut, or (None, 0.0)."""
-        if self.alpha > 0.0:
-            return "imag", float(np.sqrt(self.alpha))
-        if self.alpha < 0.0:
-            return "real", float(np.sqrt(-self.alpha))
-        return None, 0.0
 
 
 @dataclass(frozen=True)
@@ -190,14 +143,8 @@ class PiecewisePotential:
         """Region index containing x; interface points go with the right side."""
         return int(np.searchsorted(np.asarray(self.interfaces), x, side="right")) + 1
 
-    def is_interface(self, x):
-        return any(x == xj for xj in self.interfaces)
-
     def level(self, j):
         return self.levels[j - 1]
-
-    def kernel(self, j):
-        return SpectralKernel(self.levels[j - 1])
 
     def nus(self, kappa):
         """Stack of nu_j(kappa) for j = 1..n+1; shape (n+1,) + shape(kappa)."""

@@ -33,13 +33,14 @@ region the solution is a free term plus integral terms
 W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with W independent of
 x; only W, c, x0, the contour builder and the first truncation T0 change
 from one profile to another.  `ContourSettings` validates the settings
-(tolerance, the radius guard) and builds the sector contours;
-`ContourSolver` adds the term cache, the truncation search at the region
-bounds, the panel budget and `evaluate_grid`, and its subclasses
-(`StepSolver` here, `GeneralSolver`, `WellSolver`) only declare the terms
-of a region.  A whole grid of x values reuses one node table per term,
-whose W and c columns are evaluated once per node while it is refined, and
-one phased table_integral call sums the term at every x of the grid.
+(tolerance, the radius guard, the tilt delta) and builds the sector
+contours; `ContourSolver` adds the truncation search at the region bounds,
+the panel budget and `evaluate_grid`, and its subclasses (`StepSolver`
+here, `GeneralSolver`, `WellSolver`) only declare the terms of a region.
+A whole grid of x values reuses one node table per term, whose W and c
+columns are evaluated once per node while it is refined; one phased
+table_integral call sums the term at every x of the grid, and one
+free_term call gives the region's free terms.
 """
 
 from dataclasses import replace
@@ -350,8 +351,8 @@ class ContourSettings:
 
     tolerance is the absolute quadrature target per evaluated point and must
     be finite and positive.  radius (default max(1, 1.25 sqrt(2 Lambda)))
-    must clear the branch scale sqrt(2 Lambda); delta tilts the open legs of
-    the sector contours.
+    must be finite and clear the branch scale sqrt(2 Lambda); delta, in
+    (0, pi/4), tilts the open legs of the sector contours.
     """
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None,
@@ -364,13 +365,16 @@ class ContourSettings:
         self.ic = ic
         self.tolerance = tol
         self.delta = float(delta)
+        if not 0.0 < self.delta < 0.25 * np.pi:
+            raise ValueError(
+                "delta must lie in (0, pi/4), got {!r}".format(delta))
         lam = potential.lam
         self.radius = float(radius) if radius is not None else \
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
-        if not self.radius > np.sqrt(2.0 * lam):
+        if not np.sqrt(2.0 * lam) < self.radius < np.inf:
             raise ValueError(
-                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g}".format(
-                    self.radius, np.sqrt(2.0 * lam)))
+                "radius {} is not finite or does not clear the branch scale "
+                "sqrt(2*Lambda) = {:.6g}".format(self.radius, np.sqrt(2.0 * lam)))
 
     def sector(self, quad, t):
         """Truncation builder T -> (path, tail spec) on a sector boundary at time t.
@@ -422,11 +426,6 @@ class ContourSolver(ContourSettings):
     quadrature error, so it stays honest when the tolerance is out of reach.
     """
 
-    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
-                 delta=np.pi / 8.0):
-        super().__init__(potential, ic, tolerance, radius, delta)
-        self._term_cache = {}
-
     def _terms(self, region, t, derivative, xmax):
         """The region's terms, truncated for |x| up to xmax.
 
@@ -434,9 +433,6 @@ class ContourSolver(ContourSettings):
         the region bounds clipped to +-xb, xmax rounded up to a power of 2.
         """
         xb = 2.0 ** np.ceil(np.log2(max(1.0, xmax)))
-        key = (region, float(t), bool(derivative), xb)
-        if key in self._term_cache:
-            return self._term_cache[key]
         specs = self._declare(region, t)
         lo, hi = self.potential.region_bounds(region)
         probes = (max(lo, -xb), min(hi, xb))
@@ -446,9 +442,6 @@ class ContourSolver(ContourSettings):
             path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
                                             T0, derivative=derivative)
             out.append(IntegralTerm(path, W, xc, x0, tails))
-        if len(self._term_cache) > 16:
-            self._term_cache.clear()
-        self._term_cache[key] = out
         return out
 
     def evaluate(self, x, t, region=None, derivative=False):
@@ -487,21 +480,17 @@ class ContourSolver(ContourSettings):
             out = eval_terms(terms, sub, self.tolerance,
                              max_panels=panel_budget(t, xspan, T),
                              derivative=derivative)
-            if derivative:
-                vals, errs, dvals, derrs = out
-            else:
-                vals, errs = out
+            vals, errs = out[:2]
+            F = free_term(self.ic, self.potential, int(j), sub, t,
+                          derivative=derivative)
+            psi = (F[0] if derivative else F) + vals
             for row, i in enumerate(idx):
+                s = SolutionSample(float(sub[row]), t, complex(psi[row]),
+                                   float(errs[row]))
                 if derivative:
-                    F, dF = free_term(self.ic, self.potential, int(j), float(xs[i]),
-                                      t, derivative=True)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]),
-                        psi_x=complex(dF + dvals[row]), psi_x_error=float(derrs[row]))
-                else:
-                    F = free_term(self.ic, self.potential, int(j), float(xs[i]), t)
-                    samples[i] = SolutionSample(
-                        float(xs[i]), t, complex(F + vals[row]), float(errs[row]))
+                    s.psi_x = complex(F[1][row] + out[2][row])
+                    s.psi_x_error = float(out[3][row])
+                samples[i] = s
         return samples
 
 

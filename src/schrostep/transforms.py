@@ -325,15 +325,50 @@ def _tabulated_hat(ic, k, a, b, origin):
     return total
 
 
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _mul(a, b):
+    """a * b rounded as Python's complex product: each real product and sum
+    rounded once.  numpy's vectorised complex product may fuse a product
+    into the sum (FMA), which moves the last bit."""
+    return _complex(np.real(a) * np.real(b) - np.imag(a) * np.imag(b),
+                    np.real(a) * np.imag(b) + np.imag(a) * np.real(b))
+
+
+def _div(a, b):
+    """a / b for a complex scalar b, rounded as Python's complex quotient:
+    Smith's method, dividing by the scaled denominator where numpy
+    multiplies by its reciprocal."""
+    b = complex(b)
+    if abs(b.real) >= abs(b.imag):
+        r = b.imag / b.real
+        d = b.real + b.imag * r
+        return _complex((a.real + a.imag * r) / d, (a.imag - a.real * r) / d)
+    r = b.real / b.imag
+    d = b.real * r + b.imag
+    return _complex((a.real * r + a.imag) / d, (a.imag * r - a.real) / d)
+
+
 def free_term(ic, potential, region, x, t, derivative=False):
     """Free evolution of the data restricted to one region.
 
-    F_region(x, t) for scalar x and t > 0; with derivative=True returns
-    (F, dF/dx).  The potential only enters through the region bounds and the
-    phase exp(-i alpha_region t).
+    F_region(x, t) for scalar or array x and scalar t > 0; with
+    derivative=True returns (F, dF/dx).  The potential only enters through
+    the region bounds and the phase exp(-i alpha_region t).  Complex
+    products and quotients are rounded as Python rounds complex scalars
+    (_mul, _div), not as numpy's vectorised loops do, so every value is
+    bit-identical to a point-by-point evaluation of the same formulas with
+    Python complex numbers, and an array gives the same bits as its points
+    one at a time.
     """
     if not t > 0.0:
         raise ValueError("free term needs t > 0, got t = {}".format(t))
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b = potential.region_bounds(region)
     alpha = potential.level(region)
     pref = np.exp(-1j * alpha * t) / np.sqrt(4j * np.pi * t)
@@ -341,9 +376,10 @@ def free_term(ic, potential, region, x, t, derivative=False):
         val, dval = _free_gauss(ic, x, t, a, b, derivative)
     else:
         val, dval = _free_tabulated(ic, x, t, a, b, derivative)
-    if derivative:
-        return pref * val, pref * dval
-    return pref * val
+    out = [_mul(pref, v) for v in ((val, dval) if derivative else (val,))]
+    if scalar:
+        out = [complex(v[0]) for v in out]
+    return tuple(out) if derivative else out[0]
 
 
 def _free_gauss(ic, x, t, a, b, want_dx):
@@ -352,29 +388,31 @@ def _free_gauss(ic, x, t, a, b, want_dx):
     s = 2.0 * c / (w * w) + 1j * (mu - 0.5 * x / t)
     sqp = np.sqrt(p)
 
-    # full exponent at a real endpoint, no cancellation:
-    def full_phi(y):
-        return 0.25j * (x - y) ** 2 / t - ((y - c) / w) ** 2 + 1j * mu * y
-
     def endpoint(y):
         if np.isinf(y):
-            sgn = 1.0 if y > 0 else -1.0
-            return sgn, 0.0 + 0.0j, 0.0 + 0.0j
+            return (1.0 if y > 0 else -1.0), 0.0j, 0.0j
         u = sqp * y - s / (2.0 * sqp)
-        phi = full_phi(y)
-        sgn = 1.0 if u.real >= 0.0 else -1.0
-        return sgn, -sgn * np.exp(phi) * wofz(1j * sgn * u), np.exp(phi)
+        # the full exponent at a real endpoint, no cancellation; the square
+        # goes through libm pow (float_power), as a Python float ** 2 does
+        phi = 1j * (0.25 * np.float_power(x - y, 2.0) / t) \
+            - ((y - c) / w) ** 2 + 1j * mu * y
+        sgn = np.where(u.real >= 0.0, 1.0, -1.0)
+        e = np.exp(phi)
+        return sgn, _mul(-sgn * e, wofz(1j * sgn * u)), e
 
     cb, corr_b, eb = endpoint(b)
     ca, corr_a, ea = endpoint(a)
     net = cb - ca
-    E_tot = 0.25j * x * x / t - c * c / (w * w) + s * s / (4.0 * p)
-    eE = np.exp(E_tot) if net != 0.0 else 0.0
-    m0 = (_SQRT_PI / (2.0 * sqp)) * (net * eE + corr_b - corr_a)
-    m0 = amp * m0
+    E_tot = 1j * (0.25 * x * x / t) - c * c / (w * w) + _div(_mul(s, s), 4.0 * p)
+    # exp(E_tot) may overflow where the endpoint signs agree and it drops out
+    eE = np.zeros(x.shape, dtype=complex)
+    m = net != 0.0
+    eE[m] = np.exp(E_tot[m])
+    m0 = _mul(_SQRT_PI / (2.0 * sqp), net * eE + corr_b - corr_a)
+    m0 = _mul(amp, m0)
     if not want_dx:
         return m0, None
-    m1 = (s * m0 - amp * (eb - ea)) / (2.0 * p)
+    m1 = (_mul(s, m0) - _mul(amp, eb - ea)) / (2.0 * p)
     dval = 0.5j * (x * m0 - m1) / t
     return m0, dval
 
@@ -383,7 +421,8 @@ def _free_tabulated(ic, x, t, a, b, want_dx):
     lo, hi = ic.support()
     a_eff, b_eff = max(a, lo), min(b, hi)
     if not a_eff < b_eff:
-        return 0.0 + 0.0j, 0.0 + 0.0j
+        zero = np.zeros(x.shape, dtype=complex)
+        return zero, zero
     xt = ic.x_table
     i0 = int(np.clip(np.searchsorted(xt, a_eff, side="right") - 1, 0, xt.size - 2))
     i1 = int(np.clip(np.searchsorted(xt, b_eff, side="left") - 1, 0, xt.size - 2))
@@ -392,21 +431,23 @@ def _free_tabulated(ic, x, t, a, b, want_dx):
     tb = np.minimum(xt[idx + 1], b_eff) - xt[idx]
     keep = tb > ta
     idx, ta, tb = idx[keep], ta[keep], tb[keep]
-    X = x - xt[idx]
+    # one row per x, the cells along the contiguous axis, which each sum
+    # below runs over
+    X = x[:, None] - xt[idx]
     p = -0.25j / t
     s = -0.5j * X / t
     kappa = 0.25j * X * X / t
     nmax = 4 if want_dx else 3
     M = _gauss_moments(p, s, ta, tb, nmax)
     cells = ic._cells[idx]
-    val = np.zeros((), dtype=complex)
-    dval = np.zeros((), dtype=complex)
+    val = np.zeros(x.shape, dtype=complex)
+    dval = np.zeros(x.shape, dtype=complex)
     ek = np.exp(kappa)
     for m_idx in range(4):
-        val = val + np.sum(ek * cells[:, m_idx] * M[m_idx])
+        val = val + np.sum(ek * cells[:, m_idx] * M[m_idx], axis=1)
         if want_dx:
             dval = dval + np.sum(ek * cells[:, m_idx] *
-                                 (X * M[m_idx] - M[m_idx + 1]))
+                                 (X * M[m_idx] - M[m_idx + 1]), axis=1)
     if want_dx:
         dval = 0.5j * dval / t
-    return complex(val), complex(dval) if want_dx else None
+    return val, dval if want_dx else None

@@ -13,13 +13,12 @@ stationary problem; a vanishes at xi = i beta exactly where that
 trigonometric factor vanishes at kappa = beta, and `bound_states`
 enumerates those beta.
 
-WellSolver evaluates the time evolution from the closed forms, either with
-every term on the fourth-quadrant sector boundary in kappa ('d4') or mapped
-region by region onto the first/third-quadrant boundaries in the local
-variable ('quadrant').  It only declares the terms of a region: one for
-each outer region (offset 0 on the left, x2 on the right) and two for the
-middle one (offsets x2 and 0); truncation, node tables, the panel budget
-and the free terms come from the shared core in `step` (`ContourSolver`).
+WellSolver evaluates the time evolution from the closed forms with every
+term on the fourth-quadrant sector boundary in kappa (the 'd4' form of
+StepSolver).  It only declares the terms of a region: one for each outer
+region (offset 0 on the left, x2 on the right) and two for the middle one
+(offsets x2 and 0); truncation, node tables, the panel budget and the free
+terms come from the shared core in `step` (`ContourSolver`).
 Profiles with nonzero outer levels or asymmetric outer levels belong to
 GeneralSolver.
 """
@@ -118,19 +117,16 @@ def bound_states(alpha, x2, grid=1000):
 class WellSolver(ContourSolver):
     """Time evolution over the profile (0, alpha, 0) with jumps at 0 and x2."""
 
-    def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
-                 radius=None, delta=np.pi / 8.0):
+    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
+                 delta=np.pi / 8.0):
         if potential.njumps != 2:
             raise ValueError("WellSolver needs exactly two interfaces")
         if potential.levels[0] != 0.0 or potential.levels[2] != 0.0:
             raise ValueError("WellSolver covers outer levels 0 only; "
                              "use GeneralSolver for other profiles")
-        if representation not in ("d4", "quadrant"):
-            raise ValueError("unknown representation {!r}".format(representation))
         super().__init__(potential, ic, tolerance, radius, delta)
         self.alpha = potential.levels[1]
         self.x2 = potential.interfaces[1]
-        self.representation = representation
 
     # bound in the class's own namespace, where the benchmark's tracer
     # (perfbench/tracing.py) looks the method up
@@ -198,61 +194,22 @@ class WellSolver(ContourSolver):
                 / _TWO_PI
         return W
 
-    def _w_quad_outer(self, region, t):
-        al = self.alpha
-
-        def W(z, tag):
-            k = np.atleast_1d(np.asarray(z, dtype=complex))
-            kap = 1j * k if region == 1 else -1j * k
-            nuv = nu(al, kap)
-            damp = np.exp(-1j * k * k * t)
-            which = "B1" if region == 1 else "B3"
-            return -0.5j * damp * self._numerators(kap, nuv, which) / np.pi
-        return W
-
-    def _w_quad_mid(self, which, t):
-        # kappa and the local variable k trade places through the same root
-        # function: on the third-quadrant path kappa = nu(alpha, k) makes
-        # nu(alpha, kappa) = -k, on the first-quadrant path kappa =
-        # -nu(alpha, k) makes it +k, and (kappa/nu) dkappa turns into +-dk.
-        al = self.alpha
-
-        def W(z, tag):
-            k = np.atleast_1d(np.asarray(z, dtype=complex))
-            if which == "A":
-                kap = nu(al, k)
-                nuv = -k
-            else:
-                kap = -nu(al, k)
-                nuv = k
-            damp = np.exp(-1j * (al + k * k) * t)
-            return -damp * self._numerators(kap, nuv, which) / _TWO_PI
-        return W
-
     # -- term declarations ---------------------------------------------------
 
     def _declare(self, region, t):
         al, x2 = self.alpha, self.x2
         T0 = 2.0 * self.radius
-        if self.representation == "d4":
-            if region == 1:
-                return [(self._w_d4(1, t),
-                         lambda z, tag: -1j * np.asarray(z, dtype=complex),
-                         0.0, self.sector(4, t), T0)]
-            if region == 3:
-                return [(self._w_d4(3, t),
-                         lambda z, tag: 1j * np.asarray(z, dtype=complex),
-                         x2, self.sector(4, t), T0)]
-            return [(self._w_d4_mid("A", t),
-                     lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
-                     x2, self.sector(4, t), T0),
-                    (self._w_d4_mid("B", t),
-                     lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
-                     0.0, self.sector(4, t), T0)]
-        ident = lambda z, tag: np.asarray(z, dtype=complex)
         if region == 1:
-            return [(self._w_quad_outer(1, t), ident, 0.0, self.sector(3, t), T0)]
+            return [(self._w_d4(1, t),
+                     lambda z, tag: -1j * np.asarray(z, dtype=complex),
+                     0.0, self.sector(4, t), T0)]
         if region == 3:
-            return [(self._w_quad_outer(3, t), ident, x2, self.sector(1, t), T0)]
-        return [(self._w_quad_mid("A", t), ident, x2, self.sector(3, t), T0),
-                (self._w_quad_mid("B", t), ident, 0.0, self.sector(1, t), T0)]
+            return [(self._w_d4(3, t),
+                     lambda z, tag: 1j * np.asarray(z, dtype=complex),
+                     x2, self.sector(4, t), T0)]
+        return [(self._w_d4_mid("A", t),
+                 lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
+                 x2, self.sector(4, t), T0),
+                (self._w_d4_mid("B", t),
+                 lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
+                 0.0, self.sector(4, t), T0)]

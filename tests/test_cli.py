@@ -125,8 +125,10 @@ def test_missing_field_exits_two_with_json(tmp_path, capsys):
     assert err["field"] == "potential.interfaces"
 
 
-def test_unknown_solver_exits_two(tmp_path, capsys):
-    cfg = write(tmp_path, "bad2.cfg", STEP_CFG.replace("solver = d4", "solver = magic"))
+@pytest.mark.parametrize("name", ["magic", "well-quadrant"])
+def test_unknown_solver_exits_two(tmp_path, capsys, name):
+    cfg = write(tmp_path, "bad2.cfg",
+                STEP_CFG.replace("solver = d4", "solver = " + name))
     assert main(["solve", cfg]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["field"] == "solver"
@@ -153,11 +155,18 @@ grid.t = 0.5
     ("solve", STEP_CFG, "numerics.tolerance = inf", "numerics.tolerance"),
     ("solve", STEP_CFG, "numerics.tolerance = nan", "numerics.tolerance"),
     ("solve", STEP_CFG, "numerics.R = wide", "numerics.R"),
+    ("solve", STEP_CFG, "numerics.R = 0.5", "numerics.R"),
+    ("solve", STEP_CFG, "numerics.R = inf", "numerics.R"),
     ("solve", STEP_CFG, "numerics.delta = tilted", "numerics.delta"),
+    ("solve", STEP_CFG, "numerics.delta = 1.0", "numerics.delta"),
+    ("solve", STEP_CFG, "numerics.delta = 0", "numerics.delta"),
     ("solve", STEP_CFG, "grid.t = 0.5, -0.25", "grid.t"),
     ("solve", STEP_CFG, "grid.t = nan", "grid.t"),
     ("interface-map", THREE_JUMP_CFG, "numerics.tolerance = -1", "numerics.tolerance"),
     ("interface-map", THREE_JUMP_CFG, "numerics.R = wide", "numerics.R"),
+    ("interface-map", THREE_JUMP_CFG, "numerics.R = 0.5", "numerics.R"),
+    ("interface-map", THREE_JUMP_CFG, "numerics.delta = tilted", "numerics.delta"),
+    ("interface-map", THREE_JUMP_CFG, "numerics.delta = 1.0", "numerics.delta"),
     ("interface-map", THREE_JUMP_CFG, "grid.t = -1", "grid.t"),
     ("interface-map", THREE_JUMP_CFG, "map.interfaces = 1.5", "map.interfaces"),
     ("interface-map", THREE_JUMP_CFG, "map.interfaces = first", "map.interfaces"),

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from schrostep import BranchCutError, PiecewisePotential, SpectralKernel, nu, omega
-from schrostep.kernels import IndeterminateSignError, sign_of_re_minus_i_nu
+from schrostep import BranchCutError, PiecewisePotential, nu, omega
 
 
 def test_nu_zero_level_is_ik_exactly():
@@ -31,7 +30,8 @@ def test_nu_reference_point():
     # tools/make_reference_values.py, alpha = 5, kappa = 0.01 - 10i
     v = nu(5.0, 0.01 - 10.0j)
     assert abs(v - (9.7467946148 + 0.0102597832366j)) < 1e-8
-    assert sign_of_re_minus_i_nu(5.0, 0.01 - 10.0j) == 1
+    # the sign lemma: Re(-i nu) has the sign of Re kappa
+    assert (-1j * v).real > 0.0
 
 
 def test_cut_points_rejected():
@@ -43,32 +43,19 @@ def test_cut_points_rejected():
     nu(-4.0, 2.5)
 
 
-def test_sign_indeterminate_on_axis():
-    with pytest.raises(IndeterminateSignError):
-        sign_of_re_minus_i_nu(4.0, -3.0j)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
 def test_sign_lemma_tracks_real_part(alpha, re, im):
     kap = complex(re, im)
     assume(abs(kap) ** 2 > 2.0 * abs(alpha) + 0.5)
     assume(abs(re) > 1e-3)
-    assert sign_of_re_minus_i_nu(alpha, kap) == (1 if re > 0 else -1)
+    assert np.sign((-1j * nu(alpha, kap)).real) == np.sign(re)
 
 
 def test_omega():
     assert omega(2.0, 3.0) == 1j * (2.0 + 9.0)
     k = np.array([1.0 + 1j])
     np.testing.assert_allclose(omega(-1.0, k), 1j * (-1.0 + k * k))
-
-
-def test_kernel_cut_segment():
-    seg = SpectralKernel(9.0).cut_segment()
-    assert seg == ("imag", 3.0)
-    seg = SpectralKernel(-9.0).cut_segment()
-    assert seg == ("real", 3.0)
-    assert SpectralKernel(0.0).cut_segment() == (None, 0.0)
 
 
 def test_potential_validation():

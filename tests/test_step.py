@@ -89,8 +89,7 @@ CONTRACT = {
     "step-quadrant": (UP, partial(StepSolver, representation="quadrant")),
     "step-realline": (UP, partial(StepSolver, representation="realline")),
     "general": (UP, GeneralSolver),
-    "well-d4": (WELL, partial(WellSolver, representation="d4")),
-    "well-quadrant": (WELL, partial(WellSolver, representation="quadrant")),
+    "well": (WELL, WellSolver),
     "interface-map": (UP, InterfaceMap),
 }
 
@@ -101,6 +100,11 @@ def test_solver_contract(name):
     ic = gaussian_ic()
     with pytest.raises(ValueError, match="radius"):
         make(pot, ic, radius=1.0)
+    with pytest.raises(ValueError, match="radius"):
+        make(pot, ic, radius=np.inf)
+    for delta in (0.0, -0.1, np.pi / 4.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="delta"):
+            make(pot, ic, delta=delta)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             make(pot, ic, tolerance=tol)

@@ -92,6 +92,24 @@ def test_free_term_derivative_consistency():
     assert abs(dF - fd) < 1e-8
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+def test_free_term_on_an_array_matches_each_point_bitwise(kind, derivative):
+    pot = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+    ic = InitialCondition.gaussian(amplitude=0.8 - 0.6j, center=-0.5, width=0.9,
+                                   momentum=0.7)
+    if kind == "tabulated":
+        xt = np.linspace(-3.5, 2.5, 21)
+        ic = InitialCondition.tabulated(xt, ic.evaluate(xt))
+    xs = np.linspace(-6.0, 6.0, 151)
+    for region in (1, 2, 3):
+        got = free_term(ic, pot, region, xs, 0.5, derivative=derivative)
+        one = [free_term(ic, pot, region, float(x), 0.5, derivative=derivative)
+               for x in xs]
+        want = np.array(one).T if derivative else np.array(one)
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
 def test_tabulated_matches_gaussian_when_sampled():
     xs = np.linspace(-7.0, 7.0, 1400)
     gauss = InitialCondition.gaussian(center=0.2, width=0.9)

@@ -99,14 +99,15 @@ def test_closed_forms_match_interface_system_well():
         assert abs(a.value - b.value) < 1e-10
 
 
-def test_quadrant_representation_agrees_with_d4():
+def test_well_agrees_with_general_solver_at_a_second_radius():
+    # a different arc, corner and truncation from the well's own contour
     pot = PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0])
     ic = InitialCondition.gaussian(center=-3.0)
     wd = WellSolver(pot, ic)
-    wq = WellSolver(pot, ic, representation="quadrant")
+    gen = GeneralSolver(pot, ic, radius=1.5 * wd.radius)
     for x in (-1.5, 0.5, 2.0):
         a = wd.evaluate(x, 1.0)
-        b = wq.evaluate(x, 1.0)
+        b = gen.evaluate(x, 1.0)
         assert abs(a.value - b.value) <= 5.0 * (a.error + b.error)
 
 
@@ -116,6 +117,3 @@ def test_constructor_validation():
         WellSolver(PiecewisePotential([0.0, 4.0], [0.0]), ic)
     with pytest.raises(ValueError):
         WellSolver(PiecewisePotential([1.0, 4.0, 0.0], [0.0, 1.0]), ic)
-    with pytest.raises(ValueError):
-        WellSolver(PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), ic,
-                   representation="realline")
