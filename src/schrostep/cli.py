@@ -20,9 +20,11 @@ Subcommands:
     interface-map CONFIG    solution and slope traces at the jump points
 
 Output is tab separated with a header row, %.17g everywhere, to
-output.path or stdout.  Configuration problems exit with status 2 and a
-one-line JSON object on stderr naming the offending field; so does a
-quadrature that cannot meet numerics.tolerance within its panel budget.
+output.path or stdout.  Every row is computed before the first is written,
+so a failed run leaves no partial output.  Configuration problems exit with
+status 2 and a one-line JSON object on stderr naming the offending field;
+so does a quadrature that cannot meet numerics.tolerance within its panel
+budget.
 """
 
 import argparse
@@ -80,10 +82,14 @@ def _grid(field, val):
         if len(parts) != 3:
             raise ConfigError(field, "linspace needs start:stop:count")
         try:
-            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+            xs = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
         except ValueError:
             raise ConfigError(field, "bad linspace spec {!r}".format(val))
-    return np.array(_floats(field, val))
+    else:
+        xs = np.array(_floats(field, val))
+    if not np.all(np.isfinite(xs)):
+        raise ConfigError(field, "points must be finite, got {!r}".format(val))
+    return xs
 
 
 def build_potential(cfg):
@@ -185,16 +191,17 @@ def _times(cfg):
     return ts
 
 
-def _open_out(cfg):
+def _write(cfg, header, rows):
+    """The header and the rows, tab separated, to output.path or stdout."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(_FMT % c for c in row) for row in rows]
+    text = "\n".join(lines) + "\n"
     path = cfg.get("output.path", "-")
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _emit(out, cols):
-    out.write("\t".join(_FMT % c if not isinstance(c, str) else c
-                        for c in cols) + "\n")
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as out:
+        out.write(text)
 
 
 def cmd_solve(args):
@@ -204,14 +211,10 @@ def cmd_solve(args):
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg["grid.x"])
     ts = _times(cfg)
-    # evaluate everything first, so a failure leaves no partial output
     samples = [s for t in ts for s in solver.evaluate_grid(xs, t)]
-    out, close = _open_out(cfg)
-    out.write("x\tt\tre_psi\tim_psi\tabs_psi\terr_estimate\n")
-    for s in samples:
-        _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error])
-    if close:
-        out.close()
+    _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate"),
+           [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error)
+            for s in samples])
     return 0
 
 
@@ -226,16 +229,12 @@ def cmd_compare(args):
     ts = _times(cfg_a)
     pairs = [p for t in ts
              for p in zip(sol_a.evaluate_grid(xs, t), sol_b.evaluate_grid(xs, t))]
-    out, close = _open_out(cfg_a)
-    out.write("x\tt\tre_psi_a\tim_psi_a\tre_psi_b\tim_psi_b\tabs_diff\terr_a\terr_b\n")
-    worst = 0.0
-    for a, b in pairs:
-        d = abs(a.value - b.value)
-        worst = max(worst, d)
-        _emit(out, [a.x, a.t, a.value.real, a.value.imag,
-                    b.value.real, b.value.imag, d, a.error, b.error])
-    if close:
-        out.close()
+    diffs = [abs(a.value - b.value) for a, b in pairs]
+    _write(cfg_a, ("x", "t", "re_psi_a", "im_psi_a", "re_psi_b", "im_psi_b",
+                   "abs_diff", "err_a", "err_b"),
+           [(a.x, a.t, a.value.real, a.value.imag, b.value.real, b.value.imag,
+             d, a.error, b.error) for (a, b), d in zip(pairs, diffs)])
+    worst = max([0.0] + diffs)
     print("max|psi_a - psi_b| = {:.6e}".format(worst), file=sys.stderr)
     return 0
 
@@ -251,16 +250,15 @@ def cmd_asymptote(args):
     except ValueError:
         raise ConfigError("ray.gamma", "not a number")
     ts = _times(cfg)
-    out, close = _open_out(cfg)
-    out.write("t\tx\tre_psi\tim_psi\tabs_psi\n")
+    if not all(t > 0.0 for t in ts):
+        raise ConfigError("grid.t", "the leading order needs t > 0, "
+                                    "got {!r}".format(cfg["grid.t"]))
     try:
-        for t in ts:
-            v = leading_order(pot, ic, gamma, t)
-            _emit(out, [t, gamma * t, v.real, v.imag, abs(v)])
+        vals = [leading_order(pot, ic, gamma, t) for t in ts]
     except ValueError as e:
         raise ConfigError("ray.gamma", str(e))
-    if close:
-        out.close()
+    _write(cfg, ("t", "x", "re_psi", "im_psi", "abs_psi"),
+           [(t, gamma * t, v.real, v.imag, abs(v)) for t, v in zip(ts, vals)])
     return 0
 
 
@@ -285,13 +283,10 @@ def cmd_interface_map(args):
     ts = _times(cfg)
     samples = [s for ell in idx
                for s in imap.trace_grid(ts, interface=ell, derivative=True)]
-    out, close = _open_out(cfg)
-    out.write("x\tt\tre_psi\tim_psi\tabs_psi\terr_estimate\tre_psi_x\tim_psi_x\n")
-    for s in samples:
-        _emit(out, [s.x, s.t, s.value.real, s.value.imag, abs(s.value),
-                    s.error, s.psi_x.real, s.psi_x.imag])
-    if close:
-        out.close()
+    _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate",
+                 "re_psi_x", "im_psi_x"),
+           [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error,
+             s.psi_x.real, s.psi_x.imag) for s in samples])
     return 0
 
 

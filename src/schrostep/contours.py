@@ -43,7 +43,6 @@ import numpy as np
 __all__ = [
     "Leg",
     "ContourPath",
-    "KeyholeSpec",
     "QuadratureError",
     "rotated_boundary",
     "deform_to_real_line",
@@ -205,30 +204,6 @@ class ContourPath:
         return self
 
 
-@dataclass(frozen=True)
-class KeyholeSpec:
-    """Branch-cut attachment for a deformed path.
-
-    axis         'imag' or 'real'
-    half_length  cut half-length sqrt(|alpha|)
-
-    An imaginary-axis cut pairs with the upper-half-plane deformation
-    (quadrant 1) and contributes a cut-difference leg from 0 to
-    i*half_length.  A real-axis cut pairs with the lower-half-plane
-    deformation (quadrant 3), where the real-line integrand itself must be
-    evaluated one-sidedly from below; no extra leg appears.
-    """
-
-    axis: str
-    half_length: float
-
-    def __post_init__(self):
-        if self.axis not in ("imag", "real"):
-            raise ValueError("cut axis must be 'imag' or 'real', got {!r}".format(self.axis))
-        if not self.half_length > 0.0:
-            raise ValueError("cut half_length must be positive")
-
-
 def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     """Sector boundary with one straight leg tilted into a decay sector.
 
@@ -291,13 +266,14 @@ def deform_to_real_line(quadrant, pv_half_length, cut=None):
     """Collapse a half-plane sector boundary onto the real line.
 
     quadrant 1 gives +PV over the real line (sign +1); quadrant 3 gives the
-    real line traversed with sign -1.  A KeyholeSpec describes the branch
-    cut met during the deformation: an imaginary cut (quadrant 1 only) adds
-    a cut-difference leg from 0 to i*half_length carrying the jump of the
-    integrand across the cut; a real cut (quadrant 3 only) leaves the path
-    alone but tags it so integrands evaluate one-sidedly from below.  The
-    principal-value leg splits at the cut endpoints so no quadrature node
-    lands on a branch point.
+    real line traversed with sign -1.  cut, when given, is the half-length
+    sqrt(|alpha|) of the branch cut met during the deformation; the quadrant
+    fixes its axis.  In quadrant 1 the cut runs up the imaginary axis and
+    adds a cut-difference leg from 0 to i*cut carrying the jump of the
+    integrand across it.  In quadrant 3 it lies on the real axis: the path
+    stays as it is but is tagged so integrands evaluate one-sidedly from
+    below, and the principal-value leg splits at the cut endpoints so no
+    quadrature node lands on a branch point.
     """
     if quadrant not in (1, 3):
         raise ValueError("only quadrants 1 and 3 deform onto the real line")
@@ -308,22 +284,16 @@ def deform_to_real_line(quadrant, pv_half_length, cut=None):
     splits = ()
     extra = []
     if cut is not None:
+        if not cut > 0.0:
+            raise ValueError("cut half-length must be positive, got {!r}".format(cut))
+        if cut >= pv_half_length:
+            raise ValueError("cut extends past the truncation")
         if quadrant == 1:
-            if cut.axis != "imag":
-                raise ValueError(
-                    "a real-axis cut cannot attach to the upper-half-plane deformation")
-            if cut.half_length >= pv_half_length:
-                raise ValueError("cut extends past the truncation")
-            extra.append(Leg.line(0.0, 1j * cut.half_length,
-                                  label="cut difference leg", tag="cut-difference"))
+            extra.append(Leg.line(0.0, 1j * cut, label="cut difference leg",
+                                  tag="cut-difference"))
         else:
-            if cut.axis != "real":
-                raise ValueError(
-                    "an imaginary-axis cut cannot attach to the lower-half-plane deformation")
-            if cut.half_length >= pv_half_length:
-                raise ValueError("cut extends past the truncation")
             tag = "one-sided-below"
-            splits = (cut.half_length / pv_half_length,)
+            splits = (cut / pv_half_length,)
     legs = [Leg.pv(0.0, pv_half_length, tag=tag, splits=splits)] + extra
     return ContourPath(legs=legs, sign=sign)
 
@@ -397,9 +367,11 @@ def _evaluate(path, columns, probes, spans):
 
     Legs that share a tag and a node count share calls of `columns`, each
     of at most _CALL_NODES nodes.  A panel's error is the largest over the
-    probes of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, computed with the
-    same scalar operations as a panel-at-a-time loop, so the refinement
-    decisions are bit-identical to it.
+    probes of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every panel of
+    a call at once.  u is taken with hypot and the power with float_power,
+    which round as the scalar abs and ** of a panel-at-a-time loop do (the
+    vectorised complex abs and power may differ in the last bit), so the
+    refinement decisions are bit-identical to that loop.
     """
     groups = {}
     for i in sorted(range(len(spans)), key=lambda i: spans[i][0]):
@@ -425,13 +397,12 @@ def _evaluate(path, columns, probes, spans):
             diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
             block = np.concatenate([zc[None], c15[None], c7[None],
                                     cols.reshape(-1, n, per)])
+            u = np.hypot(diff.real, diff.imag)
+            err = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0,
+                         initial=0.0)
             for j in range(n):
-                err = 0.0
-                for d in diff[:, j]:
-                    u = abs(d)
-                    err = max(err, min(u, (200.0 * u) ** 1.5))
                 leg_idx, a, b = spans[idx[lo + j]]
-                out[idx[lo + j]] = _Panel(leg_idx, a, b, err, block[:, j].copy())
+                out[idx[lo + j]] = _Panel(leg_idx, a, b, err[j], block[:, j].copy())
     return out
 
 

@@ -56,10 +56,7 @@ class InterfaceMap(ContourSettings):
         out = [None] * len(ts)
         for i, t in enumerate(ts):
             if t == 0.0:
-                v = complex(self.ic.evaluate(np.array([x_ell]))[0])
-                dv = complex(self.ic.derivative(np.array([x_ell]))[0]) \
-                    if derivative else None
-                out[i] = SolutionSample(x_ell, 0.0, v, 0.0, psi_x=dv)
+                out[i] = self._initial_samples(np.array([x_ell]), derivative)[0]
         live = [(i, t) for i, t in enumerate(ts) if t > 0.0]
         if not live:
             return out
@@ -106,13 +103,7 @@ class InterfaceMap(ContourSettings):
                 tails = _TailModel(path, spec, self._col_weight(col, pref, t),
                                    zero, t, 0.0, span=T)
                 corr, te = tails.at(0.0)
-                vals.append((v[row] + corr, e[row] + te))
-            if derivative:
-                out[i] = SolutionSample(x_ell, t, complex(vals[0][0]),
-                                        float(vals[0][1]),
-                                        psi_x=complex(vals[1][0]),
-                                        psi_x_error=float(vals[1][1]))
-            else:
-                out[i] = SolutionSample(x_ell, t, complex(vals[0][0]),
-                                        float(vals[0][1]))
+                vals.append((complex(v[row] + corr), float(e[row] + te)))
+            dv, de = vals[1] if derivative else (None, 0.0)
+            out[i] = SolutionSample(x_ell, t, *vals[0], psi_x=dv, psi_x_error=de)
         return out

@@ -47,8 +47,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .contours import (KeyholeSpec, QuadratureError, build_node_table,
-                       deform_to_real_line, rotated_boundary, table_integral)
+from .contours import (QuadratureError, build_node_table, deform_to_real_line,
+                       rotated_boundary, table_integral)
 from .kernels import SolutionSample, nu, omega
 from .transforms import free_term, hat_transform
 
@@ -304,7 +304,10 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
 
     Returns (values, errors) or (values, errors, dvalues, derrors) with one
     entry per x.  Every term builds one node table from three probe points,
-    evaluating W and c once per node, and then sums W exp(i c (x - x0)) at
+    evaluating W and c once per node, refined until W exp(i c (x - x0)) and,
+    with derivative, i c W exp(i c (x - x0)) converge at each of them (the
+    value integrands alone left psi_x_error at 2.3e-6 on a three-jump profile
+    at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at
     every x in one phased table_integral call: tiles of at most 2^12 complex
     entries, with the phases of a uniform grid (any linspace) built from
     two small exp tables, accurate to the rounding of a direct exp (see
@@ -326,7 +329,10 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
 
         def probes(z, cols):
             W, C = cols
-            return [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
+            out = [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
+            if derivative:
+                out += [1j * C * f for f in out]
+            return out
 
         table = build_with_retry(
             lambda tol: build_node_table(term.path, columns, tol,
@@ -375,6 +381,14 @@ class ContourSettings:
             raise ValueError(
                 "radius {} is not finite or does not clear the branch scale "
                 "sqrt(2*Lambda) = {:.6g}".format(self.radius, np.sqrt(2.0 * lam)))
+
+    def _initial_samples(self, xs, derivative=False):
+        """Samples of the initial data at the points xs: t = 0, error 0."""
+        v = self.ic.evaluate(xs)
+        dv = self.ic.derivative(xs) if derivative else None
+        return [SolutionSample(float(x), 0.0, complex(v[i]), 0.0,
+                               psi_x=complex(dv[i]) if derivative else None)
+                for i, x in enumerate(xs)]
 
     def sector(self, quad, t):
         """Truncation builder T -> (path, tail spec) on a sector boundary at time t.
@@ -430,9 +444,9 @@ class ContourSolver(ContourSettings):
         """The region's terms, truncated for |x| up to xmax.
 
         Each term gets tolerance / (number of terms); the tails are probed at
-        the region bounds clipped to +-xb, xmax rounded up to a power of 2.
+        the region bounds clipped to +-max(1, xmax).
         """
-        xb = 2.0 ** np.ceil(np.log2(max(1.0, xmax)))
+        xb = max(1.0, xmax)
         specs = self._declare(region, t)
         lo, hi = self.potential.region_bounds(region)
         probes = (max(lo, -xb), min(hi, xb))
@@ -448,12 +462,14 @@ class ContourSolver(ContourSettings):
         return self.evaluate_grid([x], t, region=region, derivative=derivative)[0]
 
     def evaluate_grid(self, xs, t, region=None, derivative=False):
-        """Solution samples at the points xs and a single time t >= 0.
+        """Solution samples at the finite points xs and a single time t >= 0.
 
         Each x is evaluated in its own region (an interface point in the one
         on its right) unless region, 1..nregions, forces one for all of them.
         """
         xs = np.asarray(xs, dtype=float)
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("x must be finite")
         t = float(t)
         if not t >= 0.0:
             raise ValueError("t must be nonnegative")
@@ -461,15 +477,11 @@ class ContourSolver(ContourSettings):
         if region is not None and region not in range(1, nreg + 1):
             raise ValueError("region must lie in 1..{}, got {!r}".format(nreg, region))
         if t == 0.0:
-            v = self.ic.evaluate(xs)
-            dv = self.ic.derivative(xs) if derivative else [None] * xs.size
-            return [SolutionSample(float(x), 0.0, complex(v[i]), 0.0,
-                                   psi_x=(complex(dv[i]) if derivative else None))
-                    for i, x in enumerate(xs)]
-        regions = np.full(xs.shape, region if region is not None else 0, dtype=int)
+            return self._initial_samples(xs, derivative)
         if region is None:
-            for i, x in enumerate(xs):
-                regions[i] = self.potential.region_of(x)
+            regions = np.searchsorted(self.potential.interfaces, xs, side="right") + 1
+        else:
+            regions = np.full(xs.shape, region)
         samples = [None] * xs.size
         for j in np.unique(regions):
             idx = np.where(regions == j)[0]
@@ -480,17 +492,14 @@ class ContourSolver(ContourSettings):
             out = eval_terms(terms, sub, self.tolerance,
                              max_panels=panel_budget(t, xspan, T),
                              derivative=derivative)
-            vals, errs = out[:2]
             F = free_term(self.ic, self.potential, int(j), sub, t,
                           derivative=derivative)
-            psi = (F[0] if derivative else F) + vals
+            psi = (F[0] if derivative else F) + out[0]
             for row, i in enumerate(idx):
-                s = SolutionSample(float(sub[row]), t, complex(psi[row]),
-                                   float(errs[row]))
-                if derivative:
-                    s.psi_x = complex(F[1][row] + out[2][row])
-                    s.psi_x_error = float(out[3][row])
-                samples[i] = s
+                samples[i] = SolutionSample(
+                    float(sub[row]), t, complex(psi[row]), float(out[1][row]),
+                    psi_x=complex(F[1][row] + out[2][row]) if derivative else None,
+                    psi_x_error=float(out[3][row]) if derivative else 0.0)
         return samples
 
 
@@ -622,9 +631,7 @@ class StepSolver(ContourSolver):
             return [(self._w_quadrant(region, t), ident, 0.0, self.sector(quad, t),
                      2.0 * self.radius)]
         a = a2 - a1
-        cut = None
-        if a > 0.0:
-            cut = KeyholeSpec("real" if region == 1 else "imag", np.sqrt(a))
+        cut = np.sqrt(a) if a > 0.0 else None
         builder = lambda L: (deform_to_real_line(quad, L, cut=cut),
                              {"osc": [(0, ((1.0, 1.0), (-1.0, 1.0)), L)]})
         return [(self._realline_weight(region, t), ident, 0.0, builder,

@@ -210,20 +210,25 @@ class InitialCondition:
             coeffs[i] = np.linalg.solve(V, v[idx])
         return coeffs
 
+    def _cell_at(self, x):
+        """Cell lookup at x: (inside, tau, coeffs).
+
+        coeffs is the cubic of x's cell and tau the offset of x from the
+        cell's left sample; inside marks the x within the table, outside
+        which the data vanish.
+        """
+        xt = self.x_table
+        idx = np.clip(np.searchsorted(xt, x, side="right") - 1, 0, xt.size - 2)
+        return (x >= xt[0]) & (x <= xt[-1]), x - xt[idx], self._cells[idx]
+
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "gaussian":
             z = (x - self.center) / self.width
             return self.amplitude * np.exp(-z * z + 1j * self.momentum * x)
-        xt = self.x_table
-        out = np.zeros(x.shape, dtype=complex)
-        inside = (x >= xt[0]) & (x <= xt[-1])
-        idx = np.clip(np.searchsorted(xt, x, side="right") - 1, 0, xt.size - 2)
-        tau = x - xt[idx]
-        c = self._cells[idx]
+        inside, tau, c = self._cell_at(x)
         val = c[..., 0] + tau * (c[..., 1] + tau * (c[..., 2] + tau * c[..., 3]))
-        out[inside] = val[inside]
-        return out
+        return np.where(inside, val, 0.0)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -231,15 +236,9 @@ class InitialCondition:
             z = (x - self.center) / self.width
             return (1j * self.momentum - 2.0 * z / self.width) * \
                 self.amplitude * np.exp(-z * z + 1j * self.momentum * x)
-        xt = self.x_table
-        out = np.zeros(x.shape, dtype=complex)
-        inside = (x >= xt[0]) & (x <= xt[-1])
-        idx = np.clip(np.searchsorted(xt, x, side="right") - 1, 0, xt.size - 2)
-        tau = x - xt[idx]
-        c = self._cells[idx]
+        inside, tau, c = self._cell_at(x)
         val = c[..., 1] + tau * (2.0 * c[..., 2] + 3.0 * tau * c[..., 3])
-        out[inside] = val[inside]
-        return out
+        return np.where(inside, val, 0.0)
 
     def support(self):
         """Interval outside which the data vanishes (inf for a Gaussian)."""
@@ -265,33 +264,44 @@ def hat_transform(ic, potential, region, k, origin=0.0):
     enforcing the validity half-plane of half-infinite regions (inclusive of
     the real axis).
     """
-    scalar = np.ndim(k) == 0
     a, b = potential.region_bounds(region)
     _gate(a, b, region, k)
+    return _hat(ic, k, a, b, origin)
+
+
+def whole_line_hat(ic, k, origin=0.0):
+    """Transform of the initial data over the whole line."""
+    return _hat(ic, k, -np.inf, np.inf, origin)
+
+
+def _hat(ic, k, a, b, origin):
+    """Transform of the initial data over [a, b] at k, scalar or array."""
+    scalar = np.ndim(k) == 0
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     if ic.kind == "gaussian":
         out = _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
                                k, a, b, origin)
     else:
-        lo, hi = ic.support()
-        a_eff, b_eff = max(a, lo), min(b, hi)
-        out = np.zeros(k.shape, dtype=complex)
-        if a_eff < b_eff:
-            out = _tabulated_hat(ic, k, a_eff, b_eff, origin)
+        out = _tabulated_hat(ic, k, a, b, origin)
     return complex(out[0]) if scalar else out
 
 
-def whole_line_hat(ic, k, origin=0.0):
-    """Transform of the initial data over the whole line."""
-    scalar = np.ndim(k) == 0
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    if ic.kind == "gaussian":
-        out = _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
-                               k, -np.inf, np.inf, origin)
-    else:
-        lo, hi = ic.support()
-        out = _tabulated_hat(ic, k, lo, hi, origin)
-    return complex(out[0]) if scalar else out
+def _table_cells(ic, a, b):
+    """The table's cells that meet [a, b], clipped to it: (idx, ta, tb).
+
+    idx are cell indices, and ta < tb the ends of each clipped cell relative
+    to its left sample; all three are empty when [a, b] misses the table.
+    """
+    lo, hi = ic.support()
+    a, b = max(a, lo), min(b, hi)
+    xt = ic.x_table
+    i0 = int(np.clip(np.searchsorted(xt, a, side="right") - 1, 0, xt.size - 2))
+    i1 = int(np.clip(np.searchsorted(xt, b, side="left") - 1, 0, xt.size - 2))
+    idx = np.arange(i0, i1 + 1)
+    ta = np.maximum(xt[idx], a) - xt[idx]
+    tb = np.minimum(xt[idx + 1], b) - xt[idx]
+    keep = tb > ta
+    return idx[keep], ta[keep], tb[keep]
 
 
 # k values per block of _tabulated_hat, which keeps its (cells x k)
@@ -305,16 +315,10 @@ def _tabulated_hat(ic, k, a, b, origin):
         # its cells in a different order and change the last bits
         return np.concatenate([_tabulated_hat(ic, kb, a, b, origin) for kb in
                                np.array_split(k, -(-k.size // _TAB_BLOCK))])
-    xt = ic.x_table
-    i0 = int(np.clip(np.searchsorted(xt, a, side="right") - 1, 0, xt.size - 2))
-    i1 = int(np.clip(np.searchsorted(xt, b, side="left") - 1, 0, xt.size - 2))
-    idx = np.arange(i0, i1 + 1)
-    ta = np.maximum(xt[idx], a) - xt[idx]
-    tb = np.minimum(xt[idx + 1], b) - xt[idx]
-    keep = tb > ta
-    idx, ta, tb = idx[keep], ta[keep], tb[keep]
+    idx, ta, tb = _table_cells(ic, a, b)
     if idx.size == 0:
         return np.zeros(k.shape, dtype=complex)
+    xt = ic.x_table
     kc = k[None, :]
     J = _osc_moments(kc, ta[:, None], tb[:, None], 3)
     pref = np.exp(-1j * kc * (xt[idx][:, None] - origin))
@@ -418,19 +422,11 @@ def _free_gauss(ic, x, t, a, b, want_dx):
 
 
 def _free_tabulated(ic, x, t, a, b, want_dx):
-    lo, hi = ic.support()
-    a_eff, b_eff = max(a, lo), min(b, hi)
-    if not a_eff < b_eff:
+    idx, ta, tb = _table_cells(ic, a, b)
+    if idx.size == 0:
         zero = np.zeros(x.shape, dtype=complex)
         return zero, zero
     xt = ic.x_table
-    i0 = int(np.clip(np.searchsorted(xt, a_eff, side="right") - 1, 0, xt.size - 2))
-    i1 = int(np.clip(np.searchsorted(xt, b_eff, side="left") - 1, 0, xt.size - 2))
-    idx = np.arange(i0, i1 + 1)
-    ta = np.maximum(xt[idx], a_eff) - xt[idx]
-    tb = np.minimum(xt[idx + 1], b_eff) - xt[idx]
-    keep = tb > ta
-    idx, ta, tb = idx[keep], ta[keep], tb[keep]
     # one row per x, the cells along the contiguous axis, which each sum
     # below runs over
     X = x[:, None] - xt[idx]

@@ -147,6 +147,14 @@ initial.center = -1.0
 grid.t = 0.5
 """
 
+RAY_CFG = """
+potential.levels = 1, 2
+potential.interfaces = 0
+initial.kind = gaussian
+ray.gamma = 2.0
+grid.t = 20, 40
+"""
+
 
 @pytest.mark.parametrize("cmd, base, line, field", [
     ("solve", STEP_CFG, "numerics.tolerance = abc", "numerics.tolerance"),
@@ -162,6 +170,9 @@ grid.t = 0.5
     ("solve", STEP_CFG, "numerics.delta = 0", "numerics.delta"),
     ("solve", STEP_CFG, "grid.t = 0.5, -0.25", "grid.t"),
     ("solve", STEP_CFG, "grid.t = nan", "grid.t"),
+    ("solve", STEP_CFG, "grid.x = nan", "grid.x"),
+    ("solve", STEP_CFG, "grid.x = inf", "grid.x"),
+    ("asymptote", RAY_CFG, "grid.t = 0, 20", "grid.t"),
     ("interface-map", THREE_JUMP_CFG, "numerics.tolerance = -1", "numerics.tolerance"),
     ("interface-map", THREE_JUMP_CFG, "numerics.R = wide", "numerics.R"),
     ("interface-map", THREE_JUMP_CFG, "numerics.R = 0.5", "numerics.R"),
@@ -193,3 +204,13 @@ def test_unreachable_tolerance_exits_two_naming_it(tmp_path, capsys):
     err = json.loads(lines[0])
     assert err["field"] == "numerics.tolerance"
     assert "quadrature failure" in err["error"]
+
+
+def test_forbidden_ray_leaves_no_output_file(tmp_path, capsys):
+    # gamma = -1 meets the branch cut of the (1, 2) step (speed <= 2)
+    out = tmp_path / "ray.tsv"
+    cfg = write(tmp_path, "ray.cfg", RAY_CFG + "ray.gamma = -1.0\n"
+                "output.path = {}\n".format(out))
+    assert main(["asymptote", cfg]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["field"] == "ray.gamma"
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 
 from schrostep import InitialCondition, PiecewisePotential, StepSolver, nu
 from schrostep import contours, transforms
-from schrostep.contours import (_WG, _WK, _XK, ContourPath, KeyholeSpec, Leg,
+from schrostep.contours import (_WG, _WK, _XK, ContourPath, Leg,
                                 QuadratureError, build_node_table,
                                 deform_to_real_line, rotated_boundary,
                                 table_integral)
@@ -149,8 +149,7 @@ def test_rotated_boundary_orientation():
 
 
 def test_deform_to_real_line_q1_imag_cut():
-    cut = KeyholeSpec("imag", 2.0)
-    path = deform_to_real_line(1, 30.0, cut=cut)
+    path = deform_to_real_line(1, 30.0, cut=2.0)
     assert path.sign == 1
     tags = [leg.tag for leg in path.legs]
     assert "cut-difference" in tags
@@ -159,18 +158,18 @@ def test_deform_to_real_line_q1_imag_cut():
 
 
 def test_deform_to_real_line_q3_real_cut():
-    path = deform_to_real_line(3, 30.0, cut=KeyholeSpec("real", 2.0))
+    path = deform_to_real_line(3, 30.0, cut=2.0)
     assert path.sign == -1
     pv = [leg for leg in path.legs if leg.kind == "pv"][0]
     assert pv.tag == "one-sided-below"
     assert len(pv.splits) > 0
 
 
-def test_keyhole_spec_validation():
+@pytest.mark.parametrize("quadrant", [1, 3])
+@pytest.mark.parametrize("cut", [0.0, -1.0, 30.0])
+def test_deform_to_real_line_rejects_bad_cut(quadrant, cut):
     with pytest.raises(ValueError):
-        KeyholeSpec("diag", 1.0)
-    with pytest.raises(ValueError):
-        KeyholeSpec("imag", 0.0)
+        deform_to_real_line(quadrant, 30.0, cut=cut)
 
 
 def test_node_table_multiple_probes_shared():
@@ -270,7 +269,7 @@ _GAUSS_OSC = [lambda z, tag: np.exp(-z * z / 16.0) * np.cos(20.0 * z),
 REPLAY_CASES = {
     "gaussian line": (ContourPath(legs=[Leg.line(-12.0, 12.0)]), _GAUSS_OSC,
                       1e-13, 2000, "tolerance"),
-    "split pv leg": (deform_to_real_line(3, 30.0, cut=KeyholeSpec("real", 2.0)),
+    "split pv leg": (deform_to_real_line(3, 30.0, cut=2.0),
                      [lambda z, tag: np.exp(-0.01 * z * z) * np.cos(15.0 * z)
                       / (1.0 + np.abs(z.real - 2.0))],
                      1e-11, 4000, "tolerance"),
