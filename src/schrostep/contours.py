@@ -110,8 +110,7 @@ class Leg:
 
     `splits` lists parameter values in (0, 1) where the initial panelling
     must break (branch points, cut endpoints).  `tag` marks legs that need a
-    special integrand ('cut-difference') or a one-sided rule
-    ('one-sided-below'); ordinary legs carry an empty tag.
+    special integrand ('cut-difference'); ordinary legs carry an empty tag.
     """
 
     kind: str
@@ -271,16 +270,15 @@ def deform_to_real_line(quadrant, pv_half_length, cut=None):
     fixes its axis.  In quadrant 1 the cut runs up the imaginary axis and
     adds a cut-difference leg from 0 to i*cut carrying the jump of the
     integrand across it.  In quadrant 3 it lies on the real axis: the path
-    stays as it is but is tagged so integrands evaluate one-sidedly from
-    below, and the principal-value leg splits at the cut endpoints so no
-    quadrature node lands on a branch point.
+    stays as it is, integrands take their one-sided values from below at
+    real nodes inside the cut, and the principal-value leg splits at the
+    cut endpoints so no quadrature node lands on a branch point.
     """
     if quadrant not in (1, 3):
         raise ValueError("only quadrants 1 and 3 deform onto the real line")
     if not pv_half_length > 0.0:
         raise ValueError("pv_half_length must be positive")
     sign = 1 if quadrant == 1 else -1
-    tag = ""
     splits = ()
     extra = []
     if cut is not None:
@@ -292,9 +290,8 @@ def deform_to_real_line(quadrant, pv_half_length, cut=None):
             extra.append(Leg.line(0.0, 1j * cut, label="cut difference leg",
                                   tag="cut-difference"))
         else:
-            tag = "one-sided-below"
             splits = (cut / pv_half_length,)
-    legs = [Leg.pv(0.0, pv_half_length, tag=tag, splits=splits)] + extra
+    legs = [Leg.pv(0.0, pv_half_length, splits=splits)] + extra
     return ContourPath(legs=legs, sign=sign)
 
 

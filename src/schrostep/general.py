@@ -12,12 +12,12 @@ every entry of A_M and of the rescaled right-hand side stays bounded on the
 integration path, and the unknowns come out of A_M directly.  The raw
 assembly is kept for identity checks.
 
-GeneralSolver only declares the terms of a region j: one per neighbouring
-jump, with a weight built from the unknowns at that jump, x-coefficient
--nu_j (offset x_j, the right jump) or +nu_j (offset x_{j-1}, the left
-jump), on the fourth-quadrant sector boundary.  Truncation, node tables,
-the panel budget and the free terms come from the shared core in `step`
-(`ContourSolver`).
+GeneralSolver only supplies the interface combination of each term,
+built from the unknowns at that jump.  The terms themselves (one per
+neighbouring jump of a region j, x-coefficient -nu_j at the right jump x_j
+or +nu_j at the left jump x_{j-1}, on the fourth-quadrant sector
+boundary), truncation, node tables, the panel budget and the free terms
+come from the shared core in `step` (`ContourSolver`).
 """
 
 import numpy as np
@@ -28,8 +28,6 @@ from .transforms import hat_transform
 
 __all__ = ["GeneralSolver", "interface_system", "reduced_system",
            "rhs_reduced", "solve_unknowns"]
-
-_TWO_PI = 2.0 * np.pi
 
 
 def interface_system(potential, kappa):
@@ -146,40 +144,17 @@ class GeneralSolver(ContourSolver):
     # (perfbench/tracing.py) looks the method up
     evaluate_grid = ContourSolver.evaluate_grid
 
-    def _weight(self, region, t, side):
-        """Integrand weight of one contribution to one region.
+    def _combination(self, z, region, side):
+        """Interface combination from the unknowns of the interface system.
 
-        side 'right' couples to the unknowns at the region's right endpoint
-        x_j with phase exp(-i nu_j (x - x_j)); side 'left' couples to the
-        left endpoint x_{j-1} with phase exp(+i nu_j (x - x_{j-1})).
+        z (X_{n+j}/nu_j + X_j) at the region's right jump x_j and
+        z (X_{n+j-1}/nu_j - X_{j-1}) at its left jump x_{j-1}, where X_l is
+        g0 and X_{n+l} is i g1 at x_l.
         """
-        pot, ic = self.potential, self.ic
-        n = pot.njumps
-        j = region
-        alpha_j = pot.level(j)
-
-        def W(z, tag):
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            X = solve_unknowns(pot, ic, z)
-            nj = nu(alpha_j, z)
-            grow = np.exp(1j * z * z * t)
-            if side == "right":
-                core = z * (X[:, n + j - 1] / nj + X[:, j - 1])
-                return -grow * core / _TWO_PI
-            core = z * (X[:, n + j - 2] / nj - X[:, j - 2])
-            return grow * core / _TWO_PI
-        return W
-
-    def _declare(self, region, t):
         pot = self.potential
-        j = region
-        alpha_j = pot.level(j)
-        sides = []
-        if j <= pot.njumps:
-            sides.append(("right", -1.0, pot.interfaces[j - 1]))
-        if j >= 2:
-            sides.append(("left", 1.0, pot.interfaces[j - 2]))
-        return [(self._weight(j, t, side),
-                 lambda z, tag, _s=sgn: _s * nu(alpha_j, np.asarray(z, dtype=complex)),
-                 x0, self.sector(4, t), 2.0 * self.radius)
-                for side, sgn, x0 in sides]
+        n, j = pot.njumps, region
+        X = solve_unknowns(pot, self.ic, z)
+        nj = nu(pot.level(j), z)
+        if side == "right":
+            return z * (X[:, n + j - 1] / nj + X[:, j - 1])
+        return z * (X[:, n + j - 2] / nj - X[:, j - 2])

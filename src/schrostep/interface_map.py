@@ -46,13 +46,13 @@ class InterfaceMap(ContourSettings):
     def trace_grid(self, ts, interface=1, derivative=False):
         """Samples of psi (and optionally psi_x) at interface number ell >= 1."""
         n = self.potential.njumps
+        if interface not in range(1, n + 1):
+            raise ValueError("interface must lie in 1..{}, got {!r}".format(n, interface))
         ell = int(interface)
-        if not 1 <= ell <= n:
-            raise ValueError("interface must lie in 1..{}, got {}".format(n, ell))
         x_ell = self.potential.interfaces[ell - 1]
         ts = [float(t) for t in ts]
-        if not all(t >= 0.0 for t in ts):
-            raise ValueError("t must be nonnegative")
+        if not all(0.0 <= t < np.inf for t in ts):
+            raise ValueError("t must be finite and nonnegative")
         out = [None] * len(ts)
         for i, t in enumerate(ts):
             if t == 0.0:

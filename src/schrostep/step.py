@@ -34,9 +34,12 @@ W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with W independent of
 x; only W, c, x0, the contour builder and the first truncation T0 change
 from one profile to another.  `ContourSettings` validates the settings
 (tolerance, the radius guard, the tilt delta) and builds the sector
-contours; `ContourSolver` adds the truncation search at the region bounds,
-the panel budget and `evaluate_grid`, and its subclasses (`StepSolver`
-here, `GeneralSolver`, `WellSolver`) only declare the terms of a region.
+contours; `ContourSolver` declares the fourth-quadrant terms of every
+region and adds the truncation search at the region bounds, the panel
+budget and `evaluate_grid`.  Its subclasses (`StepSolver` here,
+`GeneralSolver`, `WellSolver`) supply only the interface combination those
+terms carry (`_combination`); `StepSolver` also overrides `_declare` for
+its quadrant and realline forms.
 A whole grid of x values reuses one node table per term, whose W and c
 columns are evaluated once per node while it is refined; one phased
 table_integral call sums the term at every x of the grid, and one
@@ -123,12 +126,16 @@ def _pair_tail(f_outer, f_inner, dist, span):
     return f_outer * min(ell, span)
 
 
-def _leg_tail(leg, weight, outer_at_start, span):
+def _leg_tail(leg, weight, xcoef, outer_at_start, span):
+    """Tails of |W| and |W c| past the outer end of a leg, from one sample."""
     s = np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9])
     z = leg.point(s)
     d = abs(z[1] - z[0])
-    f = np.abs(weight(z, leg.tag))
-    return _pair_tail(float(f[0]), float(f[1]), d, span)
+    w = weight(z, leg.tag)
+    f = np.abs(w)
+    fd = np.abs(w * np.abs(xcoef(z, leg.tag)))
+    return (_pair_tail(float(f[0]), float(f[1]), d, span),
+            _pair_tail(float(fd[0]), float(fd[1]), d, span))
 
 
 class _OscTail:
@@ -211,10 +218,10 @@ class _TailModel:
         self.generic_deriv = 0.0
         self.oscs = []
         for leg_idx, outer_at_start in spec.get("generic", ()):
-            leg = path.legs[leg_idx]
-            self.generic += _leg_tail(leg, weight, outer_at_start, span)
-            wd = lambda z, tag: weight(z, tag) * np.abs(xcoef(z, tag))
-            self.generic_deriv += _leg_tail(leg, wd, outer_at_start, span)
+            g, gd = _leg_tail(path.legs[leg_idx], weight, xcoef,
+                              outer_at_start, span)
+            self.generic += g
+            self.generic_deriv += gd
         for leg_idx, rays, K in spec.get("osc", ()):
             for d, jac in rays:
                 self.oscs.append(_OscTail(weight, xcoef, d, jac, K, t,
@@ -432,13 +439,42 @@ class ContourSettings:
 class ContourSolver(ContourSettings):
     """Region-by-region evaluation of declared integral terms.
 
-    A subclass implements _declare(region, t), the list of the region's
-    terms as (weight, xcoef, x0, builder, T0): the weight W(z, tag), the
-    x-coefficient c(z, tag), the offset x0 of exp(i c (x - x0)), the
-    truncation builder (see choose_truncation) and the first truncation
-    tried.  The reported error estimate adds truncation residuals to the
-    quadrature error, so it stays honest when the tolerance is out of reach.
+    _declare(region, t) lists the region's terms as (weight, xcoef, x0,
+    builder, T0): the weight W(z, tag), the x-coefficient c(z, tag), the
+    offset x0 of exp(i c (x - x0)), the truncation builder (see
+    choose_truncation) and the first truncation tried.  Region j has one
+    term per neighbouring jump on the fourth-quadrant sector boundary, with
+    T0 = 2R: at its right jump x_j with c = -nu_j and weight
+    -exp(i kappa^2 t) B / (2 pi), at its left jump x_{j-1} with c = +nu_j
+    and weight +exp(i kappa^2 t) B / (2 pi).  A subclass supplies only the
+    interface combination B, as _combination(z, region, side) with side
+    'right' or 'left'.  The reported error estimate adds truncation
+    residuals to the quadrature error, so it stays honest when the
+    tolerance is out of reach.
     """
+
+    def _declare(self, region, t):
+        pot = self.potential
+        alpha = pot.level(region)
+        sides = []
+        if region <= pot.njumps:
+            sides.append(("right", -1.0, pot.interfaces[region - 1]))
+        if region >= 2:
+            sides.append(("left", 1.0, pot.interfaces[region - 2]))
+        return [(self._weight(region, t, side),
+                 lambda z, tag, _s=sgn: _s * nu(alpha, np.asarray(z, dtype=complex)),
+                 x0, self.sector(4, t), 2.0 * self.radius)
+                for side, sgn, x0 in sides]
+
+    def _weight(self, region, t, side):
+        """Weight -+exp(i kappa^2 t) B / (2 pi) of the term at one jump."""
+        sgn = -1.0 if side == "right" else 1.0
+
+        def W(z, tag):
+            z = np.atleast_1d(np.asarray(z, dtype=complex))
+            return sgn * np.exp(1j * z * z * t) * self._combination(z, region, side) \
+                / _TWO_PI
+        return W
 
     def _terms(self, region, t, derivative, xmax):
         """The region's terms, truncated for |x| up to xmax.
@@ -471,8 +507,8 @@ class ContourSolver(ContourSettings):
         if not np.all(np.isfinite(xs)):
             raise ValueError("x must be finite")
         t = float(t)
-        if not t >= 0.0:
-            raise ValueError("t must be nonnegative")
+        if not 0.0 <= t < np.inf:
+            raise ValueError("t must be finite and nonnegative")
         nreg = self.potential.nregions
         if region is not None and region not in range(1, nreg + 1):
             raise ValueError("region must lie in 1..{}, got {!r}".format(nreg, region))
@@ -507,7 +543,9 @@ class StepSolver(ContourSolver):
     """Solution of the jump problem with levels (alpha_1, alpha_2) at x = 0.
 
     representation picks the contour form: 'd4', 'quadrant' or 'realline';
-    each region carries one term with offset 0.
+    each region carries one term with offset 0.  The d4 form takes the
+    shared fourth-quadrant terms with the 2x2 interface system solved in
+    closed form; quadrant and realline declare their own.
     """
 
     def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
@@ -530,23 +568,20 @@ class StepSolver(ContourSolver):
 
     # -- weights ---------------------------------------------------------
 
-    def _w_d4(self, region, t):
+    def _combination(self, z, region, side):
+        """The d4 interface combination from the 2x2 system in closed form."""
         a1, a2 = self.potential.levels
-        ic, pot = self.ic, self.potential
+        n1 = nu(a1, z)
+        n2 = nu(a2, z)
+        h1 = hat_transform(self.ic, self.potential, 1, n1)
+        h2 = hat_transform(self.ic, self.potential, 2, -n2)
+        if region == 1:
+            return z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2)
+        return z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)
 
-        def W(z, tag):
-            z = np.asarray(z, dtype=complex)
-            n1 = nu(a1, z)
-            n2 = nu(a2, z)
-            grow = np.exp(1j * z * z * t)
-            h1 = hat_transform(ic, pot, 1, n1)
-            h2 = hat_transform(ic, pot, 2, -n2)
-            if region == 1:
-                return grow * (-z / np.pi * h2 - z * (n1 - n2) /
-                               (_TWO_PI * n1) * h1) / (n1 + n2)
-            return grow * (-z / np.pi * h1 + z * (n1 - n2) /
-                           (_TWO_PI * n2) * h2) / (n1 + n2)
-        return W
+    def _w_d4(self, region, t):
+        # the d4 weight under the name perfbench/tests binds
+        return self._weight(region, t, "right" if region == 1 else "left")
 
     def _sigma1(self, k):
         a1, a2 = self.potential.levels
@@ -618,13 +653,9 @@ class StepSolver(ContourSolver):
     # -- term declarations -------------------------------------------------
 
     def _declare(self, region, t):
-        a1, a2 = self.potential.levels
         if self.representation == "d4":
-            alpha_here = a1 if region == 1 else a2
-            sgn = -1.0 if region == 1 else 1.0
-            xc = lambda z, tag: sgn * nu(alpha_here, np.asarray(z, dtype=complex))
-            return [(self._w_d4(region, t), xc, 0.0, self.sector(4, t),
-                     2.0 * self.radius)]
+            return super()._declare(region, t)
+        a1, a2 = self.potential.levels
         ident = lambda z, tag: np.asarray(z, dtype=complex)
         quad = 3 if region == 1 else 1
         if self.representation == "quadrant":

@@ -15,10 +15,12 @@ enumerates those beta.
 
 WellSolver evaluates the time evolution from the closed forms with every
 term on the fourth-quadrant sector boundary in kappa (the 'd4' form of
-StepSolver).  It only declares the terms of a region: one for each outer
-region (offset 0 on the left, x2 on the right) and two for the middle one
-(offsets x2 and 0); truncation, node tables, the panel budget and the free
-terms come from the shared core in `step` (`ContourSolver`).
+StepSolver).  It only supplies the interface combination of each term:
+B1 and B3 in the outer regions, (kappa / nu) A and B in the middle one.
+The terms (one for each outer region, offset 0 on the left and x2 on the
+right, two for the middle one, offsets x2 and 0), truncation, node tables,
+the panel budget and the free terms come from the shared core in `step`
+(`ContourSolver`).
 Profiles with nonzero outer levels or asymmetric outer levels belong to
 GeneralSolver.
 """
@@ -30,8 +32,6 @@ from .step import ContourSolver
 from .transforms import hat_transform
 
 __all__ = ["WellSolver", "scattering_a", "bound_states", "trig_denominator"]
-
-_TWO_PI = 2.0 * np.pi
 
 
 def scattering_a(alpha, x2, xi):
@@ -166,50 +166,9 @@ class WellSolver(ContourSolver):
                 - 2.0 * nuv * P * Ep * sp
         return N / D
 
-    # -- weights -----------------------------------------------------------
-
-    def _w_d4(self, region, t):
-        al = self.alpha
-
-        def W(z, tag):
-            kap = np.atleast_1d(np.asarray(z, dtype=complex))
-            nuv = nu(al, kap)
-            grow = np.exp(1j * kap * kap * t)
-            if region == 1:
-                return -grow * self._numerators(kap, nuv, "B1") / _TWO_PI
-            if region == 3:
-                return grow * self._numerators(kap, nuv, "B3") / _TWO_PI
-            raise ValueError("region 2 uses two dedicated weights")
-        return W
-
-    def _w_d4_mid(self, which, t):
-        al = self.alpha
-        sgn = -1.0 if which == "A" else 1.0
-
-        def W(z, tag):
-            kap = np.atleast_1d(np.asarray(z, dtype=complex))
-            nuv = nu(al, kap)
-            grow = np.exp(1j * kap * kap * t)
-            return sgn * grow * (kap / nuv) * self._numerators(kap, nuv, which) \
-                / _TWO_PI
-        return W
-
-    # -- term declarations ---------------------------------------------------
-
-    def _declare(self, region, t):
-        al, x2 = self.alpha, self.x2
-        T0 = 2.0 * self.radius
-        if region == 1:
-            return [(self._w_d4(1, t),
-                     lambda z, tag: -1j * np.asarray(z, dtype=complex),
-                     0.0, self.sector(4, t), T0)]
-        if region == 3:
-            return [(self._w_d4(3, t),
-                     lambda z, tag: 1j * np.asarray(z, dtype=complex),
-                     x2, self.sector(4, t), T0)]
-        return [(self._w_d4_mid("A", t),
-                 lambda z, tag: -nu(al, np.asarray(z, dtype=complex)),
-                 x2, self.sector(4, t), T0),
-                (self._w_d4_mid("B", t),
-                 lambda z, tag: nu(al, np.asarray(z, dtype=complex)),
-                 0.0, self.sector(4, t), T0)]
+    def _combination(self, z, region, side):
+        """B1 and B3 in the outer regions, (kappa / nu) A and B in the middle."""
+        nuv = nu(self.alpha, z)
+        if region == 2:
+            return (z / nuv) * self._numerators(z, nuv, "A" if side == "right" else "B")
+        return self._numerators(z, nuv, "B1" if region == 1 else "B3")

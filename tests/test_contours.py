@@ -161,7 +161,7 @@ def test_deform_to_real_line_q3_real_cut():
     path = deform_to_real_line(3, 30.0, cut=2.0)
     assert path.sign == -1
     pv = [leg for leg in path.legs if leg.kind == "pv"][0]
-    assert pv.tag == "one-sided-below"
+    assert pv.tag == ""
     assert len(pv.splits) > 0
 
 

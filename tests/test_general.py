@@ -8,6 +8,7 @@ from schrostep import (
     InitialCondition,
     PiecewisePotential,
     StepSolver,
+    WellSolver,
     interface_system,
     nu,
     reduced_system,
@@ -121,3 +122,33 @@ def test_derivative_error_estimate_is_tight_and_honest(t):
     got = GeneralSolver(pot, ic).evaluate(2.5, t, region=3, derivative=True)
     assert got.psi_x_error <= 1e-8
     assert abs(got.psi_x - ref.psi_x) <= got.psi_x_error
+
+
+# one closed-form solver per case; region -> sides of its fourth-quadrant terms
+CLOSED_FORMS = {
+    "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepSolver,
+                {1: ("right",), 2: ("left",)}),
+    "step down": (PiecewisePotential([2.0, 1.0], [0.0]), StepSolver,
+                  {1: ("right",), 2: ("left",)}),
+    "well": (PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]), WellSolver,
+             {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
+    "barrier": (PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), WellSolver,
+                {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0])
+@pytest.mark.parametrize("case", list(CLOSED_FORMS))
+def test_closed_form_combinations_match_the_linear_solve(case, t):
+    pot, make, sides = CLOSED_FORMS[case]
+    ic = InitialCondition.gaussian(center=-0.8, width=0.9, momentum=0.6)
+    closed = make(pot, ic)
+    gen = GeneralSolver(pot, ic)
+    path, _ = gen.sector(4, t)(4.0 * gen.radius)
+    # arc, tilted leg, corner legs and ray
+    z = np.concatenate([leg.point(np.linspace(0.05, 0.95, 7)) for leg in path.legs])
+    for region, region_sides in sides.items():
+        for side in region_sides:
+            np.testing.assert_allclose(closed._combination(z, region, side),
+                                       gen._combination(z, region, side),
+                                       rtol=1e-12, atol=0.0)

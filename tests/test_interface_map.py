@@ -71,3 +71,16 @@ def test_fastest_time_of_a_wide_time_range_stays_honest():
     got = InterfaceMap(pot, ic).trace_grid([0.5, 4.0], interface=3)[1]
     ref = GeneralSolver(pot, ic, tolerance=1e-10).evaluate(2.5, 4.0)
     assert abs(got.value - ref.value) <= got.error + ref.error
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the truncation is chosen from the psi column only")
+def test_slope_trace_meets_tolerance():
+    # at the psi column's T = 28.4 the slope column's tail estimate is 2.3e-8
+    # at t = 0.3; it needs T = 72.7 (the estimate is honest: the slope misses
+    # a tolerance 1e-11 GeneralSolver by 1.4e-9)
+    pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    ic = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+    got = InterfaceMap(pot, ic, tolerance=1e-8).trace_grid(
+        [0.3, 0.6, 0.9, 1.2], 2, derivative=True)
+    assert max(s.psi_x_error for s in got) <= 1e-8

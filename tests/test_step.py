@@ -155,7 +155,7 @@ def test_solver_contract(name):
     s = make(pot, ic)
     if name == "interface-map":
         x = pot.interfaces[0]
-        bad_places = (0, pot.njumps + 1)
+        bad_places = (0, pot.njumps + 1, 1.5)
 
         def one(t, place=None, **kw):
             return s.trace(t, 1 if place is None else place, **kw)
@@ -164,7 +164,7 @@ def test_solver_contract(name):
             return s.trace_grid([t], **kw)
     else:
         x = -0.5
-        bad_places = (0, pot.nregions + 1)
+        bad_places = (0, pot.nregions + 1, 1.5)
 
         def one(t, place=None, **kw):
             return s.evaluate(x, t, region=place, **kw)
@@ -174,8 +174,8 @@ def test_solver_contract(name):
     for place in bad_places:
         with pytest.raises(ValueError, match="region|interface"):
             one(0.5, place)
-    for t in (-0.1, np.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for t in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             one(t)
     start = one(0.0, derivative=True)
     assert start.value == ic.evaluate(np.array([x]))[0]
