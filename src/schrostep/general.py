@@ -13,9 +13,12 @@ integration path, and the unknowns come out of A_M directly.  The raw
 assembly is kept for identity checks.
 
 GeneralSolver only supplies the interface combination of each term,
-built from the unknowns at that jump.  The terms themselves (one per
-neighbouring jump of a region j, x-coefficient -nu_j at the right jump x_j
-or +nu_j at the left jump x_{j-1}, on the fourth-quadrant sector
+built from the unknowns at that jump, and the unknowns themselves as its
+interface data (`_interface_data`).  They do not depend on the region, so
+within one evaluate_grid call every term reads them from the call's node
+memo and solve_unknowns runs once per distinct node.  The terms themselves
+(one per neighbouring jump of a region j, x-coefficient -nu_j at the right
+jump x_j or +nu_j at the left jump x_{j-1}, on the fourth-quadrant sector
 boundary), truncation, node tables, the panel budget and the free terms
 come from the shared core in `step` (`ContourSolver`).
 """
@@ -71,18 +74,27 @@ def reduced_system(potential, kappa):
 
     Returns (ldiag, AM) with interface_system == ldiag[:, :, None] * AM.
     ldiag has unit determinant (the upper and lower factors cancel in
-    pairs), so det AM equals det of the raw matrix.
+    pairs), so det AM equals det of the raw matrix.  Far out on the path
+    ldiag overflows; solve_unknowns builds AM alone.
     """
     kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
     n = potential.njumps
     xs = potential.interfaces
     nus = potential.nus(kap)
     ldiag = np.empty((kap.size, 2 * n), dtype=complex)
-    AM = np.zeros((kap.size, 2 * n, 2 * n), dtype=complex)
+    for ell in range(1, n + 1):
+        ldiag[:, ell - 1] = np.exp(-1j * nus[ell - 1] * xs[ell - 1])
+        ldiag[:, n + ell - 1] = np.exp(1j * nus[ell - 1] * xs[ell - 1])
+    return ldiag, _bounded_matrix(xs, nus)
+
+
+def _bounded_matrix(xs, nus):
+    """AM of reduced_system from the interfaces xs and the stack nu_1..nu_{n+1}."""
+    n = len(xs)
+    AM = np.zeros((nus.shape[1], 2 * n, 2 * n), dtype=complex)
     for ell in range(1, n + 1):
         r = ell - 1
         nl = nus[ell - 1]
-        ldiag[:, r] = np.exp(-1j * nl * xs[ell - 1])
         AM[:, r, ell - 1] = -nl
         AM[:, r, n + ell - 1] = 1.0
         if ell >= 2:
@@ -93,7 +105,6 @@ def reduced_system(potential, kappa):
         r = n + ell - 1
         nl = nus[ell - 1]
         np_ = nus[ell]
-        ldiag[:, r] = np.exp(1j * nl * xs[ell - 1])
         gap = np.exp(1j * (np_ - nl) * xs[ell - 1])
         AM[:, r, ell - 1] = -np_ * gap
         AM[:, r, n + ell - 1] = -gap
@@ -101,7 +112,7 @@ def reduced_system(potential, kappa):
             far = np.exp(1j * (np_ * xs[ell] - nl * xs[ell - 1]))
             AM[:, r, ell] = np_ * far
             AM[:, r, n + ell] = far
-    return ldiag, AM
+    return AM
 
 
 def rhs_reduced(potential, ic, kappa):
@@ -128,8 +139,9 @@ def rhs_reduced(potential, ic, kappa):
 
 def solve_unknowns(potential, ic, kappa):
     """Interface unknowns (g0^(1..n), i g1^(1..n)) at each kappa node."""
-    _, AM = reduced_system(potential, kappa)
-    Y = rhs_reduced(potential, ic, kappa)
+    kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
+    AM = _bounded_matrix(potential.interfaces, potential.nus(kap))
+    Y = rhs_reduced(potential, ic, kap)
     return np.linalg.solve(AM, Y[..., None])[..., 0]
 
 
@@ -144,6 +156,10 @@ class GeneralSolver(ContourSolver):
     # (perfbench/tracing.py) looks the method up
     evaluate_grid = ContourSolver.evaluate_grid
 
+    def _interface_data(self, z):
+        """The unknowns X = (g0^(1..n), i g1^(1..n)), one row per node."""
+        return solve_unknowns(self.potential, self.ic, z)
+
     def _combination(self, z, region, side):
         """Interface combination from the unknowns of the interface system.
 
@@ -153,7 +169,7 @@ class GeneralSolver(ContourSolver):
         """
         pot = self.potential
         n, j = pot.njumps, region
-        X = solve_unknowns(pot, self.ic, z)
+        X = self._node_data(z, region, side)
         nj = nu(pot.level(j), z)
         if side == "right":
             return z * (X[:, n + j - 1] / nj + X[:, j - 1])

@@ -38,8 +38,12 @@ contours; `ContourSolver` declares the fourth-quadrant terms of every
 region and adds the truncation search at the region bounds, the panel
 budget and `evaluate_grid`.  Its subclasses (`StepSolver` here,
 `GeneralSolver`, `WellSolver`) supply only the interface combination those
-terms carry (`_combination`); `StepSolver` also overrides `_declare` for
-its quadrant and realline forms.
+terms carry (`_combination`), built from region-independent interface data
+at each node that one hook gives (`_interface_data`: the d4 step's h1 and
+h2, the well's four transforms, the general solver's unknowns); within one
+evaluate_grid call every term reads that data from a memo, computed once
+per distinct node.  `StepSolver` also overrides `_declare` for its
+quadrant and realline forms, which share no nodes between regions.
 A whole grid of x values reuses one node table per term, whose W and c
 columns are evaluated once per node while it is refined; one phased
 table_integral call sums the term at every x of the grid, and one
@@ -359,6 +363,62 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     return vals, errs
 
 
+class _NodeMemo:
+    """Interface data at the contour nodes of one evaluate_grid call.
+
+    Nodes are looked up by their exact bits.  No node repeats within one
+    term, so a lookup searches only the sorted keys of the terms before it;
+    the nodes a term computes are merged in once, when the next term asks.
+    The data rows stay in the order they were computed, and the index holds
+    each sorted key's row.  The memo keeps no reference to the solver,
+    which passes it the function that computes the rows it misses.
+    """
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=complex)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.data = None
+        self.term = None
+        self.new = []
+
+    def lookup(self, z, term, compute):
+        """compute(z), computing only the rows of nodes not seen before."""
+        if term != self.term:
+            self._merge()
+            self.term = term
+        z = np.ascontiguousarray(z)
+        hit = np.zeros(z.shape, dtype=bool)
+        if self.keys.size:
+            pos = np.minimum(np.searchsorted(self.keys, z), self.keys.size - 1)
+            hit = np.all(self.keys[pos].view(np.uint64).reshape(-1, 2)
+                         == z.view(np.uint64).reshape(-1, 2), axis=1)
+        if not np.any(hit):
+            out = compute(z)
+            self.new.append((z, out))
+            return out
+        out = np.empty((z.size,) + self.data.shape[1:], dtype=complex)
+        out[hit] = self.data[self.rows[pos[hit]]]
+        if not np.all(hit):
+            zm = z[~hit]
+            out[~hit] = computed = compute(zm)
+            self.new.append((zm, computed))
+        return out
+
+    def _merge(self):
+        if not self.new:
+            return
+        zs, datas = zip(*self.new)
+        if self.data is not None:
+            datas = (self.data,) + datas
+        z = np.concatenate(zs)
+        order = np.argsort(z)
+        at = np.searchsorted(self.keys, z[order])
+        self.rows = np.insert(self.rows, at, self.keys.size + order)
+        self.keys = np.insert(self.keys, at, z[order])
+        self.data = np.concatenate(datas)
+        self.new = []
+
+
 class ContourSettings:
     """Potential, initial data and contour settings, validated once.
 
@@ -448,10 +508,21 @@ class ContourSolver(ContourSettings):
     -exp(i kappa^2 t) B / (2 pi), at its left jump x_{j-1} with c = +nu_j
     and weight +exp(i kappa^2 t) B / (2 pi).  A subclass supplies only the
     interface combination B, as _combination(z, region, side) with side
-    'right' or 'left'.  The reported error estimate adds truncation
-    residuals to the quadrature error, so it stays honest when the
-    tolerance is out of reach.
+    'right' or 'left', from the region-independent interface data that its
+    hook _interface_data(z) gives as one row per node.  The reported error
+    estimate adds truncation residuals to the quadrature error, so it stays
+    honest when the tolerance is out of reach.
+
+    Every term of one evaluate_grid call lies on the same sector(4, t) path,
+    and their node tables bisect the same first panels, so most nodes recur
+    from term to term.  _node_data therefore reads the interface data from
+    a memo that lives for one evaluate_grid call, in which each distinct
+    node is computed once; outside a call it computes the data directly.
+    Node tables, truncations and outputs are those of computing every node
+    afresh.
     """
+
+    _memo = None
 
     def _declare(self, region, t):
         pot = self.potential
@@ -475,6 +546,12 @@ class ContourSolver(ContourSettings):
             return sgn * np.exp(1j * z * z * t) * self._combination(z, region, side) \
                 / _TWO_PI
         return W
+
+    def _node_data(self, z, region, side):
+        """Rows of _interface_data(z), asked for by the term (region, side)."""
+        if self._memo is None:
+            return self._interface_data(z)
+        return self._memo.lookup(z, (region, side), self._interface_data)
 
     def _terms(self, region, t, derivative, xmax):
         """The region's terms, truncated for |x| up to xmax.
@@ -519,23 +596,27 @@ class ContourSolver(ContourSettings):
         else:
             regions = np.full(xs.shape, region)
         samples = [None] * xs.size
-        for j in np.unique(regions):
-            idx = np.where(regions == j)[0]
-            sub = xs[idx]
-            terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
-            T = max(abs(leg.end()) for tm in terms for leg in tm.path.legs)
-            xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
-            out = eval_terms(terms, sub, self.tolerance,
-                             max_panels=panel_budget(t, xspan, T),
-                             derivative=derivative)
-            F = free_term(self.ic, self.potential, int(j), sub, t,
-                          derivative=derivative)
-            psi = (F[0] if derivative else F) + out[0]
-            for row, i in enumerate(idx):
-                samples[i] = SolutionSample(
-                    float(sub[row]), t, complex(psi[row]), float(out[1][row]),
-                    psi_x=complex(F[1][row] + out[2][row]) if derivative else None,
-                    psi_x_error=float(out[3][row]) if derivative else 0.0)
+        self._memo = _NodeMemo()
+        try:
+            for j in np.unique(regions):
+                idx = np.where(regions == j)[0]
+                sub = xs[idx]
+                terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
+                T = max(abs(leg.end()) for tm in terms for leg in tm.path.legs)
+                xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
+                out = eval_terms(terms, sub, self.tolerance,
+                                 max_panels=panel_budget(t, xspan, T),
+                                 derivative=derivative)
+                F = free_term(self.ic, self.potential, int(j), sub, t,
+                              derivative=derivative)
+                psi = (F[0] if derivative else F) + out[0]
+                for row, i in enumerate(idx):
+                    samples[i] = SolutionSample(
+                        float(sub[row]), t, complex(psi[row]), float(out[1][row]),
+                        psi_x=complex(F[1][row] + out[2][row]) if derivative else None,
+                        psi_x_error=float(out[3][row]) if derivative else 0.0)
+        finally:
+            del self._memo
         return samples
 
 
@@ -568,13 +649,19 @@ class StepSolver(ContourSolver):
 
     # -- weights ---------------------------------------------------------
 
+    def _interface_data(self, z):
+        """The transforms h1 = hat_1(nu_1) and h2 = hat_2(-nu_2), one row per node."""
+        a1, a2 = self.potential.levels
+        h1 = hat_transform(self.ic, self.potential, 1, nu(a1, z))
+        h2 = hat_transform(self.ic, self.potential, 2, -nu(a2, z))
+        return np.stack((h1, h2), axis=1)
+
     def _combination(self, z, region, side):
         """The d4 interface combination from the 2x2 system in closed form."""
         a1, a2 = self.potential.levels
         n1 = nu(a1, z)
         n2 = nu(a2, z)
-        h1 = hat_transform(self.ic, self.potential, 1, n1)
-        h2 = hat_transform(self.ic, self.potential, 2, -n2)
+        h1, h2 = self._node_data(z, region, side).T
         if region == 1:
             return z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2)
         return z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)

@@ -310,9 +310,12 @@ _TAB_BLOCK = 128
 
 
 def _tabulated_hat(ic, k, a, b, origin):
+    if k.size == 1:
+        # one point sums its cells in another order than a batch does; as a
+        # batch of two it gets the bits it gets in any batch
+        return _tabulated_hat(ic, np.repeat(k, 2), a, b, origin)[:1]
     if k.size > _TAB_BLOCK:
-        # near-equal blocks, none of one point: a one-point block would sum
-        # its cells in a different order and change the last bits
+        # near-equal blocks, so none is the one-point case above
         return np.concatenate([_tabulated_hat(ic, kb, a, b, origin) for kb in
                                np.array_split(k, -(-k.size // _TAB_BLOCK))])
     idx, ta, tb = _table_cells(ic, a, b)

@@ -16,7 +16,10 @@ enumerates those beta.
 WellSolver evaluates the time evolution from the closed forms with every
 term on the fourth-quadrant sector boundary in kappa (the 'd4' form of
 StepSolver).  It only supplies the interface combination of each term:
-B1 and B3 in the outer regions, (kappa / nu) A and B in the middle one.
+B1 and B3 in the outer regions, (kappa / nu) A and B in the middle one,
+and the four half-line transforms they are built from as its interface
+data (`_interface_data`), which the terms of one evaluate_grid call read
+from the call's node memo, once per distinct node.
 The terms (one for each outer region, offset 0 on the left and x2 on the
 right, two for the middle one, offsets x2 and 0), truncation, node tables,
 the panel budget and the free terms come from the shared core in `step`
@@ -134,16 +137,20 @@ class WellSolver(ContourSolver):
 
     # -- closed-form pieces ------------------------------------------------
 
-    def _data(self, kap, nuv):
-        """The four transform inputs, each bounded on the integration path."""
+    def _interface_data(self, kap):
+        """The four transform inputs p, qs, r, sp, one row per node.
+
+        Each is bounded on the integration path.
+        """
         ic, pot, x2 = self.ic, self.potential, self.x2
+        nuv = nu(self.alpha, kap)
         p = -hat_transform(ic, pot, 1, 1j * kap)
         qs = -hat_transform(ic, pot, 2, nuv, origin=x2)
         r = -hat_transform(ic, pot, 2, -nuv)
         sp = -hat_transform(ic, pot, 3, -1j * kap, origin=x2)
-        return p, qs, r, sp
+        return np.stack((p, qs, r, sp), axis=1)
 
-    def _numerators(self, kap, nuv, which):
+    def _numerators(self, kap, nuv, which, data):
         """Selected spectral numerator over the common denominator."""
         al, x2 = self.alpha, self.x2
         P = nuv - 1j * kap
@@ -151,7 +158,7 @@ class WellSolver(ContourSolver):
         Ep = np.exp(1j * nuv * x2)
         e2 = Ep * Ep
         D = P * P * e2 - M * M
-        p, qs, r, sp = self._data(kap, nuv)
+        p, qs, r, sp = data.T
         if which == "B1":
             N = 1j * al * p * (e2 - 1.0) + 2.0 * kap * P * Ep * qs \
                 + 2.0 * kap * M * r + 4.0 * kap * nuv * Ep * sp
@@ -169,6 +176,8 @@ class WellSolver(ContourSolver):
     def _combination(self, z, region, side):
         """B1 and B3 in the outer regions, (kappa / nu) A and B in the middle."""
         nuv = nu(self.alpha, z)
+        data = self._node_data(z, region, side)
         if region == 2:
-            return (z / nuv) * self._numerators(z, nuv, "A" if side == "right" else "B")
-        return self._numerators(z, nuv, "B1" if region == 1 else "B3")
+            return (z / nuv) * self._numerators(z, nuv, "A" if side == "right" else "B",
+                                                data)
+        return self._numerators(z, nuv, "B1" if region == 1 else "B3", data)

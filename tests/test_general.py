@@ -124,6 +124,18 @@ def test_derivative_error_estimate_is_tight_and_honest(t):
     assert abs(got.psi_x - ref.psi_x) <= got.psi_x_error
 
 
+def test_unknowns_far_out_on_the_path_do_not_overflow():
+    # the solve used to build the diagonal factor exp(-+i nu_l x_l) of
+    # reduced_system as well, which overflows on the generic tail sample of
+    # this call; the suite turns that RuntimeWarning into an error
+    pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    ic = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+    got = GeneralSolver(pot, ic, tolerance=1e-11).evaluate(1.0, 0.3, region=2,
+                                                           derivative=True)
+    assert np.isfinite([got.value, got.psi_x]).all()
+    assert got.error <= 1e-11 and got.psi_x_error <= 1e-9
+
+
 # one closed-form solver per case; region -> sides of its fourth-quadrant terms
 CLOSED_FORMS = {
     "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepSolver,

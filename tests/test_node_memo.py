@@ -1,0 +1,117 @@
+"""The interface data of one evaluate_grid call is computed once per node.
+
+Every term of a call lies on the same sector(4, t) contour, so their node
+tables share most nodes; the call keeps the interface data of each node in
+a memo that every term reads.  These tests pin that the memo changes no
+output bit, that it computes each distinct node once, and that it leaves
+nothing behind on the solver.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import schrostep.general
+import schrostep.well
+from schrostep import (GeneralSolver, InitialCondition, PiecewisePotential,
+                       StepSolver, WellSolver)
+
+IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+THREE = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+WELL = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+STEP = PiecewisePotential([1.0, 2.0], [0.0])
+
+SOLVERS = {
+    "general": lambda: GeneralSolver(THREE, IC),
+    "well": lambda: WellSolver(WELL, IC),
+    "step-d4": lambda: StepSolver(STEP, IC),
+}
+
+
+def _columns(samples):
+    return np.array([(s.value, s.error, s.psi_x, s.psi_x_error) for s in samples],
+                    dtype=complex)
+
+
+def _distinct(nodes):
+    """Number of distinct nodes by their exact bits."""
+    z = np.ascontiguousarray(np.concatenate(nodes), dtype=complex)
+    return len(np.unique(z.view(np.uint64).reshape(-1, 2), axis=0))
+
+
+@pytest.mark.parametrize("name", ["general", "well"])
+def test_shared_nodes_leave_every_output_bit_unchanged(name):
+    # a per-region call shares nothing across regions
+    solver = SOLVERS[name]()
+    pot = solver.potential
+    xs = np.concatenate([np.linspace(-3.0, 4.0, 15), pot.interfaces,
+                         np.asarray(pot.interfaces) - 1e-9])
+    regions = np.searchsorted(pot.interfaces, xs, side="right") + 1
+    whole = _columns(solver.evaluate_grid(xs, 0.5, derivative=True))
+    for j in range(1, pot.nregions + 1):
+        part = _columns(solver.evaluate_grid(xs[regions == j], 0.5, region=j,
+                                             derivative=True))
+        assert part.tobytes() == whole[regions == j].tobytes()
+
+
+def test_each_distinct_node_is_solved_once_per_call(monkeypatch):
+    seen = []
+    solve = schrostep.general.solve_unknowns
+
+    def spy(potential, ic, kappa):
+        seen.append(np.atleast_1d(kappa))
+        return solve(potential, ic, kappa)
+
+    monkeypatch.setattr(schrostep.general, "solve_unknowns", spy)
+    xs = np.linspace(-3.0, 4.0, 15)
+    for t in (0.5, 1.0):
+        seen.clear()
+        GeneralSolver(THREE, IC).evaluate_grid(xs, t, derivative=True)
+        assert sum(z.size for z in seen) == _distinct(seen)
+
+
+def test_each_distinct_node_is_transformed_once_per_call(monkeypatch):
+    seen = []
+    hat = schrostep.well.hat_transform
+
+    def spy(ic, potential, region, k, origin=0.0):
+        if region == 1:
+            seen.append(np.atleast_1d(k))
+        return hat(ic, potential, region, k, origin=origin)
+
+    monkeypatch.setattr(schrostep.well, "hat_transform", spy)
+    WellSolver(WELL, IC).evaluate_grid(np.linspace(-3.0, 4.0, 15), 0.5,
+                                       derivative=True)
+    assert sum(z.size for z in seen) == _distinct(seen)
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_memo_dies_with_the_call(name):
+    # with the collector off, a reference cycle through the solver (say
+    # solver -> memo -> closure -> solver) would keep both alive
+    gc.disable()
+    try:
+        solver = SOLVERS[name]()
+        attrs = set(vars(solver))
+        solver.evaluate_grid(np.linspace(-2.0, 3.0, 6), 0.5)
+        assert set(vars(solver)) == attrs
+        ref = weakref.ref(solver)
+        del solver
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_is_dropped_when_the_call_raises(monkeypatch):
+    solver = GeneralSolver(THREE, IC)
+    attrs = set(vars(solver))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("solve failed")
+
+    monkeypatch.setattr(schrostep.general, "solve_unknowns", fail)
+    with pytest.raises(RuntimeError):
+        solver.evaluate_grid([0.5], 0.5)
+    assert set(vars(solver)) == attrs

@@ -110,6 +110,27 @@ def test_free_term_on_an_array_matches_each_point_bitwise(kind, derivative):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+def test_hat_of_a_batch_matches_each_point_bitwise(kind):
+    # an evaluate_grid call computes the transforms at each node once, in
+    # whatever batch first reaches it; one point used to sum the cells of a
+    # table in another order than a batch
+    pot = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+    ic = InitialCondition.gaussian(center=-0.5, width=0.9, momentum=0.7)
+    if kind == "tabulated":
+        xt = np.linspace(-3.5, 2.5, 21)
+        ic = InitialCondition.tabulated(xt, ic.evaluate(xt))
+    rng = np.random.default_rng(3)
+    k = rng.uniform(-6.0, 6.0, 300) + 1j * rng.uniform(0.0, 3.0, 300)
+    for region, ks in ((1, k), (2, k), (2, -k), (3, np.conj(k))):
+        got = hat_transform(ic, pot, region, ks)
+        one = np.array([hat_transform(ic, pot, region, kk) for kk in ks])
+        cuts = [0, 1, 3, 140, 141, 300]
+        parts = np.concatenate([hat_transform(ic, pot, region, ks[a:b])
+                                for a, b in zip(cuts, cuts[1:])])
+        assert got.tobytes() == one.tobytes() == parts.tobytes()
+
+
 def test_tabulated_matches_gaussian_when_sampled():
     xs = np.linspace(-7.0, 7.0, 1400)
     gauss = InitialCondition.gaussian(center=0.2, width=0.9)
