@@ -281,8 +281,7 @@ def cmd_interface_map(args):
             raise ConfigError("map.interfaces",
                               "indices must lie in 1..{}".format(pot.njumps))
     ts = _times(cfg)
-    samples = [s for ell in idx
-               for s in imap.trace_grid(ts, interface=ell, derivative=True)]
+    samples = imap.trace_grid(ts, interface=idx, derivative=True)
     _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate",
                  "re_psi_x", "im_psi_x"),
            [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error,

@@ -9,14 +9,19 @@ contour integrals over the rotated fourth-quadrant sector boundary,
 
 without ever reconstructing the solution on an x grid.  The integrand is
 x-free, so the stationary point of the quadratic phase sits at the origin.
-One node table serves a whole batch of times: its truncation comes from
-the smallest time, its contour (the corner constant and the splits of the
-axis ray, see ContourSettings.sector) from the largest, and it is refined
-against probe times from the smallest to the largest in ratios of at most
-2.  The unknowns are solved once per node while the table is refined, kept
-as the table's columns, and every time is summed in one phased
-table_integral call, with W = pref kappa X, C = kappa^2 and the times in
-the place of x.
+One node table serves a whole batch of times and every requested
+interface: its truncation is the largest of the per-interface searches
+(each from the psi column at the smallest time), its contour (the corner
+constant and the splits of the axis ray, see ContourSettings.sector) comes
+from the largest time, and it is refined against the psi (and psi_x)
+column of every interface at probe times from the smallest to the largest
+in ratios of at most 2.  The unknowns are solved once per node while the
+table is refined and kept as the table's columns, which hold all 2n of
+them; each column is summed at every time in one phased table_integral
+call, with W = pref kappa X, C = kappa^2 and the times in the place of x.
+The tail samples lie at points fixed by the path alone, so within one call
+the unknowns at each distinct set of them are solved once, whatever the
+column and the time.
 """
 
 import numpy as np
@@ -30,48 +35,71 @@ from .step import (ContourSettings, _TailModel, build_with_retry,
 __all__ = ["InterfaceMap"]
 
 
+def _reach(path):
+    return max(abs(leg.end()) for leg in path.legs)
+
+
 class InterfaceMap(ContourSettings):
     """Traces of psi (and psi_x) at the jumps, from the interface unknowns."""
-
-    def _col_weight(self, col, pref, t):
-        def W(z, tag):
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            X = solve_unknowns(self.potential, self.ic, z)
-            return pref * z * np.exp(1j * z * z * t) * X[:, col]
-        return W
 
     def trace(self, t, interface=1, derivative=False):
         return self.trace_grid([t], interface, derivative=derivative)[0]
 
     def trace_grid(self, ts, interface=1, derivative=False):
-        """Samples of psi (and optionally psi_x) at interface number ell >= 1."""
+        """Samples of psi (and optionally psi_x) at the jumps x_ell.
+
+        interface is one jump number ell in 1..njumps or a sequence of them.
+        The samples come interface-major: every time at the first interface
+        given, then every time at the next.
+        """
         n = self.potential.njumps
-        if interface not in range(1, n + 1):
-            raise ValueError("interface must lie in 1..{}, got {!r}".format(n, interface))
-        ell = int(interface)
-        x_ell = self.potential.interfaces[ell - 1]
+        ells = [interface] if np.ndim(interface) == 0 else list(interface)
+        if not ells or any(ell not in range(1, n + 1) for ell in ells):
+            raise ValueError("interface must be one of 1..{} or a nonempty "
+                             "sequence of them, got {!r}".format(n, interface))
+        ells = [int(ell) for ell in ells]
         ts = [float(t) for t in ts]
         if not all(0.0 <= t < np.inf for t in ts):
             raise ValueError("t must be finite and nonnegative")
-        out = [None] * len(ts)
-        for i, t in enumerate(ts):
-            if t == 0.0:
-                out[i] = self._initial_samples(np.array([x_ell]), derivative)[0]
+        out = {}
+        for ell in ells:
+            for i, t in enumerate(ts):
+                if t == 0.0:
+                    out[ell, i] = self._initial_samples(
+                        np.array([self.potential.interfaces[ell - 1]]), derivative)[0]
         live = [(i, t) for i, t in enumerate(ts) if t > 0.0]
-        if not live:
-            return out
+        if live:
+            out.update(self._traces(dict.fromkeys(ells), live, derivative))
+        return [out[ell, i] for ell in ells for i in range(len(ts))]
+
+    def _traces(self, ells, live, derivative):
+        """{(ell, i): sample} at the distinct interfaces ells and times live."""
+        n = self.potential.njumps
         tmin = min(t for _, t in live)
         tmax = max(t for _, t in live)
         tol = self.tolerance
         builder = self.sector(4, tmax)
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
-        cols = [(ell - 1, -1.0 / np.pi)]
-        if derivative:
-            cols.append((n + ell - 1, 1j / np.pi))
-        # truncation set by the slowest time, node density by the fastest
-        path, _ = choose_truncation(builder, self._col_weight(*cols[0], tmin),
-                                    zero, tmin, 0.0, (0.0,), tol, 2.0 * self.radius)
-        T = max(abs(leg.end()) for leg in path.legs)
+        solved = {}
+
+        def weight(col, pref, t):
+            def W(z, tag):
+                z = np.atleast_1d(np.asarray(z, dtype=complex))
+                key = z.tobytes()
+                if key not in solved:
+                    solved[key] = solve_unknowns(self.potential, self.ic, z)
+                return pref * z * np.exp(1j * z * z * t) * solved[key][:, col]
+            return W
+
+        cols = {ell: [(ell - 1, -1.0 / np.pi)] + ([(n + ell - 1, 1j / np.pi)]
+                                                  if derivative else [])
+                for ell in ells}
+        # truncation set by the slowest time and the interface that needs the
+        # longest, node density by the fastest
+        path = max((choose_truncation(builder, weight(*cols[ell][0], tmin), zero,
+                                      tmin, 0.0, (0.0,), tol, 2.0 * self.radius)[0]
+                    for ell in ells), key=_reach)
+        T = _reach(path)
         budget = panel_budget(tmax, 0.0, T)
 
         def unknowns(z, tag):
@@ -85,7 +113,7 @@ class InterfaceMap(ContourSettings):
 
         def probes(z, X):
             return [pref * z * np.exp(1j * z * z * tp) * X[col]
-                    for col, pref in cols for tp in tprobe]
+                    for ell in ells for col, pref in cols[ell] for tp in tprobe]
 
         table = build_with_retry(
             lambda tol: build_node_table(path, unknowns, tol, max_panels=budget,
@@ -94,16 +122,21 @@ class InterfaceMap(ContourSettings):
         X = table.cols
         C = table.z * table.z
         times = np.array([t for _, t in live])
-        sums = [table_integral(table, pref * table.z * X[col], C, times)
-                for col, pref in cols]
+        sums = {col: table_integral(table, pref * table.z * X[col], C, times)
+                for ell in ells for col, pref in cols[ell]}
         _, spec = builder(T)
-        for row, (i, t) in enumerate(live):
-            vals = []
-            for (col, pref), (v, e) in zip(cols, sums):
-                tails = _TailModel(path, spec, self._col_weight(col, pref, t),
-                                   zero, t, 0.0, span=T)
-                corr, te = tails.at(0.0)
-                vals.append((complex(v[row] + corr), float(e[row] + te)))
-            dv, de = vals[1] if derivative else (None, 0.0)
-            out[i] = SolutionSample(x_ell, t, *vals[0], psi_x=dv, psi_x_error=de)
+        out = {}
+        for ell in ells:
+            x_ell = self.potential.interfaces[ell - 1]
+            for row, (i, t) in enumerate(live):
+                vals = []
+                for col, pref in cols[ell]:
+                    v, e = sums[col]
+                    tails = _TailModel(path, spec, weight(col, pref, t), zero, t,
+                                       0.0, span=T)
+                    corr, te = tails.at(0.0)
+                    vals.append((complex(v[row] + corr), float(e[row] + te)))
+                dv, de = vals[1] if derivative else (None, 0.0)
+                out[ell, i] = SolutionSample(x_ell, t, *vals[0], psi_x=dv,
+                                             psi_x_error=de)
         return out

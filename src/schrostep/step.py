@@ -358,6 +358,8 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
             dcorr, dtail = term.tails.at(xs, derivative=True)
             dvals += sums[2] + dcorr
             derrs += sums[3] + dtail
+        # otherwise this table lives on while the next term builds its own
+        del table, W, C, sums
     if derivative:
         return vals, errs, dvals, derrs
     return vals, errs

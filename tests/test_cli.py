@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from schrostep import InitialCondition, PiecewisePotential, leading_order
+from schrostep import InitialCondition, InterfaceMap, PiecewisePotential, leading_order
 from schrostep.cli import main
 from schrostep.oracle import free_gaussian
 
@@ -106,6 +106,21 @@ solver = well
     assert header[-2:] == ["re_psi_x", "im_psi_x"]
     assert len(body) == 4   # two interfaces, two times
     assert {r["x"] for r in body} == {"0", "1"}
+
+
+def test_interface_map_keeps_the_requested_interface_order(tmp_path, capsys):
+    cfg = write(tmp_path, "order.cfg", THREE_JUMP_CFG.replace("grid.t = 0.5", "grid.t = 0.3, 0.6")
+                + "map.interfaces = 3,1\n")
+    assert main(["interface-map", cfg]) == 0
+    _, body = rows(capsys.readouterr().out)
+    assert [(float(r["x"]), float(r["t"])) for r in body] == [
+        (2.5, 0.3), (2.5, 0.6), (0.0, 0.3), (0.0, 0.6)]
+    imap = InterfaceMap(PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5]),
+                        InitialCondition.gaussian(center=-1.0))
+    want = imap.trace_grid([0.3, 0.6], 3) + imap.trace_grid([0.3, 0.6], 1)
+    for r, w in zip(body, want):
+        got = complex(float(r["re_psi"]), float(r["im_psi"]))
+        assert abs(got - w.value) <= float(r["err_estimate"]) + w.error
 
 
 def test_output_path_writes_file(tmp_path, capsys):

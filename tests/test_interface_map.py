@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
-                       StepSolver)
+                       StepSolver, interface_map)
 from schrostep.oracle import free_gaussian
+
+THREE = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
 
 
 def test_free_problem_collapses_to_free_evolution():
@@ -60,6 +63,38 @@ def test_interface_index_validation():
         imap.trace(0.5, interface=2)
     with pytest.raises(ValueError):
         imap.trace(-0.5)
+    with pytest.raises(ValueError, match="interface"):
+        imap.trace_grid([0.5], interface=(1, 2))
+    with pytest.raises(ValueError, match="interface"):
+        imap.trace_grid([0.5], interface=())
+
+
+def test_several_interfaces_match_their_single_traces():
+    # one table for all three jumps, refined on every column, against a
+    # table of each jump's own
+    imap = InterfaceMap(THREE, IC)
+    ts = [0.0, 0.3, 0.6, 0.9, 1.2]
+    got = imap.trace_grid(ts, (1, 2, 3), derivative=True)
+    want = [s for ell in (1, 2, 3) for s in imap.trace_grid(ts, ell, derivative=True)]
+    assert [(s.x, s.t) for s in got] == [(s.x, s.t) for s in want]
+    for a, b in zip(got, want):
+        assert abs(a.value - b.value) <= a.error + b.error
+        assert abs(a.psi_x - b.psi_x) <= a.psi_x_error + b.psi_x_error
+
+
+def test_several_interfaces_solve_each_node_once(monkeypatch):
+    seen = []
+    solve = interface_map.solve_unknowns
+
+    def spy(potential, ic, kappa):
+        seen.append(np.atleast_1d(kappa))
+        return solve(potential, ic, kappa)
+
+    monkeypatch.setattr(interface_map, "solve_unknowns", spy)
+    InterfaceMap(THREE, IC).trace_grid([0.3, 0.6, 0.9, 1.2], (1, 2, 3),
+                                       derivative=True)
+    z = np.ascontiguousarray(np.concatenate(seen))
+    assert z.size == len(np.unique(z.view(np.uint64).reshape(-1, 2), axis=0))
 
 
 def test_fastest_time_of_a_wide_time_range_stays_honest():

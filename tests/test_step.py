@@ -32,25 +32,29 @@ def test_free_potential_reduces_to_free_gaussian(rep):
         assert abs(smp.value - w) <= 5.0 * smp.error + 1e-12
 
 
-def check_flat_contract(rep, alpha, center, width, momentum, t):
+def check_flat_contract(rep, alpha, center, width, momentum, t, tolerance=1e-8):
     # with equal levels (alpha, alpha) the exact solution is the free
     # Gaussian times exp(-i alpha t), whatever the representation's contour
     pot = PiecewisePotential([alpha, alpha], [0.0])
     ic = InitialCondition.gaussian(center=center, width=width, momentum=momentum)
     xs = np.linspace(-4.0, 4.0, 5)
     want = free_gaussian(xs, t, center, width, momentum) * np.exp(-1j * alpha * t)
-    got = StepSolver(pot, ic, representation=rep).evaluate_grid(xs, t)
+    got = StepSolver(pot, ic, representation=rep,
+                     tolerance=tolerance).evaluate_grid(xs, t)
     for smp, w in zip(got, want):
         assert abs(smp.value - w) <= smp.error, smp
 
 
 # The error contract |psi - psi_exact| <= error fails on these draws of the
-# property test below; the worst ratio of deviation to estimate is given.
-# (rep, alpha, center, width, momentum, t).
+# property test below, and on the first of them at tolerance 1e-10; the
+# worst ratio of deviation to estimate is given.
+# (rep, alpha, center, width, momentum, t[, tolerance]).
 DISHONEST_CASES = [
     ("d4", 0.375, 0.0, 1.0, 0.0, 16.0),          # x = 0: 1.05
     ("quadrant", 0.375, 0.0, 1.0, 0.0, 15.0),    # x = 2: 1.04
     ("realline", 0.0, 2.0, 0.5, 0.0, 2.0),       # x = 4: 9.98
+    pytest.param(("d4", 0.375, 0.0, 1.0, 0.0, 16.0, 1e-10),
+                 id="d4-tol1e-10"),              # x = -2: 6.44
 ]
 
 

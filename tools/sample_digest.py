@@ -9,7 +9,10 @@ SEED.  An API request is served with a fresh solver and digested as the
 bytes of its samples' columns x, t, value, error and, when the request asks
 for the slope, psi_x and psi_x_error.  A CLI request is run in process with
 its output written to a temporary directory and digested as the bytes of
-that file.  The library is imported from this checkout's src directory, so
+that file.  An interface-map request adds one line per jump, the digest of
+a single-interface `InterfaceMap.trace_grid` over the request's times with
+the slope: the call the benchmark's checker builds its trace references
+through.  The library is imported from this checkout's src directory, so
 two checkouts give the same lines exactly when every output agrees to the
 last bit:
 
@@ -28,8 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import schrostep.cli  # noqa: E402
-from workloads import (WORKLOADS, config_text, make_requests,  # noqa: E402
-                       solver_of)
+from schrostep import InterfaceMap  # noqa: E402
+from workloads import (TOLERANCE, WORKLOADS, config_text, ic_of,  # noqa: E402
+                       make_requests, potential_of, solver_of)
 
 
 def _sample_bytes(samples, derivative):
@@ -58,6 +62,16 @@ def digest(req, workdir):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def trace_digests(req):
+    """(interface, digest) of each single-interface trace of an interface-map request."""
+    pot = potential_of(req)
+    imap = InterfaceMap(pot, ic_of(req), tolerance=TOLERANCE)
+    ts = [float(t) for t in req["config"]["grid.t"].split(",")]
+    for ell in range(1, pot.njumps + 1):
+        samples = imap.trace_grid(ts, ell, derivative=True)
+        yield ell, hashlib.sha256(_sample_bytes(samples, True)).hexdigest()
+
+
 def main(argv):
     if len(argv) != 1:
         print("usage: python tools/sample_digest.py SEED", file=sys.stderr)
@@ -69,6 +83,10 @@ def main(argv):
                 name = req["command"] if req["kind"] == "cli" else req["kind"]
                 print("{}\t{}\t{}\t{}".format(workload, i, name,
                                               digest(req, Path(tmp))))
+                if name == "interface-map":
+                    for ell, hexdigest in trace_digests(req):
+                        print("{}\t{}\ttrace_grid interface={}\t{}".format(
+                            workload, i, ell, hexdigest))
     return 0
 
 
