@@ -50,14 +50,13 @@ def ray_bracket(potential, ic, gamma):
     j, delta, radicand = _check(potential, gamma)
     k = gamma / 2.0
     sig = np.sqrt(radicand)
-    h_own = hat_transform(ic, potential, j, k)
+    # the own transform, then the two that a_j combines
     if j == 1:
-        a_j = ((1.0 - sig) * hat_transform(ic, potential, 1, -k)
-               + 2.0 * hat_transform(ic, potential, 2, k * sig)) / (1.0 + sig)
+        regions, ks, c1, c2 = (1, 1, 2), (k, -k, k * sig), 1.0 - sig, 2.0
     else:
-        a_j = (2.0 * hat_transform(ic, potential, 1, k * sig)
-               + (1.0 - sig) * hat_transform(ic, potential, 2, -k)) / (1.0 + sig)
-    return complex(h_own + a_j)
+        regions, ks, c1, c2 = (2, 1, 2), (k, k * sig, -k), 2.0, 1.0 - sig
+    h_own, h1, h2 = hat_transform(ic, potential, regions, np.array(ks)[:, None])[:, 0]
+    return complex(h_own + (c1 * h1 + c2 * h2) / (1.0 + sig))
 
 
 def leading_order(potential, ic, gamma, t):

@@ -125,16 +125,14 @@ def rhs_reduced(potential, ic, kappa):
     n = potential.njumps
     xs = potential.interfaces
     nus = potential.nus(kap)
-    Y = np.empty((kap.size, 2 * n), dtype=complex)
-    for ell in range(1, n + 1):
-        nl = nus[ell - 1]
-        Y[:, ell - 1] = -hat_transform(ic, potential, ell, nl,
-                                       origin=xs[ell - 1])
-        np_ = nus[ell]
-        shift = np.exp(1j * (np_ - nl) * xs[ell - 1])
-        Y[:, n + ell - 1] = -shift * hat_transform(ic, potential, ell + 1, -np_,
-                                                   origin=xs[ell - 1])
-    return Y
+    # rows ell and n + ell: region ell at nu_ell and region ell + 1 at
+    # -nu_(ell+1), both about x_ell
+    regions = tuple(range(1, n + 1)) + tuple(range(2, n + 2))
+    origins = np.concatenate((xs, xs))
+    H = hat_transform(ic, potential, regions,
+                      np.concatenate((nus[:n], -nus[1:])), origins)
+    shift = np.exp(1j * (nus[1:] - nus[:n]) * np.asarray(xs, dtype=float)[:, None])
+    return -np.concatenate((H[:n], shift * H[n:])).T
 
 
 def solve_unknowns(potential, ic, kappa):

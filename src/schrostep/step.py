@@ -654,9 +654,8 @@ class StepSolver(ContourSolver):
     def _interface_data(self, z):
         """The transforms h1 = hat_1(nu_1) and h2 = hat_2(-nu_2), one row per node."""
         a1, a2 = self.potential.levels
-        h1 = hat_transform(self.ic, self.potential, 1, nu(a1, z))
-        h2 = hat_transform(self.ic, self.potential, 2, -nu(a2, z))
-        return np.stack((h1, h2), axis=1)
+        return hat_transform(self.ic, self.potential, (1, 2),
+                             np.stack((nu(a1, z), -nu(a2, z)))).T
 
     def _combination(self, z, region, side):
         """The d4 interface combination from the 2x2 system in closed form."""
@@ -697,8 +696,7 @@ class StepSolver(ContourSolver):
                 z = np.asarray(z, dtype=complex)
                 s1 = self._sigma1(z)
                 damp = np.exp(-omega(a1, z) * t)
-                h1 = hat_transform(ic, pot, 1, -z)
-                h2 = hat_transform(ic, pot, 2, z * s1)
+                h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((-z, z * s1)))
                 return damp * (-(1.0 - s1) * h1 - 2.0 * h2) / (_TWO_PI * (1.0 + s1))
             return W
 
@@ -706,8 +704,7 @@ class StepSolver(ContourSolver):
             z = np.asarray(z, dtype=complex)
             s2 = sigma(a2 - a1, z)
             damp = np.exp(-omega(a2, z) * t)
-            h1 = hat_transform(ic, pot, 1, z * s2)
-            h2 = hat_transform(ic, pot, 2, -z)
+            h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((z * s2, -z)))
             return damp * (2.0 * h1 + (1.0 - s2) * h2) / (_TWO_PI * (1.0 + s2))
         return W
 
@@ -720,9 +717,7 @@ class StepSolver(ContourSolver):
             y = np.asarray(z, dtype=complex).imag
             q = np.sqrt(np.maximum(a - y * y, 0.0))
             s = np.minimum(q / np.maximum(y, 1e-280), 1e12)
-            A = hat_transform(ic, pot, 2, -1j * y)
-            bm = hat_transform(ic, pot, 1, -q)
-            bp = hat_transform(ic, pot, 1, q)
+            A, bm, bp = hat_transform(ic, pot, (2, 1, 1), np.stack((-1j * y, -q, q)))
             jump = (-4j * s * A + 2.0 * (bm - bp) - 2j * s * (bm + bp)) / (1.0 + s * s)
             return jump * np.exp(-1j * (a2 - y * y) * t) / _TWO_PI
         return W

@@ -144,11 +144,9 @@ class WellSolver(ContourSolver):
         """
         ic, pot, x2 = self.ic, self.potential, self.x2
         nuv = nu(self.alpha, kap)
-        p = -hat_transform(ic, pot, 1, 1j * kap)
-        qs = -hat_transform(ic, pot, 2, nuv, origin=x2)
-        r = -hat_transform(ic, pot, 2, -nuv)
-        sp = -hat_transform(ic, pot, 3, -1j * kap, origin=x2)
-        return np.stack((p, qs, r, sp), axis=1)
+        return -hat_transform(ic, pot, (1, 2, 2, 3),
+                              np.stack((1j * kap, nuv, -nuv, -1j * kap)),
+                              (0.0, x2, 0.0, x2)).T
 
     def _numerators(self, kap, nuv, which, data):
         """Selected spectral numerator over the common denominator."""

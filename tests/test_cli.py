@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schrostep
 from schrostep import InitialCondition, InterfaceMap, PiecewisePotential, leading_order
 from schrostep.cli import main
 from schrostep.oracle import free_gaussian
@@ -147,6 +152,20 @@ def test_unknown_solver_exits_two(tmp_path, capsys, name):
     assert main(["solve", cfg]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["field"] == "solver"
+
+
+def test_start_up_does_not_load_scipy_special(tmp_path):
+    # scipy.special alone doubles the start-up time and memory of the package
+    code = ("import sys, schrostep, schrostep.cli\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "status = schrostep.cli.main(['solve', sys.argv[1]])\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "sys.exit(status)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(schrostep.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "nope.cfg")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "AssertionError" not in proc.stderr
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

@@ -77,8 +77,9 @@ def test_each_distinct_node_is_transformed_once_per_call(monkeypatch):
     hat = schrostep.well.hat_transform
 
     def spy(ic, potential, region, k, origin=0.0):
-        if region == 1:
-            seen.append(np.atleast_1d(k))
+        # the region-1 rows of a call in the row form
+        seen.extend(kr for r, kr in zip(np.atleast_1d(region), np.atleast_2d(k))
+                    if r == 1)
         return hat(ic, potential, region, k, origin=origin)
 
     monkeypatch.setattr(schrostep.well, "hat_transform", spy)

@@ -131,6 +131,82 @@ def test_hat_of_a_batch_matches_each_point_bitwise(kind):
         assert got.tobytes() == one.tobytes() == parts.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+def test_rows_match_one_region_calls_bitwise(kind):
+    # the row form shares one Faddeeva call among its rows; each row must
+    # still be the one-region call, and each node its own one-point call
+    pot = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+    ic = InitialCondition.gaussian(center=-0.5, width=0.9, momentum=0.7)
+    if kind == "tabulated":
+        xt = np.linspace(-3.5, 2.5, 21)
+        ic = InitialCondition.tabulated(xt, ic.evaluate(xt))
+    rng = np.random.default_rng(4)
+    k = rng.uniform(-12.0, 12.0, 200) + 1j * rng.uniform(0.0, 12.0, 200)
+    regions, origins = (1, 2, 2, 3), (0.0, 1.0, 0.0, 1.0)
+    K = np.stack((k, k, -k, np.conj(k)))
+    got = hat_transform(ic, pot, regions, K, origins)
+    assert got.shape == K.shape
+    rows = np.array([hat_transform(ic, pot, r, kr, origin=o)
+                     for r, kr, o in zip(regions, K, origins)])
+    one = np.array([hat_transform(ic, pot, regions, K[:, i:i + 1], origins)[:, 0]
+                    for i in range(k.size)]).T
+    assert got.tobytes() == rows.tobytes() == one.tobytes()
+    with pytest.raises(ValueError, match="region 1"):
+        hat_transform(ic, pot, (2, 1), np.stack((k, np.conj(k))))
+    with pytest.raises(ValueError, match="one row of k per region"):
+        hat_transform(ic, pot, (1, 2), k)
+
+
+def _faddeeva_points():
+    rng = np.random.default_rng(5)
+    # the upper half-plane at |z| from 1e-3 to 1e3
+    r = 10.0 ** rng.uniform(-3.0, 3.0, 425)
+    upper = r * np.exp(1j * rng.uniform(0.0, np.pi, 425))
+    # both sides of the |z| = 8 seam
+    seam = np.outer(8.0 * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])),
+                    np.exp(1j * np.linspace(0.0, np.pi, 25))).ravel()
+    mags = np.geomspace(1e-3, 1e3, 50)
+    axes = np.concatenate((mags, -mags, 1j * mags))
+    # just above the real axis
+    x = np.concatenate((np.geomspace(1e-3, 1e3, 50), -np.geomspace(1e-3, 1e3, 50)))
+    skim = x + 1j * np.tile([1e-6, 1e-9, 1e-15, 1e-300, 0.0], 20)
+    return np.concatenate((upper, seam, axes, skim))
+
+
+def test_faddeeva_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from schrostep.transforms import faddeeva
+    z = _faddeeva_points()
+    assert z.size >= 800 and np.all(z.imag >= 0.0)
+    got = faddeeva(z)
+    with mp.workdps(32):
+        want = np.array([complex(mp.exp(-mp.mpc(q.real, q.imag) ** 2)
+                                 * mp.erfc(-1j * mp.mpc(q.real, q.imag))) for q in z])
+    rel = np.abs(got - want) / np.abs(want)
+    assert rel.max() <= 3e-14, z[np.argmax(rel)]
+    np.testing.assert_array_equal(faddeeva(z[::7].reshape(-1, 1)).ravel(), got[::7])
+
+
+def test_weideman_coefficients_are_the_papers_fft():
+    # Weideman, SIAM J. Numer. Anal. 31 (1994): N = 36 coefficients from
+    # one FFT of exp(-t^2) (L^2 + t^2), t = L tan(theta / 2), over 4N points
+    from schrostep.transforms import _W_COEFFS, _W_L
+    n = 36
+    m = 2 * n
+    L = np.sqrt(n / np.sqrt(2.0))
+    t = L * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    assert _W_L == L
+    np.testing.assert_allclose(_W_COEFFS, a[n:0:-1], rtol=0.0, atol=1e-16)
+
+
+def test_faddeeva_rejects_the_lower_half_plane():
+    from schrostep.transforms import faddeeva
+    with pytest.raises(ValueError, match="Im z >= 0"):
+        faddeeva(np.array([1.0 + 1.0j, 2.0 - 1e-12j]))
+
+
 def test_tabulated_matches_gaussian_when_sampled():
     xs = np.linspace(-7.0, 7.0, 1400)
     gauss = InitialCondition.gaussian(center=0.2, width=0.9)
