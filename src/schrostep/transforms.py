@@ -342,7 +342,7 @@ def hat_transform(ic, potential, region, k, origin=0.0):
 
     Returns integral over region `region` of psi0(y) exp(-i k (y - origin)) dy,
     enforcing the validity half-plane of half-infinite regions (inclusive of
-    the real axis), for k a scalar or an array of any shape.
+    the real axis), for k a scalar or a 1-D array.
 
     Row form: with `region` a sequence of m regions, k an (m, n) array and
     `origin` a scalar or m origins, row r of the (m, n) result is the
@@ -361,8 +361,13 @@ def hat_transform(ic, potential, region, k, origin=0.0):
     bounds = [potential.region_bounds(r) for r in region]
     for r, (a, b), kr in zip(region, bounds, k):
         _gate(a, b, r, kr)
-    a, b = np.array(bounds, dtype=float).T
-    return _hat(ic, k, a, b, origin)
+    origin = np.broadcast_to(np.asarray(origin, dtype=float), len(region))
+    if ic.kind == "gaussian":
+        a, b = np.array(bounds, dtype=float).T
+        return _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
+                                k, a, b, origin)
+    return np.array([_tabulated_hat(ic, kr, a, b, o)
+                     for kr, (a, b), o in zip(k, bounds, origin.tolist())])
 
 
 def whole_line_hat(ic, k, origin=0.0):
@@ -371,24 +376,15 @@ def whole_line_hat(ic, k, origin=0.0):
 
 
 def _hat(ic, k, a, b, origin):
-    """Transform of the initial data over [a, b] at k.
-
-    One interval: a, b and origin scalars, k a scalar or any array.  Rows:
-    a and b m values each, origin a scalar or m values, k an (m, n) array.
-    """
-    k = np.asarray(k, dtype=complex)
-    rows = np.ndim(a) > 0
-    K = k if rows else k.reshape(1, -1)
+    """Transform of the initial data over [a, b] at k, scalar or array."""
+    scalar = np.ndim(k) == 0
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
     if ic.kind == "gaussian":
         out = _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
-                               K, a, b, origin)
+                               k, a, b, origin)
     else:
-        m = K.shape[0]
-        ends = [np.broadcast_to(np.asarray(v, dtype=float), (m,)) for v in (a, b, origin)]
-        out = np.array([_tabulated_hat(ic, kr, *e) for kr, *e in zip(K, *ends)])
-    if rows:
-        return out
-    return complex(out[0, 0]) if k.ndim == 0 else out.reshape(k.shape)
+        out = _tabulated_hat(ic, k, a, b, origin)
+    return complex(out[0]) if scalar else out
 
 
 def _table_cells(ic, a, b):
