@@ -30,6 +30,8 @@ table_integral is the one summation over a finished table.  It sums
 W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
 complex entries, and builds the phases of points on a uniform
 lattice from two small exp tables instead of one exp per (X, node) pair.
+Lattice points are summed several 16-point groups per numpy call, as many
+as keep each temporary within the same 2^12 entries.
 Every sum runs in a fixed order, so repeated runs give bit-identical
 results.
 """
@@ -531,8 +533,11 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 # The phased sum works in tiles of at most _TILE complex entries: _FINE rows
 # of X by whole panels of one size.  Tiles of 2^14 entries sum about a
 # fifth faster but hold four times the memory; 2^12 keeps each temporary
-# within 64 kB.
+# within 64 kB.  Lattice tiles are batched instead: several _FINE-row groups
+# per numpy call, with a batch's temporaries held within _BATCH_TILE entries,
+# the same 2^12 (see table_integral).
 _TILE = 2 ** 12
+_BATCH_TILE = _TILE
 _FINE = 16
 # A lattice point keeps only the first-order phase correction, so it joins
 # the lattice only where max|C| |rho| stays within this; the dropped term
@@ -624,7 +629,13 @@ def table_integral(table, W, C, X, derivative=False):
     _TILE complex entries.  Each
     tile is one batched product giving every panel's Kronrod sum and
     Kronrod-minus-Gauss difference; the values add the panel sums, so
-    tiling changes only the order of the sums over panels.
+    tiling changes only the order of the sums over panels.  Lattice tiles
+    go several per numpy call, one _FINE-row group per coarse point, as
+    many as keep a batch's temporaries within _BATCH_TILE (= _TILE)
+    entries: 4 groups, or 2 with the derivative, for a full chunk.  Each
+    group's panel products and sums are those of a tile of its own, so the
+    values do not depend on the batching.  Rows map to their slot (group in
+    the batch, r), which serves holes, duplicate X and grid ends alike.
 
     Points on a lattice X0 + k h (_lattice; any linspace) take their phases
     from two small exp tables.  With k = _FINE q + r,
@@ -653,31 +664,48 @@ def table_integral(table, W, C, X, derivative=False):
     # for the roundoff floor.
     cmax = float(np.max(np.abs(C), initial=0.0))
     lat = _lattice(X, cmax)
+    # rows per tile: the fine table's, or fewer when every row is direct
+    nt = _FINE if lat is not None else max(1, min(n, _FINE))
+    chunks = _chunks(table, nt)
     on = np.zeros(n, dtype=bool)
-    rows, groups, rho = np.arange(0), [], np.zeros(0)
+    rows, rho, batches = np.arange(0), np.zeros(0), []
     if lat is not None:
         h, on, k, rho, Xq = lat
         rows = np.flatnonzero(on)
         if np.any(np.diff(k) < 0):
             order = np.argsort(k, kind="stable")
             rows, k, rho, Xq = rows[order], k[order], rho[order], Xq[order]
+        # Batches of nb groups (one coarse point each), as many as keep a
+        # batch's weighted copy of the widest chunk within _BATCH_TILE: rows
+        # s:e, the coarse points, and each row's slot (group in the batch,
+        # r), or None when the rows fill the slots in order (no hole,
+        # duplicate x or grid end).
         q, r = np.divmod(k, _FINE)
-        ends = np.append(np.flatnonzero(np.diff(q)) + 1, q.size)
-        groups = [(s, e, Xq[s], r[s:e])
-                  for s, e in zip(np.append(0, ends[:-1]), ends)]
+        new = np.diff(q, prepend=q[0] - 1) != 0
+        group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+        bounds = np.append(starts, q.size)
+        nb = max(1, _BATCH_TILE // (4 * ni * max(hi - lo for lo, hi, _ in chunks)))
+        for a in range(0, starts.size, nb):
+            b = min(a + nb, starts.size)
+            s, e = bounds[a], bounds[b]
+            slot = (group[s:e] - a, r[s:e])
+            full = np.array_equal(_FINE * slot[0] + slot[1], np.arange(_FINE * (b - a)))
+            batches.append((s, e, Xq[starts[a:b]], None if full else slot))
     direct = np.flatnonzero(~on)
     rows = np.concatenate([rows, direct])
-    # rows per tile: the fine table's, or fewer when every row is direct
-    nt = _FINE if groups else max(1, min(n, _FINE))
     rho = np.append(rho, np.zeros(direct.size))[:, None]
     sv = np.zeros((n, 2 * ni), dtype=complex)
     se = np.zeros((n, ni))
     sa = np.zeros((n, ni))
 
-    def panel_err(d, rho):
-        # d: per-panel Kronrod-minus-Gauss sums of f and C f, for the rows
+    def panel_err(d, rho, axis):
+        # d: per-panel Kronrod-minus-Gauss sums of f and C f, for the rows,
+        # with the panels on axis.  numpy's order of summation follows the
+        # memory layout, so the charged errors are summed C-ordered: a
+        # batched group then adds its panels as a tile of its own did.
         u = np.abs(d[..., :ni] + 1j * rho * d[..., ni:])
-        return np.sum(np.minimum(u, (200.0 * u) ** 1.5), axis=0)
+        return np.sum(np.ascontiguousarray(np.minimum(u, (200.0 * u) ** 1.5)),
+                      axis=axis)
 
     def chunk(lo, hi, per):
         c = C[lo:hi]
@@ -692,35 +720,44 @@ def table_integral(table, W, C, X, derivative=False):
         a15 = np.abs(F[:, :ni])
         F = F.reshape(npan, per, 4 * ni)
 
-        def tile(E, absE, w=None):
-            # for the phases E[j] * w, w a factor per node: the sums of f w15
-            # and C f w15, the panel sums of the same with w15 - w7, and the
-            # sums of |E w f w15|
-            Fw, aw = F, a15
-            if w is not None:
-                Fw, aw = w.reshape(npan, per, 1) * F, np.abs(w) * a15
-            S = np.matmul(E.reshape(-1, npan, per).transpose(1, 0, 2), Fw)
+        def tile(E, absE):
+            # for the phases E: the sums of f w15 and C f w15, the panel
+            # sums of the same with w15 - w7, and the sums of |E f w15|
+            S = np.matmul(E.reshape(-1, npan, per).transpose(1, 0, 2), F)
             return (np.sum(S[..., :2 * ni], axis=0), S[..., 2 * ni:],
-                    np.stack([absE @ b for b in aw.T], axis=1))
+                    np.stack([absE @ b for b in a15.T], axis=1))
 
-        if groups:
+        if batches:
             fine = np.outer(h * np.arange(_FINE), ic)
             np.exp(fine, out=fine)
             afine = np.abs(fine)
-            for s, e, xq, sel in groups:
-                v, d, a = tile(fine, afine, np.exp(ic * xq)[:, None])
-                sv[s:e] += v[sel]
-                se[s:e] += panel_err(d[:, sel], rho[s:e])
-                sa[s:e] += a[sel]
+            fine = fine.reshape(_FINE, npan, per).transpose(1, 0, 2)
+            for s, e, xq, slot in batches:
+                # each group's coarse phases weight F; per group and panel
+                # the product is the one a group of its own would make
+                w = np.outer(xq, ic)
+                np.exp(w, out=w)
+                S = np.matmul(fine, w.reshape(-1, npan, per, 1) * F)
+                # per slot (group, r): the sums, the panel differences and
+                # the floor sums
+                v = np.sum(S[..., :2 * ni], axis=1)
+                d = np.moveaxis(S[..., 2 * ni:], 1, 2)
+                a = np.matmul(afine, np.abs(w)[..., None] * a15)
+                if slot is not None:
+                    v, d, a = v[slot], d[slot], a[slot]
+                sv[s:e] += v.reshape(-1, 2 * ni)
+                se[s:e] += panel_err(d, rho[s:e].reshape(*d.shape[:-2], 1, 1),
+                                     -2).reshape(-1, ni)
+                sa[s:e] += a.reshape(-1, ni)
         for s in range(rows.size - direct.size, rows.size, nt):
             P = np.outer(X[rows[s:s + nt]], ic)
             np.exp(P, out=P)
             v, d, a = tile(P, np.abs(P))
             sv[s:s + nt] += v
-            se[s:s + nt] += panel_err(d, 0.0)
+            se[s:s + nt] += panel_err(d, 0.0, 0)
             sa[s:s + nt] += a
 
-    for lo, hi, per in _chunks(table, nt):
+    for lo, hi, per in chunks:
         chunk(lo, hi, per)
 
     val = np.empty((ni, n), dtype=complex)

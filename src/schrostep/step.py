@@ -50,6 +50,7 @@ table_integral call sums the term at every x of the grid, and one
 free_term call gives the region's free terms.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -321,9 +322,10 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at
     every x in one phased table_integral call: tiles of at most 2^12 complex
     entries, with the phases of a uniform grid (any linspace) built from
-    two small exp tables, accurate to the rounding of a direct exp (see
-    table_integral).  The tail corrections and estimates are evaluated for
-    all x at once as well.
+    two small exp tables, accurate to the rounding of a direct exp, and the
+    grid's 16-point groups summed several per numpy call within the same
+    2^12-entry budget (see table_integral).  The tail corrections and
+    estimates are evaluated for all x at once as well.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.shape, dtype=complex)
@@ -426,7 +428,8 @@ class ContourSettings:
 
     tolerance is the absolute quadrature target per evaluated point and must
     be finite and positive.  radius (default max(1, 1.25 sqrt(2 Lambda)))
-    must be finite and clear the branch scale sqrt(2 Lambda); delta, in
+    must clear the branch scale sqrt(2 Lambda) and have a finite square (the
+    sector paths work with R^2); delta, in
     (0, pi/4), tilts the open legs of the sector contours.
     """
 
@@ -446,18 +449,20 @@ class ContourSettings:
         lam = potential.lam
         self.radius = float(radius) if radius is not None else \
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
-        if not np.sqrt(2.0 * lam) < self.radius < np.inf:
+        R = self.radius
+        if not (np.sqrt(2.0 * lam) < R and R * R < np.inf):
             raise ValueError(
-                "radius {} is not finite or does not clear the branch scale "
-                "sqrt(2*Lambda) = {:.6g}".format(self.radius, np.sqrt(2.0 * lam)))
+                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g} "
+                "or has no finite square".format(R, np.sqrt(2.0 * lam)))
 
     def _initial_samples(self, xs, derivative=False):
         """Samples of the initial data at the points xs: t = 0, error 0."""
-        v = self.ic.evaluate(xs)
-        dv = self.ic.derivative(xs) if derivative else None
-        return [SolutionSample(float(x), 0.0, complex(v[i]), 0.0,
-                               psi_x=complex(dv[i]) if derivative else None)
-                for i, x in enumerate(xs)]
+        xs = np.asarray(xs, dtype=float)
+        v = np.asarray(self.ic.evaluate(xs), dtype=complex).tolist()
+        dv = np.asarray(self.ic.derivative(xs), dtype=complex).tolist() \
+            if derivative else [None] * len(v)
+        return [SolutionSample(x, 0.0, value, 0.0, psi_x=slope)
+                for x, value, slope in zip(xs.tolist(), v, dv)]
 
     def sector(self, quad, t):
         """Truncation builder T -> (path, tail spec) on a sector boundary at time t.
@@ -612,11 +617,13 @@ class ContourSolver(ContourSettings):
                 F = free_term(self.ic, self.potential, int(j), sub, t,
                               derivative=derivative)
                 psi = (F[0] if derivative else F) + out[0]
-                for row, i in enumerate(idx):
-                    samples[i] = SolutionSample(
-                        float(sub[row]), t, complex(psi[row]), float(out[1][row]),
-                        psi_x=complex(F[1][row] + out[2][row]) if derivative else None,
-                        psi_x_error=float(out[3][row]) if derivative else 0.0)
+                slopes = zip((F[1] + out[2]).tolist(), out[3].tolist()) \
+                    if derivative else itertools.repeat((None, 0.0))
+                columns = zip(idx.tolist(), sub.tolist(), psi.tolist(),
+                              out[1].tolist(), slopes)
+                for i, x, value, error, (slope, slope_error) in columns:
+                    samples[i] = SolutionSample(x, t, value, error, psi_x=slope,
+                                                psi_x_error=slope_error)
         finally:
             del self._memo
         return samples

@@ -199,6 +199,7 @@ grid.t = 20, 40
     ("solve", STEP_CFG, "numerics.R = wide", "numerics.R"),
     ("solve", STEP_CFG, "numerics.R = 0.5", "numerics.R"),
     ("solve", STEP_CFG, "numerics.R = inf", "numerics.R"),
+    ("solve", STEP_CFG, "numerics.R = 1e155", "numerics.R"),
     ("solve", STEP_CFG, "numerics.delta = tilted", "numerics.delta"),
     ("solve", STEP_CFG, "numerics.delta = 1.0", "numerics.delta"),
     ("solve", STEP_CFG, "numerics.delta = 0", "numerics.delta"),

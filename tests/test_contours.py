@@ -411,6 +411,10 @@ PHASED_GRIDS = {
     "linspace with x_j - 1e-9": np.array(sorted(
         set(_LINSPACE) | {p for xj in (-1.0, 0.5, 2.0) for p in (xj - 1e-9, xj)})),
     "linspace, tail reversed": np.r_[_LINSPACE[:300], _LINSPACE[300:][::-1]],
+    # rows missing inside groups 5 and 10 and all of group 20 (k = 320..335),
+    # and k = 50 twice
+    "linspace with holes": np.sort(np.r_[
+        np.delete(_LINSPACE, [90, 91, 170, *range(320, 336)]), _LINSPACE[50]]),
     # on the lattice, but far enough off it that the first-order term counts
     "linspace jittered by 1e-12":
         _LINSPACE + 1e-12 * np.random.default_rng(3).standard_normal(401),
@@ -426,6 +430,25 @@ def test_phased_sum_matches_per_point_loop(grid, derivative):
     _assert_phased_matches(table, W, C, PHASED_GRIDS[grid], derivative)
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_batched_lattice_groups_match_one_group_per_batch(monkeypatch, derivative):
+    table, W, C = _step_term_table("d4")
+    # several groups share a batch by default, one each once patched
+    ni = 2 if derivative else 1
+    widest = max(hi - lo for lo, hi, _ in contours._chunks(table, contours._FINE))
+    assert contours._BATCH_TILE // (4 * ni * widest) > 1
+    batched = {grid: table_integral(table, W, C, X, derivative)
+               for grid, X in PHASED_GRIDS.items()}
+    monkeypatch.setattr(contours, "_BATCH_TILE", 1)
+    for grid, X in PHASED_GRIDS.items():
+        single = table_integral(table, W, C, X, derivative)
+        for i, (got, want) in enumerate(zip(batched[grid], single)):
+            if i % 2 == 0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
 def test_phased_sum_lattice_covers_the_linspace_points():
     # the straddle points leave the other points on the lattice
     X = PHASED_GRIDS["linspace with x_j - 1e-9"]
@@ -434,6 +457,8 @@ def test_phased_sum_lattice_covers_the_linspace_points():
     assert abs(h - 0.02) < 1e-15
     assert 40.0 * np.max(np.abs(rho)) <= 1e-8
     assert contours._lattice(PHASED_GRIDS["linspace, tail reversed"], 40.0)[1].all()
+    h, on = contours._lattice(PHASED_GRIDS["linspace with holes"], 40.0)[:2]
+    assert on.all() and abs(h - 0.02) < 1e-15
     assert contours._lattice(PHASED_GRIDS["linspace jittered by 1e-12"], 40.0)[1].all()
     assert contours._lattice(PHASED_GRIDS["under 32 points"], 40.0) is None
     assert contours._lattice(PHASED_GRIDS["unsorted random"], 40.0) is None
