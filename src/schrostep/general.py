@@ -12,20 +12,21 @@ every entry of A_M and of the rescaled right-hand side stays bounded on the
 integration path, and the unknowns come out of A_M directly.  The raw
 assembly is kept for identity checks.
 
-GeneralSolver only supplies the interface combination of each term,
-built from the unknowns at that jump, and the unknowns themselves as its
-interface data (`_interface_data`).  They do not depend on the region, so
-within one evaluate_grid call every term reads them from the call's node
-memo and solve_unknowns runs once per distinct node.  The terms themselves
-(one per neighbouring jump of a region j, x-coefficient -nu_j at the right
-jump x_j or +nu_j at the left jump x_{j-1}, on the fourth-quadrant sector
-boundary), truncation, node tables, the panel budget and the free terms
-come from the shared core in `step` (`ContourSolver`).
+GeneralSolver adds nothing to the shared core in `step` (`ContourSolver`),
+whose default interface data are the unknowns from solve_unknowns and whose
+interface combination of each term is built from the unknowns at its jump.  The
+single jump is the n = 1 case, so StepSolver's d4 form runs the same code;
+WellSolver's numerators are the last closed form.  The unknowns do not
+depend on the region, so within one evaluate_grid call every term reads
+them from the call's node memo and solve_unknowns runs once per distinct
+node.  The terms themselves (one per neighbouring jump of a region j,
+x-coefficient -nu_j at the right jump x_j or +nu_j at the left jump
+x_{j-1}, on the fourth-quadrant sector boundary), truncation, node tables,
+the panel budget and the free terms come from that core as well.
 """
 
 import numpy as np
 
-from .kernels import nu
 from .step import ContourSolver
 from .transforms import hat_transform
 
@@ -122,9 +123,13 @@ def rhs_reduced(potential, ic, kappa):
     which keeps the entries bounded wherever the matrix entries are.
     """
     kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
+    return _rhs(potential, ic, potential.nus(kap))
+
+
+def _rhs(potential, ic, nus):
+    """rhs_reduced from the stack nu_1..nu_{n+1} at the nodes."""
     n = potential.njumps
     xs = potential.interfaces
-    nus = potential.nus(kap)
     # rows ell and n + ell: region ell at nu_ell and region ell + 1 at
     # -nu_(ell+1), both about x_ell
     regions = tuple(range(1, n + 1)) + tuple(range(2, n + 2))
@@ -138,37 +143,20 @@ def rhs_reduced(potential, ic, kappa):
 def solve_unknowns(potential, ic, kappa):
     """Interface unknowns (g0^(1..n), i g1^(1..n)) at each kappa node."""
     kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
-    AM = _bounded_matrix(potential.interfaces, potential.nus(kap))
-    Y = rhs_reduced(potential, ic, kap)
+    nus = potential.nus(kap)
+    AM = _bounded_matrix(potential.interfaces, nus)
+    Y = _rhs(potential, ic, nus)
     return np.linalg.solve(AM, Y[..., None])[..., 0]
 
 
 class GeneralSolver(ContourSolver):
     """Solution of the n-jump problem from the interface system.
 
-    Works for any njumps >= 1; with a single jump it reproduces StepSolver's
-    d4 representation through the 2x2 system instead of the closed form.
+    Works for any njumps >= 1 with ContourSolver's interface-system
+    combination; with a single jump it is StepSolver's d4 representation,
+    which runs the same code.
     """
 
     # bound in the class's own namespace, where the benchmark's tracer
     # (perfbench/tracing.py) looks the method up
     evaluate_grid = ContourSolver.evaluate_grid
-
-    def _interface_data(self, z):
-        """The unknowns X = (g0^(1..n), i g1^(1..n)), one row per node."""
-        return solve_unknowns(self.potential, self.ic, z)
-
-    def _combination(self, z, region, side):
-        """Interface combination from the unknowns of the interface system.
-
-        z (X_{n+j}/nu_j + X_j) at the region's right jump x_j and
-        z (X_{n+j-1}/nu_j - X_{j-1}) at its left jump x_{j-1}, where X_l is
-        g0 and X_{n+l} is i g1 at x_l.
-        """
-        pot = self.potential
-        n, j = pot.njumps, region
-        X = self._node_data(z, region, side)
-        nj = nu(pot.level(j), z)
-        if side == "right":
-            return z * (X[:, n + j - 1] / nj + X[:, j - 1])
-        return z * (X[:, n + j - 2] / nj - X[:, j - 2])

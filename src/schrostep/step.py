@@ -36,14 +36,16 @@ from one profile to another.  `ContourSettings` validates the settings
 (tolerance, the radius guard, the tilt delta) and builds the sector
 contours; `ContourSolver` declares the fourth-quadrant terms of every
 region and adds the truncation search at the region bounds, the panel
-budget and `evaluate_grid`.  Its subclasses (`StepSolver` here,
-`GeneralSolver`, `WellSolver`) supply only the interface combination those
-terms carry (`_combination`), built from region-independent interface data
-at each node that one hook gives (`_interface_data`: the d4 step's h1 and
-h2, the well's four transforms, the general solver's unknowns); within one
-evaluate_grid call every term reads that data from a memo, computed once
-per distinct node.  `StepSolver` also overrides `_declare` for its
-quadrant and realline forms, which share no nodes between regions.
+budget and `evaluate_grid`.  The interface combination those terms carry
+(`_combination`) is built from region-independent interface data at each
+node (`_interface_data`): by default the unknowns of the interface system
+(`general.solve_unknowns`), which serves `GeneralSolver` and the d4 form of
+`StepSolver` alike, since a single jump is its n = 1 case.  `WellSolver`,
+the last closed form, overrides both hooks with its four transforms and
+numerators.  Within one evaluate_grid call every term reads the interface
+data from a memo, computed once per distinct node.  `StepSolver` also
+overrides `_declare` for its quadrant and realline forms, which share no
+nodes between regions.
 A whole grid of x values reuses one node table per term, whose W and c
 columns are evaluated once per node while it is refined; one phased
 table_integral call sums the term at every x of the grid, and one
@@ -513,10 +515,11 @@ class ContourSolver(ContourSettings):
     term per neighbouring jump on the fourth-quadrant sector boundary, with
     T0 = 2R: at its right jump x_j with c = -nu_j and weight
     -exp(i kappa^2 t) B / (2 pi), at its left jump x_{j-1} with c = +nu_j
-    and weight +exp(i kappa^2 t) B / (2 pi).  A subclass supplies only the
-    interface combination B, as _combination(z, region, side) with side
-    'right' or 'left', from the region-independent interface data that its
-    hook _interface_data(z) gives as one row per node.  The reported error
+    and weight +exp(i kappa^2 t) B / (2 pi).  The interface combination B
+    is _combination(z, region, side), with side 'right' or 'left', built
+    from the region-independent interface data that _interface_data(z)
+    gives as one row per node: here the unknowns of the interface system,
+    which a closed form (WellSolver) may replace.  The reported error
     estimate adds truncation residuals to the quadrature error, so it stays
     honest when the tolerance is out of reach.
 
@@ -553,6 +556,27 @@ class ContourSolver(ContourSettings):
             return sgn * np.exp(1j * z * z * t) * self._combination(z, region, side) \
                 / _TWO_PI
         return W
+
+    def _interface_data(self, z):
+        """The unknowns X = (g0^(1..n), i g1^(1..n)), one row per node."""
+        # imported here: general imports this module
+        from .general import solve_unknowns
+        return solve_unknowns(self.potential, self.ic, z)
+
+    def _combination(self, z, region, side):
+        """Interface combination from the unknowns of the interface system.
+
+        z (X_{n+j}/nu_j + X_j) at the region's right jump x_j and
+        z (X_{n+j-1}/nu_j - X_{j-1}) at its left jump x_{j-1}, where X_l is
+        g0 and X_{n+l} is i g1 at x_l.
+        """
+        pot = self.potential
+        n, j = pot.njumps, region
+        X = self._node_data(z, region, side)
+        nj = nu(pot.level(j), z)
+        if side == "right":
+            return z * (X[:, n + j - 1] / nj + X[:, j - 1])
+        return z * (X[:, n + j - 2] / nj - X[:, j - 2])
 
     def _node_data(self, z, region, side):
         """Rows of _interface_data(z), asked for by the term (region, side)."""
@@ -634,8 +658,9 @@ class StepSolver(ContourSolver):
 
     representation picks the contour form: 'd4', 'quadrant' or 'realline';
     each region carries one term with offset 0.  The d4 form takes the
-    shared fourth-quadrant terms with the 2x2 interface system solved in
-    closed form; quadrant and realline declare their own.
+    shared fourth-quadrant terms with the unknowns of the 2x2 interface
+    system, the same code as GeneralSolver; quadrant and realline declare
+    their own.
     """
 
     def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
@@ -657,22 +682,6 @@ class StepSolver(ContourSolver):
     evaluate_grid = ContourSolver.evaluate_grid
 
     # -- weights ---------------------------------------------------------
-
-    def _interface_data(self, z):
-        """The transforms h1 = hat_1(nu_1) and h2 = hat_2(-nu_2), one row per node."""
-        a1, a2 = self.potential.levels
-        return hat_transform(self.ic, self.potential, (1, 2),
-                             np.stack((nu(a1, z), -nu(a2, z)))).T
-
-    def _combination(self, z, region, side):
-        """The d4 interface combination from the 2x2 system in closed form."""
-        a1, a2 = self.potential.levels
-        n1 = nu(a1, z)
-        n2 = nu(a2, z)
-        h1, h2 = self._node_data(z, region, side).T
-        if region == 1:
-            return z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2)
-        return z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)
 
     def _w_d4(self, region, t):
         # the d4 weight under the name perfbench/tests binds

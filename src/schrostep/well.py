@@ -13,9 +13,9 @@ stationary problem; a vanishes at xi = i beta exactly where that
 trigonometric factor vanishes at kappa = beta, and `bound_states`
 enumerates those beta.
 
-WellSolver evaluates the time evolution from the closed forms with every
-term on the fourth-quadrant sector boundary in kappa (the 'd4' form of
-StepSolver).  It only supplies the interface combination of each term:
+WellSolver, the last closed form (the d4 step runs on the interface system),
+evaluates the time evolution with every term on the fourth-quadrant sector
+boundary in kappa (the 'd4' form of StepSolver).  It only supplies the interface combination of each term:
 B1 and B3 in the outer regions, (kappa / nu) A and B in the middle one,
 and the four half-line transforms they are built from as its interface
 data (`_interface_data`), which the terms of one evaluate_grid call read

@@ -67,14 +67,16 @@ def test_unknowns_satisfy_raw_system():
 
 
 def test_single_jump_matches_step_solver():
-    pot = PiecewisePotential([1.0, 2.0], [0.0])
+    # the d4 step runs on the interface system: the same code, the same bits
     ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
-    g = GeneralSolver(pot, ic)
-    s = StepSolver(pot, ic)
-    for x in (-1.5, 0.0, 1.2):
-        a = g.evaluate(x, 0.5)
-        b = s.evaluate(x, 0.5)
-        assert abs(a.value - b.value) < 1e-10
+    xs = np.linspace(-2.0, 2.0, 9)
+    for levels in ([1.0, 2.0], [2.0, 1.0]):
+        pot = PiecewisePotential(levels, [0.0])
+        got = [GeneralSolver(pot, ic), StepSolver(pot, ic, representation="d4")]
+        a, b = (np.array([(s.value, s.error, s.psi_x, s.psi_x_error)
+                          for s in solver.evaluate_grid(xs, 0.5, derivative=True)])
+                for solver in got)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_three_jump_interface_continuity():
@@ -138,10 +140,6 @@ def test_unknowns_far_out_on_the_path_do_not_overflow():
 
 # one closed-form solver per case; region -> sides of its fourth-quadrant terms
 CLOSED_FORMS = {
-    "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepSolver,
-                {1: ("right",), 2: ("left",)}),
-    "step down": (PiecewisePotential([2.0, 1.0], [0.0]), StepSolver,
-                  {1: ("right",), 2: ("left",)}),
     "well": (PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]), WellSolver,
              {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
     "barrier": (PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), WellSolver,
