@@ -9,6 +9,7 @@ from schrostep import (
     PiecewisePotential,
     StepSolver,
     WellSolver,
+    hat_transform,
     interface_system,
     nu,
     reduced_system,
@@ -138,8 +139,34 @@ def test_unknowns_far_out_on_the_path_do_not_overflow():
     assert got.error <= 1e-11 and got.psi_x_error <= 1e-9
 
 
-# one closed-form solver per case; region -> sides of its fourth-quadrant terms
+class StepClosedForm:
+    """The single jump's 2x2 interface system solved in closed form.
+
+    With h1 = hat_1(nu_1) and h2 = hat_2(-nu_2), region 1 carries
+    z (2 h2 + (nu_1 - nu_2)/nu_1 h1) / (nu_1 + nu_2) and region 2 carries
+    z ((nu_1 - nu_2)/nu_2 h2 - 2 h1) / (nu_1 + nu_2).  The solvers take the
+    step through the interface system; this form stays as its reference.
+    """
+
+    def __init__(self, potential, ic):
+        self.potential, self.ic = potential, ic
+
+    def _combination(self, z, region, side):
+        a1, a2 = self.potential.levels
+        n1 = nu(a1, z)
+        n2 = nu(a2, z)
+        h1, h2 = hat_transform(self.ic, self.potential, (1, 2), np.stack((n1, -n2)))
+        if region == 1:
+            return z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2)
+        return z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)
+
+
+# one closed form per case; region -> sides of its fourth-quadrant terms
 CLOSED_FORMS = {
+    "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepClosedForm,
+                {1: ("right",), 2: ("left",)}),
+    "step down": (PiecewisePotential([2.0, 1.0], [0.0]), StepClosedForm,
+                  {1: ("right",), 2: ("left",)}),
     "well": (PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]), WellSolver,
              {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
     "barrier": (PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), WellSolver,
