@@ -9,8 +9,13 @@ evaluated at k = +nu_l (regions 1..n) and k = -nu_{l+1} (regions 2..n+1).
 The raw matrix carries exponentials that overflow as |kappa| grows, so the
 numerics use the factorization A = A_L A_M with A_L diagonal (det A_L = 1):
 every entry of A_M and of the rescaled right-hand side stays bounded on the
-integration path, and the unknowns come out of A_M directly.  The raw
-assembly is kept for identity checks.
+integration path, and the unknowns come out of A_M directly.  The relation
+of region l involves only the jumps that bound it, so A_M is block
+tridiagonal in the 2x2 blocks of the pairs (g0, i g1) at each jump, and
+solve_unknowns solves it by one forward elimination and back substitution
+over the jumps, in closed-form 2x2 arithmetic on the node batch.  The raw
+and the dense bounded assembly (interface_system, reduced_system,
+rhs_reduced) are kept as the references the tests solve densely.
 
 GeneralSolver adds nothing to the shared core in `step` (`ContourSolver`),
 whose default interface data are the unknowns from solve_unknowns and whose
@@ -123,30 +128,76 @@ def rhs_reduced(potential, ic, kappa):
     which keeps the entries bounded wherever the matrix entries are.
     """
     kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
-    return _rhs(potential, ic, potential.nus(kap))
-
-
-def _rhs(potential, ic, nus):
-    """rhs_reduced from the stack nu_1..nu_{n+1} at the nodes."""
+    nus = potential.nus(kap)
     n = potential.njumps
-    xs = potential.interfaces
-    # rows ell and n + ell: region ell at nu_ell and region ell + 1 at
-    # -nu_(ell+1), both about x_ell
-    regions = tuple(range(1, n + 1)) + tuple(range(2, n + 2))
-    origins = np.concatenate((xs, xs))
-    H = hat_transform(ic, potential, regions,
-                      np.concatenate((nus[:n], -nus[1:])), origins)
-    shift = np.exp(1j * (nus[1:] - nus[:n]) * np.asarray(xs, dtype=float)[:, None])
+    H = _hats(potential, ic, nus)
+    shift = np.exp(1j * (nus[1:] - nus[:n])
+                   * np.asarray(potential.interfaces, dtype=float)[:, None])
     return -np.concatenate((H[:n], shift * H[n:])).T
 
 
+def _hats(potential, ic, nus):
+    """Transforms of the right-hand side from the stack nu_1..nu_{n+1}.
+
+    Rows ell and n + ell: region ell at nu_ell and region ell + 1 at
+    -nu_(ell+1), both about x_ell.
+    """
+    n = potential.njumps
+    xs = potential.interfaces
+    regions = tuple(range(1, n + 1)) + tuple(range(2, n + 2))
+    origins = np.concatenate((xs, xs))
+    return hat_transform(ic, potential, regions,
+                         np.concatenate((nus[:n], -nus[1:])), origins)
+
+
 def solve_unknowns(potential, ic, kappa):
-    """Interface unknowns (g0^(1..n), i g1^(1..n)) at each kappa node."""
+    """Interface unknowns (g0^(1..n), i g1^(1..n)) at each kappa node.
+
+    The system of reduced_system, with row n + ell divided by the factor
+    exp(i (nu_(ell+1) - nu_ell) x_ell) that rhs_reduced puts on it, is
+    block tridiagonal in the pairs u_ell = (g0, i g1) at x_ell: jump ell's
+    block is [[-nu_ell, 1], [-nu_(ell+1), -1]] (determinant
+    nu_ell + nu_(ell+1)); its first row meets u_(ell-1) through
+    gap_ell (nu_ell, -1) and its second row meets u_(ell+1) through
+    gap_(ell+1) (nu_(ell+1), 1), with gap_ell = exp(i nu_ell (x_ell - x_(ell-1)))
+    bounded on the path.  One forward elimination and one back substitution
+    over the jumps, in 2x2 arithmetic on whole node arrays, solve it; every
+    operation is elementwise, so a node gets the same bits in any batch.
+    """
     kap = np.atleast_1d(np.asarray(kappa, dtype=complex))
+    n = potential.njumps
+    xs = potential.interfaces
     nus = potential.nus(kap)
-    AM = _bounded_matrix(potential.interfaces, nus)
-    Y = _rhs(potential, ic, nus)
-    return np.linalg.solve(AM, Y[..., None])[..., 0]
+    H = _hats(potential, ic, nus)
+    # forward, over the jumps j = 0..n-1 (x_(j+1) above): with (a, b) the
+    # pair (g0, i g1), u_j = y_j - gap_(j+1) (nu_(j+1) a_(j+1) + b_(j+1)) z_j,
+    # z_j the eliminated block's inverse times e2
+    ys, zs, gaps = [], [], [None]
+    for j in range(n):
+        nl, nr = nus[j], nus[j + 1]
+        f, g = -H[j], -H[n + j]
+        if j == 0:
+            p, q = -nl, 1.0
+        else:
+            gap = np.exp(1j * nl * (xs[j] - xs[j - 1]))
+            gaps.append(gap)
+            (y0, y1), (z0, z1) = ys[-1], zs[-1]
+            s = gap * gap * (nl * z0 - z1)
+            p, q = -nl * (1.0 + s), 1.0 - s
+            f = f - gap * (nl * y0 - y1)
+        det = q * nr - p
+        ys.append(((-f - q * g) / det, (nr * f + p * g) / det))
+        zs.append((-q / det, p / det))
+    # back: the last pair is y, each earlier one follows from the next
+    X = np.empty((kap.size, 2 * n), dtype=complex)
+    a, b = ys[-1]
+    for j in range(n - 1, -1, -1):
+        if j < n - 1:
+            c = gaps[j + 1] * (nus[j + 1] * a + b)
+            (y0, y1), (z0, z1) = ys[j], zs[j]
+            a, b = y0 - c * z0, y1 - c * z1
+        X[:, j], X[:, n + j] = a, b
+    return X
 
 
 class GeneralSolver(ContourSolver):

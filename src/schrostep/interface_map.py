@@ -20,8 +20,10 @@ table is refined and kept as the table's columns, which hold all 2n of
 them; each column is summed at every time in one phased table_integral
 call, with W = pref kappa X, C = kappa^2 and the times in the place of x.
 The tail samples lie at points fixed by the path alone, so within one call
-the unknowns at each distinct set of them are solved once, whatever the
-column and the time.
+the unknowns at each tail node are solved once and kept by the node's bits,
+whatever the column, the time or the block of truncation rungs it was first
+sampled in.  The probe integrands take exp(i kappa^2 tp) once per probe
+time for every column.
 """
 
 import numpy as np
@@ -29,8 +31,8 @@ import numpy as np
 from .contours import build_node_table, table_integral
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import (ContourSettings, _TailModel, build_with_retry,
-                   choose_truncation, panel_budget)
+from .step import (ContourSettings, _sample_tails, _tail_nodes, _TailModel,
+                   build_with_retry, choose_truncation, panel_budget)
 
 __all__ = ["InterfaceMap"]
 
@@ -80,15 +82,23 @@ class InterfaceMap(ContourSettings):
         tol = self.tolerance
         builder = self.sector(4, tmax)
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
+        # the unknowns at each tail sample, keyed by the node's bits: the
+        # truncation searches sample their rungs in blocks, the final tails
+        # one truncation at a time, and each node is solved once
         solved = {}
+
+        def unknowns_at(z):
+            keys = [zi.tobytes() for zi in z]
+            new = list(dict.fromkeys(k for k in keys if k not in solved))
+            if new:
+                zn = np.frombuffer(b"".join(new), dtype=complex)
+                solved.update(zip(new, solve_unknowns(self.potential, self.ic, zn)))
+            return np.array([solved[k] for k in keys])
 
         def weight(col, pref, t):
             def W(z, tag):
                 z = np.atleast_1d(np.asarray(z, dtype=complex))
-                key = z.tobytes()
-                if key not in solved:
-                    solved[key] = solve_unknowns(self.potential, self.ic, z)
-                return pref * z * np.exp(1j * z * z * t) * solved[key][:, col]
+                return pref * z * np.exp(1j * z * z * t) * unknowns_at(z)[:, col]
             return W
 
         cols = {ell: [(ell - 1, -1.0 / np.pi)] + ([(n + ell - 1, 1j / np.pi)]
@@ -112,8 +122,9 @@ class InterfaceMap(ContourSettings):
         tprobe = tmin * (tmax / tmin) ** (np.arange(steps + 1) / max(steps, 1))
 
         def probes(z, X):
-            return [pref * z * np.exp(1j * z * z * tp) * X[col]
-                    for ell in ells for col, pref in cols[ell] for tp in tprobe]
+            es = [np.exp(1j * z * z * tp) for tp in tprobe]
+            return [pref * z * e * X[col]
+                    for ell in ells for col, pref in cols[ell] for e in es]
 
         table = build_with_retry(
             lambda tol: build_node_table(path, unknowns, tol, max_panels=budget,
@@ -125,6 +136,7 @@ class InterfaceMap(ContourSettings):
         sums = {col: table_integral(table, pref * table.z * X[col], C, times)
                 for ell in ells for col, pref in cols[ell]}
         _, spec = builder(T)
+        nodes = _tail_nodes(path, spec)
         out = {}
         for ell in ells:
             x_ell = self.potential.interfaces[ell - 1]
@@ -132,8 +144,8 @@ class InterfaceMap(ContourSettings):
                 vals = []
                 for col, pref in cols[ell]:
                     v, e = sums[col]
-                    tails = _TailModel(path, spec, weight(col, pref, t), zero, t,
-                                       0.0, span=T)
+                    samples = _sample_tails(nodes, weight(col, pref, t), zero)
+                    tails = _TailModel(path, spec, samples, t, 0.0, span=T)
                     corr, te = tails.at(0.0)
                     vals.append((complex(v[row] + corr), float(e[row] + te)))
                 dv, de = vals[1] if derivative else (None, 0.0)

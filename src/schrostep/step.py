@@ -133,14 +133,16 @@ def _pair_tail(f_outer, f_inner, dist, span):
     return f_outer * min(ell, span)
 
 
-def _leg_tail(leg, weight, xcoef, outer_at_start, span):
-    """Tails of |W| and |W c| past the outer end of a leg, from one sample."""
-    s = np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9])
-    z = leg.point(s)
+def _leg_nodes(leg, outer_at_start):
+    """The two samples of a decaying leg near its outer end."""
+    return leg.point(np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9]))
+
+
+def _leg_tail(z, w, c, span):
+    """Tails of |W| and |W c| past the outer end of a leg, from its two samples."""
     d = abs(z[1] - z[0])
-    w = weight(z, leg.tag)
     f = np.abs(w)
-    fd = np.abs(w * np.abs(xcoef(z, leg.tag)))
+    fd = np.abs(w * np.abs(c))
     return (_pair_tail(float(f[0]), float(f[1]), d, span),
             _pair_tail(float(fd[0]), float(fd[1]), d, span))
 
@@ -156,22 +158,26 @@ class _OscTail:
     dropped and a sampled-decay bound on |A| is returned instead.
 
     The derivatives of A and c come from one-sided differences with step
-    0.05.  Steps of 0.02 K (up to 1) left the correction off by far more
-    than its estimate where A oscillates on its own: a 21-point tabulated
-    Gaussian (d4, K = 52: 3.4e-9 off against an estimate of 2.0e-9) and the
-    unknowns at an interface x = 2.5 (InterfaceMap, K = 45: 2.0e-9 against
-    1.2e-10).
+    h = 0.05 over the samples w and c of the weight and the x-coefficient
+    at nodes(direction, K).  Steps of 0.02 K (up to 1) left the correction
+    off by far more than its estimate where A oscillates on its own: a
+    21-point tabulated Gaussian (d4, K = 52: 3.4e-9 off against an estimate
+    of 2.0e-9) and the unknowns at an interface x = 2.5 (InterfaceMap,
+    K = 45: 2.0e-9 against 1.2e-10).
     """
 
-    def __init__(self, weight, xcoef, direction, jacobian, K, t, sign,
-                 x_offset, tag):
-        h = 0.05
-        u = K - h * np.arange(4.0)
-        z = direction * u
+    h = 0.05
+
+    @classmethod
+    def nodes(cls, direction, K):
+        """The ray's samples direction * (K - j h), j = 0..3."""
+        return direction * (K - cls.h * np.arange(4.0))
+
+    def __init__(self, w, c, jacobian, K, t, sign, x_offset):
+        u = K - self.h * np.arange(4.0)
         qa = np.exp(1j * t * u * u)
-        self.A = np.asarray(weight(z, tag), dtype=complex) * jacobian * qa
-        self.c = np.asarray(xcoef(z, tag), dtype=complex).real
-        self.h = h
+        self.A = np.asarray(w, dtype=complex) * jacobian * qa
+        self.c = np.asarray(c, dtype=complex).real
         self.K = K
         self.t = t
         self.sign = sign
@@ -217,23 +223,53 @@ class _OscTail:
         return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
 
 
-class _TailModel:
-    """All truncation tails of one integral term."""
+def _tail_nodes(path, spec):
+    """(tag, z) of every weight sample the tails of one truncation need.
 
-    def __init__(self, path, spec, weight, xcoef, t, x_offset, span):
+    In spec order: two samples near the outer end of each "generic" leg,
+    then four on each ray of each "osc" entry (see choose_truncation).
+    """
+    out = [(path.legs[i].tag, _leg_nodes(path.legs[i], outer_at_start))
+           for i, outer_at_start in spec.get("generic", ())]
+    for i, rays, K in spec.get("osc", ()):
+        out += [(path.legs[i].tag, _OscTail.nodes(d, K)) for d, _ in rays]
+    return out
+
+
+def _sample_tails(nodes, weight, xcoef):
+    """(z, W, c) at each (tag, z) of nodes, one weight and one xcoef call per tag."""
+    out = [None] * len(nodes)
+    for tag in dict.fromkeys(tag for tag, _ in nodes):
+        idx = [i for i, (g, _) in enumerate(nodes) if g == tag]
+        zs = [nodes[i][1] for i in idx]
+        z = np.concatenate(zs)
+        cuts = np.cumsum([zi.size for zi in zs])[:-1]
+        w = np.split(np.asarray(weight(z, tag), dtype=complex), cuts)
+        c = np.split(np.asarray(xcoef(z, tag), dtype=complex), cuts)
+        for i, zi, wi, ci in zip(idx, zs, w, c):
+            out[i] = (zi, wi, ci)
+    return out
+
+
+class _TailModel:
+    """All truncation tails of one integral term.
+
+    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef).
+    """
+
+    def __init__(self, path, spec, samples, t, x_offset, span):
         self.generic = 0.0
         self.generic_deriv = 0.0
         self.oscs = []
-        for leg_idx, outer_at_start in spec.get("generic", ()):
-            g, gd = _leg_tail(path.legs[leg_idx], weight, xcoef,
-                              outer_at_start, span)
+        samples = iter(samples)
+        for _ in spec.get("generic", ()):
+            g, gd = _leg_tail(*next(samples), span)
             self.generic += g
             self.generic_deriv += gd
-        for leg_idx, rays, K in spec.get("osc", ()):
-            for d, jac in rays:
-                self.oscs.append(_OscTail(weight, xcoef, d, jac, K, t,
-                                          path.sign, x_offset,
-                                          path.legs[leg_idx].tag))
+        for _, rays, K in spec.get("osc", ()):
+            for _, jac in rays:
+                _, w, c = next(samples)
+                self.oscs.append(_OscTail(w, c, jac, K, t, path.sign, x_offset))
 
     def worst(self, xs, derivative=False):
         """Largest tail error estimate over the probe points (for acceptance)."""
@@ -263,6 +299,10 @@ class IntegralTerm:
         self.tails = tails
 
 
+# rungs of the truncation ladder whose tails are sampled in one weight call
+_RUNGS_PER_CALL = 4
+
+
 def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
                       T0, derivative=False, max_T=4000.0):
     """Grow the truncation until every tail estimate clears the tolerance.
@@ -273,21 +313,34 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     for on-axis rays handled by the integration-by-parts tail.  A line leg's
     jacobian is its direction; a principal-value leg's two rays both carry
     jacobian +1 because substituting k = -u flips the limits as well.
+
+    The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
+    max_T.  The rungs are tested in order and the first whose tails clear
+    0.05 tolerance at x_probe (with derivative, the slope tails too) is
+    returned, or else the last.  Their tail samples are taken four rungs at
+    a time, in one weight and one xcoef call per leg tag: a call on a few
+    nodes costs numpy's dispatch as much as one on a hundred, and a search
+    tries about four rungs.  The tails of rungs past the one returned are
+    dropped.
     """
     target = 0.05 * tolerance
-    T = T0
-    best = None
-    for _ in range(22):
-        path, spec = builder(T)
-        tails = _TailModel(path, spec, weight, xcoef, t, x_offset, span=T)
-        w = tails.worst(x_probe, derivative=False)
-        if derivative:
-            w = max(w, tails.worst(x_probe, derivative=True))
-        best = (path, tails)
-        if w <= target or T >= max_T:
-            return best
-        T = min(1.6 * T, max_T)
-    return best
+    rungs = [T0]
+    while len(rungs) < 22 and rungs[-1] < max_T:
+        rungs.append(min(1.6 * rungs[-1], max_T))
+    for start in range(0, len(rungs), _RUNGS_PER_CALL):
+        block = [(T, *builder(T)) for T in rungs[start:start + _RUNGS_PER_CALL]]
+        nodes = [_tail_nodes(path, spec) for _, path, spec in block]
+        samples = iter(_sample_tails([nd for each in nodes for nd in each],
+                                    weight, xcoef))
+        for (T, path, spec), each in zip(block, nodes):
+            tails = _TailModel(path, spec, [next(samples) for _ in each], t,
+                               x_offset, span=T)
+            w = tails.worst(x_probe, derivative=False)
+            if derivative:
+                w = max(w, tails.worst(x_probe, derivative=True))
+            if w <= target:
+                return path, tails
+    return path, tails
 
 
 def panel_budget(t, xspan, T):

@@ -16,6 +16,7 @@ from schrostep import (
     solve_unknowns,
     trig_denominator,
 )
+from schrostep.general import rhs_reduced
 
 
 def q4_nodes(count, rmin, rmax, seed=11):
@@ -65,6 +66,43 @@ def test_unknowns_satisfy_raw_system():
     from schrostep.general import rhs_reduced
     rhs = rhs_reduced(pot, ic, kap)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# profiles for the block sweep of solve_unknowns, n = 1, 2, 3 and 6
+SWEEP_PROFILES = {
+    "one jump": PiecewisePotential([1.0, 2.0], [0.0]),
+    "well": PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]),
+    "three jumps": PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5]),
+    "six jumps": PiecewisePotential([0.0, 2.0, -1.0, 3.0, 0.5, -2.0, 1.0],
+                                    [0.0, 0.4, 1.1, 2.0, 3.5, 4.2]),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0])
+@pytest.mark.parametrize("case", list(SWEEP_PROFILES))
+def test_sweep_matches_the_dense_solve(case, t):
+    # the dense bounded system solved by LAPACK is the reference, node by node
+    pot = SWEEP_PROFILES[case]
+    ic = InitialCondition.gaussian(center=-0.8, width=0.9, momentum=0.6)
+    gen = GeneralSolver(pot, ic)
+    path, _ = gen.sector(4, t)(4.0 * gen.radius)
+    labels = {leg.label for leg in path.legs}
+    assert labels == {"rotated real leg", "arc", "corner leg", "imaginary leg"}
+    z = np.concatenate([leg.point(np.linspace(0.0, 1.0, 9)) for leg in path.legs])
+    _, AM = reduced_system(pot, z)
+    want = np.linalg.solve(AM, rhs_reduced(pot, ic, z)[..., None])[..., 0]
+    got = solve_unknowns(pot, ic, z)
+    dev = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert dev.max() <= 1e-12
+
+
+def test_sweep_gives_each_node_the_same_bits_in_any_batch():
+    pot = SWEEP_PROFILES["three jumps"]
+    ic = InitialCondition.gaussian(center=-0.8, width=0.9, momentum=0.6)
+    z = q4_nodes(37, 0.5, 40.0, seed=4)
+    whole = solve_unknowns(pot, ic, z)
+    for i in (0, 17, 36):
+        assert solve_unknowns(pot, ic, z[i:i + 1]).tobytes() == whole[i].tobytes()
 
 
 def test_single_jump_matches_step_solver():

@@ -10,7 +10,8 @@ from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewiseP
 from schrostep import step as step_module
 from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
-from schrostep.step import _OscTail, _pair_tail, eval_terms
+from schrostep.step import (_OscTail, _pair_tail, _tail_nodes, _TailModel,
+                            choose_truncation, eval_terms)
 
 FREE = PiecewisePotential([0.0, 0.0], [0.0])
 UP = PiecewisePotential([1.0, 2.0], [0.0])
@@ -275,7 +276,8 @@ def _osc(growth, scale=1.0):
         # slowly varying amplitude times the stripped quadratic phase
         return scale * np.exp(-1j * t * z * z + growth * z) / z
 
-    return _OscTail(weight, lambda z, tag: z, 1.0, 1.0, K, t, -1, 0.25, "")
+    z = _OscTail.nodes(1.0, K)
+    return _OscTail(weight(z, ""), z, 1.0, K, t, -1, 0.25)
 
 
 def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
@@ -328,3 +330,80 @@ def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
     for a, b in zip(got, (sums[0] + corr, sums[1] + tail, sums[2] + dcorr,
                           sums[3] + dtail)):
         np.testing.assert_array_equal(a, b)
+
+
+# -- the truncation ladder, sampled four rungs per weight call -------------
+
+
+def _truncation_rung_by_rung(builder, weight, xcoef, t, x_offset, x_probe,
+                             tolerance, T0, derivative=False, max_T=4000.0):
+    """choose_truncation as one rung at a time, one weight call per leg.
+
+    Returns (path, tails, rungs tried).
+    """
+    target = 0.05 * tolerance
+    T = T0
+    for rung in range(1, 23):
+        path, spec = builder(T)
+        samples = [(z, weight(z, tag), xcoef(z, tag))
+                   for tag, z in _tail_nodes(path, spec)]
+        tails = _TailModel(path, spec, samples, t, x_offset, span=T)
+        w = tails.worst(x_probe, derivative=False)
+        if derivative:
+            w = max(w, tails.worst(x_probe, derivative=True))
+        if w <= target or T >= max_T:
+            break
+        T = min(1.6 * T, max_T)
+    return path, tails, rung
+
+
+def _searches():
+    ic = gaussian_ic()
+    down = PiecewisePotential([2.0, 1.0], [0.0])
+    for rep, pot in (("d4", UP), ("d4", down), ("quadrant", UP),
+                     ("realline", UP)):
+        solver = StepSolver(pot, ic, representation=rep)
+        for region in (1, 2):
+            for W, xc, x0, builder, T0 in solver._declare(region, 0.5):
+                probes = (-4.0, 0.0) if region == 1 else (0.0, 4.0)
+                yield (rep, builder, W, xc, 0.5, x0, probes, 1e-8, T0)
+
+
+LADDER_CASES = (
+    [pytest.param(args, {}, id="{}-{}".format(args[0], i))
+     for i, args in enumerate(_searches())]
+    + [pytest.param(next(_searches()), {"derivative": True}, id="d4-derivative"),
+       pytest.param(next(_searches()), {"tolerance": 1e-14}, id="d4-tol1e-14"),
+       pytest.param(next(_searches()), {"tolerance": 1e-300, "max_T": 40.0},
+                    id="d4-stops-at-max_T")])
+
+
+@pytest.mark.parametrize("search, change", LADDER_CASES)
+def test_ladder_matches_the_rung_by_rung_search(search, change):
+    rep, builder, W, xc, t, x0, probes, tol, T0 = search
+    kw = {"tolerance": tol, "derivative": False, "max_T": 4000.0, **change}
+    calls = []
+
+    def weight(z, tag):
+        calls.append(tag)
+        return W(z, tag)
+
+    path, tails = choose_truncation(builder, weight, xc, t, x0, probes,
+                                    kw["tolerance"], T0, derivative=kw["derivative"],
+                                    max_T=kw["max_T"])
+    ref_path, ref_tails, rungs = _truncation_rung_by_rung(
+        builder, W, xc, t, x0, probes, kw["tolerance"], T0,
+        derivative=kw["derivative"], max_T=kw["max_T"])
+    assert [leg.end() for leg in path.legs] == [leg.end() for leg in ref_path.legs]
+    if "max_T" in change:
+        assert max(abs(leg.end()) for leg in path.legs) == pytest.approx(40.0)
+    xs = np.linspace(-6.0, 6.0, 25)
+    for derivative in (False, True):
+        got = tails.at(xs, derivative)
+        want = ref_tails.at(xs, derivative)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    assert (tails.generic, tails.generic_deriv) == (ref_tails.generic,
+                                                    ref_tails.generic_deriv)
+    for tag in set(calls):
+        assert calls.count(tag) <= -(-rungs // 4)

@@ -18,8 +18,18 @@ last bit:
 
     diff <(cd A && python tools/sample_digest.py 301) \\
          <(cd B && python tools/sample_digest.py 301)
+
+--save PATH writes the digested columns of every line to an .npz file
+(a CLI output read back from its %.17g text, which restores every bit).
+--against PATH compares with such a file and, under each line whose
+columns differ from it, prints max |dpsi| and max |dpsi| / error (and the
+same for psi_x when the line has the slope):
+
+    (cd A && python tools/sample_digest.py 301 --save /tmp/a.npz)
+    (cd B && python tools/sample_digest.py 301 --against /tmp/a.npz)
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -36,57 +46,109 @@ from workloads import (TOLERANCE, WORKLOADS, config_text, ic_of,  # noqa: E402
                        make_requests, potential_of, solver_of)
 
 
-def _sample_bytes(samples, derivative):
-    cols = [np.array([s.x for s in samples], dtype=float),
-            np.array([s.t for s in samples], dtype=float),
-            np.array([s.value for s in samples], dtype=complex),
-            np.array([s.error for s in samples], dtype=float)]
+def _sample_columns(samples, derivative):
+    cols = {"x": np.array([s.x for s in samples], dtype=float),
+            "t": np.array([s.t for s in samples], dtype=float),
+            "value": np.array([s.value for s in samples], dtype=complex),
+            "error": np.array([s.error for s in samples], dtype=float)}
     if derivative:
-        cols += [np.array([s.psi_x for s in samples], dtype=complex),
-                 np.array([s.psi_x_error for s in samples], dtype=float)]
-    return b"".join(c.tobytes() for c in cols)
+        cols["psi_x"] = np.array([s.psi_x for s in samples], dtype=complex)
+        cols["psi_x_error"] = np.array([s.psi_x_error for s in samples], dtype=float)
+    return cols
+
+
+def _digest(cols):
+    return hashlib.sha256(b"".join(c.tobytes() for c in cols.values())).hexdigest()
+
+
+def _file_columns(path):
+    """The columns of a CLI output file, under the names of _sample_columns."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split("\t")
+    data = np.loadtxt(path, skiprows=1, ndmin=2)
+    col = dict(zip(header, data.T))
+    cols = {"x": col["x"], "t": col["t"],
+            "value": col["re_psi"] + 1j * col["im_psi"]}
+    if "err_estimate" in col:
+        cols["error"] = col["err_estimate"]
+    if "re_psi_x" in col:
+        cols["psi_x"] = col["re_psi_x"] + 1j * col["im_psi_x"]
+    return cols
 
 
 def digest(req, workdir):
-    """SHA-256 hex digest of one request's output."""
+    """(SHA-256 hex digest of one request's output, its columns)."""
     if req["kind"] != "cli":
         samples = solver_of(req).evaluate_grid(req["xs"], req["t"],
                                                derivative=req["derivative"])
-        return hashlib.sha256(_sample_bytes(samples, req["derivative"])).hexdigest()
+        cols = _sample_columns(samples, req["derivative"])
+        return _digest(cols), cols
     out = workdir / "out.tsv"
     scenario = workdir / "scenario.cfg"
     scenario.write_text(config_text(req["config"], out))
     status = schrostep.cli.main([req["command"], str(scenario)])
     if status != 0:
         raise RuntimeError("schrostep {} exited with {}".format(req["command"], status))
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashlib.sha256(out.read_bytes()).hexdigest(), _file_columns(out)
 
 
 def trace_digests(req):
-    """(interface, digest) of each single-interface trace of an interface-map request."""
+    """(interface, digest, columns) of each single-interface trace of an
+    interface-map request."""
     pot = potential_of(req)
     imap = InterfaceMap(pot, ic_of(req), tolerance=TOLERANCE)
     ts = [float(t) for t in req["config"]["grid.t"].split(",")]
     for ell in range(1, pot.njumps + 1):
-        samples = imap.trace_grid(ts, ell, derivative=True)
-        yield ell, hashlib.sha256(_sample_bytes(samples, True)).hexdigest()
+        cols = _sample_columns(imap.trace_grid(ts, ell, derivative=True), True)
+        yield ell, _digest(cols), cols
+
+
+def _deviation(cols, ref):
+    """Lines of max |dpsi| (and / error) of cols against ref, if any differ."""
+    if all(np.array_equal(cols[k], ref.get(k), equal_nan=True) for k in cols):
+        return []
+    out = []
+    for value, error in (("value", "error"), ("psi_x", "psi_x_error")):
+        if value not in cols:
+            continue
+        d = np.abs(cols[value] - ref[value])
+        line = "\t  {}: max |dpsi| = {:.3g}".format(value, d.max(initial=0.0))
+        if error in cols:
+            e = cols[error]
+            ratio = np.divide(d, e, out=np.zeros_like(d), where=e > 0.0)
+            line += ", max |dpsi| / error = {:.3g}".format(ratio.max(initial=0.0))
+        out.append(line)
+    return out
 
 
 def main(argv):
-    if len(argv) != 1:
-        print("usage: python tools/sample_digest.py SEED", file=sys.stderr)
-        return 2
-    seed = int(argv[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("seed", type=int)
+    ap.add_argument("--save", metavar="PATH",
+                    help="write every line's columns to this .npz file")
+    ap.add_argument("--against", metavar="PATH",
+                    help="report the deviation from the columns saved here")
+    args = ap.parse_args(argv)
+    ref = np.load(args.against) if args.against else None
+    saved = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
-            for i, req in enumerate(make_requests(workload, seed)):
+            for i, req in enumerate(make_requests(workload, args.seed)):
                 name = req["command"] if req["kind"] == "cli" else req["kind"]
-                print("{}\t{}\t{}\t{}".format(workload, i, name,
-                                              digest(req, Path(tmp))))
+                lines = [(name, *digest(req, Path(tmp)))]
                 if name == "interface-map":
-                    for ell, hexdigest in trace_digests(req):
-                        print("{}\t{}\ttrace_grid interface={}\t{}".format(
-                            workload, i, ell, hexdigest))
+                    lines += [("trace_grid interface={}".format(ell), hexdigest, cols)
+                              for ell, hexdigest, cols in trace_digests(req)]
+                for label, hexdigest, cols in lines:
+                    print("{}\t{}\t{}\t{}".format(workload, i, label, hexdigest))
+                    key = "{}:{}:{}:".format(workload, i, label)
+                    saved.update((key + k, v) for k, v in cols.items())
+                    if ref is not None:
+                        for line in _deviation(cols, {k: ref[key + k] for k in cols
+                                                      if key + k in ref}):
+                            print(line)
+    if args.save:
+        np.savez(args.save, **saved)
     return 0
 
 
