@@ -21,10 +21,10 @@ Subcommands:
 
 Output is tab separated with a header row, %.17g everywhere, to
 output.path or stdout.  Every row is computed before the first is written,
-so a failed run leaves no partial output.  Configuration problems exit with
-status 2 and a one-line JSON object on stderr naming the offending field;
-so does a quadrature that cannot meet numerics.tolerance within its panel
-budget.
+so a failed run leaves no partial output.  Configuration problems, a key
+no subcommand reads among them, exit with status 2 and a one-line JSON
+object on stderr naming the offending field; so does a quadrature that
+cannot meet numerics.tolerance within its panel budget.
 """
 
 import argparse
@@ -54,6 +54,13 @@ class ConfigError(ValueError):
         self.field = field
 
 
+_KEYS = frozenset(
+    "potential.levels potential.interfaces initial.kind initial.amplitude "
+    "initial.center initial.width initial.momentum initial.x initial.values "
+    "grid.x grid.t solver numerics.tolerance numerics.R ray.gamma "
+    "map.interfaces output.path".split())
+
+
 def parse_config(text):
     """Dotted-key lines into a dict; '#' starts a comment."""
     out = {}
@@ -64,8 +71,10 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError("line {}".format(lineno),
                               "expected 'key = value', got {!r}".format(raw.strip()))
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(key, "unknown key {!r} on line {}".format(key, lineno))
+        out[key] = val
     return out
 
 
@@ -133,12 +142,11 @@ def build_ic(cfg):
     raise ConfigError("initial.kind", "unknown kind {!r}".format(kind))
 
 
-_NUMERICS = (("numerics.tolerance", "tolerance"), ("numerics.R", "radius"),
-             ("numerics.delta", "delta"))
+_NUMERICS = (("numerics.tolerance", "tolerance"), ("numerics.R", "radius"))
 
 
 def _numerics(cfg, potential, ic):
-    """Solver keyword arguments from the numerics.* fields present.
+    """Solver keyword arguments from numerics.tolerance and numerics.R.
 
     Each value is checked on its own by ContourSettings, which every solver
     and InterfaceMap share, so a bad one is reported under its own field.

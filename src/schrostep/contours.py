@@ -204,6 +204,9 @@ class ContourPath:
                         a.label, a.end(), b.label, b.start()))
         return self
 
+    def reach(self):
+        return max(abs(leg.end()) for leg in self.legs)
+
 
 def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     """Sector boundary with one straight leg tilted into a decay sector.
@@ -534,10 +537,9 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 # of X by whole panels of one size.  Tiles of 2^14 entries sum about a
 # fifth faster but hold four times the memory; 2^12 keeps each temporary
 # within 64 kB.  Lattice tiles are batched instead: several _FINE-row groups
-# per numpy call, with a batch's temporaries held within _BATCH_TILE entries,
-# the same 2^12 (see table_integral).
+# per numpy call, and single and batched tiles share the same 2^12-entry
+# budget (see table_integral).
 _TILE = 2 ** 12
-_BATCH_TILE = _TILE
 _FINE = 16
 # A lattice point keeps only the first-order phase correction, so it joins
 # the lattice only where max|C| |rho| stays within this; the dropped term
@@ -631,8 +633,8 @@ def table_integral(table, W, C, X, derivative=False):
     Kronrod-minus-Gauss difference; the values add the panel sums, so
     tiling changes only the order of the sums over panels.  Lattice tiles
     go several per numpy call, one _FINE-row group per coarse point, as
-    many as keep a batch's temporaries within _BATCH_TILE (= _TILE)
-    entries: 4 groups, or 2 with the derivative, for a full chunk.  Each
+    many as keep a batch's temporaries within _TILE entries too: 4 groups,
+    or 2 with the derivative, for a full chunk.  Each
     group's panel products and sums are those of a tile of its own, so the
     values do not depend on the batching.  Rows map to their slot (group in
     the batch, r), which serves holes, duplicate X and grid ends alike.
@@ -676,7 +678,7 @@ def table_integral(table, W, C, X, derivative=False):
             order = np.argsort(k, kind="stable")
             rows, k, rho, Xq = rows[order], k[order], rho[order], Xq[order]
         # Batches of nb groups (one coarse point each), as many as keep a
-        # batch's weighted copy of the widest chunk within _BATCH_TILE: rows
+        # batch's weighted copy of the widest chunk within _TILE: rows
         # s:e, the coarse points, and each row's slot (group in the batch,
         # r), or None when the rows fill the slots in order (no hole,
         # duplicate x or grid end).
@@ -684,7 +686,7 @@ def table_integral(table, W, C, X, derivative=False):
         new = np.diff(q, prepend=q[0] - 1) != 0
         group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
         bounds = np.append(starts, q.size)
-        nb = max(1, _BATCH_TILE // (4 * ni * max(hi - lo for lo, hi, _ in chunks)))
+        nb = max(1, _TILE // (4 * ni * max(hi - lo for lo, hi, _ in chunks)))
         for a in range(0, starts.size, nb):
             b = min(a + nb, starts.size)
             s, e = bounds[a], bounds[b]

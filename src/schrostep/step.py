@@ -33,7 +33,7 @@ region the solution is a free term plus integral terms
 W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with W independent of
 x; only W, c, x0, the contour builder and the first truncation T0 change
 from one profile to another.  `ContourSettings` validates the settings
-(tolerance, the radius guard, the tilt delta) and builds the sector
+(tolerance, the radius guard; delta is a constant) and builds the sector
 contours; `ContourSolver` declares the fourth-quadrant terms of every
 region and adds the truncation search at the region bounds, the panel
 budget and `evaluate_grid`.  The interface combination those terms carry
@@ -484,12 +484,13 @@ class ContourSettings:
     tolerance is the absolute quadrature target per evaluated point and must
     be finite and positive.  radius (default max(1, 1.25 sqrt(2 Lambda)))
     must clear the branch scale sqrt(2 Lambda) and have a finite square (the
-    sector paths work with R^2); delta, in
-    (0, pi/4), tilts the open legs of the sector contours.
+    sector paths work with R^2).  The open legs tilt by the constant delta:
+    by Cauchy's theorem every tilt in (0, pi/4) gives the same psi.
     """
 
-    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
-                 delta=np.pi / 8.0):
+    delta = np.pi / 8.0
+
+    def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         tol = float(tolerance)
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(
@@ -497,10 +498,6 @@ class ContourSettings:
         self.potential = potential
         self.ic = ic
         self.tolerance = tol
-        self.delta = float(delta)
-        if not 0.0 < self.delta < 0.25 * np.pi:
-            raise ValueError(
-                "delta must lie in (0, pi/4), got {!r}".format(delta))
         lam = potential.lam
         self.radius = float(radius) if radius is not None else \
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
@@ -686,7 +683,7 @@ class ContourSolver(ContourSettings):
                 idx = np.where(regions == j)[0]
                 sub = xs[idx]
                 terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
-                T = max(abs(leg.end()) for tm in terms for leg in tm.path.legs)
+                T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
                 out = eval_terms(terms, sub, self.tolerance,
                                  max_panels=panel_budget(t, xspan, T),
@@ -717,7 +714,7 @@ class StepSolver(ContourSolver):
     """
 
     def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
-                 radius=None, delta=np.pi / 8.0):
+                 radius=None):
         if potential.njumps != 1:
             raise ValueError("StepSolver handles exactly one interface; "
                              "use GeneralSolver for more")
@@ -727,7 +724,7 @@ class StepSolver(ContourSolver):
             raise ValueError(
                 "the realline representation needs an upward jump "
                 "(alpha_2 >= alpha_1); mirror the problem with mirrored() first")
-        super().__init__(potential, ic, tolerance, radius, delta)
+        super().__init__(potential, ic, tolerance, radius)
         self.representation = representation
 
     # bound in the class's own namespace, where the benchmark's tracer

@@ -120,14 +120,13 @@ def bound_states(alpha, x2, grid=1000):
 class WellSolver(ContourSolver):
     """Time evolution over the profile (0, alpha, 0) with jumps at 0 and x2."""
 
-    def __init__(self, potential, ic, tolerance=1e-8, radius=None,
-                 delta=np.pi / 8.0):
+    def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         if potential.njumps != 2:
             raise ValueError("WellSolver needs exactly two interfaces")
         if potential.levels[0] != 0.0 or potential.levels[2] != 0.0:
             raise ValueError("WellSolver covers outer levels 0 only; "
                              "use GeneralSolver for other profiles")
-        super().__init__(potential, ic, tolerance, radius, delta)
+        super().__init__(potential, ic, tolerance, radius)
         self.alpha = potential.levels[1]
         self.x2 = potential.interfaces[1]
 

@@ -436,10 +436,15 @@ def test_batched_lattice_groups_match_one_group_per_batch(monkeypatch, derivativ
     # several groups share a batch by default, one each once patched
     ni = 2 if derivative else 1
     widest = max(hi - lo for lo, hi, _ in contours._chunks(table, contours._FINE))
-    assert contours._BATCH_TILE // (4 * ni * widest) > 1
+    assert contours._TILE // (4 * ni * widest) > 1
     batched = {grid: table_integral(table, W, C, X, derivative)
                for grid, X in PHASED_GRIDS.items()}
-    monkeypatch.setattr(contours, "_BATCH_TILE", 1)
+    # a one-entry budget leaves one group per batch; the chunks stay those of
+    # the full budget, so that only the batching changes
+    chunks = {rows: contours._chunks(table, rows)
+              for rows in range(1, contours._FINE + 1)}
+    monkeypatch.setattr(contours, "_chunks", lambda tab, rows: chunks[rows])
+    monkeypatch.setattr(contours, "_TILE", 1)
     for grid, X in PHASED_GRIDS.items():
         single = table_integral(table, W, C, X, derivative)
         for i, (got, want) in enumerate(zip(batched[grid], single)):

@@ -153,9 +153,6 @@ def test_solver_contract(name):
         make(pot, ic, radius=np.inf)
     with pytest.raises(ValueError, match="radius"):
         make(pot, ic, radius=1e155)     # R * R overflows
-    for delta in (0.0, -0.1, np.pi / 4.0, 1.0, np.nan):
-        with pytest.raises(ValueError, match="delta"):
-            make(pot, ic, delta=delta)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             make(pot, ic, tolerance=tol)
