@@ -46,19 +46,17 @@ from .well import WellSolver
 __all__ = ["main", "ConfigError", "parse_config", "build_scenario"]
 
 _FMT = "%.17g"
+_KEYS = frozenset(
+    "potential.levels potential.interfaces initial.kind initial.amplitude "
+    "initial.center initial.width initial.momentum initial.x initial.values "
+    "grid.x grid.t solver numerics.tolerance numerics.R ray.gamma "
+    "map.interfaces output.path".split())
 
 
 class ConfigError(ValueError):
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
-
-
-_KEYS = frozenset(
-    "potential.levels potential.interfaces initial.kind initial.amplitude "
-    "initial.center initial.width initial.momentum initial.x initial.values "
-    "grid.x grid.t solver numerics.tolerance numerics.R ray.gamma "
-    "map.interfaces output.path".split())
 
 
 def parse_config(text):

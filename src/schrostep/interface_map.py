@@ -20,10 +20,10 @@ table is refined and kept as the table's columns, which hold all 2n of
 them; each column is summed at every time in one phased table_integral
 call, with W = pref kappa X, C = kappa^2 and the times in the place of x.
 The tail samples lie at points fixed by the path alone, so within one call
-the unknowns at each tail node are solved once and kept in a node memo
-(step._NodeMemo, looked up by the node's bits), whatever the column, the
-time or the block of truncation rungs it was first sampled in.  The probe
-integrands take exp(i kappa^2 tp) once per probe time for every column.
+the unknowns at each tail node are solved once and kept by the node's bits,
+whatever the column, the time or the block of truncation rungs it was first
+sampled in.  The probe integrands take exp(i kappa^2 tp) once per probe
+time for every column.
 """
 
 import numpy as np
@@ -31,8 +31,8 @@ import numpy as np
 from .contours import ContourPath, build_node_table, table_integral
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import (ContourSettings, _NodeMemo, _sample_tails, _tail_nodes,
-                   _TailModel, build_with_retry, choose_truncation, panel_budget)
+from .step import (ContourSettings, _sample_tails, _tail_nodes, _TailModel,
+                   build_with_retry, choose_truncation, panel_budget)
 
 __all__ = ["InterfaceMap"]
 
@@ -78,15 +78,18 @@ class InterfaceMap(ContourSettings):
         tol = self.tolerance
         builder = self.sector(4, tmax)
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
-        # the unknowns at each tail sample, solved once per node: the
+        # the unknowns at each tail sample, keyed by the node's bits: the
         # truncation searches sample their rungs in blocks, the final tails
-        # one truncation at a time, each call a memo term of its own (a
-        # fresh key, so the memo searches the nodes of every call before it)
-        memo = _NodeMemo()
+        # one truncation at a time, and each node is solved once
+        solved = {}
 
         def unknowns_at(z):
-            return memo.lookup(z, object(),
-                               lambda zm: solve_unknowns(self.potential, self.ic, zm))
+            keys = [zi.tobytes() for zi in z]
+            new = list(dict.fromkeys(k for k in keys if k not in solved))
+            if new:
+                zn = np.frombuffer(b"".join(new), dtype=complex)
+                solved.update(zip(new, solve_unknowns(self.potential, self.ic, zn)))
+            return np.array([solved[k] for k in keys])
 
         def weight(col, pref, t):
             def W(z, tag):

@@ -713,8 +713,7 @@ class StepSolver(ContourSolver):
     their own.
     """
 
-    def __init__(self, potential, ic, representation="d4", tolerance=1e-8,
-                 radius=None):
+    def __init__(self, potential, ic, representation="d4", tolerance=1e-8, radius=None):
         if potential.njumps != 1:
             raise ValueError("StepSolver handles exactly one interface; "
                              "use GeneralSolver for more")

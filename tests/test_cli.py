@@ -230,8 +230,8 @@ def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line
     ("compare", STEP_CFG, "grid.y = 1"),
 ])
 def test_unknown_key_exits_two_naming_it(tmp_path, capsys, cmd, base, line):
-    # a key no subcommand reads once left its default in force silently; in
-    # compare the unknown key sits in the second file
+    # a key no subcommand reads would leave its default in force silently;
+    # in compare the unknown key sits in the second file
     bad = write(tmp_path, "bad.cfg", base + line + "\n")
     args = [write(tmp_path, "good.cfg", base), bad] if cmd == "compare" else [bad]
     assert main([cmd] + args) == 2
