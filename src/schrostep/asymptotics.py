@@ -31,6 +31,8 @@ class ForbiddenConeError(ValueError):
 def _check(potential, gamma):
     if potential.njumps != 1:
         raise ValueError("ray asymptotics cover the single-jump profile only")
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite, got {}".format(gamma))
     if gamma == 0.0:
         raise ValueError("gamma = 0 rides the interface; pick a nonzero ray")
     j = 1 if gamma < 0.0 else 2

@@ -22,9 +22,9 @@ Subcommands:
 Output is tab separated with a header row, %.17g everywhere, to
 output.path or stdout.  Every row is computed before the first is written,
 so a failed run leaves no partial output.  Configuration problems, a key
-no subcommand reads among them, exit with status 2 and a one-line JSON
-object on stderr naming the offending field; so does a quadrature that
-cannot meet numerics.tolerance within its panel budget.
+no subcommand reads or a key given twice among them, exit with status 2
+and a one-line JSON object on stderr naming the offending field; so does a
+quadrature that cannot meet numerics.tolerance within its panel budget.
 """
 
 import argparse
@@ -72,8 +72,21 @@ def parse_config(text):
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(key, "unknown key {!r} on line {}".format(key, lineno))
+        if key in out:
+            raise ConfigError(key, "repeated key {!r} on line {}".format(key, lineno))
         out[key] = val
     return out
+
+
+def _field(prefix, error, default):
+    """The key of the parameter a library ValueError names as its first word.
+
+    InitialCondition names the offending parameter first, and so does
+    PiecewisePotential for a level or interface that is not finite; any
+    other message falls back to default.
+    """
+    field = prefix + str(error).split(" ", 1)[0]
+    return field if field in _KEYS else default
 
 
 def _floats(field, val):
@@ -109,7 +122,7 @@ def build_potential(cfg):
     try:
         return PiecewisePotential(levels, ifaces)
     except ValueError as e:
-        raise ConfigError("potential.interfaces", str(e))
+        raise ConfigError(_field("potential.", e, "potential.interfaces"), str(e))
 
 
 def build_ic(cfg):
@@ -126,7 +139,7 @@ def build_ic(cfg):
                 width=float(cfg.get("initial.width", "1")),
                 momentum=float(cfg.get("initial.momentum", "0")))
         except ValueError as e:
-            raise ConfigError("initial.width", str(e))
+            raise ConfigError(_field("initial.", e, "initial.width"), str(e))
     if kind == "tabulated":
         xs = _floats("initial.x", cfg.get("initial.x", ""))
         try:
@@ -136,7 +149,7 @@ def build_ic(cfg):
         try:
             return InitialCondition.tabulated(xs, vals)
         except ValueError as e:
-            raise ConfigError("initial.x", str(e))
+            raise ConfigError(_field("initial.", e, "initial.x"), str(e))
     raise ConfigError("initial.kind", "unknown kind {!r}".format(kind))
 
 

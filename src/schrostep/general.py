@@ -18,13 +18,14 @@ and the dense bounded assembly (interface_system, reduced_system,
 rhs_reduced) are kept as the references the tests solve densely.
 
 GeneralSolver adds nothing to the shared core in `step` (`ContourSolver`),
-whose default interface data are the unknowns from solve_unknowns and whose
-interface combination of each term is built from the unknowns at its jump.  The
-single jump is the n = 1 case, so StepSolver's d4 form runs the same code;
-WellSolver's numerators are the last closed form.  The unknowns do not
-depend on the region, so within one evaluate_grid call every term reads
-them from the call's node memo and solve_unknowns runs once per distinct
-node.  The terms themselves (one per neighbouring jump of a region j,
+whose one hook, `_interface_data`, builds the interface combination of
+every term from the unknowns of solve_unknowns: two columns per jump x_l,
+the term of region l there and then that of region l + 1.  The single jump
+is the n = 1 case, so StepSolver's d4 form runs the same code; WellSolver's
+numerators are the last closed form.  The rows do not depend on the
+region, so within one evaluate_grid call every term reads its column from
+the call's node memo and solve_unknowns runs once per distinct node.  The
+terms themselves (one per neighbouring jump of a region j,
 x-coefficient -nu_j at the right jump x_j or +nu_j at the left jump
 x_{j-1}, on the fourth-quadrant sector boundary), truncation, node tables,
 the panel budget and the free terms come from that core as well.

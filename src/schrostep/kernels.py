@@ -113,8 +113,10 @@ class PiecewisePotential:
             raise ValueError("first interface must sit at x = 0, got {}".format(interfaces[0]))
         if any(b <= a for a, b in zip(interfaces, interfaces[1:])):
             raise ValueError("interfaces must be strictly increasing: {}".format(interfaces))
-        if not all(np.isfinite(levels)) or not all(np.isfinite(interfaces)):
-            raise ValueError("levels and interfaces must be finite")
+        if not all(np.isfinite(levels)):
+            raise ValueError("levels must be finite, got {}".format(levels))
+        if not all(np.isfinite(interfaces)):
+            raise ValueError("interfaces must be finite, got {}".format(interfaces))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "interfaces", interfaces)
 

@@ -36,16 +36,17 @@ from one profile to another.  `ContourSettings` validates the settings
 (tolerance, the radius guard; delta is a constant) and builds the sector
 contours; `ContourSolver` declares the fourth-quadrant terms of every
 region and adds the truncation search at the region bounds, the panel
-budget and `evaluate_grid`.  The interface combination those terms carry
-(`_combination`) is built from region-independent interface data at each
-node (`_interface_data`): by default the unknowns of the interface system
-(`general.solve_unknowns`), which serves `GeneralSolver` and the d4 form of
-`StepSolver` alike, since a single jump is its n = 1 case.  `WellSolver`,
-the last closed form, overrides both hooks with its four transforms and
-numerators.  Within one evaluate_grid call every term reads the interface
-data from a memo, computed once per distinct node.  `StepSolver` also
-overrides `_declare` for its quadrant and realline forms, which share no
-nodes between regions.
+budget and `evaluate_grid`.  One hook, `_interface_data(z)`, gives the
+interface combination B of every term at once, one row per node and two
+columns per jump l: column 2l - 2 for region l at its right jump x_l and
+column 2l - 1 for region l + 1 at its left jump x_l.  By default B is
+built from the unknowns of the interface system (`general.solve_unknowns`),
+which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
+single jump is its n = 1 case; `WellSolver`, the last closed form,
+overrides the hook with its four transforms and numerators.  Within one
+evaluate_grid call every term reads its column from a memo of those rows,
+computed once per distinct node.  `StepSolver` also overrides `_declare`
+for its quadrant and realline forms, which share no nodes between regions.
 A whole grid of x values reuses one node table per term, whose W and c
 columns are evaluated once per node while it is refined; one phased
 table_integral call sums the term at every x of the grid, and one
@@ -565,21 +566,21 @@ class ContourSolver(ContourSettings):
     term per neighbouring jump on the fourth-quadrant sector boundary, with
     T0 = 2R: at its right jump x_j with c = -nu_j and weight
     -exp(i kappa^2 t) B / (2 pi), at its left jump x_{j-1} with c = +nu_j
-    and weight +exp(i kappa^2 t) B / (2 pi).  The interface combination B
-    is _combination(z, region, side), with side 'right' or 'left', built
-    from the region-independent interface data that _interface_data(z)
-    gives as one row per node: here the unknowns of the interface system,
-    which a closed form (WellSolver) may replace.  The reported error
-    estimate adds truncation residuals to the quadrature error, so it stays
-    honest when the tolerance is out of reach.
+    and weight +exp(i kappa^2 t) B / (2 pi).  _interface_data(z), the one
+    hook, gives the interface combinations B of all terms as an (N, 2n)
+    array, one row per node: column 2l - 2 is the term of region l at its
+    right jump x_l, column 2l - 1 the term of region l + 1 at its left jump
+    x_l.  Here B comes from the unknowns of the interface system, which a
+    closed form (WellSolver) may replace.  The reported error estimate adds
+    truncation residuals to the quadrature error, so it stays honest when
+    the tolerance is out of reach.
 
     Every term of one evaluate_grid call lies on the same sector(4, t) path,
     and their node tables bisect the same first panels, so most nodes recur
-    from term to term.  _node_data therefore reads the interface data from
-    a memo that lives for one evaluate_grid call, in which each distinct
-    node is computed once; outside a call it computes the data directly.
-    Node tables, truncations and outputs are those of computing every node
-    afresh.
+    from term to term.  A weight therefore reads the rows from a memo that
+    lives for one evaluate_grid call, in which each distinct node is
+    computed once; outside a call it computes them directly.  Node tables,
+    truncations and outputs are those of computing every node afresh.
     """
 
     _memo = None
@@ -600,39 +601,34 @@ class ContourSolver(ContourSettings):
     def _weight(self, region, t, side):
         """Weight -+exp(i kappa^2 t) B / (2 pi) of the term at one jump."""
         sgn = -1.0 if side == "right" else 1.0
+        col = 2 * region - 2 if side == "right" else 2 * region - 3
 
         def W(z, tag):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
-            return sgn * np.exp(1j * z * z * t) * self._combination(z, region, side) \
-                / _TWO_PI
+            B = self._interface_data(z) if self._memo is None else \
+                self._memo.lookup(z, col, self._interface_data)
+            return sgn * np.exp(1j * z * z * t) * B[:, col] / _TWO_PI
         return W
 
     def _interface_data(self, z):
-        """The unknowns X = (g0^(1..n), i g1^(1..n)), one row per node."""
+        """Interface combination B of every term, shape (N, 2n).
+
+        From the unknowns X of the interface system (X_l is g0 and X_{n+l}
+        is i g1 at x_l): z (X_{n+l}/nu_l + X_l) for region l at its right
+        jump x_l and z (X_{n+l}/nu_{l+1} - X_l) for region l + 1 at its
+        left jump x_l.
+        """
         # imported here: general imports this module
         from .general import solve_unknowns
-        return solve_unknowns(self.potential, self.ic, z)
-
-    def _combination(self, z, region, side):
-        """Interface combination from the unknowns of the interface system.
-
-        z (X_{n+j}/nu_j + X_j) at the region's right jump x_j and
-        z (X_{n+j-1}/nu_j - X_{j-1}) at its left jump x_{j-1}, where X_l is
-        g0 and X_{n+l} is i g1 at x_l.
-        """
         pot = self.potential
-        n, j = pot.njumps, region
-        X = self._node_data(z, region, side)
-        nj = nu(pot.level(j), z)
-        if side == "right":
-            return z * (X[:, n + j - 1] / nj + X[:, j - 1])
-        return z * (X[:, n + j - 2] / nj - X[:, j - 2])
-
-    def _node_data(self, z, region, side):
-        """Rows of _interface_data(z), asked for by the term (region, side)."""
-        if self._memo is None:
-            return self._interface_data(z)
-        return self._memo.lookup(z, (region, side), self._interface_data)
+        n = pot.njumps
+        X = solve_unknowns(pot, self.ic, z)
+        nus = pot.nus(z)
+        B = np.empty((z.size, 2 * n), dtype=complex)
+        for ell in range(n):
+            B[:, 2 * ell] = z * (X[:, n + ell] / nus[ell] + X[:, ell])
+            B[:, 2 * ell + 1] = z * (X[:, n + ell] / nus[ell + 1] - X[:, ell])
+        return B
 
     def _terms(self, region, t, derivative, xmax):
         """The region's terms, truncated for |x| up to xmax.

@@ -240,27 +240,47 @@ class InitialCondition:
     Tabulated form: strictly increasing sample points with complex values,
     interpolated by a local cubic in each cell and treated as zero outside
     the table.
+
+    Every parameter must be finite, and a Gaussian's (center/width)^2 and
+    (1/width)^2, which its transforms square out, must not overflow.  A
+    ValueError names the offending parameter as its first word: amplitude,
+    center, width, momentum, or x and values of `tabulated`.
     """
 
     def __init__(self, kind, amplitude=1.0, center=0.0, width=1.0, momentum=0.0,
                  x_table=None, values_table=None):
         self.kind = kind
         if kind == "gaussian":
-            if not width > 0.0:
-                raise ValueError("gaussian width must be positive, got {}".format(width))
             self.amplitude = complex(amplitude)
             self.center = float(center)
             self.width = float(width)
             self.momentum = float(momentum)
+            for name in ("amplitude", "center", "width", "momentum"):
+                value = getattr(self, name)
+                if not np.isfinite(value):
+                    raise ValueError("{} must be finite, got {}".format(name, value))
+            if not self.width > 0.0:
+                raise ValueError("width must be positive, got {}".format(width))
+            inv = 1.0 / self.width
+            cw = self.center * inv
+            if not inv * inv < np.inf:
+                raise ValueError("width {} has an overflowing (1/width)^2".format(width))
+            if not cw * cw < np.inf:
+                raise ValueError("center {} has an overflowing (center/width)^2 "
+                                 "at width {}".format(center, width))
         elif kind == "tabulated":
             x = np.asarray(x_table, dtype=float)
             v = np.asarray(values_table, dtype=complex)
             if x.ndim != 1 or x.size < 4:
-                raise ValueError("tabulated data needs at least 4 sample points")
+                raise ValueError("x needs at least 4 sample points")
             if v.shape != x.shape:
-                raise ValueError("sample points and values differ in length")
+                raise ValueError("x and values differ in length")
+            if not np.all(np.isfinite(x)):
+                raise ValueError("x must be finite")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("values must be finite")
             if np.any(np.diff(x) <= 0.0):
-                raise ValueError("sample points must be strictly increasing")
+                raise ValueError("x must be strictly increasing")
             self.x_table = x
             self.values_table = v
             self._cells = self._fit_cells(x, v)

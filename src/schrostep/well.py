@@ -15,11 +15,12 @@ enumerates those beta.
 
 WellSolver, the last closed form (the d4 step runs on the interface system),
 evaluates the time evolution with every term on the fourth-quadrant sector
-boundary in kappa (the 'd4' form of StepSolver).  It only supplies the interface combination of each term:
-B1 and B3 in the outer regions, (kappa / nu) A and B in the middle one,
-and the four half-line transforms they are built from as its interface
-data (`_interface_data`), which the terms of one evaluate_grid call read
-from the call's node memo, once per distinct node.
+boundary in kappa (the 'd4' form of StepSolver).  It only overrides the
+core's one hook, `_interface_data`, which gives the interface combination
+of every term as four columns, one row per node: B1 (region 1 at x = 0),
+(kappa / nu) B (region 2 at 0), (kappa / nu) A (region 2 at x2) and B3
+(region 3 at x2).  It builds them from four half-line transforms once per
+distinct node of an evaluate_grid call, on a miss of the call's node memo.
 The terms (one for each outer region, offset 0 on the left and x2 on the
 right, two for the middle one, offsets x2 and 0), truncation, node tables,
 the panel budget and the free terms come from the shared core in `step`
@@ -137,44 +138,28 @@ class WellSolver(ContourSolver):
     # -- closed-form pieces ------------------------------------------------
 
     def _interface_data(self, kap):
-        """The four transform inputs p, qs, r, sp, one row per node.
+        """Columns B1, (kappa / nu) B, (kappa / nu) A and B3, one row per node.
 
-        Each is bounded on the integration path.
+        The four transforms p, qs, r, sp (each bounded on the path) enter the
+        spectral numerators over the common denominator D.
         """
-        ic, pot, x2 = self.ic, self.potential, self.x2
-        nuv = nu(self.alpha, kap)
-        return -hat_transform(ic, pot, (1, 2, 2, 3),
-                              np.stack((1j * kap, nuv, -nuv, -1j * kap)),
-                              (0.0, x2, 0.0, x2)).T
-
-    def _numerators(self, kap, nuv, which, data):
-        """Selected spectral numerator over the common denominator."""
-        al, x2 = self.alpha, self.x2
+        ic, pot, al, x2 = self.ic, self.potential, self.alpha, self.x2
+        nuv = nu(al, kap)
+        p, qs, r, sp = -hat_transform(ic, pot, (1, 2, 2, 3),
+                                      np.stack((1j * kap, nuv, -nuv, -1j * kap)),
+                                      (0.0, x2, 0.0, x2))
         P = nuv - 1j * kap
         M = nuv + 1j * kap
         Ep = np.exp(1j * nuv * x2)
         e2 = Ep * Ep
         D = P * P * e2 - M * M
-        p, qs, r, sp = data.T
-        if which == "B1":
-            N = 1j * al * p * (e2 - 1.0) + 2.0 * kap * P * Ep * qs \
-                + 2.0 * kap * M * r + 4.0 * kap * nuv * Ep * sp
-        elif which == "B3":
-            N = -1j * al * sp * (e2 - 1.0) - 4.0 * kap * nuv * Ep * p \
-                - 2.0 * kap * M * qs - 2.0 * kap * P * Ep * r
-        elif which == "A":
-            N = 2.0 * nuv * P * Ep * p + P * P * Ep * r - al * qs \
-                + 2.0 * nuv * M * sp
-        else:
-            N = -2.0 * nuv * M * p - P * P * Ep * qs + al * r \
-                - 2.0 * nuv * P * Ep * sp
-        return N / D
-
-    def _combination(self, z, region, side):
-        """B1 and B3 in the outer regions, (kappa / nu) A and B in the middle."""
-        nuv = nu(self.alpha, z)
-        data = self._node_data(z, region, side)
-        if region == 2:
-            return (z / nuv) * self._numerators(z, nuv, "A" if side == "right" else "B",
-                                                data)
-        return self._numerators(z, nuv, "B1" if region == 1 else "B3", data)
+        B1 = 1j * al * p * (e2 - 1.0) + 2.0 * kap * P * Ep * qs \
+            + 2.0 * kap * M * r + 4.0 * kap * nuv * Ep * sp
+        B3 = -1j * al * sp * (e2 - 1.0) - 4.0 * kap * nuv * Ep * p \
+            - 2.0 * kap * M * qs - 2.0 * kap * P * Ep * r
+        A = 2.0 * nuv * P * Ep * p + P * P * Ep * r - al * qs \
+            + 2.0 * nuv * M * sp
+        B = -2.0 * nuv * M * p - P * P * Ep * qs + al * r \
+            - 2.0 * nuv * P * Ep * sp
+        return np.stack((B1 / D, (kap / nuv) * (B / D), (kap / nuv) * (A / D),
+                         B3 / D), axis=1)

@@ -25,6 +25,17 @@ solver = d4
 """
 
 
+def scenario(base, line):
+    """base with line in place of base's own line for the same key.
+
+    Appending it instead would give the key twice, which is an error of
+    its own.
+    """
+    key = line.split(" = ")[0]
+    kept = [raw for raw in base.splitlines() if raw.split(" = ")[0] != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -189,6 +200,16 @@ ray.gamma = 2.0
 grid.t = 20, 40
 """
 
+TABULATED_CFG = """
+potential.levels = 1, 2
+potential.interfaces = 0
+initial.kind = tabulated
+initial.x = -2, -1.5, -1, -0.5
+initial.values = 0, 1, 1, 0
+grid.x = 0.5
+grid.t = 0.5
+"""
+
 
 @pytest.mark.parametrize("cmd, base, line, field", [
     ("solve", STEP_CFG, "numerics.tolerance = abc", "numerics.tolerance"),
@@ -211,9 +232,22 @@ grid.t = 20, 40
     ("interface-map", THREE_JUMP_CFG, "grid.t = -1", "grid.t"),
     ("interface-map", THREE_JUMP_CFG, "map.interfaces = 1.5", "map.interfaces"),
     ("interface-map", THREE_JUMP_CFG, "map.interfaces = first", "map.interfaces"),
+    # non-finite initial data, levels and rays used to print a NaN row, and
+    # center 1e160 or width 1e-300 to end in a traceback from the free term
+    ("solve", STEP_CFG, "initial.center = nan", "initial.center"),
+    ("solve", STEP_CFG, "initial.momentum = inf", "initial.momentum"),
+    ("solve", STEP_CFG, "initial.amplitude = nan", "initial.amplitude"),
+    ("solve", STEP_CFG, "initial.width = inf", "initial.width"),
+    ("solve", STEP_CFG, "initial.center = 1e160", "initial.center"),
+    ("solve", STEP_CFG, "initial.width = 1e-300", "initial.width"),
+    ("solve", TABULATED_CFG, "initial.x = -2, -1.5, nan, -0.5", "initial.x"),
+    ("solve", TABULATED_CFG, "initial.values = 0, nan, 1, 0", "initial.values"),
+    ("solve", STEP_CFG, "potential.levels = 1, nan", "potential.levels"),
+    ("interface-map", THREE_JUMP_CFG, "initial.center = nan", "initial.center"),
+    ("asymptote", RAY_CFG, "ray.gamma = nan", "ray.gamma"),
 ])
 def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line, field):
-    cfg = write(tmp_path, "bad.cfg", base + line + "\n")
+    cfg = write(tmp_path, "bad.cfg", scenario(base, line))
     assert main([cmd, cfg]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
@@ -228,10 +262,14 @@ def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line
     ("solve", STEP_CFG, "solvr = realline"),
     ("interface-map", THREE_JUMP_CFG, "numerics.delta = 0.3"),
     ("compare", STEP_CFG, "grid.y = 1"),
+    ("solve", STEP_CFG, "numerics.tolerance = 1e-300\nnumerics.tolerance = 1e-6"),
+    ("interface-map", THREE_JUMP_CFG, "map.interfaces = 1\nmap.interfaces = 1"),
+    ("compare", STEP_CFG, "grid.t = 0.25"),
 ])
 def test_unknown_key_exits_two_naming_it(tmp_path, capsys, cmd, base, line):
-    # a key no subcommand reads would leave its default in force silently;
-    # in compare the unknown key sits in the second file
+    # a key no subcommand reads would leave its default in force silently,
+    # and of a key given twice the later line would win; in compare the bad
+    # key sits in the second file (the last case repeats the base's grid.t)
     bad = write(tmp_path, "bad.cfg", base + line + "\n")
     args = [write(tmp_path, "good.cfg", base), bad] if cmd == "compare" else [bad]
     assert main([cmd] + args) == 2
@@ -259,8 +297,8 @@ def test_unreachable_tolerance_exits_two_naming_it(tmp_path, capsys):
 def test_forbidden_ray_leaves_no_output_file(tmp_path, capsys):
     # gamma = -1 meets the branch cut of the (1, 2) step (speed <= 2)
     out = tmp_path / "ray.tsv"
-    cfg = write(tmp_path, "ray.cfg", RAY_CFG + "ray.gamma = -1.0\n"
-                "output.path = {}\n".format(out))
+    cfg = write(tmp_path, "ray.cfg", scenario(RAY_CFG, "ray.gamma = -1.0")
+                + "output.path = {}\n".format(out))
     assert main(["asymptote", cfg]) == 2
     assert json.loads(capsys.readouterr().err.strip())["field"] == "ray.gamma"
     assert not out.exists()

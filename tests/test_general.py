@@ -189,41 +189,34 @@ class StepClosedForm:
     def __init__(self, potential, ic):
         self.potential, self.ic = potential, ic
 
-    def _combination(self, z, region, side):
+    def _interface_data(self, z):
         a1, a2 = self.potential.levels
         n1 = nu(a1, z)
         n2 = nu(a2, z)
         h1, h2 = hat_transform(self.ic, self.potential, (1, 2), np.stack((n1, -n2)))
-        if region == 1:
-            return z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2)
-        return z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)
+        return np.stack((z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2),
+                         z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)), axis=1)
 
 
-# one closed form per case; region -> sides of its fourth-quadrant terms
+# one closed form per case, compared column by column: jump l gives the
+# term of region l at x_l, then the term of region l + 1 at x_l
 CLOSED_FORMS = {
-    "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepClosedForm,
-                {1: ("right",), 2: ("left",)}),
-    "step down": (PiecewisePotential([2.0, 1.0], [0.0]), StepClosedForm,
-                  {1: ("right",), 2: ("left",)}),
-    "well": (PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]), WellSolver,
-             {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
-    "barrier": (PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), WellSolver,
-                {1: ("right",), 2: ("right", "left"), 3: ("left",)}),
+    "step up": (PiecewisePotential([1.0, 2.0], [0.0]), StepClosedForm),
+    "step down": (PiecewisePotential([2.0, 1.0], [0.0]), StepClosedForm),
+    "well": (PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0]), WellSolver),
+    "barrier": (PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]), WellSolver),
 }
 
 
 @pytest.mark.parametrize("t", [0.5, 4.0])
 @pytest.mark.parametrize("case", list(CLOSED_FORMS))
 def test_closed_form_combinations_match_the_linear_solve(case, t):
-    pot, make, sides = CLOSED_FORMS[case]
+    pot, make = CLOSED_FORMS[case]
     ic = InitialCondition.gaussian(center=-0.8, width=0.9, momentum=0.6)
     closed = make(pot, ic)
     gen = GeneralSolver(pot, ic)
     path, _ = gen.sector(4, t)(4.0 * gen.radius)
     # arc, tilted leg, corner legs and ray
     z = np.concatenate([leg.point(np.linspace(0.05, 0.95, 7)) for leg in path.legs])
-    for region, region_sides in sides.items():
-        for side in region_sides:
-            np.testing.assert_allclose(closed._combination(z, region, side),
-                                       gen._combination(z, region, side),
-                                       rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(closed._interface_data(z), gen._interface_data(z),
+                               rtol=1e-12, atol=0.0)

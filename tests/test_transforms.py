@@ -227,6 +227,27 @@ def test_tabulated_validation():
         InitialCondition.gaussian(width=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(amplitude=complex(NAN, 0.0)), "amplitude"),
+    (dict(center=NAN), "center"),
+    (dict(momentum=INF), "momentum"),
+    (dict(width=INF), "width"),
+    # the squares the Gaussian's transforms form would overflow
+    (dict(center=1e160), "center"),
+    (dict(center=1e150, width=1e-10), "center"),
+    (dict(width=1e-300), "width"),
+    (dict(x=[0.0, 1.0, NAN, 3.0], values=[1.0] * 4), "x"),
+    (dict(x=[0.0, 1.0, 2.0, 3.0], values=[1.0, NAN, 1.0, 1.0]), "values"),
+])
+def test_non_finite_or_overflowing_initial_data_is_refused_by_name(kwargs, name):
+    make = InitialCondition.tabulated if "x" in kwargs else InitialCondition.gaussian
+    with pytest.raises(ValueError, match="^" + name + " "):
+        make(**kwargs)
+
+
 def _osc_moments_all_entries(k, ta, tb, nmax):
     # the series summed at every entry and then selected: the reference the
     # gathered series in transforms._osc_moments must reproduce bit for bit
