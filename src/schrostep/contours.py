@@ -26,6 +26,14 @@ The bisection itself replays the one-panel-at-a-time loop exactly (heap
 order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
 
+A chirp leg (Leg.chirp) is an axis ray parametrised by v = z^2 / e^2, so
+that exp(i rate z^2) is a pure phase linear in the parameter; its panels
+take Kronrod and Gauss weights exact for a polynomial times that phase
+(Filon-type quadrature, Iserles & Norsett, Proc. R. Soc. A 461, 2005), and
+the integrand sampled at its nodes leaves the phase out.  A panel then needs
+only the smooth amplitude resolved, however many periods of the phase it
+spans.
+
 table_integral is the one summation over a finished table.  It sums
 W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
 complex entries, and builds the phases of points on a uniform
@@ -36,6 +44,7 @@ Every sum runs in a fixed order, so repeated runs give bit-identical
 results.
 """
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -89,6 +98,93 @@ _WG_HALF = np.array([
 _XK = np.concatenate([-_XK_HALF[:-1], [0.0], _XK_HALF[:-1][::-1]])
 _WK = np.concatenate([_WK_HALF[:-1], [_WK_HALF[-1]], _WK_HALF[:-1][::-1]])
 _WG = np.concatenate([_WG_HALF[:-1], [_WG_HALF[-1]], _WG_HALF[:-1][::-1]])
+_GAUSS = _WG != 0.0
+
+
+def _legendre(x, n):
+    """P_0 .. P_{n-1} at the points x, one row per degree."""
+    P = np.empty((n, x.size))
+    P[0] = 1.0
+    P[1] = x
+    for k in range(1, n - 1):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+    return P
+
+
+# A rule exact for P_0 .. P_{m-1} times exp(i omega xi) has the weights
+# inv(P) mu, with P the Legendre values at its m nodes (condition numbers
+# 6.4 for the Kronrod and 4.2 for the Gauss nodes) and mu the moments.
+_PK_INV = np.linalg.inv(_legendre(_XK, 15))
+_PG_INV = np.linalg.inv(_legendre(_XK[_GAUSS], 7))
+
+
+def _spherical_j(x):
+    """Spherical Bessel functions j_0 .. j_14 at x >= 0, to a few ulps.
+
+    A power series up to x = 1, Miller's downward recurrence from order 50
+    normalised by sum (2n + 1) j_n^2 = 1 below x = 16, and the upward
+    recurrence from sin and cos above, where it is stable for n < x.
+    """
+    if x <= 1.0:
+        out = np.empty(15)
+        lead = 1.0
+        for n in range(15):
+            term = total = 1.0
+            for k in range(1, 20):
+                term *= -0.5 * x * x / (k * (2 * n + 2 * k + 1))
+                total += term
+            out[n] = lead * total
+            lead *= x / (2 * n + 3)
+        return out
+    s, c = np.sin(x), np.cos(x)
+    j0, j1 = s / x, s / (x * x) - c / x
+    if x >= 16.0:
+        out = [j0, j1]
+        for n in range(1, 14):
+            out.append((2 * n + 1) / x * out[n] - out[n - 1])
+        return np.array(out)
+    f = [0.0] * 52
+    f[50] = 1.0
+    for n in range(50, 0, -1):
+        f[n - 1] = (2 * n + 1) / x * f[n] - f[n + 1]
+    f = np.array(f[:51])
+    scale = 1.0 / np.sqrt(np.sum((2.0 * np.arange(51) + 1.0) * f * f))
+    ref, got = (j0, f[0]) if abs(j0) >= abs(j1) else (j1, f[1])
+    return f[:15] * np.copysign(scale, ref * got)
+
+
+@functools.lru_cache(maxsize=256)
+def _chirp_row(omega):
+    """(wk, wg) of _chirp_weights at one omega, read-only.
+
+    Bisection leaves a table few distinct panel widths, so the rows recur;
+    the cache is bounded because omega changes with every t and T.
+    """
+    if omega == 0.0:
+        wk, wg = _WK.astype(complex), _WG.astype(complex)
+    else:
+        mu = 2.0 * 1j ** np.arange(15) * _spherical_j(abs(omega))
+        if omega < 0.0:
+            mu = mu.conj()
+        wk = _PK_INV @ mu
+        wg = np.zeros(15, dtype=complex)
+        wg[_GAUSS] = _PG_INV @ mu[:7]
+    wk.flags.writeable = wg.flags.writeable = False
+    return wk, wg
+
+
+def _chirp_weights(omega):
+    """Kronrod and Gauss weights on [-1, 1] for the phase exp(i omega xi).
+
+    Returns (wk, wg), one row of 15 per omega: sum_k wk_k p(xi_k) is the
+    integral of p(xi) exp(i omega xi) over [-1, 1] for every polynomial p
+    of degree up to 14, and sum_k wg_k p(xi_k) for degree up to 6, with wg
+    zero off the Gauss nodes.  The Legendre moments are 2 i^n j_n(omega)
+    (their conjugates for omega < 0).  omega = 0 gives _WK and _WG.
+    """
+    rows = [_chirp_row(w) for w in np.asarray(omega, dtype=float).ravel().tolist()]
+    return (np.array([wk for wk, _ in rows]).reshape(-1, 15),
+            np.array([wg for _, wg in rows]).reshape(-1, 15))
 
 
 class QuadratureError(RuntimeError):
@@ -109,10 +205,17 @@ class Leg:
     kind 'pv'    principal-value pass through `center` along the real
                  direction, half-width `half`; integrated as the symmetric
                  fold integral_0^half [f(c+u) + f(c-u)] du
+    kind 'chirp' the axis ray z0 -> z1 = r z0 (r > 1, z0 on a real or
+                 imaginary half-axis e), parametrised by v = (z / e)^2 from
+                 |z0|^2 to |z1|^2: z^2 = e^2 v is linear in the parameter,
+                 and exp(i rate z^2) is the pure phase exp(i rate e^2 v).
+                 Its panel weights carry that phase exactly (_chirp_weights);
+                 the integrand at its nodes leaves it out.
 
     `splits` lists parameter values in (0, 1) where the initial panelling
     must break (branch points, cut endpoints).  `tag` marks legs that need a
-    special integrand ('cut-difference'); ordinary legs carry an empty tag.
+    special integrand ('cut-difference', and 'chirp' on chirp legs, whose
+    integrand leaves out the phase); ordinary legs carry an empty tag.
     """
 
     kind: str
@@ -126,6 +229,7 @@ class Leg:
     label: str = ""
     tag: str = ""
     splits: tuple = ()
+    rate: float = 0.0
 
     @classmethod
     def line(cls, z0, z1, label="line", tag="", splits=()):
@@ -150,19 +254,34 @@ class Leg:
         return cls(kind="pv", center=float(center), half=float(half),
                    label=label, tag=tag, splits=tuple(splits))
 
+    @classmethod
+    def chirp(cls, z0, z1, rate, label="chirp leg", tag="chirp", splits=()):
+        z0, z1 = complex(z0), complex(z1)
+        e = z1 / abs(z1) if z1 != 0.0 else 0.0
+        if e not in (1.0, -1.0, 1j, -1j) or z0 != abs(z0) * e \
+                or not 0.0 < abs(z0) < abs(z1):
+            raise ValueError("a chirp leg runs outward along a real or imaginary "
+                             "half-axis, got {} -> {}".format(z0, z1))
+        return cls(kind="chirp", z0=z0, z1=z1, rate=float(rate), label=label,
+                   tag=tag, splits=tuple(splits))
+
     def start(self):
-        if self.kind == "line":
+        if self.kind in ("line", "chirp"):
             return self.z0
         if self.kind == "arc":
             return self.radius * np.exp(1j * self.th0)
         return complex(self.center - self.half)
 
     def end(self):
-        if self.kind == "line":
+        if self.kind in ("line", "chirp"):
             return self.z1
         if self.kind == "arc":
             return self.radius * np.exp(1j * self.th1)
         return complex(self.center + self.half)
+
+    def _v(self):
+        """(e, v at z0, v at z1) of a chirp leg, z = e sqrt(v)."""
+        return self.z1 / abs(self.z1), abs(self.z0) ** 2, abs(self.z1) ** 2
 
     def point(self, s):
         s = np.asarray(s, dtype=float)
@@ -171,6 +290,9 @@ class Leg:
         if self.kind == "arc":
             th = self.th0 + s * (self.th1 - self.th0)
             return self.radius * np.exp(1j * th)
+        if self.kind == "chirp":
+            e, v0, v1 = self._v()
+            return e * np.sqrt(v0 + s * (v1 - v0))
         raise ValueError("pv legs have no single-valued parametrisation")
 
     def deriv(self, s):
@@ -180,6 +302,9 @@ class Leg:
         if self.kind == "arc":
             th = self.th0 + s * (self.th1 - self.th0)
             return 1j * self.radius * (self.th1 - self.th0) * np.exp(1j * th)
+        if self.kind == "chirp":
+            e, v0, v1 = self._v()
+            return e * (v1 - v0) / (2.0 * np.sqrt(v0 + s * (v1 - v0)))
         raise ValueError("pv legs have no single-valued parametrisation")
 
 
@@ -313,6 +438,7 @@ class NodeTable:
     panel    panel index per entry
     spans    (leg index, a, b) per panel, in table order
     sign     overall orientation sign of the path
+    error    the summed panel error estimates where refinement stopped
     """
 
     z: np.ndarray
@@ -323,6 +449,7 @@ class NodeTable:
     spans: list
     sign: int
     n_panels: int
+    error: float = 0.0
 
 
 # Nodes per call of the caller's column function; a larger call only grows
@@ -346,7 +473,10 @@ class _Panel:
 def _panel_nodes(leg, a, b):
     """Nodes and weighted jacobians of the panels [a_i, b_i] of one leg.
 
-    Returns (z, w15, w7), each with one row per panel.
+    Returns (z, w15, w7), each with one row per panel.  On a chirp leg
+    exp(i rate z^2) is the phase at the panel's middle times
+    exp(i omega xi) in the panel variable xi, omega = rate e^2 times the
+    panel's half-width in v, and the weights carry both (_chirp_weights).
     """
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
@@ -361,7 +491,13 @@ def _panel_nodes(leg, a, b):
         return z, w15.astype(complex), w7.astype(complex)
     z = leg.point(s)
     jac = leg.deriv(s) * half
-    return z, _WK * jac, _WG * jac
+    if leg.kind != "chirp":
+        return z, _WK * jac, _WG * jac
+    e, v0, v1 = leg._v()
+    rate = leg.rate * (e * e).real
+    wk, wg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
+    jac = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
+    return z, wk * jac, wg * jac
 
 
 def _evaluate(path, columns, probes, spans):
@@ -530,7 +666,7 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     pid = np.repeat(np.arange(len(final)), sizes)
     return NodeTable(z=nodes[0], w15=nodes[1], w7=nodes[2], cols=nodes[3:],
                      panel=pid, spans=[(p.leg, p.a, p.b) for p in final],
-                     sign=path.sign, n_panels=len(final))
+                     sign=path.sign, n_panels=len(final), error=err)
 
 
 # The phased sum works in tiles of at most _TILE complex entries: _FINE rows

@@ -19,10 +19,10 @@ rhs_reduced) are kept as the references the tests solve densely.
 
 GeneralSolver adds nothing to the shared core in `step` (`ContourSolver`),
 whose one hook, `_interface_data`, builds the interface combination of
-every term from the unknowns of solve_unknowns: two columns per jump x_l,
-the term of region l there and then that of region l + 1.  The single jump
-is the n = 1 case, so StepSolver's d4 form runs the same code; WellSolver's
-numerators are the last closed form.  The rows do not depend on the
+every term from the unknowns and the nus that solve_unknowns returns: two
+columns per jump x_l, the term of region l there and then that of region
+l + 1.  The single jump is the n = 1 case, so StepSolver's d4 form runs
+the same code; WellSolver's numerators are the last closed form.  The rows do not depend on the
 region, so within one evaluate_grid call every term reads its column from
 the call's node memo and solve_unknowns runs once per distinct node.  The
 terms themselves (one per neighbouring jump of a region j,
@@ -154,6 +154,10 @@ def _hats(potential, ic, nus):
 def solve_unknowns(potential, ic, kappa):
     """Interface unknowns (g0^(1..n), i g1^(1..n)) at each kappa node.
 
+    Returns (X, nus): X of shape (nk, 2n), and the stack nu_1..nu_{n+1}
+    (potential.nus) it was solved with, which the interface combinations of
+    the contour terms reuse.
+
     The system of reduced_system, with row n + ell divided by the factor
     exp(i (nu_(ell+1) - nu_ell) x_ell) that rhs_reduced puts on it, is
     block tridiagonal in the pairs u_ell = (g0, i g1) at x_ell: jump ell's
@@ -198,7 +202,7 @@ def solve_unknowns(potential, ic, kappa):
             (y0, y1), (z0, z1) = ys[j], zs[j]
             a, b = y0 - c * z0, y1 - c * z1
         X[:, j], X[:, n + j] = a, b
-    return X
+    return X, nus
 
 
 class GeneralSolver(ContourSolver):

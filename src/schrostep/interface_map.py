@@ -40,6 +40,10 @@ __all__ = ["InterfaceMap"]
 class InterfaceMap(ContourSettings):
     """Traces of psi (and psi_x) at the jumps, from the interface unknowns."""
 
+    # one table serves several times, so no single chirp can go into the
+    # ray's weights: the ray stays a line split every two periods of tmax
+    _chirp_ray = False
+
     def trace(self, t, interface=1, derivative=False):
         return self.trace_grid([t], interface, derivative=derivative)[0]
 
@@ -88,7 +92,7 @@ class InterfaceMap(ContourSettings):
             new = list(dict.fromkeys(k for k in keys if k not in solved))
             if new:
                 zn = np.frombuffer(b"".join(new), dtype=complex)
-                solved.update(zip(new, solve_unknowns(self.potential, self.ic, zn)))
+                solved.update(zip(new, solve_unknowns(self.potential, self.ic, zn)[0]))
             return np.array([solved[k] for k in keys])
 
         def weight(col, pref, t):
@@ -109,7 +113,7 @@ class InterfaceMap(ContourSettings):
         budget = panel_budget(tmax, 0.0, T)
 
         def unknowns(z, tag):
-            return solve_unknowns(self.potential, self.ic, z).T
+            return solve_unknowns(self.potential, self.ic, z)[0].T
 
         # probe times from tmin to tmax in ratios of at most 2: the ends alone
         # left the tilted leg unresolved in between (three jumps, t = 0.3 to

@@ -20,13 +20,25 @@ where it would cross the quadrant in which exp(+-i kappa^2 t) grows (up to
 exp(R^2 t)) and cross it on corner legs along the hyperbola p q = 1/t
 instead, where that factor stays within exp(9/4) (`ContourSettings.sector`).
 
+On the fourth-quadrant path the ray from -iR to -iT is a chirp leg
+(contours.Leg.chirp): there exp(i kappa^2 t) = exp(-i t u^2) is a pure
+phase, linear in v = u^2, and it moves from the weight into quadrature
+weights exact for a polynomial times that phase.  The ray's panels then
+resolve only the transforms and the x factor exp(i c (x - x0)), which
+still oscillates there (c = +-nu is real on the ray), instead of up to
+hundreds of periods of the chirp.  The forced splits every two periods
+remain only on the quadrant rays and on InterfaceMap's ray, whose one
+table serves several times.
+
 The half-line transforms in the weights decay only like 1/kappa, so the
 legs that stay on an axis carry oscillatory tails that no absolute
 truncation can afford.  Those legs are cut at a moderate point and the
 remainder is summed by repeated integration by parts in the phase
 exp(i(-t u^2 + c(u) x)); the magnitude of the last kept correction doubles
 as the error estimate, and a sampled-decay bound takes over whenever the
-expansion is not safely convergent.
+expansion is not safely convergent.  The expansion's amplitude is the
+weight without exp(-i t u^2): a chirp leg's weight as it stands, any other
+ray's weight times exp(i t u^2).
 
 The module also holds the evaluation core of every contour solver.  In each
 region the solution is a free term plus integral terms
@@ -58,7 +70,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .contours import (QuadratureError, build_node_table, deform_to_real_line,
+from .contours import (Leg, QuadratureError, build_node_table, deform_to_real_line,
                        rotated_boundary, table_integral)
 from .kernels import SolutionSample, nu, omega
 from .transforms import free_term, hat_transform
@@ -152,19 +164,20 @@ class _OscTail:
     """Integration-by-parts tail of one on-axis ray, cut at u = K.
 
     The missing piece is int_K^inf A(u) exp(i phi(u, x)) du with
-    phi = -t u^2 + c(u) (x - x0) and A slowly varying (the known quadratic
-    phase has been stripped from the weight).  Three integrations by parts
-    give the correction; the magnitude of the last term is the residual
-    estimate.  Outside the safely convergent regime the correction is
-    dropped and a sampled-decay bound on |A| is returned instead.
+    phi = -t u^2 + c(u) (x - x0) and A slowly varying: the weight times the
+    ray's jacobian, without its quadratic phase (see _TailModel).  Three
+    integrations by parts give the correction; the magnitude of the last
+    term is the residual estimate.  Outside the safely convergent regime the
+    correction is dropped and a sampled-decay bound on |A| is returned
+    instead.
 
     The derivatives of A and c come from one-sided differences with step
-    h = 0.05 over the samples w and c of the weight and the x-coefficient
-    at nodes(direction, K).  Steps of 0.02 K (up to 1) left the correction
-    off by far more than its estimate where A oscillates on its own: a
-    21-point tabulated Gaussian (d4, K = 52: 3.4e-9 off against an estimate
-    of 2.0e-9) and the unknowns at an interface x = 2.5 (InterfaceMap,
-    K = 45: 2.0e-9 against 1.2e-10).
+    h = 0.05 over the samples A and c of the amplitude and the
+    x-coefficient at nodes(direction, K).  Steps of 0.02 K (up to 1) left
+    the correction off by far more than its estimate where A oscillates on
+    its own: a 21-point tabulated Gaussian (d4, K = 52: 3.4e-9 off against
+    an estimate of 2.0e-9) and the unknowns at an interface x = 2.5
+    (InterfaceMap, K = 45: 2.0e-9 against 1.2e-10).
     """
 
     h = 0.05
@@ -174,10 +187,8 @@ class _OscTail:
         """The ray's samples direction * (K - j h), j = 0..3."""
         return direction * (K - cls.h * np.arange(4.0))
 
-    def __init__(self, w, c, jacobian, K, t, sign, x_offset):
-        u = K - self.h * np.arange(4.0)
-        qa = np.exp(1j * t * u * u)
-        self.A = np.asarray(w, dtype=complex) * jacobian * qa
+    def __init__(self, A, c, K, t, sign, x_offset):
+        self.A = np.asarray(A, dtype=complex)
         self.c = np.asarray(c, dtype=complex).real
         self.K = K
         self.t = t
@@ -255,7 +266,10 @@ def _sample_tails(nodes, weight, xcoef):
 class _TailModel:
     """All truncation tails of one integral term.
 
-    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef).
+    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef).  An
+    oscillatory ray's amplitude A is its weight times its jacobian, with
+    the quadratic phase exp(-i t u^2) stripped by exp(i t u^2); on a chirp
+    leg the weight leaves that phase out already, and is A as it stands.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span):
@@ -267,10 +281,14 @@ class _TailModel:
             g, gd = _leg_tail(*next(samples), span)
             self.generic += g
             self.generic_deriv += gd
-        for _, rays, K in spec.get("osc", ()):
+        for i, rays, K in spec.get("osc", ()):
             for _, jac in rays:
                 _, w, c = next(samples)
-                self.oscs.append(_OscTail(w, c, jac, K, t, path.sign, x_offset))
+                A = np.asarray(w, dtype=complex) * jac
+                if path.legs[i].kind != "chirp":
+                    u = K - _OscTail.h * np.arange(4.0)
+                    A = A * np.exp(1j * t * u * u)
+                self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
 
     def worst(self, xs, derivative=False):
         """Largest tail error estimate over the probe points (for acceptance)."""
@@ -349,7 +367,8 @@ def panel_budget(t, xspan, T):
 
     About three panels per oscillation of exp(i (kappa^2 t + c x)) over
     |kappa| <= T, with xspan the largest |x - x0| of the points summed
-    over the table, kept between 2000 and 40000.
+    over the table, kept between 2000 and 40000.  t = 0 budgets a table
+    whose ray weights carry exp(i kappa^2 t) (a chirp leg).
     """
     cycles = (T * T * abs(t) + T * xspan) / _TWO_PI
     return int(min(40000, max(2000, 3.0 * cycles + 500)))
@@ -372,7 +391,9 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
 
     Returns (values, errors) or (values, errors, dvalues, derrors) with one
     entry per x.  Every term builds one node table from three probe points,
-    evaluating W and c once per node, refined until W exp(i c (x - x0)) and,
+    evaluating W and c once per node, refined to 0.95 of the term's share
+    of the tolerance (its tails take up to 0.05, see choose_truncation)
+    until W exp(i c (x - x0)) and,
     with derivative, i c W exp(i c (x - x0)) converge at each of them (the
     value integrands alone left psi_x_error at 2.3e-6 on a three-jump profile
     at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at
@@ -382,13 +403,20 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     grid's 16-point groups summed several per numpy call within the same
     2^12-entry budget (see table_integral).  The tail corrections and
     estimates are evaluated for all x at once as well.
+
+    A table that stops above 50 times its target, whether on the panel
+    budget or on the 1e-18 per-panel floor, raises QuadratureError
+    ("quadrature failure"); build_with_retry then tries tolerance * 1e4
+    once.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.shape, dtype=complex)
     errs = np.zeros(xs.shape, dtype=float)
     dvals = np.zeros(xs.shape, dtype=complex) if derivative else None
     derrs = np.zeros(xs.shape, dtype=float) if derivative else None
-    tol_term = tolerance / max(1, len(terms))
+    # choose_truncation accepts tails up to 0.05 of a term's share of the
+    # tolerance; its table gets the rest, so that the two stay within it
+    tol_term = 0.95 * tolerance / max(1, len(terms))
     for term in terms:
         off = term.x_offset
         probe_xs = sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])})
@@ -403,10 +431,16 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
                 out += [1j * C * f for f in out]
             return out
 
-        table = build_with_retry(
-            lambda tol: build_node_table(term.path, columns, tol,
-                                         max_panels=max_panels, probes=probes),
-            tol_term)
+        def build(tol):
+            table = build_node_table(term.path, columns, tol,
+                                     max_panels=max_panels, probes=probes)
+            if table.error > 50.0 * tol:
+                raise QuadratureError(
+                    "quadrature failure: error {:.3e} against a target of {:.3e} "
+                    "after {} panels".format(table.error, tol, table.n_panels))
+            return table
+
+        table = build_with_retry(build, tol_term)
         W, C = table.cols
         sums = table_integral(table, W, C, xs - off, derivative=derivative)
         corr, tail = term.tails.at(xs)
@@ -490,6 +524,8 @@ class ContourSettings:
     """
 
     delta = np.pi / 8.0
+    # whether sector(4, t) makes its ray a chirp leg
+    _chirp_ray = True
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         tol = float(tolerance)
@@ -531,26 +567,40 @@ class ContourSettings:
         exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (rho the ratio between the
         corner points, 1.5 at R^2 t = 25), instead of reaching exp(R^2 t).
 
-        The ray's first panels span at most two periods of exp(i t u^2)
-        each, in at most 2000 panels (the smallest panel budget; a ray that
-        needs more, such as T = 4000 when the tolerance is out of reach,
-        would cost more to start than the budget buys).  A 7-15 panel over
-        many periods can pass the Kronrod-Gauss
-        comparison by accident, and the refinement then never splits it:
-        a three-jump InterfaceMap over t = 0.5..4 (T set by t = 0.5, nine
-        periods on one panel at t = 4) missed by 5.3e-8 against an estimate
-        of 9.8e-9, and a GeneralSolver derivative solve at t = 0.5 by 8e-8.
+        The fourth-quadrant ray is a chirp leg (Leg.chirp) at rate t: its
+        weights carry exp(i kappa^2 t) = exp(-i t u^2) exactly, so a weight
+        leaves that factor out there (tag 'chirp') and its panels resolve
+        only the rest of the integrand.  It starts as ceil((T - R) / 2)
+        equal pieces in v = u^2.
+
+        The other rays, and the fourth-quadrant one of InterfaceMap (which
+        sums one table at several times, _chirp_ray False), are lines whose
+        first panels span at most two periods of exp(i t u^2) each, in at
+        most 2000 panels (the smallest panel budget; a ray that needs more,
+        such as T = 4000 when the tolerance is out of reach, would cost more
+        to start than the budget buys).  A 7-15 panel over many periods can
+        pass the Kronrod-Gauss comparison by accident, and the refinement
+        then never splits it: a three-jump InterfaceMap over t = 0.5..4 (T
+        set by t = 0.5, nine periods on one panel at t = 4) missed by 5.3e-8
+        against an estimate of 9.8e-9, and a GeneralSolver derivative solve
+        at t = 0.5 by 8e-8.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
         corner = 1.0 / t if R * R * t > 2.0 else None
+        chirp = quad == 4 and self._chirp_ray
 
         def build(T):
             path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
             leg = path.legs[-1]
-            n = min(2000, int(np.ceil(t * (T * T - R * R) / (4.0 * np.pi))))
-            u = np.sqrt(R * R + (T * T - R * R) * np.arange(1, n) / n)
-            path.legs[-1] = replace(leg, splits=tuple((u - R) / (T - R)))
+            if chirp:
+                n = int(np.ceil((T - R) / 2.0))
+                path.legs[-1] = Leg.chirp(leg.z0, leg.z1, t, label=leg.label,
+                                          splits=np.arange(1, n) / n)
+            else:
+                n = min(2000, int(np.ceil(t * (T * T - R * R) / (4.0 * np.pi))))
+                u = np.sqrt(R * R + (T * T - R * R) * np.arange(1, n) / n)
+                path.legs[-1] = replace(leg, splits=tuple((u - R) / (T - R)))
             return path, {"generic": [(0, True)],
                           "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
         return build
@@ -599,7 +649,11 @@ class ContourSolver(ContourSettings):
                 for side, sgn, x0 in sides]
 
     def _weight(self, region, t, side):
-        """Weight -+exp(i kappa^2 t) B / (2 pi) of the term at one jump."""
+        """Weight -+exp(i kappa^2 t) B / (2 pi) of the term at one jump.
+
+        On the chirp ray (tag 'chirp') the quadrature weights carry
+        exp(i kappa^2 t), and the weight leaves it out.
+        """
         sgn = -1.0 if side == "right" else 1.0
         col = 2 * region - 2 if side == "right" else 2 * region - 3
 
@@ -607,7 +661,8 @@ class ContourSolver(ContourSettings):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
             B = self._interface_data(z) if self._memo is None else \
                 self._memo.lookup(z, col, self._interface_data)
-            return sgn * np.exp(1j * z * z * t) * B[:, col] / _TWO_PI
+            chirp = 1.0 if tag == "chirp" else np.exp(1j * z * z * t)
+            return sgn * chirp * B[:, col] / _TWO_PI
         return W
 
     def _interface_data(self, z):
@@ -616,14 +671,12 @@ class ContourSolver(ContourSettings):
         From the unknowns X of the interface system (X_l is g0 and X_{n+l}
         is i g1 at x_l): z (X_{n+l}/nu_l + X_l) for region l at its right
         jump x_l and z (X_{n+l}/nu_{l+1} - X_l) for region l + 1 at its
-        left jump x_l.
+        left jump x_l, with the nus solve_unknowns solved with.
         """
         # imported here: general imports this module
         from .general import solve_unknowns
-        pot = self.potential
-        n = pot.njumps
-        X = solve_unknowns(pot, self.ic, z)
-        nus = pot.nus(z)
+        n = self.potential.njumps
+        X, nus = solve_unknowns(self.potential, self.ic, z)
         B = np.empty((z.size, 2 * n), dtype=complex)
         for ell in range(n):
             B[:, 2 * ell] = z * (X[:, n + ell] / nus[ell] + X[:, ell])
@@ -681,8 +734,10 @@ class ContourSolver(ContourSettings):
                 terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
                 T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
+                chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
                 out = eval_terms(terms, sub, self.tolerance,
-                                 max_panels=panel_budget(t, xspan, T),
+                                 max_panels=panel_budget(0.0 if chirped else t,
+                                                         xspan, T),
                                  derivative=derivative)
                 F = free_term(self.ic, self.potential, int(j), sub, t,
                               derivative=derivative)

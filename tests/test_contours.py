@@ -1,6 +1,7 @@
 import heapq
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,74 @@ def test_splits_pin_panel_boundaries():
     assert abs(val - 1.0) < 1e-13
 
 
+def _phase_moment(k, omega):
+    """int_{-1}^{1} xi^k exp(i omega xi) dxi, from its antiderivative.
+
+    exp(a xi) sum_j (-1)^j k!/(k - j)! xi^(k - j) / a^(j + 1), a = i omega,
+    in 150-digit arithmetic: at omega = 1e-6 the terms cancel by 90 digits.
+    """
+    if omega == 0.0:
+        return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    with mpmath.workdps(150):
+        a = 1j * mpmath.mpf(omega)
+
+        def F(x):
+            return mpmath.exp(a * x) * mpmath.fsum(
+                (-1) ** j * mpmath.factorial(k) / mpmath.factorial(k - j)
+                * mpmath.mpf(x) ** (k - j) / a ** (j + 1) for j in range(k + 1))
+        return complex(F(1) - F(-1))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-6, 0.3, 5.0, 50.0, 500.0])
+def test_chirp_weights_are_exact_for_polynomials_times_the_phase(omega):
+    (wk,), (wg,) = contours._chirp_weights([omega])
+    if omega == 0.0:
+        assert wk.tobytes() == _WK.astype(complex).tobytes()
+        assert wg.tobytes() == _WG.astype(complex).tobytes()
+    assert np.all(wg[_WG == 0.0] == 0.0)
+    for w, degree in ((wk, 14), (wg, 6)):
+        for k in range(degree + 1):
+            terms = w * _XK ** k
+            want = _phase_moment(k, omega)
+            # relative to the sum's own size where the moment cancels to
+            # rounding (odd k at omega = 1e-6: 1e-7 against terms of 0.1)
+            scale = max(abs(want), np.sum(np.abs(terms)))
+            assert abs(np.sum(terms) - want) <= 1e-13 * scale, (k, degree)
+    # a negative frequency conjugates the weights
+    (wk_neg,), _ = contours._chirp_weights([-omega])
+    np.testing.assert_allclose(wk_neg, wk.conj(), rtol=1e-15, atol=0.0)
+
+
+def test_chirp_leg_integrates_hundreds_of_periods():
+    # int exp(i t z^2) A(z) dz up the ray z = -i u, u from 2 to 30, t = 4
+    # (570 periods).  A(z) = 2 z / (z^2 - c) is 1 / (v + c) dv in v = u^2,
+    # so the integral is exp(i t c) (E1(i t (v0 + c)) - E1(i t (v1 + c))).
+    t, c, R, T = 4.0, 1.0, 2.0, 30.0
+    path = ContourPath(legs=[Leg.chirp(-1j * R, -1j * T, t, splits=(0.5,))])
+    seen = set()
+
+    def amplitude(z, tag):
+        seen.add(tag)
+        return 2.0 * z / (z * z - c)
+
+    val, err = _integrate(path, amplitude, tolerance=1e-12)
+    assert seen == {"chirp"}
+    with mpmath.workdps(30):
+        want = complex(mpmath.exp(1j * t * c) * (mpmath.e1(1j * t * (R * R + c))
+                                                 - mpmath.e1(1j * t * (T * T + c))))
+    assert abs(val - want) <= 1e-12
+    assert abs(val - want) <= err
+    # the panels need the amplitude resolved, not the 570 periods
+    table = build_node_table(path, amplitude, 1e-12)
+    assert table.n_panels < 40
+
+
+def test_chirp_leg_rejects_off_axis_or_inward_rays():
+    for z0, z1 in ((1.0 - 1j, 3.0 - 3j), (-3j, -1j), (-1j, 2.0), (0.0, -2j)):
+        with pytest.raises(ValueError):
+            Leg.chirp(z0, z1, 1.0)
+
+
 def test_rotated_boundary_radius_guard():
     with pytest.raises(ValueError):
         rotated_boundary(4, 1.0, 10.0, np.pi / 8, lam=2.0)
@@ -110,9 +179,18 @@ def test_sector_crosses_the_growth_quadrant_on_corner_legs(quad, t):
     ray = path.legs[-1]
     assert spec["osc"][0][0] == len(path.legs) - 1
     assert (ray.z0, ray.z1) == (R * f, T * f)
-    # the ray's first panels span at most two periods of exp(i t u^2)
-    u = R + (T - R) * np.array([0.0, *ray.splits, 1.0])
-    assert np.all(t * np.diff(u * u) <= 4.0 * np.pi * (1.0 + 1e-12))
+    if quad == 4:
+        # a chirp leg at rate t, started as ceil((T - R) / 2) equal pieces
+        # in v = u^2
+        n = int(np.ceil((T - R) / 2.0))
+        assert (ray.kind, ray.tag, ray.rate) == ("chirp", "chirp", t)
+        assert ray.splits == tuple(np.arange(1, n) / n)
+        line = Leg.line(ray.z0, ray.z1, ray.label)
+    else:
+        # the ray's first panels span at most two periods of exp(i t u^2)
+        u = R + (T - R) * np.array([0.0, *ray.splits, 1.0])
+        assert np.all(t * np.diff(u * u) <= 4.0 * np.pi * (1.0 + 1e-12))
+        line = replace(ray, splits=())
     edges = np.linspace(0.0, 1.0, 33)
     nodes = [contours._panel_nodes(leg, edges[:-1], edges[1:])[0].ravel()
              for leg in path.legs]
@@ -125,7 +203,7 @@ def test_sector_crosses_the_growth_quadrant_on_corner_legs(quad, t):
     if R * R * t <= 2.0:
         ref = rotated_boundary(quad, R, T, solver.delta, lam=2.0)
         assert path.legs[:-1] == ref.legs[:-1] and path.sign == ref.sign
-        assert replace(ray, splits=()) == ref.legs[-1]
+        assert line == ref.legs[-1]
         assert not corner
         assert growth <= np.exp(2.0)
     else:

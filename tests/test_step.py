@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
                        StepSolver, WellSolver, mirrored, sigma, step_coefficients)
 from schrostep import step as step_module
-from schrostep.contours import table_integral
+from schrostep.contours import Leg, table_integral
 from schrostep.oracle import free_gaussian
-from schrostep.step import (_OscTail, _pair_tail, _tail_nodes, _TailModel,
-                            choose_truncation, eval_terms)
+from schrostep.step import (_OscTail, _pair_tail, _sample_tails, _tail_nodes,
+                            _TailModel, choose_truncation, eval_terms)
 
 FREE = PiecewisePotential([0.0, 0.0], [0.0])
 UP = PiecewisePotential([1.0, 2.0], [0.0])
@@ -47,15 +48,12 @@ def check_flat_contract(rep, alpha, center, width, momentum, t, tolerance=1e-8):
 
 
 # The error contract |psi - psi_exact| <= error fails on these draws of the
-# property test below, and on the first of them at tolerance 1e-10; the
-# worst ratio of deviation to estimate is given.
-# (rep, alpha, center, width, momentum, t[, tolerance]).
+# property test below; the worst ratio of deviation to estimate is given.
+# (rep, alpha, center, width, momentum, t).
 DISHONEST_CASES = [
-    ("d4", 0.375, 0.0, 1.0, 0.0, 16.0),          # x = 0: 1.05
+    ("d4", 0.375, 0.0, 1.0, 0.0, 16.0),          # x = 0: 1.07
     ("quadrant", 0.375, 0.0, 1.0, 0.0, 15.0),    # x = 2: 1.04
     ("realline", 0.0, 2.0, 0.5, 0.0, 2.0),       # x = 4: 9.98
-    pytest.param(("d4", 0.375, 0.0, 1.0, 0.0, 16.0, 1e-10),
-                 id="d4-tol1e-10"),              # x = -2: 6.44
 ]
 
 
@@ -65,6 +63,13 @@ DISHONEST_CASES = [
 @pytest.mark.parametrize("case", DISHONEST_CASES, ids=lambda c: c[0])
 def test_error_contract_known_dishonest_cases(case):
     check_flat_contract(*case)
+
+
+def test_error_contract_of_d4_at_tolerance_1e_10():
+    # the first dishonest draw at a tighter tolerance: while the ray's 7-15
+    # panels resolved exp(i kappa^2 t) node by node it missed by 6.44x at
+    # x = -2; now the deviation is 2.0e-14 against an estimate of 9.9e-12
+    check_flat_contract("d4", 0.375, 0.0, 1.0, 0.0, 16.0, tolerance=1e-10)
 
 
 # Shrinking a failing draw took up to 19 s; a failure reports the draw as
@@ -274,7 +279,7 @@ def _osc(growth, scale=1.0):
         return scale * np.exp(-1j * t * z * z + growth * z) / z
 
     z = _OscTail.nodes(1.0, K)
-    return _OscTail(weight(z, ""), z, 1.0, K, t, -1, 0.25)
+    return _OscTail(weight(z, "") * np.exp(1j * t * z * z), z, K, t, -1, 0.25)
 
 
 def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
@@ -304,6 +309,32 @@ def test_tail_model_worst_is_the_largest_point_estimate():
         assert isinstance(worst, float)
         each = [tails.at(x, derivative)[1] for x in xs]
         assert worst == max([tails.generic_deriv if derivative else tails.generic] + each)
+
+
+@pytest.mark.parametrize("region", [1, 2])
+def test_chirp_ray_tail_matches_the_stripped_phase_model(region):
+    # the chirp ray samples the amplitude itself (tag 'chirp'); a line ray
+    # samples the whole weight and strips exp(-i t u^2) again
+    W, xc, x0, builder, T0 = StepSolver(UP, gaussian_ic())._declare(region, 0.5)[0]
+    xs = np.linspace(-6.0, 6.0, 25)
+    kept = 0
+    for T in (T0, 2.0 * T0, 6.0 * T0):
+        path, spec = builder(T)
+        ray = path.legs[-1]
+        assert ray.kind == "chirp"
+        line = replace(path, legs=path.legs[:-1] + [Leg.line(ray.z0, ray.z1)])
+        chirp, stripped = (
+            _TailModel(p, spec, _sample_tails(_tail_nodes(p, spec), W, xc), 0.5,
+                       x0, span=T) for p in (path, line))
+        for derivative in (False, True):
+            got, want = chirp.at(xs, derivative), stripped.at(xs, derivative)
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+            # the estimates (third differences of A with step 0.05, or the
+            # decay bound's log |A(K - 0.05) / A(K)|) magnify the rounding of
+            # exp(i t u^2) in the stripped samples: 2.4e-10 apart at most
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-8, atol=0.0)
+            kept += np.count_nonzero(got[0])
+    assert kept > 0
 
 
 def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
