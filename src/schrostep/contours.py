@@ -26,13 +26,14 @@ The bisection itself replays the one-panel-at-a-time loop exactly (heap
 order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
 
-A chirp leg (Leg.chirp) is an axis ray parametrised by v = z^2 / e^2, so
-that exp(i rate z^2) is a pure phase linear in the parameter; its panels
-take Kronrod and Gauss weights exact for a polynomial times that phase
-(Filon-type quadrature, Iserles & Norsett, Proc. R. Soc. A 461, 2005), and
-the integrand sampled at its nodes leaves the phase out.  A panel then needs
-only the smooth amplitude resolved, however many periods of the phase it
-spans.
+The quadrature weights of a path carry its phase exp(i rate z^2), so the
+integrand sampled at the nodes leaves the phase out.  A chirp leg
+(Leg.chirp) is an axis ray parametrised by v = z^2 / e^2, so that the phase
+is linear in the parameter; its panels take Kronrod and Gauss weights exact
+for a polynomial times that phase (Filon-type quadrature, Iserles &
+Norsett, Proc. R. Soc. A 461, 2005), and need only the amplitude resolved,
+however many periods of the phase they span.  Other legs take the phase at
+the nodes.
 
 table_integral is the one summation over a finished table.  It sums
 W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
@@ -208,14 +209,14 @@ class Leg:
     kind 'chirp' the axis ray z0 -> z1 = r z0 (r > 1, z0 on a real or
                  imaginary half-axis e), parametrised by v = (z / e)^2 from
                  |z0|^2 to |z1|^2: z^2 = e^2 v is linear in the parameter,
-                 and exp(i rate z^2) is the pure phase exp(i rate e^2 v).
-                 Its panel weights carry that phase exactly (_chirp_weights);
-                 the integrand at its nodes leaves it out.
+                 and the path's phase exp(i rate z^2) is the pure phase
+                 exp(i rate e^2 v), which its panel weights carry exactly
+                 (_chirp_weights).
 
     `splits` lists parameter values in (0, 1) where the initial panelling
-    must break (branch points, cut endpoints).  `tag` marks legs that need a
-    special integrand ('cut-difference', and 'chirp' on chirp legs, whose
-    integrand leaves out the phase); ordinary legs carry an empty tag.
+    must break (branch points, cut endpoints, the pieces of a long chirp
+    leg).  `tag` marks legs that need a special integrand
+    ('cut-difference'); ordinary legs carry an empty tag.
     """
 
     kind: str
@@ -229,7 +230,6 @@ class Leg:
     label: str = ""
     tag: str = ""
     splits: tuple = ()
-    rate: float = 0.0
 
     @classmethod
     def line(cls, z0, z1, label="line", tag="", splits=()):
@@ -255,15 +255,15 @@ class Leg:
                    label=label, tag=tag, splits=tuple(splits))
 
     @classmethod
-    def chirp(cls, z0, z1, rate, label="chirp leg", tag="chirp", splits=()):
+    def chirp(cls, z0, z1, label="chirp leg", tag="", splits=()):
         z0, z1 = complex(z0), complex(z1)
         e = z1 / abs(z1) if z1 != 0.0 else 0.0
         if e not in (1.0, -1.0, 1j, -1j) or z0 != abs(z0) * e \
                 or not 0.0 < abs(z0) < abs(z1):
             raise ValueError("a chirp leg runs outward along a real or imaginary "
                              "half-axis, got {} -> {}".format(z0, z1))
-        return cls(kind="chirp", z0=z0, z1=z1, rate=float(rate), label=label,
-                   tag=tag, splits=tuple(splits))
+        return cls(kind="chirp", z0=z0, z1=z1, label=label, tag=tag,
+                   splits=tuple(splits))
 
     def start(self):
         if self.kind in ("line", "chirp"):
@@ -314,11 +314,13 @@ class ContourPath:
 
     `sign` multiplies the final integral; deformations that reverse the
     effective direction (lower half plane collapsing onto the real line
-    traversed left to right) carry sign -1.
+    traversed left to right) carry sign -1.  The quadrature weights carry
+    the phase exp(i rate z^2).
     """
 
     legs: list
     sign: int = 1
+    rate: float = 0.0
 
     def validate_continuity(self, rtol=1e-9):
         scale = max(abs(leg.start()) + abs(leg.end()) for leg in self.legs) + 1.0
@@ -431,7 +433,7 @@ class NodeTable:
 
     z        flattened node locations (principal-value legs list both fold
              sides, so a pv panel contributes 30 entries)
-    w15      Kronrod weights times the complex jacobian
+    w15      Kronrod weights times the complex jacobian and exp(i rate z^2)
     w7       embedded Gauss weights on the same entries (zeros elsewhere)
     cols     the caller's columns at z, shape (m, len(z)), from the one
              evaluation per node made while refining
@@ -470,13 +472,14 @@ class _Panel:
         self.kids = None        # the two halves, once evaluated
 
 
-def _panel_nodes(leg, a, b):
-    """Nodes and weighted jacobians of the panels [a_i, b_i] of one leg.
+def _panel_nodes(leg, a, b, rate=0.0):
+    """Nodes and weights of the panels [a_i, b_i] of one leg.
 
-    Returns (z, w15, w7), each with one row per panel.  On a chirp leg
-    exp(i rate z^2) is the phase at the panel's middle times
-    exp(i omega xi) in the panel variable xi, omega = rate e^2 times the
-    panel's half-width in v, and the weights carry both (_chirp_weights).
+    Returns (z, w15, w7), each with one row per panel, the weights times
+    the jacobian and exp(i rate z^2).  On a chirp leg that phase is the
+    phase at the panel's middle times exp(i omega xi) in the panel variable
+    xi, omega = rate e^2 times the panel's half-width in v, and the weights
+    carry both (_chirp_weights); other legs take it at the nodes.
     """
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
@@ -486,17 +489,19 @@ def _panel_nodes(leg, a, b):
     if leg.kind == "pv":
         u = leg.half * s
         z = np.concatenate([leg.center + u, leg.center - u], axis=1).astype(complex)
-        w15 = np.concatenate([_WK, _WK]) * (half * leg.half)
-        w7 = np.concatenate([_WG, _WG]) * (half * leg.half)
-        return z, w15.astype(complex), w7.astype(complex)
-    z = leg.point(s)
-    jac = leg.deriv(s) * half
-    if leg.kind != "chirp":
-        return z, _WK * jac, _WG * jac
-    e, v0, v1 = leg._v()
-    rate = leg.rate * (e * e).real
-    wk, wg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
-    jac = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
+        wk, wg = np.tile(_WK, 2), np.tile(_WG, 2)
+        jac = (half * leg.half).astype(complex)
+    else:
+        z = leg.point(s)
+        wk, wg = _WK, _WG
+        jac = leg.deriv(s) * half
+    if leg.kind == "chirp":
+        e, v0, v1 = leg._v()
+        rate = rate * (e * e).real
+        wk, wg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
+        jac = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
+    elif rate:
+        jac = jac * np.exp(1j * rate * (z * z))
     return z, wk * jac, wg * jac
 
 
@@ -521,7 +526,7 @@ def _evaluate(path, columns, probes, spans):
         for leg_idx, g in itertools.groupby(idx, key=lambda i: spans[i][0]):
             g = list(g)
             parts.append(_panel_nodes(path.legs[leg_idx], [spans[i][1] for i in g],
-                                      [spans[i][2] for i in g]))
+                                      [spans[i][2] for i in g], path.rate))
         z, w15, w7 = (np.concatenate(arrs) for arrs in zip(*parts))
         per = z.shape[1]
         step = _CALL_NODES // per
@@ -600,7 +605,9 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     Refinement bisects the worst panel first.  Children are evaluated ahead
     of need, a batch at a time (_next_to_split), and kept on their parents
     until the loop below reaches them, so the panels chosen are exactly
-    those of a one-panel-at-a-time loop.
+    those of a one-panel-at-a-time loop.  A table that stops above 50
+    times the tolerance, on max_panels or on the 1e-18 per-panel floor,
+    raises QuadratureError.
     """
     heap = []
     counter = 0
@@ -652,7 +659,7 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 
     final = sorted((entry[2] for entry in heap), key=lambda p: p.order)
     err = sum(p.err for p in final)
-    if err > 50.0 * max(tolerance, 1e-300) and len(final) >= max_panels:
+    if err > 50.0 * max(tolerance, 1e-300):
         worst = max(final, key=lambda p: p.err)
         leg = path.legs[worst.leg]
         raise QuadratureError(

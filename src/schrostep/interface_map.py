@@ -11,20 +11,27 @@ without ever reconstructing the solution on an x grid.  The integrand is
 x-free, so the stationary point of the quadratic phase sits at the origin.
 One node table serves a whole batch of times and every requested
 interface: its truncation is the largest of the per-interface searches
-(each from the psi column at the smallest time), its contour (the corner
-constant and the splits of the axis ray, see ContourSettings.sector) comes
-from the largest time, and it is refined against the psi (and psi_x)
-column of every interface at probe times from the smallest to the largest
-in ratios of at most 2.  The unknowns are solved once per node while the
-table is refined and kept as the table's columns, which hold all 2n of
-them; each column is summed at every time in one phased table_integral
-call, with W = pref kappa X, C = kappa^2 and the times in the place of x.
+(each from the psi column at the smallest time), its contour is that of
+ContourSettings.sector(4, tmax) at the rate tmin (the corner legs bound the
+growth at every time, and the weights carry exp(i kappa^2 tmin)), and it is
+refined against the psi (and psi_x) column of every interface at probe
+times from the smallest to the largest in ratios of at most 2.  A time t
+leaves the residual phase exp(i kappa^2 (t - tmin)), which decays on the
+tilted leg, to the integrand; on the chirp ray it is sampled at the nodes,
+so the ray starts in pieces of at most two of its periods (at most 2000),
+because a 7-15 panel over many periods can pass the Kronrod-Gauss check by
+accident and is then never split.  The unknowns are solved once per node
+while the table is refined and kept as the table's columns, which hold all
+2n of them; each column is summed at every time in one phased
+table_integral call, with W = pref kappa X, C = kappa^2 and X = t - tmin.
 The tail samples lie at points fixed by the path alone, so within one call
 the unknowns at each tail node are solved once and kept by the node's bits,
 whatever the column, the time or the block of truncation rungs it was first
-sampled in.  The probe integrands take exp(i kappa^2 tp) once per probe
-time for every column.
+sampled in.  The probe integrands take exp(i kappa^2 (tp - tmin)) once per
+probe time for every column.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,10 +46,6 @@ __all__ = ["InterfaceMap"]
 
 class InterfaceMap(ContourSettings):
     """Traces of psi (and psi_x) at the jumps, from the interface unknowns."""
-
-    # one table serves several times, so no single chirp can go into the
-    # ray's weights: the ray stays a line split every two periods of tmax
-    _chirp_ray = False
 
     def trace(self, t, interface=1, derivative=False):
         return self.trace_grid([t], interface, derivative=derivative)[0]
@@ -80,7 +83,18 @@ class InterfaceMap(ContourSettings):
         tmin = min(t for _, t in live)
         tmax = max(t for _, t in live)
         tol = self.tolerance
-        builder = self.sector(4, tmax)
+        sector = self.sector(4, tmax)
+        R, span = self.radius, tmax - tmin
+
+        def builder(T):
+            # pieces of at most two periods of the residual phase as well
+            path, spec = sector(T)
+            path.rate = tmin
+            ray = path.legs[-1]
+            pieces = max(len(ray.splits) + 1, min(2000, int(np.ceil(
+                span * (T * T - R * R) / (4.0 * np.pi)))))
+            path.legs[-1] = replace(ray, splits=tuple(np.arange(1, pieces) / pieces))
+            return path, spec
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
         # the unknowns at each tail sample, keyed by the node's bits: the
         # truncation searches sample their rungs in blocks, the final tails
@@ -98,7 +112,8 @@ class InterfaceMap(ContourSettings):
         def weight(col, pref, t):
             def W(z, tag):
                 z = np.atleast_1d(np.asarray(z, dtype=complex))
-                return pref * z * np.exp(1j * z * z * t) * unknowns_at(z)[:, col]
+                return (pref * z * np.exp(1j * z * z * (t - tmin))
+                        * unknowns_at(z)[:, col])
             return W
 
         cols = {ell: [(ell - 1, -1.0 / np.pi)] + ([(n + ell - 1, 1j / np.pi)]
@@ -110,7 +125,7 @@ class InterfaceMap(ContourSettings):
                                       tmin, 0.0, (0.0,), tol, 2.0 * self.radius)[0]
                     for ell in ells), key=ContourPath.reach)
         T = path.reach()
-        budget = panel_budget(tmax, 0.0, T)
+        budget = panel_budget(span, 0.0, T)
 
         def unknowns(z, tag):
             return solve_unknowns(self.potential, self.ic, z)[0].T
@@ -122,7 +137,7 @@ class InterfaceMap(ContourSettings):
         tprobe = tmin * (tmax / tmin) ** (np.arange(steps + 1) / max(steps, 1))
 
         def probes(z, X):
-            es = [np.exp(1j * z * z * tp) for tp in tprobe]
+            es = [np.exp(1j * z * z * (tp - tmin)) for tp in tprobe]
             return [pref * z * e * X[col]
                     for ell in ells for col, pref in cols[ell] for e in es]
 
@@ -132,7 +147,7 @@ class InterfaceMap(ContourSettings):
             tol)
         X = table.cols
         C = table.z * table.z
-        times = np.array([t for _, t in live])
+        times = np.array([t - tmin for _, t in live])
         sums = {col: table_integral(table, pref * table.z * X[col], C, times)
                 for ell in ells for col, pref in cols[ell]}
         _, spec = builder(T)

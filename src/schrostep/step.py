@@ -20,15 +20,13 @@ where it would cross the quadrant in which exp(+-i kappa^2 t) grows (up to
 exp(R^2 t)) and cross it on corner legs along the hyperbola p q = 1/t
 instead, where that factor stays within exp(9/4) (`ContourSettings.sector`).
 
-On the fourth-quadrant path the ray from -iR to -iT is a chirp leg
-(contours.Leg.chirp): there exp(i kappa^2 t) = exp(-i t u^2) is a pure
-phase, linear in v = u^2, and it moves from the weight into quadrature
-weights exact for a polynomial times that phase.  The ray's panels then
-resolve only the transforms and the x factor exp(i c (x - x0)), which
-still oscillates there (c = +-nu is real on the ray), instead of up to
-hundreds of periods of the chirp.  The forced splits every two periods
-remain only on the quadrant rays and on InterfaceMap's ray, whose one
-table serves several times.
+Every integrand is a time-independent amplitude times
+exp(-i (alpha + kappa^2) t), and the quadratic phase goes on the contour: a
+path's quadrature weights carry exp(i rate kappa^2) (rate t in quadrant 4,
+-t elsewhere) and every weight leaves it out.  The ray of every sector path
+is a chirp leg (contours.Leg.chirp), whose weights integrate that phase
+exactly, so its panels resolve only the transforms and the x factor
+exp(i c (x - x0)), which still oscillates there (c is real on the ray).
 
 The half-line transforms in the weights decay only like 1/kappa, so the
 legs that stay on an axis carry oscillatory tails that no absolute
@@ -37,8 +35,7 @@ remainder is summed by repeated integration by parts in the phase
 exp(i(-t u^2 + c(u) x)); the magnitude of the last kept correction doubles
 as the error estimate, and a sampled-decay bound takes over whenever the
 expansion is not safely convergent.  The expansion's amplitude is the
-weight without exp(-i t u^2): a chirp leg's weight as it stands, any other
-ray's weight times exp(i t u^2).
+weight times the path's phase, without exp(-i t u^2) (_TailModel).
 
 The module also holds the evaluation core of every contour solver.  In each
 region the solution is a free term plus integral terms
@@ -72,7 +69,7 @@ import numpy as np
 
 from .contours import (Leg, QuadratureError, build_node_table, deform_to_real_line,
                        rotated_boundary, table_integral)
-from .kernels import SolutionSample, nu, omega
+from .kernels import SolutionSample, nu
 from .transforms import free_term, hat_transform
 
 __all__ = ["StepSolver", "sigma", "sigma_below", "step_coefficients", "mirrored"]
@@ -266,10 +263,12 @@ def _sample_tails(nodes, weight, xcoef):
 class _TailModel:
     """All truncation tails of one integral term.
 
-    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef).  An
-    oscillatory ray's amplitude A is its weight times its jacobian, with
-    the quadratic phase exp(-i t u^2) stripped by exp(i t u^2); on a chirp
-    leg the weight leaves that phase out already, and is A as it stands.
+    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef); the
+    weights w leave out the path's phase.  A decaying leg's tail is taken
+    from w exp(i rate z^2), and an oscillatory ray's amplitude at
+    z = direction u is A = w jac exp(i (rate z^2 + t u^2)), without the
+    expansion's exp(-i t u^2): w jac on every sector and real-line ray,
+    where rate z^2 = -t u^2 exactly.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span):
@@ -278,16 +277,16 @@ class _TailModel:
         self.oscs = []
         samples = iter(samples)
         for _ in spec.get("generic", ()):
-            g, gd = _leg_tail(*next(samples), span)
+            z, w, c = next(samples)
+            g, gd = _leg_tail(z, w * np.exp(1j * path.rate * (z * z)), c, span)
             self.generic += g
             self.generic_deriv += gd
-        for i, rays, K in spec.get("osc", ()):
+        for _, rays, K in spec.get("osc", ()):
+            u = K - _OscTail.h * np.arange(4.0)
             for _, jac in rays:
-                _, w, c = next(samples)
-                A = np.asarray(w, dtype=complex) * jac
-                if path.legs[i].kind != "chirp":
-                    u = K - _OscTail.h * np.arange(4.0)
-                    A = A * np.exp(1j * t * u * u)
+                z, w, c = next(samples)
+                A = np.asarray(w, dtype=complex) * jac * np.exp(
+                    1j * (path.rate * (z * z) + t * (u * u)))
                 self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
 
     def worst(self, xs, derivative=False):
@@ -404,10 +403,8 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     2^12-entry budget (see table_integral).  The tail corrections and
     estimates are evaluated for all x at once as well.
 
-    A table that stops above 50 times its target, whether on the panel
-    budget or on the 1e-18 per-panel floor, raises QuadratureError
-    ("quadrature failure"); build_with_retry then tries tolerance * 1e4
-    once.
+    A table that stops above 50 times its target raises QuadratureError
+    (build_node_table); build_with_retry then tries tolerance * 1e4 once.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.shape, dtype=complex)
@@ -431,16 +428,10 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
                 out += [1j * C * f for f in out]
             return out
 
-        def build(tol):
-            table = build_node_table(term.path, columns, tol,
-                                     max_panels=max_panels, probes=probes)
-            if table.error > 50.0 * tol:
-                raise QuadratureError(
-                    "quadrature failure: error {:.3e} against a target of {:.3e} "
-                    "after {} panels".format(table.error, tol, table.n_panels))
-            return table
-
-        table = build_with_retry(build, tol_term)
+        table = build_with_retry(
+            lambda tol: build_node_table(term.path, columns, tol,
+                                         max_panels=max_panels, probes=probes),
+            tol_term)
         W, C = table.cols
         sums = table_integral(table, W, C, xs - off, derivative=derivative)
         corr, tail = term.tails.at(xs)
@@ -524,8 +515,6 @@ class ContourSettings:
     """
 
     delta = np.pi / 8.0
-    # whether sector(4, t) makes its ray a chirp leg
-    _chirp_ray = True
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         tol = float(tolerance)
@@ -567,40 +556,22 @@ class ContourSettings:
         exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (rho the ratio between the
         corner points, 1.5 at R^2 t = 25), instead of reaching exp(R^2 t).
 
-        The fourth-quadrant ray is a chirp leg (Leg.chirp) at rate t: its
-        weights carry exp(i kappa^2 t) = exp(-i t u^2) exactly, so a weight
-        leaves that factor out there (tag 'chirp') and its panels resolve
-        only the rest of the integrand.  It starts as ceil((T - R) / 2)
-        equal pieces in v = u^2.
-
-        The other rays, and the fourth-quadrant one of InterfaceMap (which
-        sums one table at several times, _chirp_ray False), are lines whose
-        first panels span at most two periods of exp(i t u^2) each, in at
-        most 2000 panels (the smallest panel budget; a ray that needs more,
-        such as T = 4000 when the tolerance is out of reach, would cost more
-        to start than the budget buys).  A 7-15 panel over many periods can
-        pass the Kronrod-Gauss comparison by accident, and the refinement
-        then never splits it: a three-jump InterfaceMap over t = 0.5..4 (T
-        set by t = 0.5, nine periods on one panel at t = 4) missed by 5.3e-8
-        against an estimate of 9.8e-9, and a GeneralSolver derivative solve
-        at t = 0.5 by 8e-8.
+        The path's weights carry exp(+-i kappa^2 t) (rate t in quadrant 4,
+        -t in 3 and 1), which a weight leaves out.  The ray is a chirp leg
+        (Leg.chirp), whose weights integrate that factor exactly, started
+        as ceil((T - R) / 2) equal pieces in v = u^2.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
         corner = 1.0 / t if R * R * t > 2.0 else None
-        chirp = quad == 4 and self._chirp_ray
 
         def build(T):
             path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
             leg = path.legs[-1]
-            if chirp:
-                n = int(np.ceil((T - R) / 2.0))
-                path.legs[-1] = Leg.chirp(leg.z0, leg.z1, t, label=leg.label,
-                                          splits=np.arange(1, n) / n)
-            else:
-                n = min(2000, int(np.ceil(t * (T * T - R * R) / (4.0 * np.pi))))
-                u = np.sqrt(R * R + (T * T - R * R) * np.arange(1, n) / n)
-                path.legs[-1] = replace(leg, splits=tuple((u - R) / (T - R)))
+            n = int(np.ceil((T - R) / 2.0))
+            path.legs[-1] = Leg.chirp(leg.z0, leg.z1, label=leg.label,
+                                      splits=np.arange(1, n) / n)
+            path.rate = t if quad == 4 else -t
             return path, {"generic": [(0, True)],
                           "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
         return build
@@ -613,10 +584,10 @@ class ContourSolver(ContourSettings):
     builder, T0): the weight W(z, tag), the x-coefficient c(z, tag), the
     offset x0 of exp(i c (x - x0)), the truncation builder (see
     choose_truncation) and the first truncation tried.  Region j has one
-    term per neighbouring jump on the fourth-quadrant sector boundary, with
-    T0 = 2R: at its right jump x_j with c = -nu_j and weight
-    -exp(i kappa^2 t) B / (2 pi), at its left jump x_{j-1} with c = +nu_j
-    and weight +exp(i kappa^2 t) B / (2 pi).  _interface_data(z), the one
+    term per neighbouring jump on the fourth-quadrant sector boundary, whose
+    weights carry exp(i kappa^2 t), with T0 = 2R: at its right jump x_j
+    with c = -nu_j and weight -B / (2 pi), at its left jump x_{j-1} with
+    c = +nu_j and weight +B / (2 pi).  _interface_data(z), the one
     hook, gives the interface combinations B of all terms as an (N, 2n)
     array, one row per node: column 2l - 2 is the term of region l at its
     right jump x_l, column 2l - 1 the term of region l + 1 at its left jump
@@ -649,10 +620,10 @@ class ContourSolver(ContourSettings):
                 for side, sgn, x0 in sides]
 
     def _weight(self, region, t, side):
-        """Weight -+exp(i kappa^2 t) B / (2 pi) of the term at one jump.
+        """Weight -+B / (2 pi) of the term at one jump.
 
-        On the chirp ray (tag 'chirp') the quadrature weights carry
-        exp(i kappa^2 t), and the weight leaves it out.
+        The integrand is -+exp(i kappa^2 t) B / (2 pi); the quadrature
+        weights of the sector(4, t) path carry exp(i kappa^2 t).
         """
         sgn = -1.0 if side == "right" else 1.0
         col = 2 * region - 2 if side == "right" else 2 * region - 3
@@ -661,8 +632,7 @@ class ContourSolver(ContourSettings):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
             B = self._interface_data(z) if self._memo is None else \
                 self._memo.lookup(z, col, self._interface_data)
-            chirp = 1.0 if tag == "chirp" else np.exp(1j * z * z * t)
-            return sgn * chirp * B[:, col] / _TWO_PI
+            return sgn * B[:, col] / _TWO_PI
         return W
 
     def _interface_data(self, z):
@@ -784,8 +754,10 @@ class StepSolver(ContourSolver):
     # -- weights ---------------------------------------------------------
 
     def _w_d4(self, region, t):
-        # the d4 weight under the name perfbench/tests binds
-        return self._weight(region, t, "right" if region == 1 else "left")
+        # the whole d4 integrand, exp(i kappa^2 t) included, for a path of
+        # rate 0, under the name perfbench/tests binds
+        W = self._weight(region, t, "right" if region == 1 else "left")
+        return lambda z, tag: np.exp(1j * z * z * t) * W(z, tag)
 
     def _sigma1(self, k):
         a1, a2 = self.potential.levels
@@ -804,6 +776,7 @@ class StepSolver(ContourSolver):
         return out
 
     def _w_quadrant(self, region, t):
+        # exp(-omega t) without the exp(-i kappa^2 t) of the path's weights
         a1, a2 = self.potential.levels
         ic, pot = self.ic, self.potential
 
@@ -811,7 +784,7 @@ class StepSolver(ContourSolver):
             def W(z, tag):
                 z = np.asarray(z, dtype=complex)
                 s1 = self._sigma1(z)
-                damp = np.exp(-omega(a1, z) * t)
+                damp = np.exp(-1j * a1 * t)
                 h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((-z, z * s1)))
                 return damp * (-(1.0 - s1) * h1 - 2.0 * h2) / (_TWO_PI * (1.0 + s1))
             return W
@@ -819,7 +792,7 @@ class StepSolver(ContourSolver):
         def W(z, tag):
             z = np.asarray(z, dtype=complex)
             s2 = sigma(a2 - a1, z)
-            damp = np.exp(-omega(a2, z) * t)
+            damp = np.exp(-1j * a2 * t)
             h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((z * s2, -z)))
             return damp * (2.0 * h1 + (1.0 - s2) * h2) / (_TWO_PI * (1.0 + s2))
         return W
@@ -835,7 +808,7 @@ class StepSolver(ContourSolver):
             s = np.minimum(q / np.maximum(y, 1e-280), 1e12)
             A, bm, bp = hat_transform(ic, pot, (2, 1, 1), np.stack((-1j * y, -q, q)))
             jump = (-4j * s * A + 2.0 * (bm - bp) - 2j * s * (bm + bp)) / (1.0 + s * s)
-            return jump * np.exp(-1j * (a2 - y * y) * t) / _TWO_PI
+            return jump * np.exp(-1j * a2 * t) / _TWO_PI
         return W
 
     def _realline_weight(self, region, t):
@@ -863,7 +836,7 @@ class StepSolver(ContourSolver):
                      2.0 * self.radius)]
         a = a2 - a1
         cut = np.sqrt(a) if a > 0.0 else None
-        builder = lambda L: (deform_to_real_line(quad, L, cut=cut),
+        builder = lambda L: (replace(deform_to_real_line(quad, L, cut=cut), rate=-t),
                              {"osc": [(0, ((1.0, 1.0), (-1.0, 1.0)), L)]})
         return [(self._realline_weight(region, t), ident, 0.0, builder,
                  max(4.0, 2.0 * self.radius))]

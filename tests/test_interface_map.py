@@ -97,6 +97,43 @@ def test_several_interfaces_solve_each_node_once(monkeypatch):
     assert z.size == len(np.unique(z.view(np.uint64).reshape(-1, 2), axis=0))
 
 
+def test_one_table_takes_the_smallest_time_on_its_path(monkeypatch):
+    paths = []
+    build = interface_map.build_node_table
+
+    def spy(path, *args, **kwargs):
+        paths.append(path)
+        return build(path, *args, **kwargs)
+
+    monkeypatch.setattr(interface_map, "build_node_table", spy)
+    imap = InterfaceMap(THREE, IC)
+    R = imap.radius
+    # a single time: the sector path of that time as it is, with no
+    # residual phase to split for
+    imap.trace(0.6, 2)
+    (path,) = paths
+    want, _ = imap.sector(4, 0.6)(path.reach())
+    assert path.rate == 0.6 and path.legs == want.legs
+    # several times: the weights carry the smallest time's phase, the
+    # corner legs come from the largest, and the ray is cut for the
+    # residual phase exp(i kappa^2 (t - tmin)) only
+    paths.clear()
+    imap.trace_grid([0.6, 0.3, 1.2], 2)
+    (path,) = paths
+    T = path.reach()
+    want, _ = imap.sector(4, 1.2)(T)
+    assert path.rate == 0.3 and path.legs[:-1] == want.legs[:-1]
+    ray = path.legs[-1]
+    assert (ray.kind, ray.z0, ray.z1) == ("chirp", want.legs[-1].z0, want.legs[-1].z1)
+    span = 1.2 - 0.3
+    pieces = int(np.ceil(span * (T * T - R * R) / (4.0 * np.pi)))
+    assert pieces > len(want.legs[-1].splits) + 1
+    assert ray.splits == tuple(np.arange(1, pieces) / pieces)
+    # each piece spans at most two periods of the residual phase at 1.2
+    v = R * R + (T * T - R * R) * np.array([0.0, *ray.splits, 1.0])
+    assert np.all(span * np.diff(v) <= 4.0 * np.pi * (1.0 + 1e-12))
+
+
 def test_fastest_time_of_a_wide_time_range_stays_honest():
     # T is set by t = 0.5, so at t = 4 the axis ray holds about 1300 periods;
     # a first panel spanning nine of them once passed the 7-15 check by

@@ -13,7 +13,8 @@ builds is listed, one line per leg label that holds panels:
 
 A table whose build raised (an exhausted panel budget, before the retry)
 has no line.  Each workload ends with its totals per leg label and the
-share of its panels on the imaginary leg, the fourth-quadrant ray.
+share of its panels on chirp legs, the oscillatory rays of the sector
+paths (the imaginary leg of quadrant 4, the real legs of quadrants 3 and 1).
 """
 
 import argparse
@@ -74,9 +75,12 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             panels, nodes = Counter(), Counter()
+            chirp = 0
             for i, req in enumerate(make_requests(workload, args.seed)):
                 kind = req["command"] if req["kind"] == "cli" else req["kind"]
                 for k, (path, table) in enumerate(serve(req, Path(tmp))):
+                    chirp += sum(path.legs[leg].kind == "chirp"
+                                 for leg, _, _ in table.spans)
                     for label, (p, n) in per_leg(path, table).items():
                         print("{}\t{}\t{}\t{}\t{}\t{}\t{}".format(
                             workload, i, kind, k, label, p, n))
@@ -86,9 +90,9 @@ def main(argv):
                 print("{}\ttotal\t\t\t{}\t{}\t{}".format(
                     workload, label, panels[label], nodes[label]))
             total = sum(panels.values())
-            print("{}\ttotal\t\t\tall legs\t{}\t{}\t({:.0%} of panels on the "
-                  "imaginary leg)".format(workload, total, sum(nodes.values()),
-                                          panels["imaginary leg"] / max(total, 1)))
+            print("{}\ttotal\t\t\tall legs\t{}\t{}\t({:.0%} of panels on chirp "
+                  "legs)".format(workload, total, sum(nodes.values()),
+                                 chirp / max(total, 1)))
     return 0
 
 
