@@ -204,6 +204,8 @@ def _times(cfg):
     if "grid.t" not in cfg:
         raise ConfigError("grid.t", "missing")
     ts = _floats("grid.t", cfg["grid.t"])
+    if not ts:
+        raise ConfigError("grid.t", "no times given")
     if not all(np.isfinite(t) and t >= 0.0 for t in ts):
         raise ConfigError("grid.t", "times must be finite and nonnegative, "
                                     "got {!r}".format(cfg["grid.t"]))
@@ -229,8 +231,8 @@ def cmd_solve(args):
     if "grid.x" not in cfg:
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg["grid.x"])
-    ts = _times(cfg)
-    samples = [s for t in ts for s in solver.evaluate_grid(xs, t)]
+    # one call for every time: one node table per term serves them all
+    samples = solver.evaluate_grid(xs, _times(cfg))
     _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate"),
            [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error)
             for s in samples])
@@ -246,8 +248,7 @@ def cmd_compare(args):
         raise ConfigError("grid.x", "missing")
     xs = _grid("grid.x", cfg_a["grid.x"])
     ts = _times(cfg_a)
-    pairs = [p for t in ts
-             for p in zip(sol_a.evaluate_grid(xs, t), sol_b.evaluate_grid(xs, t))]
+    pairs = list(zip(sol_a.evaluate_grid(xs, ts), sol_b.evaluate_grid(xs, ts)))
     diffs = [abs(a.value - b.value) for a, b in pairs]
     _write(cfg_a, ("x", "t", "re_psi_a", "im_psi_a", "re_psi_b", "im_psi_b",
                    "abs_diff", "err_a", "err_b"),

@@ -27,13 +27,18 @@ order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
 
 The quadrature weights of a path carry its phase exp(i rate z^2), so the
-integrand sampled at the nodes leaves the phase out.  A chirp leg
-(Leg.chirp) is an axis ray parametrised by v = z^2 / e^2, so that the phase
-is linear in the parameter; its panels take Kronrod and Gauss weights exact
-for a polynomial times that phase (Filon-type quadrature, Iserles &
-Norsett, Proc. R. Soc. A 461, 2005), and need only the amplitude resolved,
-however many periods of the phase they span.  Other legs take the phase at
-the nodes.
+integrand sampled at the nodes leaves the phase out.  A path has one rate
+per time of a call (ContourPath.rates), and one set of nodes serves them
+all: only the weights depend on the rate.  A chirp leg (Leg.chirp) is an
+axis ray parametrised by v = z^2 / e^2, so that the phase is linear in the
+parameter; its panels take Kronrod and Gauss weights exact for a
+polynomial times that phase (Filon-type quadrature, Iserles & Norsett,
+Proc. R. Soc. A 461, 2005), one row per rate, and need only the amplitude
+resolved, however many periods of the phase they span.  Other legs take the
+phase at the nodes: the first rate's, times exp(i (rate - rates[0]) z^2)
+for each other rate.  A panel is refined until it converges at every rate,
+and a finished table keeps the first rate's weights only, from which
+NodeTable.weights derives the others.
 
 table_integral is the one summation over a finished table.  It sums
 W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
@@ -48,7 +53,7 @@ results.
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,12 +159,14 @@ def _spherical_j(x):
     return f[:15] * np.copysign(scale, ref * got)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=2048)
 def _chirp_row(omega):
     """(wk, wg) of _chirp_weights at one omega, read-only.
 
-    Bisection leaves a table few distinct panel widths, so the rows recur;
-    the cache is bounded because omega changes with every t and T.
+    Bisection leaves a table few distinct panel widths, so the rows recur
+    for every rate of its path; the cache is bounded because omega changes
+    with every t and T.  A call over 20 times on a three-jump profile
+    computes about 1,700 rows, under 300 per term, and finds the rest here.
     """
     if omega == 0.0:
         wk, wg = _WK.astype(complex), _WG.astype(complex)
@@ -314,13 +321,14 @@ class ContourPath:
 
     `sign` multiplies the final integral; deformations that reverse the
     effective direction (lower half plane collapsing onto the real line
-    traversed left to right) carry sign -1.  The quadrature weights carry
-    the phase exp(i rate z^2).
+    traversed left to right) carry sign -1.  The path has one set of
+    quadrature weights per entry of `rates`, each carrying the phase
+    exp(i rate z^2), on the same nodes.
     """
 
     legs: list
     sign: int = 1
-    rate: float = 0.0
+    rates: tuple = (0.0,)
 
     def validate_continuity(self, rtol=1e-9):
         scale = max(abs(leg.start()) + abs(leg.end()) for leg in self.legs) + 1.0
@@ -433,7 +441,8 @@ class NodeTable:
 
     z        flattened node locations (principal-value legs list both fold
              sides, so a pv panel contributes 30 entries)
-    w15      Kronrod weights times the complex jacobian and exp(i rate z^2)
+    w15      Kronrod weights times the complex jacobian and exp(i rate z^2),
+             at the first of the path's rates (see weights)
     w7       embedded Gauss weights on the same entries (zeros elsewhere)
     cols     the caller's columns at z, shape (m, len(z)), from the one
              evaluation per node made while refining
@@ -441,6 +450,8 @@ class NodeTable:
     spans    (leg index, a, b) per panel, in table order
     sign     overall orientation sign of the path
     error    the summed panel error estimates where refinement stopped
+    rates    the path's rates
+    legs     the path's legs, which the spans index
     """
 
     z: np.ndarray
@@ -452,6 +463,38 @@ class NodeTable:
     sign: int
     n_panels: int
     error: float = 0.0
+    rates: tuple = (0.0,)
+    legs: tuple = ()
+    _last: tuple = field(default=None, repr=False, compare=False)
+
+    def weights(self, k=0):
+        """(w15, w7) at the rate rates[k].
+
+        The first rate's are kept.  Another rate's are those of the
+        refinement: the first's times exp(i (rates[k] - rates[0]) z^2) on
+        line, arc and principal-value legs, and the chirp rows of its own
+        rate on chirp legs, rebuilt from the spans.  The last rate derived
+        is kept too, so that several integrands summed at one rate derive
+        its weights once.
+        """
+        if k == 0:
+            return self.w15, self.w7
+        if self._last is not None and self._last[0] == k:
+            return self._last[1:]
+        f = _rephase(self.z, self.rates[k] - self.rates[0])
+        w15, w7 = self.w15 * f, self.w7 * f
+        starts = np.flatnonzero(np.diff(self.panel, prepend=-1))
+        by_leg = {}
+        for p, (leg, a, b) in enumerate(self.spans):
+            if self.legs[leg].kind == "chirp":
+                by_leg.setdefault(leg, []).append((p, a, b))
+        for leg, panels in by_leg.items():
+            p, a, b = (np.array(v) for v in zip(*panels))
+            _, ((c15, c7),) = _panel_nodes(self.legs[leg], a, b, (self.rates[k],))
+            at = starts[p][:, None] + np.arange(15)
+            w15[at], w7[at] = c15, c7
+        self._last = (k, w15, w7)
+        return w15, w7
 
 
 # Nodes per call of the caller's column function; a larger call only grows
@@ -472,14 +515,22 @@ class _Panel:
         self.kids = None        # the two halves, once evaluated
 
 
-def _panel_nodes(leg, a, b, rate=0.0):
+def _rephase(z, drate):
+    """exp(i drate z^2): the weights of one rate from those of another."""
+    return np.exp(1j * drate * (z * z))
+
+
+def _panel_nodes(leg, a, b, rates=(0.0,)):
     """Nodes and weights of the panels [a_i, b_i] of one leg.
 
-    Returns (z, w15, w7), each with one row per panel, the weights times
-    the jacobian and exp(i rate z^2).  On a chirp leg that phase is the
-    phase at the panel's middle times exp(i omega xi) in the panel variable
-    xi, omega = rate e^2 times the panel's half-width in v, and the weights
-    carry both (_chirp_weights); other legs take it at the nodes.
+    Returns (z, weights): z with one row per panel, and per rate a pair
+    (w15, w7) shaped like z, the weights times the jacobian and
+    exp(i rate z^2).  On a chirp leg that phase is the phase at the panel's
+    middle times exp(i omega xi) in the panel variable xi, omega = rate e^2
+    times the panel's half-width in v, and the weights carry both
+    (_chirp_weights), rate by rate.  Other legs take the first rate's phase
+    at the nodes, and each other rate's weights are the first's times
+    exp(i (rate - rates[0]) z^2) (_rephase).
     """
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
@@ -497,12 +548,21 @@ def _panel_nodes(leg, a, b, rate=0.0):
         jac = leg.deriv(s) * half
     if leg.kind == "chirp":
         e, v0, v1 = leg._v()
-        rate = rate * (e * e).real
-        wk, wg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
-        jac = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
-    elif rate:
-        jac = jac * np.exp(1j * rate * (z * z))
-    return z, wk * jac, wg * jac
+        out = []
+        for rate in rates:
+            rate = rate * (e * e).real
+            ck, cg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
+            j = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
+            out.append((ck * j, cg * j))
+        return z, out
+    if rates[0]:
+        jac = jac * np.exp(1j * rates[0] * (z * z))
+    w15, w7 = wk * jac, wg * jac
+    out = [(w15, w7)]
+    for rate in rates[1:]:
+        f = _rephase(z, rate - rates[0])
+        out.append((w15 * f, w7 * f))
+    return z, out
 
 
 def _evaluate(path, columns, probes, spans):
@@ -510,8 +570,9 @@ def _evaluate(path, columns, probes, spans):
 
     Legs that share a tag and a node count share calls of `columns`, each
     of at most _CALL_NODES nodes.  A panel's error is the largest over the
-    probes of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every panel of
-    a call at once.  u is taken with hypot and the power with float_power,
+    probes and the path's rates of min(u, (200 u)^1.5), u = |Kronrod -
+    Gauss|, for every panel of a call at once; the panel keeps the first
+    rate's weights.  u is taken with hypot and the power with float_power,
     which round as the scalar abs and ** of a panel-at-a-time loop do (the
     vectorised complex abs and power may differ in the last bit), so the
     refinement decisions are bit-identical to that loop.
@@ -522,27 +583,35 @@ def _evaluate(path, columns, probes, spans):
         groups.setdefault((leg.tag, leg.kind == "pv"), []).append(i)
     out = [None] * len(spans)
     for (tag, _), idx in groups.items():
-        parts = []
+        zs, ws = [], []
         for leg_idx, g in itertools.groupby(idx, key=lambda i: spans[i][0]):
             g = list(g)
-            parts.append(_panel_nodes(path.legs[leg_idx], [spans[i][1] for i in g],
-                                      [spans[i][2] for i in g], path.rate))
-        z, w15, w7 = (np.concatenate(arrs) for arrs in zip(*parts))
+            z, w = _panel_nodes(path.legs[leg_idx], [spans[i][1] for i in g],
+                                [spans[i][2] for i in g], path.rates)
+            zs.append(z)
+            ws.append(w)
+        # z, and per rate (w15, w7), with one row per panel
+        z = np.concatenate(zs)
+        w = [[np.concatenate(arrs) for arrs in zip(*pairs)] for pairs in zip(*ws)]
         per = z.shape[1]
         step = _CALL_NODES // per
         for lo in range(0, len(idx), step):
-            zc, c15, c7 = z[lo:lo + step], w15[lo:lo + step], w7[lo:lo + step]
+            zc = z[lo:lo + step]
+            wc = [(c15[lo:lo + step], c7[lo:lo + step]) for c15, c7 in w]
             n = zc.shape[0]
             zf = zc.ravel()
             cols = np.asarray(columns(zf, tag), dtype=complex).reshape(-1, zf.size)
             v = cols if probes is None else np.asarray(probes(zf, cols), dtype=complex)
             v = v.reshape(-1, n, per)
-            diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
-            block = np.concatenate([zc[None], c15[None], c7[None],
+            block = np.concatenate([zc[None], wc[0][0][None], wc[0][1][None],
                                     cols.reshape(-1, n, per)])
-            u = np.hypot(diff.real, diff.imag)
-            err = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0,
-                         initial=0.0)
+            err = None
+            for c15, c7 in wc:
+                diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
+                u = np.hypot(diff.real, diff.imag)
+                e = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0,
+                           initial=0.0)
+                err = e if err is None else np.maximum(err, e)
             for j in range(n):
                 leg_idx, a, b = spans[idx[lo + j]]
                 out[idx[lo + j]] = _Panel(leg_idx, a, b, err[j], block[:, j].copy())
@@ -673,7 +742,8 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     pid = np.repeat(np.arange(len(final)), sizes)
     return NodeTable(z=nodes[0], w15=nodes[1], w7=nodes[2], cols=nodes[3:],
                      panel=pid, spans=[(p.leg, p.a, p.b) for p in final],
-                     sign=path.sign, n_panels=len(final), error=err)
+                     sign=path.sign, n_panels=len(final), error=err,
+                     rates=tuple(path.rates), legs=tuple(path.legs))
 
 
 # The phased sum works in tiles of at most _TILE complex entries: _FINE rows
@@ -749,11 +819,12 @@ def _lattice(X, cmax):
     return h, on, kf[on].astype(np.int64), rho[on], Xq[on]
 
 
-def table_integral(table, W, C, X, derivative=False):
+def table_integral(table, W, C, X, derivative=False, rate=0):
     """Integral of W exp(i C X) over a frozen node table, for each X.
 
     W and C are given at table.z, usually built from table.cols (which the
     column function computed with each node's leg tag), and X is a vector.
+    The weights are those of table.rates[rate] (NodeTable.weights).
     The result is (values, errors), one entry per X, or with
     derivative=True (values, errors, dvalues, derrors), the d-integrand
     being i C W exp(i C X).  A plain integral of W is C = 0 at X = [0].
@@ -802,6 +873,7 @@ def table_integral(table, W, C, X, derivative=False):
     C = np.asarray(C, dtype=complex)
     X = np.asarray(X, dtype=float).ravel()
     ni, n = (2 if derivative else 1), X.size
+    w15, w7 = table.weights(rate)
 
     # Rows in lattice order (by k), then the direct rows.  Per row: sums of
     # f w15 and C f w15 over the nodes (f = W, then with derivative i C W;
@@ -860,8 +932,8 @@ def table_integral(table, W, C, X, derivative=False):
         if derivative:
             f = np.concatenate([f, ic[:, None] * f], axis=1)
         f = np.concatenate([f, c[:, None] * f], axis=1)
-        F = np.concatenate([f * table.w15[lo:hi, None],
-                            f * (table.w15[lo:hi] - table.w7[lo:hi])[:, None]], axis=1)
+        F = np.concatenate([f * w15[lo:hi, None],
+                            f * (w15[lo:hi] - w7[lo:hi])[:, None]], axis=1)
         a15 = np.abs(F[:, :ni])
         F = F.reshape(npan, per, 4 * ni)
 

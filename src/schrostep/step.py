@@ -23,7 +23,9 @@ instead, where that factor stays within exp(9/4) (`ContourSettings.sector`).
 Every integrand is a time-independent amplitude times
 exp(-i (alpha + kappa^2) t), and the quadratic phase goes on the contour: a
 path's quadrature weights carry exp(i rate kappa^2) (rate t in quadrant 4,
--t elsewhere) and every weight leaves it out.  The ray of every sector path
+-t elsewhere), one set per time of a call, and every weight leaves it out,
+as it leaves out the scalar exp(-i alpha t) of the quadrant and realline
+forms, which their terms take on their sums (IntegralTerm.damp).  The ray of every sector path
 is a chirp leg (contours.Leg.chirp), whose weights integrate that phase
 exactly, so its panels resolve only the transforms and the x factor
 exp(i c (x - x0)), which still oscillates there (c is real on the ray).
@@ -56,10 +58,13 @@ overrides the hook with its four transforms and numerators.  Within one
 evaluate_grid call every term reads its column from a memo of those rows,
 computed once per distinct node.  `StepSolver` also overrides `_declare`
 for its quadrant and realline forms, which share no nodes between regions.
-A whole grid of x values reuses one node table per term, whose W and c
-columns are evaluated once per node while it is refined; one phased
-table_integral call sums the term at every x of the grid, and one
-free_term call gives the region's free terms.
+A whole grid of x values, at every time of a call, reuses one node table
+per term, whose W and c columns are evaluated once per node while it is
+refined: the path carries one set of weights per time (ContourPath.rates),
+and a term whose integrand carries exp(-i alpha t) besides (the quadrant
+and realline forms) takes that factor on its sum, so no weight depends on
+t.  One phased table_integral call per time sums the term at every x of
+the grid, and one free_term call gives every free term of the call.
 """
 
 import itertools
@@ -261,24 +266,27 @@ def _sample_tails(nodes, weight, xcoef):
 
 
 class _TailModel:
-    """All truncation tails of one integral term.
+    """All truncation tails of one integral term at one time t.
 
     samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef); the
-    weights w leave out the path's phase.  A decaying leg's tail is taken
-    from w exp(i rate z^2), and an oscillatory ray's amplitude at
-    z = direction u is A = w jac exp(i (rate z^2 + t u^2)), without the
-    expansion's exp(-i t u^2): w jac on every sector and real-line ray,
-    where rate z^2 = -t u^2 exactly.
+    weights w leave out the path's phase, whose rate for t is
+    path.rates[k].  A decaying leg's tail is taken from w exp(i rate z^2),
+    and an oscillatory ray's amplitude at z = direction u is
+    A = w jac exp(i (rate z^2 + t u^2)), without the expansion's
+    exp(-i t u^2): w jac on every sector and real-line ray, where
+    rate z^2 = -t u^2 exactly.
     """
 
-    def __init__(self, path, spec, samples, t, x_offset, span):
+    def __init__(self, path, spec, samples, t, x_offset, span, k=0):
+        rate = path.rates[k]
+        self.t = t
         self.generic = 0.0
         self.generic_deriv = 0.0
         self.oscs = []
         samples = iter(samples)
         for _ in spec.get("generic", ()):
             z, w, c = next(samples)
-            g, gd = _leg_tail(z, w * np.exp(1j * path.rate * (z * z)), c, span)
+            g, gd = _leg_tail(z, w * np.exp(1j * rate * (z * z)), c, span)
             self.generic += g
             self.generic_deriv += gd
         for _, rays, K in spec.get("osc", ()):
@@ -286,7 +294,7 @@ class _TailModel:
             for _, jac in rays:
                 z, w, c = next(samples)
                 A = np.asarray(w, dtype=complex) * jac * np.exp(
-                    1j * (path.rate * (z * z) + t * (u * u)))
+                    1j * (rate * (z * z) + t * (u * u)))
                 self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
 
     def worst(self, xs, derivative=False):
@@ -306,15 +314,32 @@ class _TailModel:
         return corr, err
 
 
-class IntegralTerm:
-    """One contour integral contributing to the solution in one region."""
+class _Tails(tuple):
+    """The _TailModel of each time of a term, in the order of its path's rates."""
 
-    def __init__(self, path, weight, xcoef, x_offset, tails):
+    def worst(self, xs, derivative=False):
+        """Largest tail error estimate over the times and the probe points."""
+        return float(np.max([m.worst(xs, derivative) for m in self]))
+
+
+class IntegralTerm:
+    """One contour integral contributing to the solution in one region.
+
+    tails holds one _TailModel per rate of the path, that is per time; at
+    time t the term's sum is multiplied by exp(-i level t).
+    """
+
+    def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0):
         self.path = path
         self.weight = weight
         self.xcoef = xcoef
         self.x_offset = x_offset
         self.tails = tails
+        self.level = level
+
+    def damp(self, t, v):
+        """The values v of the term's sum at time t, times exp(-i level t)."""
+        return np.exp(-1j * self.level * t) * v if self.level else v
 
 
 # rungs of the truncation ladder whose tails are sampled in one weight call
@@ -331,17 +356,23 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     for on-axis rays handled by the integration-by-parts tail.  A line leg's
     jacobian is its direction; a principal-value leg's two rays both carry
     jacobian +1 because substituting k = -u flips the limits as well.
+    t is one time or a sequence of them, one per rate of the path.
 
     The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
     max_T.  The rungs are tested in order and the first whose tails clear
-    0.05 tolerance at x_probe (with derivative, the slope tails too) is
-    returned, or else the last.  Their tail samples are taken four rungs at
-    a time, in one weight and one xcoef call per leg tag: a call on a few
-    nodes costs numpy's dispatch as much as one on a hundred, and a search
-    tries about four rungs.  The tails of rungs past the one returned are
-    dropped.
+    0.05 tolerance at x_probe (with derivative, the slope tails too) at
+    every time is returned, or else the last.  A rung's samples serve every
+    time, since the weights leave the path's phase out; its times are
+    tested smallest first, where the tails decay slowest, and the first
+    that fails ends the rung.  The samples are taken four rungs at a time,
+    in one weight and one xcoef call per leg tag: a call on a few nodes
+    costs numpy's dispatch as much as one on a hundred, and a search tries
+    about four rungs.  The tails of rungs past the one returned are
+    dropped.  Returns (path, tails), tails the _Tails of the rung's times.
     """
     target = 0.05 * tolerance
+    ts = [float(v) for v in np.atleast_1d(t)]
+    order = sorted(range(len(ts)), key=ts.__getitem__)
     rungs = [T0]
     while len(rungs) < 22 and rungs[-1] < max_T:
         rungs.append(min(1.6 * rungs[-1], max_T))
@@ -351,14 +382,19 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
         samples = iter(_sample_tails([nd for each in nodes for nd in each],
                                     weight, xcoef))
         for (T, path, spec), each in zip(block, nodes):
-            tails = _TailModel(path, spec, [next(samples) for _ in each], t,
-                               x_offset, span=T)
-            w = tails.worst(x_probe, derivative=False)
-            if derivative:
-                w = max(w, tails.worst(x_probe, derivative=True))
-            if w <= target:
-                return path, tails
-    return path, tails
+            taken = [next(samples) for _ in each]
+            models = [None] * len(ts)
+            for k in order:
+                models[k] = _TailModel(path, spec, taken, ts[k], x_offset, T, k)
+                w = models[k].worst(x_probe, derivative=False)
+                if derivative:
+                    w = max(w, models[k].worst(x_probe, derivative=True))
+                if not w <= target:
+                    break
+            else:
+                return path, _Tails(models)
+    return path, _Tails(m or _TailModel(path, spec, taken, ts[k], x_offset, T, k)
+                        for k, m in enumerate(models))
 
 
 def panel_budget(t, xspan, T):
@@ -386,31 +422,34 @@ def build_with_retry(build, tolerance):
 
 
 def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
-    """Sum the integral terms over a batch of x values.
+    """Sum the integral terms over a batch of x values, at every time.
 
-    Returns (values, errors) or (values, errors, dvalues, derrors) with one
-    entry per x.  Every term builds one node table from three probe points,
-    evaluating W and c once per node, refined to 0.95 of the term's share
-    of the tolerance (its tails take up to 0.05, see choose_truncation)
-    until W exp(i c (x - x0)) and,
-    with derivative, i c W exp(i c (x - x0)) converge at each of them (the
-    value integrands alone left psi_x_error at 2.3e-6 on a three-jump profile
-    at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at
-    every x in one phased table_integral call: tiles of at most 2^12 complex
-    entries, with the phases of a uniform grid (any linspace) built from
-    two small exp tables, accurate to the rounding of a direct exp, and the
-    grid's 16-point groups summed several per numpy call within the same
-    2^12-entry budget (see table_integral).  The tail corrections and
-    estimates are evaluated for all x at once as well.
+    The terms' paths share their rates, one per time.  Returns (values,
+    errors) or (values, errors, dvalues, derrors), each with one row per
+    time and one entry per x.  Every term builds one node table from three
+    probe points, evaluating W and c once per node, refined to 0.95 of the
+    term's share of the tolerance (its tails take up to 0.05, see
+    choose_truncation) until W exp(i c (x - x0)) and, with derivative,
+    i c W exp(i c (x - x0)) converge at each of them and at every rate (the
+    value integrands alone left psi_x_error at 2.3e-6 on a three-jump
+    profile at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at every
+    x in one phased table_integral call per time, at that time's weights:
+    tiles of at most 2^12 complex entries, with the phases of a uniform
+    grid (any linspace) built from two small exp tables, accurate to the
+    rounding of a direct exp, and the grid's 16-point groups summed several
+    per numpy call within the same 2^12-entry budget (see table_integral).
+    The tail corrections and estimates are evaluated for all x at once as
+    well, and a term with a level takes exp(-i level t) on both.
 
     A table that stops above 50 times its target raises QuadratureError
     (build_node_table); build_with_retry then tries tolerance * 1e4 once.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = np.zeros(xs.shape, dtype=complex)
-    errs = np.zeros(xs.shape, dtype=float)
-    dvals = np.zeros(xs.shape, dtype=complex) if derivative else None
-    derrs = np.zeros(xs.shape, dtype=float) if derivative else None
+    shape = (len(terms[0].tails),) + xs.shape
+    vals = np.zeros(shape, dtype=complex)
+    errs = np.zeros(shape, dtype=float)
+    dvals = np.zeros(shape, dtype=complex) if derivative else None
+    derrs = np.zeros(shape, dtype=float) if derivative else None
     # choose_truncation accepts tails up to 0.05 of a term's share of the
     # tolerance; its table gets the rest, so that the two stay within it
     tol_term = 0.95 * tolerance / max(1, len(terms))
@@ -433,14 +472,16 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
                                          max_panels=max_panels, probes=probes),
             tol_term)
         W, C = table.cols
-        sums = table_integral(table, W, C, xs - off, derivative=derivative)
-        corr, tail = term.tails.at(xs)
-        vals += sums[0] + corr
-        errs += sums[1] + tail
-        if derivative:
-            dcorr, dtail = term.tails.at(xs, derivative=True)
-            dvals += sums[2] + dcorr
-            derrs += sums[3] + dtail
+        for k, tails in enumerate(term.tails):
+            sums = table_integral(table, W, C, xs - off, derivative=derivative,
+                                  rate=k)
+            corr, tail = tails.at(xs)
+            vals[k] += term.damp(tails.t, sums[0] + corr)
+            errs[k] += sums[1] + tail
+            if derivative:
+                dcorr, dtail = tails.at(xs, derivative=True)
+                dvals[k] += term.damp(tails.t, sums[2] + dcorr)
+                derrs[k] += sums[3] + dtail
         # otherwise this table lives on while the next term builds its own
         del table, W, C, sums
     if derivative:
@@ -543,27 +584,32 @@ class ContourSettings:
                 for x, value, slope in zip(xs.tolist(), v, dv)]
 
     def sector(self, quad, t):
-        """Truncation builder T -> (path, tail spec) on a sector boundary at time t.
+        """Truncation builder T -> (path, tail spec) on a sector boundary.
 
-        quad 4 is the fourth-quadrant boundary in kappa, 3 and 1 the third-
-        and first-quadrant ones; the last leg, on the imaginary axis (4), the
-        negative (3) or the positive (1) real axis, is the oscillatory ray.
-        While R^2 t <= 2 the path is the rotated boundary with its full
-        radius-R arc, on which |exp(+-i kappa^2 t)| stays within e^2.
-        Beyond, the arc keeps only its part in the decay sector and the
-        growth quadrant is crossed on the corner legs of rotated_boundary
-        through the hyperbola p q = 1/t, where that factor stays within
-        exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (rho the ratio between the
-        corner points, 1.5 at R^2 t = 25), instead of reaching exp(R^2 t).
+        t is one time or a sequence of them.  quad 4 is the fourth-quadrant
+        boundary in kappa, 3 and 1 the third- and first-quadrant ones; the
+        last leg, on the imaginary axis (4), the negative (3) or the
+        positive (1) real axis, is the oscillatory ray.  With tmax the
+        largest time, while R^2 tmax <= 2 the path is the rotated boundary
+        with its full radius-R arc, on which |exp(+-i kappa^2 t)| stays
+        within e^2 for every t <= tmax.  Beyond, the arc keeps only its part
+        in the decay sector and the growth quadrant is crossed on the corner
+        legs of rotated_boundary through the hyperbola p q = 1/tmax, where
+        that factor stays within exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (rho
+        the ratio between the corner points, 1.5 at R^2 t = 25), instead of
+        reaching exp(R^2 t).
 
-        The path's weights carry exp(+-i kappa^2 t) (rate t in quadrant 4,
-        -t in 3 and 1), which a weight leaves out.  The ray is a chirp leg
-        (Leg.chirp), whose weights integrate that factor exactly, started
-        as ceil((T - R) / 2) equal pieces in v = u^2.
+        The path's weights carry exp(+-i kappa^2 t), one set per time (rates
+        t in quadrant 4, -t in 3 and 1), which a weight leaves out.  The ray
+        is a chirp leg (Leg.chirp), whose weights integrate that factor
+        exactly, started as ceil((T - R) / 2) equal pieces in v = u^2.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
-        corner = 1.0 / t if R * R * t > 2.0 else None
+        ts = [float(v) for v in np.atleast_1d(t)]
+        tmax = max(ts)
+        corner = 1.0 / tmax if R * R * tmax > 2.0 else None
+        rates = tuple(ts) if quad == 4 else tuple(-v for v in ts)
 
         def build(T):
             path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
@@ -571,7 +617,7 @@ class ContourSettings:
             n = int(np.ceil((T - R) / 2.0))
             path.legs[-1] = Leg.chirp(leg.z0, leg.z1, label=leg.label,
                                       splits=np.arange(1, n) / n)
-            path.rate = t if quad == 4 else -t
+            path.rates = rates
             return path, {"generic": [(0, True)],
                           "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
         return build
@@ -580,33 +626,36 @@ class ContourSettings:
 class ContourSolver(ContourSettings):
     """Region-by-region evaluation of declared integral terms.
 
-    _declare(region, t) lists the region's terms as (weight, xcoef, x0,
-    builder, T0): the weight W(z, tag), the x-coefficient c(z, tag), the
-    offset x0 of exp(i c (x - x0)), the truncation builder (see
-    choose_truncation) and the first truncation tried.  Region j has one
-    term per neighbouring jump on the fourth-quadrant sector boundary, whose
-    weights carry exp(i kappa^2 t), with T0 = 2R: at its right jump x_j
-    with c = -nu_j and weight -B / (2 pi), at its left jump x_{j-1} with
-    c = +nu_j and weight +B / (2 pi).  _interface_data(z), the one
-    hook, gives the interface combinations B of all terms as an (N, 2n)
-    array, one row per node: column 2l - 2 is the term of region l at its
-    right jump x_l, column 2l - 1 the term of region l + 1 at its left jump
-    x_l.  Here B comes from the unknowns of the interface system, which a
-    closed form (WellSolver) may replace.  The reported error estimate adds
-    truncation residuals to the quadrature error, so it stays honest when
-    the tolerance is out of reach.
+    _declare(region, ts) lists the region's terms at the times ts as
+    (weight, xcoef, x0, builder, T0, level): the weight W(z, tag), the
+    x-coefficient c(z, tag), the offset x0 of exp(i c (x - x0)), the
+    truncation builder (see choose_truncation) and the first truncation
+    tried, and the level alpha of a term whose integrand carries
+    exp(-i alpha t) (0 for none).  Region j has one term per neighbouring
+    jump on the fourth-quadrant sector boundary, whose weights carry
+    exp(i kappa^2 t), with T0 = 2R: at its right jump x_j with c = -nu_j
+    and weight -B / (2 pi), at its left jump x_{j-1} with c = +nu_j and
+    weight +B / (2 pi).  _interface_data(z), the one hook, gives the
+    interface combinations B of all terms as an (N, 2n) array, one row per
+    node: column 2l - 2 is the term of region l at its right jump x_l,
+    column 2l - 1 the term of region l + 1 at its left jump x_l.  Here B
+    comes from the unknowns of the interface system, which a closed form
+    (WellSolver) may replace.  No weight depends on t.  The reported error
+    estimate adds truncation residuals to the quadrature error, so it stays
+    honest when the tolerance is out of reach.
 
-    Every term of one evaluate_grid call lies on the same sector(4, t) path,
-    and their node tables bisect the same first panels, so most nodes recur
-    from term to term.  A weight therefore reads the rows from a memo that
-    lives for one evaluate_grid call, in which each distinct node is
-    computed once; outside a call it computes them directly.  Node tables,
-    truncations and outputs are those of computing every node afresh.
+    Every term of one evaluate_grid call lies on the same sector(4, ts)
+    path, and their node tables bisect the same first panels, so most
+    nodes recur from term to term.  A weight therefore reads the rows from
+    a memo that lives for one evaluate_grid call, in which each distinct
+    node is computed once; outside a call it computes them directly.  Node
+    tables, truncations and outputs are those of computing every node
+    afresh.
     """
 
     _memo = None
 
-    def _declare(self, region, t):
+    def _declare(self, region, ts):
         pot = self.potential
         alpha = pot.level(region)
         sides = []
@@ -614,16 +663,16 @@ class ContourSolver(ContourSettings):
             sides.append(("right", -1.0, pot.interfaces[region - 1]))
         if region >= 2:
             sides.append(("left", 1.0, pot.interfaces[region - 2]))
-        return [(self._weight(region, t, side),
+        return [(self._weight(region, side),
                  lambda z, tag, _s=sgn: _s * nu(alpha, np.asarray(z, dtype=complex)),
-                 x0, self.sector(4, t), 2.0 * self.radius)
+                 x0, self.sector(4, ts), 2.0 * self.radius, 0.0)
                 for side, sgn, x0 in sides]
 
-    def _weight(self, region, t, side):
+    def _weight(self, region, side):
         """Weight -+B / (2 pi) of the term at one jump.
 
         The integrand is -+exp(i kappa^2 t) B / (2 pi); the quadrature
-        weights of the sector(4, t) path carry exp(i kappa^2 t).
+        weights of the sector(4, ts) path carry exp(i kappa^2 t).
         """
         sgn = -1.0 if side == "right" else 1.0
         col = 2 * region - 2 if side == "right" else 2 * region - 3
@@ -654,10 +703,10 @@ class ContourSolver(ContourSettings):
         return B
 
     def _terms(self, region, t, derivative, xmax):
-        """The region's terms, truncated for |x| up to xmax.
+        """The region's terms at the time or times t, truncated for |x| up to xmax.
 
         Each term gets tolerance / (number of terms); the tails are probed at
-        the region bounds clipped to +-max(1, xmax).
+        the region bounds clipped to +-max(1, xmax), at every time.
         """
         xb = max(1.0, xmax)
         specs = self._declare(region, t)
@@ -665,63 +714,81 @@ class ContourSolver(ContourSettings):
         probes = (max(lo, -xb), min(hi, xb))
         tol = self.tolerance / len(specs)
         out = []
-        for W, xc, x0, builder, T0 in specs:
+        for W, xc, x0, builder, T0, level in specs:
             path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
                                             T0, derivative=derivative)
-            out.append(IntegralTerm(path, W, xc, x0, tails))
+            out.append(IntegralTerm(path, W, xc, x0, tails, level))
         return out
 
     def evaluate(self, x, t, region=None, derivative=False):
         return self.evaluate_grid([x], t, region=region, derivative=derivative)[0]
 
     def evaluate_grid(self, xs, t, region=None, derivative=False):
-        """Solution samples at the finite points xs and a single time t >= 0.
+        """Solution samples at the finite points xs and the time t >= 0.
 
-        Each x is evaluated in its own region (an interface point in the one
-        on its right) unless region, 1..nregions, forces one for all of them.
+        t may also be a nonempty sequence of times; the samples then come
+        time-major: every x at the first time given, then every x at the
+        next.  One node table per term serves every time, with one set of
+        weights per distinct time t > 0 on the path of the largest
+        (ContourSettings.sector), and one free_term call gives every free
+        term.  t = 0 gives the initial samples.  Each x is evaluated in its
+        own region (an interface point in the one on its right) unless
+        region, 1..nregions, forces one for all of them.
         """
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("x must be finite")
-        t = float(t)
-        if not 0.0 <= t < np.inf:
-            raise ValueError("t must be finite and nonnegative")
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1 or ts.size == 0 or not np.all((ts >= 0.0) & (ts < np.inf)):
+            raise ValueError("t must be finite and nonnegative, one time or a "
+                             "nonempty sequence of them, got {!r}".format(t))
         nreg = self.potential.nregions
         if region is not None and region not in range(1, nreg + 1):
             raise ValueError("region must lie in 1..{}, got {!r}".format(nreg, region))
-        if t == 0.0:
-            return self._initial_samples(xs, derivative)
+        ts = ts.ravel().tolist()
+        live = sorted({v for v in ts if v > 0.0})
+        rows = self._solve(xs, live, region, derivative) if live else {}
+        if 0.0 in ts:
+            rows[0.0] = self._initial_samples(xs, derivative)
+        return [s for v in ts for s in rows[v]]
+
+    def _solve(self, xs, live, region, derivative):
+        """{t: samples at xs} for the increasing positive times live."""
         if region is None:
             regions = np.searchsorted(self.potential.interfaces, xs, side="right") + 1
         else:
             regions = np.full(xs.shape, region)
-        samples = [None] * xs.size
+        nt = len(live)
+        free = free_term(self.ic, self.potential, np.tile(regions, nt), np.tile(xs, nt),
+                         np.repeat(live, xs.size), derivative=derivative)
+        F, dF = (np.reshape(f, (nt, xs.size)) if f is not None else None
+                 for f in (free if derivative else (free, None)))
+        rows = {t: [None] * xs.size for t in live}
         self._memo = _NodeMemo()
         try:
             for j in np.unique(regions):
                 idx = np.where(regions == j)[0]
                 sub = xs[idx]
-                terms = self._terms(int(j), t, derivative, float(np.max(np.abs(sub))))
+                terms = self._terms(int(j), live, derivative, float(np.max(np.abs(sub))))
                 T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
                 chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
                 out = eval_terms(terms, sub, self.tolerance,
-                                 max_panels=panel_budget(0.0 if chirped else t,
+                                 max_panels=panel_budget(0.0 if chirped else live[-1],
                                                          xspan, T),
                                  derivative=derivative)
-                F = free_term(self.ic, self.potential, int(j), sub, t,
-                              derivative=derivative)
-                psi = (F[0] if derivative else F) + out[0]
-                slopes = zip((F[1] + out[2]).tolist(), out[3].tolist()) \
-                    if derivative else itertools.repeat((None, 0.0))
-                columns = zip(idx.tolist(), sub.tolist(), psi.tolist(),
-                              out[1].tolist(), slopes)
-                for i, x, value, error, (slope, slope_error) in columns:
-                    samples[i] = SolutionSample(x, t, value, error, psi_x=slope,
-                                                psi_x_error=slope_error)
+                for k, t in enumerate(live):
+                    psi = F[k, idx] + out[0][k]
+                    slopes = zip((dF[k, idx] + out[2][k]).tolist(), out[3][k].tolist()) \
+                        if derivative else itertools.repeat((None, 0.0))
+                    columns = zip(idx.tolist(), sub.tolist(), psi.tolist(),
+                                  out[1][k].tolist(), slopes)
+                    for i, x, value, error, (slope, slope_error) in columns:
+                        rows[t][i] = SolutionSample(x, t, value, error, psi_x=slope,
+                                                    psi_x_error=slope_error)
         finally:
             del self._memo
-        return samples
+        return rows
 
 
 class StepSolver(ContourSolver):
@@ -756,7 +823,7 @@ class StepSolver(ContourSolver):
     def _w_d4(self, region, t):
         # the whole d4 integrand, exp(i kappa^2 t) included, for a path of
         # rate 0, under the name perfbench/tests binds
-        W = self._weight(region, t, "right" if region == 1 else "left")
+        W = self._weight(region, "right" if region == 1 else "left")
         return lambda z, tag: np.exp(1j * z * z * t) * W(z, tag)
 
     def _sigma1(self, k):
@@ -775,8 +842,9 @@ class StepSolver(ContourSolver):
             out[rest] = sigma(d1, k[rest])
         return out
 
-    def _w_quadrant(self, region, t):
+    def _w_quadrant(self, region):
         # exp(-omega t) without the exp(-i kappa^2 t) of the path's weights
+        # and the exp(-i alpha t) of the term's level
         a1, a2 = self.potential.levels
         ic, pot = self.ic, self.potential
 
@@ -784,20 +852,18 @@ class StepSolver(ContourSolver):
             def W(z, tag):
                 z = np.asarray(z, dtype=complex)
                 s1 = self._sigma1(z)
-                damp = np.exp(-1j * a1 * t)
                 h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((-z, z * s1)))
-                return damp * (-(1.0 - s1) * h1 - 2.0 * h2) / (_TWO_PI * (1.0 + s1))
+                return (-(1.0 - s1) * h1 - 2.0 * h2) / (_TWO_PI * (1.0 + s1))
             return W
 
         def W(z, tag):
             z = np.asarray(z, dtype=complex)
             s2 = sigma(a2 - a1, z)
-            damp = np.exp(-1j * a2 * t)
             h1, h2 = hat_transform(ic, pot, (1, 2), np.stack((z * s2, -z)))
-            return damp * (2.0 * h1 + (1.0 - s2) * h2) / (_TWO_PI * (1.0 + s2))
+            return (2.0 * h1 + (1.0 - s2) * h2) / (_TWO_PI * (1.0 + s2))
         return W
 
-    def _w_cut_jump(self, t):
+    def _w_cut_jump(self):
         a1, a2 = self.potential.levels
         a = a2 - a1
         ic, pot = self.ic, self.potential
@@ -808,14 +874,14 @@ class StepSolver(ContourSolver):
             s = np.minimum(q / np.maximum(y, 1e-280), 1e12)
             A, bm, bp = hat_transform(ic, pot, (2, 1, 1), np.stack((-1j * y, -q, q)))
             jump = (-4j * s * A + 2.0 * (bm - bp) - 2j * s * (bm + bp)) / (1.0 + s * s)
-            return jump * np.exp(-1j * a2 * t) / _TWO_PI
+            return jump / _TWO_PI
         return W
 
-    def _realline_weight(self, region, t):
-        base = self._w_quadrant(region, t)
+    def _realline_weight(self, region):
+        base = self._w_quadrant(region)
         if region == 1:
             return base
-        cutw = self._w_cut_jump(t)
+        cutw = self._w_cut_jump()
 
         def W(z, tag):
             if tag == "cut-difference":
@@ -825,18 +891,20 @@ class StepSolver(ContourSolver):
 
     # -- term declarations -------------------------------------------------
 
-    def _declare(self, region, t):
+    def _declare(self, region, ts):
         if self.representation == "d4":
-            return super()._declare(region, t)
-        a1, a2 = self.potential.levels
+            return super()._declare(region, ts)
+        level = self.potential.level(region)
         ident = lambda z, tag: np.asarray(z, dtype=complex)
         quad = 3 if region == 1 else 1
         if self.representation == "quadrant":
-            return [(self._w_quadrant(region, t), ident, 0.0, self.sector(quad, t),
-                     2.0 * self.radius)]
+            return [(self._w_quadrant(region), ident, 0.0, self.sector(quad, ts),
+                     2.0 * self.radius, level)]
+        a1, a2 = self.potential.levels
         a = a2 - a1
         cut = np.sqrt(a) if a > 0.0 else None
-        builder = lambda L: (replace(deform_to_real_line(quad, L, cut=cut), rate=-t),
+        rates = tuple(-float(v) for v in np.atleast_1d(ts))
+        builder = lambda L: (replace(deform_to_real_line(quad, L, cut=cut), rates=rates),
                              {"osc": [(0, ((1.0, 1.0), (-1.0, 1.0)), L)]})
-        return [(self._realline_weight(region, t), ident, 0.0, builder,
-                 max(4.0, 2.0 * self.radius))]
+        return [(self._realline_weight(region), ident, 0.0, builder,
+                 max(4.0, 2.0 * self.radius), level)]

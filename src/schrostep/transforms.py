@@ -241,10 +241,11 @@ class InitialCondition:
     interpolated by a local cubic in each cell and treated as zero outside
     the table.
 
-    Every parameter must be finite, and a Gaussian's (center/width)^2 and
-    (1/width)^2, which its transforms square out, must not overflow.  A
-    ValueError names the offending parameter as its first word: amplitude,
-    center, width, momentum, or x and values of `tabulated`.
+    Every parameter must be finite, and the scales a Gaussian's transforms
+    and free terms form from its parameters must not overflow
+    (_check_scales).  A ValueError names the offending parameter as its
+    first word: amplitude, center, width, momentum, or x and values of
+    `tabulated`.
     """
 
     def __init__(self, kind, amplitude=1.0, center=0.0, width=1.0, momentum=0.0,
@@ -261,13 +262,7 @@ class InitialCondition:
                     raise ValueError("{} must be finite, got {}".format(name, value))
             if not self.width > 0.0:
                 raise ValueError("width must be positive, got {}".format(width))
-            inv = 1.0 / self.width
-            cw = self.center * inv
-            if not inv * inv < np.inf:
-                raise ValueError("width {} has an overflowing (1/width)^2".format(width))
-            if not cw * cw < np.inf:
-                raise ValueError("center {} has an overflowing (center/width)^2 "
-                                 "at width {}".format(center, width))
+            self._check_scales()
         elif kind == "tabulated":
             x = np.asarray(x_table, dtype=float)
             v = np.asarray(values_table, dtype=complex)
@@ -286,6 +281,34 @@ class InitialCondition:
             self._cells = self._fit_cells(x, v)
         else:
             raise ValueError("unknown initial condition kind {!r}".format(kind))
+
+    def _check_scales(self):
+        """Refuse a Gaussian whose transforms or free terms would overflow.
+
+        The free term forms 4 / width^2 and s^2 with
+        s = 2 center / width^2 + i momentum + ..., the transforms
+        (momentum - k)^2 and (center/width)^2, and the solvers multiply the
+        transforms, up to the data's L1 norm |amplitude| width sqrt(pi) in
+        size, by factors up to about 1e8 on the contours (kappa^2 up to
+        max_T^2 = 1.6e7, times the corner legs' growth within e^(9/4)).
+        Each bound is checked on the quantity as the code forms it (numpy
+        float64, which overflows to inf quietly).
+        """
+        amp, c, w, mu = (np.float64(v) for v in (abs(self.amplitude), self.center,
+                                                 self.width, self.momentum))
+        with np.errstate(all="ignore"):
+            w2 = w * w
+            checks = (
+                ("width", 4.0 / w2, "4/width^2"),
+                ("center", (c / w) ** 2, "(center/width)^2"),
+                ("center", (2.0 * c / w2) ** 2, "(2 center/width^2)^2"),
+                ("momentum", mu * mu, "momentum^2"),
+                ("amplitude", 1e8 * amp * w * np.sqrt(np.pi),
+                 "1e8 |amplitude| width sqrt(pi)"))
+        for name, value, what in checks:
+            if not value < np.inf:
+                raise ValueError("{} {} gives an overflowing {} at width {}".format(
+                    name, getattr(self, name), what, self.width))
 
     @classmethod
     def gaussian(cls, amplitude=1.0, center=0.0, width=1.0, momentum=0.0):
@@ -468,82 +491,111 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    """a / b for a complex scalar b, rounded as Python's complex quotient:
-    Smith's method, dividing by the scaled denominator where numpy
-    multiplies by its reciprocal."""
-    b = complex(b)
-    if abs(b.real) >= abs(b.imag):
-        r = b.imag / b.real
-        d = b.real + b.imag * r
-        return _complex((a.real + a.imag * r) / d, (a.imag - a.real * r) / d)
-    r = b.real / b.imag
-    d = b.real * r + b.imag
-    return _complex((a.real * r + a.imag) / d, (a.imag * r - a.real) / d)
+    """a / b rounded as Python's complex quotient: Smith's method, dividing
+    by the scaled denominator where numpy multiplies by its reciprocal.  b
+    is a complex scalar or an array like a; each entry takes the branch its
+    own b takes as a scalar."""
+    b = np.asarray(b, dtype=complex)
+    big = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(big, b.imag / b.real, b.real / b.imag)
+        d = np.where(big, b.real + b.imag * r, b.real * r + b.imag)
+        return _complex(np.where(big, a.real + a.imag * r, a.real * r + a.imag) / d,
+                        np.where(big, a.imag - a.real * r, a.imag * r - a.real) / d)
 
 
 def free_term(ic, potential, region, x, t, derivative=False):
     """Free evolution of the data restricted to one region.
 
-    F_region(x, t) for scalar or array x and scalar t > 0; with
-    derivative=True returns (F, dF/dx).  The potential only enters through
-    the region bounds and the phase exp(-i alpha_region t).  Complex
-    products and quotients are rounded as Python rounds complex scalars
-    (_mul, _div), not as numpy's vectorised loops do, so every value is
-    bit-identical to a point-by-point evaluation of the same formulas with
-    Python complex numbers, and an array gives the same bits as its points
-    one at a time.
+    F_region(x, t) elementwise over x, region and t, which broadcast
+    together (t > 0); a scalar when all three are.  With derivative=True
+    returns (F, dF/dx).  The potential only enters through the region
+    bounds and the phase exp(-i alpha_region t).  The factors that depend
+    on (region, t) alone are taken once per distinct pair in Python
+    scalars, and a Gaussian's finite endpoints of every entry share one
+    Faddeeva call.  Complex products and quotients are rounded as Python
+    rounds complex scalars (_mul, _div), not as numpy's vectorised loops
+    do, so every value is bit-identical to a point-by-point evaluation of
+    the same formulas with Python complex numbers, and an array gives the
+    same bits as its points one at a time.
     """
-    if not t > 0.0:
-        raise ValueError("free term needs t > 0, got t = {}".format(t))
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b = potential.region_bounds(region)
-    alpha = potential.level(region)
-    pref = np.exp(-1j * alpha * t) / np.sqrt(4j * np.pi * t)
+    x, region, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                       np.asarray(region), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, region, t = (np.ravel(v) for v in (x, region, t))
+    if not np.all(t > 0.0):
+        raise ValueError("free term needs t > 0, got t = {}".format(t[~(t > 0.0)][0]))
+    # the distinct (region, t) pairs, and the pair of each entry
+    ut, ti = np.unique(t, return_inverse=True)
+    ur, ri = np.unique(region, return_inverse=True)
+    keys, which = np.unique(ri * ut.size + ti, return_inverse=True)
+    pairs = [(int(ur[k // ut.size]), float(ut[k % ut.size])) for k in keys.tolist()]
+    bounds = np.array([potential.region_bounds(r) for r, _ in pairs],
+                      dtype=float).reshape(-1, 2)
+    pref = np.array([np.exp(-1j * potential.level(r) * tp) / np.sqrt(4j * np.pi * tp)
+                     for r, tp in pairs])[which]
     if ic.kind == "gaussian":
-        val, dval = _free_gauss(ic, x, t, a, b, derivative)
+        val, dval = _free_gauss(ic, x, bounds[which, 0], bounds[which, 1],
+                                [tp for _, tp in pairs], which, derivative)
     else:
-        val, dval = _free_tabulated(ic, x, t, a, b, derivative)
-    out = [_mul(pref, v) for v in ((val, dval) if derivative else (val,))]
-    if scalar:
-        out = [complex(v[0]) for v in out]
+        val = np.empty(x.shape, dtype=complex)
+        dval = np.empty(x.shape, dtype=complex) if derivative else None
+        for i, (r, tp) in enumerate(pairs):
+            at = which == i
+            v, dv = _free_tabulated(ic, x[at], tp, *bounds[i], derivative)
+            val[at] = v
+            if derivative:
+                dval[at] = dv
+    out = [_mul(pref, v).reshape(shape) for v in ((val, dval) if derivative else (val,))]
+    if not shape:
+        out = [complex(v) for v in out]
     return tuple(out) if derivative else out[0]
 
 
-def _free_gauss(ic, x, t, a, b, want_dx):
+def _free_gauss(ic, x, a, b, times, which, want_dx):
+    # a and b per entry; times are the distinct times and which gives each
+    # entry's, whose scalar factors are taken as a single time took them
     c, w, mu, amp = ic.center, ic.width, ic.momentum, ic.amplitude
-    p = 1.0 / (w * w) - 0.25j / t
+    t = np.array(times)[which]
+    ps = [1.0 / (w * w) - 0.25j / tp for tp in times]
+    sqps = [np.sqrt(p) for p in ps]
+    p2, p4 = (np.array([f * p for p in ps])[which] for f in (2.0, 4.0))
+    sqp = np.array(sqps)[which]
+    half = np.array([_SQRT_PI / (2.0 * q) for q in sqps])[which]
     s = 2.0 * c / (w * w) + 1j * (mu - 0.5 * x / t)
-    sqp = np.sqrt(p)
 
     # the finite endpoints in one Faddeeva call; an infinite one contributes
     # its sign and no correction
-    finite = [y for y in (b, a) if np.isfinite(y)]
-    ends = {}
-    if finite:
-        u = np.concatenate([sqp * y - s / (2.0 * sqp) for y in finite])
-        # the full exponent at a real endpoint, no cancellation; the square
-        # goes through libm pow (float_power), as a Python float ** 2 does
-        phi = np.concatenate([1j * (0.25 * np.float_power(x - y, 2.0) / t)
-                              - ((y - c) / w) ** 2 + 1j * mu * y for y in finite])
-        sgn = np.where(u.real >= 0.0, 1.0, -1.0)
-        e = np.exp(phi)
-        corr = _mul(-sgn * e, faddeeva(1j * sgn * u))
-        parts = (np.split(v, len(finite)) for v in (sgn, corr, e))
-        ends = dict(zip(finite, zip(*parts)))
-    cb, corr_b, eb = ends.get(b, (1.0, 0.0j, 0.0j))
-    ca, corr_a, ea = ends.get(a, (-1.0, 0.0j, 0.0j))
+    ends = np.stack([b, a])
+    sgn = np.stack([np.ones(x.shape), -np.ones(x.shape)])
+    corr = np.zeros(ends.shape, dtype=complex)
+    e = np.zeros(ends.shape, dtype=complex)
+    finite = np.isfinite(ends)
+    if finite.any():
+        y = ends[finite]
+        col = np.nonzero(finite)[1]
+        q, sc, xc, tc = sqp[col], s[col], x[col], t[col]
+        u = q * y - sc / (2.0 * q)
+        # the full exponent at a real endpoint, no cancellation; the squares
+        # go through libm pow (float_power), as a Python float ** 2 does
+        phi = (1j * (0.25 * np.float_power(xc - y, 2.0) / tc)
+               - np.float_power((y - c) / w, 2.0) + 1j * mu * y)
+        sg = np.where(u.real >= 0.0, 1.0, -1.0)
+        ef = np.exp(phi)
+        sgn[finite], e[finite] = sg, ef
+        corr[finite] = _mul(-sg * ef, faddeeva(1j * sg * u))
+    (cb, ca), (corr_b, corr_a), (eb, ea) = sgn, corr, e
     net = cb - ca
-    E_tot = 1j * (0.25 * x * x / t) - c * c / (w * w) + _div(_mul(s, s), 4.0 * p)
+    E_tot = 1j * (0.25 * x * x / t) - c * c / (w * w) + _div(_mul(s, s), p4)
     # exp(E_tot) may overflow where the endpoint signs agree and it drops out
     eE = np.zeros(x.shape, dtype=complex)
     m = net != 0.0
     eE[m] = np.exp(E_tot[m])
-    m0 = _mul(_SQRT_PI / (2.0 * sqp), net * eE + corr_b - corr_a)
+    m0 = _mul(half, net * eE + corr_b - corr_a)
     m0 = _mul(amp, m0)
     if not want_dx:
         return m0, None
-    m1 = (_mul(s, m0) - _mul(amp, eb - ea)) / (2.0 * p)
+    m1 = (_mul(s, m0) - _mul(amp, eb - ea)) / p2
     dval = 0.5j * (x * m0 - m1) / t
     return m0, dval
 

@@ -240,6 +240,12 @@ grid.t = 0.5
     ("solve", STEP_CFG, "initial.width = inf", "initial.width"),
     ("solve", STEP_CFG, "initial.center = 1e160", "initial.center"),
     ("solve", STEP_CFG, "initial.width = 1e-300", "initial.width"),
+    # these three used to exit 0 with psi = NaN: 4/width^2, momentum^2 and
+    # the data's norm overflow
+    ("solve", STEP_CFG, "initial.width = 7.5e-155", "initial.width"),
+    ("solve", STEP_CFG, "initial.momentum = 1e200", "initial.momentum"),
+    ("solve", STEP_CFG, "initial.amplitude = 1e308", "initial.amplitude"),
+    ("solve", STEP_CFG, "grid.t = ,", "grid.t"),
     ("solve", TABULATED_CFG, "initial.x = -2, -1.5, nan, -0.5", "initial.x"),
     ("solve", TABULATED_CFG, "initial.values = 0, nan, 1, 0", "initial.values"),
     ("solve", STEP_CFG, "potential.levels = 1, nan", "potential.levels"),
@@ -285,6 +291,21 @@ def test_unreachable_tolerance_exits_two_naming_it(tmp_path, capsys):
     # QuadratureError; the CLI reports it like a bad field, writing nothing
     cfg = write(tmp_path, "tight.cfg", STEP_CFG + "numerics.tolerance = 1e-300\n")
     assert main(["solve", cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["field"] == "numerics.tolerance"
+    assert "quadrature failure" in err["error"]
+
+
+def test_unreachable_interface_map_tolerance_exits_two_naming_it(tmp_path, capsys):
+    # the interface map's table runs at the rates of its times on a chirp
+    # ray, within a budget of 2000 panels; it used to grind through two
+    # 40000-panel builds of a ray split for the residual phase (12.3 s)
+    cfg = write(tmp_path, "tight.cfg", THREE_JUMP_CFG + "numerics.tolerance = 1e-300\n")
+    assert main(["interface-map", cfg]) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
     lines = cap.err.strip().splitlines()

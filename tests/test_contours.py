@@ -125,7 +125,7 @@ def test_chirp_leg_integrates_hundreds_of_periods():
     # (570 periods).  A(z) = 2 z / (z^2 - c) is 1 / (v + c) dv in v = u^2,
     # so the integral is exp(i t c) (E1(i t (v0 + c)) - E1(i t (v1 + c))).
     t, c, R, T = 4.0, 1.0, 2.0, 30.0
-    path = ContourPath(legs=[Leg.chirp(-1j * R, -1j * T, splits=(0.5,))], rate=t)
+    path = ContourPath(legs=[Leg.chirp(-1j * R, -1j * T, splits=(0.5,))], rates=(t,))
     seen = set()
 
     def amplitude(z, tag):
@@ -175,12 +175,12 @@ def test_path_rate_puts_the_phase_in_the_weights_of_every_leg():
         (Leg.arc(12.0, np.pi / 8.0, 0.0), fresnel(12.0) - whole),
     ]
     for leg, want in cases:
-        val, err = _integrate(ContourPath(legs=[leg], rate=1.0), one, tolerance=1e-12)
+        val, err = _integrate(ContourPath(legs=[leg], rates=(1.0,)), one, tolerance=1e-12)
         assert abs(val - want) <= 1e-11 and abs(val - want) <= err, leg.kind
     # both fold sides of a principal-value leg: int exp(-(1 + i) z^2) dz;
     # the 15-digit Kronrod constants leave 4.7e-15 against an estimate of
     # 6.2e-16 here, with or without the phase in the weights
-    val, _ = _integrate(ContourPath(legs=[Leg.pv(0.0, 8.0)], rate=-1.0),
+    val, _ = _integrate(ContourPath(legs=[Leg.pv(0.0, 8.0)], rates=(-1.0,)),
                         lambda z, tag: np.exp(-z * z), tolerance=1e-13)
     assert abs(val - np.sqrt(np.pi / (1.0 + 1j))) <= 1e-12
 
@@ -219,7 +219,7 @@ def test_sector_crosses_the_growth_quadrant_on_corner_legs(quad, t):
     # v = u^2
     n = int(np.ceil((T - R) / 2.0))
     assert (ray.kind, ray.tag) == ("chirp", "")
-    assert path.rate == (t if quad == 4 else -t)
+    assert path.rates == ((t,) if quad == 4 else (-t,))
     assert ray.splits == tuple(np.arange(1, n) / n)
     line = Leg.line(ray.z0, ray.z1, ray.label)
     edges = np.linspace(0.0, 1.0, 33)
@@ -603,7 +603,8 @@ def _synthetic_30000_node_table():
     leg = Leg.line(-60.0 - 2.0j, 60.0 + 2.0j)
     n = 2000
     edges = np.linspace(0.0, 1.0, n + 1)
-    z, w15, w7 = (a.ravel() for a in contours._panel_nodes(leg, edges[:-1], edges[1:]))
+    z, ((w15, w7),) = contours._panel_nodes(leg, edges[:-1], edges[1:])
+    z, w15, w7 = z.ravel(), w15.ravel(), w7.ravel()
     C = z + 0.05j * np.abs(z)
     W = np.exp(-z * z / 400.0) * (1.0 + 0.1j * z)
     table = contours.NodeTable(z=z, w15=w15, w7=w7, cols=np.stack([W, C]),
@@ -625,14 +626,14 @@ def test_phased_sum_error_covers_rounding_of_x():
             assert np.all(np.abs(a[i] - b[i]) <= a[i + 1])
 
 
-def test_interface_map_sums_all_times_in_one_phased_call(monkeypatch):
+def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
     from schrostep import InterfaceMap, interface_map
 
     calls = []
 
-    def spy(table, W, C, X, derivative=False):
-        out = table_integral(table, W, C, X, derivative)
-        calls.append((table, W, C, X, out))
+    def spy(table, W, C, X, derivative=False, rate=0):
+        out = table_integral(table, W, C, X, derivative, rate)
+        calls.append((table, W, C, X, rate, out))
         return out
 
     monkeypatch.setattr(interface_map, "table_integral", spy)
@@ -640,10 +641,40 @@ def test_interface_map_sums_all_times_in_one_phased_call(monkeypatch):
     ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
     ts = np.linspace(0.1, 1.2, 40)
     got = InterfaceMap(pot, ic).trace_grid(ts, interface=2, derivative=True)
-    assert len(calls) == 2      # psi and psi_x, every time at once
-    for table, W, C, X, (value, err) in calls:
-        # the weights carry exp(i kappa^2 min(ts)), the sum the rest
-        np.testing.assert_array_equal(X, ts - ts.min())
-        np.testing.assert_array_equal(C, table.z * table.z)
-        _assert_phased_matches(table, W, C, X)
+    # psi and psi_x on one table, each time at its own weights
+    assert len({id(c[0]) for c in calls}) == 1
+    assert sorted(c[4] for c in calls) == sorted(2 * list(range(40)))
+    table = calls[0][0]
+    assert table.rates == tuple(ts)
+    for _, W, C, X, k, (value, err) in calls:
+        # the weights carry exp(i kappa^2 t), the integrand is x-free
+        np.testing.assert_array_equal(X, [0.0])
+        assert not np.any(C)
+        w15, _ = table.weights(k)
+        assert abs(value[0] - table.sign * np.sum(W * w15)) <= 1e-15 + err[0]
     assert [s.t for s in got] == list(ts)
+
+
+def test_weights_of_every_rate_are_those_of_its_own_panels():
+    # a table keeps the first rate's weights and derives the others: at the
+    # nodes on the tilted leg, the arc and the corner legs, per panel on the
+    # chirp ray
+    solver = StepSolver(PiecewisePotential([1.0, 2.0], [0.0]),
+                        InitialCondition.gaussian(center=-1.0, momentum=0.7))
+    ts = (0.3, 0.7, 1.9)
+    path, _ = solver.sector(4, ts)(6.0 * solver.radius)
+    assert path.rates == ts and any(leg.label == "corner leg" for leg in path.legs)
+    term = solver._terms(1, ts, False, 4.0)[0]
+    table = build_node_table(path, lambda z, tag: term.weight(z, tag), 1e-9)
+    for k, rate in enumerate(ts):
+        w15, w7 = table.weights(k)
+        for leg_idx, leg in enumerate(path.legs):
+            panels = [p for p, span in enumerate(table.spans) if span[0] == leg_idx]
+            a = [table.spans[p][1] for p in panels]
+            b = [table.spans[p][2] for p in panels]
+            z, ((c15, c7),) = contours._panel_nodes(leg, a, b, (rate,))
+            at = np.isin(table.panel, panels)
+            np.testing.assert_array_equal(table.z[at], z.ravel())
+            tol = 0.0 if leg.kind == "chirp" or k == 0 else 1e-13
+            for got, want in ((w15[at], c15.ravel()), (w7[at], c7.ravel())):
+                assert np.all(np.abs(got - want) <= tol * np.abs(want)), leg.label

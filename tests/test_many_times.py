@@ -1,0 +1,118 @@
+"""evaluate_grid over several times at once: one node table per term.
+
+The path of a multi-time call is the sector path of the largest time, with
+one set of quadrature weights per distinct time; every node, and the data
+computed at it, serves all of them.
+"""
+
+import numpy as np
+import pytest
+
+from schrostep import (GeneralSolver, InitialCondition, PiecewisePotential, StepSolver,
+                       WellSolver, step, transforms)
+from schrostep.oracle import free_gaussian
+
+IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
+UP = PiecewisePotential([1.0, 2.0], [0.0])
+THREE = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+WELL = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+XS = np.linspace(-3.0, 4.0, 15)
+TS = [0.9, 0.3, 1.2, 0.6]
+
+
+def _solvers(pot_step, pot_three, pot_well, ic, **kw):
+    return {
+        "d4": StepSolver(pot_step, ic, **kw),
+        "quadrant": StepSolver(pot_step, ic, representation="quadrant", **kw),
+        "realline": StepSolver(pot_step, ic, representation="realline", **kw),
+        "general": GeneralSolver(pot_three, ic, **kw),
+        "well": WellSolver(pot_well, ic, **kw),
+    }
+
+
+SOLVERS = _solvers(UP, THREE, WELL, IC)
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_many_times_agree_with_one_call_per_time(name):
+    solver = SOLVERS[name]
+    derivative = name in ("general", "well")
+    got = solver.evaluate_grid(XS, TS, derivative=derivative)
+    # time-major, in the order given
+    assert [(s.x, s.t) for s in got] == [(x, t) for t in TS for x in XS.tolist()]
+    want = [s for t in TS for s in solver.evaluate_grid(XS, t, derivative=derivative)]
+    for a, b in zip(got, want):
+        assert abs(a.value - b.value) <= a.error + b.error, (a, b)
+        if derivative:
+            assert abs(a.psi_x - b.psi_x) <= a.psi_x_error + b.psi_x_error, (a, b)
+
+
+FLAT_TIMES = [0.3, 0.7, 1.5, 4.0]
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_many_times_on_a_flat_profile_meet_the_free_gaussian(name):
+    # equal levels alpha: the free Gaussian times exp(-i alpha t), at every
+    # time of one call within each sample's own estimate
+    alpha = 0.375
+    flat = _solvers(PiecewisePotential([alpha, alpha], [0.0]),
+                    PiecewisePotential([alpha] * 4, [0.0, 1.0, 2.5]),
+                    PiecewisePotential([0.0, 0.0, 0.0], [0.0, 1.0]), IC)[name]
+    level = 0.0 if name == "well" else alpha
+    xs = np.linspace(-4.0, 4.0, 9)
+    got = flat.evaluate_grid(xs, FLAT_TIMES)
+    for k, t in enumerate(FLAT_TIMES):
+        want = free_gaussian(xs, t, -1.0, 1.0, 0.7) * np.exp(-1j * level * t)
+        for smp, w in zip(got[k * xs.size:(k + 1) * xs.size], want):
+            assert smp.t == t
+            assert abs(smp.value - w) <= smp.error, smp
+
+
+@pytest.mark.parametrize("name", ["d4", "well"])
+def test_time_zero_among_the_times_gives_the_initial_samples(name):
+    solver = SOLVERS[name]
+    got = solver.evaluate_grid(XS, [0.5, 0.0, 0.5], derivative=True)
+    n = XS.size
+    init = solver.evaluate_grid(XS, 0.0, derivative=True)
+    assert [(s.value, s.error, s.psi_x) for s in got[n:2 * n]] == \
+        [(s.value, s.error, s.psi_x) for s in init]
+    np.testing.assert_allclose([s.value for s in init], IC.evaluate(XS), rtol=1e-14)
+    # a repeated time gives the same samples twice
+    assert [s.value for s in got[:n]] == [s.value for s in got[2 * n:]]
+
+
+@pytest.mark.parametrize("ts", [[], [0.5, -0.25], [0.5, np.nan], [np.inf], -1.0,
+                                [[0.5, 1.0]]])
+def test_bad_times_are_refused_naming_t(ts):
+    with pytest.raises(ValueError, match="^t must"):
+        SOLVERS["d4"].evaluate_grid(XS, ts)
+
+
+def test_one_table_per_term_and_one_free_term_call_for_every_time(monkeypatch):
+    tables, frees = [], []
+    build, free = step.build_node_table, step.free_term
+
+    def spy_build(path, *args, **kwargs):
+        tables.append(path)
+        return build(path, *args, **kwargs)
+
+    def spy_free(*args, **kwargs):
+        frees.append(args)
+        return free(*args, **kwargs)
+
+    monkeypatch.setattr(step, "build_node_table", spy_build)
+    monkeypatch.setattr(step, "free_term", spy_free)
+    solver = SOLVERS["well"]
+    solver.evaluate_grid(XS, 0.6)
+    single = len(tables)
+    tables.clear()
+    frees.clear()
+    solver.evaluate_grid(XS, TS)
+    # one table per term, as for one time, each with the weights of every
+    # time on the corner legs of the largest
+    assert len(tables) == single
+    assert all(p.rates == tuple(sorted(TS)) for p in tables)
+    want, _ = solver.sector(4, max(TS))(tables[0].reach())
+    assert tables[0].legs == want.legs
+    assert len(frees) == 1
+    assert transforms.free_term is free

@@ -307,7 +307,7 @@ def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
 
 def test_tail_model_worst_is_the_largest_point_estimate():
     solver = StepSolver(UP, gaussian_ic())
-    tails = solver._terms(1, 0.5, True, 4.0)[0].tails
+    (tails,) = solver._terms(1, 0.5, True, 4.0)[0].tails
     xs = np.linspace(-4.0, 0.0, 9)
     for derivative in (False, True):
         worst = tails.worst(xs, derivative=derivative)
@@ -323,18 +323,19 @@ def test_chirp_ray_tail_matches_the_stripped_phase_model(rep, region):
     # its quadrature weights carry; the same path at rate 0, with that phase
     # put back into the weight, must give the same tails
     solver = StepSolver(UP, gaussian_ic(), representation=rep)
-    W, xc, x0, builder, T0 = solver._declare(region, 0.5)[0]
+    W, xc, x0, builder, T0, _ = solver._declare(region, 0.5)[0]
     xs = np.linspace(-6.0, 6.0, 25)
     kept = 0
     for T in (T0, 2.0 * T0, 6.0 * T0):
         path, spec = builder(T)
-        assert path.legs[-1].kind == "chirp" and abs(path.rate) == 0.5
-        rate = path.rate
+        assert path.legs[-1].kind == "chirp" and len(path.rates) == 1
+        (rate,) = path.rates
+        assert abs(rate) == 0.5
         whole = lambda z, tag: np.exp(1j * rate * z * z) * W(z, tag)
         chirp, stripped = (
             _TailModel(p, spec, _sample_tails(_tail_nodes(p, spec), w, xc), 0.5,
                        x0, span=T)
-            for p, w in ((path, W), (replace(path, rate=0.0), whole)))
+            for p, w in ((path, W), (replace(path, rates=(0.0,)), whole)))
         # the decaying leg's tail is taken with the phase in both
         assert chirp.generic == pytest.approx(stripped.generic, rel=1e-12)
         for derivative in (False, True):
@@ -351,8 +352,8 @@ def test_chirp_ray_tail_matches_the_stripped_phase_model(rep, region):
 def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
     calls = []
 
-    def spy(table, W, C=None, X=None, derivative=False):
-        out = table_integral(table, W, C, X, derivative)
+    def spy(table, W, C=None, X=None, derivative=False, rate=0):
+        out = table_integral(table, W, C, X, derivative, rate)
         calls.append((X, out))
         return out
 
@@ -364,11 +365,13 @@ def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
     X, sums = calls[0]
     np.testing.assert_array_equal(X, xs - terms[0].x_offset)
     # the phased sums plus the tails, evaluated over all x at once
-    corr, tail = terms[0].tails.at(xs)
-    dcorr, dtail = terms[0].tails.at(xs, derivative=True)
+    # one row for the one time
+    corr, tail = terms[0].tails[0].at(xs)
+    dcorr, dtail = terms[0].tails[0].at(xs, derivative=True)
     for a, b in zip(got, (sums[0] + corr, sums[1] + tail, sums[2] + dcorr,
                           sums[3] + dtail)):
-        np.testing.assert_array_equal(a, b)
+        assert a.shape == (1, xs.size)
+        np.testing.assert_array_equal(a[0], b)
 
 
 # -- the truncation ladder, sampled four rungs per weight call -------------
@@ -403,7 +406,7 @@ def _searches():
                      ("realline", UP)):
         solver = StepSolver(pot, ic, representation=rep)
         for region in (1, 2):
-            for W, xc, x0, builder, T0 in solver._declare(region, 0.5):
+            for W, xc, x0, builder, T0, _ in solver._declare(region, 0.5):
                 probes = (-4.0, 0.0) if region == 1 else (0.0, 4.0)
                 yield (rep, builder, W, xc, 0.5, x0, probes, 1e-8, T0)
 
@@ -437,6 +440,7 @@ def test_ladder_matches_the_rung_by_rung_search(search, change):
     if "max_T" in change:
         assert max(abs(leg.end()) for leg in path.legs) == pytest.approx(40.0)
     xs = np.linspace(-6.0, 6.0, 25)
+    (tails,) = tails
     for derivative in (False, True):
         got = tails.at(xs, derivative)
         want = ref_tails.at(xs, derivative)

@@ -110,6 +110,32 @@ def test_free_term_on_an_array_matches_each_point_bitwise(kind, derivative):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+def test_free_term_is_elementwise_over_region_and_time(kind, derivative):
+    # one call over every (x, region, t) of an evaluate_grid call gives the
+    # bits of one call per region and time
+    pot = PiecewisePotential([0.0, -3.0, 0.0], [0.0, 1.0])
+    ic = InitialCondition.gaussian(amplitude=0.8 - 0.6j, center=-0.5, width=0.9,
+                                   momentum=0.7)
+    if kind == "tabulated":
+        xt = np.linspace(-3.5, 2.5, 21)
+        ic = InitialCondition.tabulated(xt, ic.evaluate(xt))
+    xs = np.linspace(-6.0, 6.0, 61)
+    regions = np.searchsorted(pot.interfaces, xs, side="right") + 1
+    ts = [0.3, 1.7, 0.05]
+    got = free_term(ic, pot, np.tile(regions, 3), np.tile(xs, 3), np.repeat(ts, xs.size),
+                    derivative=derivative)
+    got = np.asarray(got).reshape(-1, 3, xs.size)
+    for k, t in enumerate(ts):
+        for region in (1, 2, 3):
+            at = regions == region
+            want = np.asarray(free_term(ic, pot, region, xs[at], t, derivative=derivative))
+            assert got[:, k, at].tobytes() == want.reshape(-1, at.sum()).tobytes()
+    with pytest.raises(ValueError, match="t > 0"):
+        free_term(ic, pot, [1, 2], [0.0, 0.5], [0.5, 0.0])
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
 def test_hat_of_a_batch_matches_each_point_bitwise(kind):
     # an evaluate_grid call computes the transforms at each node once, in
@@ -239,6 +265,13 @@ NAN, INF = float("nan"), float("inf")
     (dict(center=1e160), "center"),
     (dict(center=1e150, width=1e-10), "center"),
     (dict(width=1e-300), "width"),
+    # each used to give psi = NaN: 4/width^2, (2 center/width^2)^2 (NaN on
+    # the left of the jump from width 1e-78 at center -1), momentum^2 and
+    # the data's norm overflow where the free term and transforms form them
+    (dict(width=7.5e-155), "width"),
+    (dict(center=-1.0, width=1e-78), "center"),
+    (dict(momentum=1e200), "momentum"),
+    (dict(amplitude=1e308), "amplitude"),
     (dict(x=[0.0, 1.0, NAN, 3.0], values=[1.0] * 4), "x"),
     (dict(x=[0.0, 1.0, 2.0, 3.0], values=[1.0, NAN, 1.0, 1.0]), "values"),
 ])
