@@ -450,3 +450,30 @@ def test_ladder_matches_the_rung_by_rung_search(search, change):
                                                     ref_tails.generic_deriv)
     for tag in set(calls):
         assert calls.count(tag) <= -(-rungs // 4)
+
+
+def test_ladder_over_several_times_takes_the_first_rung_every_time_clears():
+    solver = StepSolver(UP, gaussian_ic())
+    ts = (0.3, 0.5, 1.2)
+    probes = (-4.0, 0.0)
+    W, xc, x0, builder, T0, _ = solver._declare(1, ts)[0]
+    path, tails = choose_truncation(builder, W, xc, ts, x0, probes, 1e-8, T0)
+    assert path.rates == ts and [m.t for m in tails] == list(ts)
+    # each time's own search on the same ladder: the rung of the slowest
+    singles = []
+    for t in ts:
+        single_builder = solver._declare(1, t)[0][3]
+        path_t, _ = choose_truncation(single_builder, W, xc, t, x0, probes, 1e-8, T0)
+        singles.append(path_t.reach())
+    T = path.reach()
+    assert T == max(singles) and len(set(singles)) > 1
+    # one set of samples at that rung serves every time's model
+    spec = builder(T)[1]
+    samples = _sample_tails(_tail_nodes(path, spec), W, xc)
+    xs = np.linspace(-4.0, 0.0, 9)
+    for k, t in enumerate(ts):
+        want = _TailModel(path, spec, samples, t, x0, T, k)
+        for derivative in (False, True):
+            for a, b in zip(tails[k].at(xs, derivative), want.at(xs, derivative)):
+                assert a.tobytes() == b.tobytes()
+    assert tails.worst(probes) == max(m.worst(probes) for m in tails)
