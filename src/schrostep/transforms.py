@@ -553,8 +553,9 @@ def free_term(ic, potential, region, x, t, derivative=False):
 
 
 def _free_gauss(ic, x, a, b, times, which, want_dx):
-    # a and b per entry; times are the distinct times and which gives each
-    # entry's, whose scalar factors are taken as a single time took them
+    # a and b per entry; times holds the time of each distinct (region, t)
+    # pair and which gives each entry's pair, whose scalar factors are taken
+    # as a single time took them
     c, w, mu, amp = ic.center, ic.width, ic.momentum, ic.amplitude
     t = np.array(times)[which]
     ps = [1.0 / (w * w) - 0.25j / tp for tp in times]
