@@ -675,8 +675,8 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     of need, a batch at a time (_next_to_split), and kept on their parents
     until the loop below reaches them, so the panels chosen are exactly
     those of a one-panel-at-a-time loop.  A table that stops above 50
-    times the tolerance, on max_panels or on the 1e-18 per-panel floor,
-    raises QuadratureError.
+    times the tolerance, on max_panels or on the 1e-18 per-panel floor, or
+    whose error is NaN, raises QuadratureError.
     """
     heap = []
     counter = 0
@@ -728,7 +728,7 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 
     final = sorted((entry[2] for entry in heap), key=lambda p: p.order)
     err = sum(p.err for p in final)
-    if err > 50.0 * max(tolerance, 1e-300):
+    if not err <= 50.0 * max(tolerance, 1e-300):
         worst = max(final, key=lambda p: p.err)
         leg = path.legs[worst.leg]
         raise QuadratureError(
@@ -828,6 +828,9 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     The result is (values, errors), one entry per X, or with
     derivative=True (values, errors, dvalues, derrors), the d-integrand
     being i C W exp(i C X).  A plain integral of W is C = 0 at X = [0].
+    W may also be a stack of m columns, shape (m, N), sharing C: each result
+    then has one row per column, shape (m, len(X)), from one pass over the
+    table.
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
@@ -841,8 +844,8 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     carry table.sign.
 
     The sum runs in tiles of _FINE rows of X (fewer when there are fewer X)
-    by the whole panels of one chunk (_chunks), so no temporary exceeds
-    _TILE complex entries.  Each
+    by the whole panels of one chunk (_chunks, sized by the rows times the
+    columns of W), so no temporary exceeds _TILE complex entries.  Each
     tile is one batched product giving every panel's Kronrod sum and
     Kronrod-minus-Gauss difference; the values add the panel sums, so
     tiling changes only the order of the sums over panels.  Lattice tiles
@@ -872,7 +875,9 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
     X = np.asarray(X, dtype=float).ravel()
-    ni, n = (2 if derivative else 1), X.size
+    # the integrands: the m columns of W, then with derivative i C W
+    m = W.shape[0] if W.ndim == 2 else 1
+    ni, n = (2 if derivative else 1) * m, X.size
     w15, w7 = table.weights(rate)
 
     # Rows in lattice order (by k), then the direct rows.  Per row: sums of
@@ -883,7 +888,7 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     lat = _lattice(X, cmax)
     # rows per tile: the fine table's, or fewer when every row is direct
     nt = _FINE if lat is not None else max(1, min(n, _FINE))
-    chunks = _chunks(table, nt)
+    chunks = _chunks(table, nt * m)
     on = np.zeros(n, dtype=bool)
     rows, rho, batches = np.arange(0), np.zeros(0), []
     if lat is not None:
@@ -928,7 +933,7 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
         c = C[lo:hi]
         ic = 1j * c
         npan = (hi - lo) // per
-        f = W[lo:hi, None]
+        f = W[..., lo:hi].reshape(m, -1).T
         if derivative:
             f = np.concatenate([f, ic[:, None] * f], axis=1)
         f = np.concatenate([f, c[:, None] * f], axis=1)
@@ -981,6 +986,8 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     err = np.empty((ni, n))
     val[:, rows] = table.sign * (sv[:, :ni] + 1j * rho * sv[:, ni:]).T
     err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
+    shape = (-1,) + W.shape[:-1] + (n,)
+    val, err = val.reshape(shape), err.reshape(shape)
     if derivative:
         return val[0], err[0], val[1], err[1]
     return val[0], err[0]

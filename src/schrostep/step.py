@@ -56,8 +56,10 @@ which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
 single jump is its n = 1 case; `WellSolver`, the last closed form,
 overrides the hook with its four transforms and numerators.  Within one
 evaluate_grid call every term reads its column from a memo of those rows,
-computed once per distinct node.  `StepSolver` also overrides `_declare`
-for its quadrant and realline forms, which share no nodes between regions.
+computed once per distinct node, and the sector path of each truncation
+rung is built once, whichever term tries it first.  `StepSolver` also
+overrides `_declare` for its quadrant and realline forms, which share no
+nodes between regions.
 A whole grid of x values, at every time of a call, reuses one node table
 per term, whose W and c columns are evaluated once per node while it is
 refined: the path carries one set of weights per time (ContourPath.rates),
@@ -65,6 +67,11 @@ and a term whose integrand carries exp(-i alpha t) besides (the quadrant
 and realline forms) takes that factor on its sum, so no weight depends on
 t.  One phased table_integral call per time sums the term at every x of
 the grid, and one free_term call gives every free term of the call.
+
+The truncation search and the sum also serve a stack of columns that share
+one path and one x-coefficient, as InterfaceMap's psi and psi_x columns
+do: one search accepts the first rung at which every column clears at
+every time, and one table_integral call per time sums every column.
 """
 
 import itertools
@@ -139,13 +146,15 @@ def mirrored(potential, ic):
 
 
 def _pair_tail(f_outer, f_inner, dist, span):
-    """Decay-length tail estimate from two integrand samples near the end."""
-    if f_outer == 0.0:
-        return 0.0
-    if f_inner <= f_outer * (1.0 + 1e-9):
-        return f_outer * span
-    ell = dist / np.log(f_inner / f_outer)
-    return f_outer * min(ell, span)
+    """Decay-length tail estimate from two integrand samples near the end.
+
+    f_outer and f_inner are magnitudes, one pair or arrays of pairs.
+    """
+    f_outer, f_inner = np.asarray(f_outer), np.asarray(f_inner)
+    flat = (f_outer == 0.0) | (f_inner <= f_outer * (1.0 + 1e-9))
+    ell = dist / np.log(np.where(flat, 2.0, f_inner) / np.where(flat, 1.0, f_outer))
+    return np.where(f_outer == 0.0, 0.0,
+                    f_outer * np.where(flat, span, np.minimum(ell, span)))
 
 
 def _leg_nodes(leg, outer_at_start):
@@ -154,12 +163,15 @@ def _leg_nodes(leg, outer_at_start):
 
 
 def _leg_tail(z, w, c, span):
-    """Tails of |W| and |W c| past the outer end of a leg, from its two samples."""
+    """Tails of |W| and |W c| past the outer end of a leg, from its two samples.
+
+    w holds the two samples on its last axis, one row per column of a stack.
+    """
     d = abs(z[1] - z[0])
     f = np.abs(w)
     fd = np.abs(w * np.abs(c))
-    return (_pair_tail(float(f[0]), float(f[1]), d, span),
-            _pair_tail(float(fd[0]), float(fd[1]), d, span))
+    return (_pair_tail(f[..., 0], f[..., 1], d, span),
+            _pair_tail(fd[..., 0], fd[..., 1], d, span))
 
 
 class _OscTail:
@@ -210,11 +222,16 @@ class _OscTail:
         The branch rules apply point by point: a point falls back to the
         sampled-decay bound when a stationary point may hide beyond the cut,
         when the expansion is not safely convergent, or when that bound is
-        already no larger than the expansion's residual.
+        already no larger than the expansion's residual.  A holds the four
+        samples on its last axis, one row per column of a stack; the results
+        then carry the stack's axes before those of x.
         """
-        A = self.A * (1j * self.c) if derivative else self.A
-        gen = _pair_tail(abs(A[0]), abs(A[1]), self.h, self.K)
         X = np.asarray(x, dtype=float) - self.x0
+        A = self.A * (1j * self.c) if derivative else self.A
+        # the samples first, then the stack's axes, then one axis per axis of x
+        A = np.moveaxis(A, -1, 0).reshape(A.shape[-1:] + A.shape[:-1] + (1,) * X.ndim)
+        gen = _pair_tail(np.hypot(A[0].real, A[0].imag), np.hypot(A[1].real, A[1].imag),
+                         self.h, self.K)
         c1, c2, c3 = self._fd(self.c)
         p1 = -2.0 * self.t * self.K + c1 * X
         # a stationary point must not hide beyond the cut
@@ -251,14 +268,18 @@ def _tail_nodes(path, spec):
 
 
 def _sample_tails(nodes, weight, xcoef):
-    """(z, W, c) at each (tag, z) of nodes, one weight and one xcoef call per tag."""
+    """(z, W, c) at each (tag, z) of nodes, one weight and one xcoef call per tag.
+
+    A weight may return a stack of columns, shape (m, len(z)); its samples
+    keep the stack's axis first.
+    """
     out = [None] * len(nodes)
     for tag in dict.fromkeys(tag for tag, _ in nodes):
         idx = [i for i, (g, _) in enumerate(nodes) if g == tag]
         zs = [nodes[i][1] for i in idx]
         z = np.concatenate(zs)
         cuts = np.cumsum([zi.size for zi in zs])[:-1]
-        w = np.split(np.asarray(weight(z, tag), dtype=complex), cuts)
+        w = np.split(np.asarray(weight(z, tag), dtype=complex), cuts, axis=-1)
         c = np.split(np.asarray(xcoef(z, tag), dtype=complex), cuts)
         for i, zi, wi, ci in zip(idx, zs, w, c):
             out[i] = (zi, wi, ci)
@@ -274,7 +295,9 @@ class _TailModel:
     and an oscillatory ray's amplitude at z = direction u is
     A = w jac exp(i (rate z^2 + t u^2)), without the expansion's
     exp(-i t u^2): w jac on every sector and real-line ray, where
-    rate z^2 = -t u^2 exactly.
+    rate z^2 = -t u^2 exactly.  A weight that returns a stack of m columns
+    gives a model of every column at once: `at` then returns one row per
+    column, and `worst` takes the largest over the columns too.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span, k=0):
@@ -283,6 +306,8 @@ class _TailModel:
         self.generic = 0.0
         self.generic_deriv = 0.0
         self.oscs = []
+        # the axes of a stack of columns, () for one
+        self.stack = np.shape(samples[0][1])[:-1]
         samples = iter(samples)
         for _ in spec.get("generic", ()):
             z, w, c = next(samples)
@@ -298,15 +323,16 @@ class _TailModel:
                 self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
 
     def worst(self, xs, derivative=False):
-        """Largest tail error estimate over the probe points (for acceptance)."""
-        base = self.generic_deriv if derivative else self.generic
-        return float(max([base, *self.at(xs, derivative)[1]]))
+        """Largest tail error estimate over the columns and the probe points."""
+        return float(np.max(self.at(xs, derivative)[1]))
 
     def at(self, x, derivative=False):
         """Tail corrections and error estimates at the points x."""
         x = np.asarray(x, dtype=float)
-        corr = np.zeros(x.shape, dtype=complex)
-        err = np.full(x.shape, self.generic_deriv if derivative else self.generic)
+        base = self.generic_deriv if derivative else self.generic
+        corr = np.zeros(self.stack + x.shape, dtype=complex)
+        err = np.full(self.stack + x.shape,
+                      np.reshape(base, np.shape(base) + (1,) * x.ndim))
         for o in self.oscs:
             c, e = o.estimate(x, derivative)
             corr += c
@@ -318,7 +344,7 @@ class _Tails(tuple):
     """The _TailModel of each time of a term, in the order of its path's rates."""
 
     def worst(self, xs, derivative=False):
-        """Largest tail error estimate over the times and the probe points."""
+        """Largest tail error estimate over the times, columns and probe points."""
         return float(np.max([m.worst(xs, derivative) for m in self]))
 
 
@@ -369,6 +395,11 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     costs numpy's dispatch as much as one on a hundred, and a search tries
     about four rungs.  The tails of rungs past the one returned are
     dropped.  Returns (path, tails), tails the _Tails of the rung's times.
+
+    weight may return a stack of m columns, shape (m, N), that share the
+    path and xcoef: one search then serves them all.  A rung clears when
+    every column clears at every time, and tails.worst is the largest over
+    the columns as well.
     """
     target = 0.05 * tolerance
     ts = [float(v) for v in np.atleast_1d(t)]
@@ -556,6 +587,8 @@ class ContourSettings:
     """
 
     delta = np.pi / 8.0
+    # {(quad, rates, T): (path, spec)} while a call lasts (see sector)
+    _paths = None
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         tol = float(tolerance)
@@ -583,6 +616,15 @@ class ContourSettings:
         return [SolutionSample(x, 0.0, value, 0.0, psi_x=slope)
                 for x, value, slope in zip(xs.tolist(), v, dv)]
 
+    @staticmethod
+    def _times(t):
+        """The times t as a list: one time or a nonempty 1-D sequence, finite and >= 0."""
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1 or ts.size == 0 or not np.all((ts >= 0.0) & (ts < np.inf)):
+            raise ValueError("t must be finite and nonnegative, one time or a "
+                             "nonempty sequence of them, got {!r}".format(t))
+        return ts.ravel().tolist()
+
     def sector(self, quad, t):
         """Truncation builder T -> (path, tail spec) on a sector boundary.
 
@@ -603,6 +645,10 @@ class ContourSettings:
         t in quadrant 4, -t in 3 and 1), which a weight leaves out.  The ray
         is a chirp leg (Leg.chirp), whose weights integrate that factor
         exactly, started as ceil((T - R) / 2) equal pieces in v = u^2.
+
+        Within a call that sets up the path memo (ContourSolver._solve), each
+        rung's path is built once and shared by every term and search that
+        tries it; a built path is never modified.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
@@ -611,7 +657,7 @@ class ContourSettings:
         corner = 1.0 / tmax if R * R * tmax > 2.0 else None
         rates = tuple(ts) if quad == 4 else tuple(-v for v in ts)
 
-        def build(T):
+        def make(T):
             path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
             leg = path.legs[-1]
             n = int(np.ceil((T - R) / 2.0))
@@ -620,6 +666,14 @@ class ContourSettings:
             path.rates = rates
             return path, {"generic": [(0, True)],
                           "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
+
+        def build(T):
+            if self._paths is None:
+                return make(T)
+            key = (quad, rates, T)
+            if key not in self._paths:
+                self._paths[key] = make(T)
+            return self._paths[key]
         return build
 
 
@@ -738,14 +792,10 @@ class ContourSolver(ContourSettings):
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("x must be finite")
-        ts = np.asarray(t, dtype=float)
-        if ts.ndim > 1 or ts.size == 0 or not np.all((ts >= 0.0) & (ts < np.inf)):
-            raise ValueError("t must be finite and nonnegative, one time or a "
-                             "nonempty sequence of them, got {!r}".format(t))
+        ts = self._times(t)
         nreg = self.potential.nregions
         if region is not None and region not in range(1, nreg + 1):
             raise ValueError("region must lie in 1..{}, got {!r}".format(nreg, region))
-        ts = ts.ravel().tolist()
         live = sorted({v for v in ts if v > 0.0})
         rows = self._solve(xs, live, region, derivative) if live else {}
         if 0.0 in ts:
@@ -765,6 +815,7 @@ class ContourSolver(ContourSettings):
                  for f in (free if derivative else (free, None)))
         rows = {t: [None] * xs.size for t in live}
         self._memo = _NodeMemo()
+        self._paths = {}
         try:
             for j in np.unique(regions):
                 idx = np.where(regions == j)[0]
@@ -787,7 +838,7 @@ class ContourSolver(ContourSettings):
                         rows[t][i] = SolutionSample(x, t, value, error, psi_x=slope,
                                                     psi_x_error=slope_error)
         finally:
-            del self._memo
+            del self._memo, self._paths
         return rows
 
 

@@ -75,6 +75,18 @@ def test_budget_exhaustion_raises_with_location():
     assert exc.value.leg_label == "hot leg"
 
 
+def test_nan_table_error_raises():
+    # a NaN error compares False against any bound: the check must refuse it
+    # rather than return a table of NaN sums
+    path = rotated_boundary(4, 2.0, 10.0, np.pi / 8)
+
+    def columns(z, tag):
+        return np.where(np.abs(z) > 6.0, np.nan, np.exp(-0.1 * z * z))
+
+    with pytest.raises(QuadratureError, match="error nan"):
+        build_node_table(path, columns, 1e-8)
+
+
 def test_splits_pin_panel_boundaries():
     # integrable kink resolved because the split lands a panel edge on it
     path = ContourPath(legs=[Leg.line(-1.0, 1.0, splits=(0.5,))])
@@ -571,6 +583,25 @@ def test_batched_lattice_groups_match_one_group_per_batch(monkeypatch, derivativ
                 assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
 
 
+@pytest.mark.parametrize("grid", ["linspace with x_j - 1e-9", "unsorted random"])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_stacked_columns_match_one_call_per_column(grid, derivative):
+    # a stack of columns sharing C is summed in one pass, with chunks sized
+    # by the stacked width; each row agrees with its own call
+    table, W, C = _step_term_table("d4")
+    stack = np.stack([W, 1j * W * table.z, W / (1.0 + table.z * table.z)])
+    X = PHASED_GRIDS[grid]
+    got = table_integral(table, stack, C, X, derivative)
+    singles = [table_integral(table, row, C, X, derivative) for row in stack]
+    for i in range(0, len(got), 2):
+        assert got[i].shape == got[i + 1].shape == (3, len(X))
+        for j, one in enumerate(singles):
+            assert np.all(np.abs(got[i][j] - one[i]) <= 1e-15 + one[i + 1])
+            np.testing.assert_allclose(got[i + 1][j], one[i + 1], rtol=1e-12)
+    assert contours._chunks(table, 3 * contours._FINE) != contours._chunks(
+        table, contours._FINE)
+
+
 def test_phased_sum_lattice_covers_the_linspace_points():
     # the straddle points leave the other points on the lattice
     X = PHASED_GRIDS["linspace with x_j - 1e-9"]
@@ -641,17 +672,20 @@ def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
     ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
     ts = np.linspace(0.1, 1.2, 40)
     got = InterfaceMap(pot, ic).trace_grid(ts, interface=2, derivative=True)
-    # psi and psi_x on one table, each time at its own weights
+    # psi and psi_x on one table, stacked in one call per time at that
+    # time's weights
     assert len({id(c[0]) for c in calls}) == 1
-    assert sorted(c[4] for c in calls) == sorted(2 * list(range(40)))
+    assert sorted(c[4] for c in calls) == list(range(40))
     table = calls[0][0]
     assert table.rates == tuple(ts)
     for _, W, C, X, k, (value, err) in calls:
         # the weights carry exp(i kappa^2 t), the integrand is x-free
         np.testing.assert_array_equal(X, [0.0])
         assert not np.any(C)
+        assert W.shape == (2, table.z.size) and value.shape == err.shape == (2, 1)
         w15, _ = table.weights(k)
-        assert abs(value[0] - table.sign * np.sum(W * w15)) <= 1e-15 + err[0]
+        for row, v, e in zip(W, value[:, 0], err[:, 0]):
+            assert abs(v - table.sign * np.sum(row * w15)) <= 1e-15 + e
     assert [s.t for s in got] == list(ts)
 
 

@@ -67,6 +67,16 @@ def test_interface_index_validation():
         imap.trace_grid([0.5], interface=(1, 2))
     with pytest.raises(ValueError, match="interface"):
         imap.trace_grid([0.5], interface=())
+    # t as evaluate_grid takes it: one time or a nonempty 1-D sequence
+    with pytest.raises(ValueError, match="^t must"):
+        imap.trace_grid([], 1)
+    with pytest.raises(ValueError, match="^t must"):
+        imap.trace_grid([[0.5]], 1)
+    with pytest.raises(ValueError, match="^t must"):
+        imap.trace_grid([0.5, np.nan], 1)
+    (one,) = imap.trace_grid(0.5, 1)
+    ref = imap.trace(0.5)
+    assert (one.t, one.value, one.error) == (ref.t, ref.value, ref.error)
 
 
 def test_several_interfaces_match_their_single_traces():
@@ -149,3 +159,28 @@ def test_slope_trace_meets_tolerance():
                                                                 derivative=True)
     for a, b in zip(got, ref):
         assert abs(a.psi_x - b.psi_x) <= a.psi_x_error + b.psi_x_error
+
+
+@pytest.mark.parametrize("case", ["space_time map", "slope trace"])
+def test_grouped_search_takes_the_largest_single_column_truncation(monkeypatch, case):
+    # one search over the stack of every column accepts the first rung at
+    # which every column clears: here the T the longest column's own search
+    # takes
+    calls = []
+    search = interface_map.choose_truncation
+
+    def spy(builder, weight, *args, **kwargs):
+        out = search(builder, weight, *args, **kwargs)
+        calls.append((builder, weight, args, kwargs, out[0].reach()))
+        return out
+
+    monkeypatch.setattr(interface_map, "choose_truncation", spy)
+    ells = (1, 2, 3) if case == "space_time map" else 2
+    InterfaceMap(THREE, IC, tolerance=1e-8).trace_grid([0.3, 0.6, 0.9, 1.2], ells,
+                                                      derivative=True)
+    ((builder, weight, args, kwargs, T),) = calls
+    m = 6 if case == "space_time map" else 2
+    assert np.shape(weight(np.array([1.0 - 1.0j]), "")) == (m, 1)
+    single = [search(builder, lambda z, tag, j=j: weight(z, tag)[j], *args,
+                     **kwargs)[0].reach() for j in range(m)]
+    assert T == max(single)

@@ -4,9 +4,13 @@ Every term of a call lies on the same sector(4, t) contour, so their node
 tables share most nodes; the call keeps the interface data of each node in
 a memo that every term reads.  These tests pin that the memo changes no
 output bit, that it computes each distinct node once, and that it leaves
-nothing behind on the solver.
+nothing behind on the solver.  The sector paths of the truncation rungs
+are kept in a memo of the call too: the last tests pin that terms at the
+same rung share one path, that nothing modifies a built path, and that
+this memo goes with the call as well.
 """
 
+import copy
 import gc
 import weakref
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 import schrostep.general
+import schrostep.step
 import schrostep.well
 from schrostep import (GeneralSolver, InitialCondition, PiecewisePotential,
                        StepSolver, WellSolver)
@@ -100,6 +105,7 @@ def test_memo_dies_with_the_call(name):
         attrs = set(vars(solver))
         solver.evaluate_grid(np.linspace(-2.0, 3.0, 6), 0.5)
         assert set(vars(solver)) == attrs
+        assert solver._memo is None and solver._paths is None
         ref = weakref.ref(solver)
         del solver
         assert ref() is None
@@ -118,3 +124,29 @@ def test_memo_is_dropped_when_the_call_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         solver.evaluate_grid([0.5], 0.5)
     assert set(vars(solver)) == attrs
+    assert solver._memo is None and solver._paths is None
+
+
+def test_terms_at_one_rung_share_one_unmodified_path(monkeypatch):
+    # every term of the call searches the same sector(4, ts) rungs; those
+    # that accept the same rung get the one path built for it, and no
+    # table, sum or tail model changes it
+    found = []
+    search = schrostep.step.choose_truncation
+
+    def spy(*args, **kwargs):
+        path, tails = search(*args, **kwargs)
+        found.append((path, copy.deepcopy(path.legs), path.rates))
+        return path, tails
+
+    monkeypatch.setattr(schrostep.step, "choose_truncation", spy)
+    solver = GeneralSolver(THREE, IC)
+    solver.evaluate_grid(np.linspace(-2.0, 4.0, 13), [0.3, 0.9], derivative=True)
+    assert len(found) == 6
+    by_rung = {}
+    for path, _, _ in found:
+        by_rung.setdefault(path.reach(), set()).add(id(path))
+    assert all(len(ids) == 1 for ids in by_rung.values())
+    assert len(by_rung) < len(found)
+    for path, legs, rates in found:
+        assert path.legs == legs and path.rates == rates == (0.3, 0.9)
