@@ -148,13 +148,19 @@ def mirrored(potential, ic):
 def _pair_tail(f_outer, f_inner, dist, span):
     """Decay-length tail estimate from two integrand samples near the end.
 
-    f_outer and f_inner are magnitudes, one pair or arrays of pairs.
+    f_outer and f_inner are magnitudes: one pair, or arrays of pairs, each
+    estimated on its own.
     """
-    f_outer, f_inner = np.asarray(f_outer), np.asarray(f_inner)
-    flat = (f_outer == 0.0) | (f_inner <= f_outer * (1.0 + 1e-9))
-    ell = dist / np.log(np.where(flat, 2.0, f_inner) / np.where(flat, 1.0, f_outer))
-    return np.where(f_outer == 0.0, 0.0,
-                    f_outer * np.where(flat, span, np.minimum(ell, span)))
+    if isinstance(f_outer, np.ndarray):
+        return np.reshape([_pair_tail(a, b, dist, span)
+                           for a, b in zip(np.ravel(f_outer), np.ravel(f_inner))],
+                          np.shape(f_outer))
+    if f_outer == 0.0:
+        return 0.0
+    if f_inner <= f_outer * (1.0 + 1e-9):
+        return f_outer * span
+    ell = dist / np.log(f_inner / f_outer)
+    return f_outer * min(ell, span)
 
 
 def _leg_nodes(leg, outer_at_start):
@@ -168,10 +174,9 @@ def _leg_tail(z, w, c, span):
     w holds the two samples on its last axis, one row per column of a stack.
     """
     d = abs(z[1] - z[0])
-    f = np.abs(w)
-    fd = np.abs(w * np.abs(c))
-    return (_pair_tail(f[..., 0], f[..., 1], d, span),
-            _pair_tail(fd[..., 0], fd[..., 1], d, span))
+    f = np.abs(w).T
+    fd = np.abs(w * np.abs(c)).T
+    return _pair_tail(f[0], f[1], d, span), _pair_tail(fd[0], fd[1], d, span)
 
 
 class _OscTail:
@@ -202,7 +207,8 @@ class _OscTail:
         return direction * (K - cls.h * np.arange(4.0))
 
     def __init__(self, A, c, K, t, sign, x_offset):
-        self.A = np.asarray(A, dtype=complex)
+        # the samples first, then the column axis of a stack
+        self.A = np.asarray(A, dtype=complex).T
         self.c = np.asarray(c, dtype=complex).real
         self.K = K
         self.t = t
@@ -224,14 +230,13 @@ class _OscTail:
         when the expansion is not safely convergent, or when that bound is
         already no larger than the expansion's residual.  A holds the four
         samples on its last axis, one row per column of a stack; the results
-        then carry the stack's axes before those of x.
+        then carry the stack's column axis after those of x.
         """
         X = np.asarray(x, dtype=float) - self.x0
-        A = self.A * (1j * self.c) if derivative else self.A
-        # the samples first, then the stack's axes, then one axis per axis of x
-        A = np.moveaxis(A, -1, 0).reshape(A.shape[-1:] + A.shape[:-1] + (1,) * X.ndim)
-        gen = _pair_tail(np.hypot(A[0].real, A[0].imag), np.hypot(A[1].real, A[1].imag),
-                         self.h, self.K)
+        A = (self.A.T * (1j * self.c)).T if derivative else self.A
+        if A.ndim > 1:
+            X = X[..., None]
+        gen = _pair_tail(abs(A[0]), abs(A[1]), self.h, self.K)
         c1, c2, c3 = self._fd(self.c)
         p1 = -2.0 * self.t * self.K + c1 * X
         # a stationary point must not hide beyond the cut
@@ -296,8 +301,9 @@ class _TailModel:
     A = w jac exp(i (rate z^2 + t u^2)), without the expansion's
     exp(-i t u^2): w jac on every sector and real-line ray, where
     rate z^2 = -t u^2 exactly.  A weight that returns a stack of m columns
-    gives a model of every column at once: `at` then returns one row per
-    column, and `worst` takes the largest over the columns too.
+    gives a model of every column at once: `at` then returns one column per
+    column of the stack, after the axes of x, and `worst` takes the largest
+    over the columns too.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span, k=0):
@@ -324,15 +330,14 @@ class _TailModel:
 
     def worst(self, xs, derivative=False):
         """Largest tail error estimate over the columns and the probe points."""
-        return float(np.max(self.at(xs, derivative)[1]))
+        return float(self.at(xs, derivative)[1].max())
 
     def at(self, x, derivative=False):
         """Tail corrections and error estimates at the points x."""
         x = np.asarray(x, dtype=float)
-        base = self.generic_deriv if derivative else self.generic
-        corr = np.zeros(self.stack + x.shape, dtype=complex)
-        err = np.full(self.stack + x.shape,
-                      np.reshape(base, np.shape(base) + (1,) * x.ndim))
+        corr = np.zeros(x.shape + self.stack, dtype=complex)
+        err = np.full(x.shape + self.stack,
+                      self.generic_deriv if derivative else self.generic)
         for o in self.oscs:
             c, e = o.estimate(x, derivative)
             corr += c
