@@ -228,11 +228,12 @@ class _OscTail:
         The branch rules apply point by point: a point falls back to the
         sampled-decay bound when a stationary point may hide beyond the cut,
         when the expansion is not safely convergent, or when that bound is
-        already no larger than the expansion's residual.  A holds the four
-        samples on its last axis, one row per column of a stack; the results
-        then carry the stack's column axis after those of x.
+        already no larger than the expansion's residual.  Built from a
+        stack of columns (A of shape (m, 4)), the results carry the stack's
+        column axis after those of x.
         """
         X = np.asarray(x, dtype=float) - self.x0
+        # c runs along the samples, the first axis of self.A
         A = (self.A.T * (1j * self.c)).T if derivative else self.A
         if A.ndim > 1:
             X = X[..., None]
@@ -301,9 +302,9 @@ class _TailModel:
     A = w jac exp(i (rate z^2 + t u^2)), without the expansion's
     exp(-i t u^2): w jac on every sector and real-line ray, where
     rate z^2 = -t u^2 exactly.  A weight that returns a stack of m columns
-    gives a model of every column at once: `at` then returns one column per
-    column of the stack, after the axes of x, and `worst` takes the largest
-    over the columns too.
+    gives a model of every column at once: `at` then returns the columns on
+    a last axis, after those of x, and `worst` takes the largest over the
+    columns too.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span, k=0):

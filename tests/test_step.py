@@ -485,23 +485,25 @@ def test_stacked_tail_model_matches_one_model_per_column():
     solver = StepSolver(UP, gaussian_ic())
     ts = (0.3, 1.2)
     W, xc, x0, builder, T0, _ = solver._declare(1, ts)[0]
-    columns = [W, lambda z, tag: 1j * z * W(z, tag), lambda z, tag: W(z, tag) / (1.0 + z * z)]
+    columns = [W, lambda z, tag: 1j * z * W(z, tag),
+               lambda z, tag: W(z, tag) / (1.0 + z * z)]
 
     def stack(z, tag):
         return np.stack([f(z, tag) for f in columns])
 
-    path, spec = builder(2.5 * T0)
+    T = 2.5 * T0
+    path, spec = builder(T)
     nodes = _tail_nodes(path, spec)
     stacked = _sample_tails(nodes, stack, xc)
     xs = np.linspace(-4.0, 0.0, 9)
     for k, t in enumerate(ts):
-        model = _TailModel(path, spec, stacked, t, x0, 2.5 * T0, k)
+        model = _TailModel(path, spec, stacked, t, x0, T, k)
         for derivative in (False, True):
             corr, err = model.at(xs, derivative)
             assert corr.shape == err.shape == (xs.size, len(columns))
             worst = []
             for j, f in enumerate(columns):
-                one = _TailModel(path, spec, _sample_tails(nodes, f, xc), t, x0, 2.5 * T0, k)
+                one = _TailModel(path, spec, _sample_tails(nodes, f, xc), t, x0, T, k)
                 want_corr, want_err = one.at(xs, derivative)
                 np.testing.assert_allclose(corr[:, j], want_corr, rtol=1e-15, atol=0.0)
                 np.testing.assert_allclose(err[:, j], want_err, rtol=1e-15, atol=0.0)
