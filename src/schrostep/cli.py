@@ -303,9 +303,9 @@ def cmd_interface_map(args):
     ts = _times(cfg)
     samples = imap.trace_grid(ts, interface=idx, derivative=True)
     _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate",
-                 "re_psi_x", "im_psi_x"),
+                 "re_psi_x", "im_psi_x", "err_psi_x"),
            [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error,
-             s.psi_x.real, s.psi_x.imag) for s in samples])
+             s.psi_x.real, s.psi_x.imag, s.psi_x_error) for s in samples])
     return 0
 
 

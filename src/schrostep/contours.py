@@ -41,7 +41,8 @@ and a finished table keeps the first rate's weights only, from which
 NodeTable.weights derives the others.
 
 table_integral is the one summation over a finished table.  It sums
-W exp(i C X) for a whole vector of X in one call, in tiles of at most 2^12
+W exp(i C X) for a whole vector of X, every column of a stack W and every
+rate of the table in one call, in tiles of at most 2^12
 complex entries, and builds the phases of points on a uniform
 lattice from two small exp tables instead of one exp per (X, node) pair.
 Lattice points are summed several 16-point groups per numpy call, as many
@@ -53,7 +54,7 @@ results.
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,36 +70,37 @@ __all__ = [
 ]
 
 # Gauss-Kronrod 7-15 on [-1, 1].  Nodes and weights are the standard
-# QUADPACK constants; the Gauss-7 rule lives on the odd-indexed nodes.
+# QUADPACK constants to full double precision; the Gauss-7 rule lives on
+# the odd-indexed nodes.
 _XK_HALF = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.000000000000000,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
 ])
 _WK_HALF = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 ])
 _WG_HALF = np.array([
     0.0,
-    0.129484966168870,
+    0.129484966168869693270611432679082,
     0.0,
-    0.279705391489277,
+    0.279705391489276667901467771423780,
     0.0,
-    0.381830050505119,
+    0.381830050505118944950369775488975,
     0.0,
-    0.417959183673469,
+    0.417959183673469387755102040816327,
 ])
 
 _XK = np.concatenate([-_XK_HALF[:-1], [0.0], _XK_HALF[:-1][::-1]])
@@ -465,7 +467,6 @@ class NodeTable:
     error: float = 0.0
     rates: tuple = (0.0,)
     legs: tuple = ()
-    _last: tuple = field(default=None, repr=False, compare=False)
 
     def weights(self, k=0):
         """(w15, w7) at the rate rates[k].
@@ -473,14 +474,10 @@ class NodeTable:
         The first rate's are kept.  Another rate's are those of the
         refinement: the first's times exp(i (rates[k] - rates[0]) z^2) on
         line, arc and principal-value legs, and the chirp rows of its own
-        rate on chirp legs, rebuilt from the spans.  The last rate derived
-        is kept too, so that several integrands summed at one rate derive
-        its weights once.
+        rate on chirp legs, rebuilt from the spans.
         """
         if k == 0:
             return self.w15, self.w7
-        if self._last is not None and self._last[0] == k:
-            return self._last[1:]
         f = _rephase(self.z, self.rates[k] - self.rates[0])
         w15, w7 = self.w15 * f, self.w7 * f
         starts = np.flatnonzero(np.diff(self.panel, prepend=-1))
@@ -493,7 +490,6 @@ class NodeTable:
             _, ((c15, c7),) = _panel_nodes(self.legs[leg], a, b, (self.rates[k],))
             at = starts[p][:, None] + np.arange(15)
             w15[at], w7[at] = c15, c7
-        self._last = (k, w15, w7)
         return w15, w7
 
 
@@ -819,18 +815,19 @@ def _lattice(X, cmax):
     return h, on, kf[on].astype(np.int64), rho[on], Xq[on]
 
 
-def table_integral(table, W, C, X, derivative=False, rate=0):
+def table_integral(table, W, C, X):
     """Integral of W exp(i C X) over a frozen node table, for each X.
 
     W and C are given at table.z, usually built from table.cols (which the
     column function computed with each node's leg tag), and X is a vector.
-    The weights are those of table.rates[rate] (NodeTable.weights).
-    The result is (values, errors), one entry per X, or with
-    derivative=True (values, errors, dvalues, derrors), the d-integrand
-    being i C W exp(i C X).  A plain integral of W is C = 0 at X = [0].
-    W may also be a stack of m columns, shape (m, N), sharing C: each result
-    then has one row per column, shape (m, len(X)), from one pass over the
-    table.
+    W may be one column or a stack of m columns, shape (m, N), sharing C
+    (a slope is the column i C W).  The result is (values, errors), each
+    with one row per rate of the table (table.rates; NodeTable.weights),
+    then one per column of a stack, then one entry per X: shape
+    (len(table.rates), len(X)) or (len(table.rates), m, len(X)).  The rates
+    are summed one after another over the same tiles, so that one rate's
+    weights are alive at a time.  A plain integral of W is C = 0 at
+    X = [0].
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
@@ -850,11 +847,11 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     Kronrod-minus-Gauss difference; the values add the panel sums, so
     tiling changes only the order of the sums over panels.  Lattice tiles
     go several per numpy call, one _FINE-row group per coarse point, as
-    many as keep a batch's temporaries within _TILE entries too: 4 groups,
-    or 2 with the derivative, for a full chunk.  Each
-    group's panel products and sums are those of a tile of its own, so the
-    values do not depend on the batching.  Rows map to their slot (group in
-    the batch, r), which serves holes, duplicate X and grid ends alike.
+    many as keep a batch's temporaries within _TILE entries too: 4 groups
+    for a full chunk.  Each group's panel products and sums are those of a
+    tile of its own, so the values do not depend on the batching.  Rows
+    map to their slot (group in the batch, r), which serves holes,
+    duplicate X and grid ends alike.
 
     Points on a lattice X0 + k h (_lattice; any linspace) take their phases
     from two small exp tables.  With k = _FINE q + r,
@@ -870,20 +867,17 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     correction i C rho enters the values and the panel differences through
     sums of C W.  Every other point (off-lattice extras such as x_j - 1e-9,
     irregular grids, grids under 2 _FINE points) takes the direct exp.  The
-    value and the derivative share each tile.
+    columns of a stack share each tile.
     """
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
     X = np.asarray(X, dtype=float).ravel()
-    # the integrands: the m columns of W, then with derivative i C W
-    m = W.shape[0] if W.ndim == 2 else 1
-    ni, n = (2 if derivative else 1) * m, X.size
-    w15, w7 = table.weights(rate)
+    # the integrands: the m columns of W
+    m, n = (W.shape[0] if W.ndim == 2 else 1), X.size
 
     # Rows in lattice order (by k), then the direct rows.  Per row: sums of
-    # f w15 and C f w15 over the nodes (f = W, then with derivative i C W;
-    # rho enters through the second), the panel errors, and sum |P f w15|
-    # for the roundoff floor.
+    # f w15 and C f w15 over the nodes (f = W; rho enters through the
+    # second), the panel errors, and sum |P f w15| for the roundoff floor.
     cmax = float(np.max(np.abs(C), initial=0.0))
     lat = _lattice(X, cmax)
     # rows per tile: the fine table's, or fewer when every row is direct
@@ -906,7 +900,7 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
         new = np.diff(q, prepend=q[0] - 1) != 0
         group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
         bounds = np.append(starts, q.size)
-        nb = max(1, _TILE // (4 * ni * max(hi - lo for lo, hi, _ in chunks)))
+        nb = max(1, _TILE // (4 * m * max(hi - lo for lo, hi, _ in chunks)))
         for a in range(0, starts.size, nb):
             b = min(a + nb, starts.size)
             s, e = bounds[a], bounds[b]
@@ -916,37 +910,32 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
     direct = np.flatnonzero(~on)
     rows = np.concatenate([rows, direct])
     rho = np.append(rho, np.zeros(direct.size))[:, None]
-    sv = np.zeros((n, 2 * ni), dtype=complex)
-    se = np.zeros((n, ni))
-    sa = np.zeros((n, ni))
 
     def panel_err(d, rho, axis):
         # d: per-panel Kronrod-minus-Gauss sums of f and C f, for the rows,
         # with the panels on axis.  numpy's order of summation follows the
         # memory layout, so the charged errors are summed C-ordered: a
         # batched group then adds its panels as a tile of its own did.
-        u = np.abs(d[..., :ni] + 1j * rho * d[..., ni:])
+        u = np.abs(d[..., :m] + 1j * rho * d[..., m:])
         return np.sum(np.ascontiguousarray(np.minimum(u, (200.0 * u) ** 1.5)),
                       axis=axis)
 
-    def chunk(lo, hi, per):
+    def chunk(lo, hi, per, w15, w7, sv, se, sa):
         c = C[lo:hi]
         ic = 1j * c
         npan = (hi - lo) // per
         f = W[..., lo:hi].reshape(m, -1).T
-        if derivative:
-            f = np.concatenate([f, ic[:, None] * f], axis=1)
         f = np.concatenate([f, c[:, None] * f], axis=1)
         F = np.concatenate([f * w15[lo:hi, None],
                             f * (w15[lo:hi] - w7[lo:hi])[:, None]], axis=1)
-        a15 = np.abs(F[:, :ni])
-        F = F.reshape(npan, per, 4 * ni)
+        a15 = np.abs(F[:, :m])
+        F = F.reshape(npan, per, 4 * m)
 
         def tile(E, absE):
             # for the phases E: the sums of f w15 and C f w15, the panel
             # sums of the same with w15 - w7, and the sums of |E f w15|
             S = np.matmul(E.reshape(-1, npan, per).transpose(1, 0, 2), F)
-            return (np.sum(S[..., :2 * ni], axis=0), S[..., 2 * ni:],
+            return (np.sum(S[..., :2 * m], axis=0), S[..., 2 * m:],
                     np.stack([absE @ b for b in a15.T], axis=1))
 
         if batches:
@@ -962,15 +951,15 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
                 S = np.matmul(fine, w.reshape(-1, npan, per, 1) * F)
                 # per slot (group, r): the sums, the panel differences and
                 # the floor sums
-                v = np.sum(S[..., :2 * ni], axis=1)
-                d = np.moveaxis(S[..., 2 * ni:], 1, 2)
+                v = np.sum(S[..., :2 * m], axis=1)
+                d = np.moveaxis(S[..., 2 * m:], 1, 2)
                 a = np.matmul(afine, np.abs(w)[..., None] * a15)
                 if slot is not None:
                     v, d, a = v[slot], d[slot], a[slot]
-                sv[s:e] += v.reshape(-1, 2 * ni)
+                sv[s:e] += v.reshape(-1, 2 * m)
                 se[s:e] += panel_err(d, rho[s:e].reshape(*d.shape[:-2], 1, 1),
-                                     -2).reshape(-1, ni)
-                sa[s:e] += a.reshape(-1, ni)
+                                     -2).reshape(-1, m)
+                sa[s:e] += a.reshape(-1, m)
         for s in range(rows.size - direct.size, rows.size, nt):
             P = np.outer(X[rows[s:s + nt]], ic)
             np.exp(P, out=P)
@@ -979,16 +968,18 @@ def table_integral(table, W, C, X, derivative=False, rate=0):
             se[s:s + nt] += panel_err(d, 0.0, 0)
             sa[s:s + nt] += a
 
-    for lo, hi, per in chunks:
-        chunk(lo, hi, per)
-
-    val = np.empty((ni, n), dtype=complex)
-    err = np.empty((ni, n))
-    val[:, rows] = table.sign * (sv[:, :ni] + 1j * rho * sv[:, ni:]).T
-    err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
-    shape = (-1,) + W.shape[:-1] + (n,)
-    val, err = val.reshape(shape), err.reshape(shape)
-    if derivative:
-        return val[0], err[0], val[1], err[1]
-    return val[0], err[0]
+    nr = len(table.rates)
+    val = np.empty((nr, m, n), dtype=complex)
+    err = np.empty((nr, m, n))
+    for k in range(nr):
+        # one rate's weights at a time
+        w15, w7 = table.weights(k)
+        sv = np.zeros((n, 2 * m), dtype=complex)
+        se, sa = np.zeros((n, m)), np.zeros((n, m))
+        for lo, hi, per in chunks:
+            chunk(lo, hi, per, w15, w7, sv, se, sa)
+        val[k][:, rows] = table.sign * (sv[:, :m] + 1j * rho * sv[:, m:]).T
+        err[k][:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
+    shape = (nr,) + W.shape[:-1] + (n,)
+    return val.reshape(shape), err.reshape(shape)
 

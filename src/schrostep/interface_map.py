@@ -20,8 +20,8 @@ at which every column clears at every time.  Its tails, sampled once per
 node, are those of the traces.  The unknowns are solved once per node
 while the table is refined and kept as the table's columns, which hold all
 2n of them, and the table is refined until every column converges at
-every time.  At each time one table_integral call sums the whole stack
-W = pref kappa X at that time's weights.
+every time.  One table_integral call sums the whole stack
+W = pref kappa X at every time, each at its own weights.
 """
 
 import numpy as np
@@ -100,12 +100,12 @@ class InterfaceMap(ContourSettings):
             tol)
         W = probes(table.z, table.cols)
         C = np.zeros(table.z.size)
+        v, e = table_integral(table, W, C, [0.0])
         traces = {}
         for k, t in enumerate(times):
-            v, e = table_integral(table, W, C, [0.0], rate=k)
             corr, te = tails[k].at(0.0)
             for j, col in enumerate(cols):
-                traces[col, t] = (complex(v[j, 0] + corr[j]), float(e[j, 0] + te[j]))
+                traces[col, t] = (complex(v[k, j, 0] + corr[j]), float(e[k, j, 0] + te[j]))
         out = {}
         for ell in ells:
             x_ell = self.potential.interfaces[ell - 1]

@@ -65,13 +65,14 @@ per term, whose W and c columns are evaluated once per node while it is
 refined: the path carries one set of weights per time (ContourPath.rates),
 and a term whose integrand carries exp(-i alpha t) besides (the quadrant
 and realline forms) takes that factor on its sum, so no weight depends on
-t.  One phased table_integral call per time sums the term at every x of
-the grid, and one free_term call gives every free term of the call.
+t.  One phased table_integral call sums the term at every x of the grid
+and every time, with the slope as a second column, and one free_term call
+gives every free term of the call.
 
 The truncation search and the sum also serve a stack of columns that share
 one path and one x-coefficient, as InterfaceMap's psi and psi_x columns
 do: one search accepts the first rung at which every column clears at
-every time, and one table_integral call per time sums every column.
+every time, and one table_integral call sums every column at every time.
 """
 
 import itertools
@@ -462,19 +463,21 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     """Sum the integral terms over a batch of x values, at every time.
 
     The terms' paths share their rates, one per time.  Returns (values,
-    errors) or (values, errors, dvalues, derrors), each with one row per
-    time and one entry per x.  Every term builds one node table from three
+    errors), each of shape (times, columns, x): the column psi, then with
+    derivative psi_x.  Every term builds one node table from three
     probe points, evaluating W and c once per node, refined to 0.95 of the
     term's share of the tolerance (its tails take up to 0.05, see
     choose_truncation) until W exp(i c (x - x0)) and, with derivative,
     i c W exp(i c (x - x0)) converge at each of them and at every rate (the
     value integrands alone left psi_x_error at 2.3e-6 on a three-jump
-    profile at tolerance 1e-8).  It then sums W exp(i c (x - x0)) at every
-    x in one phased table_integral call per time, at that time's weights:
-    tiles of at most 2^12 complex entries, with the phases of a uniform
-    grid (any linspace) built from two small exp tables, accurate to the
-    rounding of a direct exp, and the grid's 16-point groups summed several
-    per numpy call within the same 2^12-entry budget (see table_integral).
+    profile at tolerance 1e-8).  It then sums W exp(i c (x - x0)) (and
+    i c W exp(i c (x - x0)), stacked as a second column) at every x and
+    every time in one phased table_integral call, each time at its own
+    weights: tiles of at most 2^12 complex entries, with the phases of a
+    uniform grid (any linspace) built from two small exp tables, accurate
+    to the rounding of a direct exp, and the grid's 16-point groups summed
+    several per numpy call within the same 2^12-entry budget (see
+    table_integral).
     The tail corrections and estimates are evaluated for all x at once as
     well, and a term with a level takes exp(-i level t) on both.
 
@@ -482,11 +485,9 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
     (build_node_table); build_with_retry then tries tolerance * 1e4 once.
     """
     xs = np.asarray(xs, dtype=float)
-    shape = (len(terms[0].tails),) + xs.shape
+    shape = (len(terms[0].tails), 2 if derivative else 1) + xs.shape
     vals = np.zeros(shape, dtype=complex)
     errs = np.zeros(shape, dtype=float)
-    dvals = np.zeros(shape, dtype=complex) if derivative else None
-    derrs = np.zeros(shape, dtype=float) if derivative else None
     # choose_truncation accepts tails up to 0.05 of a term's share of the
     # tolerance; its table gets the rest, so that the two stay within it
     tol_term = 0.95 * tolerance / max(1, len(terms))
@@ -509,20 +510,15 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
                                          max_panels=max_panels, probes=probes),
             tol_term)
         W, C = table.cols
+        W = np.stack((W, 1j * C * W)) if derivative else W[None]
+        sums, sum_errs = table_integral(table, W, C, xs - off)
         for k, tails in enumerate(term.tails):
-            sums = table_integral(table, W, C, xs - off, derivative=derivative,
-                                  rate=k)
-            corr, tail = tails.at(xs)
-            vals[k] += term.damp(tails.t, sums[0] + corr)
-            errs[k] += sums[1] + tail
-            if derivative:
-                dcorr, dtail = tails.at(xs, derivative=True)
-                dvals[k] += term.damp(tails.t, sums[2] + dcorr)
-                derrs[k] += sums[3] + dtail
+            for j in range(W.shape[0]):
+                corr, tail = tails.at(xs, derivative=j == 1)
+                vals[k, j] += term.damp(tails.t, sums[k, j] + corr)
+                errs[k, j] += sum_errs[k, j] + tail
         # otherwise this table lives on while the next term builds its own
-        del table, W, C, sums
-    if derivative:
-        return vals, errs, dvals, derrs
+        del table, W, C, sums, sum_errs
     return vals, errs
 
 
@@ -796,8 +792,9 @@ class ContourSolver(ContourSettings):
         region, 1..nregions, forces one for all of them.
         """
         xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("x must be finite")
+        if xs.ndim != 1 or not np.all(np.isfinite(xs)):
+            raise ValueError("x must be a 1-D sequence of finite points, "
+                             "got {!r}".format(xs))
         ts = self._times(t)
         nreg = self.potential.nregions
         if region is not None and region not in range(1, nreg + 1):
@@ -830,16 +827,16 @@ class ContourSolver(ContourSettings):
                 T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
                 chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
-                out = eval_terms(terms, sub, self.tolerance,
-                                 max_panels=panel_budget(0.0 if chirped else live[-1],
-                                                         xspan, T),
-                                 derivative=derivative)
+                vals, errs = eval_terms(terms, sub, self.tolerance,
+                                        max_panels=panel_budget(
+                                            0.0 if chirped else live[-1], xspan, T),
+                                        derivative=derivative)
                 for k, t in enumerate(live):
-                    psi = F[k, idx] + out[0][k]
-                    slopes = zip((dF[k, idx] + out[2][k]).tolist(), out[3][k].tolist()) \
+                    psi = F[k, idx] + vals[k, 0]
+                    slopes = zip((dF[k, idx] + vals[k, 1]).tolist(), errs[k, 1].tolist()) \
                         if derivative else itertools.repeat((None, 0.0))
                     columns = zip(idx.tolist(), sub.tolist(), psi.tolist(),
-                                  out[1][k].tolist(), slopes)
+                                  errs[k, 0].tolist(), slopes)
                     for i, x, value, error, (slope, slope_error) in columns:
                         rows[t][i] = SolutionSample(x, t, value, error, psi_x=slope,
                                                     psi_x_error=slope_error)

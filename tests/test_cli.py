@@ -119,9 +119,19 @@ solver = well
 """)
     assert main(["interface-map", cfg]) == 0
     header, body = rows(capsys.readouterr().out)
-    assert header[-2:] == ["re_psi_x", "im_psi_x"]
+    assert header == ["x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate",
+                      "re_psi_x", "im_psi_x", "err_psi_x"]
     assert len(body) == 4   # two interfaces, two times
     assert {r["x"] for r in body} == {"0", "1"}
+    # the slope and its error estimate, against a direct trace_grid
+    imap = InterfaceMap(PiecewisePotential([0.0, 4.0, 0.0], [0.0, 1.0]),
+                        InitialCondition.gaussian(center=-3.0))
+    want = imap.trace_grid([0.3, 0.6], [1, 2], derivative=True)
+    for r, w in zip(body, want):
+        assert (float(r["x"]), float(r["t"])) == (w.x, w.t)
+        got = complex(float(r["re_psi_x"]), float(r["im_psi_x"]))
+        assert float(r["err_psi_x"]) > 0.0
+        assert abs(got - w.psi_x) <= float(r["err_psi_x"]) + w.psi_x_error
 
 
 def test_interface_map_keeps_the_requested_interface_order(tmp_path, capsys):

@@ -21,7 +21,7 @@ def _integrate(path, f, tolerance=1e-10, max_panels=2000):
     table = build_node_table(path, f, tolerance, max_panels=max_panels)
     W = table.cols[0]
     values, errors = table_integral(table, W, 0 * W, [0.0])
-    return values[0], errors[0]
+    return values[0, 0], errors[0, 0]
 
 
 def test_line_gaussian():
@@ -130,6 +130,35 @@ def test_chirp_weights_are_exact_for_polynomials_times_the_phase(omega):
     # a negative frequency conjugates the weights
     (wk_neg,), _ = contours._chirp_weights([-omega])
     np.testing.assert_allclose(wk_neg, wk.conj(), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("rule", ["kronrod", "gauss"])
+def test_gauss_kronrod_rules_are_exact_on_monomials(rule):
+    # Kronrod-15 integrates degree <= 22 exactly and Gauss-7 degree <= 13;
+    # the constants, summed in 50-digit arithmetic, meet the exact moments to
+    # 2e-16 (the 15-digit ones missed by up to 6e-15)
+    on = _WG != 0.0
+    x, w, degree = (_XK, _WK, 22) if rule == "kronrod" else (_XK[on], _WG[on], 13)
+    with mpmath.workdps(50):
+        for k in range(degree + 1):
+            got = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(xi) ** k
+                              for xi, wi in zip(x.tolist(), w.tolist()))
+            want = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
+            assert abs(got - want) <= 2e-16, k
+
+
+def test_smooth_integrals_meet_their_estimates():
+    # converged tables of smooth integrands: the deviation is rounding, and
+    # the estimate covers it (the 15-digit constants missed by 7.5x on the
+    # pv leg and 1.06x on the line)
+    with mpmath.workdps(40):
+        a = mpmath.mpc(1, 1)
+        pv = complex(mpmath.sqrt(mpmath.pi / a) * mpmath.erf(8 * mpmath.sqrt(a)))
+        line = float(mpmath.sqrt(mpmath.pi) * mpmath.erf(8))
+    for leg, f, want in ((Leg.pv(0.0, 8.0), lambda z, tag: np.exp(-(1 + 1j) * z * z), pv),
+                         (Leg.line(-8.0, 8.0), lambda z, tag: np.exp(-z * z), line)):
+        val, err = _integrate(ContourPath(legs=[leg]), f, tolerance=1e-13)
+        assert abs(val - want) <= err, leg.kind
 
 
 def test_chirp_leg_integrates_hundreds_of_periods():
@@ -298,8 +327,8 @@ def test_node_table_multiple_probes_shared():
     columns = lambda z, tag: np.stack([np.exp(-z * z), np.exp(-0.25 * z * z)])
     table = build_node_table(path, columns, 1e-12)
     zero = np.zeros(table.z.size)
-    (v1,), _ = table_integral(table, np.exp(-table.z ** 2), zero, [0.0])
-    (v2,), _ = table_integral(table, np.exp(-0.25 * table.z ** 2), zero, [0.0])
+    ((v1,),), _ = table_integral(table, np.exp(-table.z ** 2), zero, [0.0])
+    ((v2,),), _ = table_integral(table, np.exp(-0.25 * table.z ** 2), zero, [0.0])
     assert abs(v1 - SQRT_PI) < 1e-12
     assert abs(v2 - 2.0 * SQRT_PI) < 1e-11
 
@@ -484,38 +513,51 @@ def _reference_phased(table, W, C, X, derivative=False):
 
     Returns rows (value, error, roundoff floor) per integrand, W and then,
     with derivative, i C W; one column per X.  The error charges the phase
-    rounding on top of that floor, 2.3e-16 |x| max|C| sum |g w15|.
+    rounding on top of that floor, 2.3e-16 |x| max|C| sum |g w15|.  The
+    value is summed in extended precision (np.clongdouble, where the
+    platform has it), so that a comparison measures the rounding of the sum
+    under test rather than that of the loop: each rounds by up to 0.7 of
+    the bound of _assert_phased_matches.
     """
     def panel_sums(v):
         return (np.bincount(table.panel, v.real, table.n_panels)
                 + 1j * np.bincount(table.panel, v.imag, table.n_panels))
 
     out = []
+    wide = np.clongdouble
     for f in ([W, 1j * C * W] if derivative else [W]):
         vals, errs, floors = [], [], []
+        f_wide = f.astype(wide) * table.w15.astype(wide)
         for x in X:
             g = f * np.exp(1j * C * x)
             i15, i7 = panel_sums(g * table.w15), panel_sums(g * table.w7)
             u = np.abs(i15 - i7)
             floor = 2.3e-16 * np.sum(np.abs(g * table.w15))
             phase = abs(x) * np.max(np.abs(C), initial=0.0) * floor
-            vals.append(table.sign * np.sum(i15))
+            value = np.sum(f_wide * np.exp(1j * C.astype(wide) * wide(x)))
+            vals.append(table.sign * complex(value))
             errs.append(np.sum(np.minimum(u, (200.0 * u) ** 1.5)) + floor + phase)
             floors.append(floor)
         out += [np.array(vals), np.array(errs), np.array(floors)]
     return out
 
 
+def _with_slope(W, C, derivative):
+    """The stack W and, with derivative, i C W: the d-integrand's column."""
+    return np.stack([W, 1j * C * W]) if derivative else W[None]
+
+
 def _assert_phased_matches(table, W, C, X, derivative=False):
     """Values and errors within twice each point's roundoff floor + 1e-15."""
-    got = table_integral(table, W, C, X, derivative=derivative)
+    F = _with_slope(W, C, derivative)
+    values, errors = table_integral(table, F, C, X)
     ref = _reference_phased(table, W, C, X, derivative)
-    assert len(got) == (4 if derivative else 2)
-    for i in range(len(got) // 2):
-        value, err = got[2 * i], got[2 * i + 1]
+    # one rate, one row per column of the stack
+    assert values.shape == errors.shape == (1, len(F), len(X))
+    for i in range(len(F)):
+        value, err = values[0, i], errors[0, i]
         ref_value, ref_err, floor = ref[3 * i:3 * i + 3]
         bound = 2.0 * floor + 1e-15
-        assert value.shape == err.shape == (len(X),)
         assert np.all(np.abs(value - ref_value) <= bound)
         assert np.all(np.abs(err - ref_err) <= bound)
 
@@ -562,20 +604,21 @@ def test_phased_sum_matches_per_point_loop(grid, derivative):
 @pytest.mark.parametrize("derivative", [False, True])
 def test_batched_lattice_groups_match_one_group_per_batch(monkeypatch, derivative):
     table, W, C = _step_term_table("d4")
+    F = _with_slope(W, C, derivative)
     # several groups share a batch by default, one each once patched
-    ni = 2 if derivative else 1
-    widest = max(hi - lo for lo, hi, _ in contours._chunks(table, contours._FINE))
-    assert contours._TILE // (4 * ni * widest) > 1
-    batched = {grid: table_integral(table, W, C, X, derivative)
+    m = len(F)
+    widest = max(hi - lo for lo, hi, _ in contours._chunks(table, m * contours._FINE))
+    assert contours._TILE // (4 * m * widest) > 1
+    batched = {grid: table_integral(table, F, C, X)
                for grid, X in PHASED_GRIDS.items()}
     # a one-entry budget leaves one group per batch; the chunks stay those of
     # the full budget, so that only the batching changes
     chunks = {rows: contours._chunks(table, rows)
-              for rows in range(1, contours._FINE + 1)}
+              for rows in range(1, m * contours._FINE + 1)}
     monkeypatch.setattr(contours, "_chunks", lambda tab, rows: chunks[rows])
     monkeypatch.setattr(contours, "_TILE", 1)
     for grid, X in PHASED_GRIDS.items():
-        single = table_integral(table, W, C, X, derivative)
+        single = table_integral(table, F, C, X)
         for i, (got, want) in enumerate(zip(batched[grid], single)):
             if i % 2 == 0:
                 np.testing.assert_array_equal(got, want)
@@ -590,14 +633,16 @@ def test_stacked_columns_match_one_call_per_column(grid, derivative):
     # by the stacked width; each row agrees with its own call
     table, W, C = _step_term_table("d4")
     stack = np.stack([W, 1j * W * table.z, W / (1.0 + table.z * table.z)])
+    if derivative:
+        stack = np.concatenate([stack, 1j * C * stack])
     X = PHASED_GRIDS[grid]
-    got = table_integral(table, stack, C, X, derivative)
-    singles = [table_integral(table, row, C, X, derivative) for row in stack]
-    for i in range(0, len(got), 2):
-        assert got[i].shape == got[i + 1].shape == (3, len(X))
-        for j, one in enumerate(singles):
-            assert np.all(np.abs(got[i][j] - one[i]) <= 1e-15 + one[i + 1])
-            np.testing.assert_allclose(got[i + 1][j], one[i + 1], rtol=1e-12)
+    values, errors = table_integral(table, stack, C, X)
+    assert values.shape == errors.shape == (1, len(stack), len(X))
+    for j, row in enumerate(stack):
+        one_value, one_err = table_integral(table, row, C, X)
+        assert one_value.shape == (1, len(X))
+        assert np.all(np.abs(values[0, j] - one_value[0]) <= 1e-15 + one_err[0])
+        np.testing.assert_allclose(errors[0, j], one_err[0], rtol=1e-12)
     assert contours._chunks(table, 3 * contours._FINE) != contours._chunks(
         table, contours._FINE)
 
@@ -651,10 +696,10 @@ def test_phased_sum_error_covers_rounding_of_x():
     table, W, C = _synthetic_30000_node_table()
     X = np.linspace(-3.0, 3.0, 64)
     for derivative in (False, True):
-        a = table_integral(table, W, C, X, derivative=derivative)
-        b = table_integral(table, W, C, np.nextafter(X, np.inf), derivative=derivative)
-        for i in range(0, len(a), 2):
-            assert np.all(np.abs(a[i] - b[i]) <= a[i + 1])
+        F = _with_slope(W, C, derivative)
+        a, a_err = table_integral(table, F, C, X)
+        b, _ = table_integral(table, F, C, np.nextafter(X, np.inf))
+        assert np.all(np.abs(a - b) <= a_err)
 
 
 def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
@@ -662,9 +707,9 @@ def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
 
     calls = []
 
-    def spy(table, W, C, X, derivative=False, rate=0):
-        out = table_integral(table, W, C, X, derivative, rate)
-        calls.append((table, W, C, X, rate, out))
+    def spy(table, W, C, X):
+        out = table_integral(table, W, C, X)
+        calls.append((table, W, C, X, out))
         return out
 
     monkeypatch.setattr(interface_map, "table_integral", spy)
@@ -672,19 +717,18 @@ def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
     ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
     ts = np.linspace(0.1, 1.2, 40)
     got = InterfaceMap(pot, ic).trace_grid(ts, interface=2, derivative=True)
-    # psi and psi_x on one table, stacked in one call per time at that
-    # time's weights
-    assert len({id(c[0]) for c in calls}) == 1
-    assert sorted(c[4] for c in calls) == list(range(40))
-    table = calls[0][0]
+    # psi and psi_x on one table, stacked in one call that sums every time
+    # at that time's weights
+    assert len(calls) == 1
+    table, W, C, X, (value, err) = calls[0]
     assert table.rates == tuple(ts)
-    for _, W, C, X, k, (value, err) in calls:
-        # the weights carry exp(i kappa^2 t), the integrand is x-free
-        np.testing.assert_array_equal(X, [0.0])
-        assert not np.any(C)
-        assert W.shape == (2, table.z.size) and value.shape == err.shape == (2, 1)
+    # the weights carry exp(i kappa^2 t), the integrand is x-free
+    np.testing.assert_array_equal(X, [0.0])
+    assert not np.any(C)
+    assert W.shape == (2, table.z.size) and value.shape == err.shape == (40, 2, 1)
+    for k in range(40):
         w15, _ = table.weights(k)
-        for row, v, e in zip(W, value[:, 0], err[:, 0]):
+        for row, v, e in zip(W, value[k, :, 0], err[k, :, 0]):
             assert abs(v - table.sign * np.sum(row * w15)) <= 1e-15 + e
     assert [s.t for s in got] == list(ts)
 

@@ -8,8 +8,8 @@ computed at it, serves all of them.
 import numpy as np
 import pytest
 
-from schrostep import (GeneralSolver, InitialCondition, PiecewisePotential, StepSolver,
-                       WellSolver, step, transforms)
+from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
+                       StepSolver, WellSolver, interface_map, step, transforms)
 from schrostep.oracle import free_gaussian
 
 IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
@@ -88,6 +88,18 @@ def test_bad_times_are_refused_naming_t(ts):
         SOLVERS["d4"].evaluate_grid(XS, ts)
 
 
+@pytest.mark.parametrize("xs", [0.5, [[0.5, 1.0]], [[0.5], [1.0]], [0.5, np.nan]])
+def test_bad_points_are_refused_naming_x(xs):
+    with pytest.raises(ValueError, match="^x must"):
+        SOLVERS["d4"].evaluate_grid(xs, 0.5)
+
+
+def test_evaluate_takes_one_number_for_x():
+    with pytest.raises(ValueError, match="^x must"):
+        SOLVERS["d4"].evaluate(np.array([0.5]), 0.5)
+    assert SOLVERS["d4"].evaluate_grid([], 0.5) == []
+
+
 def test_one_table_per_term_and_one_free_term_call_for_every_time(monkeypatch):
     tables, frees = [], []
     build, free = step.build_node_table, step.free_term
@@ -116,3 +128,26 @@ def test_one_table_per_term_and_one_free_term_call_for_every_time(monkeypatch):
     assert tables[0].legs == want.legs
     assert len(frees) == 1
     assert transforms.free_term is free
+
+
+def test_one_table_integral_call_per_node_table_for_every_time(monkeypatch):
+    tables, sum_table = [], step.table_integral
+
+    def spy(table, *args, **kwargs):
+        tables.append(table)
+        return sum_table(table, *args, **kwargs)
+
+    monkeypatch.setattr(step, "table_integral", spy)
+    monkeypatch.setattr(interface_map, "table_integral", spy)
+    ts = (0.3, 0.9, 1.2)
+    terms = SOLVERS["d4"]._terms(1, ts, True, 4.0)
+    out = step.eval_terms(terms, np.linspace(-3.0, -0.5, 6), 1e-8, derivative=True)
+    # one call per term sums psi and psi_x at every time
+    assert len(tables) == len({id(t) for t in tables}) == len(terms)
+    assert all(t.rates == ts for t in tables)
+    vals, errs = out
+    assert vals.shape == errs.shape == (3, 2, 6)
+    tables.clear()
+    got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)
+    assert len(got) == 8
+    assert len(tables) == 1 and tables[0].rates == tuple(sorted(TS))

@@ -352,26 +352,29 @@ def test_chirp_ray_tail_matches_the_stripped_phase_model(rep, region):
 def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
     calls = []
 
-    def spy(table, W, C=None, X=None, derivative=False, rate=0):
-        out = table_integral(table, W, C, X, derivative, rate)
-        calls.append((X, out))
+    def spy(table, W, C, X):
+        out = table_integral(table, W, C, X)
+        calls.append((W, C, X, out))
         return out
 
     monkeypatch.setattr(step_module, "table_integral", spy)
     terms = StepSolver(UP, gaussian_ic())._terms(1, 0.5, True, 4.0)
     xs = np.linspace(-4.0, -0.05, 80)
-    got = eval_terms(terms, xs, 1e-8, derivative=True)
+    vals, errs = eval_terms(terms, xs, 1e-8, derivative=True)
     assert len(calls) == len(terms) == 1
-    X, sums = calls[0]
+    W, C, X, (sums, sum_errs) = calls[0]
     np.testing.assert_array_equal(X, xs - terms[0].x_offset)
-    # the phased sums plus the tails, evaluated over all x at once
-    # one row for the one time
+    # the slope is the stacked column i C W
+    np.testing.assert_array_equal(W[1], 1j * C * W[0])
+    # the phased sums plus the tails, evaluated over all x at once:
+    # one row for the one time, then psi and psi_x
     corr, tail = terms[0].tails[0].at(xs)
     dcorr, dtail = terms[0].tails[0].at(xs, derivative=True)
-    for a, b in zip(got, (sums[0] + corr, sums[1] + tail, sums[2] + dcorr,
-                          sums[3] + dtail)):
-        assert a.shape == (1, xs.size)
-        np.testing.assert_array_equal(a[0], b)
+    assert vals.shape == errs.shape == (1, 2, xs.size)
+    for a, b in zip((vals[0, 0], errs[0, 0], vals[0, 1], errs[0, 1]),
+                    (sums[0, 0] + corr, sum_errs[0, 0] + tail, sums[0, 1] + dcorr,
+                     sum_errs[0, 1] + dtail)):
+        np.testing.assert_array_equal(a, b)
 
 
 # -- the truncation ladder, sampled four rungs per weight call -------------

@@ -23,7 +23,8 @@ last bit:
 (a CLI output read back from its %.17g text, which restores every bit).
 --against PATH compares with such a file and, under each line whose
 columns differ from it, prints max |dpsi| and max |dpsi| / error (and the
-same for psi_x when the line has the slope):
+same for psi_x when the line has the slope, from the CLI's err_psi_x
+column too).  Columns the file lacks are left out of the comparison:
 
     (cd A && python tools/sample_digest.py 301 --save /tmp/a.npz)
     (cd B && python tools/sample_digest.py 301 --against /tmp/a.npz)
@@ -73,6 +74,8 @@ def _file_columns(path):
         cols["error"] = col["err_estimate"]
     if "re_psi_x" in col:
         cols["psi_x"] = col["re_psi_x"] + 1j * col["im_psi_x"]
+    if "err_psi_x" in col:
+        cols["psi_x_error"] = col["err_psi_x"]
     return cols
 
 
@@ -104,8 +107,12 @@ def trace_digests(req):
 
 
 def _deviation(cols, ref):
-    """Lines of max |dpsi| (and / error) of cols against ref, if any differ."""
-    if all(np.array_equal(cols[k], ref.get(k), equal_nan=True) for k in cols):
+    """Lines of max |dpsi| (and / error) of cols against ref, if any differ.
+
+    Only the columns ref holds are compared, so that a file saved before a
+    column was added still serves.
+    """
+    if all(np.array_equal(cols[k], ref[k], equal_nan=True) for k in cols if k in ref):
         return []
     out = []
     for value, error in (("value", "error"), ("psi_x", "psi_x_error")):
