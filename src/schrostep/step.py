@@ -66,16 +66,20 @@ refined: the path carries one set of weights per time (ContourPath.rates),
 and a term whose integrand carries exp(-i alpha t) besides (the quadrant
 and realline forms) takes that factor on its sum, so no weight depends on
 t.  One phased table_integral call sums the term at every x of the grid
-and every time, with the slope as a second column, and one free_term call
-gives every free term of the call.
+and every time, and one free_term call gives every free term of the call.
 
-The truncation search and the sum also serve a stack of columns that share
-one path and one x-coefficient, as InterfaceMap's psi and psi_x columns
-do: one search accepts the first rung at which every column clears at
-every time, and one table_integral call sums every column at every time.
+The truncation search and the sum serve a stack of columns that share one
+path and one x-coefficient, as InterfaceMap's psi and psi_x columns do:
+one search accepts the first rung at which every column clears at every
+time, and one table_integral call sums every column at every time.  The
+slope psi_x of a term is such a column, the integral of i c W
+exp(i c (x - x0)): the search stacks i c W under W in its tail samples, so
+the slope tails are a column of the term's tail models, and the sum
+stacks it on W.  Whether a term carries the slope is decided once, when
+it is searched, and recorded on the term (IntegralTerm.derivative), from
+which its node table and its sum read it; its tails hold it as a column.
 """
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -169,15 +173,13 @@ def _leg_nodes(leg, outer_at_start):
     return leg.point(np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9]))
 
 
-def _leg_tail(z, w, c, span):
-    """Tails of |W| and |W c| past the outer end of a leg, from its two samples.
+def _leg_tail(z, w, span):
+    """Tail of |W| past the outer end of a leg, from its two samples.
 
     w holds the two samples on its last axis, one row per column of a stack.
     """
-    d = abs(z[1] - z[0])
     f = np.abs(w).T
-    fd = np.abs(w * np.abs(c)).T
-    return _pair_tail(f[0], f[1], d, span), _pair_tail(fd[0], fd[1], d, span)
+    return _pair_tail(f[0], f[1], abs(z[1] - z[0]), span)
 
 
 class _OscTail:
@@ -189,7 +191,8 @@ class _OscTail:
     integrations by parts give the correction; the magnitude of the last
     term is the residual estimate.  Outside the safely convergent regime the
     correction is dropped and a sampled-decay bound on |A| is returned
-    instead.
+    instead.  Each column of a stack is estimated on its own; the slope
+    psi_x of a term is one more column, i c A, and needs no case of its own.
 
     The derivatives of A and c come from one-sided differences with step
     h = 0.05 over the samples A and c of the amplitude and the
@@ -223,7 +226,7 @@ class _OscTail:
         d3 = (v[0] - 3.0 * v[1] + 3.0 * v[2] - v[3]) / (h ** 3)
         return d1, d2, d3
 
-    def estimate(self, x, derivative=False):
+    def estimate(self, x):
         """Tail corrections and error estimates at the evaluation points x.
 
         The branch rules apply point by point: a point falls back to the
@@ -234,8 +237,7 @@ class _OscTail:
         column axis after those of x.
         """
         X = np.asarray(x, dtype=float) - self.x0
-        # c runs along the samples, the first axis of self.A
-        A = (self.A.T * (1j * self.c)).T if derivative else self.A
+        A = self.A
         if A.ndim > 1:
             X = X[..., None]
         gen = _pair_tail(abs(A[0]), abs(A[1]), self.h, self.K)
@@ -305,23 +307,21 @@ class _TailModel:
     rate z^2 = -t u^2 exactly.  A weight that returns a stack of m columns
     gives a model of every column at once: `at` then returns the columns on
     a last axis, after those of x, and `worst` takes the largest over the
-    columns too.
+    columns too.  With the slope, the samples stack i c W under W
+    (choose_truncation), so psi_x is one more column of the model.
     """
 
     def __init__(self, path, spec, samples, t, x_offset, span, k=0):
         rate = path.rates[k]
         self.t = t
         self.generic = 0.0
-        self.generic_deriv = 0.0
         self.oscs = []
         # the axes of a stack of columns, () for one
         self.stack = np.shape(samples[0][1])[:-1]
         samples = iter(samples)
         for _ in spec.get("generic", ()):
             z, w, c = next(samples)
-            g, gd = _leg_tail(z, w * np.exp(1j * rate * (z * z)), c, span)
-            self.generic += g
-            self.generic_deriv += gd
+            self.generic += _leg_tail(z, w * np.exp(1j * rate * (z * z)), span)
         for _, rays, K in spec.get("osc", ()):
             u = K - _OscTail.h * np.arange(4.0)
             for _, jac in rays:
@@ -330,18 +330,17 @@ class _TailModel:
                     1j * (rate * (z * z) + t * (u * u)))
                 self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
 
-    def worst(self, xs, derivative=False):
+    def worst(self, xs):
         """Largest tail error estimate over the columns and the probe points."""
-        return float(self.at(xs, derivative)[1].max())
+        return float(self.at(xs)[1].max())
 
-    def at(self, x, derivative=False):
+    def at(self, x):
         """Tail corrections and error estimates at the points x."""
         x = np.asarray(x, dtype=float)
         corr = np.zeros(x.shape + self.stack, dtype=complex)
-        err = np.full(x.shape + self.stack,
-                      self.generic_deriv if derivative else self.generic)
+        err = np.full(x.shape + self.stack, self.generic)
         for o in self.oscs:
-            c, e = o.estimate(x, derivative)
+            c, e = o.estimate(x)
             corr += c
             err += e
         return corr, err
@@ -351,24 +350,35 @@ class _Tails(tuple):
     """The _TailModel of each time of a term, in the order of its path's rates."""
 
     def worst(self, xs, derivative=False):
-        """Largest tail error estimate over the times, columns and probe points."""
-        return float(np.max([m.worst(xs, derivative) for m in self]))
+        """Largest tail error estimate over the times, columns and probe points.
+
+        derivative is ignored: a search with the slope holds it as a column
+        of every model already.  The keyword stays for callers that ask for
+        the value tails and the slope tails one after the other and take the
+        larger, as the benchmark's tracer does; both calls return this max.
+        """
+        return float(np.max([m.worst(xs) for m in self]))
 
 
 class IntegralTerm:
     """One contour integral contributing to the solution in one region.
 
     tails holds one _TailModel per rate of the path, that is per time; at
-    time t the term's sum is multiplied by exp(-i level t).
+    time t the term's sum is multiplied by exp(-i level t).  derivative
+    records whether the term was searched with the slope, whose tails are
+    then the second column of every model: eval_terms sums psi_x exactly
+    when it is set.
     """
 
-    def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0):
+    def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0,
+                 derivative=False):
         self.path = path
         self.weight = weight
         self.xcoef = xcoef
         self.x_offset = x_offset
         self.tails = tails
         self.level = level
+        self.derivative = derivative
 
     def damp(self, t, v):
         """The values v of the term's sum at time t, times exp(-i level t)."""
@@ -393,20 +403,23 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
 
     The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
     max_T.  The rungs are tested in order and the first whose tails clear
-    0.05 tolerance at x_probe (with derivative, the slope tails too) at
-    every time is returned, or else the last.  A rung's samples serve every
-    time, since the weights leave the path's phase out; its times are
-    tested smallest first, where the tails decay slowest, and the first
-    that fails ends the rung.  The samples are taken four rungs at a time,
-    in one weight and one xcoef call per leg tag: a call on a few nodes
-    costs numpy's dispatch as much as one on a hundred, and a search tries
-    about four rungs.  The tails of rungs past the one returned are
-    dropped.  Returns (path, tails), tails the _Tails of the rung's times.
+    0.05 tolerance at x_probe at every time is returned, or else the last.
+    A rung's samples serve every time, since the weights leave the path's
+    phase out; its times are tested smallest first, where the tails decay
+    slowest, and the first that fails ends the rung.  The samples are taken
+    four rungs at a time, in one weight and one xcoef call per leg tag: a
+    call on a few nodes costs numpy's dispatch as much as one on a hundred,
+    and a search tries about four rungs.  The tails of rungs past the one
+    returned are dropped.  Returns (path, tails), tails the _Tails of the
+    rung's times.
 
     weight may return a stack of m columns, shape (m, N), that share the
     path and xcoef: one search then serves them all.  A rung clears when
     every column clears at every time, and tails.worst is the largest over
-    the columns as well.
+    the columns as well.  With derivative the samples of the m columns W
+    get the m columns i c W, the integrands of the slope, stacked under
+    them: psi_x is one more column of the same models, tested by the same
+    single worst call per time.
     """
     target = 0.05 * tolerance
     ts = [float(v) for v in np.atleast_1d(t)]
@@ -417,17 +430,16 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     for start in range(0, len(rungs), _RUNGS_PER_CALL):
         block = [(T, *builder(T)) for T in rungs[start:start + _RUNGS_PER_CALL]]
         nodes = [_tail_nodes(path, spec) for _, path, spec in block]
-        samples = iter(_sample_tails([nd for each in nodes for nd in each],
-                                    weight, xcoef))
+        samples = _sample_tails([nd for each in nodes for nd in each], weight, xcoef)
+        if derivative:
+            samples = [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
+        samples = iter(samples)
         for (T, path, spec), each in zip(block, nodes):
             taken = [next(samples) for _ in each]
             models = [None] * len(ts)
             for k in order:
                 models[k] = _TailModel(path, spec, taken, ts[k], x_offset, T, k)
-                w = models[k].worst(x_probe, derivative=False)
-                if derivative:
-                    w = max(w, models[k].worst(x_probe, derivative=True))
-                if not w <= target:
+                if not models[k].worst(x_probe) <= target:
                     break
             else:
                 return path, _Tails(models)
@@ -459,33 +471,31 @@ def build_with_retry(build, tolerance):
         return build(tolerance * 1e4)
 
 
-def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
+def eval_terms(terms, xs, tolerance, max_panels=2000):
     """Sum the integral terms over a batch of x values, at every time.
 
-    The terms' paths share their rates, one per time.  Returns (values,
-    errors), each of shape (times, columns, x): the column psi, then with
-    derivative psi_x.  Every term builds one node table from three
-    probe points, evaluating W and c once per node, refined to 0.95 of the
-    term's share of the tolerance (its tails take up to 0.05, see
-    choose_truncation) until W exp(i c (x - x0)) and, with derivative,
-    i c W exp(i c (x - x0)) converge at each of them and at every rate (the
+    The terms' paths share their rates, one per time, and the terms share
+    their slope flag (IntegralTerm.derivative), set when the truncation
+    search stacked the slope into their tails.  Returns (values, errors),
+    each of shape (times, columns, x): the column psi, then with the slope
+    psi_x.  Every term builds one node table from three probe points,
+    evaluating W and c once per node, refined to 0.95 of the term's share
+    of the tolerance (its tails take up to 0.05, see choose_truncation)
+    until every column converges at each of them and at every rate: W
+    exp(i c (x - x0)) and, with the slope, i c W exp(i c (x - x0)) (the
     value integrands alone left psi_x_error at 2.3e-6 on a three-jump
-    profile at tolerance 1e-8).  It then sums W exp(i c (x - x0)) (and
-    i c W exp(i c (x - x0)), stacked as a second column) at every x and
-    every time in one phased table_integral call, each time at its own
-    weights: tiles of at most 2^12 complex entries, with the phases of a
-    uniform grid (any linspace) built from two small exp tables, accurate
-    to the rounding of a direct exp, and the grid's 16-point groups summed
-    several per numpy call within the same 2^12-entry budget (see
-    table_integral).
-    The tail corrections and estimates are evaluated for all x at once as
-    well, and a term with a level takes exp(-i level t) on both.
+    profile at tolerance 1e-8).  It then sums every column at every x and
+    every time in one table_integral call, the slope as the stacked column
+    i c W (see table_integral for its tiles and phase tables).  Each time's
+    tail corrections and estimates come from one _TailModel.at call over
+    all x and all columns, and a term with a level takes exp(-i level t) on
+    its sums and corrections.
 
     A table that stops above 50 times its target raises QuadratureError
     (build_node_table); build_with_retry then tries tolerance * 1e4 once.
     """
     xs = np.asarray(xs, dtype=float)
-    shape = (len(terms[0].tails), 2 if derivative else 1) + xs.shape
+    shape = (len(terms[0].tails), 1 + terms[0].derivative) + xs.shape
     vals = np.zeros(shape, dtype=complex)
     errs = np.zeros(shape, dtype=float)
     # choose_truncation accepts tails up to 0.05 of a term's share of the
@@ -501,7 +511,7 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
         def probes(z, cols):
             W, C = cols
             out = [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
-            if derivative:
+            if term.derivative:
                 out += [1j * C * f for f in out]
             return out
 
@@ -510,13 +520,13 @@ def eval_terms(terms, xs, tolerance, max_panels=2000, derivative=False):
                                          max_panels=max_panels, probes=probes),
             tol_term)
         W, C = table.cols
-        W = np.stack((W, 1j * C * W)) if derivative else W[None]
+        W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
         sums, sum_errs = table_integral(table, W, C, xs - off)
         for k, tails in enumerate(term.tails):
-            for j in range(W.shape[0]):
-                corr, tail = tails.at(xs, derivative=j == 1)
-                vals[k, j] += term.damp(tails.t, sums[k, j] + corr)
-                errs[k, j] += sum_errs[k, j] + tail
+            # each (x, columns), the layout of a stacked model
+            corr, tail = tails.at(xs)
+            vals[k] += term.damp(tails.t, sums[k] + corr.T)
+            errs[k] += sum_errs[k] + tail.T
         # otherwise this table lives on while the next term builds its own
         del table, W, C, sums, sum_errs
     return vals, errs
@@ -578,6 +588,15 @@ class _NodeMemo:
         self.new = []
 
 
+def _reals(v):
+    """v as a float array, or None when an entry is not a real number."""
+    try:
+        a = np.asarray(v)
+        return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 class ContourSettings:
     """Potential, initial data and contour settings, validated once.
 
@@ -621,9 +640,10 @@ class ContourSettings:
     @staticmethod
     def _times(t):
         """The times t as a list: one time or a nonempty 1-D sequence, finite and >= 0."""
-        ts = np.asarray(t, dtype=float)
-        if ts.ndim > 1 or ts.size == 0 or not np.all((ts >= 0.0) & (ts < np.inf)):
-            raise ValueError("t must be finite and nonnegative, one time or a "
+        ts = _reals(t)
+        if ts is None or ts.ndim > 1 or ts.size == 0 or \
+                not np.all((ts >= 0.0) & (ts < np.inf)):
+            raise ValueError("t must be real, finite and nonnegative, one time or a "
                              "nonempty sequence of them, got {!r}".format(t))
         return ts.ravel().tolist()
 
@@ -773,7 +793,7 @@ class ContourSolver(ContourSettings):
         for W, xc, x0, builder, T0, level in specs:
             path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
                                             T0, derivative=derivative)
-            out.append(IntegralTerm(path, W, xc, x0, tails, level))
+            out.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
         return out
 
     def evaluate(self, x, t, region=None, derivative=False):
@@ -791,10 +811,11 @@ class ContourSolver(ContourSettings):
         own region (an interface point in the one on its right) unless
         region, 1..nregions, forces one for all of them.
         """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1 or not np.all(np.isfinite(xs)):
-            raise ValueError("x must be a 1-D sequence of finite points, "
+        pts = _reals(xs)
+        if pts is None or pts.ndim != 1 or not np.all(np.isfinite(pts)):
+            raise ValueError("x must be a 1-D sequence of finite real points, "
                              "got {!r}".format(xs))
+        xs = pts
         ts = self._times(t)
         nreg = self.potential.nregions
         if region is not None and region not in range(1, nreg + 1):
@@ -814,8 +835,8 @@ class ContourSolver(ContourSettings):
         nt = len(live)
         free = free_term(self.ic, self.potential, np.tile(regions, nt), np.tile(xs, nt),
                          np.repeat(live, xs.size), derivative=derivative)
-        F, dF = (np.reshape(f, (nt, xs.size)) if f is not None else None
-                 for f in (free if derivative else (free, None)))
+        # (times, columns, x), the layout of eval_terms: psi, then psi_x
+        F = np.reshape(free, (1 + derivative, nt, xs.size)).swapaxes(0, 1)
         rows = {t: [None] * xs.size for t in live}
         self._memo = _NodeMemo()
         self._paths = {}
@@ -829,17 +850,13 @@ class ContourSolver(ContourSettings):
                 chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
                 vals, errs = eval_terms(terms, sub, self.tolerance,
                                         max_panels=panel_budget(
-                                            0.0 if chirped else live[-1], xspan, T),
-                                        derivative=derivative)
+                                            0.0 if chirped else live[-1], xspan, T))
                 for k, t in enumerate(live):
-                    psi = F[k, idx] + vals[k, 0]
-                    slopes = zip((dF[k, idx] + vals[k, 1]).tolist(), errs[k, 1].tolist()) \
-                        if derivative else itertools.repeat((None, 0.0))
-                    columns = zip(idx.tolist(), sub.tolist(), psi.tolist(),
-                                  errs[k, 0].tolist(), slopes)
-                    for i, x, value, error, (slope, slope_error) in columns:
-                        rows[t][i] = SolutionSample(x, t, value, error, psi_x=slope,
-                                                    psi_x_error=slope_error)
+                    # value, error, then psi_x and its error with the slope
+                    cols = [c for v, e in zip((F[k][:, idx] + vals[k]).tolist(),
+                                              errs[k].tolist()) for c in (v, e)]
+                    for i, x, *sample in zip(idx.tolist(), sub.tolist(), *cols):
+                        rows[t][i] = SolutionSample(x, t, *sample)
         finally:
             del self._memo, self._paths
         return rows

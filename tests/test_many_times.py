@@ -82,13 +82,18 @@ def test_time_zero_among_the_times_gives_the_initial_samples(name):
 
 
 @pytest.mark.parametrize("ts", [[], [0.5, -0.25], [0.5, np.nan], [np.inf], -1.0,
-                                [[0.5, 1.0]]])
+                                [[0.5, 1.0]], "a", [0.5, "a"], 0.5 + 0j,
+                                [0.5, 0.5 + 1j], np.array([0.5 + 0j])])
 def test_bad_times_are_refused_naming_t(ts):
     with pytest.raises(ValueError, match="^t must"):
         SOLVERS["d4"].evaluate_grid(XS, ts)
+    with pytest.raises(ValueError, match="^t must"):
+        InterfaceMap(THREE, IC).trace_grid(ts)
 
 
-@pytest.mark.parametrize("xs", [0.5, [[0.5, 1.0]], [[0.5], [1.0]], [0.5, np.nan]])
+@pytest.mark.parametrize("xs", [0.5, [[0.5, 1.0]], [[0.5], [1.0]], [0.5, np.nan],
+                                ["a"], [0.5 + 1j], np.array([0.5 + 0j]),
+                                [0.5, [1.0]]])
 def test_bad_points_are_refused_naming_x(xs):
     with pytest.raises(ValueError, match="^x must"):
         SOLVERS["d4"].evaluate_grid(xs, 0.5)
@@ -97,7 +102,10 @@ def test_bad_points_are_refused_naming_x(xs):
 def test_evaluate_takes_one_number_for_x():
     with pytest.raises(ValueError, match="^x must"):
         SOLVERS["d4"].evaluate(np.array([0.5]), 0.5)
-    assert SOLVERS["d4"].evaluate_grid([], 0.5) == []
+    with pytest.raises(ValueError, match="^x must"):
+        SOLVERS["d4"].evaluate(0.5 + 1j, 0.5)
+    for derivative in (False, True):
+        assert SOLVERS["d4"].evaluate_grid([], 0.5, derivative=derivative) == []
 
 
 def test_one_table_per_term_and_one_free_term_call_for_every_time(monkeypatch):
@@ -141,11 +149,10 @@ def test_one_table_integral_call_per_node_table_for_every_time(monkeypatch):
     monkeypatch.setattr(interface_map, "table_integral", spy)
     ts = (0.3, 0.9, 1.2)
     terms = SOLVERS["d4"]._terms(1, ts, True, 4.0)
-    out = step.eval_terms(terms, np.linspace(-3.0, -0.5, 6), 1e-8, derivative=True)
-    # one call per term sums psi and psi_x at every time
+    vals, errs = step.eval_terms(terms, np.linspace(-3.0, -0.5, 6), 1e-8)
+    # one call per term sums psi and psi_x, the terms' slope, at every time
     assert len(tables) == len({id(t) for t in tables}) == len(terms)
     assert all(t.rates == ts for t in tables)
-    vals, errs = out
     assert vals.shape == errs.shape == (3, 2, 6)
     tables.clear()
     got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)

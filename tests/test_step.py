@@ -250,9 +250,9 @@ def test_tabulated_d4_error_estimate_is_honest():
 # -- the per-x layer: one phased sum per term, tails over all x ------------
 
 
-def _scalar_estimate(o, x, derivative=False):
-    """The one-point integration-by-parts tail, with the branch it took."""
-    A = o.A * (1j * o.c) if derivative else o.A
+def _scalar_estimate(o, x, j):
+    """The one-point integration-by-parts tail of column j, with the branch it took."""
+    A = o.A[:, j]
     gen = _pair_tail(abs(A[0]), abs(A[1]), o.h, o.K)
     X = x - o.x0
     c1, c2, c3 = o._fd(o.c)
@@ -283,8 +283,10 @@ def _osc(growth, scale=1.0):
         # slowly varying amplitude times the stripped quadratic phase
         return scale * np.exp(-1j * t * z * z + growth * z) / z
 
+    # the value column and the slope column i c A, c = z, as a search stacks them
     z = _OscTail.nodes(1.0, K)
-    return _OscTail(weight(z, "") * np.exp(1j * t * z * z), z, K, t, -1, 0.25)
+    A = weight(z, "") * np.exp(1j * t * z * z)
+    return _OscTail(np.vstack((A, 1j * z * A)), z, K, t, -1, 0.25)
 
 
 def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
@@ -294,10 +296,11 @@ def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
     xs = np.array([-3.0, 0.0, 2.0, 7.0, 9.0, 10.25, -12.0])
     seen = set()
     for o in (_osc(0.0), _osc(8.0), _osc(0.0, scale=0.0)):
-        for derivative in (False, True):
-            corr, err = o.estimate(xs, derivative)
-            for x, c, e in zip(xs, corr, err):
-                rc, re_, branch = _scalar_estimate(o, x, derivative)
+        corr, err = o.estimate(xs)
+        assert corr.shape == err.shape == (xs.size, 2)
+        for j in range(2):
+            for x, c, e in zip(xs, corr[:, j], err[:, j]):
+                rc, re_, branch = _scalar_estimate(o, x, j)
                 seen.add(branch)
                 assert abs(c - rc) <= rtol * abs(rc) and abs(e - re_) <= rtol * re_
                 assert (c == 0.0) == (branch != "kept")
@@ -307,13 +310,17 @@ def test_vectorised_osc_tail_matches_scalar_formula_in_every_branch():
 
 def test_tail_model_worst_is_the_largest_point_estimate():
     solver = StepSolver(UP, gaussian_ic())
-    (tails,) = solver._terms(1, 0.5, True, 4.0)[0].tails
+    every_time = solver._terms(1, 0.5, True, 4.0)[0].tails
+    (tails,) = every_time
     xs = np.linspace(-4.0, 0.0, 9)
-    for derivative in (False, True):
-        worst = tails.worst(xs, derivative=derivative)
-        assert isinstance(worst, float)
-        each = [tails.at(x, derivative)[1] for x in xs]
-        assert worst == max([tails.generic_deriv if derivative else tails.generic] + each)
+    worst = tails.worst(xs)
+    assert isinstance(worst, float)
+    # over psi and psi_x, the two columns of the model
+    each = [tails.at(x)[1] for x in xs]
+    assert worst == max(np.max(tails.generic), np.max(each))
+    # the keyword of _Tails.worst changes nothing: the slope is in the model
+    assert every_time.worst(xs, derivative=False) == \
+        every_time.worst(xs, derivative=True) == worst
 
 
 @pytest.mark.parametrize("rep, region", [("d4", 1), ("d4", 2), ("quadrant", 1),
@@ -332,20 +339,21 @@ def test_chirp_ray_tail_matches_the_stripped_phase_model(rep, region):
         (rate,) = path.rates
         assert abs(rate) == 0.5
         whole = lambda z, tag: np.exp(1j * rate * z * z) * W(z, tag)
+        # psi and psi_x, as a search with the slope samples them
         chirp, stripped = (
-            _TailModel(p, spec, _sample_tails(_tail_nodes(p, spec), w, xc), 0.5,
-                       x0, span=T)
+            _TailModel(p, spec, _with_slope(_sample_tails(_tail_nodes(p, spec), w, xc)),
+                       0.5, x0, span=T)
             for p, w in ((path, W), (replace(path, rates=(0.0,)), whole)))
         # the decaying leg's tail is taken with the phase in both
         assert chirp.generic == pytest.approx(stripped.generic, rel=1e-12)
-        for derivative in (False, True):
-            got, want = chirp.at(xs, derivative), stripped.at(xs, derivative)
-            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
-            # the estimates (third differences of A with step 0.05, or the
-            # decay bound's log |A(K - 0.05) / A(K)|) magnify the rounding of
-            # exp(i t u^2) in the stripped samples: 2.4e-10 apart at most
-            np.testing.assert_allclose(got[1], want[1], rtol=1e-8, atol=0.0)
-            kept += np.count_nonzero(got[0])
+        got, want = chirp.at(xs), stripped.at(xs)
+        assert got[0].shape == (xs.size, 2)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+        # the estimates (third differences of A with step 0.05, or the
+        # decay bound's log |A(K - 0.05) / A(K)|) magnify the rounding of
+        # exp(i t u^2) in the stripped samples: 2.4e-10 apart at most
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-8, atol=0.0)
+        kept += np.count_nonzero(got[0])
     assert kept > 0
 
 
@@ -360,24 +368,52 @@ def test_eval_terms_sums_each_term_once_over_all_x(monkeypatch):
     monkeypatch.setattr(step_module, "table_integral", spy)
     terms = StepSolver(UP, gaussian_ic())._terms(1, 0.5, True, 4.0)
     xs = np.linspace(-4.0, -0.05, 80)
-    vals, errs = eval_terms(terms, xs, 1e-8, derivative=True)
+    vals, errs = eval_terms(terms, xs, 1e-8)
     assert len(calls) == len(terms) == 1
     W, C, X, (sums, sum_errs) = calls[0]
     np.testing.assert_array_equal(X, xs - terms[0].x_offset)
     # the slope is the stacked column i C W
     np.testing.assert_array_equal(W[1], 1j * C * W[0])
-    # the phased sums plus the tails, evaluated over all x at once:
-    # one row for the one time, then psi and psi_x
+    # the phased sums plus the tails, evaluated over all x and both
+    # columns at once: one row for the one time, then psi and psi_x
     corr, tail = terms[0].tails[0].at(xs)
-    dcorr, dtail = terms[0].tails[0].at(xs, derivative=True)
     assert vals.shape == errs.shape == (1, 2, xs.size)
-    for a, b in zip((vals[0, 0], errs[0, 0], vals[0, 1], errs[0, 1]),
-                    (sums[0, 0] + corr, sum_errs[0, 0] + tail, sums[0, 1] + dcorr,
-                     sum_errs[0, 1] + dtail)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(vals[0], sums[0] + corr.T)
+    np.testing.assert_array_equal(errs[0], sum_errs[0] + tail.T)
+
+
+@pytest.mark.parametrize("rep", ["d4", "quadrant"])
+def test_slope_tails_are_the_stacked_column_i_c_w(rep):
+    # a term searched with the slope holds psi_x as the second column of
+    # its tail model: each column is the model of W alone, or of i c W
+    # alone, on the same path and samples
+    solver = StepSolver(UP, gaussian_ic(), representation=rep)
+    (term,) = solver._terms(1, 0.5, True, 4.0)
+    assert term.derivative
+    W, xc, x0, builder, _, _ = solver._declare(1, 0.5)[0]
+    T = term.path.reach()
+    path, spec = builder(T)
+    assert path.legs == term.path.legs
+    nodes = _tail_nodes(path, spec)
+    slope = lambda z, tag: 1j * xc(z, tag) * W(z, tag)
+    xs = np.linspace(-6.0, 0.0, 13)
+    corr, err = term.tails[0].at(xs)
+    assert corr.shape == err.shape == (xs.size, 2)
+    for j, f in enumerate((W, slope)):
+        want = _TailModel(path, spec, _sample_tails(nodes, f, xc), 0.5, x0, T).at(xs)
+        assert corr[:, j].tobytes() == want[0].tobytes()
+        assert err[:, j].tobytes() == want[1].tobytes()
+    # searched without the slope, the terms sum psi alone
+    vals, errs = eval_terms(solver._terms(1, 0.5, False, 4.0), xs, 1e-8)
+    assert vals.shape == errs.shape == (1, 1, xs.size)
 
 
 # -- the truncation ladder, sampled four rungs per weight call -------------
+
+
+def _with_slope(samples):
+    """Tail samples (z, w, c) with i c w stacked under w, as a search takes them."""
+    return [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
 
 
 def _truncation_rung_by_rung(builder, weight, xcoef, t, x_offset, x_probe,
@@ -392,11 +428,10 @@ def _truncation_rung_by_rung(builder, weight, xcoef, t, x_offset, x_probe,
         path, spec = builder(T)
         samples = [(z, weight(z, tag), xcoef(z, tag))
                    for tag, z in _tail_nodes(path, spec)]
-        tails = _TailModel(path, spec, samples, t, x_offset, span=T)
-        w = tails.worst(x_probe, derivative=False)
         if derivative:
-            w = max(w, tails.worst(x_probe, derivative=True))
-        if w <= target or T >= max_T:
+            samples = _with_slope(samples)
+        tails = _TailModel(path, spec, samples, t, x_offset, span=T)
+        if tails.worst(x_probe) <= target or T >= max_T:
             break
         T = min(1.6 * T, max_T)
     return path, tails, rung
@@ -444,13 +479,12 @@ def test_ladder_matches_the_rung_by_rung_search(search, change):
         assert max(abs(leg.end()) for leg in path.legs) == pytest.approx(40.0)
     xs = np.linspace(-6.0, 6.0, 25)
     (tails,) = tails
-    for derivative in (False, True):
-        got = tails.at(xs, derivative)
-        want = ref_tails.at(xs, derivative)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-    assert (tails.generic, tails.generic_deriv) == (ref_tails.generic,
-                                                    ref_tails.generic_deriv)
+    got = tails.at(xs)
+    want = ref_tails.at(xs)
+    assert got[0].shape == (xs.shape + ((2,) if kw["derivative"] else ()))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.asarray(tails.generic).tobytes() == np.asarray(ref_tails.generic).tobytes()
     for tag in set(calls):
         assert calls.count(tag) <= -(-rungs // 4)
 
@@ -476,9 +510,8 @@ def test_ladder_over_several_times_takes_the_first_rung_every_time_clears():
     xs = np.linspace(-4.0, 0.0, 9)
     for k, t in enumerate(ts):
         want = _TailModel(path, spec, samples, t, x0, T, k)
-        for derivative in (False, True):
-            for a, b in zip(tails[k].at(xs, derivative), want.at(xs, derivative)):
-                assert a.tobytes() == b.tobytes()
+        for a, b in zip(tails[k].at(xs), want.at(xs)):
+            assert a.tobytes() == b.tobytes()
     assert tails.worst(probes) == max(m.worst(probes) for m in tails)
 
 
@@ -501,14 +534,13 @@ def test_stacked_tail_model_matches_one_model_per_column():
     xs = np.linspace(-4.0, 0.0, 9)
     for k, t in enumerate(ts):
         model = _TailModel(path, spec, stacked, t, x0, T, k)
-        for derivative in (False, True):
-            corr, err = model.at(xs, derivative)
-            assert corr.shape == err.shape == (xs.size, len(columns))
-            worst = []
-            for j, f in enumerate(columns):
-                one = _TailModel(path, spec, _sample_tails(nodes, f, xc), t, x0, T, k)
-                want_corr, want_err = one.at(xs, derivative)
-                np.testing.assert_allclose(corr[:, j], want_corr, rtol=1e-15, atol=0.0)
-                np.testing.assert_allclose(err[:, j], want_err, rtol=1e-15, atol=0.0)
-                worst.append(one.worst(xs, derivative))
-            assert model.worst(xs, derivative) == pytest.approx(max(worst), rel=1e-15)
+        corr, err = model.at(xs)
+        assert corr.shape == err.shape == (xs.size, len(columns))
+        worst = []
+        for j, f in enumerate(columns):
+            one = _TailModel(path, spec, _sample_tails(nodes, f, xc), t, x0, T, k)
+            want_corr, want_err = one.at(xs)
+            np.testing.assert_allclose(corr[:, j], want_corr, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(err[:, j], want_err, rtol=1e-15, atol=0.0)
+            worst.append(one.worst(xs))
+        assert model.worst(xs) == pytest.approx(max(worst), rel=1e-15)
