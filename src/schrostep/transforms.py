@@ -26,9 +26,19 @@ closed upper half-plane, where `faddeeva` computes it in the package:
 Both stay within 1e-14 of w relatively.  One call serves every finite
 endpoint of a transform, or of a stack of transforms (the row form of
 `hat_transform`), because each call costs tens of microseconds of numpy
-dispatch whatever its size.  Tabulated data is interpolated by a local
-cubic per cell and integrated cell by cell against the oscillatory kernel
-exactly.
+dispatch whatever its size.
+
+Tabulated data is interpolated by a local cubic per cell, so integration by
+parts terminates (the exact, finite case of Iserles & Norsett, Proc. R.
+Soc. A 461, 2005): with y_j the table's points inside the region and the
+region's two clipped ends, and D_jm the jump of the m-th derivative of the
+data at y_j (the data taken as zero outside the region),
+
+    hat(k) = sum_j exp(-i k (y_j - origin)) sum_{m=0..3} D_jm / (i k)^(m+1),
+
+one exponential per knot and k.  The sum cancels as |k| times the widest
+clipped cell falls below 1/2, k = 0 included; there each cell's moments
+are summed by their power series instead.
 """
 
 import numpy as np
@@ -159,49 +169,32 @@ def _gauss_hat_piece(amp, c, w, mu, k, a, b, origin):
 def _osc_moments(k, ta, tb, nmax):
     """Moments J_m = integral_ta^tb tau^m exp(-i k tau) dtau for m = 0..nmax.
 
-    ta, tb, k broadcast together.  Every entry takes the stable upward
-    recursion first; the entries where |k| max(|ta|, |tb|) < 0.5, where the
-    recursion cancels, are then overwritten by the 22-term power series
+    k, ta and tb broadcast together.  Every entry is summed by the 22-term
+    power series
 
-        J_m = sum_j z^j (tb^(m+j+1) - ta^(m+j+1)) / (j! (m+j+1)),  z = -i k.
+        J_m = sum_j z^j (tb^(m+j+1) - ta^(m+j+1)) / (j! (m+j+1)),  z = -i k,
 
-    The power differences are tabulated once per (ta, tb) pair, with the
-    same scalar integer exponents as an all-entries sum, and gathered only
-    at those entries; with none (every node of the d4 and quadrant paths,
-    whose |k| stays above the arc radius) the series is skipped.  The terms
-    are summed in the same order as over the whole grid, and elementwise
-    numpy arithmetic does not depend on the array shape, so the moments are
-    bit-identical to evaluating the series everywhere and selecting.
+    which holds to rounding where |k| max(|ta|, |tb|) < 0.5; _tabulated_hat
+    routes a k here when that holds on every cell, with ta = 0.  The power
+    differences are tabulated once per (ta, tb) pair with scalar integer
+    exponents, and the terms are summed elementwise, so an entry's moments
+    do not depend on the other entries of the call.
     """
-    k = np.asarray(k, dtype=complex)
+    z = -1j * np.asarray(k, dtype=complex)
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
-    z = -1j * k
-    span = np.maximum(np.abs(ta), np.abs(tb))
-    small = np.abs(z) * span < 0.5
-
-    zs = np.where(small, 1.0, z)
-    ea = np.exp(zs * ta)
-    eb = np.exp(zs * tb)
-    out = [(eb - ea) / zs]
-    for m_idx in range(1, nmax + 1):
-        out.append((tb ** m_idx * eb - ta ** m_idx * ea - m_idx * out[-1]) / zs)
-    if not np.any(small):
-        return out
-
-    zg = np.broadcast_to(z, small.shape)[small]
-    dpow = [np.broadcast_to(tb ** p - ta ** p, small.shape)[small]
-            for p in range(1, nmax + 23)]
+    shape = np.broadcast(z, ta, tb).shape
+    dpow = [tb ** p - ta ** p for p in range(1, nmax + 23)]
+    out = []
     for m_idx in range(nmax + 1):
-        acc = np.zeros(zg.shape, dtype=complex)
+        acc = np.zeros(shape, dtype=complex)
         zp = np.ones_like(acc)
         fact = 1.0
         for j in range(22):
             acc = acc + zp * dpow[m_idx + j] / (fact * (m_idx + j + 1))
-            zp = zp * zg
+            zp = zp * z
             fact *= (j + 1)
-        out[m_idx] = np.asarray(out[m_idx])
-        out[m_idx][small] = acc
+        out.append(acc)
     return out
 
 
@@ -233,6 +226,17 @@ def _gauss_moments(p, s, ta, tb, nmax):
     return out
 
 
+def _cubic_derivatives(c, tau):
+    """The cubic c0 + c1 tau + c2 tau^2 + c3 tau^3 and its first three
+    derivatives at tau, from c = (c0, c1, c2, c3): scalars, or arrays that
+    broadcast with tau."""
+    c0, c1, c2, c3 = c
+    return (c0 + tau * (c1 + tau * (c2 + tau * c3)),
+            c1 + tau * (2.0 * c2 + 3.0 * tau * c3),
+            2.0 * c2 + 6.0 * tau * c3,
+            6.0 * c3)
+
+
 class InitialCondition:
     """Initial wave packet: a (modulated) Gaussian or tabulated samples.
 
@@ -243,9 +247,9 @@ class InitialCondition:
 
     Every parameter must be finite, and the scales a Gaussian's transforms
     and free terms form from its parameters must not overflow
-    (_check_scales).  A ValueError names the offending parameter as its
-    first word: amplitude, center, width, momentum, or x and values of
-    `tabulated`.
+    (_check_scales), nor the fit of tabulated data (_fit_table).  A
+    ValueError names the offending parameter as its first word: amplitude,
+    center, width, momentum, or x and values of `tabulated`.
     """
 
     def __init__(self, kind, amplitude=1.0, center=0.0, width=1.0, momentum=0.0,
@@ -278,7 +282,7 @@ class InitialCondition:
                 raise ValueError("x must be strictly increasing")
             self.x_table = x
             self.values_table = v
-            self._cells = self._fit_cells(x, v)
+            self._fit_table()
         else:
             raise ValueError("unknown initial condition kind {!r}".format(kind))
 
@@ -318,6 +322,43 @@ class InitialCondition:
     @classmethod
     def tabulated(cls, x, values):
         return cls("tabulated", x_table=x, values_table=values)
+
+    def _fit_table(self):
+        """Fit the cells and their knot jumps, refusing a table they overflow.
+
+        _cells holds the cubic of each cell, and _jumps[j, m] the jump of
+        the m-th derivative of the data at x[j], the data taken as zero
+        outside the table.  As for a Gaussian's amplitude, the solvers
+        multiply the transforms by factors up to about 1e8, so 1e8 times
+        max|values| (x[-1] - x[0]), and then 1e8 times the cubics' L1 bound
+        sum |c_m| h^(m+1), must be finite.  Sample points too close together
+        or too far apart for the cubic through four of them in float64 give
+        a singular, NaN or overflowing fit.
+        """
+        x, v = self.x_table, self.values_table
+        h = np.diff(x)
+        with np.errstate(all="ignore"):
+            span = x[-1] - x[0]
+            try:
+                cells = self._fit_cells(x, v)
+            except np.linalg.LinAlgError:
+                cells = np.full((h.size, 4), np.nan)
+            right = np.array(_cubic_derivatives(cells.T, h)).T
+            checks = (
+                ("x", span, "x[-1] - x[0]"),
+                ("values", 1e8 * np.max(np.abs(v)) * span, "1e8 max|values| (x[-1] - x[0])"),
+                ("x", np.max(np.abs(cells)) + np.max(np.abs(right)), "cubic fit"),
+                ("values", 1e8 * np.sum(np.abs(cells) * h[:, None] ** np.arange(1, 5)),
+                 "1e8 sum |c_m| h^(m+1)"))
+        for name, value, what in checks:
+            if not value < np.inf:
+                raise ValueError("{} out of range: {} is not finite (x from {} to {}, "
+                                 "|values| up to {})".format(name, what, x[0], x[-1],
+                                                             np.max(np.abs(v))))
+        jumps = np.zeros((x.size, 4), dtype=complex)
+        jumps[:-1] = np.array(_cubic_derivatives(cells.T, 0.0)).T
+        jumps[1:] -= right
+        self._cells, self._jumps = cells, jumps
 
     @staticmethod
     def _fit_cells(x, v):
@@ -448,32 +489,64 @@ def _table_cells(ic, a, b):
     return idx[keep], ta[keep], tb[keep]
 
 
-# k values per block of _tabulated_hat, which keeps its (cells x k)
-# temporaries small whatever the batch size.
-_TAB_BLOCK = 128
+# entries of the (k x knots) or (k x cells) arrays of one block of
+# _tabulated_hat, which bounds its temporaries whatever the table's size
+_TAB_ENTRIES = 4096
 
 
 def _tabulated_hat(ic, k, a, b, origin):
-    if k.size == 1:
-        # one point sums its cells in another order than a batch does; as a
-        # batch of two it gets the bits it gets in any batch
-        return _tabulated_hat(ic, np.repeat(k, 2), a, b, origin)[:1]
-    if k.size > _TAB_BLOCK:
-        # near-equal blocks, so none is the one-point case above
-        return np.concatenate([_tabulated_hat(ic, kb, a, b, origin) for kb in
-                               np.array_split(k, -(-k.size // _TAB_BLOCK))])
-    idx, ta, tb = _table_cells(ic, a, b)
-    if idx.size == 0:
-        return np.zeros(k.shape, dtype=complex)
+    """Transform of tabulated data over [a, b] at a 1-D array of k.
+
+    The knot sum of the module docstring, over a, b (clipped to the table)
+    and the table's points strictly between them.  The points' jumps are
+    built once per table; a and b add two end rows, the derivatives there
+    of the cells holding them.  Where |k| times the widest clipped cell
+    falls below 0.5 and the knot sum cancels, k = 0 included, each clipped
+    cell's cubic is instead expanded about its left end and integrated by
+    the power series of _osc_moments, whose criterion this is.
+
+    Each value is summed along its own row, over the knots or cells in a
+    fixed order, so it does not depend on the other k of the call.  The k
+    go in blocks of at most _TAB_ENTRIES (k, knot) entries.
+    """
+    out = np.zeros(k.shape, dtype=complex)
     xt = ic.x_table
-    kc = k[None, :]
-    J = _osc_moments(kc, ta[:, None], tb[:, None], 3)
-    pref = np.exp(-1j * kc * (xt[idx][:, None] - origin))
-    cells = ic._cells[idx]
-    total = np.zeros(k.shape, dtype=complex)
-    for m_idx in range(4):
-        total = total + np.sum(pref * cells[:, m_idx][:, None] * J[m_idx], axis=0)
-    return total
+    a, b = max(a, xt[0]), min(b, xt[-1])
+    if not a < b:
+        return out
+    i = int(xt.searchsorted(a, side="right"))
+    j = int(xt.searchsorted(b, side="left"))
+    # the derivatives at a and b, in Python scalars: two rows do not pay
+    # for numpy's dispatch
+    at_a = _cubic_derivatives(ic._cells[i - 1].tolist(), float(a - xt[i - 1]))
+    at_b = _cubic_derivatives(ic._cells[j - 1].tolist(), float(b - xt[j - 1]))
+    y = np.concatenate(([a], xt[i:j], [b]))
+    D = np.concatenate(([at_a], ic._jumps[i:j], [[-d for d in at_b]]))
+    widths = y[1:] - y[:-1]
+    series = np.abs(k) * widths.max() < 0.5
+
+    def knot_sum(kb):
+        s = (1.0 / (1j * kb))[:, None]
+        P = ((D[:, 3] * s + D[:, 2]) * s + D[:, 1]) * s + D[:, 0]
+        E = np.exp(-1j * kb[:, None] * (y - origin))
+        return s[:, 0] * (E * P).sum(axis=1)
+
+    def cell_series(kb):
+        # the cubics in the offset from each clipped cell's left end
+        c = ic._cells[i - 1:j].copy()
+        c[0] = np.array(at_a) / (1.0, 1.0, 2.0, 6.0)
+        J = _osc_moments(kb[:, None], 0.0, widths, 3)
+        E = np.exp(-1j * kb[:, None] * (y[:-1] - origin))
+        return (E * (c[:, 0] * J[0] + c[:, 1] * J[1] + c[:, 2] * J[2]
+                     + c[:, 3] * J[3])).sum(axis=1)
+
+    rows = max(1, _TAB_ENTRIES // y.size)
+    for route, where in ((knot_sum, ~series), (cell_series, series)):
+        kr = k[where]
+        if kr.size:
+            out[where] = np.concatenate([route(kr[r:r + rows])
+                                         for r in range(0, kr.size, rows)])
+    return out
 
 
 def _complex(re, im):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,25 @@ grid.t = 0.5
 def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line, field):
     cfg = write(tmp_path, "bad.cfg", scenario(base, line))
     assert main([cmd, cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == field
+
+
+@pytest.mark.parametrize("line, field", [
+    ("initial.x = 0, 1e-300, 2e-300, 1", "initial.x"),
+    ("initial.x = -1e200, 0, 1e200, 2e200", "initial.x"),
+    ("initial.values = 1e300, 1e300, -1e300, 1e300", "initial.values"),
+])
+def test_table_the_cubic_fit_cannot_carry_exits_two_fast(tmp_path, capsys, line, field):
+    # a NaN fit, an overflowing Vandermonde and overflowing transforms used
+    # to grind through 2011 panels and exit naming numerics.tolerance
+    cfg = write(tmp_path, "bad.cfg", scenario(TABULATED_CFG, line))
+    start = time.perf_counter()
+    assert main(["solve", cfg]) == 2
+    assert time.perf_counter() - start < 0.1
     cap = capsys.readouterr()
     assert cap.out == ""
     lines = cap.err.strip().splitlines()

@@ -497,12 +497,14 @@ def test_failed_speculation_falls_back_to_needed_panels(monkeypatch):
 
 
 def test_chunked_tabulated_hat_matches_unchunked(monkeypatch):
+    # 21 knots: blocks of 195 k, the k with |k| < 2 on the series route
     x = np.linspace(-4.0, 2.0, 25)
     ic = InitialCondition.tabulated(x, np.exp(-(x + 1.0) ** 2 + 0.7j * x))
     k = np.linspace(-30.0, 30.0, 481) * np.exp(0.3j)
     chunked = transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5)
-    monkeypatch.setattr(transforms, "_TAB_BLOCK", 10 ** 9)
-    np.testing.assert_array_equal(chunked, transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5))
+    for entries in (10 ** 9, 1):
+        monkeypatch.setattr(transforms, "_TAB_ENTRIES", entries)
+        np.testing.assert_array_equal(chunked, transforms._tabulated_hat(ic, k, -3.0, 2.0, 0.5))
 
 
 # -- the phased sum against a per-point loop --------------------------------

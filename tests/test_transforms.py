@@ -274,6 +274,13 @@ NAN, INF = float("nan"), float("inf")
     (dict(amplitude=1e308), "amplitude"),
     (dict(x=[0.0, 1.0, NAN, 3.0], values=[1.0] * 4), "x"),
     (dict(x=[0.0, 1.0, 2.0, 3.0], values=[1.0, NAN, 1.0, 1.0]), "values"),
+    # a cubic fit that is NaN (points 1e-300 apart), a Vandermonde that
+    # overflows, and values whose transforms overflow; each used to grind
+    # through 2011 panels before the solver gave up on the tolerance
+    (dict(x=[0.0, 1e-300, 2e-300, 1.0], values=[0.0, 1.0, 1.0, 0.0]), "x"),
+    (dict(x=[-1e200, 0.0, 1e200, 2e200], values=[0.0, 1.0, 1.0, 0.0]), "x"),
+    (dict(x=[0.0, 1e-200, 2e-200, 3e-200], values=[0.0, 1.0, 1.0, 0.0]), "x"),
+    (dict(x=[-2.0, -1.5, -1.0, -0.5], values=[1e300, 1e300, -1e300, 1e300]), "values"),
 ])
 def test_non_finite_or_overflowing_initial_data_is_refused_by_name(kwargs, name):
     make = InitialCondition.tabulated if "x" in kwargs else InitialCondition.gaussian
@@ -281,16 +288,14 @@ def test_non_finite_or_overflowing_initial_data_is_refused_by_name(kwargs, name)
         make(**kwargs)
 
 
-def _osc_moments_all_entries(k, ta, tb, nmax):
-    # the series summed at every entry and then selected: the reference the
-    # gathered series in transforms._osc_moments must reproduce bit for bit
+def _osc_series_reference(k, ta, tb, nmax):
+    # the series with its powers taken inline: the reference the tabulated
+    # powers of transforms._osc_moments must reproduce bit for bit
     k = np.asarray(k, dtype=complex)
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
     z = -1j * k
-    span = np.maximum(np.abs(ta), np.abs(tb))
-    small = np.abs(z) * span < 0.5
-    out_series = []
+    out = []
     for m_idx in range(nmax + 1):
         acc = np.zeros(np.broadcast(z, ta, tb).shape, dtype=complex)
         zp = np.ones_like(acc)
@@ -299,17 +304,11 @@ def _osc_moments_all_entries(k, ta, tb, nmax):
             acc = acc + zp * (tb ** (m_idx + j + 1) - ta ** (m_idx + j + 1)) / (fact * (m_idx + j + 1))
             zp = zp * z
             fact *= (j + 1)
-        out_series.append(acc)
-    zs = np.where(small, 1.0, z)
-    ea = np.exp(zs * ta)
-    eb = np.exp(zs * tb)
-    out_rec = [(eb - ea) / zs]
-    for m_idx in range(1, nmax + 1):
-        out_rec.append((tb ** m_idx * eb - ta ** m_idx * ea - m_idx * out_rec[-1]) / zs)
-    return [np.where(small, s, r) for s, r in zip(out_series, out_rec)]
+        out.append(acc)
+    return out
 
 
-# (ta, tb) as _tabulated_hat passes them: 0 <= ta < tb, local to a cell
+# (ta, tb) local to a cell, 0 <= ta < tb
 OSC_CELLS = [(0.0, 0.3), (0.25, 0.5), (0.1, 0.45)]
 # directions of k: real both ways, and complex in both half-planes
 OSC_DIRECTIONS = np.exp(1j * np.array([0.0, np.pi, 0.6, -0.6, 2.5, -2.5,
@@ -325,44 +324,156 @@ def _osc_k(factors):
 
 def test_osc_moments_bitwise_equal_to_all_entries_series():
     from schrostep.transforms import _osc_moments
-    k = _osc_k([0.2, 0.999, 1.0 - 1e-12, 1.0 + 1e-12, 1.001, 5.0])
+    k = _osc_k([0.2, 0.999, 1.0 - 1e-12])
     ta = np.array([a for a, _ in OSC_CELLS] + [-0.2])
     tb = np.array([b for _, b in OSC_CELLS] + [0.15])
     layouts = [(k[None, :], ta[:, None], tb[:, None]),
                (k[:, None], ta[None, :], tb[None, :]),
-               (k, 0.25, 0.5)]
+               (k, 0.25, 0.5),
+               (k[:, None], 0.0, tb[None, :])]
     for args in layouts:
-        small = np.abs(args[0]) * np.maximum(np.abs(args[1]), np.abs(args[2])) < 0.5
-        assert small.any() and not small.all()
         for nmax in (3, 4):
             got = _osc_moments(*args, nmax)
-            want = _osc_moments_all_entries(*args, nmax)
+            want = _osc_series_reference(*args, nmax)
             assert len(got) == nmax + 1
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 np.testing.assert_array_equal(g.view(float), w.view(float))
-    # no small entry: the series is skipped, the recursion is unchanged
-    k = _osc_k([1.001, 5.0])
-    for nmax in (3, 4):
-        got = _osc_moments(k[None, :], ta[:3, None], tb[:3, None], nmax)
-        want = _osc_moments_all_entries(k[None, :], ta[:3, None], tb[:3, None], nmax)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.view(float), w.view(float))
 
 
 def test_osc_moments_match_mpmath_quadrature():
     mp = pytest.importorskip("mpmath")
     from schrostep.transforms import _osc_moments
     for ta, tb in OSC_CELLS:
-        # |k| tb just below 0.5 and deeper (series), just above and 5x
-        # (recursion), along the real axis and into both half-planes
+        # |k| tb well below 0.5 and just below, along the real axis and into
+        # both half-planes
+        k = (0.5 / tb * np.array([0.2, 0.999])[:, None] * OSC_DIRECTIONS[[0, 3, 4, 7]]).ravel()
+        J = _osc_moments(k, ta, tb, 3)
+        for m in range(4):
+            for kk, got in zip(k, J[m]):
+                with mp.workdps(30):
+                    kc = mp.mpc(kk.real, kk.imag)
+                    want = complex(mp.quad(lambda y: y ** m * mp.exp(-1j * kc * y),
+                                           [ta, tb]))
+                assert abs(got - want) <= 1e-13 * abs(want), (ta, tb, kk, m)
+
+
+# a table with cells of width 0.5, smooth data and seeded random data
+TAB_X = np.linspace(-1.0, 1.5, 6)
+TAB_VALUES = {
+    "smooth": np.exp(-(TAB_X - 0.2) ** 2 + 0.7j * TAB_X),
+    "random": (lambda g: g.normal(size=6) + 1j * g.normal(size=6))(np.random.default_rng(7)),
+}
+
+
+def _piecewise_cubic_hat(mp, ic, k, a, b, origin):
+    """integral_a^b psi0(y) exp(-i k (y - origin)) dy by mpmath, cell by cell,
+    over the cubics the table was fitted with."""
+    xt = ic.x_table
+    a, b = max(a, xt[0]), min(b, xt[-1])
+    if not a < b:
+        return 0.0j
+    pts = [a] + [v for v in xt if a < v < b] + [b]
+    total = mp.mpc(0)
+    with mp.workdps(30):
+        kc = mp.mpc(k.real, k.imag)
+        for lo, hi in zip(pts, pts[1:]):
+            i = min(int(np.searchsorted(xt, lo, side="right")) - 1, xt.size - 2)
+            c = [mp.mpc(v.real, v.imag) for v in ic._cells[i]]
+            x0 = mp.mpf(xt[i])
+
+            def f(y):
+                t = y - x0
+                return (c[0] + t * (c[1] + t * (c[2] + t * c[3]))) * \
+                    mp.exp(-1j * kc * (y - mp.mpf(origin)))
+            total += mp.quad(f, [lo, hi])
+    return complex(total)
+
+
+def _widest_cell(ic, a, b):
+    xt = ic.x_table
+    a, b = max(a, xt[0]), min(b, xt[-1])
+    return max(np.diff([a] + [v for v in xt if a < v < b] + [b]))
+
+
+@pytest.mark.parametrize("data", sorted(TAB_VALUES))
+def test_tabulated_hat_matches_mpmath_across_the_series_switch(data):
+    # one clipped cell, at the offsets the moments' recursion was checked
+    # at; the switch is |k| (tb - ta) = 0.5, and the points just above it
+    # and 5x it take the knot sum, those below it the series
+    mp = pytest.importorskip("mpmath")
+    from schrostep.transforms import _tabulated_hat
+    ic = InitialCondition.tabulated(TAB_X, TAB_VALUES[data])
+    for ta, tb in OSC_CELLS:
+        a, b = TAB_X[1] + ta, TAB_X[1] + tb
         for factors in ([0.2, 0.999], [1.001, 5.0]):
-            k = (0.5 / tb * np.array(factors)[:, None] * OSC_DIRECTIONS[[0, 3, 4, 7]]).ravel()
-            J = _osc_moments(k, ta, tb, 3)
-            for m in range(4):
-                for kk, got in zip(k, J[m]):
-                    with mp.workdps(30):
-                        kc = mp.mpc(kk.real, kk.imag)
-                        want = complex(mp.quad(lambda y: y ** m * mp.exp(-1j * kc * y),
-                                               [ta, tb]))
-                    assert abs(got - want) <= 1e-13 * abs(want), (ta, tb, kk, m)
+            k = (0.5 / (tb - ta) * np.array(factors)[:, None]
+                 * OSC_DIRECTIONS[[0, 3, 4, 7]]).ravel()
+            got = _tabulated_hat(ic, k, a, b, 0.3)
+            for kk, g in zip(k, got):
+                want = _piecewise_cubic_hat(mp, ic, kk, a, b, 0.3)
+                assert abs(g - want) <= 1e-13 * abs(want), (ta, tb, kk)
+
+
+@pytest.mark.parametrize("data", sorted(TAB_VALUES))
+def test_tabulated_hat_matches_mpmath_on_clipped_regions(data):
+    mp = pytest.importorskip("mpmath")
+    from schrostep.transforms import _tabulated_hat
+    ic = InitialCondition.tabulated(TAB_X, TAB_VALUES[data])
+    regions = [
+        (-0.8, 0.7),        # a and b inside cells
+        (-3.0, 0.2),        # from below the table to inside a cell
+        (0.1, 9.0),         # from inside a cell to above the table
+        (-0.5, 1.0),        # from point to point
+        (0.1, 0.3),         # inside one cell
+        (-np.inf, np.inf),  # the whole table
+    ]
+    for a, b in regions:
+        w = _widest_cell(ic, a, b)
+        k = (0.5 / w * np.array([0.5, 1.001, 5.0, 40.0])[:, None]
+             * OSC_DIRECTIONS[[0, 3, 4, 7]]).ravel()
+        got = _tabulated_hat(ic, k, a, b, 0.3)
+        for kk, g in zip(k, got):
+            want = _piecewise_cubic_hat(mp, ic, kk, a, b, 0.3)
+            assert abs(g - want) <= 1e-13 * abs(want), (a, b, kk)
+    # a region that misses the table, or meets it at one point
+    k = np.array([0.0, 1.0, 3.0 - 2.0j])
+    for a, b in ((-5.0, -1.0), (1.5, 4.0), (2.0, np.inf), (-np.inf, -2.0)):
+        got = _tabulated_hat(ic, k, a, b, 0.3)
+        assert got.tobytes() == np.zeros(3, dtype=complex).tobytes()
+
+
+def test_tabulated_hat_is_bitwise_per_k_across_the_series_switch():
+    # one batch with k on both sides of |k| w = 0.5 (w = 0.5, the widest
+    # cell): each k gets the bits of its own call and of any split
+    from schrostep.transforms import _tabulated_hat
+    ic = InitialCondition.tabulated(TAB_X, TAB_VALUES["random"])
+    rng = np.random.default_rng(11)
+    mags = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 120), [1.0 - 1e-12, 1.0, 1.0 + 1e-12]))
+    k = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, mags.size))
+    series = np.abs(k) * 0.5 < 0.5
+    assert series.sum() > 20 and (~series).sum() > 20
+    for a, b in ((-0.8, 0.7), (-np.inf, np.inf)):
+        got = _tabulated_hat(ic, k, a, b, 0.3)
+        one = np.concatenate([_tabulated_hat(ic, k[i:i + 1], a, b, 0.3)
+                              for i in range(k.size)])
+        cuts = [0, 1, 2, 37, 38, 100, k.size]
+        parts = np.concatenate([_tabulated_hat(ic, k[c:d], a, b, 0.3)
+                                for c, d in zip(cuts, cuts[1:])])
+        routed = np.empty_like(got)
+        routed[series] = _tabulated_hat(ic, k[series], a, b, 0.3)
+        routed[~series] = _tabulated_hat(ic, k[~series], a, b, 0.3)
+        assert got.tobytes() == one.tobytes() == parts.tobytes() == routed.tobytes()
+
+
+def test_whole_line_hat_at_zero_is_the_integral_of_the_cubics():
+    mp = pytest.importorskip("mpmath")
+    for values in TAB_VALUES.values():
+        ic = InitialCondition.tabulated(TAB_X, values)
+        h = np.diff(TAB_X)
+        with mp.workdps(30):
+            want = complex(mp.fsum(mp.mpc(c[m].real, c[m].imag) * mp.mpf(hi) ** (m + 1) / (m + 1)
+                                   for c, hi in zip(ic._cells, h) for m in range(4)))
+        got = whole_line_hat(ic, 0.0)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-14 * abs(want)
