@@ -161,7 +161,14 @@ def _numerics(cfg, potential, ic):
 
     Each value is checked on its own by ContourSettings, which every solver
     and InterfaceMap share, so a bad one is reported under its own field.
+    Without numerics.R the default radius follows from the levels, and a
+    refused one is reported under potential.levels.
     """
+    if "numerics.R" not in cfg:
+        try:
+            ContourSettings(potential, ic)
+        except ValueError as e:
+            raise ConfigError("potential.levels", str(e))
     kw = {}
     for field, arg in _NUMERICS:
         if field not in cfg:

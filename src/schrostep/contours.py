@@ -37,8 +37,7 @@ Proc. R. Soc. A 461, 2005), one row per rate, and need only the amplitude
 resolved, however many periods of the phase they span.  Other legs take the
 phase at the nodes: the first rate's, times exp(i (rate - rates[0]) z^2)
 for each other rate.  A panel is refined until it converges at every rate,
-and a finished table keeps the first rate's weights only, from which
-NodeTable.weights derives the others.
+and a finished table keeps the weights of every rate that refinement made.
 
 table_integral is the one summation over a finished table.  It sums
 W exp(i C X) for a whole vector of X, every column of a stack W and every
@@ -444,8 +443,9 @@ class NodeTable:
     z        flattened node locations (principal-value legs list both fold
              sides, so a pv panel contributes 30 entries)
     w15      Kronrod weights times the complex jacobian and exp(i rate z^2),
-             at the first of the path's rates (see weights)
-    w7       embedded Gauss weights on the same entries (zeros elsewhere)
+             one row per rate of the path, shape (len(rates), len(z))
+    w7       embedded Gauss weights on the same entries (zeros elsewhere),
+             shaped like w15
     cols     the caller's columns at z, shape (m, len(z)), from the one
              evaluation per node made while refining
     panel    panel index per entry
@@ -453,7 +453,6 @@ class NodeTable:
     sign     overall orientation sign of the path
     error    the summed panel error estimates where refinement stopped
     rates    the path's rates
-    legs     the path's legs, which the spans index
     """
 
     z: np.ndarray
@@ -466,31 +465,6 @@ class NodeTable:
     n_panels: int
     error: float = 0.0
     rates: tuple = (0.0,)
-    legs: tuple = ()
-
-    def weights(self, k=0):
-        """(w15, w7) at the rate rates[k].
-
-        The first rate's are kept.  Another rate's are those of the
-        refinement: the first's times exp(i (rates[k] - rates[0]) z^2) on
-        line, arc and principal-value legs, and the chirp rows of its own
-        rate on chirp legs, rebuilt from the spans.
-        """
-        if k == 0:
-            return self.w15, self.w7
-        f = _rephase(self.z, self.rates[k] - self.rates[0])
-        w15, w7 = self.w15 * f, self.w7 * f
-        starts = np.flatnonzero(np.diff(self.panel, prepend=-1))
-        by_leg = {}
-        for p, (leg, a, b) in enumerate(self.spans):
-            if self.legs[leg].kind == "chirp":
-                by_leg.setdefault(leg, []).append((p, a, b))
-        for leg, panels in by_leg.items():
-            p, a, b = (np.array(v) for v in zip(*panels))
-            _, ((c15, c7),) = _panel_nodes(self.legs[leg], a, b, (self.rates[k],))
-            at = starts[p][:, None] + np.arange(15)
-            w15[at], w7[at] = c15, c7
-        return w15, w7
 
 
 # Nodes per call of the caller's column function; a larger call only grows
@@ -506,7 +480,7 @@ class _Panel:
 
     def __init__(self, leg, a, b, err, nodes):
         self.leg, self.a, self.b, self.err = leg, a, b, err
-        self.nodes = nodes      # rows z, w15, w7, then the caller's columns
+        self.nodes = nodes      # rows z, w15 and w7 per rate, then the caller's columns
         self.order = None       # creation counter, set when the panel goes live
         self.kids = None        # the two halves, once evaluated
 
@@ -567,8 +541,8 @@ def _evaluate(path, columns, probes, spans):
     Legs that share a tag and a node count share calls of `columns`, each
     of at most _CALL_NODES nodes.  A panel's error is the largest over the
     probes and the path's rates of min(u, (200 u)^1.5), u = |Kronrod -
-    Gauss|, for every panel of a call at once; the panel keeps the first
-    rate's weights.  u is taken with hypot and the power with float_power,
+    Gauss|, for every panel of a call at once; the panel keeps every rate's
+    weights.  u is taken with hypot and the power with float_power,
     which round as the scalar abs and ** of a panel-at-a-time loop do (the
     vectorised complex abs and power may differ in the last bit), so the
     refinement decisions are bit-identical to that loop.
@@ -599,8 +573,8 @@ def _evaluate(path, columns, probes, spans):
             cols = np.asarray(columns(zf, tag), dtype=complex).reshape(-1, zf.size)
             v = cols if probes is None else np.asarray(probes(zf, cols), dtype=complex)
             v = v.reshape(-1, n, per)
-            block = np.concatenate([zc[None], wc[0][0][None], wc[0][1][None],
-                                    cols.reshape(-1, n, per)])
+            block = np.concatenate([zc[None]] + [c[None] for pair in wc for c in pair]
+                                   + [cols.reshape(-1, n, per)])
             err = None
             for c15, c7 in wc:
                 diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
@@ -736,10 +710,11 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     nodes = np.concatenate([p.nodes for p in final], axis=1)
     sizes = [p.nodes.shape[1] for p in final]
     pid = np.repeat(np.arange(len(final)), sizes)
-    return NodeTable(z=nodes[0], w15=nodes[1], w7=nodes[2], cols=nodes[3:],
+    nw = 1 + 2 * len(path.rates)
+    return NodeTable(z=nodes[0], w15=nodes[1:nw:2], w7=nodes[2:nw:2], cols=nodes[nw:],
                      panel=pid, spans=[(p.leg, p.a, p.b) for p in final],
                      sign=path.sign, n_panels=len(final), error=err,
-                     rates=tuple(path.rates), legs=tuple(path.legs))
+                     rates=tuple(path.rates))
 
 
 # The phased sum works in tiles of at most _TILE complex entries: _FINE rows
@@ -822,12 +797,11 @@ def table_integral(table, W, C, X):
     column function computed with each node's leg tag), and X is a vector.
     W may be one column or a stack of m columns, shape (m, N), sharing C
     (a slope is the column i C W).  The result is (values, errors), each
-    with one row per rate of the table (table.rates; NodeTable.weights),
-    then one per column of a stack, then one entry per X: shape
-    (len(table.rates), len(X)) or (len(table.rates), m, len(X)).  The rates
-    are summed one after another over the same tiles, so that one rate's
-    weights are alive at a time.  A plain integral of W is C = 0 at
-    X = [0].
+    with one row per rate of the table (table.rates), each summed at that
+    rate's weights (table.w15[k], table.w7[k]), then one per column of a
+    stack, then one entry per X: shape (len(table.rates), len(X)) or
+    (len(table.rates), m, len(X)).  The rates are summed one after another
+    over the same tiles.  A plain integral of W is C = 0 at X = [0].
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
@@ -972,12 +946,10 @@ def table_integral(table, W, C, X):
     val = np.empty((nr, m, n), dtype=complex)
     err = np.empty((nr, m, n))
     for k in range(nr):
-        # one rate's weights at a time
-        w15, w7 = table.weights(k)
         sv = np.zeros((n, 2 * m), dtype=complex)
         se, sa = np.zeros((n, m)), np.zeros((n, m))
         for lo, hi, per in chunks:
-            chunk(lo, hi, per, w15, w7, sv, se, sa)
+            chunk(lo, hi, per, table.w15[k], table.w7[k], sv, se, sa)
         val[k][:, rows] = table.sign * (sv[:, :m] + 1j * rho * sv[:, m:]).T
         err[k][:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
     shape = (nr,) + W.shape[:-1] + (n,)

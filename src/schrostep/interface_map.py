@@ -18,10 +18,11 @@ slope) share that path, so one truncation search serves them all: its
 weight returns the stack of every column, and it accepts the first rung
 at which every column clears at every time.  Its tails, sampled once per
 node, are those of the traces.  The unknowns are solved once per node
-while the table is refined and kept as the table's columns, which hold all
-2n of them, and the table is refined until every column converges at
-every time.  One table_integral call sums the whole stack
-W = pref kappa X at every time, each at its own weights.
+while the table is refined, and the table's columns are the stack summed,
+W = pref kappa X: one column per requested jump for psi, and as many more
+for psi_x.  The table is refined until every column converges at every
+time, and one table_integral call sums the stack at every time, each at
+its own weights.
 """
 
 import numpy as np
@@ -54,22 +55,18 @@ class InterfaceMap(ContourSettings):
             raise ValueError("interface must be one of 1..{} or a nonempty "
                              "sequence of them, got {!r}".format(n, interface))
         ells = [int(ell) for ell in ells]
+        distinct = list(dict.fromkeys(ells))
         ts = self._times(ts)
-        out = {}
-        for ell in ells:
-            for i, t in enumerate(ts):
-                if t == 0.0:
-                    out[ell, i] = self._initial_samples(
-                        np.array([self.potential.interfaces[ell - 1]]), derivative)[0]
-        live = [(i, t) for i, t in enumerate(ts) if t > 0.0]
-        if live:
-            out.update(self._traces(dict.fromkeys(ells), live, derivative))
-        return [out[ell, i] for ell in ells for i in range(len(ts))]
+        live = sorted({t for t in ts if t > 0.0})
+        rows = self._traces(distinct, live, derivative) if live else {}
+        if 0.0 in ts:
+            rows[0.0] = self._initial_samples(
+                [self.potential.interfaces[ell - 1] for ell in distinct], derivative)
+        return [rows[t][distinct.index(ell)] for ell in ells for t in ts]
 
-    def _traces(self, ells, live, derivative):
-        """{(ell, i): sample} at the distinct interfaces ells and times live."""
+    def _traces(self, ells, times, derivative):
+        """{t: samples at the distinct interfaces ells} at the times > 0."""
         n = self.potential.njumps
-        times = sorted({t for _, t in live})
         tol = self.tolerance
         # the columns of the unknowns summed and their prefactors: psi at
         # each jump, then psi_x
@@ -80,37 +77,26 @@ class InterfaceMap(ContourSettings):
             pref += [1j / np.pi] * len(ells)
         pref = np.array(pref)[:, None]
 
-        def unknowns(z, tag):
-            return solve_unknowns(self.potential, self.ic, z)[0].T
-
-        def probes(z, X):
-            return pref * z * X[cols]
-
         def weight(z, tag):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
-            return probes(z, unknowns(z, tag))
+            return pref * z * solve_unknowns(self.potential, self.ic, z)[0].T[cols]
 
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
         path, tails = choose_truncation(self.sector(4, times), weight, zero, times, 0.0,
                                         (0.0,), tol, 2.0 * self.radius)
         table = build_with_retry(
-            lambda tol: build_node_table(path, unknowns, tol,
-                                         max_panels=panel_budget(0.0, 0.0, path.reach()),
-                                         probes=probes),
+            lambda tol: build_node_table(path, weight, tol,
+                                         max_panels=panel_budget(0.0, 0.0, path.reach())),
             tol)
-        W = probes(table.z, table.cols)
-        C = np.zeros(table.z.size)
-        v, e = table_integral(table, W, C, [0.0])
-        traces = {}
+        v, e = table_integral(table, table.cols, np.zeros(table.z.size), [0.0])
+        m = len(ells)
+        out = {}
         for k, t in enumerate(times):
             corr, te = tails[k].at(0.0)
-            for j, col in enumerate(cols):
-                traces[col, t] = (complex(v[k, j, 0] + corr[j]), float(e[k, j, 0] + te[j]))
-        out = {}
-        for ell in ells:
-            x_ell = self.potential.interfaces[ell - 1]
-            for i, t in live:
-                dv, de = traces[n + ell - 1, t] if derivative else (None, 0.0)
-                out[ell, i] = SolutionSample(x_ell, t, *traces[ell - 1, t], psi_x=dv,
-                                             psi_x_error=de)
+            s = [(complex(v[k, j, 0] + corr[j]), float(e[k, j, 0] + te[j]))
+                 for j in range(len(cols))]
+            slopes = s[m:] if derivative else [(None, 0.0)] * m
+            out[t] = [SolutionSample(self.potential.interfaces[ell - 1], t, *s[j],
+                                     psi_x=dv, psi_x_error=de)
+                      for j, (ell, (dv, de)) in enumerate(zip(ells, slopes))]
         return out

@@ -387,10 +387,13 @@ class IntegralTerm:
 
 # rungs of the truncation ladder whose tails are sampled in one weight call
 _RUNGS_PER_CALL = 4
+# the largest truncation of the ladder; its first rung is 2R, so a radius
+# above _MAX_T / 2 is refused (ContourSettings)
+_MAX_T = 4000.0
 
 
 def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
-                      T0, derivative=False, max_T=4000.0):
+                      T0, derivative=False, max_T=_MAX_T):
     """Grow the truncation until every tail estimate clears the tolerance.
 
     builder(T) returns (path, spec); spec lists the open legs, as
@@ -602,9 +605,11 @@ class ContourSettings:
 
     tolerance is the absolute quadrature target per evaluated point and must
     be finite and positive.  radius (default max(1, 1.25 sqrt(2 Lambda)))
-    must clear the branch scale sqrt(2 Lambda) and have a finite square (the
-    sector paths work with R^2).  The open legs tilt by the constant delta:
-    by Cauchy's theorem every tilt in (0, pi/4) gives the same psi.
+    must clear the branch scale sqrt(2 Lambda) and be at most _MAX_T / 2 =
+    2000, so that the first truncation rung 2R lies on the ladder and the
+    chirp ray starts as at most 1000 pieces.  The open legs tilt by the
+    constant delta: by Cauchy's theorem every tilt in (0, pi/4) gives the
+    same psi.
     """
 
     delta = np.pi / 8.0
@@ -623,10 +628,11 @@ class ContourSettings:
         self.radius = float(radius) if radius is not None else \
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
         R = self.radius
-        if not (np.sqrt(2.0 * lam) < R and R * R < np.inf):
+        if not np.sqrt(2.0 * lam) < R <= 0.5 * _MAX_T:
             raise ValueError(
-                "radius {} does not clear the branch scale sqrt(2*Lambda) = {:.6g} "
-                "or has no finite square".format(R, np.sqrt(2.0 * lam)))
+                "radius {} must clear the branch scale sqrt(2*Lambda) = {:.6g} and "
+                "be at most {:g}, half the largest truncation".format(
+                    R, np.sqrt(2.0 * lam), 0.5 * _MAX_T))
 
     def _initial_samples(self, xs, derivative=False):
         """Samples of the initial data at the points xs: t = 0, error 0."""

@@ -363,16 +363,14 @@ class InitialCondition:
     @staticmethod
     def _fit_cells(x, v):
         # cubic through the 4-point stencil around each cell, coefficients in
-        # the local variable tau = y - x[i]
+        # the local variable tau = y - x[i], in one solve over the cells; the
+        # powers are running products, as np.vander forms them
         n = x.size - 1
-        coeffs = np.zeros((n, 4), dtype=complex)
-        for i in range(n):
-            j0 = min(max(i - 1, 0), x.size - 4)
-            idx = np.arange(j0, j0 + 4)
-            tau = x[idx] - x[i]
-            V = np.vander(tau, 4, increasing=True)
-            coeffs[i] = np.linalg.solve(V, v[idx])
-        return coeffs
+        idx = np.clip(np.arange(n) - 1, 0, x.size - 4)[:, None] + np.arange(4)
+        V = np.ones((n, 4, 4))
+        V[..., 1:] = (x[idx] - x[:n, None])[..., None]
+        np.multiply.accumulate(V, axis=-1, out=V)
+        return np.linalg.solve(V, v[idx][..., None])[..., 0]
 
     def _cell_at(self, x):
         """Cell lookup at x: (inside, tau, coeffs).

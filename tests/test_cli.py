@@ -273,6 +273,30 @@ def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line
     assert json.loads(lines[0])["field"] == field
 
 
+@pytest.mark.parametrize("cmd", ["solve", "interface-map"])
+@pytest.mark.parametrize("line, field", [
+    ("numerics.R = 1e8", "numerics.R"),
+    ("numerics.R = 1e100", "numerics.R"),
+    # the default radius 1.25 sqrt(2 max|alpha|) passes 2000 here
+    ("potential.levels = 0, 3e6", "potential.levels"),
+    ("potential.levels = 0, 1e308", "potential.levels"),
+])
+def test_radius_past_the_truncation_ladder_exits_two_fast(tmp_path, capsys, cmd, line,
+                                                          field):
+    # the first truncation rung 2R must lie within the ladder's cap of 4000:
+    # R = 1e8 used to grind through about 5e7 initial chirp pieces, and
+    # R = 1e100 and levels 0, 1e308 to end in a traceback
+    cfg = write(tmp_path, "bad.cfg", scenario(STEP_CFG, line))
+    start = time.perf_counter()
+    assert main([cmd, cfg]) == 2
+    assert time.perf_counter() - start < 0.5
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == field
+
+
 @pytest.mark.parametrize("line, field", [
     ("initial.x = 0, 1e-300, 2e-300, 1", "initial.x"),
     ("initial.x = -1e200, 0, 1e200, 2e200", "initial.x"),

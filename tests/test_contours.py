@@ -466,7 +466,8 @@ def test_batched_refinement_replays_panel_loop(case):
     table = build_node_table(path, columns, tol, max_panels=max_panels)
     n_calls = len(calls)
     assert table.spans == spans
-    for got, ref in ((table.z, z), (table.w15, w15), (table.w7, w7)):
+    # one rate: the table's weights have one row
+    for got, ref in ((table.z, z), (table.w15[0], w15), (table.w7[0], w7)):
         np.testing.assert_array_equal(got, ref)
     # the columns are the one evaluation per node made while refining
     np.testing.assert_array_equal(table.cols, columns(table.z, path.legs[0].tag))
@@ -527,14 +528,15 @@ def _reference_phased(table, W, C, X, derivative=False):
 
     out = []
     wide = np.clongdouble
+    (w15,), (w7,) = table.w15, table.w7
     for f in ([W, 1j * C * W] if derivative else [W]):
         vals, errs, floors = [], [], []
-        f_wide = f.astype(wide) * table.w15.astype(wide)
+        f_wide = f.astype(wide) * w15.astype(wide)
         for x in X:
             g = f * np.exp(1j * C * x)
-            i15, i7 = panel_sums(g * table.w15), panel_sums(g * table.w7)
+            i15, i7 = panel_sums(g * w15), panel_sums(g * w7)
             u = np.abs(i15 - i7)
-            floor = 2.3e-16 * np.sum(np.abs(g * table.w15))
+            floor = 2.3e-16 * np.sum(np.abs(g * w15))
             phase = abs(x) * np.max(np.abs(C), initial=0.0) * floor
             value = np.sum(f_wide * np.exp(1j * C.astype(wide) * wide(x)))
             vals.append(table.sign * complex(value))
@@ -685,7 +687,7 @@ def _synthetic_30000_node_table():
     z, w15, w7 = z.ravel(), w15.ravel(), w7.ravel()
     C = z + 0.05j * np.abs(z)
     W = np.exp(-z * z / 400.0) * (1.0 + 0.1j * z)
-    table = contours.NodeTable(z=z, w15=w15, w7=w7, cols=np.stack([W, C]),
+    table = contours.NodeTable(z=z, w15=w15[None], w7=w7[None], cols=np.stack([W, C]),
                                panel=np.repeat(np.arange(n), 15),
                                spans=[(0, a, b) for a, b in zip(edges, edges[1:])],
                                sign=-1, n_panels=n)
@@ -729,32 +731,41 @@ def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
     assert not np.any(C)
     assert W.shape == (2, table.z.size) and value.shape == err.shape == (40, 2, 1)
     for k in range(40):
-        w15, _ = table.weights(k)
         for row, v, e in zip(W, value[k, :, 0], err[k, :, 0]):
-            assert abs(v - table.sign * np.sum(row * w15)) <= 1e-15 + e
+            assert abs(v - table.sign * np.sum(row * table.w15[k])) <= 1e-15 + e
     assert [s.t for s in got] == list(ts)
 
 
 def test_weights_of_every_rate_are_those_of_its_own_panels():
-    # a table keeps the first rate's weights and derives the others: at the
-    # nodes on the tilted leg, the arc and the corner legs, per panel on the
-    # chirp ray
+    # a table keeps the weights of every rate that refinement made, per
+    # panel on the tilted leg, the arc, the corner legs and the chirp ray
     solver = StepSolver(PiecewisePotential([1.0, 2.0], [0.0]),
                         InitialCondition.gaussian(center=-1.0, momentum=0.7))
-    ts = (0.3, 0.7, 1.9)
+    ts = (0.3, 0.7, 1.1, 1.9)
     path, _ = solver.sector(4, ts)(6.0 * solver.radius)
     assert path.rates == ts and any(leg.label == "corner leg" for leg in path.legs)
     term = solver._terms(1, ts, False, 4.0)[0]
     table = build_node_table(path, lambda z, tag: term.weight(z, tag), 1e-9)
-    for k, rate in enumerate(ts):
-        w15, w7 = table.weights(k)
-        for leg_idx, leg in enumerate(path.legs):
-            panels = [p for p, span in enumerate(table.spans) if span[0] == leg_idx]
-            a = [table.spans[p][1] for p in panels]
-            b = [table.spans[p][2] for p in panels]
-            z, ((c15, c7),) = contours._panel_nodes(leg, a, b, (rate,))
-            at = np.isin(table.panel, panels)
-            np.testing.assert_array_equal(table.z[at], z.ravel())
+    assert table.w15.shape == table.w7.shape == (len(ts), table.z.size)
+    for leg_idx, leg in enumerate(path.legs):
+        panels = [p for p, span in enumerate(table.spans) if span[0] == leg_idx]
+        a = [table.spans[p][1] for p in panels]
+        b = [table.spans[p][2] for p in panels]
+        z, rows = contours._panel_nodes(leg, a, b, ts)
+        at = np.isin(table.panel, panels)
+        np.testing.assert_array_equal(table.z[at], z.ravel())
+        for k, rate in enumerate(ts):
+            got = (table.w15[k][at], table.w7[k][at])
+            for w, c in zip(got, rows[k]):
+                np.testing.assert_array_equal(w, c.ravel())
+            # a chirp leg's rows of its own rate; elsewhere the first rate's
+            # times exp(i (rate - ts[0]) z^2), within 1e-13 of the phase
+            # taken at the nodes directly
+            _, ((c15, c7),) = contours._panel_nodes(leg, a, b, (rate,))
+            if leg.kind != "chirp":
+                f = contours._rephase(z, rate - ts[0])
+                for w, c in zip(got, rows[0]):
+                    np.testing.assert_array_equal(w, (c * f).ravel())
             tol = 0.0 if leg.kind == "chirp" or k == 0 else 1e-13
-            for got, want in ((w15[at], c15.ravel()), (w7[at], c7.ravel())):
-                assert np.all(np.abs(got - want) <= tol * np.abs(want)), leg.label
+            for w, want in zip(got, (c15.ravel(), c7.ravel())):
+                assert np.all(np.abs(w - want) <= tol * np.abs(want)), leg.label

@@ -92,6 +92,41 @@ def test_several_interfaces_match_their_single_traces():
         assert abs(a.psi_x - b.psi_x) <= a.psi_x_error + b.psi_x_error
 
 
+def test_repeated_interfaces_and_times_match_single_calls():
+    # duplicates and t = 0 among the times are served from one sample per
+    # distinct interface and time; t = 0 gives the data at x_ell
+    imap = InterfaceMap(THREE, IC)
+    got = imap.trace_grid([0.5, 0.0, 0.5], [2, 1, 2], derivative=True)
+    want = [imap.trace_grid(t, ell, derivative=True)[0]
+            for ell in (2, 1, 2) for t in (0.5, 0.0, 0.5)]
+    assert [(s.x, s.t) for s in got] == [(s.x, s.t) for s in want]
+    for a, b in zip(got, want):
+        assert abs(a.value - b.value) <= a.error + b.error
+        assert abs(a.psi_x - b.psi_x) <= a.psi_x_error + b.psi_x_error
+    for s in got[1::3]:
+        x = np.array([s.x])
+        assert (s.t, s.error, s.psi_x_error) == (0.0, 0.0, 0.0)
+        assert s.value == IC.evaluate(x)[0] and s.psi_x == IC.derivative(x)[0]
+    assert got[0] == got[2] == got[6] == got[8]
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_table_holds_only_the_columns_it_sums(monkeypatch, derivative):
+    # psi at each distinct jump, and psi_x with the slope: not the 2n
+    # unknowns
+    tables = []
+    build = interface_map.build_node_table
+
+    def spy(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(interface_map, "build_node_table", spy)
+    InterfaceMap(THREE, IC).trace_grid([0.3, 0.6], [2, 1, 2], derivative=derivative)
+    (table,) = tables
+    assert table.cols.shape == (2 * (1 + derivative), table.z.size)
+
+
 def test_several_interfaces_solve_each_node_once(monkeypatch):
     seen = []
     solve = interface_map.solve_unknowns

@@ -157,12 +157,12 @@ CONTRACT = {
 def test_solver_contract(name):
     pot, make = CONTRACT[name]
     ic = gaussian_ic()
-    with pytest.raises(ValueError, match="radius"):
-        make(pot, ic, radius=1.0)
-    with pytest.raises(ValueError, match="radius"):
-        make(pot, ic, radius=np.inf)
-    with pytest.raises(ValueError, match="radius"):
-        make(pot, ic, radius=1e155)     # R * R overflows
+    # 1e155: R * R overflows; above 2000 the first truncation rung 2R lies
+    # past the ladder's cap of 4000 (1e8 ground through ~5e7 chirp pieces,
+    # 1e100 overflowed np.arange)
+    for radius in (1.0, np.inf, 1e155, 2001.0, 1e8, 1e100):
+        with pytest.raises(ValueError, match="radius"):
+            make(pot, ic, radius=radius)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             make(pot, ic, tolerance=tol)

@@ -246,6 +246,23 @@ def test_tabulated_matches_gaussian_when_sampled():
     assert np.max(np.abs(gauss.derivative(xq) - tab.derivative(xq))) < 1e-6
 
 
+@pytest.mark.parametrize("n", [21, 1400])
+@pytest.mark.parametrize("spacing", ["random", "linspace"])
+def test_cubic_fit_of_all_cells_matches_one_solve_per_cell(n, spacing):
+    # one solve over every cell, with the powers of tau formed as np.vander
+    # forms them (running products): each cubic is bitwise its own solve's
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(-5.0, 5.0, n)) if spacing == "random" else \
+        np.linspace(-4.0, 2.0, n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = InitialCondition.tabulated(x, v)._cells
+    assert got.shape == (n - 1, 4)
+    for i in range(n - 1):
+        j0 = min(max(i - 1, 0), n - 4)
+        V = np.vander(x[j0:j0 + 4] - x[i], 4, increasing=True)
+        np.testing.assert_array_equal(got[i], np.linalg.solve(V, v[j0:j0 + 4]))
+
+
 def test_tabulated_validation():
     with pytest.raises(ValueError):
         InitialCondition.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
