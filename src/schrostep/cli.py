@@ -107,6 +107,8 @@ def _grid(field, val):
             raise ConfigError(field, "bad linspace spec {!r}".format(val))
     else:
         xs = np.array(_floats(field, val))
+    if xs.size == 0:
+        raise ConfigError(field, "no points given")
     if not np.all(np.isfinite(xs)):
         raise ConfigError(field, "points must be finite, got {!r}".format(val))
     return xs

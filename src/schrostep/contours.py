@@ -40,10 +40,12 @@ for each other rate.  A panel is refined until it converges at every rate,
 and a finished table keeps the weights of every rate that refinement made.
 
 table_integral is the one summation over a finished table.  It sums
-W exp(i C X) for a whole vector of X, every column of a stack W and every
-rate of the table in one call, in tiles of at most 2^12
-complex entries, and builds the phases of points on a uniform
-lattice from two small exp tables instead of one exp per (X, node) pair.
+W exp(i C X) for a whole vector of X in one pass over the table: every
+rate of the table times every column of a stack W is one column of the
+stack it sums, so the phases are built once for all of them.  It runs in
+tiles of at most 2^12 complex entries, and builds the phases of points on
+a uniform lattice from two small exp tables instead of one exp per
+(X, node) pair.
 Lattice points are summed several 16-point groups per numpy call, as many
 as keep each temporary within the same 2^12 entries.
 Every sum runs in a fixed order, so repeated runs give bit-identical
@@ -800,8 +802,9 @@ def table_integral(table, W, C, X):
     with one row per rate of the table (table.rates), each summed at that
     rate's weights (table.w15[k], table.w7[k]), then one per column of a
     stack, then one entry per X: shape (len(table.rates), len(X)) or
-    (len(table.rates), m, len(X)).  The rates are summed one after another
-    over the same tiles.  A plain integral of W is C = 0 at X = [0].
+    (len(table.rates), m, len(X)).  The rates are one more axis of the
+    stack: each (column, rate) pair is a column of the sum, in one pass
+    over the tiles.  A plain integral of W is C = 0 at X = [0].
 
     Error model, per X: the Kronrod-minus-Gauss difference u of each panel,
     charged as min(u, (200 u)^1.5) and summed over panels, plus a roundoff
@@ -816,7 +819,9 @@ def table_integral(table, W, C, X):
 
     The sum runs in tiles of _FINE rows of X (fewer when there are fewer X)
     by the whole panels of one chunk (_chunks, sized by the rows times the
-    columns of W), so no temporary exceeds _TILE complex entries.  Each
+    columns of W times the rates), so no temporary exceeds _TILE complex
+    entries.  A chunk weights its nodes' f = [W, C W] by the table's
+    weights of every rate and builds its phase tables once for them.  Each
     tile is one batched product giving every panel's Kronrod sum and
     Kronrod-minus-Gauss difference; the values add the panel sums, so
     tiling changes only the order of the sums over panels.  Lattice tiles
@@ -846,12 +851,14 @@ def table_integral(table, W, C, X):
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
     X = np.asarray(X, dtype=float).ravel()
-    # the integrands: the m columns of W
-    m, n = (W.shape[0] if W.ndim == 2 else 1), X.size
+    # the stack's m columns: each column of W times each rate of the table
+    nw, n = (W.shape[0] if W.ndim == 2 else 1), X.size
+    m = len(table.rates) * nw
 
-    # Rows in lattice order (by k), then the direct rows.  Per row: sums of
-    # f w15 and C f w15 over the nodes (f = W; rho enters through the
-    # second), the panel errors, and sum |P f w15| for the roundoff floor.
+    # Rows in lattice order (by k), then the direct rows.  Per row and
+    # column: sums of f w15 and C f w15 over the nodes (f = W; rho enters
+    # through the second), the panel errors, and sum |P f w15| for the
+    # roundoff floor.
     cmax = float(np.max(np.abs(C), initial=0.0))
     lat = _lattice(X, cmax)
     # rows per tile: the fine table's, or fewer when every row is direct
@@ -894,24 +901,23 @@ def table_integral(table, W, C, X):
         return np.sum(np.ascontiguousarray(np.minimum(u, (200.0 * u) ** 1.5)),
                       axis=axis)
 
-    def chunk(lo, hi, per, w15, w7, sv, se, sa):
+    sv = np.zeros((n, 2 * m), dtype=complex)
+    se, sa = np.zeros((n, m)), np.zeros((n, m))
+
+    def chunk(lo, hi, per):
         c = C[lo:hi]
         ic = 1j * c
         npan = (hi - lo) // per
-        f = W[..., lo:hi].reshape(m, -1).T
-        f = np.concatenate([f, c[:, None] * f], axis=1)
-        F = np.concatenate([f * w15[lo:hi, None],
-                            f * (w15[lo:hi] - w7[lo:hi])[:, None]], axis=1)
+        # F: [f w15 | f (w15 - w7)], each [W | C W] by (column, rate).  The
+        # rates ride on a last axis, so that one time keeps the memory
+        # layout of F, and with it the bits and speed of the products below
+        f = W[..., lo:hi].reshape(nw, -1).T
+        f = np.concatenate([f, c[:, None] * f], axis=1)[:, :, None]
+        w15 = table.w15[:, lo:hi].T[:, None]
+        dw = w15 - table.w7[:, lo:hi].T[:, None]
+        F = np.concatenate([(f * w).reshape(hi - lo, -1) for w in (w15, dw)], axis=1)
         a15 = np.abs(F[:, :m])
         F = F.reshape(npan, per, 4 * m)
-
-        def tile(E, absE):
-            # for the phases E: the sums of f w15 and C f w15, the panel
-            # sums of the same with w15 - w7, and the sums of |E f w15|
-            S = np.matmul(E.reshape(-1, npan, per).transpose(1, 0, 2), F)
-            return (np.sum(S[..., :2 * m], axis=0), S[..., 2 * m:],
-                    np.stack([absE @ b for b in a15.T], axis=1))
-
         if batches:
             fine = np.outer(h * np.arange(_FINE), ic)
             np.exp(fine, out=fine)
@@ -935,23 +941,22 @@ def table_integral(table, W, C, X):
                                      -2).reshape(-1, m)
                 sa[s:e] += a.reshape(-1, m)
         for s in range(rows.size - direct.size, rows.size, nt):
+            # for the phases P: the sums of f w15 and C f w15, the panel
+            # sums of the same with w15 - w7, and the sums of |P f w15|
             P = np.outer(X[rows[s:s + nt]], ic)
             np.exp(P, out=P)
-            v, d, a = tile(P, np.abs(P))
-            sv[s:s + nt] += v
-            se[s:s + nt] += panel_err(d, 0.0, 0)
-            sa[s:s + nt] += a
+            S = np.matmul(P.reshape(-1, npan, per).transpose(1, 0, 2), F)
+            sv[s:s + nt] += np.sum(S[..., :2 * m], axis=0)
+            se[s:s + nt] += panel_err(S[..., 2 * m:], 0.0, 0)
+            sa[s:s + nt] += np.abs(P) @ a15
 
-    nr = len(table.rates)
-    val = np.empty((nr, m, n), dtype=complex)
-    err = np.empty((nr, m, n))
-    for k in range(nr):
-        sv = np.zeros((n, 2 * m), dtype=complex)
-        se, sa = np.zeros((n, m)), np.zeros((n, m))
-        for lo, hi, per in chunks:
-            chunk(lo, hi, per, table.w15[k], table.w7[k], sv, se, sa)
-        val[k][:, rows] = table.sign * (sv[:, :m] + 1j * rho * sv[:, m:]).T
-        err[k][:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
-    shape = (nr,) + W.shape[:-1] + (n,)
-    return val.reshape(shape), err.reshape(shape)
+    for lo, hi, per in chunks:
+        chunk(lo, hi, per)
+    val = np.empty((m, n), dtype=complex)
+    err = np.empty((m, n))
+    val[:, rows] = table.sign * (sv[:, :m] + 1j * rho * sv[:, m:]).T
+    err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
+    # rows by (column, rate), returned by rate, then column
+    shape = (len(table.rates),) + W.shape[:-1] + (n,)
+    return tuple(a.reshape(nw, -1, n).swapaxes(0, 1).reshape(shape) for a in (val, err))
 

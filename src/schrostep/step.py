@@ -156,16 +156,13 @@ def _pair_tail(f_outer, f_inner, dist, span):
     f_outer and f_inner are magnitudes: one pair, or arrays of pairs, each
     estimated on its own.
     """
-    if isinstance(f_outer, np.ndarray):
-        return np.reshape([_pair_tail(a, b, dist, span)
-                           for a, b in zip(np.ravel(f_outer), np.ravel(f_inner))],
-                          np.shape(f_outer))
-    if f_outer == 0.0:
-        return 0.0
-    if f_inner <= f_outer * (1.0 + 1e-9):
-        return f_outer * span
-    ell = dist / np.log(f_inner / f_outer)
-    return f_outer * min(ell, span)
+    f_outer, f_inner = np.asarray(f_outer), np.asarray(f_inner)
+    flat = f_inner <= f_outer * (1.0 + 1e-9)
+    # the masked entries' ratios may divide by zero; their results are unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ell = dist / np.log(f_inner / f_outer)
+    ell = np.where(flat, span, np.minimum(ell, span))
+    return np.where(f_outer == 0.0, 0.0, f_outer * ell)
 
 
 def _leg_nodes(leg, outer_at_start):
@@ -215,6 +212,8 @@ class _OscTail:
         self.A = np.asarray(A, dtype=complex).T
         self.c = np.asarray(c, dtype=complex).real
         self.K = K
+        # the sampled-decay bound on |A|, the same at every x
+        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h, K)
         self.t = t
         self.sign = sign
         self.x0 = x_offset
@@ -240,7 +239,6 @@ class _OscTail:
         A = self.A
         if A.ndim > 1:
             X = X[..., None]
-        gen = _pair_tail(abs(A[0]), abs(A[1]), self.h, self.K)
         c1, c2, c3 = self._fd(self.c)
         p1 = -2.0 * self.t * self.K + c1 * X
         # a stationary point must not hide beyond the cut
@@ -257,10 +255,10 @@ class _OscTail:
         diverging = ((np.abs(B2) > 0.5 * np.abs(B1))
                      | (np.abs(B3) > 0.7 * np.abs(B2) + 1e-300))
         err = np.abs(B3) + 1e-13 * np.abs(B1)
-        keep = ~hidden & ~diverging & ~(gen <= err)
+        keep = ~hidden & ~diverging & ~(self.gen <= err)
         phi0 = -self.t * self.K * self.K + float(self.c[0]) * X
         corr = self.sign * np.exp(1j * phi0) * (-B1 + B2 - B3)
-        return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
+        return np.where(keep, corr, 0.0j), np.where(keep, err, self.gen)
 
 
 def _tail_nodes(path, spec):

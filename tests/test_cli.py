@@ -257,6 +257,11 @@ grid.t = 0.5
     ("solve", STEP_CFG, "initial.momentum = 1e200", "initial.momentum"),
     ("solve", STEP_CFG, "initial.amplitude = 1e308", "initial.amplitude"),
     ("solve", STEP_CFG, "grid.t = ,", "grid.t"),
+    # an empty grid.x used to exit 0 with a header-only table
+    ("solve", STEP_CFG, "grid.x = ", "grid.x"),
+    ("solve", STEP_CFG, "grid.x = linspace:-4:4:0", "grid.x"),
+    ("compare", STEP_CFG, "grid.x = ", "grid.x"),
+    ("compare", STEP_CFG, "grid.x = linspace:-4:4:0", "grid.x"),
     ("solve", TABULATED_CFG, "initial.x = -2, -1.5, nan, -0.5", "initial.x"),
     ("solve", TABULATED_CFG, "initial.values = 0, nan, 1, 0", "initial.values"),
     ("solve", STEP_CFG, "potential.levels = 1, nan", "potential.levels"),
@@ -264,8 +269,10 @@ grid.t = 0.5
     ("asymptote", RAY_CFG, "ray.gamma = nan", "ray.gamma"),
 ])
 def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line, field):
+    # compare reads its grid from the first file; the second is the base
     cfg = write(tmp_path, "bad.cfg", scenario(base, line))
-    assert main([cmd, cfg]) == 2
+    args = [cfg, write(tmp_path, "good.cfg", base)] if cmd == "compare" else [cfg]
+    assert main([cmd] + args) == 2
     cap = capsys.readouterr()
     assert cap.out == ""
     lines = cap.err.strip().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 
 import mpmath
@@ -649,6 +650,35 @@ def test_stacked_columns_match_one_call_per_column(grid, derivative):
         np.testing.assert_allclose(errors[0, j], one_err[0], rtol=1e-12)
     assert contours._chunks(table, 3 * contours._FINE) != contours._chunks(
         table, contours._FINE)
+
+
+_FOLD_GRIDS = {name: PHASED_GRIDS[name]
+               for name in ("linspace", "linspace with x_j - 1e-9", "unsorted random")}
+_FOLD_GRIDS["X = [0]"] = np.zeros(1)
+
+
+@pytest.mark.parametrize("grid", list(_FOLD_GRIDS))
+@pytest.mark.parametrize("derivative", [False, True])
+def test_every_rate_matches_its_own_one_rate_table(grid, derivative):
+    # the rates are one more axis of the summed stack; each rate's rows agree
+    # with a call on the table cut to that rate alone
+    table, W, C = _step_term_table("d4", t=(0.3, 0.7, 1.1, 1.9))
+    F = _with_slope(W, C, derivative)
+    X = _FOLD_GRIDS[grid]
+    values, errors = table_integral(table, F, C, X)
+    assert values.shape == errors.shape == (4, len(F), len(X))
+    # |exp(i C X)| per node and X, and the phase's share, for each rate's
+    # roundoff floor 2.3e-16 (1 + |X| max|C|) sum |f w15 exp(i C X)|
+    grow = np.exp(-np.outer(C.imag, X))
+    phase = 1.0 + np.abs(X) * np.max(np.abs(C))
+    for k, rate in enumerate(table.rates):
+        one = dataclasses.replace(table, w15=table.w15[k:k + 1], w7=table.w7[k:k + 1],
+                                  rates=(rate,))
+        one_value, one_err = table_integral(one, F, C, X)
+        for j, f in enumerate(F):
+            floor = 2.3e-16 * phase * (np.abs(f * table.w15[k]) @ grow)
+            assert np.all(np.abs(values[k, j] - one_value[0, j]) <= 2.0 * floor)
+            np.testing.assert_allclose(errors[k, j], one_err[0, j], rtol=1e-12)
 
 
 def test_phased_sum_lattice_covers_the_linspace_points():
