@@ -45,9 +45,11 @@ rate of the table times every column of a stack W is one column of the
 stack it sums, so the phases are built once for all of them.  It runs in
 tiles of at most 2^12 complex entries, and builds the phases of points on
 a uniform lattice from two small exp tables instead of one exp per
-(X, node) pair.
-Lattice points are summed several 16-point groups per numpy call, as many
-as keep each temporary within the same 2^12 entries.
+(X, node) pair.  Lattice points come in 16-point groups, one per coarse
+point, and a batch of groups rides on the column axis of one product per
+panel, as many groups as keep each temporary within the same 2^12
+entries.  Where every X is 0 (an x-free stack) every phase is 1, and each
+column is summed elementwise, with no product.
 Every sum runs in a fixed order, so repeated runs give bit-identical
 results.
 """
@@ -722,8 +724,8 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 # The phased sum works in tiles of at most _TILE complex entries: _FINE rows
 # of X by whole panels of one size.  Tiles of 2^14 entries sum about a
 # fifth faster but hold four times the memory; 2^12 keeps each temporary
-# within 64 kB.  Lattice tiles are batched instead: several _FINE-row groups
-# per numpy call, and single and batched tiles share the same 2^12-entry
+# within 64 kB.  Lattice rows are batched instead: several _FINE-row groups
+# on the column axis of one product per panel, within the same 2^12-entry
 # budget (see table_integral).
 _TILE = 2 ** 12
 _FINE = 16
@@ -792,6 +794,27 @@ def _lattice(X, cmax):
     return h, on, kf[on].astype(np.int64), rho[on], Xq[on]
 
 
+def _plain_sum(table, W):
+    """(values, errors) of table_integral where every X is 0, (rates, m).
+
+    Every phase is then 1, so each column of W is summed at each rate's
+    weights elementwise, chunk by chunk within _TILE entries: no phases,
+    no C W half, and no BLAS call (one-row products run threaded once they
+    are a few hundred columns wide, which can cost 20 times the sum).
+    """
+    val = np.zeros((len(table.rates), W.shape[0]), dtype=complex)
+    err, floor = np.zeros(val.shape), np.zeros(val.shape)
+    for lo, hi, per in _chunks(table, val.size):
+        w15 = table.w15[:, None, lo:hi]
+        g = w15 * W[:, lo:hi]
+        d = (w15 - table.w7[:, None, lo:hi]) * W[:, lo:hi]
+        u = np.abs(np.add.reduce(d.reshape(val.shape + (-1, per)), axis=-1))
+        err += np.add.reduce(np.minimum(u, (200.0 * u) ** 1.5), axis=-1)
+        val += np.add.reduce(g, axis=-1)
+        floor += np.add.reduce(np.abs(g), axis=-1)
+    return table.sign * val, err + 2.3e-16 * floor
+
+
 def table_integral(table, W, C, X):
     """Integral of W exp(i C X) over a frozen node table, for each X.
 
@@ -817,20 +840,25 @@ def table_integral(table, W, C, X):
     |C| <= 60 moved values by 7.3 times the first term alone).  The values
     carry table.sign.
 
-    The sum runs in tiles of _FINE rows of X (fewer when there are fewer X)
-    by the whole panels of one chunk (_chunks, sized by the rows times the
-    columns of W times the rates), so no temporary exceeds _TILE complex
-    entries.  A chunk weights its nodes' f = [W, C W] by the table's
-    weights of every rate and builds its phase tables once for them.  Each
-    tile is one batched product giving every panel's Kronrod sum and
-    Kronrod-minus-Gauss difference; the values add the panel sums, so
-    tiling changes only the order of the sums over panels.  Lattice tiles
-    go several per numpy call, one _FINE-row group per coarse point, as
-    many as keep a batch's temporaries within _TILE entries too: 4 groups
-    for a full chunk.  Each group's panel products and sums are those of a
-    tile of its own, so the values do not depend on the batching.  Rows
-    map to their slot (group in the batch, r), which serves holes,
-    duplicate X and grid ends alike.
+    The sum runs over chunks of whole panels of one size (_chunks), sized
+    so that _FINE rows of X (fewer when there are fewer X) times the
+    columns of W times the rates stay within _TILE complex entries.  A
+    chunk weights its nodes' f = [W, C W] by the table's weights of every
+    rate, as F, and builds its phase tables once for them.  Direct rows go
+    _FINE at a time, one batched product per tile giving every panel's
+    Kronrod sum and Kronrod-minus-Gauss difference.  Lattice rows go a
+    batch of groups at a time, one _FINE-row group per coarse point, as
+    many groups as keep the batch's weighted copy of F within _TILE entries
+    (4 for a full chunk of one column).  Every group's coarse phases weight
+    F side by side on the column axis, (panel, node, group, column), and
+    one product per panel with the fine table gives (panel, r, group,
+    column).  Each entry is the one a group of its own would make, so the
+    values do not depend on the batching.  The values add the panel sums
+    in panel order, the panel charges read the same layout, and a batch's
+    floor sums are one real product.  Rows map to their slot (r, group),
+    which serves holes, duplicate X and grid ends alike.  Where every X is
+    0 every phase is 1: each column is then summed at each rate's weights
+    elementwise (_plain_sum), with no C W half and no product.
 
     Points on a lattice X0 + k h (_lattice; any linspace) take their phases
     from two small exp tables.  With k = _FINE q + r,
@@ -854,6 +882,10 @@ def table_integral(table, W, C, X):
     # the stack's m columns: each column of W times each rate of the table
     nw, n = (W.shape[0] if W.ndim == 2 else 1), X.size
     m = len(table.rates) * nw
+    shape = (len(table.rates),) + W.shape[:-1] + (n,)
+    if not X.any():
+        return tuple(np.repeat(a[..., None], n, axis=-1).reshape(shape)
+                     for a in _plain_sum(table, W.reshape(nw, -1)))
 
     # Rows in lattice order (by k), then the direct rows.  Per row and
     # column: sums of f w15 and C f w15 over the nodes (f = W; rho enters
@@ -874,9 +906,8 @@ def table_integral(table, W, C, X):
             rows, k, rho, Xq = rows[order], k[order], rho[order], Xq[order]
         # Batches of nb groups (one coarse point each), as many as keep a
         # batch's weighted copy of the widest chunk within _TILE: rows
-        # s:e, the coarse points, and each row's slot (group in the batch,
-        # r), or None when the rows fill the slots in order (no hole,
-        # duplicate x or grid end).
+        # s:e, the coarse points, each row's slot (r, group in the batch),
+        # and i rho by slot (0 in a slot no row reads).
         q, r = np.divmod(k, _FINE)
         new = np.diff(q, prepend=q[0] - 1) != 0
         group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
@@ -885,21 +916,19 @@ def table_integral(table, W, C, X):
         for a in range(0, starts.size, nb):
             b = min(a + nb, starts.size)
             s, e = bounds[a], bounds[b]
-            slot = (group[s:e] - a, r[s:e])
-            full = np.array_equal(_FINE * slot[0] + slot[1], np.arange(_FINE * (b - a)))
-            batches.append((s, e, Xq[starts[a:b]], None if full else slot))
+            slot = (r[s:e], group[s:e] - a)
+            rq = np.zeros((_FINE, b - a))
+            rq[slot] = rho[s:e]
+            batches.append((s, e, Xq[starts[a:b]], slot, 1j * rq[..., None]))
     direct = np.flatnonzero(~on)
     rows = np.concatenate([rows, direct])
     rho = np.append(rho, np.zeros(direct.size))[:, None]
 
-    def panel_err(d, rho, axis):
-        # d: per-panel Kronrod-minus-Gauss sums of f and C f, for the rows,
-        # with the panels on axis.  numpy's order of summation follows the
-        # memory layout, so the charged errors are summed C-ordered: a
-        # batched group then adds its panels as a tile of its own did.
-        u = np.abs(d[..., :m] + 1j * rho * d[..., m:])
-        return np.sum(np.ascontiguousarray(np.minimum(u, (200.0 * u) ** 1.5)),
-                      axis=axis)
+    def panel_err(d, irho):
+        # d: per-panel Kronrod-minus-Gauss sums of f and C f, the panels on
+        # axis 0 and i rho broadcast on the rest; the panels add in order
+        u = np.abs(d[..., :m] + irho * d[..., m:])
+        return np.add.reduce(np.minimum(u, (200.0 * u) ** 1.5), axis=0)
 
     sv = np.zeros((n, 2 * m), dtype=complex)
     se, sa = np.zeros((n, m)), np.zeros((n, m))
@@ -923,23 +952,21 @@ def table_integral(table, W, C, X):
             np.exp(fine, out=fine)
             afine = np.abs(fine)
             fine = fine.reshape(_FINE, npan, per).transpose(1, 0, 2)
-            for s, e, xq, slot in batches:
-                # each group's coarse phases weight F; per group and panel
-                # the product is the one a group of its own would make
-                w = np.outer(xq, ic)
+            for s, e, xq, slot, irq in batches:
+                # every group's coarse phases weight F on the column axis,
+                # so one product per panel serves the batch: S is (panel,
+                # r, group, column), and each entry is the one a group of
+                # its own would make
+                w = ic[:, None] * xq
                 np.exp(w, out=w)
-                S = np.matmul(fine, w.reshape(-1, npan, per, 1) * F)
-                # per slot (group, r): the sums, the panel differences and
-                # the floor sums
-                v = np.sum(S[..., :2 * m], axis=1)
-                d = np.moveaxis(S[..., 2 * m:], 1, 2)
-                a = np.matmul(afine, np.abs(w)[..., None] * a15)
-                if slot is not None:
-                    v, d, a = v[slot], d[slot], a[slot]
-                sv[s:e] += v.reshape(-1, 2 * m)
-                se[s:e] += panel_err(d, rho[s:e].reshape(*d.shape[:-2], 1, 1),
-                                     -2).reshape(-1, m)
-                sa[s:e] += a.reshape(-1, m)
+                G = (w.reshape(npan, per, -1, 1) * F[:, :, None]).reshape(npan, per, -1)
+                S = np.matmul(fine, G).reshape(npan, _FINE, -1, 4 * m)
+                # per slot (r, group): the sums, the charged panel
+                # differences and the floor sums
+                a = afine @ (np.abs(w)[..., None] * a15[:, None]).reshape(hi - lo, -1)
+                sv[s:e] += np.add.reduce(S, axis=0)[..., :2 * m][slot]
+                se[s:e] += panel_err(S[..., 2 * m:], irq)[slot]
+                sa[s:e] += a.reshape(_FINE, -1, m)[slot]
         for s in range(rows.size - direct.size, rows.size, nt):
             # for the phases P: the sums of f w15 and C f w15, the panel
             # sums of the same with w15 - w7, and the sums of |P f w15|
@@ -947,7 +974,7 @@ def table_integral(table, W, C, X):
             np.exp(P, out=P)
             S = np.matmul(P.reshape(-1, npan, per).transpose(1, 0, 2), F)
             sv[s:s + nt] += np.sum(S[..., :2 * m], axis=0)
-            se[s:s + nt] += panel_err(S[..., 2 * m:], 0.0, 0)
+            se[s:s + nt] += panel_err(S[..., 2 * m:], 0.0)
             sa[s:s + nt] += np.abs(P) @ a15
 
     for lo, hi, per in chunks:
@@ -957,6 +984,5 @@ def table_integral(table, W, C, X):
     val[:, rows] = table.sign * (sv[:, :m] + 1j * rho * sv[:, m:]).T
     err[:, rows] = (se + 2.3e-16 * (1.0 + np.abs(X[rows, None]) * cmax) * sa).T
     # rows by (column, rate), returned by rate, then column
-    shape = (len(table.rates),) + W.shape[:-1] + (n,)
     return tuple(a.reshape(nw, -1, n).swapaxes(0, 1).reshape(shape) for a in (val, err))
 

@@ -22,7 +22,7 @@ while the table is refined, and the table's columns are the stack summed,
 W = pref kappa X: one column per requested jump for psi, and as many more
 for psi_x.  The table is refined until every column converges at every
 time, and one table_integral call sums the stack at every time, each at
-its own weights.
+its own weights; the sum is x-free (X = [0]), so it runs elementwise.
 """
 
 import numpy as np

@@ -383,7 +383,10 @@ class IntegralTerm:
         return np.exp(-1j * self.level * t) * v if self.level else v
 
 
-# rungs of the truncation ladder whose tails are sampled in one weight call
+# rungs of the truncation ladder whose tails are sampled in one weight call;
+# a search that accepts a later rung samples the next block in another call
+# (most dense_x and tabulated searches of the benchmark accept the fifth or
+# sixth rung: tools/search_rungs.py)
 _RUNGS_PER_CALL = 4
 # the largest truncation of the ladder; its first rung is 2R, so a radius
 # above _MAX_T / 2 is refused (ContourSettings)
@@ -409,10 +412,11 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     phase out; its times are tested smallest first, where the tails decay
     slowest, and the first that fails ends the rung.  The samples are taken
     four rungs at a time, in one weight and one xcoef call per leg tag: a
-    call on a few nodes costs numpy's dispatch as much as one on a hundred,
-    and a search tries about four rungs.  The tails of rungs past the one
-    returned are dropped.  Returns (path, tails), tails the _Tails of the
-    rung's times.
+    call on a few nodes costs numpy's dispatch as much as one on a hundred.
+    A search accepting the fifth rung or later (most of the benchmark's
+    dense_x and tabulated searches) makes a second call per tag.  The tails
+    of rungs past the one returned are dropped.  Returns (path, tails),
+    tails the _Tails of the rung's times.
 
     weight may return a stack of m columns, shape (m, N), that share the
     path and xcoef: one search then serves them all.  A rung clears when

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import heapq
 
 import mpmath
@@ -679,6 +680,75 @@ def test_every_rate_matches_its_own_one_rate_table(grid, derivative):
             floor = 2.3e-16 * phase * (np.abs(f * table.w15[k]) @ grow)
             assert np.all(np.abs(values[k, j] - one_value[0, j]) <= 2.0 * floor)
             np.testing.assert_allclose(errors[k, j], one_err[0, j], rtol=1e-12)
+
+
+_LATTICE_GRIDS = {
+    "linspace": _LINSPACE,
+    "linspace with holes": PHASED_GRIDS["linspace with holes"],
+    "linspace with every ninth point twice": np.sort(np.r_[_LINSPACE, _LINSPACE[::9]]),
+    # in random order, with X[0] and X[1] moved to the middle pair, where
+    # _lattice reads its spacing, so every point stays on the lattice
+    "linspace shuffled": np.r_[np.random.default_rng(5).permutation(_LINSPACE[2:]),
+                               _LINSPACE[:2]][np.r_[:199, 399, 400, 199:399]],
+    "linspace with x_j - 1e-9": PHASED_GRIDS["linspace with x_j - 1e-9"],
+}
+_TIMES = {"1 rate": 0.5, "4 rates": (0.3, 0.7, 1.1, 1.9)}
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_term_table(times):
+    return _step_term_table("d4", t=times)
+
+
+def _roundoff_floor(table, F, C, X):
+    """2.3e-16 (1 + |X| max|C|) sum |f w15 exp(i C X)|: (rates, columns, X)."""
+    grow = np.exp(-np.outer(C.imag, X))
+    phase = 1.0 + np.abs(X) * np.max(np.abs(C))
+    return 2.3e-16 * phase * (np.abs(F[None] * table.w15[:, None]) @ grow)
+
+
+@pytest.mark.parametrize("grid", list(_LATTICE_GRIDS))
+@pytest.mark.parametrize("times", list(_TIMES))
+@pytest.mark.parametrize("derivative", [False, True])
+def test_lattice_sum_matches_direct_rows(grid, times, derivative):
+    # the lattice groups share one product per panel; the same X summed in
+    # subsets under 2 _FINE points take the direct exp row by row instead.
+    # The errors agree within the floor too, not at rtol 1e-12 alone: the
+    # Kronrod-minus-Gauss difference of a converged panel is rounding, and
+    # the two phases round it differently (up to 1.1e-7 of the error)
+    table, W, C = _cached_term_table(_TIMES[times])
+    F = _with_slope(W, C, derivative)
+    X = _LATTICE_GRIDS[grid]
+    on = contours._lattice(X, np.max(np.abs(C)))[1]
+    assert np.count_nonzero(~on) == (3 if "x_j" in grid else 0)
+    values, errors = table_integral(table, F, C, X)
+    step = 2 * contours._FINE - 1
+    parts = [table_integral(table, F, C, X[i:i + step]) for i in range(0, X.size, step)]
+    direct, direct_err = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    assert values.shape == direct.shape == (len(table.rates), len(F), X.size)
+    floor = _roundoff_floor(table, F, C, X)
+    assert np.all(np.abs(values - direct) <= floor)
+    assert np.all(np.abs(errors - direct_err) <= 1e-12 * direct_err + floor)
+
+
+@pytest.mark.parametrize("times", list(_TIMES))
+@pytest.mark.parametrize("derivative", [False, True])
+def test_x_free_sum_matches_a_kronrod_sum(times, derivative):
+    # X = [0]: every phase is 1, and each column is a plain Kronrod sum with
+    # its Kronrod-minus-Gauss charge per panel (summed here in another
+    # order, so the errors agree within the floor as above)
+    table, W, C = _cached_term_table(_TIMES[times])
+    F = _with_slope(W, C, derivative)
+    values, errors = table_integral(table, F, C, [0.0])
+    assert values.shape == errors.shape == (len(table.rates), len(F), 1)
+    for k in range(len(table.rates)):
+        for j, f in enumerate(F):
+            g15, d = f * table.w15[k], f * (table.w15[k] - table.w7[k])
+            u = np.abs(np.bincount(table.panel, d.real) + 1j * np.bincount(table.panel, d.imag))
+            floor = 2.3e-16 * np.sum(np.abs(g15))
+            want = np.sum(np.minimum(u, (200.0 * u) ** 1.5)) + floor
+            assert abs(values[k, j, 0] - table.sign * np.sum(g15)) <= floor
+            assert abs(errors[k, j, 0] - want) <= 1e-12 * want + floor
 
 
 def test_phased_sum_lattice_covers_the_linspace_points():
