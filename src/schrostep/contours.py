@@ -961,7 +961,8 @@ def table_integral(table, W, C, X):
                 np.exp(w, out=w)
                 G = (w.reshape(npan, per, -1, 1) * F[:, :, None]).reshape(npan, per, -1)
                 S = np.matmul(fine, G).reshape(npan, _FINE, -1, 4 * m)
-                # per slot (r, group): the sums, the charged panel
+                # per slot (r, group): the sums (taken over every column,
+                # so the reduction runs contiguous), the charged panel
                 # differences and the floor sums
                 a = afine @ (np.abs(w)[..., None] * a15[:, None]).reshape(hi - lo, -1)
                 sv[s:e] += np.add.reduce(S, axis=0)[..., :2 * m][slot]
