@@ -756,10 +756,11 @@ def _chunks(table, rows):
 def _lattice(X, cmax):
     """Fit a lattice X0 + k h to the points X.
 
-    The spacing at the middle of X gives a first lattice, which is then
-    refitted over the span of the points that lie on it: a linspace gets
-    X0 = X_0 and h = (X_last - X_0) / (n - 1), and extra points mixed into
-    one (x_j - 1e-9 beside a jump) do not spoil it.  With k = _FINE q + r,
+    The middle spacing of the sorted distinct points (whatever the order
+    of X, and repeats) gives a first lattice, which is then refitted over
+    the span of the points that lie on it: a linspace gets X0 = X_0 and
+    h = (X_last - X_0) / (n - 1), and extra points mixed into one
+    (x_j - 1e-9 beside a jump) do not spoil it.  With k = _FINE q + r,
     rho = X - Xq - r h is the remainder against the coarse point
     Xq = X0 + _FINE q h and the fine step r h as the exp tables compute
     them, so the phases carry no rounding of X itself.  A point is on the
@@ -769,8 +770,9 @@ def _lattice(X, cmax):
     """
     if X.size < 2 * _FINE or not np.isfinite(cmax):
         return None
-    mid = X.size // 2
-    X0, h = X[mid], X[mid] - X[mid - 1]
+    U = np.unique(X)
+    mid = U.size // 2
+    X0, h = U[mid], U[mid] - U[mid - 1]
     for strict in (False, True):
         if not (np.isfinite(h) and h != 0.0):
             return None

@@ -12,11 +12,21 @@ k-plane: region 1 (unbounded to the left) needs Im k >= 0 and the last
 region (unbounded to the right) needs Im k <= 0, boundary included.
 Evaluation outside the valid half-plane raises ValueError naming the region.
 
-Gaussian data is integrated in closed form through the Faddeeva function
-w(z) = exp(-z^2) erfc(-iz), combined so that every explicit exponential
-carries an exponent whose real part is bounded by the true envelope of the
-integral (no intermediate overflow).  Every endpoint needs w only in the
-closed upper half-plane, where `faddeeva` computes it in the package:
+A Gaussian's transforms and free terms, and the free terms of tabulated
+data cell by cell, are all Gaussian moments
+
+    J_m = integral_a^b tau^m exp(-p tau^2 + s tau + e) dtau,
+
+which one kernel (_gauss_moments) integrates in closed form through the
+Faddeeva function w(z) = exp(-z^2) erfc(-iz).  Each caller states the
+exponent at the saddle and at the finite ends free of cancellation: a
+Gaussian's tau is taken from its center, where a free term's saddle
+exponent is the whole-line free Gaussian's, and a table cell's from its
+left sample, where the saddle exponent of i (x - y)^2 / (4t) is 0.  Every
+explicit exponential carries an exponent whose real part is bounded by the
+true envelope of the integral (no intermediate overflow).  Every endpoint
+needs w only in the closed upper half-plane, where `faddeeva` computes it
+in the package:
 
     |z| >= 8   the Laplace continued fraction in its even form, four levels
                deep (Poppe & Wijers, ACM TOMS 16, 1990);
@@ -26,7 +36,9 @@ closed upper half-plane, where `faddeeva` computes it in the package:
 Both stay within 1e-14 of w relatively.  One call serves every finite
 endpoint of a transform, or of a stack of transforms (the row form of
 `hat_transform`), because each call costs tens of microseconds of numpy
-dispatch whatever its size.
+dispatch whatever its size.  Every other step is elementwise numpy
+arithmetic, so an array of points gets the bits of its points one at a
+time.
 
 Tabulated data is interpolated by a local cubic per cell, so integration by
 parts terminates (the exact, finite case of Iserles & Norsett, Proc. R.
@@ -115,20 +127,6 @@ def faddeeva(z):
     return out
 
 
-def _erf_endpoint(u, phi):
-    """Stable endpoint data for exp(E)*erf(u) style formulas.
-
-    Returns (coeff, corr) so that exp(E)*erf(u) = coeff*exp(E) + corr with
-    corr = -coeff * exp(phi) * w(i*coeff*u) and phi = E - u^2 supplied by the
-    caller in a cancellation-free form.
-    """
-    u = np.asarray(u, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    coeff = np.where(u.real >= 0.0, 1.0, -1.0)
-    corr = -coeff * np.exp(phi) * faddeeva(1j * coeff * u)
-    return coeff, corr
-
-
 def _gauss_hat_piece(amp, c, w, mu, k, a, b, origin):
     """Transform of a Gaussian restricted to [a, b], origin-shifted kernel.
 
@@ -138,32 +136,20 @@ def _gauss_hat_piece(amp, c, w, mu, k, a, b, origin):
     finite ones of every row go through one Faddeeva call.
     """
     K = np.atleast_2d(np.asarray(k, dtype=complex))
-    m = K.shape[0]
-    o = np.broadcast_to(np.asarray(origin, dtype=float), (m,))[:, None]
+    o, a, b = (np.asarray(v, dtype=float).reshape(-1, 1) for v in (origin, a, b))
     d = mu - K
-    cp = c - o
-    E = 1j * d * cp - 0.25 * d * d * w * w
 
-    # the upper ends of the rows, then their lower ends; an infinite end
-    # contributes its sign and no correction
-    ends = np.array([np.broadcast_to(b, (m,)), np.broadcast_to(a, (m,))], dtype=float)
-    coeff = np.repeat(np.sign(ends)[..., None], K.shape[1], axis=2)
-    corr = np.zeros(coeff.shape, dtype=complex)
-    finite = np.isfinite(ends)
-    if finite.any():
-        row = np.nonzero(finite)[1]
-        tau = (ends[finite] - o[row, 0])[:, None]
-        dr, cpr = d[row], cp[row]
-        u = (tau - cpr) / w - 0.5j * dr * w
-        phi = -((tau - cpr) / w) ** 2 + 1j * dr * tau
-        coeff[finite], corr[finite] = _erf_endpoint(u, phi)
-    net = coeff[0] - coeff[1]
-    eE = np.zeros(K.shape, dtype=complex)
-    live = net != 0.0
-    if np.any(live):
-        eE[live] = np.exp(E[live])
-    val = 0.5 * _SQRT_PI * w * (net * eE + corr[0] - corr[1])
-    return (amp * np.exp(1j * mu * o) * val).reshape(np.shape(k))
+    # in v = y - c the integrand is amp exp(i mu o) times
+    # exp(-(v/w)^2 + i d v + i d (c - o))
+    s = 1j * d
+
+    def phi(end):
+        v, y = end - c, end - o
+        return lambda at: s[at] * y[at] - (v[at] / w) ** 2
+
+    E = s * (c - o) - (0.25 * w * w) * (d * d)
+    J0 = _gauss_moments(1.0 / (w * w), s, E, a - c, b - c, phi(a), phi(b), 0)[0]
+    return (amp * np.exp(1j * mu * o) * J0).reshape(np.shape(k))
 
 
 def _osc_moments(k, ta, tb, nmax):
@@ -198,31 +184,75 @@ def _osc_moments(k, ta, tb, nmax):
     return out
 
 
-def _gauss_moments(p, s, ta, tb, nmax):
-    """Moments integral_ta^tb tau^m exp(-p tau^2 + s tau) dtau, m = 0..nmax.
+def _gauss_moments(p, s, E, ta, tb, phia, phib, nmax):
+    """Moments J_m = integral_ta^tb tau^m exp(-p tau^2 + s tau + e) dtau, m = 0..nmax.
 
-    p is a scalar with Re p >= 0 and p != 0; exponents at the endpoints and
-    the saddle must be bounded (true for the purely oscillatory kernels this
-    is used on).  s, ta, tb broadcast.
+    s and E = e + s^2 / (4 p), the exponent at the saddle, are arrays of
+    one shape; p (Re p >= 0, p != 0) is a scalar or of that shape too, and
+    ta and tb, of one shape, broadcast to it.  An end may be infinite
+    where the integrand decays there; ends infinite on some entries only
+    vary along the first axis alone, with shape (m,) or (m, 1).
+    phia(at) and phib(at) give the exponent -p tau^2 + s tau + e at ta and
+    at tb on the entries where that end is finite: `at` is Ellipsis where
+    every end is, and otherwise indexes the first axis.  The caller forms
+    E and the end exponents without cancellation.
+
+    With u = sqrt(p) tau - s / (2 sqrt(p)) at an end and g = +-1 the sign
+    of Re u (of tau at an infinite end),
+
+        exp(E) erf(u) = g exp(E) - g exp(phi) w(i g u),
+
+    w in the closed upper half-plane, and J_0 is sqrt(pi) / (2 sqrt(p))
+    times its difference across the ends.  Every finite end shares one
+    Faddeeva call, an infinite end contributes its sign and no correction,
+    and exp(E) is taken only where the two signs differ (where they agree
+    it cancels, and may overflow).  Higher moments follow from
+
+        2 p J_m = (m - 1) J_(m-2) + s J_(m-1) - [tau^(m-1) exp(phi)]_ta^tb,
+
+    the bracket 0 at an infinite end.
     """
     s = np.asarray(s, dtype=complex)
-    ta = np.asarray(ta, dtype=float)
-    tb = np.asarray(tb, dtype=float)
-    sqp = np.sqrt(complex(p))
-    E = s * s / (4.0 * p)
-
-    # both endpoints in one Faddeeva call
-    u = np.stack([sqp * tau - s / (2.0 * sqp) for tau in (tb, ta)])
-    phi = np.stack([-p * tau * tau + s * tau for tau in (tb, ta)])
-    (cb, ca), (corr_b, corr_a) = _erf_endpoint(u, phi)
-    phib, phia = np.exp(phi)
-    m0 = (_SQRT_PI / (2.0 * sqp)) * ((cb - ca) * np.exp(E) + corr_b - corr_a)
-    out = [m0]
-    if nmax >= 1:
-        out.append((s * out[0] - (phib - phia)) / (2.0 * p))
-    for m_idx in range(2, nmax + 1):
-        bdry = tb ** (m_idx - 1) * phib - ta ** (m_idx - 1) * phia
-        out.append(((m_idx - 1) * out[m_idx - 2] + s * out[m_idx - 1] - bdry) / (2.0 * p))
+    p = np.asarray(p, dtype=complex)
+    sqp = np.sqrt(p)
+    h = 0.5 / sqp
+    # the ends on a new first axis, the upper first, shaped to broadcast
+    # with s; u, g and exp(phi) at the finite ones, all in one pass
+    T = np.array((tb, ta), dtype=float)
+    T = T.reshape((2,) + (1,) * (s.ndim + 1 - T.ndim) + T.shape[1:])
+    finite = np.isfinite(T)
+    if finite.all():
+        pick = Ellipsis
+        u = sqp * T - s * h
+        phi = np.stack((phib(pick), phia(pick)))
+    else:
+        # the finite ends by (end, row), those of tb first
+        pick = finite.nonzero()[:2]
+        row, nb = pick[1], finite[0].sum()
+        q, hq = (sqp[row], h[row]) if sqp.ndim else (sqp, h)
+        u = q * T[pick] - s[row] * hq
+        phi = np.concatenate((phib(row[:nb]), phia(row[nb:])))
+    g = np.where(u.real >= 0.0, 1.0, -1.0)
+    e = np.exp(phi)
+    corr = g * e * faddeeva(1j * g * u)
+    if pick is not Ellipsis:
+        # back on (2,) + s.shape, where an infinite end keeps the sign of
+        # tau and adds no correction
+        at = g, corr
+        g = np.zeros((2,) + s.shape) + np.sign(T)
+        corr = np.zeros(g.shape, dtype=complex)
+        g[pick], corr[pick] = at
+    net = g[0] - g[1]
+    live = net != 0.0
+    J = corr[1] - corr[0]
+    J[live] += net[live] * np.exp(E[live])
+    out = [(_SQRT_PI / (2.0 * sqp)) * J]
+    for m_idx in range(1, nmax + 1):
+        # tau^(m-1) exp(phi) at each end, 0 at an infinite one
+        bdry = np.zeros((2,) + s.shape, dtype=complex)
+        bdry[pick] = T[pick] ** (m_idx - 1) * e
+        prev = (m_idx - 1) * out[m_idx - 2] if m_idx > 1 else 0.0
+        out.append((prev + s * out[m_idx - 1] - (bdry[0] - bdry[1])) / (2.0 * p))
     return out
 
 
@@ -289,14 +319,22 @@ class InitialCondition:
     def _check_scales(self):
         """Refuse a Gaussian whose transforms or free terms would overflow.
 
-        The free term forms 4 / width^2 and s^2 with
-        s = 2 center / width^2 + i momentum + ..., the transforms
-        (momentum - k)^2 and (center/width)^2, and the solvers multiply the
-        transforms, up to the data's L1 norm |amplitude| width sqrt(pi) in
-        size, by factors up to about 1e8 on the contours (kappa^2 up to
-        max_T^2 = 1.6e7, times the corner legs' growth within e^(9/4)).
-        Each bound is checked on the quantity as the code forms it (numpy
-        float64, which overflows to inf quietly).
+        Both take their Gaussian moments in tau = y - center: they form
+        p = 1/width^2 (less i/(4t) in a free term), which 4/width^2 bounds;
+        the end exponent ((y - center)/width)^2, which at the interface
+        y = 0 is (center/width)^2; and (momentum - k)^2 width^2 / 4, and
+        momentum^2 t in the free term's saddle exponent
+        i momentum (x - momentum t) - (x - center - 2 momentum t)^2 /
+        (width^2 + 4 i t).  (2 center/width^2)^2, the square of the
+        exponent's slope 2 center/width^2 at y = 0, is no longer formed;
+        the bound stays as documented, and refuses only data narrower than
+        2 whose (center/width)^2 lies within a factor (width/2)^2 of
+        overflow.  The solvers multiply the transforms, up to the data's L1
+        norm |amplitude| width sqrt(pi) in size, by factors up to about 1e8
+        on the contours (kappa^2 up to max_T^2 = 1.6e7, times the corner
+        legs' growth within e^(9/4)).  Each bound is checked on the quantity
+        as the code forms it (numpy float64, which overflows to inf
+        quietly).
         """
         amp, c, w, mu = (np.float64(v) for v in (abs(self.amplitude), self.center,
                                                  self.width, self.momentum))
@@ -430,12 +468,12 @@ def hat_transform(ic, potential, region, k, origin=0.0):
     `origin` a scalar or m origins, row r of the (m, n) result is the
     transform over region[r] at k[r] about origin[r].  It equals the m
     one-region calls bit for bit, but the Gaussian endpoints of all rows
-    share one Faddeeva call.
+    share one Faddeeva call.  One region is the row form with one row.
     """
     if np.ndim(region) == 0:
         a, b = potential.region_bounds(region)
         _gate(a, b, region, k)
-        return _hat(ic, k, a, b, origin)
+        return _hat_rows(ic, k, [(a, b)], origin)
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != len(region):
         raise ValueError("the row form needs one row of k per region, got k of "
@@ -443,30 +481,30 @@ def hat_transform(ic, potential, region, k, origin=0.0):
     bounds = [potential.region_bounds(r) for r in region]
     for r, (a, b), kr in zip(region, bounds, k):
         _gate(a, b, r, kr)
-    origin = np.broadcast_to(np.asarray(origin, dtype=float), len(region))
-    if ic.kind == "gaussian":
-        a, b = np.array(bounds, dtype=float).T
-        return _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
-                                k, a, b, origin)
-    return np.array([_tabulated_hat(ic, kr, a, b, o)
-                     for kr, (a, b), o in zip(k, bounds, origin.tolist())])
+    return _hat_rows(ic, k, bounds, origin)
 
 
 def whole_line_hat(ic, k, origin=0.0):
     """Transform of the initial data over the whole line."""
-    return _hat(ic, k, -np.inf, np.inf, origin)
+    return _hat_rows(ic, k, [(-np.inf, np.inf)], origin)
 
 
-def _hat(ic, k, a, b, origin):
-    """Transform of the initial data over [a, b] at k, scalar or array."""
-    scalar = np.ndim(k) == 0
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
+def _hat_rows(ic, k, bounds, origin):
+    """The row form of hat_transform, ungated: row r of k over bounds[r] =
+    (a, b), about origin (a scalar or one per row).  A scalar or 1-D k is
+    one row and keeps its shape; a scalar k returns a complex."""
+    k = np.asarray(k, dtype=complex)
+    K = k.reshape(len(bounds), -1)
+    origin = np.zeros(len(bounds)) + origin
     if ic.kind == "gaussian":
+        a, b = np.array(bounds, dtype=float).T
         out = _gauss_hat_piece(ic.amplitude, ic.center, ic.width, ic.momentum,
-                               k, a, b, origin)
+                               K, a, b, origin)
     else:
-        out = _tabulated_hat(ic, k, a, b, origin)
-    return complex(out[0]) if scalar else out
+        out = np.array([_tabulated_hat(ic, kr, a, b, o)
+                        for kr, (a, b), o in zip(K, bounds, origin.tolist())])
+    out = out.reshape(k.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _table_cells(ic, a, b):
@@ -547,34 +585,6 @@ def _tabulated_hat(ic, k, a, b, origin):
     return out
 
 
-def _complex(re, im):
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _mul(a, b):
-    """a * b rounded as Python's complex product: each real product and sum
-    rounded once.  numpy's vectorised complex product may fuse a product
-    into the sum (FMA), which moves the last bit."""
-    return _complex(np.real(a) * np.real(b) - np.imag(a) * np.imag(b),
-                    np.real(a) * np.imag(b) + np.imag(a) * np.real(b))
-
-
-def _div(a, b):
-    """a / b rounded as Python's complex quotient: Smith's method, dividing
-    by the scaled denominator where numpy multiplies by its reciprocal.  b
-    is a complex scalar or an array like a; each entry takes the branch its
-    own b takes as a scalar."""
-    b = np.asarray(b, dtype=complex)
-    big = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(big, b.imag / b.real, b.real / b.imag)
-        d = np.where(big, b.real + b.imag * r, b.real * r + b.imag)
-        return _complex(np.where(big, a.real + a.imag * r, a.real * r + a.imag) / d,
-                        np.where(big, a.imag - a.real * r, a.imag * r - a.real) / d)
-
-
 def free_term(ic, potential, region, x, t, derivative=False):
     """Free evolution of the data restricted to one region.
 
@@ -582,13 +592,11 @@ def free_term(ic, potential, region, x, t, derivative=False):
     together (t > 0); a scalar when all three are.  With derivative=True
     returns (F, dF/dx).  The potential only enters through the region
     bounds and the phase exp(-i alpha_region t).  The factors that depend
-    on (region, t) alone are taken once per distinct pair in Python
-    scalars, and a Gaussian's finite endpoints of every entry share one
-    Faddeeva call.  Complex products and quotients are rounded as Python
-    rounds complex scalars (_mul, _div), not as numpy's vectorised loops
-    do, so every value is bit-identical to a point-by-point evaluation of
-    the same formulas with Python complex numbers, and an array gives the
-    same bits as its points one at a time.
+    on (region, t) alone are taken once per distinct pair, and a
+    Gaussian's finite endpoints of every entry share one Faddeeva call.
+    Every other step is elementwise, so an array gives the same bits as
+    its points one at a time, and one call over every (x, region, t) the
+    bits of one call per (region, t) pair.
     """
     x, region, t = np.broadcast_arrays(np.asarray(x, dtype=float),
                                        np.asarray(region), np.asarray(t, dtype=float))
@@ -606,8 +614,7 @@ def free_term(ic, potential, region, x, t, derivative=False):
     pref = np.array([np.exp(-1j * potential.level(r) * tp) / np.sqrt(4j * np.pi * tp)
                      for r, tp in pairs])[which]
     if ic.kind == "gaussian":
-        val, dval = _free_gauss(ic, x, bounds[which, 0], bounds[which, 1],
-                                [tp for _, tp in pairs], which, derivative)
+        val, dval = _free_gauss(ic, x, bounds[which, 0], bounds[which, 1], t, derivative)
     else:
         val = np.empty(x.shape, dtype=complex)
         dval = np.empty(x.shape, dtype=complex) if derivative else None
@@ -617,59 +624,30 @@ def free_term(ic, potential, region, x, t, derivative=False):
             val[at] = v
             if derivative:
                 dval[at] = dv
-    out = [_mul(pref, v).reshape(shape) for v in ((val, dval) if derivative else (val,))]
+    out = [(pref * v).reshape(shape) for v in ((val, dval) if derivative else (val,))]
     if not shape:
         out = [complex(v) for v in out]
     return tuple(out) if derivative else out[0]
 
 
-def _free_gauss(ic, x, a, b, times, which, want_dx):
-    # a and b per entry; times holds the time of each distinct (region, t)
-    # pair and which gives each entry's pair, whose scalar factors are taken
-    # as a single time took them
-    c, w, mu, amp = ic.center, ic.width, ic.momentum, ic.amplitude
-    t = np.array(times)[which]
-    ps = [1.0 / (w * w) - 0.25j / tp for tp in times]
-    sqps = [np.sqrt(p) for p in ps]
-    p2, p4 = (np.array([f * p for p in ps])[which] for f in (2.0, 4.0))
-    sqp = np.array(sqps)[which]
-    half = np.array([_SQRT_PI / (2.0 * q) for q in sqps])[which]
-    s = 2.0 * c / (w * w) + 1j * (mu - 0.5 * x / t)
+def _free_gauss(ic, x, a, b, t, want_dx):
+    # entrywise over x, a, b and t; in tau = y - c the exponent is
+    # i (X - tau)^2 / (4t) - (tau/w)^2 + i mu (tau + c), X = x - c, whose
+    # saddle value E is the whole-line free Gaussian's exponent
+    c, w, mu = ic.center, ic.width, ic.momentum
+    X = x - c
 
-    # the finite endpoints in one Faddeeva call; an infinite one contributes
-    # its sign and no correction
-    ends = np.stack([b, a])
-    sgn = np.stack([np.ones(x.shape), -np.ones(x.shape)])
-    corr = np.zeros(ends.shape, dtype=complex)
-    e = np.zeros(ends.shape, dtype=complex)
-    finite = np.isfinite(ends)
-    if finite.any():
-        y = ends[finite]
-        col = np.nonzero(finite)[1]
-        q, sc, xc, tc = sqp[col], s[col], x[col], t[col]
-        u = q * y - sc / (2.0 * q)
-        # the full exponent at a real endpoint, no cancellation; the squares
-        # go through libm pow (float_power), as a Python float ** 2 does
-        phi = (1j * (0.25 * np.float_power(xc - y, 2.0) / tc)
-               - np.float_power((y - c) / w, 2.0) + 1j * mu * y)
-        sg = np.where(u.real >= 0.0, 1.0, -1.0)
-        ef = np.exp(phi)
-        sgn[finite], e[finite] = sg, ef
-        corr[finite] = _mul(-sg * ef, faddeeva(1j * sg * u))
-    (cb, ca), (corr_b, corr_a), (eb, ea) = sgn, corr, e
-    net = cb - ca
-    E_tot = 1j * (0.25 * x * x / t) - c * c / (w * w) + _div(_mul(s, s), p4)
-    # exp(E_tot) may overflow where the endpoint signs agree and it drops out
-    eE = np.zeros(x.shape, dtype=complex)
-    m = net != 0.0
-    eE[m] = np.exp(E_tot[m])
-    m0 = _mul(half, net * eE + corr_b - corr_a)
-    m0 = _mul(amp, m0)
+    def phi(end):
+        return lambda at: (1j * (0.25 * (x[at] - end[at]) ** 2 / t[at])
+                           - ((end[at] - c) / w) ** 2 + 1j * mu * end[at])
+
+    E = 1j * mu * (x - mu * t) - (X - 2.0 * mu * t) ** 2 / (w * w + 4j * t)
+    J = _gauss_moments(1.0 / (w * w) - 0.25j / t, 1j * (mu - 0.5 * X / t), E,
+                       a - c, b - c, phi(a), phi(b), 1 if want_dx else 0)
+    val = ic.amplitude * J[0]
     if not want_dx:
-        return m0, None
-    m1 = (_mul(s, m0) - _mul(amp, eb - ea)) / p2
-    dval = 0.5j * (x * m0 - m1) / t
-    return m0, dval
+        return val, None
+    return val, ic.amplitude * (0.5j * (X * J[0] - J[1]) / t)
 
 
 def _free_tabulated(ic, x, t, a, b, want_dx):
@@ -679,22 +657,23 @@ def _free_tabulated(ic, x, t, a, b, want_dx):
         return zero, zero
     xt = ic.x_table
     # one row per x, the cells along the contiguous axis, which each sum
-    # below runs over
+    # below runs over; in each cell's own tau the exponent i (X - tau)^2 /
+    # (4t) has its saddle at tau = X, where it is 0
     X = x[:, None] - xt[idx]
-    p = -0.25j / t
-    s = -0.5j * X / t
-    kappa = 0.25j * X * X / t
+
+    def phi(end):
+        return lambda at: 0.25j * (X - end)[at] ** 2 / t
+
     nmax = 4 if want_dx else 3
-    M = _gauss_moments(p, s, ta, tb, nmax)
+    M = _gauss_moments(-0.25j / t, -0.5j * X / t, np.zeros(X.shape), ta, tb, phi(ta), phi(tb),
+                       nmax)
     cells = ic._cells[idx]
     val = np.zeros(x.shape, dtype=complex)
     dval = np.zeros(x.shape, dtype=complex)
-    ek = np.exp(kappa)
     for m_idx in range(4):
-        val = val + np.sum(ek * cells[:, m_idx] * M[m_idx], axis=1)
+        val = val + np.sum(cells[:, m_idx] * M[m_idx], axis=1)
         if want_dx:
-            dval = dval + np.sum(ek * cells[:, m_idx] *
-                                 (X * M[m_idx] - M[m_idx + 1]), axis=1)
+            dval = dval + np.sum(cells[:, m_idx] * (X * M[m_idx] - M[m_idx + 1]), axis=1)
     if want_dx:
         dval = 0.5j * dval / t
     return val, dval if want_dx else None

@@ -766,6 +766,24 @@ def test_phased_sum_lattice_covers_the_linspace_points():
     assert contours._lattice(PHASED_GRIDS["unsorted random"], 40.0) is None
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_a_permuted_grid_keeps_its_lattice_and_bits(derivative):
+    # the lattice is fitted to the sorted distinct points, so a shuffled
+    # grid (whose middle pair is no neighbour pair) takes the same lattice
+    # and sums to the same bits, reordered
+    X = np.linspace(-4.0, 4.0, 1000)
+    order = np.random.default_rng(11).permutation(X.size)
+    sorted_lat, shuffled_lat = contours._lattice(X, 40.0), contours._lattice(X[order], 40.0)
+    assert shuffled_lat is not None and shuffled_lat[1].all()
+    assert shuffled_lat[0] == sorted_lat[0]
+    table, W, C = _cached_term_table(0.5)
+    F = _with_slope(W, C, derivative)
+    values, errors = table_integral(table, F, C, X)
+    shuffled = table_integral(table, F, C, X[order])
+    assert shuffled[0].tobytes() == values[..., order].tobytes()
+    assert shuffled[1].tobytes() == errors[..., order].tobytes()
+
+
 def test_phased_sum_on_realline_table():
     # 30-node principal-value panels next to 15-node cut panels
     table, W, C = _step_term_table("realline", region=2)

@@ -7,7 +7,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
-                       StepSolver, WellSolver, mirrored, sigma, step_coefficients)
+                       StepSolver, WellSolver, free_term, mirrored, sigma,
+                       step_coefficients)
 from schrostep import step as step_module
 from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
@@ -32,6 +33,20 @@ def test_free_potential_reduces_to_free_gaussian(rep):
     for smp, w in zip(got, want):
         assert abs(smp.value - w) < 1e-8
         assert abs(smp.value - w) <= 5.0 * smp.error + 1e-12
+
+
+@pytest.mark.parametrize("center", [-1e3, -1e4, -1e5])
+def test_free_terms_far_from_the_jump_meet_the_free_gaussian(center):
+    # the free term's saddle exponent is the free Gaussian's own: formed from
+    # the uncentred y, two terms of size (center/width)^2 cancelled in it,
+    # and d4 missed by 9.4e-11, 8.2e-9 and 3.2e-7 at these centers
+    ic = InitialCondition.gaussian(center=center, width=1.0, momentum=0.7)
+    xs = np.array([center + 0.3, center + 1.5])
+    want = free_gaussian(xs, 0.5, center, 1.0, 0.7)
+    free = free_term(ic, FREE, 1, xs, 0.5) + free_term(ic, FREE, 2, xs, 0.5)
+    assert np.max(np.abs(free - want)) < 1e-10
+    got = StepSolver(FREE, ic, representation="d4").evaluate_grid(xs, 0.5)
+    assert max(abs(smp.value - w) for smp, w in zip(got, want)) < 1e-10
 
 
 def check_flat_contract(rep, alpha, center, width, momentum, t, tolerance=1e-8):
