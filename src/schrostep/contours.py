@@ -494,6 +494,31 @@ def _rephase(z, drate):
     return np.exp(1j * drate * (z * z))
 
 
+def _unit_nodes(a, b):
+    """(mid, half, s) of the panels [a_i, b_i]: one row of 15 Kronrod nodes s each."""
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid, half, mid + half * _XK
+
+
+def _phased(z, jac, wk, wg, rates):
+    """Per rate (w15, w7): wk and wg times jac and exp(i rate z^2).
+
+    The first rate's phase is taken at the nodes, and each other rate's
+    weights are the first's times exp(i (rate - rates[0]) z^2) (_rephase).
+    """
+    if rates[0]:
+        jac = jac * np.exp(1j * rates[0] * (z * z))
+    w15, w7 = wk * jac, wg * jac
+    out = [(w15, w7)]
+    for rate in rates[1:]:
+        f = _rephase(z, rate - rates[0])
+        out.append((w15 * f, w7 * f))
+    return out
+
+
 def _panel_nodes(leg, a, b, rates=(0.0,)):
     """Nodes and weights of the panels [a_i, b_i] of one leg.
 
@@ -502,71 +527,82 @@ def _panel_nodes(leg, a, b, rates=(0.0,)):
     exp(i rate z^2).  On a chirp leg that phase is the phase at the panel's
     middle times exp(i omega xi) in the panel variable xi, omega = rate e^2
     times the panel's half-width in v, and the weights carry both
-    (_chirp_weights), rate by rate.  Other legs take the first rate's phase
-    at the nodes, and each other rate's weights are the first's times
-    exp(i (rate - rates[0]) z^2) (_rephase).
+    (_chirp_weights), rate by rate.  Other legs take the phase at the nodes
+    (_phased).
     """
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    s = mid + half * _XK
+    mid, half, s = _unit_nodes(a, b)
     if leg.kind == "pv":
         u = leg.half * s
         z = np.concatenate([leg.center + u, leg.center - u], axis=1).astype(complex)
-        wk, wg = np.tile(_WK, 2), np.tile(_WG, 2)
-        jac = (half * leg.half).astype(complex)
-    else:
-        z = leg.point(s)
-        wk, wg = _WK, _WG
-        jac = leg.deriv(s) * half
-    if leg.kind == "chirp":
-        e, v0, v1 = leg._v()
-        out = []
-        for rate in rates:
-            rate = rate * (e * e).real
-            ck, cg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
-            j = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
-            out.append((ck * j, cg * j))
-        return z, out
-    if rates[0]:
-        jac = jac * np.exp(1j * rates[0] * (z * z))
-    w15, w7 = wk * jac, wg * jac
-    out = [(w15, w7)]
-    for rate in rates[1:]:
-        f = _rephase(z, rate - rates[0])
-        out.append((w15 * f, w7 * f))
+        return z, _phased(z, (half * leg.half).astype(complex), np.tile(_WK, 2),
+                          np.tile(_WG, 2), rates)
+    z = leg.point(s)
+    jac = leg.deriv(s) * half
+    if leg.kind != "chirp":
+        return z, _phased(z, jac, _WK, _WG, rates)
+    e, v0, v1 = leg._v()
+    out = []
+    for rate in rates:
+        rate = rate * (e * e).real
+        ck, cg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
+        j = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
+        out.append((ck * j, cg * j))
     return z, out
+
+
+def _line_panels(z0, z1, a, b, rates=(0.0,)):
+    """_panel_nodes of many line-leg panels at once, each [a_i, b_i] of z0_i -> z1_i.
+
+    Row i holds the nodes and weights that _panel_nodes gives the panel
+    [a_i, b_i] of the line leg z0_i -> z1_i, to the last bit, whichever
+    legs the other rows come from.
+    """
+    _, half, s = _unit_nodes(a, b)
+    d = (np.asarray(z1, dtype=complex) - np.asarray(z0, dtype=complex))[:, None]
+    z = np.asarray(z0, dtype=complex)[:, None] + s * d
+    return z, _phased(z, np.broadcast_to(d, s.shape) * half, _WK, _WG, rates)
 
 
 def _evaluate(path, columns, probes, spans):
     """New panels for spans (leg, a, b), with their error estimates.
 
     Legs that share a tag and a node count share calls of `columns`, each
-    of at most _CALL_NODES nodes.  A panel's error is the largest over the
-    probes and the path's rates of min(u, (200 u)^1.5), u = |Kronrod -
-    Gauss|, for every panel of a call at once; the panel keeps every rate's
-    weights.  u is taken with hypot and the power with float_power,
-    which round as the scalar abs and ** of a panel-at-a-time loop do (the
-    vectorised complex abs and power may differ in the last bit), so the
-    refinement decisions are bit-identical to that loop.
+    of at most _CALL_NODES nodes, their line-leg panels first.  The nodes
+    and weights of those line panels are formed in one array pass from each
+    panel's own leg ends (_line_panels): on a sector path, whose legs all
+    share the empty tag, every straight leg of the round at once (a corner
+    path has nine or more).  Each other leg's panels take one _panel_nodes
+    call.  A panel's error is the largest over the probes and the path's
+    rates of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every panel of
+    a call at once; the panel keeps every rate's weights.  u is taken with
+    hypot and the power with float_power, which round as the scalar abs and
+    ** of a panel-at-a-time loop do (the vectorised complex abs and power
+    may differ in the last bit), so the refinement decisions are
+    bit-identical to that loop.
     """
+    legs = path.legs
     groups = {}
-    for i in sorted(range(len(spans)), key=lambda i: spans[i][0]):
-        leg = path.legs[spans[i][0]]
+    # in each group the line panels first, then the others by leg
+    for i in sorted(range(len(spans)),
+                    key=lambda i: (legs[spans[i][0]].kind != "line", spans[i][0])):
+        leg = legs[spans[i][0]]
         groups.setdefault((leg.tag, leg.kind == "pv"), []).append(i)
     out = [None] * len(spans)
     for (tag, _), idx in groups.items():
-        zs, ws = [], []
-        for leg_idx, g in itertools.groupby(idx, key=lambda i: spans[i][0]):
+        nl = sum(legs[spans[i][0]].kind == "line" for i in idx)
+        lines = [spans[i] for i in idx[:nl]]
+        parts = [_line_panels([legs[k].z0 for k, _, _ in lines],
+                              [legs[k].z1 for k, _, _ in lines],
+                              [a for _, a, _ in lines], [b for _, _, b in lines],
+                              path.rates)] if lines else []
+        for leg_idx, g in itertools.groupby(idx[nl:], key=lambda i: spans[i][0]):
             g = list(g)
-            z, w = _panel_nodes(path.legs[leg_idx], [spans[i][1] for i in g],
-                                [spans[i][2] for i in g], path.rates)
-            zs.append(z)
-            ws.append(w)
+            parts.append(_panel_nodes(legs[leg_idx], [spans[i][1] for i in g],
+                                      [spans[i][2] for i in g], path.rates))
         # z, and per rate (w15, w7), with one row per panel
-        z = np.concatenate(zs)
-        w = [[np.concatenate(arrs) for arrs in zip(*pairs)] for pairs in zip(*ws)]
+        z = np.concatenate([z for z, _ in parts])
+        w = [[np.concatenate(arrs) for arrs in zip(*pairs)]
+             for pairs in zip(*(w for _, w in parts))]
         per = z.shape[1]
         step = _CALL_NODES // per
         for lo in range(0, len(idx), step):

@@ -57,9 +57,11 @@ single jump is its n = 1 case; `WellSolver`, the last closed form,
 overrides the hook with its four transforms and numerators.  Within one
 evaluate_grid call every term reads its column from a memo of those rows,
 computed once per distinct node, and the sector path of each truncation
-rung is built once, whichever term tries it first.  `StepSolver` also
-overrides `_declare` for its quadrant and realline forms, which share no
-nodes between regions.
+rung is built once, whichever term tries it first.  The terms of one
+region share one truncation rung where their tails allow it, so that
+their node tables share the nodes of the whole path (ContourSolver._terms).
+`StepSolver` also overrides `_declare` for its quadrant and realline forms,
+which share no nodes between regions.
 A whole grid of x values, at every time of a call, reuses one node table
 per term, whose W and c columns are evaluated once per node while it is
 refined: the path carries one set of weights per time (ContourPath.rates),
@@ -386,11 +388,42 @@ class IntegralTerm:
 # rungs of the truncation ladder whose tails are sampled in one weight call;
 # a search that accepts a later rung samples the next block in another call
 # (most dense_x and tabulated searches of the benchmark accept the fifth or
-# sixth rung: tools/search_rungs.py)
+# sixth rung, and a search started at the rung an earlier term of its region
+# accepted clears within its first block: tools/search_rungs.py)
 _RUNGS_PER_CALL = 4
 # the largest truncation of the ladder; its first rung is 2R, so a radius
 # above _MAX_T / 2 is refused (ContourSettings)
 _MAX_T = 4000.0
+
+
+def _rung_samples(rungs, weight, xcoef, derivative):
+    """The tail samples of each (path, spec) of rungs, one list per rung.
+
+    One weight and one xcoef call per leg tag serve every rung.  With
+    derivative the m columns W of each sample get the m columns i c W, the
+    integrands of the slope, stacked under them.
+    """
+    nodes = [_tail_nodes(path, spec) for path, spec in rungs]
+    samples = _sample_tails([nd for each in nodes for nd in each], weight, xcoef)
+    if derivative:
+        samples = [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
+    samples = iter(samples)
+    return [[next(samples) for _ in each] for each in nodes]
+
+
+def _rung_tails(path, spec, samples, ts, x_offset, T, x_probe, target):
+    """(cleared, models): the tails of one rung T at the times ts.
+
+    The times are tested smallest first, where the tails decay slowest, and
+    the first whose worst estimate at x_probe exceeds target ends the test;
+    models holds the _TailModel of each time tested, None for the rest.
+    """
+    models = [None] * len(ts)
+    for k in sorted(range(len(ts)), key=ts.__getitem__):
+        models[k] = _TailModel(path, spec, samples, ts[k], x_offset, T, k)
+        if not models[k].worst(x_probe) <= target:
+            return False, models
+    return True, models
 
 
 def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
@@ -406,17 +439,19 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     t is one time or a sequence of them, one per rate of the path.
 
     The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
-    max_T.  The rungs are tested in order and the first whose tails clear
-    0.05 tolerance at x_probe at every time is returned, or else the last.
-    A rung's samples serve every time, since the weights leave the path's
-    phase out; its times are tested smallest first, where the tails decay
-    slowest, and the first that fails ends the rung.  The samples are taken
-    four rungs at a time, in one weight and one xcoef call per leg tag: a
-    call on a few nodes costs numpy's dispatch as much as one on a hundred.
-    A search accepting the fifth rung or later (most of the benchmark's
-    dense_x and tabulated searches) makes a second call per tag.  The tails
-    of rungs past the one returned are dropped.  Returns (path, tails),
-    tails the _Tails of the rung's times.
+    max_T.  Each rung is the one before times 1.6, so a search started at
+    a later rung of a ladder (ContourSolver._terms) tries that ladder's own
+    rungs from there.  The rungs are tested in order and the first whose
+    tails clear 0.05 tolerance at x_probe at every time is returned, or else
+    the last (_rung_tails).  A rung's samples serve every time, since the
+    weights leave the path's phase out; its times are tested smallest
+    first, where the tails decay slowest, and the first that fails ends the
+    rung.  The samples are taken four rungs at a time, in one weight and
+    one xcoef call per leg tag (_rung_samples): a call on a few nodes costs
+    numpy's dispatch as much as one on a hundred.  A search accepting the
+    fifth rung or later of its start makes a second call per tag.  The
+    tails of rungs past the one returned are dropped.  Returns (path,
+    tails), tails the _Tails of the rung's times.
 
     weight may return a stack of m columns, shape (m, N), that share the
     path and xcoef: one search then serves them all.  A rung clears when
@@ -428,27 +463,18 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     """
     target = 0.05 * tolerance
     ts = [float(v) for v in np.atleast_1d(t)]
-    order = sorted(range(len(ts)), key=ts.__getitem__)
     rungs = [T0]
     while len(rungs) < 22 and rungs[-1] < max_T:
         rungs.append(min(1.6 * rungs[-1], max_T))
     for start in range(0, len(rungs), _RUNGS_PER_CALL):
-        block = [(T, *builder(T)) for T in rungs[start:start + _RUNGS_PER_CALL]]
-        nodes = [_tail_nodes(path, spec) for _, path, spec in block]
-        samples = _sample_tails([nd for each in nodes for nd in each], weight, xcoef)
-        if derivative:
-            samples = [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
-        samples = iter(samples)
-        for (T, path, spec), each in zip(block, nodes):
-            taken = [next(samples) for _ in each]
-            models = [None] * len(ts)
-            for k in order:
-                models[k] = _TailModel(path, spec, taken, ts[k], x_offset, T, k)
-                if not models[k].worst(x_probe) <= target:
-                    break
-            else:
+        block = [builder(T) for T in rungs[start:start + _RUNGS_PER_CALL]]
+        taken = _rung_samples(block, weight, xcoef, derivative)
+        for T, (path, spec), samples in zip(rungs[start:], block, taken):
+            cleared, models = _rung_tails(path, spec, samples, ts, x_offset, T,
+                                          x_probe, target)
+            if cleared:
                 return path, _Tails(models)
-    return path, _Tails(m or _TailModel(path, spec, taken, ts[k], x_offset, T, k)
+    return path, _Tails(m or _TailModel(path, spec, samples, ts[k], x_offset, T, k)
                         for k, m in enumerate(models))
 
 
@@ -713,9 +739,10 @@ class ContourSolver(ContourSettings):
     _declare(region, ts) lists the region's terms at the times ts as
     (weight, xcoef, x0, builder, T0, level): the weight W(z, tag), the
     x-coefficient c(z, tag), the offset x0 of exp(i c (x - x0)), the
-    truncation builder (see choose_truncation) and the first truncation
-    tried, and the level alpha of a term whose integrand carries
-    exp(-i alpha t) (0 for none).  Region j has one term per neighbouring
+    truncation builder (see choose_truncation) and the first rung T0 of its
+    ladder, and the level alpha of a term whose integrand carries
+    exp(-i alpha t) (0 for none); terms with the same builder and T0 climb
+    one ladder (_terms).  Region j has one term per neighbouring
     jump on the fourth-quadrant sector boundary, whose weights carry
     exp(i kappa^2 t), with T0 = 2R: at its right jump x_j with c = -nu_j
     and weight -B / (2 pi), at its left jump x_{j-1} with c = +nu_j and
@@ -729,12 +756,17 @@ class ContourSolver(ContourSettings):
     honest when the tolerance is out of reach.
 
     Every term of one evaluate_grid call lies on the same sector(4, ts)
-    path, and their node tables bisect the same first panels, so most
-    nodes recur from term to term.  A weight therefore reads the rows from
-    a memo that lives for one evaluate_grid call, in which each distinct
-    node is computed once; outside a call it computes them directly.  Node
-    tables, truncations and outputs are those of computing every node
-    afresh.
+    path family, and their node tables bisect the same first panels, so
+    most nodes recur from term to term.  A weight therefore reads the rows
+    from a memo that lives for one evaluate_grid call, in which each
+    distinct node is computed once; outside a call it computes them
+    directly.  Node tables, truncations and outputs are those of computing
+    every node afresh.  The rotated leg and the chirp ray run over [R, T],
+    so only terms at the same rung share their nodes; the two terms of a
+    region are therefore put on one rung where their tails allow it
+    (_terms), which leaves each a node table of its own.  A region's terms
+    depend on nothing outside the region, so a call restricted to one
+    region gives the same bits as the whole call there.
     """
 
     _memo = None
@@ -747,9 +779,11 @@ class ContourSolver(ContourSettings):
             sides.append(("right", -1.0, pot.interfaces[region - 1]))
         if region >= 2:
             sides.append(("left", 1.0, pot.interfaces[region - 2]))
+        # one builder: the region's terms climb one ladder (see _terms)
+        builder = self.sector(4, ts)
         return [(self._weight(region, side),
                  lambda z, tag, _s=sgn: _s * nu(alpha, np.asarray(z, dtype=complex)),
-                 x0, self.sector(4, ts), 2.0 * self.radius, 0.0)
+                 x0, builder, 2.0 * self.radius, 0.0)
                 for side, sgn, x0 in sides]
 
     def _weight(self, region, side):
@@ -790,17 +824,46 @@ class ContourSolver(ContourSettings):
         """The region's terms at the time or times t, truncated for |x| up to xmax.
 
         Each term gets tolerance / (number of terms); the tails are probed at
-        the region bounds clipped to +-max(1, xmax), at every time.
+        the region bounds clipped to +-max(1, xmax), at every time.  Terms
+        that share a ladder (the same builder and first rung T0, as the
+        fourth-quadrant terms of a region do) share one truncation where
+        their tails allow it: each term's search starts at the highest rung
+        an earlier term on its ladder accepted, and a term that accepted a
+        lower rung than a later one is then lifted to that top rung when its
+        tails clear there.  The lift samples the top rung's tails, whose
+        nodes the memo holds already, and tests them as its search would
+        (_rung_samples, _rung_tails); a term whose tails do not clear there
+        keeps its own rung.  The terms then lie on one path, so their node
+        tables share the nodes of its rotated leg and chirp ray as well as
+        those of its arc and corner legs.  Each term keeps its own node
+        table, and nothing is shared with another region.
         """
         xb = max(1.0, xmax)
         specs = self._declare(region, t)
         lo, hi = self.potential.region_bounds(region)
         probes = (max(lo, -xb), min(hi, xb))
         tol = self.tolerance / len(specs)
-        out = []
+        ts = [float(v) for v in np.atleast_1d(t)]
+        # the highest rung accepted on each ladder (builder, T0); a rung's path
+        # reaches exactly its truncation
+        top = {}
+        found = []
         for W, xc, x0, builder, T0, level in specs:
+            start = top.get((builder, T0), T0)
             path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
-                                            T0, derivative=derivative)
+                                            start, derivative=derivative)
+            top[builder, T0] = path.reach()
+            found.append((path, tails))
+        out = []
+        for (W, xc, x0, builder, T0, level), (path, tails) in zip(specs, found):
+            T = top[builder, T0]
+            if path.reach() < T:
+                lifted, spec = builder(T)
+                (samples,) = _rung_samples([(lifted, spec)], W, xc, derivative)
+                cleared, models = _rung_tails(lifted, spec, samples, ts, x0, T, probes,
+                                              0.05 * tol)
+                if cleared:
+                    path, tails = lifted, _Tails(models)
             out.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
         return out
 

@@ -887,3 +887,29 @@ def test_weights_of_every_rate_are_those_of_its_own_panels():
             tol = 0.0 if leg.kind == "chirp" or k == 0 else 1e-13
             for w, want in zip(got, (c15.ravel(), c7.ravel())):
                 assert np.all(np.abs(w - want) <= tol * np.abs(want)), leg.label
+
+
+def test_line_panels_match_each_legs_panel_nodes():
+    # one pass over the panels of a corner path's straight legs, in any
+    # order, gives each panel the rows _panel_nodes gives it on its own leg
+    ts = (0.3, 0.7, 1.1, 1.9)
+    path = rotated_boundary(4, 3.0, 12.0, np.pi / 8.0, corner=1.0 / 1.9)
+    lines = [leg for leg in path.legs if leg.kind == "line"]
+    assert len(lines) >= 9
+    rng = np.random.default_rng(7)
+    spans = []
+    for leg in lines:
+        edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 3)), [1.0]])
+        spans += [(leg, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    spans = [spans[i] for i in rng.permutation(len(spans))]
+    z, rows = contours._line_panels([leg.z0 for leg, _, _ in spans],
+                                    [leg.z1 for leg, _, _ in spans],
+                                    [a for _, a, _ in spans], [b for _, _, b in spans], ts)
+    assert z.shape == (len(spans), 15) and len(rows) == len(ts)
+    for i, (leg, a, b) in enumerate(spans):
+        z1, rows1 = contours._panel_nodes(leg, [a], [b], ts)
+        assert z[i].tobytes() == z1[0].tobytes()
+        for pair, pair1 in zip(rows, rows1):
+            for w, w1 in zip(pair, pair1):
+                assert w.shape == z.shape
+                assert w[i].tobytes() == w1[0].tobytes()

@@ -150,3 +150,68 @@ def test_terms_at_one_rung_share_one_unmodified_path(monkeypatch):
     assert len(by_rung) < len(found)
     for path, legs, rates in found:
         assert path.legs == legs and path.rates == rates == (0.3, 0.9)
+
+
+def _region_terms(monkeypatch, t):
+    """(solver, [(region, terms, searches)]) of one GeneralSolver call on
+    the three-jump profile with the slope, searches the (args, kwargs,
+    (path, tails)) of each choose_truncation call the region's terms made."""
+    calls, regions = [], []
+    search = schrostep.step.choose_truncation
+    terms_of = schrostep.step.ContourSolver._terms
+
+    def spy(*args, **kwargs):
+        out = search(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    def terms_spy(self, region, *args, **kwargs):
+        first = len(calls)
+        out = terms_of(self, region, *args, **kwargs)
+        regions.append((region, out, calls[first:]))
+        return out
+
+    monkeypatch.setattr(schrostep.step, "choose_truncation", spy)
+    monkeypatch.setattr(schrostep.step.ContourSolver, "_terms", terms_spy)
+    solver = GeneralSolver(THREE, IC)
+    solver.evaluate_grid(np.linspace(-2.0, 4.0, 13), t, derivative=True)
+    return solver, regions
+
+
+def test_terms_of_a_region_end_on_its_top_rung_path(monkeypatch):
+    # searched cold (from 2R), the two terms of regions 2 and 3 accept
+    # different rungs; searched in turn, the later one starting where the
+    # earlier stopped, both end on the one path of the region's top rung
+    search = schrostep.step.choose_truncation
+    solver, regions = _region_terms(monkeypatch, 1.0)
+    assert [region for region, _, _ in regions] == [1, 2, 3, 4]
+    differ = 0
+    for region, terms, searches in regions:
+        assert len(searches) == len(terms) == (1 if region in (1, 4) else 2)
+        cold = [search(*args[:7], 2.0 * solver.radius, **kwargs)[0].reach()
+                for args, kwargs, _ in searches]
+        differ += len(set(cold)) > 1
+        assert len({id(term.path) for term in terms}) == 1
+        assert terms[0].path.reach() == max(cold)
+    assert differ == 2
+
+
+def test_a_lifted_term_has_the_tails_of_a_search_started_at_its_rung(monkeypatch):
+    search = schrostep.step.choose_truncation
+    _, regions = _region_terms(monkeypatch, 1.0)
+    xs = np.linspace(-2.0, 4.0, 25)
+    lifted = 0
+    for _, terms, searches in regions:
+        for term, (args, kwargs, (path, _)) in zip(terms, searches):
+            if term.path is path:
+                continue
+            lifted += 1
+            T = term.path.reach()
+            assert T > path.reach()
+            again, tails = search(*args[:7], T, **kwargs)
+            assert again.reach() == T and again.legs == term.path.legs
+            assert len(tails) == len(term.tails) == 1
+            for want, got in zip(tails[0].at(xs), term.tails[0].at(xs)):
+                assert got.shape == (xs.size, 2)
+                assert got.tobytes() == want.tobytes()
+    assert lifted == 2
