@@ -25,6 +25,12 @@ that loop will split; legs sharing a tag share calls of at most 480 nodes.
 The bisection itself replays the one-panel-at-a-time loop exactly (heap
 order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
+The tables of several integrands on one path (the terms of a solver call
+that ended on one truncation rung) may be refined over one PanelStore:
+each span is evaluated once, nodes and weights once, with the columns and
+panel errors of every owner whose table is still to be built, and each
+owner replays its own loop on its own errors, so every table is the one
+built alone, bit for bit.
 
 The quadrature weights of a path carry its phase exp(i rate z^2), so the
 integrand sampled at the nodes leaves the phase out.  A path has one rate
@@ -70,6 +76,7 @@ __all__ = [
     "build_node_table",
     "table_integral",
     "NodeTable",
+    "PanelStore",
 ]
 
 # Gauss-Kronrod 7-15 on [-1, 1].  Nodes and weights are the standard
@@ -480,11 +487,13 @@ _BATCH_PANELS = 64
 
 
 class _Panel:
-    __slots__ = ("leg", "a", "b", "err", "order", "nodes", "kids")
+    __slots__ = ("leg", "a", "b", "errs", "order", "nodes", "cols", "kids")
 
-    def __init__(self, leg, a, b, err, nodes):
-        self.leg, self.a, self.b, self.err = leg, a, b, err
-        self.nodes = nodes      # rows z, w15 and w7 per rate, then the caller's columns
+    def __init__(self, leg, a, b, nodes, cols, errs):
+        self.leg, self.a, self.b = leg, a, b
+        self.nodes = nodes      # rows z, then w15 and w7 per rate
+        self.cols = cols        # per owner of the store: its columns, until it is done
+        self.errs = errs        # per owner of the store: its error estimate
         self.order = None       # creation counter, set when the panel goes live
         self.kids = None        # the two halves, once evaluated
 
@@ -563,8 +572,25 @@ def _line_panels(z0, z1, a, b, rates=(0.0,)):
     return z, _phased(z, np.broadcast_to(d, s.shape) * half, _WK, _WG, rates)
 
 
-def _evaluate(path, columns, probes, spans):
-    """New panels for spans (leg, a, b), with their error estimates.
+def _errors(v, weights, n, per):
+    """Error estimate of each of n panels from the probe values v at their nodes."""
+    v = np.asarray(v, dtype=complex).reshape(-1, n, per)
+    err = None
+    for c15, c7 in weights:
+        diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
+        u = np.hypot(diff.real, diff.imag)
+        e = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0, initial=0.0)
+        err = e if err is None else np.maximum(err, e)
+    return err
+
+
+def _evaluate(path, columns, probes, spans, first=0):
+    """New panels for spans (leg, a, b), for the owners from `first` on.
+
+    columns(z, tag) returns the columns of each of those owners, a list;
+    probes holds the probe function of every owner of the store (None: the
+    columns are the probes).  A panel keeps, per owner, its columns and its
+    error estimate (None for the owners before `first`).
 
     Legs that share a tag and a node count share calls of `columns`, each
     of at most _CALL_NODES nodes, their line-leg panels first.  The nodes
@@ -572,13 +598,13 @@ def _evaluate(path, columns, probes, spans):
     panel's own leg ends (_line_panels): on a sector path, whose legs all
     share the empty tag, every straight leg of the round at once (a corner
     path has nine or more).  Each other leg's panels take one _panel_nodes
-    call.  A panel's error is the largest over the probes and the path's
-    rates of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every panel of
-    a call at once; the panel keeps every rate's weights.  u is taken with
-    hypot and the power with float_power, which round as the scalar abs and
-    ** of a panel-at-a-time loop do (the vectorised complex abs and power
-    may differ in the last bit), so the refinement decisions are
-    bit-identical to that loop.
+    call.  A panel's error is the largest over the owner's probes and the
+    path's rates of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every
+    panel of a call at once; the panel keeps every rate's weights.  u is
+    taken with hypot and the power with float_power, which round as the
+    scalar abs and ** of a panel-at-a-time loop do (the vectorised complex
+    abs and power may differ in the last bit), so the refinement decisions
+    are bit-identical to that loop.
     """
     legs = path.legs
     groups = {}
@@ -588,6 +614,7 @@ def _evaluate(path, columns, probes, spans):
         leg = legs[spans[i][0]]
         groups.setdefault((leg.tag, leg.kind == "pv"), []).append(i)
     out = [None] * len(spans)
+    none = [None] * first
     for (tag, _), idx in groups.items():
         nl = sum(legs[spans[i][0]].kind == "line" for i in idx)
         lines = [spans[i] for i in idx[:nl]]
@@ -610,54 +637,85 @@ def _evaluate(path, columns, probes, spans):
             wc = [(c15[lo:lo + step], c7[lo:lo + step]) for c15, c7 in w]
             n = zc.shape[0]
             zf = zc.ravel()
-            cols = np.asarray(columns(zf, tag), dtype=complex).reshape(-1, zf.size)
-            v = cols if probes is None else np.asarray(probes(zf, cols), dtype=complex)
-            v = v.reshape(-1, n, per)
-            block = np.concatenate([zc[None]] + [c[None] for pair in wc for c in pair]
-                                   + [cols.reshape(-1, n, per)])
-            err = None
-            for c15, c7 in wc:
-                diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
-                u = np.hypot(diff.real, diff.imag)
-                e = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0,
-                           initial=0.0)
-                err = e if err is None else np.maximum(err, e)
+            cols = [np.asarray(c, dtype=complex).reshape(-1, zf.size)
+                    for c in columns(zf, tag)]
+            errs = [_errors(c if f is None else f(zf, c), wc, n, per)
+                    for c, f in zip(cols, probes[first:])]
+            cols = [c.reshape(-1, n, per) for c in cols]
+            block = np.concatenate([zc[None]] + [c[None] for pair in wc for c in pair])
             for j in range(n):
                 leg_idx, a, b = spans[idx[lo + j]]
-                out[idx[lo + j]] = _Panel(leg_idx, a, b, err[j], block[:, j].copy())
+                out[idx[lo + j]] = _Panel(leg_idx, a, b, block[:, j].copy(),
+                                          none + [c[:, j].copy() for c in cols],
+                                          none + [e[j] for e in errs])
     return out
 
 
-def _next_to_split(heap, worst, total, n_alive, tolerance, max_panels):
+class PanelStore:
+    """The evaluated panels of one path, shared by the node tables of its owners.
+
+    Integrands on one path (the terms of a solver call that ended on one
+    truncation rung) bisect the same first panels, so their node tables
+    would evaluate many spans alike.  A store evaluates each span once, for
+    every owner that still has its table to build: the nodes and weights
+    once, and per owner its columns and its panel error.  columns(z, tag,
+    owners) returns the columns of each owner in the range `owners` at a
+    batch of nodes of one leg, a list, and probes holds each owner's probe
+    function (None: its columns are its probes).
+
+    Owner i builds its table with build_node_table(path, ..., store=(store,
+    i)), the owners one after another in index order.  Each runs its own
+    worst-first loop on its own errors, tolerance and budget; only the
+    halves of a panel (_Panel.kids), evaluated by whichever owner first
+    splits it, are shared, so every table is the one a build of its own
+    gives.  An owner drops its columns of a panel when it splits it or
+    takes it into its table, and the last owner drops the whole panel when
+    it splits it, as a build of its own does.
+    """
+
+    def __init__(self, path, columns, probes):
+        self.path = path
+        self.columns = columns
+        self.probes = list(probes)
+        self.roots = None
+
+    def evaluate(self, spans, owner):
+        """Panels for spans, for owner and every owner after it."""
+        owners = range(owner, len(self.probes))
+        return _evaluate(self.path, lambda z, tag: self.columns(z, tag, owners),
+                         self.probes, spans, owner)
+
+
+def _next_to_split(heap, worst, total, n_alive, tolerance, max_panels, owner):
     """Panels the refinement will split next whose children are missing.
 
-    Runs the worst-first loop ahead on the errors already known, counting
-    every child not yet evaluated as error-free, and collects up to
-    _BATCH_PANELS panels it splits without known children.  `worst`, just
-    popped from the heap, comes first.
+    Runs owner's worst-first loop ahead on the errors already known,
+    counting every child not yet evaluated as error-free, and collects up
+    to _BATCH_PANELS panels it splits without known children.  `worst`,
+    just popped from the heap, comes first.
     """
     out = [worst]
-    total -= worst.err
+    total -= worst.errs[owner]
     n_alive += 1
     seq = itertools.count()
     front = [(heap[0][0], next(seq), 0, heap[0][2])] if heap else []
     while (front and len(out) < _BATCH_PANELS and total > tolerance
            and n_alive < max_panels):
         _, _, i, p = heapq.heappop(front)
-        if p.err <= 1e-18:
+        if p.errs[owner] <= 1e-18:
             break
         if i is not None:
             for c in (2 * i + 1, 2 * i + 2):
                 if c < len(heap):
                     heapq.heappush(front, (heap[c][0], next(seq), c, heap[c][2]))
-        total -= p.err
+        total -= p.errs[owner]
         n_alive += 1
         if p.kids is None:
             out.append(p)
             continue
         for kid in p.kids:
-            total += kid.err
-            heapq.heappush(front, (-kid.err, next(seq), None, kid))
+            total += kid.errs[owner]
+            heapq.heappush(front, (-kid.errs[owner], next(seq), None, kid))
     return out
 
 
@@ -669,7 +727,8 @@ def _halves(panels):
     return spans
 
 
-def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
+def build_node_table(path, columns, tolerance, max_panels=2000, probes=None,
+                     store=None):
     """Adaptively panel `path` until every probe integrand converges.
 
     columns(z, tag) evaluates what the caller needs at a batch of nodes of
@@ -681,6 +740,12 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     the probes' resolution needs can be summed against it with
     table_integral.
 
+    store = (PanelStore, i) builds the table of owner i of a store on path,
+    whose columns and probes of owner i are then those evaluated (columns
+    and probes must agree with them): spans an earlier owner evaluated are
+    not evaluated again, and the spans this build evaluates are evaluated
+    for every later owner too.  The table is the one the build gives alone.
+
     Refinement bisects the worst panel first.  Children are evaluated ahead
     of need, a batch at a time (_next_to_split), and kept on their parents
     until the loop below reaches them, so the panels chosen are exactly
@@ -688,58 +753,67 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
     times the tolerance, on max_panels or on the 1e-18 per-panel floor, or
     whose error is NaN, raises QuadratureError.
     """
+    if store is None:
+        store, me = PanelStore(path, lambda z, tag, owners: [columns(z, tag)],
+                               [probes]), 0
+    else:
+        store, me = store
+    last = me == len(store.probes) - 1
     heap = []
     counter = 0
-
-    def evaluate(spans):
-        return _evaluate(path, columns, probes, spans)
 
     def push(p):
         nonlocal counter
         p.order = counter
-        heapq.heappush(heap, (-p.err, counter, p))
+        heapq.heappush(heap, (-p.errs[me], counter, p))
         counter += 1
 
-    initial = []
-    for leg_idx, leg in enumerate(path.legs):
-        bps = [0.0] + sorted(set(leg.splits)) + [1.0]
-        initial += [(leg_idx, a, b) for a, b in zip(bps, bps[1:])]
-    panels = evaluate(initial)
+    if store.roots is None:
+        initial = []
+        for leg_idx, leg in enumerate(path.legs):
+            bps = [0.0] + sorted(set(leg.splits)) + [1.0]
+            initial += [(leg_idx, a, b) for a, b in zip(bps, bps[1:])]
+        store.roots = store.evaluate(initial, me)
+    panels = store.roots
     for p in panels:
         push(p)
 
-    total = sum(p.err for p in panels)
+    total = sum(p.errs[me] for p in panels)
     n_alive = len(panels)
 
     while total > tolerance and n_alive < max_panels:
         _, _, worst = heapq.heappop(heap)
-        if worst.err <= 1e-18:
-            heapq.heappush(heap, (-worst.err, counter, worst))
+        if worst.errs[me] <= 1e-18:
+            heapq.heappush(heap, (-worst.errs[me], counter, worst))
             break
         if worst.kids is None:
             batch = _next_to_split(heap, worst, total, n_alive, tolerance,
-                                   max_panels)
+                                   max_panels, me)
             try:
-                kids = evaluate(_halves(batch))
+                kids = store.evaluate(_halves(batch), me)
             except Exception:
                 # a panel evaluated only ahead of need failed; let the one
                 # the loop needs now decide
                 batch = [worst]
-                kids = evaluate(_halves(batch))
+                kids = store.evaluate(_halves(batch), me)
             for i, p in enumerate(batch):
                 p.kids = kids[2 * i:2 * i + 2]
-        total -= worst.err
+        total -= worst.errs[me]
         n_alive -= 1
         for kid in worst.kids:
             push(kid)
-            total += kid.err
+            total += kid.errs[me]
             n_alive += 1
-        worst.kids = worst.nodes = None
+        # this owner is done with the panel, and after the last one so is
+        # everybody
+        worst.cols[me] = None
+        if last:
+            worst.kids = worst.nodes = None
 
     final = sorted((entry[2] for entry in heap), key=lambda p: p.order)
-    err = sum(p.err for p in final)
+    err = sum(p.errs[me] for p in final)
     if not err <= 50.0 * max(tolerance, 1e-300):
-        worst = max(final, key=lambda p: p.err)
+        worst = max(final, key=lambda p: p.errs[me])
         leg = path.legs[worst.leg]
         raise QuadratureError(
             "quadrature failure on leg {} ({}): error {:.3e} after {} panels".format(
@@ -748,10 +822,14 @@ def build_node_table(path, columns, tolerance, max_panels=2000, probes=None):
 
     final.sort(key=lambda p: (p.leg, p.a))
     nodes = np.concatenate([p.nodes for p in final], axis=1)
+    cols = np.concatenate([p.cols[me] for p in final], axis=1)
     sizes = [p.nodes.shape[1] for p in final]
+    for p in final:
+        # the table holds its own copy
+        p.cols[me] = None
     pid = np.repeat(np.arange(len(final)), sizes)
     nw = 1 + 2 * len(path.rates)
-    return NodeTable(z=nodes[0], w15=nodes[1:nw:2], w7=nodes[2:nw:2], cols=nodes[nw:],
+    return NodeTable(z=nodes[0], w15=nodes[1:nw:2], w7=nodes[2:nw:2], cols=cols,
                      panel=pid, spans=[(p.leg, p.a, p.b) for p in final],
                      sign=path.sign, n_panels=len(final), error=err,
                      rates=tuple(path.rates))

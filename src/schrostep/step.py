@@ -59,7 +59,9 @@ evaluate_grid call every term reads its column from a memo of those rows,
 computed once per distinct node, and the sector path of each truncation
 rung is built once, whichever term tries it first.  The terms of one
 region share one truncation rung where their tails allow it, so that
-their node tables share the nodes of the whole path (ContourSolver._terms).
+their node tables share the nodes of the whole path (ContourSolver._terms),
+and the tables of all terms on one path, of any region, are refined over
+one store of evaluated panels, so that each panel is evaluated once.
 `StepSolver` also overrides `_declare` for its quadrant and realline forms,
 which share no nodes between regions.
 A whole grid of x values, at every time of a call, reuses one node table
@@ -86,8 +88,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .contours import (Leg, QuadratureError, build_node_table, deform_to_real_line,
-                       rotated_boundary, table_integral)
+from .contours import (Leg, PanelStore, QuadratureError, build_node_table,
+                       deform_to_real_line, rotated_boundary, table_integral)
 from .kernels import SolutionSample, nu
 from .transforms import free_term, hat_transform
 
@@ -385,6 +387,34 @@ class IntegralTerm:
         return np.exp(-1j * self.level * t) * v if self.level else v
 
 
+class _InterfaceWeight:
+    """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
+
+    The rows B come from ContourSolver._rows: the call's node memo within an
+    evaluate_grid call.  `of` takes the weight from rows already looked up.
+    """
+
+    def __init__(self, solver, col, sgn):
+        self.solver, self.col, self.sgn = solver, col, sgn
+
+    def __call__(self, z, tag):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        return self.of(self.solver._rows(z, self.col))
+
+    def of(self, B):
+        return self.sgn * B[:, self.col] / _TWO_PI
+
+
+class _Nu:
+    """x-coefficient sgn nu(alpha, z) of a term."""
+
+    def __init__(self, alpha, sgn):
+        self.alpha, self.sgn = alpha, sgn
+
+    def __call__(self, z, tag):
+        return self.sgn * nu(self.alpha, np.asarray(z, dtype=complex))
+
+
 # rungs of the truncation ladder whose tails are sampled in one weight call;
 # a search that accepts a later rung samples the next block in another call
 # (most dense_x and tabulated searches of the benchmark accept the fifth or
@@ -502,6 +532,72 @@ def build_with_retry(build, tolerance):
         return build(tolerance * 1e4)
 
 
+def _term_tolerance(tolerance, n):
+    """Tolerance of each of n terms' node tables.
+
+    choose_truncation accepts tails up to 0.05 of a term's share of the
+    tolerance; its table gets the rest, so that the two stay within it.
+    """
+    return 0.95 * tolerance / max(1, n)
+
+
+def _term_probes(term, xs):
+    """probes(z, cols) of a term's node table, for its sum over xs.
+
+    The integrands at three probe points of xs, from the columns (W, c):
+    W exp(i c (x - x0)) and, with the slope, i c W exp(i c (x - x0)).
+    """
+    off = term.x_offset
+    probe_xs = sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])})
+
+    def probes(z, cols):
+        W, C = cols
+        out = [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
+        if term.derivative:
+            out += [1j * C * f for f in out]
+        return out
+    return probes
+
+
+def _term_table(term, probes, tolerance, max_panels, store=None):
+    """The node table of a term, with the columns (W, c) at every node.
+
+    store, (PanelStore, owner), serves the first build; the retry at
+    tolerance * 1e4 (build_with_retry) builds alone.
+    """
+    def columns(z, tag):
+        return np.stack((term.weight(z, tag), term.xcoef(z, tag)))
+
+    return build_with_retry(
+        lambda tol: build_node_table(term.path, columns, tol, max_panels=max_panels,
+                                     probes=probes,
+                                     store=store if tol == tolerance else None),
+        tolerance)
+
+
+def _term_sum(term, table, xs):
+    """(values, errors) of a term at xs, every time, from its node table.
+
+    Each of shape (times, columns, x): the column psi, then with the slope
+    psi_x.  One table_integral call sums every column at every x and every
+    time, the slope as the stacked column i c W; each time's tail
+    corrections and estimates come from one _TailModel.at call over all x
+    and all columns, and a term with a level takes exp(-i level t) on its
+    sums and corrections.
+    """
+    W, C = table.cols
+    W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
+    sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
+    vals = np.empty(sums.shape, dtype=complex)
+    errs = np.empty(sums.shape)
+    for k, tails in enumerate(term.tails):
+        # each (x, columns), the layout of a stacked model
+        corr, tail = tails.at(xs)
+        vals[k] = term.damp(tails.t, sums[k] + corr.T)
+        errs[k] = sum_errs[k] + tail.T
+    return vals, errs
+
+
 def eval_terms(terms, xs, tolerance, max_panels=2000):
     """Sum the integral terms over a batch of x values, at every time.
 
@@ -509,18 +605,17 @@ def eval_terms(terms, xs, tolerance, max_panels=2000):
     their slope flag (IntegralTerm.derivative), set when the truncation
     search stacked the slope into their tails.  Returns (values, errors),
     each of shape (times, columns, x): the column psi, then with the slope
-    psi_x.  Every term builds one node table from three probe points,
-    evaluating W and c once per node, refined to 0.95 of the term's share
-    of the tolerance (its tails take up to 0.05, see choose_truncation)
-    until every column converges at each of them and at every rate: W
-    exp(i c (x - x0)) and, with the slope, i c W exp(i c (x - x0)) (the
-    value integrands alone left psi_x_error at 2.3e-6 on a three-jump
-    profile at tolerance 1e-8).  It then sums every column at every x and
-    every time in one table_integral call, the slope as the stacked column
-    i c W (see table_integral for its tiles and phase tables).  Each time's
-    tail corrections and estimates come from one _TailModel.at call over
-    all x and all columns, and a term with a level takes exp(-i level t) on
-    its sums and corrections.
+    psi_x.  Every term builds one node table of its own from three probe
+    points, evaluating W and c once per node, refined to 0.95 of the
+    term's share of the tolerance (its tails take up to 0.05, see
+    choose_truncation) until every column converges at each of them and at
+    every rate: W exp(i c (x - x0)) and, with the slope, i c W
+    exp(i c (x - x0)) (the value integrands alone left psi_x_error at
+    2.3e-6 on a three-jump profile at tolerance 1e-8).  It then sums the
+    term over the table (_term_sum; see table_integral for its tiles and
+    phase tables) and drops the table before the next term builds its own.
+    ContourSolver._solve builds the same tables and sums, over a panel
+    store per path.
 
     A table that stops above 50 times its target raises QuadratureError
     (build_node_table); build_with_retry then tries tolerance * 1e4 once.
@@ -529,63 +624,43 @@ def eval_terms(terms, xs, tolerance, max_panels=2000):
     shape = (len(terms[0].tails), 1 + terms[0].derivative) + xs.shape
     vals = np.zeros(shape, dtype=complex)
     errs = np.zeros(shape, dtype=float)
-    # choose_truncation accepts tails up to 0.05 of a term's share of the
-    # tolerance; its table gets the rest, so that the two stay within it
-    tol_term = 0.95 * tolerance / max(1, len(terms))
+    tol = _term_tolerance(tolerance, len(terms))
     for term in terms:
-        off = term.x_offset
-        probe_xs = sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])})
-
-        def columns(z, tag):
-            return np.stack((term.weight(z, tag), term.xcoef(z, tag)))
-
-        def probes(z, cols):
-            W, C = cols
-            out = [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
-            if term.derivative:
-                out += [1j * C * f for f in out]
-            return out
-
-        table = build_with_retry(
-            lambda tol: build_node_table(term.path, columns, tol,
-                                         max_panels=max_panels, probes=probes),
-            tol_term)
-        W, C = table.cols
-        W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
-        sums, sum_errs = table_integral(table, W, C, xs - off)
-        for k, tails in enumerate(term.tails):
-            # each (x, columns), the layout of a stacked model
-            corr, tail = tails.at(xs)
-            vals[k] += term.damp(tails.t, sums[k] + corr.T)
-            errs[k] += sum_errs[k] + tail.T
+        table = _term_table(term, _term_probes(term, xs), tol, max_panels)
+        v, e = _term_sum(term, table, xs)
         # otherwise this table lives on while the next term builds its own
-        del table, W, C, sums, sum_errs
+        del table
+        vals += v
+        errs += e
     return vals, errs
 
 
 class _NodeMemo:
     """Interface data at the contour nodes of one evaluate_grid call.
 
-    Nodes are looked up by their exact bits.  No node repeats within one
-    term, so a lookup searches only the sorted keys of the terms before it;
-    the nodes a term computes are merged in once, when the next term asks.
-    The data rows stay in the order they were computed, and the index holds
-    each sorted key's row.  The memo keeps no reference to the solver,
-    which passes it the function that computes the rows it misses.
+    Nodes are looked up by their exact bits, each lookup under a key: a
+    term's column while it samples its tails or builds alone, or a panel
+    store, which evaluates every span once for all its owners.  No node
+    repeats within one key, so a lookup searches only the sorted nodes of
+    the keys before it; the nodes looked up under a key are merged in once,
+    when a lookup under another key comes.  The data rows stay in the order
+    they were computed, and the index holds each sorted key's row.  The memo
+    keeps no reference to the solver, which passes it the function that
+    computes the rows it misses.
     """
 
     def __init__(self):
         self.keys = np.empty(0, dtype=complex)
         self.rows = np.empty(0, dtype=np.intp)
         self.data = None
-        self.term = None
+        self.key = None
         self.new = []
 
-    def lookup(self, z, term, compute):
+    def lookup(self, z, key, compute):
         """compute(z), computing only the rows of nodes not seen before."""
-        if term != self.term:
+        if key != self.key:
             self._merge()
-            self.term = term
+            self.key = key
         z = np.ascontiguousarray(z)
         hit = np.zeros(z.shape, dtype=bool)
         if self.keys.size:
@@ -760,13 +835,19 @@ class ContourSolver(ContourSettings):
     most nodes recur from term to term.  A weight therefore reads the rows
     from a memo that lives for one evaluate_grid call, in which each
     distinct node is computed once; outside a call it computes them
-    directly.  Node tables, truncations and outputs are those of computing
-    every node afresh.  The rotated leg and the chirp ray run over [R, T],
-    so only terms at the same rung share their nodes; the two terms of a
-    region are therefore put on one rung where their tails allow it
-    (_terms), which leaves each a node table of its own.  A region's terms
-    depend on nothing outside the region, so a call restricted to one
-    region gives the same bits as the whole call there.
+    directly.  The rotated leg and the chirp ray run over [R, T], so only
+    terms at the same rung share their nodes; the two terms of a region
+    are therefore put on one rung where their tails allow it (_terms).  The
+    call searches the truncations of every region before it builds any
+    table, and the terms that ended on one path, of any region, refine
+    their tables over one panel store (contours.PanelStore, _sums): each
+    span is evaluated once, for every term still to build on the path,
+    from one memo lookup of the rows per batch, sliced per term, with one
+    nu per level.  Each term keeps a node table of its own, built and
+    summed before the next.  Node tables, truncations and outputs are those
+    of every term computing every node afresh.  A region's terms depend on
+    nothing outside the region, so a call restricted to one region gives
+    the same bits as the whole call there.
     """
 
     _memo = None
@@ -781,9 +862,8 @@ class ContourSolver(ContourSettings):
             sides.append(("left", 1.0, pot.interfaces[region - 2]))
         # one builder: the region's terms climb one ladder (see _terms)
         builder = self.sector(4, ts)
-        return [(self._weight(region, side),
-                 lambda z, tag, _s=sgn: _s * nu(alpha, np.asarray(z, dtype=complex)),
-                 x0, builder, 2.0 * self.radius, 0.0)
+        return [(self._weight(region, side), _Nu(alpha, sgn), x0, builder,
+                 2.0 * self.radius, 0.0)
                 for side, sgn, x0 in sides]
 
     def _weight(self, region, side):
@@ -792,15 +872,39 @@ class ContourSolver(ContourSettings):
         The integrand is -+exp(i kappa^2 t) B / (2 pi); the quadrature
         weights of the sector(4, ts) path carry exp(i kappa^2 t).
         """
-        sgn = -1.0 if side == "right" else 1.0
-        col = 2 * region - 2 if side == "right" else 2 * region - 3
+        if side == "right":
+            return _InterfaceWeight(self, 2 * region - 2, -1.0)
+        return _InterfaceWeight(self, 2 * region - 3, 1.0)
 
-        def W(z, tag):
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            B = self._interface_data(z) if self._memo is None else \
-                self._memo.lookup(z, col, self._interface_data)
-            return sgn * B[:, col] / _TWO_PI
-        return W
+    def _rows(self, z, key):
+        """The interface data at the nodes z, from the call's node memo under key.
+
+        Outside an evaluate_grid call they are computed directly.
+        """
+        if self._memo is None:
+            return self._interface_data(z)
+        return self._memo.lookup(z, key, self._interface_data)
+
+    def _store_columns(self, terms):
+        """columns(z, tag, owners) of a PanelStore of interface terms.
+
+        For a batch of nodes: one lookup of the rows B in the memo, under a
+        key of the store's own, one nu per level, and each owner's columns
+        (W, c) taken from them as its weight and x-coefficient take them.
+        """
+        key = object()
+
+        def columns(z, tag, owners):
+            B = self._rows(z, key)
+            nus = {}
+            out = []
+            for i in owners:
+                W, c = terms[i].weight, terms[i].xcoef
+                if c.alpha not in nus:
+                    nus[c.alpha] = nu(c.alpha, z)
+                out.append(np.stack((W.of(B), c.sgn * nus[c.alpha])))
+            return out
+        return columns
 
     def _interface_data(self, z):
         """Interface combination B of every term, shape (N, 2n).
@@ -912,6 +1016,9 @@ class ContourSolver(ContourSettings):
         self._memo = _NodeMemo()
         self._paths = {}
         try:
+            # every region's terms before any table, so that the terms that
+            # ended on one path share its panel store (_sums)
+            parts = []
             for j in np.unique(regions):
                 idx = np.where(regions == j)[0]
                 sub = xs[idx]
@@ -919,9 +1026,11 @@ class ContourSolver(ContourSettings):
                 T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
                 chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
-                vals, errs = eval_terms(terms, sub, self.tolerance,
-                                        max_panels=panel_budget(
-                                            0.0 if chirped else live[-1], xspan, T))
+                parts.append((idx, sub, terms, panel_budget(
+                    0.0 if chirped else live[-1], xspan, T)))
+            for (idx, sub, _, _), sums in zip(parts, self._sums(parts)):
+                # the terms' sums added in term order, as eval_terms adds them
+                vals, errs = (sum(a) for a in zip(*sums))
                 for k, t in enumerate(live):
                     # value, error, then psi_x and its error with the slope
                     cols = [c for v, e in zip((F[k][:, idx] + vals[k]).tolist(),
@@ -931,6 +1040,39 @@ class ContourSolver(ContourSettings):
         finally:
             del self._memo, self._paths
         return rows
+
+    def _sums(self, parts):
+        """(values, errors) of every term of parts, [(idx, xs, terms, budget)].
+
+        One list per part, one pair per term, as _term_sum gives them.  The
+        terms that ended on one path (only the interface terms of
+        ContourSolver._declare share paths) are the owners of one
+        PanelStore, in order of their parts and terms, and the tables are
+        built path by path; a term alone on its path builds alone.  Each
+        table is summed as soon as it is built and dropped before the next
+        is built, and a store is dropped after its last owner, when the next
+        path's store takes its name.
+        """
+        out = [[None] * len(terms) for _, _, terms, _ in parts]
+        paths = {}
+        for p, (_, _, terms, _) in enumerate(parts):
+            for i, term in enumerate(terms):
+                paths.setdefault(id(term.path), []).append((p, i))
+        for owners in paths.values():
+            terms = [parts[p][2][i] for p, i in owners]
+            probes = [_term_probes(term, parts[p][1])
+                      for (p, _), term in zip(owners, terms)]
+            store = PanelStore(terms[0].path, self._store_columns(terms), probes) \
+                if len(owners) > 1 else None
+            for k, (p, i) in enumerate(owners):
+                _, xs, region_terms, budget = parts[p]
+                table = _term_table(terms[k], probes[k],
+                                    _term_tolerance(self.tolerance, len(region_terms)),
+                                    budget, store=None if store is None else (store, k))
+                out[p][i] = _term_sum(terms[k], table, xs)
+                # otherwise this table lives on while the next term builds its own
+                del table
+        return out
 
 
 class StepSolver(ContourSolver):

@@ -12,9 +12,17 @@ builds is listed, one line per leg label that holds panels:
     workload  request  kind  table  leg label  panels  nodes
 
 A table whose build raised (an exhausted panel budget, before the retry)
-has no line.  Each workload ends with its totals per leg label and the
-share of its panels on chirp legs, the oscillatory rays of the sector
-paths (the imaginary leg of quadrant 4, the real legs of quadrants 3 and 1).
+has no line.  Each request then has one line on the panels evaluated to
+build its tables (contours._evaluate), which the tables of the terms on one
+path share (contours.PanelStore):
+
+    workload  request  kind  evaluated  panels  distinct (path, span)  calls
+
+panels counts every span evaluated, distinct the (path, span) pairs among
+them, calls the _evaluate calls.  Each workload ends with its totals per
+leg label, the share of its panels on chirp legs, the oscillatory rays of
+the sector paths (the imaginary leg of quadrant 4, the real legs of
+quadrants 3 and 1), and the evaluated totals.
 """
 
 import argparse
@@ -49,23 +57,35 @@ def per_leg(path, table):
 
 
 def serve(req, workdir):
-    """[(path, table)] of every node table that serving req built."""
-    tables = []
+    """([(path, table)], [(id(path), spans)]) of serving req.
+
+    The node tables it built, and the spans of each _evaluate call.
+    """
+    tables, evaluated = [], []
     build = schrostep.contours.build_node_table
+    evaluate = schrostep.contours._evaluate
 
     def spy(path, *args, **kwargs):
         table = build(path, *args, **kwargs)
         tables.append((path, table))
         return table
 
+    def spy_evaluate(path, columns, probes, spans, *args):
+        evaluated.append((path, list(spans)))
+        return evaluate(path, columns, probes, spans, *args)
+
     for mod in _CALLERS:
         mod.build_node_table = spy
+    schrostep.contours._evaluate = spy_evaluate
     try:
         sample_digest.digest(req, workdir)
     finally:
         for mod in _CALLERS:
             mod.build_node_table = build
-    return tables
+        schrostep.contours._evaluate = evaluate
+    # the paths are alive until here, so their ids tell them apart
+    evaluated = [(id(path), spans) for path, spans in evaluated]
+    return tables, evaluated
 
 
 def main(argv):
@@ -76,9 +96,11 @@ def main(argv):
         for workload in WORKLOADS:
             panels, nodes = Counter(), Counter()
             chirp = 0
+            work = Counter()
             for i, req in enumerate(make_requests(workload, args.seed)):
                 kind = req["command"] if req["kind"] == "cli" else req["kind"]
-                for k, (path, table) in enumerate(serve(req, Path(tmp))):
+                tables, evaluated = serve(req, Path(tmp))
+                for k, (path, table) in enumerate(tables):
                     chirp += sum(path.legs[leg].kind == "chirp"
                                  for leg, _, _ in table.spans)
                     for label, (p, n) in per_leg(path, table).items():
@@ -86,6 +108,11 @@ def main(argv):
                             workload, i, kind, k, label, p, n))
                         panels[label] += p
                         nodes[label] += n
+                spans = [(key, span) for key, each in evaluated for span in each]
+                done = (len(spans), len(set(spans)), len(evaluated))
+                print("{}\t{}\t{}\tevaluated\t{}\t{}\t{}".format(
+                    workload, i, kind, *done))
+                work.update(dict(zip(("panels", "distinct", "calls"), done)))
             for label in panels:
                 print("{}\ttotal\t\t\t{}\t{}\t{}".format(
                     workload, label, panels[label], nodes[label]))
@@ -93,6 +120,8 @@ def main(argv):
             print("{}\ttotal\t\t\tall legs\t{}\t{}\t({:.0%} of panels on chirp "
                   "legs)".format(workload, total, sum(nodes.values()),
                                  chirp / max(total, 1)))
+            print("{}\ttotal\t\tevaluated\t{}\t{}\t{}".format(
+                workload, work["panels"], work["distinct"], work["calls"]))
     return 0
 
 
