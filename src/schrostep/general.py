@@ -23,8 +23,11 @@ every term from the unknowns and the nus that solve_unknowns returns: two
 columns per jump x_l, the term of region l there and then that of region
 l + 1.  The single jump is the n = 1 case, so StepSolver's d4 form runs
 the same code; WellSolver's numerators are the last closed form.  The rows do not depend on the
-region, so within one evaluate_grid call every term reads its column from
-the call's node memo and solve_unknowns runs once per distinct node.  The
+region, so within one evaluate_grid call the terms on one path read their
+columns from the rows its panel store computes once per span, and
+solve_unknowns runs at most once per node for each rung path that
+evaluates it (the tails' samples, once per call, through the call's node
+memo).  The
 terms themselves (one per neighbouring jump of a region j,
 x-coefficient -nu_j at the right jump x_j or +nu_j at the left jump
 x_{j-1}, on the fourth-quadrant sector boundary), truncation, node tables,

@@ -55,13 +55,17 @@ built from the unknowns of the interface system (`general.solve_unknowns`),
 which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
 single jump is its n = 1 case; `WellSolver`, the last closed form,
 overrides the hook with its four transforms and numerators.  Within one
-evaluate_grid call every term reads its column from a memo of those rows,
-computed once per distinct node, and the sector path of each truncation
-rung is built once, whichever term tries it first.  The terms of one
-region share one truncation rung where their tails allow it, so that
-their node tables share the nodes of the whole path (ContourSolver._terms),
-and the tables of all terms on one path, of any region, are refined over
-one store of evaluated panels, so that each panel is evaluated once.
+evaluate_grid call the sector path of each truncation rung is built once,
+whichever term tries it first.  The terms of one region share one
+truncation rung where their tails allow it, so that their node tables
+share the nodes of the whole path (ContourSolver._terms), and the tables
+of all terms on one path, of any region, are refined over one store of
+evaluated panels, which computes the rows of each span once for all of
+them.  What a term's weight asks for itself (tail samples, a table alone
+on its path) reads the rows from a memo of the call.  A node is so solved
+at most once per rung path that evaluates it, and a tail sample once per
+call: only the arc and corner legs, which every rung shares, can repeat,
+when regions end on different rungs.
 `StepSolver` also overrides `_declare` for its quadrant and realline forms,
 which share no nodes between regions.
 A whole grid of x values, at every time of a call, reuses one node table
@@ -390,8 +394,10 @@ class IntegralTerm:
 class _InterfaceWeight:
     """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
 
-    The rows B come from ContourSolver._rows: the call's node memo within an
-    evaluate_grid call.  `of` takes the weight from rows already looked up.
+    A call of the weight itself (tail samples, a table alone on its path,
+    the retry) reads B through ContourSolver._rows: the call's node memo
+    within an evaluate_grid call.  `of` takes the weight from rows B given,
+    as a panel store's batch computes them for all its owners.
     """
 
     def __init__(self, solver, col, sgn):
@@ -399,7 +405,7 @@ class _InterfaceWeight:
 
     def __call__(self, z, tag):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self.of(self.solver._rows(z, self.col))
+        return self.of(self.solver._rows(z))
 
     def of(self, B):
         return self.sgn * B[:, self.col] / _TWO_PI
@@ -636,62 +642,44 @@ def eval_terms(terms, xs, tolerance, max_panels=2000):
 
 
 class _NodeMemo:
-    """Interface data at the contour nodes of one evaluate_grid call.
+    """Interface data at the nodes a term's own weight asks for in one call.
 
-    Nodes are looked up by their exact bits, each lookup under a key: a
-    term's column while it samples its tails or builds alone, or a panel
-    store, which evaluates every span once for all its owners.  No node
-    repeats within one key, so a lookup searches only the sorted nodes of
-    the keys before it; the nodes looked up under a key are merged in once,
-    when a lookup under another key comes.  The data rows stay in the order
-    they were computed, and the index holds each sorted key's row.  The memo
-    keeps no reference to the solver, which passes it the function that
-    computes the rows it misses.
+    Those are the tail samples of every search and lift, the table of a
+    term alone on its path and the tolerance * 1e4 retry (_InterfaceWeight);
+    the batches of a panel store compute their rows directly
+    (ContourSolver._store_columns).  Nodes are looked up by their exact
+    bits in a sorted index: a lookup computes the rows of the nodes it
+    misses and merges them in at once, data sorted as the nodes are.  The
+    memo keeps no reference to the solver, which passes it the function
+    that computes the rows.
     """
 
     def __init__(self):
         self.keys = np.empty(0, dtype=complex)
-        self.rows = np.empty(0, dtype=np.intp)
         self.data = None
-        self.key = None
-        self.new = []
 
-    def lookup(self, z, key, compute):
+    def lookup(self, z, compute):
         """compute(z), computing only the rows of nodes not seen before."""
-        if key != self.key:
-            self._merge()
-            self.key = key
         z = np.ascontiguousarray(z)
         hit = np.zeros(z.shape, dtype=bool)
         if self.keys.size:
             pos = np.minimum(np.searchsorted(self.keys, z), self.keys.size - 1)
             hit = np.all(self.keys[pos].view(np.uint64).reshape(-1, 2)
                          == z.view(np.uint64).reshape(-1, 2), axis=1)
-        if not np.any(hit):
-            out = compute(z)
-            self.new.append((z, out))
-            return out
-        out = np.empty((z.size,) + self.data.shape[1:], dtype=complex)
-        out[hit] = self.data[self.rows[pos[hit]]]
-        if not np.all(hit):
-            zm = z[~hit]
-            out[~hit] = computed = compute(zm)
-            self.new.append((zm, computed))
+        if z.size and np.all(hit):
+            return self.data[pos]
+        zm = z[~hit]
+        out = computed = compute(zm)
+        if np.any(hit):
+            out = np.empty((z.size,) + computed.shape[1:], dtype=complex)
+            out[hit] = self.data[pos[hit]]
+            out[~hit] = computed
+        order = np.argsort(zm)
+        at = np.searchsorted(self.keys, zm[order])
+        self.keys = np.insert(self.keys, at, zm[order])
+        self.data = computed[order] if self.data is None else \
+            np.insert(self.data, at, computed[order], axis=0)
         return out
-
-    def _merge(self):
-        if not self.new:
-            return
-        zs, datas = zip(*self.new)
-        if self.data is not None:
-            datas = (self.data,) + datas
-        z = np.concatenate(zs)
-        order = np.argsort(z)
-        at = np.searchsorted(self.keys, z[order])
-        self.rows = np.insert(self.rows, at, self.keys.size + order)
-        self.keys = np.insert(self.keys, at, z[order])
-        self.data = np.concatenate(datas)
-        self.new = []
 
 
 def _reals(v):
@@ -832,20 +820,24 @@ class ContourSolver(ContourSettings):
 
     Every term of one evaluate_grid call lies on the same sector(4, ts)
     path family, and their node tables bisect the same first panels, so
-    most nodes recur from term to term.  A weight therefore reads the rows
-    from a memo that lives for one evaluate_grid call, in which each
-    distinct node is computed once; outside a call it computes them
-    directly.  The rotated leg and the chirp ray run over [R, T], so only
-    terms at the same rung share their nodes; the two terms of a region
-    are therefore put on one rung where their tails allow it (_terms).  The
-    call searches the truncations of every region before it builds any
-    table, and the terms that ended on one path, of any region, refine
-    their tables over one panel store (contours.PanelStore, _sums): each
-    span is evaluated once, for every term still to build on the path,
-    from one memo lookup of the rows per batch, sliced per term, with one
-    nu per level.  Each term keeps a node table of its own, built and
-    summed before the next.  Node tables, truncations and outputs are those
-    of every term computing every node afresh.  A region's terms depend on
+    most nodes recur from term to term.  The rotated leg and the chirp ray
+    run over [R, T], so only terms at the same rung share their nodes; the
+    two terms of a region are therefore put on one rung where their tails
+    allow it (_terms).  The call searches the truncations of every region
+    before it builds any table, and the terms that ended on one path, of
+    any region, refine their tables over one panel store
+    (contours.PanelStore, _sums): each span is evaluated once, for every
+    term still to build on the path, from one computation of the rows per
+    batch, sliced per term, with one nu per level (_store_columns).  Each
+    term keeps a node table of its own, built and summed before the next.
+    A call of a term's weight itself (its tail samples, its table when it
+    is alone on its path, the retry at tolerance * 1e4) reads the rows from
+    a memo that lives for one evaluate_grid call (_NodeMemo); outside a
+    call it computes them directly.  So a node is solved at most once per
+    rung path that evaluates it, and a tail sample once per call; the arc
+    and corner legs, common to every rung, are solved again on each rung a
+    region ends on.  Node tables, truncations and outputs are those of
+    every term computing every node afresh.  A region's terms depend on
     nothing outside the region, so a call restricted to one region gives
     the same bits as the whole call there.
     """
@@ -876,26 +868,26 @@ class ContourSolver(ContourSettings):
             return _InterfaceWeight(self, 2 * region - 2, -1.0)
         return _InterfaceWeight(self, 2 * region - 3, 1.0)
 
-    def _rows(self, z, key):
-        """The interface data at the nodes z, from the call's node memo under key.
+    def _rows(self, z):
+        """The interface data at the nodes z, from the call's node memo.
 
         Outside an evaluate_grid call they are computed directly.
         """
         if self._memo is None:
             return self._interface_data(z)
-        return self._memo.lookup(z, key, self._interface_data)
+        return self._memo.lookup(z, self._interface_data)
 
     def _store_columns(self, terms):
         """columns(z, tag, owners) of a PanelStore of interface terms.
 
-        For a batch of nodes: one lookup of the rows B in the memo, under a
-        key of the store's own, one nu per level, and each owner's columns
-        (W, c) taken from them as its weight and x-coefficient take them.
+        For a batch of nodes: the rows B computed directly, one nu per level,
+        and each owner's columns (W, c) taken from them as its weight and
+        x-coefficient take them.  The store evaluates each span of its path
+        once, so its batches bypass the node memo: a lookup would almost
+        never hit, and it would keep every row alive until the call ends.
         """
-        key = object()
-
         def columns(z, tag, owners):
-            B = self._rows(z, key)
+            B = self._interface_data(z)
             nus = {}
             out = []
             for i in owners:

@@ -325,15 +325,11 @@ class InitialCondition:
         y = 0 is (center/width)^2; and (momentum - k)^2 width^2 / 4, and
         momentum^2 t in the free term's saddle exponent
         i momentum (x - momentum t) - (x - center - 2 momentum t)^2 /
-        (width^2 + 4 i t).  (2 center/width^2)^2, the square of the
-        exponent's slope 2 center/width^2 at y = 0, is no longer formed;
-        the bound stays as documented, and refuses only data narrower than
-        2 whose (center/width)^2 lies within a factor (width/2)^2 of
-        overflow.  The solvers multiply the transforms, up to the data's L1
-        norm |amplitude| width sqrt(pi) in size, by factors up to about 1e8
-        on the contours (kappa^2 up to max_T^2 = 1.6e7, times the corner
-        legs' growth within e^(9/4)).  Each bound is checked on the quantity
-        as the code forms it (numpy float64, which overflows to inf
+        (width^2 + 4 i t).  The solvers multiply the transforms, up to the
+        data's L1 norm |amplitude| width sqrt(pi) in size, by factors up to
+        about 1e8 on the contours (kappa^2 up to max_T^2 = 1.6e7, times the
+        corner legs' growth within e^(9/4)).  Each bound is checked on the
+        quantity as the code forms it (numpy float64, which overflows to inf
         quietly).
         """
         amp, c, w, mu = (np.float64(v) for v in (abs(self.amplitude), self.center,
@@ -343,7 +339,6 @@ class InitialCondition:
             checks = (
                 ("width", 4.0 / w2, "4/width^2"),
                 ("center", (c / w) ** 2, "(center/width)^2"),
-                ("center", (2.0 * c / w2) ** 2, "(2 center/width^2)^2"),
                 ("momentum", mu * mu, "momentum^2"),
                 ("amplitude", 1e8 * amp * w * np.sqrt(np.pi),
                  "1e8 |amplitude| width sqrt(pi)"))

@@ -19,8 +19,9 @@ boundary in kappa (the 'd4' form of StepSolver).  It only overrides the
 core's one hook, `_interface_data`, which gives the interface combination
 of every term as four columns, one row per node: B1 (region 1 at x = 0),
 (kappa / nu) B (region 2 at 0), (kappa / nu) A (region 2 at x2) and B3
-(region 3 at x2).  It builds them from four half-line transforms once per
-distinct node of an evaluate_grid call, on a miss of the call's node memo.
+(region 3 at x2).  It builds them from four half-line transforms, within
+an evaluate_grid call at most once per node for each rung path that
+evaluates it (ContourSolver).
 The terms (one for each outer region, offset 0 on the left and x2 on the
 right, two for the middle one, offsets x2 and 0), truncation, node tables,
 the panel budget and the free terms come from the shared core in `step`

@@ -1,13 +1,16 @@
-"""The interface data of one evaluate_grid call is computed once per node.
+"""The interface data of one evaluate_grid call are shared between its terms.
 
 Every term of a call lies on the same sector(4, t) contour, so their node
-tables share most nodes; the call keeps the interface data of each node in
-a memo that every term reads.  These tests pin that the memo changes no
-output bit, that it computes each distinct node once, and that it leaves
-nothing behind on the solver.  The sector paths of the truncation rungs
-are kept in a memo of the call too: the last tests pin that terms at the
-same rung share one path, that nothing modifies a built path, and that
-this memo goes with the call as well.
+tables share most nodes.  A panel store computes the rows of each span of
+its path once for all the terms on that path, and what a term's weight
+asks for itself (tail samples, a table alone on its path) goes through a
+node memo of the call, so a node is solved at most once per rung path that
+evaluates it.  These tests pin that the sharing changes no output bit,
+that each distinct node is solved once in calls whose regions end on one
+rung, and that the memo leaves nothing behind on the solver.  The sector
+paths of the truncation rungs are kept in a memo of the call too: the last
+tests pin that terms at the same rung share one path, that nothing
+modifies a built path, and that this memo goes with the call as well.
 """
 
 import copy

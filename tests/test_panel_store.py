@@ -6,11 +6,13 @@ one the term's build gives alone.  These tests pin both, in the solvers
 and in the store itself.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from schrostep import (GeneralSolver, InitialCondition, PiecewisePotential,
-                       StepSolver, WellSolver, contours, step)
+                       StepSolver, WellSolver, contours, general, step)
 from schrostep.contours import (ContourPath, Leg, PanelStore, QuadratureError,
                                 build_node_table)
 
@@ -74,6 +76,53 @@ def test_each_span_is_evaluated_once_per_call(name, monkeypatch):
     solver().evaluate_grid(xs, t, derivative=derivative)
     keys = [(id(path), span) for path, span in spans]
     assert keys and len(set(keys)) == len(keys)
+
+
+def _node_keys(z):
+    """The exact bits of each node z, as hashable keys."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return [bytes(row) for row in z.view(np.uint8).reshape(-1, 16)]
+
+
+def test_a_node_is_solved_at_most_once_per_path_that_evaluates_it(monkeypatch):
+    # eight jumps with levels alternating 0 and 1: the regions end on two
+    # rungs (T = 14.48 and 23.17), whose paths share their arc.  A store's
+    # batches compute their rows directly, so a node of a leg common to both
+    # paths is solved once per path; tail samples and lone tables go through
+    # the call's node memo.
+    solved, evaluated = [], []
+    solve = general.solve_unknowns
+    evaluate = contours._evaluate
+
+    def solve_spy(potential, ic, kappa):
+        solved.extend(_node_keys(np.atleast_1d(kappa)))
+        return solve(potential, ic, kappa)
+
+    def evaluate_spy(path, columns, probes, spans, *args):
+        panels = evaluate(path, columns, probes, spans, *args)
+        # the path object itself, so that its id is not reused; a panel's
+        # nodes are dropped once its owners are done with it
+        evaluated.extend((path, path.legs[p.leg].label, _node_keys(p.nodes[0]))
+                         for p in panels)
+        return panels
+
+    monkeypatch.setattr(general, "solve_unknowns", solve_spy)
+    monkeypatch.setattr(contours, "_evaluate", evaluate_spy)
+    pot = PiecewisePotential([float(j % 2) for j in range(9)], [float(j) for j in range(8)])
+    ic = InitialCondition.gaussian(center=-3.0, width=1.0, momentum=1.5)
+    GeneralSolver(pot, ic).evaluate_grid(np.linspace(-6.0, 10.0, 201), 0.5)
+    paths, labels = {}, {}
+    for path, label, keys in evaluated:
+        for key in keys:
+            paths.setdefault(key, set()).add(id(path))
+            labels.setdefault(key, set()).add(label)
+    assert any(len(ids) > 1 for ids in paths.values())
+    solves = Counter(solved)
+    repeats = [key for key, n in solves.items() if n > 1]
+    for key in repeats:
+        assert len(paths[key]) >= 2
+        assert labels[key] <= {"arc", "corner leg"}
+    assert all(n <= max(1, len(paths.get(key, ()))) for key, n in solves.items())
 
 
 # -- the store on its own ----------------------------------------------------

@@ -49,17 +49,26 @@ def test_free_terms_far_from_the_jump_meet_the_free_gaussian(center):
     assert max(abs(smp.value - w) for smp, w in zip(got, want)) < 1e-10
 
 
-def check_flat_contract(rep, alpha, center, width, momentum, t, tolerance=1e-8):
+def check_flat_contract(rep, alpha, center, width, momentum, t, tolerance=1e-8,
+                        derivative=False):
     # with equal levels (alpha, alpha) the exact solution is the free
     # Gaussian times exp(-i alpha t), whatever the representation's contour
+    # (rep "general" is GeneralSolver).  With derivative the call carries
+    # the slope, whose stacked column changes the refinement, and psi_x is
+    # checked too, against psi (i mu - 2 (x - c - 2 mu t) / (w^2 + 4 i t))
     pot = PiecewisePotential([alpha, alpha], [0.0])
     ic = InitialCondition.gaussian(center=center, width=width, momentum=momentum)
     xs = np.linspace(-4.0, 4.0, 5)
     want = free_gaussian(xs, t, center, width, momentum) * np.exp(-1j * alpha * t)
-    got = StepSolver(pot, ic, representation=rep,
-                     tolerance=tolerance).evaluate_grid(xs, t)
-    for smp, w in zip(got, want):
+    want_x = want * (1j * momentum
+                     - 2.0 * (xs - center - 2.0 * momentum * t) / (width ** 2 + 4j * t))
+    solver = GeneralSolver(pot, ic, tolerance=tolerance) if rep == "general" else \
+        StepSolver(pot, ic, representation=rep, tolerance=tolerance)
+    got = solver.evaluate_grid(xs, t, derivative=derivative)
+    for smp, w, w_x in zip(got, want, want_x):
         assert abs(smp.value - w) <= smp.error, smp
+        if derivative:
+            assert abs(smp.psi_x - w_x) <= smp.psi_x_error, smp
 
 
 # The error contract |psi - psi_exact| <= error fails on these draws of the
@@ -90,6 +99,51 @@ def test_error_contract_of_d4_at_tolerance_1e_10():
     # panels resolved exp(i kappa^2 t) node by node it missed by 6.44x at
     # x = -2; now the deviation is 2.0e-14 against an estimate of 9.9e-12
     check_flat_contract("d4", 0.375, 0.0, 1.0, 0.0, 16.0, tolerance=1e-10)
+
+
+# A draw inside the property test's ranges that misses the tolerance itself:
+# (alpha, center, width, momentum, t), at tolerance 1e-8.  d4 and
+# GeneralSolver miss by 9.64x without the slope and are honest with it;
+# realline misses by 8.73x on values without the slope, and by 8.86x on
+# psi_x (2.39x on values) with it; quadrant is honest.
+MISSES_TOLERANCE = (1.7097, 1.8717, 0.5221, 1.4546, 15.70)
+
+# Draws that miss the contract only in a call with the slope, worst ratios
+# on values and on psi_x given.  The quadrant draw is one of the property
+# test's own in a run of the whole suite (honest without the slope, 0.26);
+# the last two come from 12 draws per form of the same ranges with the slope.
+# (rep, alpha, center, width, momentum, t).
+SLOPE_MISSES = [
+    ("quadrant", 0.5860872354676911, 1.4095338949820715e-05, 1.1,
+     -1.7823397344402574, 8.32122250028885),                    # 1.69, 1.34
+    ("d4", 0.5860872354676911, 1.4095338949820715e-05, 1.1,
+     -1.7823397344402574, 8.32122250028885),                    # 1.68, 1.52
+    ("d4", -0.8841110643858154, 0.021589315601020953, 1.8241961550427694,
+     -1.3136940443632286, 6.31874135946947),                    # 4.60, 2.72
+    ("d4", -0.5092629782330105, -2.0, 0.5535287394126984,
+     1.5728239095033718, 11.33843100656486),                    # 4.60, 3.70
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="error estimate below the deviation from the exact "
+                          "answer; the panel error charge (ROADMAP item 2)")
+@pytest.mark.parametrize("case", [(rep, *MISSES_TOLERANCE, 1e-8, slope)
+                                  for rep, slope in [("d4", False), ("general", False),
+                                                     ("realline", False),
+                                                     ("realline", True)]]
+                         + [case + (1e-8, True) for case in SLOPE_MISSES],
+                         ids=lambda c: "{}-{}-t{:.4g}".format(
+                             c[0], "slope" if c[-1] else "value", c[5]))
+def test_error_contract_known_dishonest_draws(case):
+    check_flat_contract(*case)
+
+
+@pytest.mark.parametrize("rep, derivative", [("d4", True), ("general", True),
+                                             ("quadrant", False), ("quadrant", True)])
+def test_error_contract_where_the_draw_that_misses_the_tolerance_is_honest(rep,
+                                                                          derivative):
+    check_flat_contract(rep, *MISSES_TOLERANCE, derivative=derivative)
 
 
 # Shrinking a failing draw took up to 19 s; a failure reports the draw as

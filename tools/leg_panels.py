@@ -19,10 +19,17 @@ path share (contours.PanelStore):
     workload  request  kind  evaluated  panels  distinct (path, span)  calls
 
 panels counts every span evaluated, distinct the (path, span) pairs among
-them, calls the _evaluate calls.  Each workload ends with its totals per
-leg label, the share of its panels on chirp legs, the oscillatory rays of
-the sector paths (the imaginary leg of quadrant 4, the real legs of
-quadrants 3 and 1), and the evaluated totals.
+them, calls the _evaluate calls.  A last line per request counts the nodes
+at which interface data were solved (general.solve_unknowns, which the
+sector-path solvers and InterfaceMap call, and WellSolver._interface_data),
+and how many of them are distinct by their exact bits:
+
+    workload  request  kind  solved  nodes  distinct
+
+Each workload ends with its totals per leg label, the share of its panels
+on chirp legs, the oscillatory rays of the sector paths (the imaginary leg
+of quadrant 4, the real legs of quadrants 3 and 1), and the evaluated and
+solved totals.
 """
 
 import argparse
@@ -37,12 +44,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import sample_digest  # noqa: E402  (puts src and perfbench on the path)
 import schrostep.contours  # noqa: E402
+import schrostep.general  # noqa: E402
 import schrostep.interface_map  # noqa: E402
 import schrostep.step  # noqa: E402
+import schrostep.well  # noqa: E402
 from workloads import WORKLOADS, make_requests  # noqa: E402
 
 # the modules that call build_node_table under that name
 _CALLERS = (schrostep.step, schrostep.interface_map)
+# the modules that call solve_unknowns under that name
+_SOLVERS = (schrostep.general, schrostep.interface_map)
 
 
 def per_leg(path, table):
@@ -56,14 +67,23 @@ def per_leg(path, table):
     return {label: (panels[label], counts[label]) for label in panels}
 
 
-def serve(req, workdir):
-    """([(path, table)], [(id(path), spans)]) of serving req.
+def distinct(nodes):
+    """Number of distinct nodes by their exact bits."""
+    z = np.ascontiguousarray(np.concatenate(nodes or [np.empty(0)]), dtype=complex)
+    return len(np.unique(z.view(np.uint64).reshape(-1, 2), axis=0))
 
-    The node tables it built, and the spans of each _evaluate call.
+
+def serve(req, workdir):
+    """([(path, table)], [(id(path), spans)], [nodes]) of serving req.
+
+    The node tables it built, the spans of each _evaluate call and the
+    nodes of each call that solved interface data.
     """
-    tables, evaluated = [], []
+    tables, evaluated, solved = [], [], []
     build = schrostep.contours.build_node_table
     evaluate = schrostep.contours._evaluate
+    solve = schrostep.general.solve_unknowns
+    well_rows = schrostep.well.WellSolver._interface_data
 
     def spy(path, *args, **kwargs):
         table = build(path, *args, **kwargs)
@@ -74,18 +94,32 @@ def serve(req, workdir):
         evaluated.append((path, list(spans)))
         return evaluate(path, columns, probes, spans, *args)
 
+    def spy_solve(potential, ic, kappa):
+        solved.append(np.atleast_1d(kappa))
+        return solve(potential, ic, kappa)
+
+    def spy_well(self, kap):
+        solved.append(np.atleast_1d(kap))
+        return well_rows(self, kap)
+
     for mod in _CALLERS:
         mod.build_node_table = spy
+    for mod in _SOLVERS:
+        mod.solve_unknowns = spy_solve
     schrostep.contours._evaluate = spy_evaluate
+    schrostep.well.WellSolver._interface_data = spy_well
     try:
         sample_digest.digest(req, workdir)
     finally:
         for mod in _CALLERS:
             mod.build_node_table = build
+        for mod in _SOLVERS:
+            mod.solve_unknowns = solve
         schrostep.contours._evaluate = evaluate
+        schrostep.well.WellSolver._interface_data = well_rows
     # the paths are alive until here, so their ids tell them apart
     evaluated = [(id(path), spans) for path, spans in evaluated]
-    return tables, evaluated
+    return tables, evaluated, solved
 
 
 def main(argv):
@@ -99,7 +133,7 @@ def main(argv):
             work = Counter()
             for i, req in enumerate(make_requests(workload, args.seed)):
                 kind = req["command"] if req["kind"] == "cli" else req["kind"]
-                tables, evaluated = serve(req, Path(tmp))
+                tables, evaluated, solved = serve(req, Path(tmp))
                 for k, (path, table) in enumerate(tables):
                     chirp += sum(path.legs[leg].kind == "chirp"
                                  for leg, _, _ in table.spans)
@@ -113,6 +147,9 @@ def main(argv):
                 print("{}\t{}\t{}\tevaluated\t{}\t{}\t{}".format(
                     workload, i, kind, *done))
                 work.update(dict(zip(("panels", "distinct", "calls"), done)))
+                rows = (sum(z.size for z in solved), distinct(solved))
+                print("{}\t{}\t{}\tsolved\t{}\t{}".format(workload, i, kind, *rows))
+                work.update(dict(zip(("solved", "solved distinct"), rows)))
             for label in panels:
                 print("{}\ttotal\t\t\t{}\t{}\t{}".format(
                     workload, label, panels[label], nodes[label]))
@@ -122,6 +159,8 @@ def main(argv):
                                  chirp / max(total, 1)))
             print("{}\ttotal\t\tevaluated\t{}\t{}\t{}".format(
                 workload, work["panels"], work["distinct"], work["calls"]))
+            print("{}\ttotal\t\tsolved\t{}\t{}".format(
+                workload, work["solved"], work["solved distinct"]))
     return 0
 
 
