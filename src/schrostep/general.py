@@ -22,12 +22,13 @@ whose one hook, `_interface_data`, builds the interface combination of
 every term from the unknowns and the nus that solve_unknowns returns: two
 columns per jump x_l, the term of region l there and then that of region
 l + 1.  The single jump is the n = 1 case, so StepSolver's d4 form runs
-the same code; WellSolver's numerators are the last closed form.  The rows do not depend on the
-region, so within one evaluate_grid call the terms on one path read their
-columns from the rows its panel store computes once per span, and
-solve_unknowns runs at most once per node for each rung path that
-evaluates it (the tails' samples, once per call, through the call's node
-memo).  The
+the same code; WellSolver's numerators are the last closed form.  The
+rows do not depend on the region, so within one evaluate_grid call the
+terms read their columns from rows computed once for all of them: the
+tail samples of every term on the fourth-quadrant ladder from one
+solve_unknowns call per block of rungs (step._TailStore), and the nodes
+of the tables of the terms on one path once per span (its panel store),
+each owner's x-coefficient from the nus solve_unknowns returns.  The
 terms themselves (one per neighbouring jump of a region j,
 x-coefficient -nu_j at the right jump x_j or +nu_j at the left jump
 x_{j-1}, on the fourth-quadrant sector boundary), truncation, node tables,

@@ -16,8 +16,10 @@ one set of weights per time, each with its exp(i kappa^2 t), the chirp
 ray's exactly.  The columns summed (psi at each jump, and psi_x with the
 slope) share that path, so one truncation search serves them all: its
 weight returns the stack of every column, and it accepts the first rung
-at which every column clears at every time.  Its tails, sampled once per
-node, are those of the traces.  The unknowns are solved once per node
+at which every column clears at every time.  The search is the one
+owner of a tail store of its own (step._TailStore), which samples the
+tails of four rungs in one weight call, and its tails are those of the
+traces.  The unknowns are solved once per node
 while the table is refined, and the table's columns are the stack summed,
 W = pref kappa X: one column per requested jump for psi, and as many more
 for psi_x.  The table is refined until every column converges at every
@@ -30,7 +32,8 @@ import numpy as np
 from .contours import build_node_table, table_integral
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import ContourSettings, build_with_retry, choose_truncation, panel_budget
+from .step import (ContourSettings, _flag, build_with_retry, choose_truncation,
+                   panel_budget)
 
 __all__ = ["InterfaceMap"]
 
@@ -47,8 +50,10 @@ class InterfaceMap(ContourSettings):
         ts is one time or a nonempty sequence of them, finite and >= 0, and
         interface is one jump number ell in 1..njumps or a sequence of them.
         The samples come interface-major: every time at the first interface
-        given, then every time at the next.
+        given, then every time at the next.  derivative, True or False, adds
+        psi_x and its error to every sample.
         """
+        derivative = _flag(derivative)
         n = self.potential.njumps
         ells = [interface] if np.ndim(interface) == 0 else list(interface)
         if not ells or any(ell not in range(1, n + 1) for ell in ells):

@@ -56,15 +56,18 @@ which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
 single jump is its n = 1 case; `WellSolver`, the last closed form,
 overrides the hook with its four transforms and numerators.  Within one
 evaluate_grid call the sector path of each truncation rung is built once,
-whichever term tries it first.  The terms of one region share one
-truncation rung where their tails allow it, so that their node tables
-share the nodes of the whole path (ContourSolver._terms), and the tables
-of all terms on one path, of any region, are refined over one store of
+whichever term tries it first.  The truncation searches of all terms on
+one ladder, of any region, read one tail store (_TailStore), which
+samples the tails of each block of rungs once for all of them and tests
+them in one array pass.  The terms of one region share one truncation
+rung where their tails allow it, so that their node tables share the
+nodes of the whole path (ContourSolver._terms), and the tables of all
+terms on one path, of any region, are refined over one store of
 evaluated panels, which computes the rows of each span once for all of
-them.  What a term's weight asks for itself (tail samples, a table alone
-on its path) reads the rows from a memo of the call.  A node is so solved
-at most once per rung path that evaluates it, and a tail sample once per
-call: only the arc and corner legs, which every rung shares, can repeat,
+them.  A term's weight called itself (a table alone on its path)
+computes the rows at its nodes.  A tail sample is so solved once per
+ladder, and a node of a table at most once per rung path that evaluates
+it: only the arc and corner legs, which every rung shares, can repeat,
 when regions end on different rungs.
 `StepSolver` also overrides `_declare` for its quadrant and realline forms,
 which share no nodes between regions.
@@ -81,11 +84,12 @@ path and one x-coefficient, as InterfaceMap's psi and psi_x columns do:
 one search accepts the first rung at which every column clears at every
 time, and one table_integral call sums every column at every time.  The
 slope psi_x of a term is such a column, the integral of i c W
-exp(i c (x - x0)): the search stacks i c W under W in its tail samples, so
-the slope tails are a column of the term's tail models, and the sum
-stacks it on W.  Whether a term carries the slope is decided once, when
-it is searched, and recorded on the term (IntegralTerm.derivative), from
-which its node table and its sum read it; its tails hold it as a column.
+exp(i c (x - x0)): the tail store stacks i c W under W in its tail
+samples, so the slope tails are a column of the term's tail models, and
+the sum stacks it on W.  Whether a term carries the slope is decided
+once, when it is searched, and recorded on the term
+(IntegralTerm.derivative), from which its node table and its sum read it;
+its tails hold it as a column.
 """
 
 from dataclasses import replace
@@ -178,15 +182,6 @@ def _leg_nodes(leg, outer_at_start):
     return leg.point(np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9]))
 
 
-def _leg_tail(z, w, span):
-    """Tail of |W| past the outer end of a leg, from its two samples.
-
-    w holds the two samples on its last axis, one row per column of a stack.
-    """
-    f = np.abs(w).T
-    return _pair_tail(f[0], f[1], abs(z[1] - z[0]), span)
-
-
 class _OscTail:
     """Integration-by-parts tail of one on-axis ray, cut at u = K.
 
@@ -198,6 +193,13 @@ class _OscTail:
     correction is dropped and a sampled-decay bound on |A| is returned
     instead.  Each column of a stack is estimated on its own; the slope
     psi_x of a term is one more column, i c A, and needs no case of its own.
+
+    The tails of many terms, rungs and times are estimated at once along
+    leading axes (owner, rung and time in a _TailStore; none for one term
+    at one time).  A has shape lead + (m, 4), the four samples of each of
+    m columns, and c, the samples of the x-coefficient, lead + (4,), with
+    axes of length 1 where it does not vary; K, t, sign and x_offset are
+    numbers or arrays with as many axes as lead.
 
     The derivatives of A and c come from one-sided differences with step
     h = 0.05 over the samples A and c of the amplitude and the
@@ -216,15 +218,24 @@ class _OscTail:
         return direction * (K - cls.h * np.arange(4.0))
 
     def __init__(self, A, c, K, t, sign, x_offset):
-        # the samples first, then the column axis of a stack
-        self.A = np.asarray(A, dtype=complex).T
-        self.c = np.asarray(c, dtype=complex).real
+        # the samples first, then the leading axes (and A's column axis)
+        self.A = np.moveaxis(np.asarray(A, dtype=complex), -1, 0)
+        self.c = np.moveaxis(np.asarray(c, dtype=complex).real, -1, 0)
+        self.lead = self.c.ndim - 1
         self.K = K
         # the sampled-decay bound on |A|, the same at every x
-        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h, K)
+        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h,
+                              np.reshape(K, np.shape(K) + (1,)))
         self.t = t
         self.sign = sign
         self.x0 = x_offset
+
+    def take(self, idx):
+        """The tail at the entry idx of the leading axes."""
+        pick = lambda a: float(a[_entry(idx, a.shape)])
+        c = self.c[(slice(None),) + _entry(idx, self.c.shape[1:])]
+        return _OscTail(np.moveaxis(self.A[(slice(None),) + idx], 0, -1), c,
+                        pick(self.K), pick(self.t), pick(self.sign), pick(self.x0))
 
     def _fd(self, v):
         h = self.h
@@ -239,34 +250,45 @@ class _OscTail:
         The branch rules apply point by point: a point falls back to the
         sampled-decay bound when a stationary point may hide beyond the cut,
         when the expansion is not safely convergent, or when that bound is
-        already no larger than the expansion's residual.  Built from a
-        stack of columns (A of shape (m, 4)), the results carry the stack's
-        column axis after those of x.
+        already no larger than the expansion's residual.  x has the leading
+        axes (or axes of length 1 against them), then those of the points;
+        the results have the same axes, then the column axis.
         """
-        X = np.asarray(x, dtype=float) - self.x0
-        A = self.A
-        if A.ndim > 1:
-            X = X[..., None]
-        c1, c2, c3 = self._fd(self.c)
-        p1 = -2.0 * self.t * self.K + c1 * X
+        x = np.asarray(x, dtype=float)
+        n = x.ndim - self.lead
+        # a number, or a column, per leading entry, spread over the points
+        each = lambda a: np.reshape(a, np.shape(a) + (1,) * (n + 1))
+        col = lambda a: a.reshape(a.shape[:-1] + (1,) * n + a.shape[-1:])
+        X = (x - np.reshape(self.x0, np.shape(self.x0) + (1,) * n))[..., None]
+        t, K = each(self.t), each(self.K)
+        c1, c2, c3 = (each(d) for d in self._fd(self.c))
+        p1 = -2.0 * t * K + c1 * X
         # a stationary point must not hide beyond the cut
-        hidden = ((np.abs(2.0 * self.t * self.K) < 1.3 * np.abs(c1 * X))
+        hidden = ((np.abs(2.0 * t * K) < 1.3 * np.abs(c1 * X))
                   | (np.abs(p1) < 1e-12))
-        a1, a2, a3 = self._fd(A)
+        A0 = col(self.A[0])
+        a1, a2, a3 = (col(d) for d in self._fd(self.A))
         g = 1j * np.where(hidden, 1.0, p1)
-        gp = 1j * (-2.0 * self.t + c2 * X)
+        gp = 1j * (-2.0 * t + c2 * X)
         gpp = 1j * (c3 * X)
-        B1 = A[0] / g
-        B2 = a1 / g ** 2 - A[0] * gp / g ** 3
-        B3 = (a2 / g ** 3 - 3.0 * a1 * gp / g ** 4 - A[0] * gpp / g ** 4
-              + 3.0 * A[0] * gp * gp / g ** 5)
+        B1 = A0 / g
+        B2 = a1 / g ** 2 - A0 * gp / g ** 3
+        B3 = (a2 / g ** 3 - 3.0 * a1 * gp / g ** 4 - A0 * gpp / g ** 4
+              + 3.0 * A0 * gp * gp / g ** 5)
         diverging = ((np.abs(B2) > 0.5 * np.abs(B1))
                      | (np.abs(B3) > 0.7 * np.abs(B2) + 1e-300))
         err = np.abs(B3) + 1e-13 * np.abs(B1)
-        keep = ~hidden & ~diverging & ~(self.gen <= err)
-        phi0 = -self.t * self.K * self.K + float(self.c[0]) * X
-        corr = self.sign * np.exp(1j * phi0) * (-B1 + B2 - B3)
-        return np.where(keep, corr, 0.0j), np.where(keep, err, self.gen)
+        gen = col(self.gen)
+        keep = ~hidden & ~diverging & ~(gen <= err)
+        phi0 = -t * K * K + each(self.c[0]) * X
+        corr = each(self.sign) * np.exp(1j * phi0) * (-B1 + B2 - B3)
+        return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
+
+
+def _entry(idx, shape):
+    """The index of entry idx in an array of that shape, whose axes of length 1
+    broadcast against idx's."""
+    return tuple(i if n > 1 else 0 for i, n in zip(idx, shape))
 
 
 def _tail_nodes(path, spec):
@@ -282,74 +304,52 @@ def _tail_nodes(path, spec):
     return out
 
 
-def _sample_tails(nodes, weight, xcoef):
-    """(z, W, c) at each (tag, z) of nodes, one weight and one xcoef call per tag.
-
-    A weight may return a stack of columns, shape (m, len(z)); its samples
-    keep the stack's axis first.
-    """
-    out = [None] * len(nodes)
-    for tag in dict.fromkeys(tag for tag, _ in nodes):
-        idx = [i for i, (g, _) in enumerate(nodes) if g == tag]
-        zs = [nodes[i][1] for i in idx]
-        z = np.concatenate(zs)
-        cuts = np.cumsum([zi.size for zi in zs])[:-1]
-        w = np.split(np.asarray(weight(z, tag), dtype=complex), cuts, axis=-1)
-        c = np.split(np.asarray(xcoef(z, tag), dtype=complex), cuts)
-        for i, zi, wi, ci in zip(idx, zs, w, c):
-            out[i] = (zi, wi, ci)
-    return out
-
-
 class _TailModel:
-    """All truncation tails of one integral term at one time t.
+    """Truncation tails of integral terms: of one term at one time, or of many.
 
-    samples are _sample_tails(_tail_nodes(path, spec), weight, xcoef); the
-    weights w leave out the path's phase, whose rate for t is
-    path.rates[k].  A decaying leg's tail is taken from w exp(i rate z^2),
-    and an oscillatory ray's amplitude at z = direction u is
-    A = w jac exp(i (rate z^2 + t u^2)), without the expansion's
-    exp(-i t u^2): w jac on every sector and real-line ray, where
-    rate z^2 = -t u^2 exactly.  A weight that returns a stack of m columns
-    gives a model of every column at once: `at` then returns the columns on
-    a last axis, after those of x, and `worst` takes the largest over the
-    columns too.  With the slope, the samples stack i c W under W
-    (choose_truncation), so psi_x is one more column of the model.
+    generic holds the summed tails of the decaying legs and oscs the
+    _OscTail of each oscillatory ray.  Both have the leading axes of the
+    tails modelled (owner, rung and time in a _TailStore, none for one term
+    at one time) and a last axis for the m columns of a stack; t is the
+    time of each leading entry, and model[idx] the model at one entry.
+    stack is (m,), or () for a single column, whose axis `at` drops: `at`
+    returns the columns on a last axis, after those of x, and `worst` takes
+    the largest over the columns too.  With the slope, the samples stack
+    i c W under W (_TailStore), so psi_x is one more column of the model.
+    _TailStore._model builds the models from the weights' samples.
     """
 
-    def __init__(self, path, spec, samples, t, x_offset, span, k=0):
-        rate = path.rates[k]
+    def __init__(self, generic, oscs, stack, t):
+        self.generic = generic
+        self.oscs = oscs
+        self.stack = stack
         self.t = t
-        self.generic = 0.0
-        self.oscs = []
-        # the axes of a stack of columns, () for one
-        self.stack = np.shape(samples[0][1])[:-1]
-        samples = iter(samples)
-        for _ in spec.get("generic", ()):
-            z, w, c = next(samples)
-            self.generic += _leg_tail(z, w * np.exp(1j * rate * (z * z)), span)
-        for _, rays, K in spec.get("osc", ()):
-            u = K - _OscTail.h * np.arange(4.0)
-            for _, jac in rays:
-                z, w, c = next(samples)
-                A = np.asarray(w, dtype=complex) * jac * np.exp(
-                    1j * (rate * (z * z) + t * (u * u)))
-                self.oscs.append(_OscTail(A, c, K, t, path.sign, x_offset))
+
+    def __getitem__(self, idx):
+        return _TailModel(self.generic[idx], [o.take(idx) for o in self.oscs],
+                          self.stack, float(self.t[_entry(idx, self.t.shape)]))
 
     def worst(self, xs):
         """Largest tail error estimate over the columns and the probe points."""
         return float(self.at(xs)[1].max())
 
     def at(self, x):
-        """Tail corrections and error estimates at the points x."""
+        """Tail corrections and error estimates at the points x.
+
+        x has the leading axes (or axes of length 1 against them), then
+        those of the points: any array for a model without leading axes.
+        """
         x = np.asarray(x, dtype=float)
-        corr = np.zeros(x.shape + self.stack, dtype=complex)
-        err = np.full(x.shape + self.stack, self.generic)
+        g = self.generic
+        generic = g.reshape(g.shape[:-1] + (1,) * (x.ndim + 1 - g.ndim) + g.shape[-1:])
+        shape = np.broadcast_shapes(generic.shape, x.shape + (1,))
+        corr = np.zeros(shape, dtype=complex)
+        err = np.full(shape, generic)
         for o in self.oscs:
             c, e = o.estimate(x)
             corr += c
             err += e
-        return corr, err
+        return (corr, err) if self.stack else (corr[..., 0], err[..., 0])
 
 
 class _Tails(tuple):
@@ -394,10 +394,11 @@ class IntegralTerm:
 class _InterfaceWeight:
     """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
 
-    A call of the weight itself (tail samples, a table alone on its path,
-    the retry) reads B through ContourSolver._rows: the call's node memo
-    within an evaluate_grid call.  `of` takes the weight from rows B given,
-    as a panel store's batch computes them for all its owners.
+    A call of the weight itself (a table alone on its path, the retry at
+    tolerance * 1e4, a search without a tail store) computes B at its
+    nodes; `of` takes the weight from rows B given, as the batches of a
+    panel store and of a tail store compute them for all their owners
+    (ContourSolver._store_columns).
     """
 
     def __init__(self, solver, col, sgn):
@@ -405,7 +406,7 @@ class _InterfaceWeight:
 
     def __call__(self, z, tag):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self.of(self.solver._rows(z))
+        return self.of(self.solver._interface_data(z)[0])
 
     def of(self, B):
         return self.sgn * B[:, self.col] / _TWO_PI
@@ -421,49 +422,170 @@ class _Nu:
         return self.sgn * nu(self.alpha, np.asarray(z, dtype=complex))
 
 
-# rungs of the truncation ladder whose tails are sampled in one weight call;
-# a search that accepts a later rung samples the next block in another call
-# (most dense_x and tabulated searches of the benchmark accept the fifth or
-# sixth rung, and a search started at the rung an earlier term of its region
-# accepted clears within its first block: tools/search_rungs.py)
+def _plain_columns(pairs):
+    """columns(z, tag, owners) of a store whose owners have the (weight, xcoef) pairs.
+
+    Each owner's (W, c) from its own weight and xcoef calls.
+    """
+    return lambda z, tag, owners: [(pairs[i][0](z, tag), pairs[i][1](z, tag))
+                                   for i in owners]
+
+
+# rungs of the truncation ladder whose tails are sampled and tested at once,
+# rungs 0-3, 4-7, ... of a ladder (most dense_x and tabulated searches of the
+# benchmark accept the fifth or sixth rung, and a search started at the rung
+# an earlier term of its region accepted clears within the block sampled
+# already: tools/search_rungs.py)
 _RUNGS_PER_CALL = 4
 # the largest truncation of the ladder; its first rung is 2R, so a radius
 # above _MAX_T / 2 is refused (ContourSettings)
 _MAX_T = 4000.0
 
 
-def _rung_samples(rungs, weight, xcoef, derivative):
-    """The tail samples of each (path, spec) of rungs, one list per rung.
+class _TailStore:
+    """The truncation tails of every term that searches one ladder in a call.
 
-    One weight and one xcoef call per leg tag serve every rung.  With
-    derivative the m columns W of each sample get the m columns i c W, the
-    integrands of the slope, stacked under them.
+    The ladder is builder's rungs T0, 1.6 T0, ..., at most 22, the last
+    clipped to max_T; each rung is the one before times 1.6.  Its owners
+    are the terms that search it, each given as (x_offset, x_probe,
+    tolerance); every owner probes as many points.  The store samples the
+    tail nodes of a block of _RUNGS_PER_CALL rungs (rungs 0-3, 4-7, ...)
+    once for all its owners, in one call of columns(z, tag, owners) per leg
+    tag: the columns function of a PanelStore, whose entry per owner
+    unpacks as (W, c), W one column or a stack of m, shape (m, len(z)).
+    The weights leave the path's phase out, so one sample serves every
+    time.  With derivative the m columns W get the m columns i c W, the
+    integrands of the slope, stacked under them.  It then tests the tails
+    of every owner at every rung of the block and every time in one array
+    pass: one _TailModel with the leading axes (owner, rung, time),
+    evaluated at each owner's probes.  A rung clears for an owner when the
+    worst estimate over its probes and columns is within 0.05 of its
+    tolerance at every time.  A block is sampled when a search or a lift
+    first reaches it; `search` and `rung` read its decisions and models.
     """
-    nodes = [_tail_nodes(path, spec) for path, spec in rungs]
-    samples = _sample_tails([nd for each in nodes for nd in each], weight, xcoef)
-    if derivative:
-        samples = [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
-    samples = iter(samples)
-    return [[next(samples) for _ in each] for each in nodes]
 
+    def __init__(self, builder, T0, ts, columns, owners, derivative=False,
+                 max_T=_MAX_T):
+        self.builder = builder
+        self.ts = [float(v) for v in np.atleast_1d(ts)]
+        self.columns = columns
+        self.x0 = np.array([x0 for x0, _, _ in owners], dtype=float)
+        self.probes = np.array([np.atleast_1d(np.asarray(xp, dtype=float))
+                                for _, xp, _ in owners])
+        self.targets = np.array([0.05 * tol for _, _, tol in owners])
+        self.derivative = derivative
+        self.rungs = [T0]
+        while len(self.rungs) < 22 and self.rungs[-1] < max_T:
+            self.rungs.append(min(1.6 * self.rungs[-1], max_T))
+        # block b: the (path, spec) of its rungs, their model and whether
+        # each (owner, rung) clears
+        self.blocks = {}
 
-def _rung_tails(path, spec, samples, ts, x_offset, T, x_probe, target):
-    """(cleared, models): the tails of one rung T at the times ts.
+    def search(self, owner, start):
+        """(path, tails) of owner at the first rung from start whose tails
+        clear, or else at the last rung; start is a rung of the ladder."""
+        r = self.rungs.index(start)
+        last = len(self.rungs) - 1
+        while r < last and not self._block(r)[2][owner, r % _RUNGS_PER_CALL]:
+            r += 1
+        return self.rung(owner, self.rungs[r])[1:]
 
-    The times are tested smallest first, where the tails decay slowest, and
-    the first whose worst estimate at x_probe exceeds target ends the test;
-    models holds the _TailModel of each time tested, None for the rest.
-    """
-    models = [None] * len(ts)
-    for k in sorted(range(len(ts)), key=ts.__getitem__):
-        models[k] = _TailModel(path, spec, samples, ts[k], x_offset, T, k)
-        if not models[k].worst(x_probe) <= target:
-            return False, models
-    return True, models
+    def rung(self, owner, T):
+        """(cleared, path, tails) of owner at the rung T, tails a _Tails."""
+        r = self.rungs.index(T)
+        built, model, cleared = self._block(r)
+        j = r % _RUNGS_PER_CALL
+        return (bool(cleared[owner, j]), built[j][0],
+                _Tails(model[owner, j, k] for k in range(len(self.ts))))
+
+    def _block(self, r):
+        """The block of rung index r, sampled and tested on first use."""
+        b = r // _RUNGS_PER_CALL
+        if b not in self.blocks:
+            rungs = self.rungs[b * _RUNGS_PER_CALL:(b + 1) * _RUNGS_PER_CALL]
+            built = [self.builder(T) for T in rungs]
+            model = self._model(rungs, built)
+            err = model.at(self.probes[:, None, None, :])[1]
+            worst = np.max(err, axis=tuple(range(3, err.ndim)))
+            self.blocks[b] = (built, model,
+                              np.all(worst <= self.targets[:, None, None], axis=2))
+        return self.blocks[b]
+
+    def _sample(self, nodes):
+        """(W, c, stack): every owner's samples at each (tag, z) of nodes, one
+        columns call per tag.
+
+        W of shape (owners, columns, len(z)), c (owners, len(z)), and stack
+        the models' column axis: () for one column without the slope.
+        """
+        W, C = [None] * len(nodes), [None] * len(nodes)
+        owners = range(len(self.x0))
+        for tag in dict.fromkeys(tag for tag, _ in nodes):
+            idx = [i for i, (g, _) in enumerate(nodes) if g == tag]
+            z = np.concatenate([nodes[i][1] for i in idx])
+            cols = self.columns(z, tag, owners)
+            w = np.stack([np.asarray(wi, dtype=complex).reshape(-1, z.size)
+                          for wi, _ in cols])
+            c = np.stack([np.asarray(ci, dtype=complex) for _, ci in cols])
+            stack = (2 * w.shape[1],) if self.derivative else \
+                (w.shape[1],) if np.ndim(cols[0][0]) > 1 else ()
+            if self.derivative:
+                w = np.concatenate((w, 1j * c[:, None] * w), axis=1)
+            cuts = np.cumsum([nodes[i][1].size for i in idx])[:-1]
+            for i, wi, ci in zip(idx, np.split(w, cuts, axis=-1),
+                                 np.split(c, cuts, axis=-1)):
+                W[i], C[i] = wi, ci
+        return W, C, stack
+
+    def _model(self, rungs, built):
+        """The _TailModel of every owner at the rungs of a block, at every time.
+
+        The weights w leave out the path's phase, whose rate for time k is
+        path.rates[k].  A decaying leg's tail is taken from
+        w exp(i rate z^2), and an oscillatory ray's amplitude at
+        z = direction u is A = w jac exp(i (rate z^2 + t u^2)), without the
+        expansion's exp(-i t u^2): w jac on every sector and real-line ray,
+        where rate z^2 = -t u^2 exactly.  Every rung's spec lists the same
+        legs and rays.
+        """
+        spec = built[0][1]
+        nodes = [_tail_nodes(path, sp) for path, sp in built]
+        W, C, stack = self._sample([nd for each in nodes for nd in each])
+        # per sample slot of a rung: its nodes (rung, n), W (owner, rung,
+        # column, n) and c (owner, rung, n)
+        slots = len(nodes[0])
+        z = [np.stack([each[s][1] for each in nodes]) for s in range(slots)]
+        W = [np.stack(W[s::slots], axis=1) for s in range(slots)]
+        C = [np.stack(C[s::slots], axis=1) for s in range(slots)]
+        ts = np.array(self.ts)
+        rates = np.array([path.rates for path, _ in built])
+        span = np.array(rungs)[None, :, None, None]
+        generic = np.zeros((len(self.x0), len(rungs), len(ts), W[0].shape[2]))
+        s = 0
+        for _ in spec.get("generic", ()):
+            phase = np.exp(1j * rates[:, :, None] * (z[s] * z[s])[:, None])
+            w = W[s][:, :, None] * phase[None, :, :, None]
+            f = np.abs(w)
+            dist = np.abs(z[s][:, 1] - z[s][:, 0])[None, :, None, None]
+            generic = generic + _pair_tail(f[..., 0], f[..., 1], dist, span)
+            s += 1
+        sign = np.array([path.sign for path, _ in built])[None, :, None]
+        oscs = []
+        for e, (_, rays, _) in enumerate(spec.get("osc", ())):
+            K = np.array([sp["osc"][e][2] for _, sp in built])
+            u = K[:, None] - _OscTail.h * np.arange(4.0)
+            for _, jac in rays:
+                arg = rates[:, :, None] * (z[s] * z[s])[:, None] \
+                    + ts[:, None] * (u * u)[:, None]
+                A = (W[s] * jac)[:, :, None] * np.exp(1j * arg)[None, :, :, None]
+                oscs.append(_OscTail(A, C[s][:, :, None], K[None, :, None],
+                                     ts[None, None, :], sign, self.x0[:, None, None]))
+                s += 1
+        return _TailModel(generic, oscs, stack, ts[None, None, :])
 
 
 def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
-                      T0, derivative=False, max_T=_MAX_T):
+                      T0, derivative=False, max_T=_MAX_T, store=None):
     """Grow the truncation until every tail estimate clears the tolerance.
 
     builder(T) returns (path, spec); spec lists the open legs, as
@@ -475,43 +597,34 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     t is one time or a sequence of them, one per rate of the path.
 
     The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
-    max_T.  Each rung is the one before times 1.6, so a search started at
-    a later rung of a ladder (ContourSolver._terms) tries that ladder's own
-    rungs from there.  The rungs are tested in order and the first whose
-    tails clear 0.05 tolerance at x_probe at every time is returned, or else
-    the last (_rung_tails).  A rung's samples serve every time, since the
-    weights leave the path's phase out; its times are tested smallest
-    first, where the tails decay slowest, and the first that fails ends the
-    rung.  The samples are taken four rungs at a time, in one weight and
-    one xcoef call per leg tag (_rung_samples): a call on a few nodes costs
-    numpy's dispatch as much as one on a hundred.  A search accepting the
-    fifth rung or later of its start makes a second call per tag.  The
-    tails of rungs past the one returned are dropped.  Returns (path,
-    tails), tails the _Tails of the rung's times.
+    max_T.  The rungs are tested in order and the first whose tails clear
+    0.05 tolerance at x_probe at every time is returned, or else the last.
+    Returns (path, tails), tails the _Tails of the rung's times.  The tails
+    are sampled and tested by a _TailStore, four rungs at a time in one
+    weight and one xcoef call per leg tag: a call on a few nodes costs
+    numpy's dispatch as much as one on a hundred.
+
+    store = (_TailStore, i) searches as owner i of a store, whose ladder,
+    weight, xcoef, times, offset, probes, tolerance and derivative are then
+    those given (the arguments must agree with them): the search starts at
+    the store's rung T0, a later rung of its ladder when a search continues
+    where an earlier term of its region stopped (ContourSolver._terms), and
+    reads the blocks the store sampled for all its owners.  Without a store
+    the search is the one owner of a store of its own, whose ladder starts
+    at T0.
 
     weight may return a stack of m columns, shape (m, N), that share the
     path and xcoef: one search then serves them all.  A rung clears when
     every column clears at every time, and tails.worst is the largest over
     the columns as well.  With derivative the samples of the m columns W
     get the m columns i c W, the integrands of the slope, stacked under
-    them: psi_x is one more column of the same models, tested by the same
-    single worst call per time.
+    them: psi_x is one more column of the same models.
     """
-    target = 0.05 * tolerance
-    ts = [float(v) for v in np.atleast_1d(t)]
-    rungs = [T0]
-    while len(rungs) < 22 and rungs[-1] < max_T:
-        rungs.append(min(1.6 * rungs[-1], max_T))
-    for start in range(0, len(rungs), _RUNGS_PER_CALL):
-        block = [builder(T) for T in rungs[start:start + _RUNGS_PER_CALL]]
-        taken = _rung_samples(block, weight, xcoef, derivative)
-        for T, (path, spec), samples in zip(rungs[start:], block, taken):
-            cleared, models = _rung_tails(path, spec, samples, ts, x_offset, T,
-                                          x_probe, target)
-            if cleared:
-                return path, _Tails(models)
-    return path, _Tails(m or _TailModel(path, spec, samples, ts[k], x_offset, T, k)
-                        for k, m in enumerate(models))
+    if store is None:
+        store = (_TailStore(builder, T0, t, _plain_columns([(weight, xcoef)]),
+                            [(x_offset, x_probe, tolerance)], derivative, max_T), 0)
+    store, owner = store
+    return store.search(owner, T0)
 
 
 def panel_budget(t, xspan, T):
@@ -641,47 +754,6 @@ def eval_terms(terms, xs, tolerance, max_panels=2000):
     return vals, errs
 
 
-class _NodeMemo:
-    """Interface data at the nodes a term's own weight asks for in one call.
-
-    Those are the tail samples of every search and lift, the table of a
-    term alone on its path and the tolerance * 1e4 retry (_InterfaceWeight);
-    the batches of a panel store compute their rows directly
-    (ContourSolver._store_columns).  Nodes are looked up by their exact
-    bits in a sorted index: a lookup computes the rows of the nodes it
-    misses and merges them in at once, data sorted as the nodes are.  The
-    memo keeps no reference to the solver, which passes it the function
-    that computes the rows.
-    """
-
-    def __init__(self):
-        self.keys = np.empty(0, dtype=complex)
-        self.data = None
-
-    def lookup(self, z, compute):
-        """compute(z), computing only the rows of nodes not seen before."""
-        z = np.ascontiguousarray(z)
-        hit = np.zeros(z.shape, dtype=bool)
-        if self.keys.size:
-            pos = np.minimum(np.searchsorted(self.keys, z), self.keys.size - 1)
-            hit = np.all(self.keys[pos].view(np.uint64).reshape(-1, 2)
-                         == z.view(np.uint64).reshape(-1, 2), axis=1)
-        if z.size and np.all(hit):
-            return self.data[pos]
-        zm = z[~hit]
-        out = computed = compute(zm)
-        if np.any(hit):
-            out = np.empty((z.size,) + computed.shape[1:], dtype=complex)
-            out[hit] = self.data[pos[hit]]
-            out[~hit] = computed
-        order = np.argsort(zm)
-        at = np.searchsorted(self.keys, zm[order])
-        self.keys = np.insert(self.keys, at, zm[order])
-        self.data = computed[order] if self.data is None else \
-            np.insert(self.data, at, computed[order], axis=0)
-        return out
-
-
 def _reals(v):
     """v as a float array, or None when an entry is not a real number."""
     try:
@@ -691,6 +763,23 @@ def _reals(v):
         return None
 
 
+def _number(v, name):
+    """The setting v as a float; a bool, a string or a non-number is refused by name."""
+    if not isinstance(v, (bool, np.bool_, str, bytes)):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("{} must be a real number, got {!r}".format(name, v))
+
+
+def _flag(derivative):
+    """derivative as a bool: True or False, numpy bools included; else refused by name."""
+    if derivative is True or derivative is False or isinstance(derivative, np.bool_):
+        return bool(derivative)
+    raise ValueError("derivative must be True or False, got {!r}".format(derivative))
+
+
 class ContourSettings:
     """Potential, initial data and contour settings, validated once.
 
@@ -698,17 +787,19 @@ class ContourSettings:
     be finite and positive.  radius (default max(1, 1.25 sqrt(2 Lambda)))
     must clear the branch scale sqrt(2 Lambda) and be at most _MAX_T / 2 =
     2000, so that the first truncation rung 2R lies on the ladder and the
-    chirp ray starts as at most 1000 pieces.  The open legs tilt by the
-    constant delta: by Cauchy's theorem every tilt in (0, pi/4) gives the
-    same psi.
+    chirp ray starts as at most 1000 pieces.  Both must be real numbers: a
+    bool or a string is refused, naming the field.  The open legs tilt by
+    the constant delta: by Cauchy's theorem every tilt in (0, pi/4) gives
+    the same psi.
     """
 
     delta = np.pi / 8.0
-    # {(quad, rates, T): (path, spec)} while a call lasts (see sector)
+    # {(quad, rates): builder, (quad, rates, T): (path, spec)} while a call
+    # lasts (see sector)
     _paths = None
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None):
-        tol = float(tolerance)
+        tol = _number(tolerance, "tolerance")
         if not (np.isfinite(tol) and tol > 0.0):
             raise ValueError(
                 "tolerance must be finite and positive, got {!r}".format(tolerance))
@@ -716,7 +807,7 @@ class ContourSettings:
         self.ic = ic
         self.tolerance = tol
         lam = potential.lam
-        self.radius = float(radius) if radius is not None else \
+        self.radius = _number(radius, "radius") if radius is not None else \
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
         R = self.radius
         if not np.sqrt(2.0 * lam) < R <= 0.5 * _MAX_T:
@@ -767,7 +858,9 @@ class ContourSettings:
 
         Within a call that sets up the path memo (ContourSolver._solve), each
         rung's path is built once and shared by every term and search that
-        tries it; a built path is never modified.
+        tries it, and every sector(quad, t) with the same rates returns one
+        builder, so that the terms of all regions on it climb one ladder
+        (ContourSolver._plans); a built path is never modified.
         """
         R, dlt, lam = self.radius, self.delta, self.potential.lam
         ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
@@ -793,7 +886,9 @@ class ContourSettings:
             if key not in self._paths:
                 self._paths[key] = make(T)
             return self._paths[key]
-        return build
+        if self._paths is None:
+            return build
+        return self._paths.setdefault((quad, rates), build)
 
 
 class ContourSolver(ContourSettings):
@@ -805,14 +900,15 @@ class ContourSolver(ContourSettings):
     truncation builder (see choose_truncation) and the first rung T0 of its
     ladder, and the level alpha of a term whose integrand carries
     exp(-i alpha t) (0 for none); terms with the same builder and T0 climb
-    one ladder (_terms).  Region j has one term per neighbouring
+    one ladder (_plans).  Region j has one term per neighbouring
     jump on the fourth-quadrant sector boundary, whose weights carry
     exp(i kappa^2 t), with T0 = 2R: at its right jump x_j with c = -nu_j
     and weight -B / (2 pi), at its left jump x_{j-1} with c = +nu_j and
     weight +B / (2 pi).  _interface_data(z), the one hook, gives the
     interface combinations B of all terms as an (N, 2n) array, one row per
     node: column 2l - 2 is the term of region l at its right jump x_l,
-    column 2l - 1 the term of region l + 1 at its left jump x_l.  Here B
+    column 2l - 1 the term of region l + 1 at its left jump x_l; with B it
+    returns the stack nu_1..nu_{n+1} of the levels at the nodes.  Here B
     comes from the unknowns of the interface system, which a closed form
     (WellSolver) may replace.  No weight depends on t.  The reported error
     estimate adds truncation residuals to the quadrature error, so it stays
@@ -824,25 +920,26 @@ class ContourSolver(ContourSettings):
     run over [R, T], so only terms at the same rung share their nodes; the
     two terms of a region are therefore put on one rung where their tails
     allow it (_terms).  The call searches the truncations of every region
-    before it builds any table, and the terms that ended on one path, of
-    any region, refine their tables over one panel store
-    (contours.PanelStore, _sums): each span is evaluated once, for every
-    term still to build on the path, from one computation of the rows per
-    batch, sliced per term, with one nu per level (_store_columns).  Each
-    term keeps a node table of its own, built and summed before the next.
-    A call of a term's weight itself (its tail samples, its table when it
-    is alone on its path, the retry at tolerance * 1e4) reads the rows from
-    a memo that lives for one evaluate_grid call (_NodeMemo); outside a
-    call it computes them directly.  So a node is solved at most once per
-    rung path that evaluates it, and a tail sample once per call; the arc
-    and corner legs, common to every rung, are solved again on each rung a
-    region ends on.  Node tables, truncations and outputs are those of
-    every term computing every node afresh.  A region's terms depend on
-    nothing outside the region, so a call restricted to one region gives
-    the same bits as the whole call there.
+    before it builds any table.  The terms of every region on one ladder
+    (all fourth-quadrant terms of the call) search one tail store
+    (_TailStore, _plans), which samples each block of rungs once for all
+    of them and tests all their tails in one array pass.  The terms that
+    ended on one path, of any region, then refine their tables over one
+    panel store (contours.PanelStore, _sums): each span is evaluated once,
+    for every term still to build on the path.  Both stores compute the
+    rows once per batch of nodes and slice them per term, with the nus
+    that came with them (_store_columns).  Each term keeps a node table of
+    its own, built and summed before the next.  A call of a term's weight
+    itself (its table when it is alone on its path, the retry at
+    tolerance * 1e4) computes the rows at its nodes.  So a tail sample is
+    solved once per ladder, and a node of a table at most once per rung
+    path that evaluates it: the arc and corner legs, common to every rung,
+    are solved again on each rung a region ends on.  Node tables,
+    truncations and outputs are those of every term computing every node
+    afresh.  A region's terms depend on nothing outside the region, so a
+    call restricted to one region gives the same bits as the whole call
+    there.
     """
-
-    _memo = None
 
     def _declare(self, region, ts):
         pot = self.potential
@@ -868,38 +965,26 @@ class ContourSolver(ContourSettings):
             return _InterfaceWeight(self, 2 * region - 2, -1.0)
         return _InterfaceWeight(self, 2 * region - 3, 1.0)
 
-    def _rows(self, z):
-        """The interface data at the nodes z, from the call's node memo.
+    def _store_columns(self, pairs):
+        """columns(z, tag, owners) of a panel or tail store of interface terms.
 
-        Outside an evaluate_grid call they are computed directly.
+        pairs holds each owner's (weight, xcoef).  For a batch of nodes: the
+        rows B and the nus computed once (_interface_data), and each owner's
+        columns (W, c) taken from them as its weight and x-coefficient take
+        them, c from the nu of its level.
         """
-        if self._memo is None:
-            return self._interface_data(z)
-        return self._memo.lookup(z, self._interface_data)
+        levels = self.potential.levels
 
-    def _store_columns(self, terms):
-        """columns(z, tag, owners) of a PanelStore of interface terms.
-
-        For a batch of nodes: the rows B computed directly, one nu per level,
-        and each owner's columns (W, c) taken from them as its weight and
-        x-coefficient take them.  The store evaluates each span of its path
-        once, so its batches bypass the node memo: a lookup would almost
-        never hit, and it would keep every row alive until the call ends.
-        """
         def columns(z, tag, owners):
-            B = self._interface_data(z)
-            nus = {}
-            out = []
-            for i in owners:
-                W, c = terms[i].weight, terms[i].xcoef
-                if c.alpha not in nus:
-                    nus[c.alpha] = nu(c.alpha, z)
-                out.append(np.stack((W.of(B), c.sgn * nus[c.alpha])))
-            return out
+            B, nus = self._interface_data(z)
+            of_level = dict(zip(levels, nus))
+            return [np.stack((W.of(B), c.sgn * of_level[c.alpha]))
+                    for W, c in (pairs[i] for i in owners)]
         return columns
 
     def _interface_data(self, z):
-        """Interface combination B of every term, shape (N, 2n).
+        """(B, nus): the interface combination B of every term, shape (N, 2n),
+        and the stack nu_1..nu_{n+1} at z (potential.nus).
 
         From the unknowns X of the interface system (X_l is g0 and X_{n+l}
         is i g1 at x_l): z (X_{n+l}/nu_l + X_l) for region l at its right
@@ -914,52 +999,82 @@ class ContourSolver(ContourSettings):
         for ell in range(n):
             B[:, 2 * ell] = z * (X[:, n + ell] / nus[ell] + X[:, ell])
             B[:, 2 * ell + 1] = z * (X[:, n + ell] / nus[ell + 1] - X[:, ell])
-        return B
+        return B, nus
 
-    def _terms(self, region, t, derivative, xmax):
+    def _plans(self, xmax, ts, derivative):
+        """{region: (specs, searches)} of the regions of xmax, {region: largest |x|}.
+
+        specs are the region's terms (_declare), searches one (store,
+        owner, probes, tolerance) per term: the _TailStore of its ladder
+        and its owner index there, its probe points (the region bounds
+        clipped to +-max(1, largest |x|)) and its tolerance, the tolerance
+        over the number of the region's terms.  The terms of every region
+        on one ladder (the same builder and first rung T0) are the owners of
+        one store, in region and term order.
+        """
+        ladders, plans = {}, {}
+        for region, xm in xmax.items():
+            specs = self._declare(region, ts)
+            xb = max(1.0, xm)
+            lo, hi = self.potential.region_bounds(region)
+            probes = (max(lo, -xb), min(hi, xb))
+            tol = self.tolerance / len(specs)
+            searches = []
+            for W, xc, x0, builder, T0, _ in specs:
+                owners = ladders.setdefault((builder, T0), [])
+                searches.append(((builder, T0), len(owners), probes, tol))
+                owners.append((W, xc, x0, probes, tol))
+            plans[region] = (specs, searches)
+        stores = {}
+        for (builder, T0), owners in ladders.items():
+            pairs = [owner[:2] for owner in owners]
+            interface = all(isinstance(W, _InterfaceWeight) for W, _ in pairs)
+            columns = (self._store_columns if interface else _plain_columns)(pairs)
+            stores[builder, T0] = _TailStore(builder, T0, ts, columns,
+                                             [owner[2:] for owner in owners], derivative)
+        return {region: (specs, [(stores[key], i, probes, tol)
+                                 for key, i, probes, tol in searches])
+                for region, (specs, searches) in plans.items()}
+
+    def _terms(self, region, t, derivative, xmax, plan=None):
         """The region's terms at the time or times t, truncated for |x| up to xmax.
 
-        Each term gets tolerance / (number of terms); the tails are probed at
-        the region bounds clipped to +-max(1, xmax), at every time.  Terms
-        that share a ladder (the same builder and first rung T0, as the
-        fourth-quadrant terms of a region do) share one truncation where
-        their tails allow it: each term's search starts at the highest rung
-        an earlier term on its ladder accepted, and a term that accepted a
-        lower rung than a later one is then lifted to that top rung when its
-        tails clear there.  The lift samples the top rung's tails, whose
-        nodes the memo holds already, and tests them as its search would
-        (_rung_samples, _rung_tails); a term whose tails do not clear there
-        keeps its own rung.  The terms then lie on one path, so their node
-        tables share the nodes of its rotated leg and chirp ray as well as
-        those of its arc and corner legs.  Each term keeps its own node
-        table, and nothing is shared with another region.
+        plan is the region's entry of _plans, whose tail stores the call's
+        other regions may share; by default the region gets stores of its
+        own.  Each term gets tolerance / (number of terms); the tails are
+        probed at the region bounds clipped to +-max(1, xmax), at every
+        time.  Terms that share a ladder (the same builder and first rung
+        T0, as the fourth-quadrant terms of a region do) share one
+        truncation where their tails allow it: each term's search starts at
+        the highest rung an earlier term of the region on its ladder
+        accepted, and a term that accepted a lower rung than a later one is
+        then lifted to that top rung when its tails clear there.  The lift
+        reads the store, which sampled and tested the top rung with the
+        search that accepted it (_TailStore.rung); a term whose tails do
+        not clear there keeps its own rung.  The terms then lie on one path,
+        so their node tables share the nodes of its rotated leg and chirp
+        ray as well as those of its arc and corner legs.  Each term keeps
+        its own node table, and nothing is shared with another region.
         """
-        xb = max(1.0, xmax)
-        specs = self._declare(region, t)
-        lo, hi = self.potential.region_bounds(region)
-        probes = (max(lo, -xb), min(hi, xb))
-        tol = self.tolerance / len(specs)
-        ts = [float(v) for v in np.atleast_1d(t)]
-        # the highest rung accepted on each ladder (builder, T0); a rung's path
-        # reaches exactly its truncation
+        specs, searches = plan or self._plans({region: xmax}, t, derivative)[region]
+        # the highest rung accepted on each ladder; a rung's path reaches
+        # exactly its truncation
         top = {}
         found = []
-        for W, xc, x0, builder, T0, level in specs:
-            start = top.get((builder, T0), T0)
+        for (W, xc, x0, builder, T0, _), (store, owner, probes, tol) in zip(
+                specs, searches):
             path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
-                                            start, derivative=derivative)
-            top[builder, T0] = path.reach()
+                                            top.get(store, T0), derivative=derivative,
+                                            store=(store, owner))
+            top[store] = path.reach()
             found.append((path, tails))
         out = []
-        for (W, xc, x0, builder, T0, level), (path, tails) in zip(specs, found):
-            T = top[builder, T0]
-            if path.reach() < T:
-                lifted, spec = builder(T)
-                (samples,) = _rung_samples([(lifted, spec)], W, xc, derivative)
-                cleared, models = _rung_tails(lifted, spec, samples, ts, x0, T, probes,
-                                              0.05 * tol)
+        for (W, xc, x0, _, _, level), (store, owner, _, _), (path, tails) in zip(
+                specs, searches, found):
+            if path.reach() < top[store]:
+                cleared, lifted, lifted_tails = store.rung(owner, top[store])
                 if cleared:
-                    path, tails = lifted, _Tails(models)
+                    path, tails = lifted, lifted_tails
             out.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
         return out
 
@@ -976,8 +1091,10 @@ class ContourSolver(ContourSettings):
         (ContourSettings.sector), and one free_term call gives every free
         term.  t = 0 gives the initial samples.  Each x is evaluated in its
         own region (an interface point in the one on its right) unless
-        region, 1..nregions, forces one for all of them.
+        region, 1..nregions, forces one for all of them.  derivative, True
+        or False, adds psi_x and its error to every sample.
         """
+        derivative = _flag(derivative)
         pts = _reals(xs)
         if pts is None or pts.ndim != 1 or not np.all(np.isfinite(pts)):
             raise ValueError("x must be a 1-D sequence of finite real points, "
@@ -1005,21 +1122,25 @@ class ContourSolver(ContourSettings):
         # (times, columns, x), the layout of eval_terms: psi, then psi_x
         F = np.reshape(free, (1 + derivative, nt, xs.size)).swapaxes(0, 1)
         rows = {t: [None] * xs.size for t in live}
-        self._memo = _NodeMemo()
         self._paths = {}
         try:
             # every region's terms before any table, so that the terms that
-            # ended on one path share its panel store (_sums)
+            # ended on one path share its panel store (_sums); the regions'
+            # searches on one ladder share its tail store (_plans)
+            groups = [(int(j), np.where(regions == j)[0]) for j in np.unique(regions)]
+            xmax = {j: float(np.max(np.abs(xs[idx]))) for j, idx in groups}
+            plans = self._plans(xmax, live, derivative)
             parts = []
-            for j in np.unique(regions):
-                idx = np.where(regions == j)[0]
+            for j, idx in groups:
                 sub = xs[idx]
-                terms = self._terms(int(j), live, derivative, float(np.max(np.abs(sub))))
+                terms = self._terms(j, live, derivative, xmax[j], plan=plans[j])
                 T = max(tm.path.reach() for tm in terms)
                 xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
                 chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
                 parts.append((idx, sub, terms, panel_budget(
                     0.0 if chirped else live[-1], xspan, T)))
+            # the tail stores, with every block they sampled, are done
+            del plans
             for (idx, sub, _, _), sums in zip(parts, self._sums(parts)):
                 # the terms' sums added in term order, as eval_terms adds them
                 vals, errs = (sum(a) for a in zip(*sums))
@@ -1030,7 +1151,7 @@ class ContourSolver(ContourSettings):
                     for i, x, *sample in zip(idx.tolist(), sub.tolist(), *cols):
                         rows[t][i] = SolutionSample(x, t, *sample)
         finally:
-            del self._memo, self._paths
+            del self._paths
         return rows
 
     def _sums(self, parts):
@@ -1054,7 +1175,8 @@ class ContourSolver(ContourSettings):
             terms = [parts[p][2][i] for p, i in owners]
             probes = [_term_probes(term, parts[p][1])
                       for (p, _), term in zip(owners, terms)]
-            store = PanelStore(terms[0].path, self._store_columns(terms), probes) \
+            store = PanelStore(terms[0].path, self._store_columns(
+                [(term.weight, term.xcoef) for term in terms]), probes) \
                 if len(owners) > 1 else None
             for k, (p, i) in enumerate(owners):
                 _, xs, region_terms, budget = parts[p]

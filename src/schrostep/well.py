@@ -19,9 +19,10 @@ boundary in kappa (the 'd4' form of StepSolver).  It only overrides the
 core's one hook, `_interface_data`, which gives the interface combination
 of every term as four columns, one row per node: B1 (region 1 at x = 0),
 (kappa / nu) B (region 2 at 0), (kappa / nu) A (region 2 at x2) and B3
-(region 3 at x2).  It builds them from four half-line transforms, within
-an evaluate_grid call at most once per node for each rung path that
-evaluates it (ContourSolver).
+(region 3 at x2), with the stack of the levels' nus.  It builds them from
+four half-line transforms, within an evaluate_grid call once per tail
+sample and at most once per node for each rung path that evaluates it
+(ContourSolver).
 The terms (one for each outer region, offset 0 on the left and x2 on the
 right, two for the middle one, offsets x2 and 0), truncation, node tables,
 the panel budget and the free terms come from the shared core in `step`
@@ -139,10 +140,12 @@ class WellSolver(ContourSolver):
     # -- closed-form pieces ------------------------------------------------
 
     def _interface_data(self, kap):
-        """Columns B1, (kappa / nu) B, (kappa / nu) A and B3, one row per node.
+        """(B, nus): the columns B1, (kappa / nu) B, (kappa / nu) A and B3, one
+        row per node, and the stack of the levels' nus, (i kappa, nu, i kappa).
 
         The four transforms p, qs, r, sp (each bounded on the path) enter the
-        spectral numerators over the common denominator D.
+        spectral numerators over the common denominator D.  nu(0, kappa) is
+        i kappa to the last bit, so the stack is potential.nus(kappa).
         """
         ic, pot, al, x2 = self.ic, self.potential, self.alpha, self.x2
         nuv = nu(al, kap)
@@ -162,5 +165,6 @@ class WellSolver(ContourSolver):
             + 2.0 * nuv * M * sp
         B = -2.0 * nuv * M * p - P * P * Ep * qs + al * r \
             - 2.0 * nuv * P * Ep * sp
-        return np.stack((B1 / D, (kap / nuv) * (B / D), (kap / nuv) * (A / D),
-                         B3 / D), axis=1)
+        return (np.stack((B1 / D, (kap / nuv) * (B / D), (kap / nuv) * (A / D),
+                          B3 / D), axis=1),
+                np.stack((1j * kap, nuv, 1j * kap)))

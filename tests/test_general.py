@@ -194,8 +194,9 @@ class StepClosedForm:
         n1 = nu(a1, z)
         n2 = nu(a2, z)
         h1, h2 = hat_transform(self.ic, self.potential, (1, 2), np.stack((n1, -n2)))
-        return np.stack((z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2),
-                         z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)), axis=1)
+        return (np.stack((z * (2.0 * h2 + (n1 - n2) / n1 * h1) / (n1 + n2),
+                          z * ((n1 - n2) / n2 * h2 - 2.0 * h1) / (n1 + n2)), axis=1),
+                np.stack((n1, n2)))
 
 
 # one closed form per case, compared column by column: jump l gives the
@@ -218,5 +219,7 @@ def test_closed_form_combinations_match_the_linear_solve(case, t):
     path, _ = gen.sector(4, t)(4.0 * gen.radius)
     # arc, tilted leg, corner legs and ray
     z = np.concatenate([leg.point(np.linspace(0.05, 0.95, 7)) for leg in path.legs])
-    np.testing.assert_allclose(closed._interface_data(z), gen._interface_data(z),
-                               rtol=1e-12, atol=0.0)
+    (B, nus), (want, want_nus) = closed._interface_data(z), gen._interface_data(z)
+    np.testing.assert_allclose(B, want, rtol=1e-12, atol=0.0)
+    # the nus that come with the rows are potential.nus, to the last bit
+    assert nus.tobytes() == want_nus.tobytes() == pot.nus(z).tobytes()

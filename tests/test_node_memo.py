@@ -1,16 +1,18 @@
 """The interface data of one evaluate_grid call are shared between its terms.
 
 Every term of a call lies on the same sector(4, t) contour, so their node
-tables share most nodes.  A panel store computes the rows of each span of
-its path once for all the terms on that path, and what a term's weight
-asks for itself (tail samples, a table alone on its path) goes through a
-node memo of the call, so a node is solved at most once per rung path that
-evaluates it.  These tests pin that the sharing changes no output bit,
-that each distinct node is solved once in calls whose regions end on one
-rung, and that the memo leaves nothing behind on the solver.  The sector
-paths of the truncation rungs are kept in a memo of the call too: the last
-tests pin that terms at the same rung share one path, that nothing
-modifies a built path, and that this memo goes with the call as well.
+tables share most nodes.  A tail store samples the tails of every term on
+one truncation ladder once per block of rungs, and a panel store computes
+the rows of each span of its path once for all the terms on that path; a
+term's weight called itself (a table alone on its path) computes its rows
+at its nodes.  So a tail sample is solved once per ladder, and a node of a
+table at most once per rung path that evaluates it.  These tests pin that
+the sharing changes no output bit, that each distinct node is solved once
+in calls whose regions end on one rung, and that the stores leave nothing
+behind on the solver.  The sector paths of the truncation rungs are kept
+in a memo of the call too: the last tests pin that terms at the same rung
+share one path, that nothing modifies a built path, and that this memo
+goes with the call as well.
 """
 
 import copy
@@ -20,6 +22,7 @@ import weakref
 import numpy as np
 import pytest
 
+import schrostep.contours
 import schrostep.general
 import schrostep.step
 import schrostep.well
@@ -98,17 +101,30 @@ def test_each_distinct_node_is_transformed_once_per_call(monkeypatch):
     assert sum(z.size for z in seen) == _distinct(seen)
 
 
+def _store_refs(monkeypatch):
+    """Weak references to every tail and panel store made from now on."""
+    refs = []
+    for cls in (schrostep.step._TailStore, schrostep.contours.PanelStore):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            refs.append(weakref.ref(self))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    return refs
+
+
 @pytest.mark.parametrize("name", list(SOLVERS))
-def test_memo_dies_with_the_call(name):
+def test_stores_die_with_the_call(name, monkeypatch):
     # with the collector off, a reference cycle through the solver (say
-    # solver -> memo -> closure -> solver) would keep both alive
+    # solver -> store -> closure -> solver) would keep both alive
+    stores = _store_refs(monkeypatch)
     gc.disable()
     try:
         solver = SOLVERS[name]()
         attrs = set(vars(solver))
         solver.evaluate_grid(np.linspace(-2.0, 3.0, 6), 0.5)
         assert set(vars(solver)) == attrs
-        assert solver._memo is None and solver._paths is None
+        assert solver._paths is None
+        assert stores and all(ref() is None for ref in stores)
         ref = weakref.ref(solver)
         del solver
         assert ref() is None
@@ -116,7 +132,8 @@ def test_memo_dies_with_the_call(name):
         gc.enable()
 
 
-def test_memo_is_dropped_when_the_call_raises(monkeypatch):
+def test_stores_are_dropped_when_the_call_raises(monkeypatch):
+    stores = _store_refs(monkeypatch)
     solver = GeneralSolver(THREE, IC)
     attrs = set(vars(solver))
 
@@ -124,10 +141,14 @@ def test_memo_is_dropped_when_the_call_raises(monkeypatch):
         raise RuntimeError("solve failed")
 
     monkeypatch.setattr(schrostep.general, "solve_unknowns", fail)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as raised:
         solver.evaluate_grid([0.5], 0.5)
     assert set(vars(solver)) == attrs
-    assert solver._memo is None and solver._paths is None
+    assert solver._paths is None
+    # the traceback holds the call's frames, and with them its stores
+    del raised
+    gc.collect()
+    assert stores and all(ref() is None for ref in stores)
 
 
 def test_terms_at_one_rung_share_one_unmodified_path(monkeypatch):

@@ -88,8 +88,8 @@ def test_a_node_is_solved_at_most_once_per_path_that_evaluates_it(monkeypatch):
     # eight jumps with levels alternating 0 and 1: the regions end on two
     # rungs (T = 14.48 and 23.17), whose paths share their arc.  A store's
     # batches compute their rows directly, so a node of a leg common to both
-    # paths is solved once per path; tail samples and lone tables go through
-    # the call's node memo.
+    # paths is solved once per path; tail samples are solved once per block
+    # of rungs by the ladder's tail store.
     solved, evaluated = [], []
     solve = general.solve_unknowns
     evaluate = contours._evaluate

@@ -12,8 +12,7 @@ from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewiseP
 from schrostep import step as step_module
 from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
-from schrostep.step import (_OscTail, _pair_tail, _sample_tails, _tail_nodes,
-                            _TailModel, choose_truncation, eval_terms)
+from schrostep.step import _OscTail, _pair_tail, choose_truncation, eval_terms
 
 FREE = PiecewisePotential([0.0, 0.0], [0.0])
 UP = PiecewisePotential([1.0, 2.0], [0.0])
@@ -235,6 +234,12 @@ def test_solver_contract(name):
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             make(pot, ic, tolerance=tol)
+    # a bool or a string is not a number, though float() takes them
+    for field, bad in (("tolerance", True), ("tolerance", np.True_), ("tolerance", "1e-3"),
+                       ("tolerance", b"1e-3"), ("tolerance", None), ("radius", "3"),
+                       ("radius", True), ("radius", 3.0 + 0j)):
+        with pytest.raises(ValueError, match="^" + field):
+            make(pot, ic, **{field: bad})
     s = make(pot, ic)
     if name == "interface-map":
         x = pot.interfaces[0]
@@ -266,6 +271,15 @@ def test_solver_contract(name):
     assert start.error == 0.0 and start.psi_x_error == 0.0
     assert one(0.0).psi_x is None
     assert one(0.5, derivative=True) == grid(0.5, derivative=True)[0]
+    # derivative is True or False: None, a string or 2 would be summed as a
+    # count of slope columns or taken as true
+    for bad in (None, "yes", "no", 2, 1, 0, 1.0, np.array([True])):
+        for call in (one, grid):
+            for t in (0.0, 0.5):
+                with pytest.raises(ValueError, match="^derivative"):
+                    call(t, derivative=bad)
+    assert one(0.5, derivative=np.True_) == one(0.5, derivative=True)
+    assert one(0.5, derivative=np.False_) == one(0.5)
     if name != "interface-map":
         for bad in (np.nan, np.inf, -np.inf):
             for t in (0.0, 0.5):
@@ -410,8 +424,7 @@ def test_chirp_ray_tail_matches_the_stripped_phase_model(rep, region):
         whole = lambda z, tag: np.exp(1j * rate * z * z) * W(z, tag)
         # psi and psi_x, as a search with the slope samples them
         chirp, stripped = (
-            _TailModel(p, spec, _with_slope(_sample_tails(_tail_nodes(p, spec), w, xc)),
-                       0.5, x0, span=T)
+            _one_rung(lambda _, p=p: (p, spec), w, xc, 0.5, x0, T, derivative=True)[1][0]
             for p, w in ((path, W), (replace(path, rates=(0.0,)), whole)))
         # the decaying leg's tail is taken with the phase in both
         assert chirp.generic == pytest.approx(stripped.generic, rel=1e-12)
@@ -463,13 +476,12 @@ def test_slope_tails_are_the_stacked_column_i_c_w(rep):
     T = term.path.reach()
     path, spec = builder(T)
     assert path.legs == term.path.legs
-    nodes = _tail_nodes(path, spec)
     slope = lambda z, tag: 1j * xc(z, tag) * W(z, tag)
     xs = np.linspace(-6.0, 0.0, 13)
     corr, err = term.tails[0].at(xs)
     assert corr.shape == err.shape == (xs.size, 2)
     for j, f in enumerate((W, slope)):
-        want = _TailModel(path, spec, _sample_tails(nodes, f, xc), 0.5, x0, T).at(xs)
+        want = _one_rung(builder, f, xc, 0.5, x0, T)[1][0].at(xs)
         assert corr[:, j].tobytes() == want[0].tobytes()
         assert err[:, j].tobytes() == want[1].tobytes()
     # searched without the slope, the terms sum psi alone
@@ -480,26 +492,22 @@ def test_slope_tails_are_the_stacked_column_i_c_w(rep):
 # -- the truncation ladder, sampled four rungs per weight call -------------
 
 
-def _with_slope(samples):
-    """Tail samples (z, w, c) with i c w stacked under w, as a search takes them."""
-    return [(z, np.vstack((w, 1j * c * w)), c) for z, w, c in samples]
+def _one_rung(builder, weight, xcoef, t, x_offset, T, derivative=False):
+    """(path, tails) of the rung T alone: a search on the ladder of that one rung."""
+    return choose_truncation(builder, weight, xcoef, t, x_offset, (0.0,), 1.0, T,
+                             derivative=derivative, max_T=T)
 
 
 def _truncation_rung_by_rung(builder, weight, xcoef, t, x_offset, x_probe,
                              tolerance, T0, derivative=False, max_T=4000.0):
-    """choose_truncation as one rung at a time, one weight call per leg.
+    """choose_truncation as one rung at a time, each sampled on its own.
 
     Returns (path, tails, rungs tried).
     """
     target = 0.05 * tolerance
     T = T0
     for rung in range(1, 23):
-        path, spec = builder(T)
-        samples = [(z, weight(z, tag), xcoef(z, tag))
-                   for tag, z in _tail_nodes(path, spec)]
-        if derivative:
-            samples = _with_slope(samples)
-        tails = _TailModel(path, spec, samples, t, x_offset, span=T)
+        path, (tails,) = _one_rung(builder, weight, xcoef, t, x_offset, T, derivative)
         if tails.worst(x_probe) <= target or T >= max_T:
             break
         T = min(1.6 * T, max_T)
@@ -573,12 +581,11 @@ def test_ladder_over_several_times_takes_the_first_rung_every_time_clears():
         singles.append(path_t.reach())
     T = path.reach()
     assert T == max(singles) and len(set(singles)) > 1
-    # one set of samples at that rung serves every time's model
-    spec = builder(T)[1]
-    samples = _sample_tails(_tail_nodes(path, spec), W, xc)
+    # one set of samples at that rung serves every time's model: each is
+    # the model of that time's own path at that rung
     xs = np.linspace(-4.0, 0.0, 9)
     for k, t in enumerate(ts):
-        want = _TailModel(path, spec, samples, t, x0, T, k)
+        _, (want,) = _one_rung(solver._declare(1, t)[0][3], W, xc, t, x0, T)
         for a, b in zip(tails[k].at(xs), want.at(xs)):
             assert a.tobytes() == b.tobytes()
     assert tails.worst(probes) == max(m.worst(probes) for m in tails)
@@ -597,17 +604,16 @@ def test_stacked_tail_model_matches_one_model_per_column():
         return np.stack([f(z, tag) for f in columns])
 
     T = 2.5 * T0
-    path, spec = builder(T)
-    nodes = _tail_nodes(path, spec)
-    stacked = _sample_tails(nodes, stack, xc)
+    stacked = _one_rung(builder, stack, xc, ts, x0, T)[1]
+    alone = [_one_rung(builder, f, xc, ts, x0, T)[1] for f in columns]
     xs = np.linspace(-4.0, 0.0, 9)
     for k, t in enumerate(ts):
-        model = _TailModel(path, spec, stacked, t, x0, T, k)
+        model = stacked[k]
         corr, err = model.at(xs)
         assert corr.shape == err.shape == (xs.size, len(columns))
         worst = []
         for j, f in enumerate(columns):
-            one = _TailModel(path, spec, _sample_tails(nodes, f, xc), t, x0, T, k)
+            one = alone[j][k]
             want_corr, want_err = one.at(xs)
             np.testing.assert_allclose(corr[:, j], want_corr, rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(err[:, j], want_err, rtol=1e-15, atol=0.0)

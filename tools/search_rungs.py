@@ -7,28 +7,35 @@ Run from the root of a source checkout:
 The requests are those of the four workloads in perfbench/workloads.py at
 SEED, each served once as tools/sample_digest.py serves it (an API request
 with a fresh solver, a CLI request in process), as in tools/leg_panels.py.
-Every step.choose_truncation call a request makes is listed, one line per
-search:
+Every truncation search a request makes (step.choose_truncation, which
+searches as an owner of a step._TailStore) is listed, one line per search:
 
-    workload  request  kind  search  start  accepted  final  T  sampled  weight calls  ms
+    workload  request  kind  search  store  start  accepted  final  T  ms
 
-start, accepted and final are rungs of the search's ladder, counted from
+store numbers the request's tail stores, one per truncation ladder.
+start, accepted and final are rungs of the store's ladder, counted from
 its first rung T0 (1): the rung the search started at (a later one when
 ContourSolver._terms starts it where an earlier term of its region
 stopped), the rung it returned, and the rung its term ended on, which is
 a later one when the term was lifted to its region's top rung ("-" for a
 search outside ContourSolver._terms, such as InterfaceMap's).  T is the
-accepted rung's truncation, sampled the number of rungs whose tails were
-sampled (whole blocks of step._RUNGS_PER_CALL from the start rung, clipped
-at the ladder's end), weight calls the calls of the search's weight
-function, and ms the search's time.  Each workload ends with its totals:
-the searches, how many accepted each rung, the terms lifted, the rungs
-sampled, the weight calls, and the search time with its share of the time
-taken to serve the requests.
+accepted rung's truncation and ms the search's time, which includes the
+sampling and testing of the blocks of rungs it was the first to reach.
+Each request then lists its stores, one line per store:
+
+    workload  request  kind  store  T0  owners  blocks  columns calls
+
+blocks is the number of blocks of step._RUNGS_PER_CALL rungs the store
+sampled and tested for all its owners, and columns calls the calls of its
+columns function (one per leg tag per block: a computation of the interface
+data for every owner at once, or each owner's weight and xcoef calls).
+Each workload ends with its totals: the searches, how many accepted each
+rung, the terms lifted, the stores, the blocks they sampled, their columns
+calls, and the search time with its share of the time taken to serve the
+requests.
 """
 
 import argparse
-import inspect
 import sys
 import tempfile
 import time
@@ -38,66 +45,67 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import sample_digest  # noqa: E402  (puts src and perfbench on the path)
-import schrostep.interface_map  # noqa: E402
 import schrostep.step  # noqa: E402
 from workloads import WORKLOADS, make_requests  # noqa: E402
 
-# the modules that call choose_truncation under that name
-_CALLERS = (schrostep.step, schrostep.interface_map)
-_SIGNATURE = inspect.signature(schrostep.step.choose_truncation)
+_STORE = schrostep.step._TailStore
+
+
+def _rung(store, path):
+    """The rung of path on store's ladder, counted from 1."""
+    for b, (built, _, _) in store.blocks.items():
+        for j, (p, _) in enumerate(built):
+            if p is path:
+                return b * schrostep.step._RUNGS_PER_CALL + j + 1
+    raise LookupError("path not built by the store")
 
 
 def serve(req, workdir):
-    """([(start, accepted, final, T, sampled, weight calls, seconds)] of
-    every search serving req made, the seconds serving took)."""
-    searches = []
-    # per ladder (builder), the rung of each truncation built on it
-    rungs = {}
-    search = schrostep.step.choose_truncation
+    """([(store, start, accepted, final, T, seconds)] of every search serving
+    req made, [(T0, owners, blocks, columns calls)] of every tail store, the
+    seconds serving took)."""
+    searches, stores = [], []
+    init, search = _STORE.__init__, _STORE.search
     terms = schrostep.step.ContourSolver._terms
 
-    def spy(builder, weight, *args, **kwargs):
-        built, calls = [], [0]
-        ladder = rungs.setdefault(builder, {})
-        T0 = _SIGNATURE.bind(builder, weight, *args, **kwargs).arguments["T0"]
-        start = ladder.get(T0, 1)
+    def init_spy(self, builder, T0, ts, columns, *args, **kwargs):
+        calls = [0]
 
-        def counted_builder(T):
-            out = builder(T)
-            ladder.setdefault(T, start + len(built))
-            built.append((T, out[0]))
-            return out
-
-        def counted_weight(*a):
+        def counted(*a):
             calls[0] += 1
-            return weight(*a)
+            return columns(*a)
 
+        init(self, builder, T0, ts, counted, *args, **kwargs)
+        stores.append((self, calls))
+
+    def search_spy(self, owner, start):
         began = time.perf_counter()
-        path, tails = search(counted_builder, counted_weight, *args, **kwargs)
+        path, tails = search(self, owner, start)
         spent = time.perf_counter() - began
-        rung = next(i for i, (_, p) in enumerate(built) if p is path)
-        searches.append([start, start + rung, "-", built[rung][0], len(built), calls[0],
-                         spent, ladder])
+        searches.append([self, self.rungs.index(start) + 1, _rung(self, path), "-",
+                         path.reach(), spent])
         return path, tails
 
     def terms_spy(self, *args, **kwargs):
         first = len(searches)
         out = terms(self, *args, **kwargs)
         for term, found in zip(out, searches[first:]):
-            found[2] = found[-1][term.path.reach()]
+            found[3] = _rung(found[0], term.path)
         return out
 
-    for mod in _CALLERS:
-        mod.choose_truncation = spy
+    _STORE.__init__, _STORE.search = init_spy, search_spy
     schrostep.step.ContourSolver._terms = terms_spy
     began = time.perf_counter()
     try:
         sample_digest.digest(req, workdir)
     finally:
-        for mod in _CALLERS:
-            mod.choose_truncation = search
+        _STORE.__init__, _STORE.search = init, search
         schrostep.step.ContourSolver._terms = terms
-    return [tuple(found[:-1]) for found in searches], time.perf_counter() - began
+    served = time.perf_counter() - began
+    number = {id(store): k for k, (store, _) in enumerate(stores)}
+    return ([(number[id(found[0])],) + tuple(found[1:]) for found in searches],
+            [(store.rungs[0], len(store.x0), len(store.blocks), calls[0])
+             for store, calls in stores], served)
 
 
 def main(argv):
@@ -107,25 +115,30 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             accepted = Counter()
-            sampled = calls = lifted = 0
+            n_stores = blocks = calls = lifted = 0
             spent = served = 0.0
             for i, req in enumerate(make_requests(workload, args.seed)):
                 kind = req["command"] if req["kind"] == "cli" else req["kind"]
-                searches, seconds = serve(req, Path(tmp))
+                searches, stores, seconds = serve(req, Path(tmp))
                 served += seconds
-                for k, (start, rung, final, T, n, c, s) in enumerate(searches):
-                    print("{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.6g}\t{}\t{}\t{:.2f}".format(
-                        workload, i, kind, k, start, rung, final, T, n, c, 1e3 * s))
+                for k, (store, start, rung, final, T, s) in enumerate(searches):
+                    print("{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.6g}\t{:.2f}".format(
+                        workload, i, kind, k, store, start, rung, final, T, 1e3 * s))
                     accepted[rung] += 1
                     lifted += final not in ("-", rung)
-                    sampled += n
-                    calls += c
                     spent += s
-            print("{}\ttotal\t{} searches\taccepted rungs {}\t{} lifted\t{} sampled"
-                  "\t{} weight calls\t{:.1f} ms ({:.0%} of {:.1f} ms serving)".format(
-                      workload, sum(accepted.values()),
-                      ", ".join("{}: {}".format(r, accepted[r]) for r in sorted(accepted)),
-                      lifted, sampled, calls, 1e3 * spent, spent / served, 1e3 * served))
+                for k, (T0, owners, b, c) in enumerate(stores):
+                    print("{}\t{}\t{}\tstore {}\tT0 {:.6g}\t{} owners\t{} blocks"
+                          "\t{} columns calls".format(workload, i, kind, k, T0, owners, b, c))
+                    n_stores += 1
+                    blocks += b
+                    calls += c
+            print("{}\ttotal\t{} searches\taccepted rungs {}\t{} lifted\t{} stores"
+                  "\t{} blocks\t{} columns calls\t{:.1f} ms ({:.0%} of {:.1f} ms serving)"
+                  .format(workload, sum(accepted.values()),
+                          ", ".join("{}: {}".format(r, accepted[r]) for r in sorted(accepted)),
+                          lifted, n_stores, blocks, calls, 1e3 * spent, spent / served,
+                          1e3 * served))
     return 0
 
 
