@@ -28,6 +28,7 @@ quadrature that cannot meet numerics.tolerance within its panel budget.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -318,7 +319,9 @@ def cmd_interface_map(args):
     return 0
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on first use and shared by every main call."""
     ap = argparse.ArgumentParser(prog="schrostep", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("solve", help="evaluate a scenario on its grid")
@@ -334,7 +337,11 @@ def main(argv=None):
     p = sub.add_parser("interface-map", help="traces at the interface points")
     p.add_argument("config")
     p.set_defaults(fn=cmd_interface_map)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -42,7 +42,8 @@ polynomial times that phase (Filon-type quadrature, Iserles & Norsett,
 Proc. R. Soc. A 461, 2005), one row per rate, and need only the amplitude
 resolved, however many periods of the phase they span.  Other legs take the
 phase at the nodes: the first rate's, times exp(i (rate - rates[0]) z^2)
-for each other rate.  A panel is refined until it converges at every rate,
+for each other rate.  Either way every rate is one more array axis, with
+no loop over the rates.  A panel is refined until it converges at every rate,
 and a finished table keeps the weights of every rate that refinement made.
 
 table_integral is the one summation over a finished table.  It sums
@@ -117,6 +118,7 @@ _XK = np.concatenate([-_XK_HALF[:-1], [0.0], _XK_HALF[:-1][::-1]])
 _WK = np.concatenate([_WK_HALF[:-1], [_WK_HALF[-1]], _WK_HALF[:-1][::-1]])
 _WG = np.concatenate([_WG_HALF[:-1], [_WG_HALF[-1]], _WG_HALF[:-1][::-1]])
 _GAUSS = _WG != 0.0
+_WKG = np.stack((_WK, _WG))
 
 
 def _legendre(x, n):
@@ -512,50 +514,51 @@ def _unit_nodes(a, b):
     return mid, half, mid + half * _XK
 
 
-def _phased(z, jac, wk, wg, rates):
-    """Per rate (w15, w7): wk and wg times jac and exp(i rate z^2).
+def _phased(z, jac, wkg, rates):
+    """(w15, w7) per rate, shape (rates, 2) + z.shape: the rows wkg = (wk,
+    wg) times jac and exp(i rate z^2).
 
-    The first rate's phase is taken at the nodes, and each other rate's
-    weights are the first's times exp(i (rate - rates[0]) z^2) (_rephase).
+    The first rate's phase is taken at the nodes, and the other rates'
+    weights are the first's times exp(i (rate - rates[0]) z^2), one exp
+    for all of them (_rephase).
     """
     if rates[0]:
         jac = jac * np.exp(1j * rates[0] * (z * z))
-    w15, w7 = wk * jac, wg * jac
-    out = [(w15, w7)]
-    for rate in rates[1:]:
-        f = _rephase(z, rate - rates[0])
-        out.append((w15 * f, w7 * f))
+    out = np.empty((len(rates), 2) + z.shape, dtype=complex)
+    np.multiply(wkg[:, None], jac, out=out[0])
+    if len(rates) > 1:
+        f = _rephase(z, (np.array(rates[1:]) - rates[0])[:, None, None])
+        np.multiply(out[0], f[:, None], out=out[1:])
     return out
 
 
 def _panel_nodes(leg, a, b, rates=(0.0,)):
     """Nodes and weights of the panels [a_i, b_i] of one leg.
 
-    Returns (z, weights): z with one row per panel, and per rate a pair
-    (w15, w7) shaped like z, the weights times the jacobian and
+    Returns (z, w): z with one row per panel, and w of shape (rates, 2) +
+    z.shape, per rate (w15, w7), the weights times the jacobian and
     exp(i rate z^2).  On a chirp leg that phase is the phase at the panel's
     middle times exp(i omega xi) in the panel variable xi, omega = rate e^2
     times the panel's half-width in v, and the weights carry both
-    (_chirp_weights), rate by rate.  Other legs take the phase at the nodes
-    (_phased).
+    (_chirp_weights), for every (rate, panel) at once.  Other legs take the
+    phase at the nodes (_phased).
     """
     mid, half, s = _unit_nodes(a, b)
     if leg.kind == "pv":
         u = leg.half * s
         z = np.concatenate([leg.center + u, leg.center - u], axis=1).astype(complex)
-        return z, _phased(z, (half * leg.half).astype(complex), np.tile(_WK, 2),
-                          np.tile(_WG, 2), rates)
+        return z, _phased(z, (half * leg.half).astype(complex), np.tile(_WKG, 2),
+                          rates)
     z = leg.point(s)
     jac = leg.deriv(s) * half
     if leg.kind != "chirp":
-        return z, _phased(z, jac, _WK, _WG, rates)
+        return z, _phased(z, jac, _WKG, rates)
     e, v0, v1 = leg._v()
-    out = []
-    for rate in rates:
-        rate = rate * (e * e).real
-        ck, cg = _chirp_weights(rate * (v1 - v0) * half[:, 0])
-        j = jac * np.exp(1j * rate * (v0 + mid * (v1 - v0)))
-        out.append((ck * j, cg * j))
+    rate = (np.array(rates) * (e * e).real)[:, None]
+    j = jac * np.exp(1j * rate[..., None] * (v0 + mid * (v1 - v0)))
+    out = np.empty((len(rates), 2) + z.shape, dtype=complex)
+    for i, c in enumerate(_chirp_weights(rate * (v1 - v0) * half[:, 0])):
+        np.multiply(c.reshape(j.shape), j, out=out[:, i])
     return z, out
 
 
@@ -569,19 +572,20 @@ def _line_panels(z0, z1, a, b, rates=(0.0,)):
     _, half, s = _unit_nodes(a, b)
     d = (np.asarray(z1, dtype=complex) - np.asarray(z0, dtype=complex))[:, None]
     z = np.asarray(z0, dtype=complex)[:, None] + s * d
-    return z, _phased(z, np.broadcast_to(d, s.shape) * half, _WK, _WG, rates)
+    return z, _phased(z, np.broadcast_to(d, s.shape) * half, _WKG, rates)
 
 
-def _errors(v, weights, n, per):
-    """Error estimate of each of n panels from the probe values v at their nodes."""
+def _errors(v, w, n, per):
+    """Error estimate of each of n panels from the probe values v at their nodes.
+
+    w holds (w15, w7) per rate, shape (rates, 2, n, per); the estimate is
+    the largest over the rates and probes.
+    """
     v = np.asarray(v, dtype=complex).reshape(-1, n, per)
-    err = None
-    for c15, c7 in weights:
-        diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
-        u = np.hypot(diff.real, diff.imag)
-        e = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0, initial=0.0)
-        err = e if err is None else np.maximum(err, e)
-    return err
+    diff = np.sum(v * w[:, :1], axis=-1) - np.sum(v * w[:, 1:], axis=-1)
+    u = np.hypot(diff.real, diff.imag)
+    return np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=(0, 1),
+                  initial=0.0)
 
 
 def _evaluate(path, columns, probes, spans, first=0):
@@ -598,9 +602,10 @@ def _evaluate(path, columns, probes, spans, first=0):
     panel's own leg ends (_line_panels): on a sector path, whose legs all
     share the empty tag, every straight leg of the round at once (a corner
     path has nine or more).  Each other leg's panels take one _panel_nodes
-    call.  A panel's error is the largest over the owner's probes and the
-    path's rates of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every
-    panel of a call at once; the panel keeps every rate's weights.  u is
+    call; either way every rate at once.  A panel's error is the largest
+    over the owner's probes and the path's rates of min(u, (200 u)^1.5),
+    u = |Kronrod - Gauss|, for every panel, probe and rate of a call in one
+    pass (_errors); the panel keeps every rate's weights.  u is
     taken with hypot and the power with float_power, which round as the
     scalar abs and ** of a panel-at-a-time loop do (the vectorised complex
     abs and power may differ in the last bit), so the refinement decisions
@@ -626,15 +631,14 @@ def _evaluate(path, columns, probes, spans, first=0):
             g = list(g)
             parts.append(_panel_nodes(legs[leg_idx], [spans[i][1] for i in g],
                                       [spans[i][2] for i in g], path.rates))
-        # z, and per rate (w15, w7), with one row per panel
+        # z with one row per panel, and w (rates, 2, panels, per)
         z = np.concatenate([z for z, _ in parts])
-        w = [[np.concatenate(arrs) for arrs in zip(*pairs)]
-             for pairs in zip(*(w for _, w in parts))]
+        w = np.concatenate([w for _, w in parts], axis=2)
         per = z.shape[1]
         step = _CALL_NODES // per
         for lo in range(0, len(idx), step):
             zc = z[lo:lo + step]
-            wc = [(c15[lo:lo + step], c7[lo:lo + step]) for c15, c7 in w]
+            wc = w[:, :, lo:lo + step]
             n = zc.shape[0]
             zf = zc.ravel()
             cols = [np.asarray(c, dtype=complex).reshape(-1, zf.size)
@@ -642,7 +646,8 @@ def _evaluate(path, columns, probes, spans, first=0):
             errs = [_errors(c if f is None else f(zf, c), wc, n, per)
                     for c, f in zip(cols, probes[first:])]
             cols = [c.reshape(-1, n, per) for c in cols]
-            block = np.concatenate([zc[None]] + [c[None] for pair in wc for c in pair])
+            # rows z, then w15 and w7 per rate
+            block = np.concatenate((zc[None], wc.reshape(-1, n, per)))
             for j in range(n):
                 leg_idx, a, b = spans[idx[lo + j]]
                 out[idx[lo + j]] = _Panel(leg_idx, a, b, block[:, j].copy(),

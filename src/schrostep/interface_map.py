@@ -32,8 +32,8 @@ import numpy as np
 from .contours import build_node_table, table_integral
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import (ContourSettings, _flag, build_with_retry, choose_truncation,
-                   panel_budget)
+from .step import (ContourSettings, _flag, _is_bool, build_with_retry,
+                   choose_truncation, panel_budget)
 
 __all__ = ["InterfaceMap"]
 
@@ -56,8 +56,8 @@ class InterfaceMap(ContourSettings):
         derivative = _flag(derivative)
         n = self.potential.njumps
         ells = [interface] if np.ndim(interface) == 0 else list(interface)
-        if not ells or any(ell not in range(1, n + 1) for ell in ells):
-            raise ValueError("interface must be one of 1..{} or a nonempty "
+        if not ells or any(_is_bool(ell) or ell not in range(1, n + 1) for ell in ells):
+            raise ValueError("interface must be a number in 1..{} or a nonempty "
                              "sequence of them, got {!r}".format(n, interface))
         ells = [int(ell) for ell in ells]
         distinct = list(dict.fromkeys(ells))
@@ -94,12 +94,13 @@ class InterfaceMap(ContourSettings):
                                          max_panels=panel_budget(0.0, 0.0, path.reach())),
             tol)
         v, e = table_integral(table, table.cols, np.zeros(table.z.size), [0.0])
+        # every time's tail corrections at once, (times, columns, 1) as v
+        corr, te = tails.at(0.0)
+        v, e = (v + corr)[..., 0].tolist(), (e + te)[..., 0].tolist()
         m = len(ells)
         out = {}
         for k, t in enumerate(times):
-            corr, te = tails[k].at(0.0)
-            s = [(complex(v[k, j, 0] + corr[j]), float(e[k, j, 0] + te[j]))
-                 for j in range(len(cols))]
+            s = list(zip(v[k], e[k]))
             slopes = s[m:] if derivative else [(None, 0.0)] * m
             out[t] = [SolutionSample(self.potential.interfaces[ell - 1], t, *s[j],
                                      psi_x=dv, psi_x_error=de)

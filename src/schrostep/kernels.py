@@ -100,6 +100,10 @@ class PiecewisePotential:
     interfaces: tuple
 
     def __init__(self, levels, interfaces):
+        levels, interfaces = tuple(levels), tuple(interfaces)
+        for name, vals in (("levels", levels), ("interfaces", interfaces)):
+            if any(isinstance(v, (bool, np.bool_)) for v in vals):
+                raise ValueError("{} must be real numbers, got {!r}".format(name, vals))
         levels = tuple(float(a) for a in levels)
         interfaces = tuple(float(x) for x in interfaces)
         if len(interfaces) < 1:

@@ -231,10 +231,11 @@ class _OscTail:
         self.x0 = x_offset
 
     def take(self, idx):
-        """The tail at the entry idx of the leading axes."""
-        pick = lambda a: float(a[_entry(idx, a.shape)])
+        """The tails at the entry idx of the first len(idx) leading axes."""
+        pick = lambda a: np.asarray(a)[_entry(idx, np.shape(a))]
         c = self.c[(slice(None),) + _entry(idx, self.c.shape[1:])]
-        return _OscTail(np.moveaxis(self.A[(slice(None),) + idx], 0, -1), c,
+        return _OscTail(np.moveaxis(self.A[(slice(None),) + idx], 0, -1),
+                        np.moveaxis(c, 0, -1),
                         pick(self.K), pick(self.t), pick(self.sign), pick(self.x0))
 
     def _fd(self, v):
@@ -311,7 +312,8 @@ class _TailModel:
     _OscTail of each oscillatory ray.  Both have the leading axes of the
     tails modelled (owner, rung and time in a _TailStore, none for one term
     at one time) and a last axis for the m columns of a stack; t is the
-    time of each leading entry, and model[idx] the model at one entry.
+    time of each leading entry, and model[idx] the model at the entry idx
+    of the first len(idx) leading axes.
     stack is (m,), or () for a single column, whose axis `at` drops: `at`
     returns the columns on a last axis, after those of x, and `worst` takes
     the largest over the columns too.  With the slope, the samples stack
@@ -327,7 +329,7 @@ class _TailModel:
 
     def __getitem__(self, idx):
         return _TailModel(self.generic[idx], [o.take(idx) for o in self.oscs],
-                          self.stack, float(self.t[_entry(idx, self.t.shape)]))
+                          self.stack, self.t[_entry(idx, self.t.shape)])
 
     def worst(self, xs):
         """Largest tail error estimate over the columns and the probe points."""
@@ -352,8 +354,29 @@ class _TailModel:
         return (corr, err) if self.stack else (corr[..., 0], err[..., 0])
 
 
-class _Tails(tuple):
-    """The _TailModel of each time of a term, in the order of its path's rates."""
+class _Tails:
+    """The tails of a term at every time of its path, one _TailModel with
+    a leading time axis (model); tails[k] is the model of time k alone."""
+
+    def __init__(self, model):
+        self.model = model
+        self.ts = model.t
+
+    def __len__(self):
+        return len(self.ts)
+
+    def __getitem__(self, k):
+        if not -len(self) <= k < len(self):
+            raise IndexError(k)
+        return self.model[(k,)]
+
+    def at(self, xs):
+        """(corrections, estimates) at the points xs at every time, each of
+        shape (times, columns, len(xs)), the layout of table_integral."""
+        corr, err = self.model.at(np.atleast_1d(np.asarray(xs, dtype=float))[None])
+        if not self.model.stack:
+            corr, err = corr[..., None], err[..., None]
+        return corr.swapaxes(1, 2), err.swapaxes(1, 2)
 
     def worst(self, xs, derivative=False):
         """Largest tail error estimate over the times, columns and probe points.
@@ -363,17 +386,17 @@ class _Tails(tuple):
         the value tails and the slope tails one after the other and take the
         larger, as the benchmark's tracer does; both calls return this max.
         """
-        return float(np.max([m.worst(xs) for m in self]))
+        return float(self.at(xs)[1].max())
 
 
 class IntegralTerm:
     """One contour integral contributing to the solution in one region.
 
-    tails holds one _TailModel per rate of the path, that is per time; at
-    time t the term's sum is multiplied by exp(-i level t).  derivative
-    records whether the term was searched with the slope, whose tails are
-    then the second column of every model: eval_terms sums psi_x exactly
-    when it is set.
+    tails (_Tails) holds the tails at every rate of the path, that is at
+    every time; at time t the term's sum is multiplied by exp(-i level t).
+    derivative records whether the term was searched with the slope, whose
+    tails are then the second column of every model: eval_terms sums psi_x
+    exactly when it is set.
     """
 
     def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0,
@@ -386,9 +409,9 @@ class IntegralTerm:
         self.level = level
         self.derivative = derivative
 
-    def damp(self, t, v):
-        """The values v of the term's sum at time t, times exp(-i level t)."""
-        return np.exp(-1j * self.level * t) * v if self.level else v
+    def damp(self, ts, v):
+        """The term's sums v, (times, columns, x), times exp(-i level t)."""
+        return np.exp(-1j * self.level * ts)[:, None, None] * v if self.level else v
 
 
 class _InterfaceWeight:
@@ -495,8 +518,7 @@ class _TailStore:
         r = self.rungs.index(T)
         built, model, cleared = self._block(r)
         j = r % _RUNGS_PER_CALL
-        return (bool(cleared[owner, j]), built[j][0],
-                _Tails(model[owner, j, k] for k in range(len(self.ts))))
+        return bool(cleared[owner, j]), built[j][0], _Tails(model[owner, j])
 
     def _block(self, r):
         """The block of rung index r, sampled and tested on first use."""
@@ -667,14 +689,14 @@ def _term_probes(term, xs):
     W exp(i c (x - x0)) and, with the slope, i c W exp(i c (x - x0)).
     """
     off = term.x_offset
-    probe_xs = sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])})
+    dx = np.array(sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])}))
+    dx = (dx - off)[:, None]
 
     def probes(z, cols):
         W, C = cols
-        out = [W * np.exp(1j * C * (xp - off)) for xp in probe_xs]
-        if term.derivative:
-            out += [1j * C * f for f in out]
-        return out
+        ic = 1j * C
+        out = W * np.exp(ic * dx)
+        return np.concatenate((out, ic * out)) if term.derivative else out
     return probes
 
 
@@ -699,22 +721,15 @@ def _term_sum(term, table, xs):
 
     Each of shape (times, columns, x): the column psi, then with the slope
     psi_x.  One table_integral call sums every column at every x and every
-    time, the slope as the stacked column i c W; each time's tail
-    corrections and estimates come from one _TailModel.at call over all x
-    and all columns, and a term with a level takes exp(-i level t) on its
-    sums and corrections.
+    time, the slope as the stacked column i c W, and one _Tails.at call
+    gives the tail corrections and estimates at every x, column and time;
+    a term with a level takes exp(-i level t) on its sums and corrections.
     """
     W, C = table.cols
     W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
     sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
-    vals = np.empty(sums.shape, dtype=complex)
-    errs = np.empty(sums.shape)
-    for k, tails in enumerate(term.tails):
-        # each (x, columns), the layout of a stacked model
-        corr, tail = tails.at(xs)
-        vals[k] = term.damp(tails.t, sums[k] + corr.T)
-        errs[k] = sum_errs[k] + tail.T
-    return vals, errs
+    corr, tail = term.tails.at(xs)
+    return term.damp(term.tails.ts, sums + corr), sum_errs + tail
 
 
 def eval_terms(terms, xs, tolerance, max_panels=2000):
@@ -761,6 +776,10 @@ def _reals(v):
         return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
     except (TypeError, ValueError):
         return None
+
+
+def _is_bool(v):
+    return isinstance(v, (bool, np.bool_))
 
 
 def _number(v, name):
@@ -1102,8 +1121,9 @@ class ContourSolver(ContourSettings):
         xs = pts
         ts = self._times(t)
         nreg = self.potential.nregions
-        if region is not None and region not in range(1, nreg + 1):
-            raise ValueError("region must lie in 1..{}, got {!r}".format(nreg, region))
+        if region is not None and (_is_bool(region) or region not in range(1, nreg + 1)):
+            raise ValueError("region must be a number in 1..{}, got {!r}".format(
+                nreg, region))
         live = sorted({v for v in ts if v > 0.0})
         rows = self._solve(xs, live, region, derivative) if live else {}
         if 0.0 in ts:

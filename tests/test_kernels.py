@@ -67,6 +67,13 @@ def test_potential_validation():
         PiecewisePotential([1.0, 2.0, 3.0], [0.0, -1.0])
     with pytest.raises(ValueError):
         PiecewisePotential([1.0, 2.0], [0.0, 1.0])  # level/interface mismatch
+    # a bool is not a level or a jump, though float(True) is 1.0
+    for levels, interfaces, field in (([True, 0.0], [0.0], "levels"),
+                                      ([0.0, np.False_], [0.0], "levels"),
+                                      ([0.0, 1.0], [False], "interfaces")):
+        with pytest.raises(ValueError, match="^" + field):
+            PiecewisePotential(levels, interfaces)
+    assert PiecewisePotential((1, 2), np.array([0])).levels == (1.0, 2.0)
 
 
 def test_potential_regions():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
-                       StepSolver, WellSolver, interface_map, step, transforms)
+                       StepSolver, WellSolver, contours, interface_map, step,
+                       transforms)
 from schrostep.oracle import free_gaussian
 
 IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
@@ -158,3 +159,115 @@ def test_one_table_integral_call_per_node_table_for_every_time(monkeypatch):
     got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)
     assert len(got) == 8
     assert len(tables) == 1 and tables[0].rates == tuple(sorted(TS))
+
+
+def _errors_per_rate(v, w, n, per):
+    # the panel errors rate by rate, as they were formed before the rates
+    # became one axis
+    v = np.asarray(v, dtype=complex).reshape(-1, n, per)
+    err = None
+    for c15, c7 in w:
+        diff = np.sum(v * c15, axis=-1) - np.sum(v * c7, axis=-1)
+        u = np.hypot(diff.real, diff.imag)
+        e = np.max(np.minimum(u, np.float_power(200.0 * u, 1.5)), axis=0, initial=0.0)
+        err = e if err is None else np.maximum(err, e)
+    return err
+
+
+def test_panel_errors_of_every_rate_in_one_pass_match_the_rate_loop():
+    # a 4-rate corner path; the probes of a term with the slope (6 probes)
+    solver = SOLVERS["d4"]
+    ts = (0.3, 0.7, 1.1, 1.9)
+    term = solver._terms(1, ts, True, 4.0)[0]
+    assert term.derivative and any(leg.label == "corner leg" for leg in term.path.legs)
+    probes = step._term_probes(term, np.linspace(-3.0, -0.5, 6))
+    for leg in term.path.legs:
+        edges = np.linspace(0.0, 1.0, 9)
+        z, w = contours._panel_nodes(leg, edges[:-1], edges[1:], ts)
+        assert w.shape == (4, 2) + z.shape
+        cols = np.stack((term.weight(z.ravel(), leg.tag), term.xcoef(z.ravel(), leg.tag)))
+        v = probes(z.ravel(), cols)
+        assert v.shape == (6, z.size)
+        got = contours._errors(v, w, *z.shape)
+        assert got.tobytes() == _errors_per_rate(v, w, *z.shape).tobytes(), leg.label
+
+
+def _estimates_in(monkeypatch, target, name):
+    """Count _OscTail.estimate calls made inside target.name, per call of it."""
+    counts, estimate, wrapped = [], step._OscTail.estimate, getattr(target, name)
+
+    def spy_estimate(self, x):
+        if counts:
+            counts[-1] += 1
+        return estimate(self, x)
+
+    def spy(*args, **kwargs):
+        counts.append(0)
+        try:
+            return wrapped(*args, **kwargs)
+        finally:
+            spy.calls.append(counts.pop())
+
+    spy.calls = []
+    monkeypatch.setattr(step._OscTail, "estimate", spy_estimate)
+    monkeypatch.setattr(target, name, spy)
+    return spy.calls
+
+
+@pytest.mark.parametrize("name", ["quadrant", "general"])
+def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, name):
+    sums, term_sum = [], step._term_sum
+
+    def spy(term, table, xs):
+        out = term_sum(term, table, xs)
+        sums.append((term, table, xs, out))
+        return out
+
+    monkeypatch.setattr(step, "_term_sum", spy)
+    per_call = _estimates_in(monkeypatch, step._Tails, "at")
+    SOLVERS[name].evaluate_grid(XS, TS, derivative=True)
+    # one tail evaluation per term (each has one oscillatory ray), every time
+    assert per_call == [1] * len(sums) and len(sums) >= 2
+    monkeypatch.undo()
+    for term, table, xs, (vals, errs) in sums:
+        W, C = table.cols
+        v, e = step.table_integral(table, np.stack((W, 1j * C * W)), C, xs - term.x_offset)
+        assert vals.shape == (len(TS), 2, xs.size)
+        for k, t in enumerate(sorted(TS)):
+            corr, tail = term.tails[k].at(xs)
+            assert term.tails[k].t == t
+            want = v[k] + corr.T
+            if term.level:
+                want = np.exp(-1j * term.level * t) * want
+            assert vals[k].tobytes() == want.tobytes()
+            assert errs[k].tobytes() == (e[k] + tail.T).tobytes()
+
+
+def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch):
+    found, sums = [], []
+    search, sum_table = interface_map.choose_truncation, interface_map.table_integral
+
+    def spy_search(*args, **kwargs):
+        found.append(search(*args, **kwargs))
+        return found[-1]
+
+    def spy_sum(*args):
+        sums.append(sum_table(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(interface_map, "choose_truncation", spy_search)
+    monkeypatch.setattr(interface_map, "table_integral", spy_sum)
+    per_call = _estimates_in(monkeypatch, step._Tails, "at")
+    got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)
+    assert per_call == [1]
+    ((_, tails),), ((v, e),) = found, sums
+    assert len(tails) == len(TS)
+    # interface-major, each time at its own row of the sums
+    for j, ell in enumerate([1, 3]):
+        for smp in got[j * len(TS):(j + 1) * len(TS)]:
+            k = sorted(TS).index(smp.t)
+            corr, tail = tails[k].at(0.0)
+            for col, value, error in ((j, smp.value, smp.error),
+                                      (2 + j, smp.psi_x, smp.psi_x_error)):
+                assert value == complex(v[k, col, 0] + corr[col])
+                assert error == float(e[k, col, 0] + tail[col])

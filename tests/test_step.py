@@ -259,9 +259,12 @@ def test_solver_contract(name):
 
         def grid(t, **kw):
             return s.evaluate_grid([x], t, **kw)
-    for place in bad_places:
-        with pytest.raises(ValueError, match="region|interface"):
+    # a bool is not a region or jump number, though True == 1
+    for place in bad_places + (True, np.True_):
+        with pytest.raises(ValueError, match="^(region|interface)"):
             one(0.5, place)
+    # an integral float is one
+    assert one(0.5, 1.0) == one(0.5, 1)
     for t in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             one(t)

@@ -12,7 +12,12 @@ its output written to a temporary directory and digested as the bytes of
 that file.  An interface-map request adds one line per jump, the digest of
 a single-interface `InterfaceMap.trace_grid` over the request's times with
 the slope: the call the benchmark's checker builds its trace references
-through.  The library is imported from this checkout's src directory, so
+through.  The benchmark's requests have at most 4 times, so three lines
+follow them, each one call over 20 times with the slope on the
+three-jump profile of space_time at SEED: `GeneralSolver` at 201 x in
+[-4, 6] over 20 times in 0.3-1.2 and over 20 log-spaced times in
+0.01-10, and `InterfaceMap` at every jump over the log-spaced times.
+The library is imported from this checkout's src directory, so
 two checkouts give the same lines exactly when every output agrees to the
 last bit:
 
@@ -42,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import schrostep.cli  # noqa: E402
-from schrostep import InterfaceMap  # noqa: E402
+from schrostep import GeneralSolver, InterfaceMap  # noqa: E402
 from workloads import (TOLERANCE, WORKLOADS, config_text, ic_of,  # noqa: E402
                        make_requests, potential_of, solver_of)
 
@@ -106,6 +111,23 @@ def trace_digests(req):
         yield ell, _digest(cols), cols
 
 
+def many_time_digests(seed):
+    """(label, digest, columns) of the three many-time calls at seed."""
+    req = make_requests("space_time", seed)[1]
+    pot, ic = potential_of(req), ic_of(req)
+    xs = np.linspace(-4.0, 6.0, 201)
+    wide = np.logspace(-2.0, 1.0, 20)
+    calls = (("general 20 times in 0.3-1.2", GeneralSolver, "evaluate_grid",
+              (xs, np.linspace(0.3, 1.2, 20))),
+             ("general 20 times in 0.01-10", GeneralSolver, "evaluate_grid", (xs, wide)),
+             ("trace_grid 20 times in 0.01-10", InterfaceMap, "trace_grid",
+              (wide, list(range(1, pot.njumps + 1)))))
+    for label, cls, method, args in calls:
+        solver = cls(pot, ic, tolerance=TOLERANCE)
+        cols = _sample_columns(getattr(solver, method)(*args, derivative=True), True)
+        yield label, _digest(cols), cols
+
+
 def _deviation(cols, ref):
     """Lines of max |dpsi| (and / error) of cols against ref, if any differ.
 
@@ -138,22 +160,26 @@ def main(argv):
     args = ap.parse_args(argv)
     ref = np.load(args.against) if args.against else None
     saved = {}
+
+    def report(workload, i, label, hexdigest, cols):
+        print("{}\t{}\t{}\t{}".format(workload, i, label, hexdigest))
+        key = "{}:{}:{}:".format(workload, i, label)
+        saved.update((key + k, v) for k, v in cols.items())
+        if ref is not None:
+            for line in _deviation(cols, {k: ref[key + k] for k in cols if key + k in ref}):
+                print(line)
+
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             for i, req in enumerate(make_requests(workload, args.seed)):
                 name = req["command"] if req["kind"] == "cli" else req["kind"]
-                lines = [(name, *digest(req, Path(tmp)))]
+                report(workload, i, name, *digest(req, Path(tmp)))
                 if name == "interface-map":
-                    lines += [("trace_grid interface={}".format(ell), hexdigest, cols)
-                              for ell, hexdigest, cols in trace_digests(req)]
-                for label, hexdigest, cols in lines:
-                    print("{}\t{}\t{}\t{}".format(workload, i, label, hexdigest))
-                    key = "{}:{}:{}:".format(workload, i, label)
-                    saved.update((key + k, v) for k, v in cols.items())
-                    if ref is not None:
-                        for line in _deviation(cols, {k: ref[key + k] for k in cols
-                                                      if key + k in ref}):
-                            print(line)
+                    for ell, hexdigest, cols in trace_digests(req):
+                        report(workload, i, "trace_grid interface={}".format(ell),
+                               hexdigest, cols)
+    for i, line in enumerate(many_time_digests(args.seed)):
+        report("many_times", i, *line)
     if args.save:
         np.savez(args.save, **saved)
     return 0
