@@ -409,9 +409,9 @@ class IntegralTerm:
         self.level = level
         self.derivative = derivative
 
-    def damp(self, ts, v):
+    def damp(self, v):
         """The term's sums v, (times, columns, x), times exp(-i level t)."""
-        return np.exp(-1j * self.level * ts)[:, None, None] * v if self.level else v
+        return np.exp(-1j * self.level * self.tails.ts)[:, None, None] * v if self.level else v
 
 
 class _InterfaceWeight:
@@ -729,7 +729,7 @@ def _term_sum(term, table, xs):
     W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
     sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
     corr, tail = term.tails.at(xs)
-    return term.damp(term.tails.ts, sums + corr), sum_errs + tail
+    return term.damp(sums + corr), sum_errs + tail
 
 
 def eval_terms(terms, xs, tolerance, max_panels=2000):
@@ -794,7 +794,7 @@ def _number(v, name):
 
 def _flag(derivative):
     """derivative as a bool: True or False, numpy bools included; else refused by name."""
-    if derivative is True or derivative is False or isinstance(derivative, np.bool_):
+    if _is_bool(derivative):
         return bool(derivative)
     raise ValueError("derivative must be True or False, got {!r}".format(derivative))
 
