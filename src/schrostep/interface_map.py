@@ -15,24 +15,23 @@ of the largest time bound the growth at every time, and the path carries
 one set of weights per time, each with its exp(i kappa^2 t), the chirp
 ray's exactly.  The columns summed (psi at each jump, and psi_x with the
 slope) share that path, so one truncation search serves them all: its
-weight returns the stack of every column, and it accepts the first rung
-at which every column clears at every time.  The search is the one
-owner of a tail store of its own (step._TailStore), which samples the
-tails of four rungs in one weight call, and its tails are those of the
-traces.  The unknowns are solved once per node
-while the table is refined, and the table's columns are the stack summed,
-W = pref kappa X: one column per requested jump for psi, and as many more
-for psi_x.  The table is refined until every column converges at every
-time, and one table_integral call sums the stack at every time, each at
-its own weights; the sum is x-free (X = [0]), so it runs elementwise.
+weight returns the stack W = pref kappa X of every column, and it accepts
+the first rung at which every column clears at every time.  The stack is
+then one x-free term (x-coefficient 0, offset 0, summed at x = 0), which
+step._sums builds and sums as it does every solver's terms: its table
+takes 0.95 of the tolerance and its tails 0.05, the unknowns are solved
+once per node while the table is refined, and one table_integral call
+sums the stack at every time, elementwise.
 """
 
 import numpy as np
 
-from .contours import build_node_table, table_integral
+# bound here only because the benchmark's tracer wraps it in every namespace
+# that imports it, and test_tracer_restores_every_binding asserts this one
+from .contours import build_node_table  # noqa: F401
 from .general import solve_unknowns
 from .kernels import SolutionSample
-from .step import (ContourSettings, _flag, _is_bool, build_with_retry,
+from .step import (ContourSettings, IntegralTerm, _flag, _is_bool, _sums,
                    choose_truncation, panel_budget)
 
 __all__ = ["InterfaceMap"]
@@ -89,14 +88,10 @@ class InterfaceMap(ContourSettings):
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
         path, tails = choose_truncation(self.sector(4, times), weight, zero, times, 0.0,
                                         (0.0,), tol, 2.0 * self.radius)
-        table = build_with_retry(
-            lambda tol: build_node_table(path, weight, tol,
-                                         max_panels=panel_budget(0.0, 0.0, path.reach())),
-            tol)
-        v, e = table_integral(table, table.cols, np.zeros(table.z.size), [0.0])
-        # every time's tail corrections at once, (times, columns, 1) as v
-        corr, te = tails.at(0.0)
-        v, e = (v + corr)[..., 0].tolist(), (e + te)[..., 0].tolist()
+        term = IntegralTerm(path, weight, zero, 0.0, tails)
+        ((v, e),) = _sums([(np.zeros(1), [term], panel_budget(0.0, 0.0, path.reach()))],
+                          tol)
+        v, e = v[..., 0].tolist(), e[..., 0].tolist()
         m = len(ells)
         out = {}
         for k, t in enumerate(times):

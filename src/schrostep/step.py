@@ -54,11 +54,10 @@ column 2l - 1 for region l + 1 at its left jump x_l.  By default B is
 built from the unknowns of the interface system (`general.solve_unknowns`),
 which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
 single jump is its n = 1 case; `WellSolver`, the last closed form,
-overrides the hook with its four transforms and numerators.  Within one
-evaluate_grid call the sector path of each truncation rung is built once,
-whichever term tries it first.  The truncation searches of all terms on
-one ladder, of any region, read one tail store (_TailStore), which
-samples the tails of each block of rungs once for all of them and tests
+overrides the hook with its four transforms and numerators.  The
+truncation searches of all terms on one ladder, of any region, read one
+tail store (_TailStore), which builds the path of each rung of a block
+once, samples the tails of the block once for all of them and tests
 them in one array pass.  The terms of one region share one truncation
 rung where their tails allow it, so that their node tables share the
 nodes of the whole path (ContourSolver._terms), and the tables of all
@@ -78,6 +77,8 @@ and a term whose integrand carries exp(-i alpha t) besides (the quadrant
 and realline forms) takes that factor on its sum, so no weight depends on
 t.  One phased table_integral call sums the term at every x of the grid
 and every time, and one free_term call gives every free term of the call.
+One function builds and sums the terms of every caller (_sums): the
+solvers' evaluate_grid, eval_terms and InterfaceMap.
 
 The truncation search and the sum serve a stack of columns that share one
 path and one x-coefficient, as InterfaceMap's psi and psi_x columns do:
@@ -92,7 +93,7 @@ once, when it is searched, and recorded on the term
 its tails hold it as a column.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -395,7 +396,7 @@ class IntegralTerm:
     tails (_Tails) holds the tails at every rate of the path, that is at
     every time; at time t the term's sum is multiplied by exp(-i level t).
     derivative records whether the term was searched with the slope, whose
-    tails are then the second column of every model: eval_terms sums psi_x
+    tails are then the second column of every model: _sums sums psi_x
     exactly when it is set.
     """
 
@@ -418,10 +419,9 @@ class _InterfaceWeight:
     """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
 
     A call of the weight itself (a table alone on its path, the retry at
-    tolerance * 1e4, a search without a tail store) computes B at its
-    nodes; `of` takes the weight from rows B given, as the batches of a
-    panel store and of a tail store compute them for all their owners
-    (ContourSolver._store_columns).
+    tolerance * 1e4) computes B at its nodes; `of` takes the weight from
+    rows B given, as the batches of a panel store and of a tail store
+    compute them for all their owners (_columns).
     """
 
     def __init__(self, solver, col, sgn):
@@ -445,13 +445,27 @@ class _Nu:
         return self.sgn * nu(self.alpha, np.asarray(z, dtype=complex))
 
 
-def _plain_columns(pairs):
-    """columns(z, tag, owners) of a store whose owners have the (weight, xcoef) pairs.
+def _columns(pairs):
+    """columns(z, tag, owners) of a panel or tail store whose owners have the
+    (weight, xcoef) pairs.
 
-    Each owner's (W, c) from its own weight and xcoef calls.
+    Interface terms (an _InterfaceWeight and a _Nu each) take, per batch
+    of nodes, the rows B and the nus computed once (_interface_data), and
+    each owner's (W, c) from them, c from the nu of its level.  Other
+    owners call their own weight and xcoef.
     """
-    return lambda z, tag, owners: [(pairs[i][0](z, tag), pairs[i][1](z, tag))
-                                   for i in owners]
+    if not all(isinstance(W, _InterfaceWeight) and isinstance(c, _Nu) for W, c in pairs):
+        return lambda z, tag, owners: [(pairs[i][0](z, tag), pairs[i][1](z, tag))
+                                       for i in owners]
+    solver = pairs[0][0].solver
+    levels = solver.potential.levels
+
+    def columns(z, tag, owners):
+        B, nus = solver._interface_data(z)
+        of_level = dict(zip(levels, nus))
+        return [np.stack((W.of(B), c.sgn * of_level[c.alpha]))
+                for W, c in (pairs[i] for i in owners)]
+    return columns
 
 
 # rungs of the truncation ladder whose tails are sampled and tested at once,
@@ -643,7 +657,7 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     them: psi_x is one more column of the same models.
     """
     if store is None:
-        store = (_TailStore(builder, T0, t, _plain_columns([(weight, xcoef)]),
+        store = (_TailStore(builder, T0, t, _columns([(weight, xcoef)]),
                             [(x_offset, x_probe, tolerance)], derivative, max_T), 0)
     store, owner = store
     return store.search(owner, T0)
@@ -661,18 +675,6 @@ def panel_budget(t, xspan, T):
     return int(min(40000, max(2000, 3.0 * cycles + 500)))
 
 
-def build_with_retry(build, tolerance):
-    """build(tolerance), or build(tolerance * 1e4) once the panel budget runs out.
-
-    The retry takes what the budget buys; the per-point error estimates stay
-    honest.
-    """
-    try:
-        return build(tolerance)
-    except QuadratureError:
-        return build(tolerance * 1e4)
-
-
 def _term_tolerance(tolerance, n):
     """Tolerance of each of n terms' node tables.
 
@@ -685,92 +687,110 @@ def _term_tolerance(tolerance, n):
 def _term_probes(term, xs):
     """probes(z, cols) of a term's node table, for its sum over xs.
 
-    The integrands at three probe points of xs, from the columns (W, c):
-    W exp(i c (x - x0)) and, with the slope, i c W exp(i c (x - x0)).
+    The integrands at three probe points of xs, from the columns: the rows
+    W, then the row c.  W exp(i c (x - x0)) and, with the slope, i c W
+    exp(i c (x - x0)) (the value integrands alone left psi_x_error at
+    2.3e-6 on a three-jump profile at tolerance 1e-8).
     """
     off = term.x_offset
     dx = np.array(sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])}))
     dx = (dx - off)[:, None]
 
     def probes(z, cols):
-        W, C = cols
-        ic = 1j * C
-        out = W * np.exp(ic * dx)
+        ic = 1j * cols[-1]
+        out = (cols[:-1, None] * np.exp(ic * dx)).reshape(-1, cols.shape[1])
         return np.concatenate((out, ic * out)) if term.derivative else out
     return probes
 
 
 def _term_table(term, probes, tolerance, max_panels, store=None):
-    """The node table of a term, with the columns (W, c) at every node.
+    """The node table of a term: its weight's rows W, then its xcoef's row c,
+    at every node.
 
-    store, (PanelStore, owner), serves the first build; the retry at
-    tolerance * 1e4 (build_with_retry) builds alone.
+    store, (PanelStore, owner), serves the first build.  A build that fails
+    (QuadratureError) is retried once, alone, at tolerance * 1e4: the one
+    place a build is retried.
     """
     def columns(z, tag):
-        return np.stack((term.weight(z, tag), term.xcoef(z, tag)))
+        return np.vstack((term.weight(z, tag), term.xcoef(z, tag)))
 
-    return build_with_retry(
-        lambda tol: build_node_table(term.path, columns, tol, max_panels=max_panels,
-                                     probes=probes,
-                                     store=store if tol == tolerance else None),
-        tolerance)
+    try:
+        return build_node_table(term.path, columns, tolerance, max_panels=max_panels,
+                                probes=probes, store=store)
+    except QuadratureError:
+        return build_node_table(term.path, columns, tolerance * 1e4,
+                                max_panels=max_panels, probes=probes)
 
 
 def _term_sum(term, table, xs):
     """(values, errors) of a term at xs, every time, from its node table.
 
-    Each of shape (times, columns, x): the column psi, then with the slope
-    psi_x.  One table_integral call sums every column at every x and every
-    time, the slope as the stacked column i c W, and one _Tails.at call
-    gives the tail corrections and estimates at every x, column and time;
-    a term with a level takes exp(-i level t) on its sums and corrections.
+    Each of shape (times, columns, x): the columns of W, then with the
+    slope psi_x.  One table_integral call sums every column at every x and
+    every time, the slope as the stacked columns i c W, and one _Tails.at
+    call gives the tail corrections and estimates at every x, column and
+    time; a term with a level takes exp(-i level t) on its sums and
+    corrections.
     """
-    W, C = table.cols
-    W = np.stack((W, 1j * C * W)) if term.derivative else W[None]
+    W, C = table.cols[:-1], table.cols[-1]
+    if term.derivative:
+        W = np.concatenate((W, 1j * C * W))
     sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
     corr, tail = term.tails.at(xs)
     return term.damp(sums + corr), sum_errs + tail
 
 
+def _sums(parts, tolerance):
+    """(values, errors) of each part, [(xs, terms, budget)], over its terms.
+
+    Each of shape (times, columns, x), the terms' sums (_term_sum) added
+    in term order.  Every term builds a node table of its own from three
+    probe points of its part's xs (_term_probes), within the part's panel
+    budget, refined to 0.95 of its share of the tolerance over the part's
+    terms (its tails take up to 0.05, see choose_truncation).  The terms
+    that ended on one path are the owners of one PanelStore, in order of
+    their parts and terms, and the tables are built path by path; a term
+    alone on its path builds alone.  Each table is summed as soon as it is
+    built and dropped before the next is built, and a store is dropped
+    after its last owner.
+    """
+    out = [[None] * len(terms) for _, terms, _ in parts]
+    paths = {}
+    for p, (_, terms, _) in enumerate(parts):
+        for i, term in enumerate(terms):
+            paths.setdefault(id(term.path), []).append((p, i))
+    for owners in paths.values():
+        terms = [parts[p][1][i] for p, i in owners]
+        probes = [_term_probes(term, parts[p][0]) for (p, _), term in zip(owners, terms)]
+        store = PanelStore(terms[0].path, _columns(
+            [(term.weight, term.xcoef) for term in terms]), probes) \
+            if len(owners) > 1 else None
+        for k, (p, i) in enumerate(owners):
+            xs, part_terms, budget = parts[p]
+            table = _term_table(terms[k], probes[k],
+                                _term_tolerance(tolerance, len(part_terms)), budget,
+                                store=None if store is None else (store, k))
+            out[p][i] = _term_sum(terms[k], table, xs)
+            # otherwise this table lives on while the next term builds its own
+            del table
+    return [tuple(sum(a) for a in zip(*sums)) for sums in out]
+
+
 def eval_terms(terms, xs, tolerance, max_panels=2000):
     """Sum the integral terms over a batch of x values, at every time.
 
-    The terms' paths share their rates, one per time, and the terms share
-    their slope flag (IntegralTerm.derivative), set when the truncation
-    search stacked the slope into their tails.  Returns (values, errors),
-    each of shape (times, columns, x): the column psi, then with the slope
-    psi_x.  Every term builds one node table of its own from three probe
-    points, evaluating W and c once per node, refined to 0.95 of the
-    term's share of the tolerance (its tails take up to 0.05, see
-    choose_truncation) until every column converges at each of them and at
-    every rate: W exp(i c (x - x0)) and, with the slope, i c W
-    exp(i c (x - x0)) (the value integrands alone left psi_x_error at
-    2.3e-6 on a three-jump profile at tolerance 1e-8).  It then sums the
-    term over the table (_term_sum; see table_integral for its tiles and
-    phase tables) and drops the table before the next term builds its own.
-    ContourSolver._solve builds the same tables and sums, over a panel
-    store per path.
-
-    A table that stops above 50 times its target raises QuadratureError
-    (build_node_table); build_with_retry then tries tolerance * 1e4 once.
+    The one part (xs, terms, max_panels) of _sums: (values, errors), each
+    of shape (times, columns, x).  The terms' paths share their rates, one
+    per time, and the terms share their slope flag (IntegralTerm.derivative).
     """
-    xs = np.asarray(xs, dtype=float)
-    shape = (len(terms[0].tails), 1 + terms[0].derivative) + xs.shape
-    vals = np.zeros(shape, dtype=complex)
-    errs = np.zeros(shape, dtype=float)
-    tol = _term_tolerance(tolerance, len(terms))
-    for term in terms:
-        table = _term_table(term, _term_probes(term, xs), tol, max_panels)
-        v, e = _term_sum(term, table, xs)
-        # otherwise this table lives on while the next term builds its own
-        del table
-        vals += v
-        errs += e
-    return vals, errs
+    return _sums([(np.asarray(xs, dtype=float), terms, max_panels)], tolerance)[0]
 
 
 def _reals(v):
-    """v as a float array, or None when an entry is not a real number."""
+    """v as a float array, or None when an entry is not a real number (a bool
+    is not one)."""
+    if _holds_bool(v):
+        return None
     try:
         a = np.asarray(v)
         return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
@@ -780,6 +800,15 @@ def _reals(v):
 
 def _is_bool(v):
     return isinstance(v, (bool, np.bool_))
+
+
+def _holds_bool(v):
+    """Whether v, one value, a flat sequence or an array, is or holds a bool."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind == "b" or (v.dtype.kind == "O" and _holds_bool(v.ravel().tolist()))
+    if isinstance(v, (list, tuple)):
+        return not {bool, np.bool_}.isdisjoint(map(type, v))
+    return _is_bool(v)
 
 
 def _number(v, name):
@@ -813,9 +842,6 @@ class ContourSettings:
     """
 
     delta = np.pi / 8.0
-    # {(quad, rates): builder, (quad, rates, T): (path, spec)} while a call
-    # lasts (see sector)
-    _paths = None
 
     def __init__(self, potential, ic, tolerance=1e-8, radius=None):
         tol = _number(tolerance, "tolerance")
@@ -875,39 +901,38 @@ class ContourSettings:
         is a chirp leg (Leg.chirp), whose weights integrate that factor
         exactly, started as ceil((T - R) / 2) equal pieces in v = u^2.
 
-        Within a call that sets up the path memo (ContourSolver._solve), each
-        rung's path is built once and shared by every term and search that
-        tries it, and every sector(quad, t) with the same rates returns one
-        builder, so that the terms of all regions on it climb one ladder
-        (ContourSolver._plans); a built path is never modified.
+        The builder is a value (_Sector), equal for equal (solver, quad,
+        rates), so that the terms of all regions on it climb one ladder
+        (ContourSolver._plans), whose tail store builds each rung's path
+        once; a built path is never modified.
         """
-        R, dlt, lam = self.radius, self.delta, self.potential.lam
-        ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
-        ts = [float(v) for v in np.atleast_1d(t)]
-        tmax = max(ts)
+        ts = tuple(float(v) for v in np.atleast_1d(t))
+        return _Sector(self, quad, ts if quad == 4 else tuple(-v for v in ts))
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """The truncation builder of ContourSettings.sector: settings, quad and
+    the path's rates."""
+
+    settings: ContourSettings
+    quad: int
+    rates: tuple
+
+    def __call__(self, T):
+        R, quad = self.settings.radius, self.quad
+        tmax = max(self.rates) if quad == 4 else -min(self.rates)
         corner = 1.0 / tmax if R * R * tmax > 2.0 else None
-        rates = tuple(ts) if quad == 4 else tuple(-v for v in ts)
-
-        def make(T):
-            path = rotated_boundary(quad, R, T, dlt, lam=lam, corner=corner)
-            leg = path.legs[-1]
-            n = int(np.ceil((T - R) / 2.0))
-            path.legs[-1] = Leg.chirp(leg.z0, leg.z1, label=leg.label,
-                                      splits=np.arange(1, n) / n)
-            path.rates = rates
-            return path, {"generic": [(0, True)],
-                          "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
-
-        def build(T):
-            if self._paths is None:
-                return make(T)
-            key = (quad, rates, T)
-            if key not in self._paths:
-                self._paths[key] = make(T)
-            return self._paths[key]
-        if self._paths is None:
-            return build
-        return self._paths.setdefault((quad, rates), build)
+        path = rotated_boundary(quad, R, T, self.settings.delta,
+                                lam=self.settings.potential.lam, corner=corner)
+        leg = path.legs[-1]
+        n = int(np.ceil((T - R) / 2.0))
+        path.legs[-1] = Leg.chirp(leg.z0, leg.z1, label=leg.label,
+                                  splits=np.arange(1, n) / n)
+        path.rates = self.rates
+        ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
+        return path, {"generic": [(0, True)],
+                      "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
 
 
 class ContourSolver(ContourSettings):
@@ -941,23 +966,21 @@ class ContourSolver(ContourSettings):
     allow it (_terms).  The call searches the truncations of every region
     before it builds any table.  The terms of every region on one ladder
     (all fourth-quadrant terms of the call) search one tail store
-    (_TailStore, _plans), which samples each block of rungs once for all
-    of them and tests all their tails in one array pass.  The terms that
-    ended on one path, of any region, then refine their tables over one
-    panel store (contours.PanelStore, _sums): each span is evaluated once,
-    for every term still to build on the path.  Both stores compute the
-    rows once per batch of nodes and slice them per term, with the nus
-    that came with them (_store_columns).  Each term keeps a node table of
-    its own, built and summed before the next.  A call of a term's weight
-    itself (its table when it is alone on its path, the retry at
-    tolerance * 1e4) computes the rows at its nodes.  So a tail sample is
-    solved once per ladder, and a node of a table at most once per rung
-    path that evaluates it: the arc and corner legs, common to every rung,
-    are solved again on each rung a region ends on.  Node tables,
-    truncations and outputs are those of every term computing every node
-    afresh.  A region's terms depend on nothing outside the region, so a
-    call restricted to one region gives the same bits as the whole call
-    there.
+    (_TailStore, _plans), which builds each rung's path once, samples each
+    block of rungs once for all of them and tests all their tails in one
+    array pass.  The call's terms are then built and summed by _sums, the
+    pipeline of every caller: the terms that ended on one path, of any
+    region, refine their tables over one panel store (contours.PanelStore),
+    which evaluates each span once for every term still to build on the
+    path.  Both stores compute the rows once per batch of nodes and slice
+    them per term, with the nus that came with them (_columns).  A call of
+    a term's weight itself (its table when it is alone on its path, the
+    retry at tolerance * 1e4) computes the rows at its nodes.  So a tail
+    sample is solved once per ladder, and a node of a table at most once
+    per rung path that evaluates it.  Node tables, truncations and outputs
+    are those of every term computing every node afresh, and a call
+    restricted to one region gives the same bits as the whole call there.
+    A call keeps nothing on the solver.
     """
 
     def _declare(self, region, ts):
@@ -983,23 +1006,6 @@ class ContourSolver(ContourSettings):
         if side == "right":
             return _InterfaceWeight(self, 2 * region - 2, -1.0)
         return _InterfaceWeight(self, 2 * region - 3, 1.0)
-
-    def _store_columns(self, pairs):
-        """columns(z, tag, owners) of a panel or tail store of interface terms.
-
-        pairs holds each owner's (weight, xcoef).  For a batch of nodes: the
-        rows B and the nus computed once (_interface_data), and each owner's
-        columns (W, c) taken from them as its weight and x-coefficient take
-        them, c from the nu of its level.
-        """
-        levels = self.potential.levels
-
-        def columns(z, tag, owners):
-            B, nus = self._interface_data(z)
-            of_level = dict(zip(levels, nus))
-            return [np.stack((W.of(B), c.sgn * of_level[c.alpha]))
-                    for W, c in (pairs[i] for i in owners)]
-        return columns
 
     def _interface_data(self, z):
         """(B, nus): the interface combination B of every term, shape (N, 2n),
@@ -1046,9 +1052,7 @@ class ContourSolver(ContourSettings):
             plans[region] = (specs, searches)
         stores = {}
         for (builder, T0), owners in ladders.items():
-            pairs = [owner[:2] for owner in owners]
-            interface = all(isinstance(W, _InterfaceWeight) for W, _ in pairs)
-            columns = (self._store_columns if interface else _plain_columns)(pairs)
+            columns = _columns([owner[:2] for owner in owners])
             stores[builder, T0] = _TailStore(builder, T0, ts, columns,
                                              [owner[2:] for owner in owners], derivative)
         return {region: (specs, [(stores[key], i, probes, tol)
@@ -1139,74 +1143,34 @@ class ContourSolver(ContourSettings):
         nt = len(live)
         free = free_term(self.ic, self.potential, np.tile(regions, nt), np.tile(xs, nt),
                          np.repeat(live, xs.size), derivative=derivative)
-        # (times, columns, x), the layout of eval_terms: psi, then psi_x
+        # (times, columns, x), the layout of _sums: psi, then psi_x
         F = np.reshape(free, (1 + derivative, nt, xs.size)).swapaxes(0, 1)
         rows = {t: [None] * xs.size for t in live}
-        self._paths = {}
-        try:
-            # every region's terms before any table, so that the terms that
-            # ended on one path share its panel store (_sums); the regions'
-            # searches on one ladder share its tail store (_plans)
-            groups = [(int(j), np.where(regions == j)[0]) for j in np.unique(regions)]
-            xmax = {j: float(np.max(np.abs(xs[idx]))) for j, idx in groups}
-            plans = self._plans(xmax, live, derivative)
-            parts = []
-            for j, idx in groups:
-                sub = xs[idx]
-                terms = self._terms(j, live, derivative, xmax[j], plan=plans[j])
-                T = max(tm.path.reach() for tm in terms)
-                xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
-                chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
-                parts.append((idx, sub, terms, panel_budget(
-                    0.0 if chirped else live[-1], xspan, T)))
-            # the tail stores, with every block they sampled, are done
-            del plans
-            for (idx, sub, _, _), sums in zip(parts, self._sums(parts)):
-                # the terms' sums added in term order, as eval_terms adds them
-                vals, errs = (sum(a) for a in zip(*sums))
-                for k, t in enumerate(live):
-                    # value, error, then psi_x and its error with the slope
-                    cols = [c for v, e in zip((F[k][:, idx] + vals[k]).tolist(),
-                                              errs[k].tolist()) for c in (v, e)]
-                    for i, x, *sample in zip(idx.tolist(), sub.tolist(), *cols):
-                        rows[t][i] = SolutionSample(x, t, *sample)
-        finally:
-            del self._paths
+        # every region's terms before any table, so that the terms that ended
+        # on one path share its panel store (_sums); the regions' searches on
+        # one ladder share its tail store (_plans)
+        groups = [(int(j), np.where(regions == j)[0]) for j in np.unique(regions)]
+        xmax = {j: float(np.max(np.abs(xs[idx]))) for j, idx in groups}
+        plans = self._plans(xmax, live, derivative)
+        parts = []
+        for j, idx in groups:
+            sub = xs[idx]
+            terms = self._terms(j, live, derivative, xmax[j], plan=plans[j])
+            T = max(tm.path.reach() for tm in terms)
+            xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
+            chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
+            parts.append((sub, terms, panel_budget(0.0 if chirped else live[-1], xspan, T)))
+        # the tail stores, with every block they sampled, are done
+        del plans
+        for (_, idx), (sub, _, _), (vals, errs) in zip(groups, parts,
+                                                        _sums(parts, self.tolerance)):
+            for k, t in enumerate(live):
+                # value, error, then psi_x and its error with the slope
+                cols = [c for v, e in zip((F[k][:, idx] + vals[k]).tolist(),
+                                          errs[k].tolist()) for c in (v, e)]
+                for i, x, *sample in zip(idx.tolist(), sub.tolist(), *cols):
+                    rows[t][i] = SolutionSample(x, t, *sample)
         return rows
-
-    def _sums(self, parts):
-        """(values, errors) of every term of parts, [(idx, xs, terms, budget)].
-
-        One list per part, one pair per term, as _term_sum gives them.  The
-        terms that ended on one path (only the interface terms of
-        ContourSolver._declare share paths) are the owners of one
-        PanelStore, in order of their parts and terms, and the tables are
-        built path by path; a term alone on its path builds alone.  Each
-        table is summed as soon as it is built and dropped before the next
-        is built, and a store is dropped after its last owner, when the next
-        path's store takes its name.
-        """
-        out = [[None] * len(terms) for _, _, terms, _ in parts]
-        paths = {}
-        for p, (_, _, terms, _) in enumerate(parts):
-            for i, term in enumerate(terms):
-                paths.setdefault(id(term.path), []).append((p, i))
-        for owners in paths.values():
-            terms = [parts[p][2][i] for p, i in owners]
-            probes = [_term_probes(term, parts[p][1])
-                      for (p, _), term in zip(owners, terms)]
-            store = PanelStore(terms[0].path, self._store_columns(
-                [(term.weight, term.xcoef) for term in terms]), probes) \
-                if len(owners) > 1 else None
-            for k, (p, i) in enumerate(owners):
-                _, xs, region_terms, budget = parts[p]
-                table = _term_table(terms[k], probes[k],
-                                    _term_tolerance(self.tolerance, len(region_terms)),
-                                    budget, store=None if store is None else (store, k))
-                out[p][i] = _term_sum(terms[k], table, xs)
-                # otherwise this table lives on while the next term builds its own
-                del table
-        return out
 
 
 class StepSolver(ContourSolver):

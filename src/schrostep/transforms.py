@@ -286,6 +286,10 @@ class InitialCondition:
                  x_table=None, values_table=None):
         self.kind = kind
         if kind == "gaussian":
+            for name, value in zip(("amplitude", "center", "width", "momentum"),
+                                   (amplitude, center, width, momentum)):
+                if isinstance(value, (bool, np.bool_)):
+                    raise ValueError("{} must be a number, got {!r}".format(name, value))
             self.amplitude = complex(amplitude)
             self.center = float(center)
             self.width = float(width)

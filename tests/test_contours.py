@@ -825,7 +825,7 @@ def test_phased_sum_error_covers_rounding_of_x():
 
 
 def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
-    from schrostep import InterfaceMap, interface_map
+    from schrostep import InterfaceMap, step
 
     calls = []
 
@@ -834,7 +834,7 @@ def test_interface_map_sums_each_time_at_its_own_weights(monkeypatch):
         calls.append((table, W, C, X, out))
         return out
 
-    monkeypatch.setattr(interface_map, "table_integral", spy)
+    monkeypatch.setattr(step, "table_integral", spy)
     pot = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
     ic = InitialCondition.gaussian(center=-1.0, momentum=0.7)
     ts = np.linspace(0.1, 1.2, 40)

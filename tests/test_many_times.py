@@ -147,7 +147,6 @@ def test_one_table_integral_call_per_node_table_for_every_time(monkeypatch):
         return sum_table(table, *args, **kwargs)
 
     monkeypatch.setattr(step, "table_integral", spy)
-    monkeypatch.setattr(interface_map, "table_integral", spy)
     ts = (0.3, 0.9, 1.2)
     terms = SOLVERS["d4"]._terms(1, ts, True, 4.0)
     vals, errs = step.eval_terms(terms, np.linspace(-3.0, -0.5, 6), 1e-8)
@@ -245,7 +244,7 @@ def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, 
 
 def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch):
     found, sums = [], []
-    search, sum_table = interface_map.choose_truncation, interface_map.table_integral
+    search, sum_table = interface_map.choose_truncation, step.table_integral
 
     def spy_search(*args, **kwargs):
         found.append(search(*args, **kwargs))
@@ -256,7 +255,7 @@ def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch)
         return sums[-1]
 
     monkeypatch.setattr(interface_map, "choose_truncation", spy_search)
-    monkeypatch.setattr(interface_map, "table_integral", spy_sum)
+    monkeypatch.setattr(step, "table_integral", spy_sum)
     per_call = _estimates_in(monkeypatch, step._Tails, "at")
     got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)
     assert per_call == [1]

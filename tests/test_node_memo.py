@@ -9,10 +9,10 @@ at its nodes.  So a tail sample is solved once per ladder, and a node of a
 table at most once per rung path that evaluates it.  These tests pin that
 the sharing changes no output bit, that each distinct node is solved once
 in calls whose regions end on one rung, and that the stores leave nothing
-behind on the solver.  The sector paths of the truncation rungs are kept
-in a memo of the call too: the last tests pin that terms at the same rung
-share one path, that nothing modifies a built path, and that this memo
-goes with the call as well.
+behind on the solver, so that a call made during another changes nothing.
+The tail store of a ladder builds the sector path of each rung once: the
+last tests pin that no rung's path is built twice in a call, that terms at
+the same rung share one path, and that nothing modifies a built path.
 """
 
 import copy
@@ -123,7 +123,6 @@ def test_stores_die_with_the_call(name, monkeypatch):
         attrs = set(vars(solver))
         solver.evaluate_grid(np.linspace(-2.0, 3.0, 6), 0.5)
         assert set(vars(solver)) == attrs
-        assert solver._paths is None
         assert stores and all(ref() is None for ref in stores)
         ref = weakref.ref(solver)
         del solver
@@ -144,11 +143,57 @@ def test_stores_are_dropped_when_the_call_raises(monkeypatch):
     with pytest.raises(RuntimeError) as raised:
         solver.evaluate_grid([0.5], 0.5)
     assert set(vars(solver)) == attrs
-    assert solver._paths is None
     # the traceback holds the call's frames, and with them its stores
     del raised
     gc.collect()
     assert stores and all(ref() is None for ref in stores)
+
+
+def test_a_call_made_during_a_call_leaves_it_unchanged(monkeypatch):
+    # the solver keeps no state of its own while a call lasts
+    xs = np.linspace(-2.0, 3.0, 6)
+    want = GeneralSolver(THREE, IC).evaluate_grid(xs, 0.5)
+    solver = GeneralSolver(THREE, IC)
+    calls = []
+    solve = schrostep.general.solve_unknowns
+
+    def spy(potential, ic, kappa):
+        calls.append(len(calls))
+        if len(calls) == 3:
+            solver.evaluate_grid([0.3], 0.7)
+        return solve(potential, ic, kappa)
+
+    monkeypatch.setattr(schrostep.general, "solve_unknowns", spy)
+    got = solver.evaluate_grid(xs, 0.5)
+    assert len(calls) > 3
+    assert np.array([(s.value, s.error) for s in got]).tobytes() == \
+        np.array([(s.value, s.error) for s in want]).tobytes()
+
+
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_no_rung_path_is_built_twice_in_a_call(name, monkeypatch):
+    built = []
+    boundary = schrostep.step.rotated_boundary
+
+    def spy(quad, radius, T, *args, **kwargs):
+        built.append((quad, T))
+        return boundary(quad, radius, T, *args, **kwargs)
+
+    monkeypatch.setattr(schrostep.step, "rotated_boundary", spy)
+    SOLVERS[name]().evaluate_grid(np.linspace(-2.0, 4.0, 13), [0.3, 0.9],
+                                  derivative=True)
+    assert built and len(built) == len(set(built))
+
+
+def test_sector_builders_are_equal_for_equal_solver_quadrant_and_times():
+    # so that the terms on equal builders climb one ladder
+    solver = GeneralSolver(THREE, IC)
+    ts = [0.3, 0.9]
+    assert solver.sector(4, ts) == solver.sector(4, tuple(ts))
+    assert hash(solver.sector(4, ts)) == hash(solver.sector(4, np.array(ts)))
+    for other in (solver.sector(1, ts), solver.sector(4, [0.3, 1.0]),
+                  solver.sector(4, 0.3), GeneralSolver(THREE, IC).sector(4, ts)):
+        assert solver.sector(4, ts) != other
 
 
 def test_terms_at_one_rung_share_one_unmodified_path(monkeypatch):

@@ -288,6 +288,24 @@ def test_solver_contract(name):
             for t in (0.0, 0.5):
                 with pytest.raises(ValueError, match="finite"):
                     s.evaluate_grid([x, bad], t)
+    # a bool is not a time or a point, alone or in a sequence, though
+    # float() takes it as 1.0 or 0.0
+    bools = (True, np.True_, [0.5, True], [np.False_, 0.5], np.array([True, False]))
+    for bad in bools:
+        with pytest.raises(ValueError, match="^t must"):
+            if name == "interface-map":
+                s.trace_grid(bad, 1)
+            else:
+                s.evaluate_grid([x], bad)
+        if np.ndim(bad) == 0:
+            with pytest.raises(ValueError, match="^t must"):
+                one(bad)
+        if name != "interface-map":
+            with pytest.raises(ValueError, match="^x must"):
+                s.evaluate_grid([x, bad] if np.ndim(bad) == 0 else bad, 0.5)
+            if np.ndim(bad) == 0:
+                with pytest.raises(ValueError, match="^x must"):
+                    s.evaluate(bad, 0.5)
 
 
 def test_step_coefficients_free_limit():

@@ -288,6 +288,12 @@ NAN, INF = float("nan"), float("inf")
     (dict(width=7.5e-155), "width"),
     (dict(momentum=1e200), "momentum"),
     (dict(amplitude=1e308), "amplitude"),
+    # a bool is not a number, though complex() and float() take it
+    (dict(amplitude=True), "amplitude"),
+    (dict(center=True), "center"),
+    (dict(width=True), "width"),
+    (dict(momentum=np.True_), "momentum"),
+    (dict(center=np.False_), "center"),
     (dict(x=[0.0, 1.0, NAN, 3.0], values=[1.0] * 4), "x"),
     (dict(x=[0.0, 1.0, 2.0, 3.0], values=[1.0, NAN, 1.0, 1.0]), "values"),
     # a cubic fit that is NaN (points 1e-300 apart), a Vandermonde that

@@ -50,8 +50,8 @@ import schrostep.step  # noqa: E402
 import schrostep.well  # noqa: E402
 from workloads import WORKLOADS, make_requests  # noqa: E402
 
-# the modules that call build_node_table under that name
-_CALLERS = (schrostep.step, schrostep.interface_map)
+# the module that calls build_node_table under that name
+_CALLERS = (schrostep.step,)
 # the modules that call solve_unknowns under that name
 _SOLVERS = (schrostep.general, schrostep.interface_map)
 

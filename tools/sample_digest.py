@@ -29,7 +29,9 @@ last bit:
 --against PATH compares with such a file and, under each line whose
 columns differ from it, prints max |dpsi| and max |dpsi| / error (and the
 same for psi_x when the line has the slope, from the CLI's err_psi_x
-column too).  Columns the file lacks are left out of the comparison:
+column too).  Columns the file lacks are left out of the comparison, and
+a line it lacks altogether differs.  It ends with "N of M lines differ"
+and exits 1 when a line differs, 0 when every line matches:
 
     (cd A && python tools/sample_digest.py 301 --save /tmp/a.npz)
     (cd B && python tools/sample_digest.py 301 --against /tmp/a.npz)
@@ -160,14 +162,19 @@ def main(argv):
     args = ap.parse_args(argv)
     ref = np.load(args.against) if args.against else None
     saved = {}
+    differ = []
 
     def report(workload, i, label, hexdigest, cols):
         print("{}\t{}\t{}\t{}".format(workload, i, label, hexdigest))
         key = "{}:{}:{}:".format(workload, i, label)
         saved.update((key + k, v) for k, v in cols.items())
-        if ref is not None:
-            for line in _deviation(cols, {k: ref[key + k] for k in cols if key + k in ref}):
-                print(line)
+        if ref is None:
+            return
+        old = {k: ref[key + k] for k in cols if key + k in ref}
+        lines = _deviation(cols, old) if old else ["\t  missing from the saved file"]
+        for line in lines:
+            print(line)
+        differ.append(bool(lines))
 
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
@@ -182,7 +189,10 @@ def main(argv):
         report("many_times", i, *line)
     if args.save:
         np.savez(args.save, **saved)
-    return 0
+    if ref is None:
+        return 0
+    print("{} of {} lines differ".format(sum(differ), len(differ)))
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":
