@@ -30,9 +30,9 @@ import numpy as np
 # that imports it, and test_tracer_restores_every_binding asserts this one
 from .contours import build_node_table  # noqa: F401
 from .general import solve_unknowns
-from .kernels import SolutionSample
-from .step import (ContourSettings, IntegralTerm, _flag, _is_bool, _sums,
-                   choose_truncation, panel_budget)
+from .kernels import SolutionSample, _is_bool
+from .step import (ContourSettings, IntegralTerm, _flag, _sums, choose_truncation,
+                   panel_budget)
 
 __all__ = ["InterfaceMap"]
 

@@ -88,6 +88,20 @@ def omega(alpha, k):
     return complex(out) if out.ndim == 0 else out
 
 
+def _is_bool(v):
+    return isinstance(v, (bool, np.bool_))
+
+
+def _holds_bool(v):
+    """Whether v, one value, a flat sequence or an array, is or holds a bool
+    (which float() and complex() take as a number)."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind == "b" or (v.dtype.kind == "O" and _holds_bool(v.ravel().tolist()))
+    if isinstance(v, (list, tuple)):
+        return not {bool, np.bool_}.isdisjoint(map(type, v))
+    return _is_bool(v)
+
+
 @dataclass(frozen=True)
 class PiecewisePotential:
     """Piecewise-constant potential: n+1 levels separated by n interfaces.
@@ -102,7 +116,7 @@ class PiecewisePotential:
     def __init__(self, levels, interfaces):
         levels, interfaces = tuple(levels), tuple(interfaces)
         for name, vals in (("levels", levels), ("interfaces", interfaces)):
-            if any(isinstance(v, (bool, np.bool_)) for v in vals):
+            if _holds_bool(vals):
                 raise ValueError("{} must be real numbers, got {!r}".format(name, vals))
         levels = tuple(float(a) for a in levels)
         interfaces = tuple(float(x) for x in interfaces)

@@ -25,10 +25,11 @@ exp(-i (alpha + kappa^2) t), and the quadratic phase goes on the contour: a
 path's quadrature weights carry exp(i rate kappa^2) (rate t in quadrant 4,
 -t elsewhere), one set per time of a call, and every weight leaves it out,
 as it leaves out the scalar exp(-i alpha t) of the quadrant and realline
-forms, which their terms take on their sums (IntegralTerm.damp).  The ray of every sector path
-is a chirp leg (contours.Leg.chirp), whose weights integrate that phase
-exactly, so its panels resolve only the transforms and the x factor
-exp(i c (x - x0)), which still oscillates there (c is real on the ray).
+forms, which their terms take on their sums (IntegralTerm.damp).  The ray
+of every sector path is a chirp leg (contours.Leg.chirp), whose weights
+integrate that phase exactly, so its panels resolve only the transforms
+and the x factor exp(i c (x - x0)), which still oscillates there (c is
+real on the ray).
 
 The half-line transforms in the weights decay only like 1/kappa, so the
 legs that stay on an axis carry oscillatory tails that no absolute
@@ -36,61 +37,32 @@ truncation can afford.  Those legs are cut at a moderate point and the
 remainder is summed by repeated integration by parts in the phase
 exp(i(-t u^2 + c(u) x)); the magnitude of the last kept correction doubles
 as the error estimate, and a sampled-decay bound takes over whenever the
-expansion is not safely convergent.  The expansion's amplitude is the
-weight times the path's phase, without exp(-i t u^2) (_TailModel).
+expansion is not safely convergent (_OscTail).
 
 The module also holds the evaluation core of every contour solver.  In each
 region the solution is a free term plus integral terms
-W(kappa) * exp(i c(kappa) (x - x0)) over a contour, with W independent of
-x; only W, c, x0, the contour builder and the first truncation T0 change
-from one profile to another.  `ContourSettings` validates the settings
-(tolerance, the radius guard; delta is a constant) and builds the sector
-contours; `ContourSolver` declares the fourth-quadrant terms of every
-region and adds the truncation search at the region bounds, the panel
-budget and `evaluate_grid`.  One hook, `_interface_data(z)`, gives the
-interface combination B of every term at once, one row per node and two
-columns per jump l: column 2l - 2 for region l at its right jump x_l and
-column 2l - 1 for region l + 1 at its left jump x_l.  By default B is
-built from the unknowns of the interface system (`general.solve_unknowns`),
-which serves `GeneralSolver` and the d4 form of `StepSolver` alike, since a
-single jump is its n = 1 case; `WellSolver`, the last closed form,
-overrides the hook with its four transforms and numerators.  The
-truncation searches of all terms on one ladder, of any region, read one
-tail store (_TailStore), which builds the path of each rung of a block
-once, samples the tails of the block once for all of them and tests
-them in one array pass.  The terms of one region share one truncation
-rung where their tails allow it, so that their node tables share the
-nodes of the whole path (ContourSolver._terms), and the tables of all
-terms on one path, of any region, are refined over one store of
-evaluated panels, which computes the rows of each span once for all of
-them.  A term's weight called itself (a table alone on its path)
-computes the rows at its nodes.  A tail sample is so solved once per
-ladder, and a node of a table at most once per rung path that evaluates
-it: only the arc and corner legs, which every rung shares, can repeat,
-when regions end on different rungs.
-`StepSolver` also overrides `_declare` for its quadrant and realline forms,
-which share no nodes between regions.
-A whole grid of x values, at every time of a call, reuses one node table
-per term, whose W and c columns are evaluated once per node while it is
-refined: the path carries one set of weights per time (ContourPath.rates),
-and a term whose integrand carries exp(-i alpha t) besides (the quadrant
-and realline forms) takes that factor on its sum, so no weight depends on
-t.  One phased table_integral call sums the term at every x of the grid
-and every time, and one free_term call gives every free term of the call.
-One function builds and sums the terms of every caller (_sums): the
-solvers' evaluate_grid, eval_terms and InterfaceMap.
+W(kappa) exp(i c(kappa) (x - x0)) over a contour, with W independent of x
+and t; only W, c, x0, the contour builder and the first truncation T0
+change from one profile to another.  `ContourSettings` validates the
+settings and builds the sector contours.  `ContourSolver` declares the
+fourth-quadrant terms of every region, whose weights come from one hook,
+`_interface_data(z)` (the unknowns of the interface system by default;
+`WellSolver`, the last closed form, overrides it), and adds the truncation
+search, the panel budget and `evaluate_grid`; `StepSolver` overrides
+`_declare` for its quadrant and realline forms.
 
-The truncation search and the sum serve a stack of columns that share one
-path and one x-coefficient, as InterfaceMap's psi and psi_x columns do:
-one search accepts the first rung at which every column clears at every
-time, and one table_integral call sums every column at every time.  The
-slope psi_x of a term is such a column, the integral of i c W
-exp(i c (x - x0)): the tail store stacks i c W under W in its tail
-samples, so the slope tails are a column of the term's tail models, and
-the sum stacks it on W.  Whether a term carries the slope is decided
-once, when it is searched, and recorded on the term
-(IntegralTerm.derivative), from which its node table and its sum read it;
-its tails hold it as a column.
+Two stores per call hand every term its columns in one layout, the rows W
+then the row c (_columns): the searches on one truncation ladder read one
+_TailStore, which samples each block of rungs once for all of them, and
+the terms that end on one path build their node tables over one
+contours.PanelStore, which evaluates each span once for all of them.  A
+term's tails are one _TailModel with a time axis, and one node table per
+term serves every x and time of the call (_sums, the pipeline of every
+caller).  Columns that share a path and an x-coefficient, as
+InterfaceMap's psi and psi_x do, are one term: one search and one
+table_integral call serve them all.  The slope psi_x of a term is such a
+column, i c W stacked on W in its tails and its sum; the term records
+whether it carries it (IntegralTerm.derivative).
 """
 
 from dataclasses import dataclass, replace
@@ -99,7 +71,7 @@ import numpy as np
 
 from .contours import (Leg, PanelStore, QuadratureError, build_node_table,
                        deform_to_real_line, rotated_boundary, table_integral)
-from .kernels import SolutionSample, nu
+from .kernels import SolutionSample, _holds_bool, _is_bool, nu
 from .transforms import free_term, hat_transform
 
 __all__ = ["StepSolver", "sigma", "sigma_below", "step_coefficients", "mirrored"]
@@ -188,27 +160,23 @@ class _OscTail:
 
     The missing piece is int_K^inf A(u) exp(i phi(u, x)) du with
     phi = -t u^2 + c(u) (x - x0) and A slowly varying: the weight times the
-    ray's jacobian, without its quadratic phase (see _TailModel).  Three
-    integrations by parts give the correction; the magnitude of the last
-    term is the residual estimate.  Outside the safely convergent regime the
-    correction is dropped and a sampled-decay bound on |A| is returned
-    instead.  Each column of a stack is estimated on its own; the slope
-    psi_x of a term is one more column, i c A, and needs no case of its own.
+    ray's jacobian, without its quadratic phase.  Three integrations by
+    parts give the correction and the magnitude of the last term its
+    estimate; outside the safely convergent regime a sampled-decay bound on
+    |A| replaces both.  Each column is estimated on its own (the slope is
+    the column i c A).
 
-    The tails of many terms, rungs and times are estimated at once along
-    leading axes (owner, rung and time in a _TailStore; none for one term
-    at one time).  A has shape lead + (m, 4), the four samples of each of
-    m columns, and c, the samples of the x-coefficient, lead + (4,), with
-    axes of length 1 where it does not vary; K, t, sign and x_offset are
-    numbers or arrays with as many axes as lead.
+    Many tails are estimated at once along leading axes (owner, rung and
+    time in a _TailStore): A has shape lead + (m, 4), the four samples of
+    each of m columns, c lead + (4,), and K, t, sign and x_offset lead;
+    each is broadcast over the leading axes of all of them.
 
-    The derivatives of A and c come from one-sided differences with step
-    h = 0.05 over the samples A and c of the amplitude and the
-    x-coefficient at nodes(direction, K).  Steps of 0.02 K (up to 1) left
-    the correction off by far more than its estimate where A oscillates on
-    its own: a 21-point tabulated Gaussian (d4, K = 52: 3.4e-9 off against
-    an estimate of 2.0e-9) and the unknowns at an interface x = 2.5
-    (InterfaceMap, K = 45: 2.0e-9 against 1.2e-10).
+    The derivatives of A and c are one-sided differences with step
+    h = 0.05 over the samples at nodes(direction, K).  Steps of 0.02 K (up
+    to 1) left the correction off by far more than its estimate where A
+    oscillates on its own: a 21-point tabulated Gaussian (d4, K = 52:
+    3.4e-9 off against an estimate of 2.0e-9) and the unknowns at an
+    interface x = 2.5 (InterfaceMap, K = 45: 2.0e-9 against 1.2e-10).
     """
 
     h = 0.05
@@ -219,25 +187,25 @@ class _OscTail:
         return direction * (K - cls.h * np.arange(4.0))
 
     def __init__(self, A, c, K, t, sign, x_offset):
+        A = np.asarray(A, dtype=complex)
+        c = np.asarray(c, dtype=complex).real
+        lead = np.broadcast_shapes(A.shape[:-2], c.shape[:-1], np.shape(K), np.shape(t),
+                                   np.shape(sign), np.shape(x_offset))
+        self.lead = len(lead)
         # the samples first, then the leading axes (and A's column axis)
-        self.A = np.moveaxis(np.asarray(A, dtype=complex), -1, 0)
-        self.c = np.moveaxis(np.asarray(c, dtype=complex).real, -1, 0)
-        self.lead = self.c.ndim - 1
-        self.K = K
+        self.A = np.moveaxis(np.broadcast_to(A, lead + A.shape[-2:]), -1, 0)
+        self.c = np.moveaxis(np.broadcast_to(c, lead + c.shape[-1:]), -1, 0)
+        self.K, self.t, self.sign, self.x0 = (np.broadcast_to(a, lead)
+                                              for a in (K, t, sign, x_offset))
         # the sampled-decay bound on |A|, the same at every x
-        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h,
-                              np.reshape(K, np.shape(K) + (1,)))
-        self.t = t
-        self.sign = sign
-        self.x0 = x_offset
+        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h, self.K[..., None])
 
     def take(self, idx):
-        """The tails at the entry idx of the first len(idx) leading axes."""
-        pick = lambda a: np.asarray(a)[_entry(idx, np.shape(a))]
-        c = self.c[(slice(None),) + _entry(idx, self.c.shape[1:])]
-        return _OscTail(np.moveaxis(self.A[(slice(None),) + idx], 0, -1),
-                        np.moveaxis(c, 0, -1),
-                        pick(self.K), pick(self.t), pick(self.sign), pick(self.x0))
+        """The tails at the entry idx of the leading axes."""
+        idx = np.index_exp[idx]
+        s = (slice(None),) + idx
+        return _OscTail(np.moveaxis(self.A[s], 0, -1), np.moveaxis(self.c[s], 0, -1),
+                        self.K[idx], self.t[idx], self.sign[idx], self.x0[idx])
 
     def _fd(self, v):
         h = self.h
@@ -249,12 +217,11 @@ class _OscTail:
     def estimate(self, x):
         """Tail corrections and error estimates at the evaluation points x.
 
-        The branch rules apply point by point: a point falls back to the
-        sampled-decay bound when a stationary point may hide beyond the cut,
-        when the expansion is not safely convergent, or when that bound is
-        already no larger than the expansion's residual.  x has the leading
-        axes (or axes of length 1 against them), then those of the points;
-        the results have the same axes, then the column axis.
+        A point falls back to the sampled-decay bound when a stationary
+        point may hide beyond the cut, when the expansion is not safely
+        convergent, or when that bound is no larger than the expansion's
+        residual.  x has the leading axes (or axes of length 1), then those
+        of the points; so do the results, then the column axis.
         """
         x = np.asarray(x, dtype=float)
         n = x.ndim - self.lead
@@ -287,12 +254,6 @@ class _OscTail:
         return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
 
 
-def _entry(idx, shape):
-    """The index of entry idx in an array of that shape, whose axes of length 1
-    broadcast against idx's."""
-    return tuple(i if n > 1 else 0 for i, n in zip(idx, shape))
-
-
 def _tail_nodes(path, spec):
     """(tag, z) of every weight sample the tails of one truncation need.
 
@@ -307,40 +268,42 @@ def _tail_nodes(path, spec):
 
 
 class _TailModel:
-    """Truncation tails of integral terms: of one term at one time, or of many.
+    """Truncation tails of integral terms, along leading axes.
 
     generic holds the summed tails of the decaying legs and oscs the
-    _OscTail of each oscillatory ray.  Both have the leading axes of the
-    tails modelled (owner, rung and time in a _TailStore, none for one term
-    at one time) and a last axis for the m columns of a stack; t is the
-    time of each leading entry, and model[idx] the model at the entry idx
-    of the first len(idx) leading axes.
-    stack is (m,), or () for a single column, whose axis `at` drops: `at`
-    returns the columns on a last axis, after those of x, and `worst` takes
-    the largest over the columns too.  With the slope, the samples stack
-    i c W under W (_TailStore), so psi_x is one more column of the model.
-    _TailStore._model builds the models from the weights' samples.
+    _OscTail of each oscillatory ray; both have the leading axes (owner,
+    rung and time in a _TailStore, time alone for a term), then the m
+    columns, and t is the time of each leading entry.  A term's slope is
+    one more column.  model[idx] is the model at the entry idx of the
+    leading axes.
     """
 
-    def __init__(self, generic, oscs, stack, t):
+    def __init__(self, generic, oscs, t):
         self.generic = generic
         self.oscs = oscs
-        self.stack = stack
         self.t = t
 
-    def __getitem__(self, idx):
-        return _TailModel(self.generic[idx], [o.take(idx) for o in self.oscs],
-                          self.stack, self.t[_entry(idx, self.t.shape)])
+    def __len__(self):
+        return len(self.t)
 
-    def worst(self, xs):
-        """Largest tail error estimate over the columns and the probe points."""
-        return float(self.at(xs)[1].max())
+    def __getitem__(self, idx):
+        return _TailModel(self.generic[idx], [o.take(idx) for o in self.oscs], self.t[idx])
+
+    def worst(self, xs, derivative=False):
+        """Largest error estimate at the points xs, over every leading entry
+        and column.
+
+        derivative is ignored, the slope being a column already; it stays
+        for callers that ask for the value and the slope tails in turn.
+        """
+        x = np.asarray(xs, dtype=float)
+        return float(self.at(x.reshape((1,) * (self.generic.ndim - 1) + x.shape))[1].max())
 
     def at(self, x):
-        """Tail corrections and error estimates at the points x.
+        """(corrections, estimates) at the points x, with the columns last.
 
-        x has the leading axes (or axes of length 1 against them), then
-        those of the points: any array for a model without leading axes.
+        x has the leading axes (or axes of length 1), then those of the
+        points.
         """
         x = np.asarray(x, dtype=float)
         g = self.generic
@@ -352,52 +315,16 @@ class _TailModel:
             c, e = o.estimate(x)
             corr += c
             err += e
-        return (corr, err) if self.stack else (corr[..., 0], err[..., 0])
-
-
-class _Tails:
-    """The tails of a term at every time of its path, one _TailModel with
-    a leading time axis (model); tails[k] is the model of time k alone."""
-
-    def __init__(self, model):
-        self.model = model
-        self.ts = model.t
-
-    def __len__(self):
-        return len(self.ts)
-
-    def __getitem__(self, k):
-        if not -len(self) <= k < len(self):
-            raise IndexError(k)
-        return self.model[(k,)]
-
-    def at(self, xs):
-        """(corrections, estimates) at the points xs at every time, each of
-        shape (times, columns, len(xs)), the layout of table_integral."""
-        corr, err = self.model.at(np.atleast_1d(np.asarray(xs, dtype=float))[None])
-        if not self.model.stack:
-            corr, err = corr[..., None], err[..., None]
-        return corr.swapaxes(1, 2), err.swapaxes(1, 2)
-
-    def worst(self, xs, derivative=False):
-        """Largest tail error estimate over the times, columns and probe points.
-
-        derivative is ignored: a search with the slope holds it as a column
-        of every model already.  The keyword stays for callers that ask for
-        the value tails and the slope tails one after the other and take the
-        larger, as the benchmark's tracer does; both calls return this max.
-        """
-        return float(self.at(xs)[1].max())
+        return corr, err
 
 
 class IntegralTerm:
     """One contour integral contributing to the solution in one region.
 
-    tails (_Tails) holds the tails at every rate of the path, that is at
-    every time; at time t the term's sum is multiplied by exp(-i level t).
-    derivative records whether the term was searched with the slope, whose
-    tails are then the second column of every model: _sums sums psi_x
-    exactly when it is set.
+    tails is the term's _TailModel, with a time axis; at time t the sum is
+    multiplied by exp(-i level t).  derivative records whether the term was
+    searched with the slope, which its tails then hold as the second
+    column and _sums sums.
     """
 
     def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0,
@@ -412,16 +339,15 @@ class IntegralTerm:
 
     def damp(self, v):
         """The term's sums v, (times, columns, x), times exp(-i level t)."""
-        return np.exp(-1j * self.level * self.tails.ts)[:, None, None] * v if self.level else v
+        return np.exp(-1j * self.level * self.tails.t)[:, None, None] * v if self.level else v
 
 
 class _InterfaceWeight:
     """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
 
-    A call of the weight itself (a table alone on its path, the retry at
-    tolerance * 1e4) computes B at its nodes; `of` takes the weight from
-    rows B given, as the batches of a panel store and of a tail store
-    compute them for all their owners (_columns).
+    A call of the weight itself (the retry at tolerance * 1e4) computes B
+    at its nodes; `of` takes the weight from rows B given, as the batches
+    of a panel or tail store compute them for all their owners (_columns).
     """
 
     def __init__(self, solver, col, sgn):
@@ -447,15 +373,14 @@ class _Nu:
 
 def _columns(pairs):
     """columns(z, tag, owners) of a panel or tail store whose owners have the
-    (weight, xcoef) pairs.
+    (weight, xcoef) pairs: per owner, its rows W, then its row c.
 
-    Interface terms (an _InterfaceWeight and a _Nu each) take, per batch
-    of nodes, the rows B and the nus computed once (_interface_data), and
-    each owner's (W, c) from them, c from the nu of its level.  Other
-    owners call their own weight and xcoef.
+    Interface terms (an _InterfaceWeight and a _Nu each) slice theirs from
+    one _interface_data call per batch of nodes; other owners call their
+    own weight and xcoef.
     """
     if not all(isinstance(W, _InterfaceWeight) and isinstance(c, _Nu) for W, c in pairs):
-        return lambda z, tag, owners: [(pairs[i][0](z, tag), pairs[i][1](z, tag))
+        return lambda z, tag, owners: [np.vstack((pairs[i][0](z, tag), pairs[i][1](z, tag)))
                                        for i in owners]
     solver = pairs[0][0].solver
     levels = solver.potential.levels
@@ -483,22 +408,15 @@ class _TailStore:
     """The truncation tails of every term that searches one ladder in a call.
 
     The ladder is builder's rungs T0, 1.6 T0, ..., at most 22, the last
-    clipped to max_T; each rung is the one before times 1.6.  Its owners
-    are the terms that search it, each given as (x_offset, x_probe,
-    tolerance); every owner probes as many points.  The store samples the
-    tail nodes of a block of _RUNGS_PER_CALL rungs (rungs 0-3, 4-7, ...)
-    once for all its owners, in one call of columns(z, tag, owners) per leg
-    tag: the columns function of a PanelStore, whose entry per owner
-    unpacks as (W, c), W one column or a stack of m, shape (m, len(z)).
-    The weights leave the path's phase out, so one sample serves every
-    time.  With derivative the m columns W get the m columns i c W, the
-    integrands of the slope, stacked under them.  It then tests the tails
-    of every owner at every rung of the block and every time in one array
-    pass: one _TailModel with the leading axes (owner, rung, time),
-    evaluated at each owner's probes.  A rung clears for an owner when the
-    worst estimate over its probes and columns is within 0.05 of its
-    tolerance at every time.  A block is sampled when a search or a lift
-    first reaches it; `search` and `rung` read its decisions and models.
+    clipped to max_T.  Its owners are the terms that search it, each given
+    as (x_offset, x_probe, tolerance) with as many probes.  When a search
+    or a lift first reaches a block of _RUNGS_PER_CALL rungs (rungs 0-3,
+    4-7, ...), the store samples every owner's tails there in one call of
+    columns(z, tag, owners) (_columns) and tests them in one array pass: a
+    rung clears for an owner when its worst estimate over the probes and
+    columns is within 0.05 of its tolerance at every time.  The weights
+    leave the path's phase out, so one sample serves every time.  With
+    derivative the columns W get the slope's columns i c W.
     """
 
     def __init__(self, builder, T0, ts, columns, owners, derivative=False,
@@ -528,11 +446,12 @@ class _TailStore:
         return self.rung(owner, self.rungs[r])[1:]
 
     def rung(self, owner, T):
-        """(cleared, path, tails) of owner at the rung T, tails a _Tails."""
+        """(cleared, path, tails) of owner at the rung T, tails its
+        _TailModel at every time."""
         r = self.rungs.index(T)
         built, model, cleared = self._block(r)
         j = r % _RUNGS_PER_CALL
-        return bool(cleared[owner, j]), built[j][0], _Tails(model[owner, j])
+        return bool(cleared[owner, j]), built[j][0], model[owner, j]
 
     def _block(self, r):
         """The block of rung index r, sampled and tested on first use."""
@@ -547,52 +466,36 @@ class _TailStore:
                               np.all(worst <= self.targets[:, None, None], axis=2))
         return self.blocks[b]
 
-    def _sample(self, nodes):
-        """(W, c, stack): every owner's samples at each (tag, z) of nodes, one
-        columns call per tag.
-
-        W of shape (owners, columns, len(z)), c (owners, len(z)), and stack
-        the models' column axis: () for one column without the slope.
-        """
-        W, C = [None] * len(nodes), [None] * len(nodes)
-        owners = range(len(self.x0))
-        for tag in dict.fromkeys(tag for tag, _ in nodes):
-            idx = [i for i, (g, _) in enumerate(nodes) if g == tag]
-            z = np.concatenate([nodes[i][1] for i in idx])
-            cols = self.columns(z, tag, owners)
-            w = np.stack([np.asarray(wi, dtype=complex).reshape(-1, z.size)
-                          for wi, _ in cols])
-            c = np.stack([np.asarray(ci, dtype=complex) for _, ci in cols])
-            stack = (2 * w.shape[1],) if self.derivative else \
-                (w.shape[1],) if np.ndim(cols[0][0]) > 1 else ()
-            if self.derivative:
-                w = np.concatenate((w, 1j * c[:, None] * w), axis=1)
-            cuts = np.cumsum([nodes[i][1].size for i in idx])[:-1]
-            for i, wi, ci in zip(idx, np.split(w, cuts, axis=-1),
-                                 np.split(c, cuts, axis=-1)):
-                W[i], C[i] = wi, ci
-        return W, C, stack
-
     def _model(self, rungs, built):
-        """The _TailModel of every owner at the rungs of a block, at every time.
+        """The _TailModel of every owner at the rungs of a block, axes (owner,
+        rung, time), from one columns call on all the block's tail nodes.
 
         The weights w leave out the path's phase, whose rate for time k is
         path.rates[k].  A decaying leg's tail is taken from
         w exp(i rate z^2), and an oscillatory ray's amplitude at
-        z = direction u is A = w jac exp(i (rate z^2 + t u^2)), without the
-        expansion's exp(-i t u^2): w jac on every sector and real-line ray,
-        where rate z^2 = -t u^2 exactly.  Every rung's spec lists the same
-        legs and rays.
+        z = direction u is A = w jac exp(i (rate z^2 + t u^2)): w jac on
+        every sector and real-line ray, where rate z^2 = -t u^2 exactly.
+        Every rung's spec lists the same legs and rays, which must share
+        one tag.
         """
         spec = built[0][1]
         nodes = [_tail_nodes(path, sp) for path, sp in built]
-        W, C, stack = self._sample([nd for each in nodes for nd in each])
-        # per sample slot of a rung: its nodes (rung, n), W (owner, rung,
-        # column, n) and c (owner, rung, n)
-        slots = len(nodes[0])
-        z = [np.stack([each[s][1] for each in nodes]) for s in range(slots)]
-        W = [np.stack(W[s::slots], axis=1) for s in range(slots)]
-        C = [np.stack(C[s::slots], axis=1) for s in range(slots)]
+        tags = {tag for each in nodes for tag, _ in each}
+        if len(tags) != 1:
+            raise ValueError("the tail legs of a truncation must share one tag, "
+                             "got {}".format(sorted(tags)))
+        # z (rung, node), the nodes of each leg and ray in spec order
+        z = np.array([np.concatenate([zs for _, zs in each]) for each in nodes])
+        cols = np.array(self.columns(z.ravel(), tags.pop(), range(len(self.x0))),
+                        dtype=complex)
+        cols = cols.reshape(cols.shape[:2] + z.shape)
+        # W (owner, rung, column, node) and c (owner, rung, node)
+        W, C = np.moveaxis(cols[:, :-1], 1, 2), cols[:, -1]
+        if self.derivative:
+            W = np.concatenate((W, 1j * C[:, :, None] * W), axis=2)
+        # per leg or ray s: z[s], W[s] and C[s]
+        cuts = np.cumsum([zs.size for _, zs in nodes[0]])[:-1]
+        z, W, C = (np.split(a, cuts, axis=-1) for a in (z, W, C))
         ts = np.array(self.ts)
         rates = np.array([path.rates for path, _ in built])
         span = np.array(rungs)[None, :, None, None]
@@ -617,7 +520,7 @@ class _TailStore:
                 oscs.append(_OscTail(A, C[s][:, :, None], K[None, :, None],
                                      ts[None, None, :], sign, self.x0[:, None, None]))
                 s += 1
-        return _TailModel(generic, oscs, stack, ts[None, None, :])
+        return _TailModel(generic, oscs, np.broadcast_to(ts, generic.shape[:3]))
 
 
 def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
@@ -633,28 +536,22 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     t is one time or a sequence of them, one per rate of the path.
 
     The ladder is T0, 1.6 T0, ..., at most 22 rungs, the last clipped to
-    max_T.  The rungs are tested in order and the first whose tails clear
-    0.05 tolerance at x_probe at every time is returned, or else the last.
-    Returns (path, tails), tails the _Tails of the rung's times.  The tails
-    are sampled and tested by a _TailStore, four rungs at a time in one
-    weight and one xcoef call per leg tag: a call on a few nodes costs
-    numpy's dispatch as much as one on a hundred.
+    max_T; the first rung whose tails clear 0.05 tolerance at x_probe at
+    every time is returned, or else the last.  Returns (path, tails), tails
+    the _TailModel of the rung at every time.  A _TailStore samples and
+    tests the rungs four at a time, in one weight and one xcoef call: a
+    call on a few nodes costs numpy's dispatch as much as one on a hundred.
 
-    store = (_TailStore, i) searches as owner i of a store, whose ladder,
-    weight, xcoef, times, offset, probes, tolerance and derivative are then
-    those given (the arguments must agree with them): the search starts at
-    the store's rung T0, a later rung of its ladder when a search continues
-    where an earlier term of its region stopped (ContourSolver._terms), and
-    reads the blocks the store sampled for all its owners.  Without a store
-    the search is the one owner of a store of its own, whose ladder starts
-    at T0.
+    store = (_TailStore, i) searches as owner i of that store, whose
+    ladder, weight, xcoef, times, offset, probes, tolerance and derivative
+    must agree with the arguments; the search starts at its rung T0, which
+    may be one an earlier term of the region accepted (ContourSolver._terms).
+    Without a store the search is the one owner of a store of its own.
 
     weight may return a stack of m columns, shape (m, N), that share the
-    path and xcoef: one search then serves them all.  A rung clears when
-    every column clears at every time, and tails.worst is the largest over
-    the columns as well.  With derivative the samples of the m columns W
-    get the m columns i c W, the integrands of the slope, stacked under
-    them: psi_x is one more column of the same models.
+    path and xcoef: one search serves them all, and a rung clears when
+    every column clears at every time.  With derivative the slope's
+    columns i c W follow them.
     """
     if store is None:
         store = (_TailStore(builder, T0, t, _columns([(weight, xcoef)]),
@@ -703,13 +600,13 @@ def _term_probes(term, xs):
     return probes
 
 
-def _term_table(term, probes, tolerance, max_panels, store=None):
-    """The node table of a term: its weight's rows W, then its xcoef's row c,
-    at every node.
+def _term_table(term, probes, tolerance, max_panels, store):
+    """The node table of a term, as owner store = (PanelStore, i): its rows
+    W, then its row c, at every node.
 
-    store, (PanelStore, owner), serves the first build.  A build that fails
-    (QuadratureError) is retried once, alone, at tolerance * 1e4: the one
-    place a build is retried.
+    A build that fails (QuadratureError) is retried once, alone, from the
+    term's own weight and xcoef at tolerance * 1e4: the one place a build
+    is retried.
     """
     def columns(z, tag):
         return np.vstack((term.weight(z, tag), term.xcoef(z, tag)))
@@ -723,35 +620,31 @@ def _term_table(term, probes, tolerance, max_panels, store=None):
 
 
 def _term_sum(term, table, xs):
-    """(values, errors) of a term at xs, every time, from its node table.
+    """(values, errors) of a term at xs and every time, each (times, columns,
+    x): the columns of W, then with the slope those of psi_x.
 
-    Each of shape (times, columns, x): the columns of W, then with the
-    slope psi_x.  One table_integral call sums every column at every x and
-    every time, the slope as the stacked columns i c W, and one _Tails.at
-    call gives the tail corrections and estimates at every x, column and
-    time; a term with a level takes exp(-i level t) on its sums and
-    corrections.
+    One table_integral call sums every column, the slope as i c W, and one
+    tails.at call gives the tail corrections and estimates; a term with a
+    level takes exp(-i level t) on its sums and corrections.
     """
     W, C = table.cols[:-1], table.cols[-1]
     if term.derivative:
         W = np.concatenate((W, 1j * C * W))
     sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
-    corr, tail = term.tails.at(xs)
-    return term.damp(sums + corr), sum_errs + tail
+    corr, tail = term.tails.at(xs[None])
+    return term.damp(sums + corr.swapaxes(1, 2)), sum_errs + tail.swapaxes(1, 2)
 
 
 def _sums(parts, tolerance):
     """(values, errors) of each part, [(xs, terms, budget)], over its terms.
 
     Each of shape (times, columns, x), the terms' sums (_term_sum) added
-    in term order.  Every term builds a node table of its own from three
-    probe points of its part's xs (_term_probes), within the part's panel
-    budget, refined to 0.95 of its share of the tolerance over the part's
-    terms (its tails take up to 0.05, see choose_truncation).  The terms
-    that ended on one path are the owners of one PanelStore, in order of
-    their parts and terms, and the tables are built path by path; a term
-    alone on its path builds alone.  Each table is summed as soon as it is
-    built and dropped before the next is built, and a store is dropped
+    in term order.  Each term's node table is refined from three probe
+    points of its part's xs (_term_probes), within the part's budget, to
+    0.95 of its share of the tolerance over the part's terms (its tails
+    take up to 0.05).  The terms that ended on one path, of any part, are
+    the owners of one PanelStore, in part and term order; a table is
+    summed as soon as it is built and dropped before the next, and a store
     after its last owner.
     """
     out = [[None] * len(terms) for _, terms, _ in parts]
@@ -763,13 +656,12 @@ def _sums(parts, tolerance):
         terms = [parts[p][1][i] for p, i in owners]
         probes = [_term_probes(term, parts[p][0]) for (p, _), term in zip(owners, terms)]
         store = PanelStore(terms[0].path, _columns(
-            [(term.weight, term.xcoef) for term in terms]), probes) \
-            if len(owners) > 1 else None
+            [(term.weight, term.xcoef) for term in terms]), probes)
         for k, (p, i) in enumerate(owners):
             xs, part_terms, budget = parts[p]
             table = _term_table(terms[k], probes[k],
                                 _term_tolerance(tolerance, len(part_terms)), budget,
-                                store=None if store is None else (store, k))
+                                (store, k))
             out[p][i] = _term_sum(terms[k], table, xs)
             # otherwise this table lives on while the next term builds its own
             del table
@@ -796,19 +688,6 @@ def _reals(v):
         return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
     except (TypeError, ValueError):
         return None
-
-
-def _is_bool(v):
-    return isinstance(v, (bool, np.bool_))
-
-
-def _holds_bool(v):
-    """Whether v, one value, a flat sequence or an array, is or holds a bool."""
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind == "b" or (v.dtype.kind == "O" and _holds_bool(v.ravel().tolist()))
-    if isinstance(v, (list, tuple)):
-        return not {bool, np.bool_}.isdisjoint(map(type, v))
-    return _is_bool(v)
 
 
 def _number(v, name):
@@ -958,29 +837,17 @@ class ContourSolver(ContourSettings):
     estimate adds truncation residuals to the quadrature error, so it stays
     honest when the tolerance is out of reach.
 
-    Every term of one evaluate_grid call lies on the same sector(4, ts)
-    path family, and their node tables bisect the same first panels, so
-    most nodes recur from term to term.  The rotated leg and the chirp ray
-    run over [R, T], so only terms at the same rung share their nodes; the
-    two terms of a region are therefore put on one rung where their tails
-    allow it (_terms).  The call searches the truncations of every region
-    before it builds any table.  The terms of every region on one ladder
-    (all fourth-quadrant terms of the call) search one tail store
-    (_TailStore, _plans), which builds each rung's path once, samples each
-    block of rungs once for all of them and tests all their tails in one
-    array pass.  The call's terms are then built and summed by _sums, the
-    pipeline of every caller: the terms that ended on one path, of any
-    region, refine their tables over one panel store (contours.PanelStore),
-    which evaluates each span once for every term still to build on the
-    path.  Both stores compute the rows once per batch of nodes and slice
-    them per term, with the nus that came with them (_columns).  A call of
-    a term's weight itself (its table when it is alone on its path, the
-    retry at tolerance * 1e4) computes the rows at its nodes.  So a tail
-    sample is solved once per ladder, and a node of a table at most once
-    per rung path that evaluates it.  Node tables, truncations and outputs
-    are those of every term computing every node afresh, and a call
-    restricted to one region gives the same bits as the whole call there.
-    A call keeps nothing on the solver.
+    The call searches every region's truncations before it builds any
+    table.  Its fourth-quadrant terms climb one ladder and search one tail
+    store (_plans); a region's terms share one rung where their tails allow
+    it (_terms), so that their tables share the nodes of the whole path.
+    _sums then builds and sums every term, the terms on one path over one
+    panel store.  Both stores solve the interface data once per batch of
+    nodes for all their terms (_columns), so a tail sample is solved once
+    per ladder and a table node at most once per rung path that evaluates
+    it.  Outputs are those of every term computing every node afresh, and
+    a call restricted to one region gives the same bits there.  A call
+    keeps nothing on the solver.
     """
 
     def _declare(self, region, ts):

@@ -55,6 +55,8 @@ are summed by their power series instead.
 
 import numpy as np
 
+from .kernels import _holds_bool, _is_bool
+
 __all__ = ["InitialCondition", "faddeeva", "hat_transform", "free_term", "whole_line_hat"]
 
 _SQRT_PI = 1.7724538509055159
@@ -288,7 +290,7 @@ class InitialCondition:
         if kind == "gaussian":
             for name, value in zip(("amplitude", "center", "width", "momentum"),
                                    (amplitude, center, width, momentum)):
-                if isinstance(value, (bool, np.bool_)):
+                if _is_bool(value):
                     raise ValueError("{} must be a number, got {!r}".format(name, value))
             self.amplitude = complex(amplitude)
             self.center = float(center)
@@ -302,6 +304,9 @@ class InitialCondition:
                 raise ValueError("width must be positive, got {}".format(width))
             self._check_scales()
         elif kind == "tabulated":
+            for name, table in (("x", x_table), ("values", values_table)):
+                if _holds_bool(table):
+                    raise ValueError("{} must be numbers, not bools".format(name))
             x = np.asarray(x_table, dtype=float)
             v = np.asarray(values_table, dtype=complex)
             if x.ndim != 1 or x.size < 4:

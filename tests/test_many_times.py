@@ -223,7 +223,7 @@ def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, 
         return out
 
     monkeypatch.setattr(step, "_term_sum", spy)
-    per_call = _estimates_in(monkeypatch, step._Tails, "at")
+    per_call = _estimates_in(monkeypatch, step, "_term_sum")
     SOLVERS[name].evaluate_grid(XS, TS, derivative=True)
     # one tail evaluation per term (each has one oscillatory ray), every time
     assert per_call == [1] * len(sums) and len(sums) >= 2
@@ -256,7 +256,7 @@ def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch)
 
     monkeypatch.setattr(interface_map, "choose_truncation", spy_search)
     monkeypatch.setattr(step, "table_integral", spy_sum)
-    per_call = _estimates_in(monkeypatch, step._Tails, "at")
+    per_call = _estimates_in(monkeypatch, step, "_term_sum")
     got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)
     assert per_call == [1]
     ((_, tails),), ((v, e),) = found, sums

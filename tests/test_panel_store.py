@@ -32,6 +32,9 @@ CALLS = {
                              [0.3, 0.6, 0.9, 1.2], True),
     "tabulated d4 step": (lambda: StepSolver(STEP, TABLE), np.linspace(-4.0, 4.0, 21),
                           0.5, False),
+    # each term alone on its path: a store of one owner
+    "quadrant step, slope": (lambda: StepSolver(STEP, IC, "quadrant"),
+                             np.linspace(-4.0, 4.0, 21), 0.5, True),
 }
 
 FIELDS = ("z", "w15", "w7", "cols", "panel", "spans", "error")

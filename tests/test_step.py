@@ -422,7 +422,7 @@ def test_tail_model_worst_is_the_largest_point_estimate():
     # over psi and psi_x, the two columns of the model
     each = [tails.at(x)[1] for x in xs]
     assert worst == max(np.max(tails.generic), np.max(each))
-    # the keyword of _Tails.worst changes nothing: the slope is in the model
+    # the keyword of worst changes nothing: the slope is in the model
     assert every_time.worst(xs, derivative=False) == \
         every_time.worst(xs, derivative=True) == worst
 
@@ -579,7 +579,7 @@ def test_ladder_matches_the_rung_by_rung_search(search, change):
     (tails,) = tails
     got = tails.at(xs)
     want = ref_tails.at(xs)
-    assert got[0].shape == (xs.shape + ((2,) if kw["derivative"] else ()))
+    assert got[0].shape == xs.shape + ((2,) if kw["derivative"] else (1,))
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert np.asarray(tails.generic).tobytes() == np.asarray(ref_tails.generic).tobytes()
@@ -612,6 +612,21 @@ def test_ladder_over_several_times_takes_the_first_rung_every_time_clears():
     assert tails.worst(probes) == max(m.worst(probes) for m in tails)
 
 
+def test_tail_legs_with_different_tags_are_refused():
+    # a block's tail nodes are sampled in one call, under the one tag their
+    # legs share
+    solver = StepSolver(UP, gaussian_ic())
+    W, xc, x0, builder, T0, _ = solver._declare(1, 0.5)[0]
+
+    def tagged(T):
+        path, spec = builder(T)
+        path.legs[-1] = replace(path.legs[-1], tag="other")
+        return path, spec
+
+    with pytest.raises(ValueError, match="one tag"):
+        choose_truncation(tagged, W, xc, 0.5, x0, (-4.0, 0.0), 1e-8, T0)
+
+
 def test_stacked_tail_model_matches_one_model_per_column():
     # a weight returning a stack of columns gives one model for all of them;
     # each column's corrections and estimates are those of its own model
@@ -636,7 +651,7 @@ def test_stacked_tail_model_matches_one_model_per_column():
         for j, f in enumerate(columns):
             one = alone[j][k]
             want_corr, want_err = one.at(xs)
-            np.testing.assert_allclose(corr[:, j], want_corr, rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(err[:, j], want_err, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(corr[:, j], want_corr[:, 0], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(err[:, j], want_err[:, 0], rtol=1e-15, atol=0.0)
             worst.append(one.worst(xs))
         assert model.worst(xs) == pytest.approx(max(worst), rel=1e-15)

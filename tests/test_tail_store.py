@@ -32,7 +32,7 @@ def _spied_call(name, monkeypatch):
     terms) of one GeneralSolver call, searches the (args, kwargs, (path,
     tails)) of each choose_truncation call."""
     stores, sampled, calls, searches, terms = [], [], [], [], []
-    init, sample = step._TailStore.__init__, step._TailStore._sample
+    init, model = step._TailStore.__init__, step._TailStore._model
     data = step.ContourSolver._interface_data
     search, terms_of = step.choose_truncation, step.ContourSolver._terms
 
@@ -40,9 +40,9 @@ def _spied_call(name, monkeypatch):
         stores.append(self)
         init(self, *args, **kwargs)
 
-    def sample_spy(self, nodes):
+    def model_spy(self, rungs, built):
         first = len(calls)
-        out = sample(self, nodes)
+        out = model(self, rungs, built)
         sampled.append((self, len(calls) - first))
         return out
 
@@ -61,7 +61,7 @@ def _spied_call(name, monkeypatch):
         return out
 
     monkeypatch.setattr(step._TailStore, "__init__", init_spy)
-    monkeypatch.setattr(step._TailStore, "_sample", sample_spy)
+    monkeypatch.setattr(step._TailStore, "_model", model_spy)
     monkeypatch.setattr(step.ContourSolver, "_interface_data", data_spy)
     monkeypatch.setattr(step, "choose_truncation", search_spy)
     monkeypatch.setattr(step.ContourSolver, "_terms", terms_spy)

@@ -294,6 +294,11 @@ NAN, INF = float("nan"), float("inf")
     (dict(width=True), "width"),
     (dict(momentum=np.True_), "momentum"),
     (dict(center=np.False_), "center"),
+    (dict(x=[False, True, 2.0, 3.0], values=[0.0, 1.0, 1.0, 0.0]), "x"),
+    (dict(x=np.array([False, True, True, True]), values=[0.0, 1.0, 1.0, 0.0]), "x"),
+    (dict(x=[0.0, 1.0, 2.0, 3.0], values=[0.0, 1.0, True, 0.0]), "values"),
+    (dict(x=[0.0, 1.0, 2.0, 3.0], values=[np.True_, 1.0, 1.0, 0.0]), "values"),
+    (dict(x=[0.0, 1.0, 2.0, 3.0], values=np.array([0, 1, 1, 0], dtype=bool)), "values"),
     (dict(x=[0.0, 1.0, NAN, 3.0], values=[1.0] * 4), "x"),
     (dict(x=[0.0, 1.0, 2.0, 3.0], values=[1.0, NAN, 1.0, 1.0]), "values"),
     # a cubic fit that is NaN (points 1e-300 apart), a Vandermonde that

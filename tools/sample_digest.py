@@ -24,8 +24,9 @@ last bit:
     diff <(cd A && python tools/sample_digest.py 301) \\
          <(cd B && python tools/sample_digest.py 301)
 
---save PATH writes the digested columns of every line to an .npz file
-(a CLI output read back from its %.17g text, which restores every bit).
+--save PATH writes the digested columns of every line to the file PATH,
+in .npz format whatever its name (a CLI output read back from its %.17g
+text, which restores every bit).
 --against PATH compares with such a file and, under each line whose
 columns differ from it, prints max |dpsi| and max |dpsi| / error (and the
 same for psi_x when the line has the slope, from the CLI's err_psi_x
@@ -156,7 +157,7 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seed", type=int)
     ap.add_argument("--save", metavar="PATH",
-                    help="write every line's columns to this .npz file")
+                    help="write every line's columns to this file (.npz format)")
     ap.add_argument("--against", metavar="PATH",
                     help="report the deviation from the columns saved here")
     args = ap.parse_args(argv)
@@ -188,7 +189,9 @@ def main(argv):
     for i, line in enumerate(many_time_digests(args.seed)):
         report("many_times", i, *line)
     if args.save:
-        np.savez(args.save, **saved)
+        # a file object, so that np.savez adds no .npz to the name
+        with open(args.save, "wb") as f:
+            np.savez(f, **saved)
     if ref is None:
         return 0
     print("{} of {} lines differ".format(sum(differ), len(differ)))
