@@ -19,6 +19,7 @@ that condition raises ForbiddenConeError.
 
 import numpy as np
 
+from .step import _number, _reals
 from .transforms import hat_transform
 
 __all__ = ["ForbiddenConeError", "leading_order", "ray_bracket"]
@@ -31,8 +32,8 @@ class ForbiddenConeError(ValueError):
 def _check(potential, gamma):
     if potential.njumps != 1:
         raise ValueError("ray asymptotics cover the single-jump profile only")
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite, got {}".format(gamma))
+    if not np.isfinite(_number(gamma, "gamma")):
+        raise ValueError("gamma must be finite, got {!r}".format(gamma))
     if gamma == 0.0:
         raise ValueError("gamma = 0 rides the interface; pick a nonzero ray")
     j = 1 if gamma < 0.0 else 2
@@ -62,13 +63,15 @@ def ray_bracket(potential, ic, gamma):
 
 
 def leading_order(potential, ic, gamma, t):
-    """Leading-order psi(gamma t, t); t scalar or array, strictly positive."""
+    """Leading-order psi(gamma t, t); t scalar or array, real, finite and
+    strictly positive (a bool is refused, naming t)."""
     j = _check(potential, gamma)[0]
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(t <= 0.0):
-        raise ValueError("leading order needs t > 0")
+    ts = _reals(t)
+    if ts is None or not np.all((ts > 0.0) & (ts < np.inf)):
+        raise ValueError("t must be finite and positive for the leading order, "
+                         "got {!r}".format(t))
+    scalar = ts.ndim == 0
+    t = np.atleast_1d(ts)
     alpha_j = potential.levels[j - 1]
     bracket = ray_bracket(potential, ic, gamma)
     phase = np.exp(1j * (gamma * gamma / 4.0 - alpha_j) * t - 0.25j * np.pi)

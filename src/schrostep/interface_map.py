@@ -17,11 +17,14 @@ ray's exactly.  The columns summed (psi at each jump, and psi_x with the
 slope) share that path, so one truncation search serves them all: its
 weight returns the stack W = pref kappa X of every column, and it accepts
 the first rung at which every column clears at every time.  The stack is
-then one x-free term (x-coefficient 0, offset 0, summed at x = 0), which
-step._sums builds and sums as it does every solver's terms: its table
-takes 0.95 of the tolerance and its tails 0.05, the unknowns are solved
-once per node while the table is refined, and one table_integral call
-sums the stack at every time, elementwise.
+one x-free term (x-coefficient 0, offset 0, probed and summed at x = 0),
+the one group of the call plan every contour solver uses
+(ContourSettings._integrals): it is searched on its own tail store, built
+and summed as every solver's terms are, its table taking 0.95 of the
+tolerance and its tails 0.05.  The unknowns are solved once per node
+while the table is refined, and one table_integral call sums the stack at
+every time, elementwise.  psi_x is a column of its own here, not the i c W
+of an x-dependent term, so the plan is called without the slope.
 """
 
 import numpy as np
@@ -31,8 +34,7 @@ import numpy as np
 from .contours import build_node_table  # noqa: F401
 from .general import solve_unknowns
 from .kernels import SolutionSample, _is_bool
-from .step import (ContourSettings, IntegralTerm, _flag, _sums, choose_truncation,
-                   panel_budget)
+from .step import ContourSettings, _flag
 
 __all__ = ["InterfaceMap"]
 
@@ -71,7 +73,6 @@ class InterfaceMap(ContourSettings):
     def _traces(self, ells, times, derivative):
         """{t: samples at the distinct interfaces ells} at the times > 0."""
         n = self.potential.njumps
-        tol = self.tolerance
         # the columns of the unknowns summed and their prefactors: psi at
         # each jump, then psi_x
         cols = [ell - 1 for ell in ells]
@@ -85,12 +86,11 @@ class InterfaceMap(ContourSettings):
             z = np.atleast_1d(np.asarray(z, dtype=complex))
             return pref * z * solve_unknowns(self.potential, self.ic, z)[0].T[cols]
 
+        # one group: the x-free term, summed and probed at x = 0, with no
+        # slope rows (psi_x is a column of the stack)
         zero = lambda z, tag: np.zeros(np.shape(z), dtype=complex)
-        path, tails = choose_truncation(self.sector(4, times), weight, zero, times, 0.0,
-                                        (0.0,), tol, 2.0 * self.radius)
-        term = IntegralTerm(path, weight, zero, 0.0, tails)
-        ((v, e),) = _sums([(np.zeros(1), [term], panel_budget(0.0, 0.0, path.reach()))],
-                          tol)
+        spec = (weight, zero, 0.0, self.sector(4, times), 2.0 * self.radius, 0.0)
+        ((v, e),) = self._integrals([(np.zeros(1), [spec], (0.0,))], times, False)
         v, e = v[..., 0].tolist(), e[..., 0].tolist()
         m = len(ells)
         out = {}

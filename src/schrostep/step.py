@@ -44,25 +44,30 @@ region the solution is a free term plus integral terms
 W(kappa) exp(i c(kappa) (x - x0)) over a contour, with W independent of x
 and t; only W, c, x0, the contour builder and the first truncation T0
 change from one profile to another.  `ContourSettings` validates the
-settings and builds the sector contours.  `ContourSolver` declares the
+settings, builds the sector contours and holds the one call plan of every
+contour solver: _integrals takes groups (xs, terms, tail probes), searches
+every group's truncations (_search), budgets each group's panels and
+builds and sums every term (_sums).  `ContourSolver` declares the
 fourth-quadrant terms of every region, whose weights come from one hook,
 `_interface_data(z)` (the unknowns of the interface system by default;
-`WellSolver`, the last closed form, overrides it), and adds the truncation
-search, the panel budget and `evaluate_grid`; `StepSolver` overrides
-`_declare` for its quadrant and realline forms.
+`WellSolver`, the last closed form, overrides it), and calls the plan with
+one group per region from `evaluate_grid`; `StepSolver` overrides
+`_declare` for its quadrant and realline forms.  `InterfaceMap` calls it
+with one x-free group, its traces being the same integrals at x = x_j
+with no free term.
 
-Two stores per call hand every term its columns in one layout, the rows W
-then the row c (_columns): the searches on one truncation ladder read one
-_TailStore, which samples each block of rungs once for all of them, and
-the terms that end on one path build their node tables over one
+Two stores per call hand every term its columns in one layout, the rows W,
+then with the slope the rows i c W, then the row c (_columns, the one
+place the slope is formed): the searches on one truncation ladder read
+one _TailStore, which samples each block of rungs once for all of them,
+and the terms that end on one path build their node tables over one
 contours.PanelStore, which evaluates each span once for all of them.  A
 term's tails are one _TailModel with a time axis, and one node table per
-term serves every x and time of the call (_sums, the pipeline of every
-caller).  Columns that share a path and an x-coefficient, as
-InterfaceMap's psi and psi_x do, are one term: one search and one
-table_integral call serve them all.  The slope psi_x of a term is such a
-column, i c W stacked on W in its tails and its sum; the term records
-whether it carries it (IntegralTerm.derivative).
+term serves every x and time of the call (_sums).  Columns that share a
+path and an x-coefficient, as InterfaceMap's psi and psi_x do, are one
+term: one search and one table_integral call serve them all.  The slope
+psi_x of a term is such a column; the term records whether it carries it
+(IntegralTerm.derivative).
 """
 
 from dataclasses import dataclass, replace
@@ -323,8 +328,8 @@ class IntegralTerm:
 
     tails is the term's _TailModel, with a time axis; at time t the sum is
     multiplied by exp(-i level t).  derivative records whether the term was
-    searched with the slope, which its tails then hold as the second
-    column and _sums sums.
+    searched with the slope, whose rows i c W its table (_columns) and its
+    tails then hold after those of W, and _sums sums.
     """
 
     def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0,
@@ -345,9 +350,9 @@ class IntegralTerm:
 class _InterfaceWeight:
     """Weight sgn B[:, col] / (2 pi) of a term, B the interface data of its solver.
 
-    A call of the weight itself (the retry at tolerance * 1e4) computes B
-    at its nodes; `of` takes the weight from rows B given, as the batches
-    of a panel or tail store compute them for all their owners (_columns).
+    A call of the weight itself (as _w_d4 makes) computes B at its nodes;
+    `of` takes the weight from rows B given, as the batches of a panel or
+    tail store compute them for all their owners (_columns).
     """
 
     def __init__(self, solver, col, sgn):
@@ -371,16 +376,21 @@ class _Nu:
         return self.sgn * nu(self.alpha, np.asarray(z, dtype=complex))
 
 
-def _columns(pairs):
+def _columns(pairs, derivative):
     """columns(z, tag, owners) of a panel or tail store whose owners have the
-    (weight, xcoef) pairs: per owner, its rows W, then its row c.
+    (weight, xcoef) pairs: per owner, its rows W, then with derivative the
+    slope's rows i c W, then its row c.
 
     Interface terms (an _InterfaceWeight and a _Nu each) slice theirs from
     one _interface_data call per batch of nodes; other owners call their
-    own weight and xcoef.
+    own weight and xcoef.  The slope is formed here alone, for every store,
+    probe and sum.
     """
+    def rows(W, c):
+        return np.vstack((W, 1j * c * W, c) if derivative else (W, c))
+
     if not all(isinstance(W, _InterfaceWeight) and isinstance(c, _Nu) for W, c in pairs):
-        return lambda z, tag, owners: [np.vstack((pairs[i][0](z, tag), pairs[i][1](z, tag)))
+        return lambda z, tag, owners: [rows(pairs[i][0](z, tag), pairs[i][1](z, tag))
                                        for i in owners]
     solver = pairs[0][0].solver
     levels = solver.potential.levels
@@ -388,7 +398,7 @@ def _columns(pairs):
     def columns(z, tag, owners):
         B, nus = solver._interface_data(z)
         of_level = dict(zip(levels, nus))
-        return [np.stack((W.of(B), c.sgn * of_level[c.alpha]))
+        return [rows(W.of(B), c.sgn * of_level[c.alpha])
                 for W, c in (pairs[i] for i in owners)]
     return columns
 
@@ -415,12 +425,11 @@ class _TailStore:
     columns(z, tag, owners) (_columns) and tests them in one array pass: a
     rung clears for an owner when its worst estimate over the probes and
     columns is within 0.05 of its tolerance at every time.  The weights
-    leave the path's phase out, so one sample serves every time.  With
-    derivative the columns W get the slope's columns i c W.
+    leave the path's phase out, so one sample serves every time.  The rows
+    before the last, the slope's i c W among them, are the columns tested.
     """
 
-    def __init__(self, builder, T0, ts, columns, owners, derivative=False,
-                 max_T=_MAX_T):
+    def __init__(self, builder, T0, ts, columns, owners, max_T=_MAX_T):
         self.builder = builder
         self.ts = [float(v) for v in np.atleast_1d(ts)]
         self.columns = columns
@@ -428,7 +437,6 @@ class _TailStore:
         self.probes = np.array([np.atleast_1d(np.asarray(xp, dtype=float))
                                 for _, xp, _ in owners])
         self.targets = np.array([0.05 * tol for _, _, tol in owners])
-        self.derivative = derivative
         self.rungs = [T0]
         while len(self.rungs) < 22 and self.rungs[-1] < max_T:
             self.rungs.append(min(1.6 * self.rungs[-1], max_T))
@@ -491,8 +499,6 @@ class _TailStore:
         cols = cols.reshape(cols.shape[:2] + z.shape)
         # W (owner, rung, column, node) and c (owner, rung, node)
         W, C = np.moveaxis(cols[:, :-1], 1, 2), cols[:, -1]
-        if self.derivative:
-            W = np.concatenate((W, 1j * C[:, :, None] * W), axis=2)
         # per leg or ray s: z[s], W[s] and C[s]
         cuts = np.cumsum([zs.size for _, zs in nodes[0]])[:-1]
         z, W, C = (np.split(a, cuts, axis=-1) for a in (z, W, C))
@@ -545,17 +551,18 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     store = (_TailStore, i) searches as owner i of that store, whose
     ladder, weight, xcoef, times, offset, probes, tolerance and derivative
     must agree with the arguments; the search starts at its rung T0, which
-    may be one an earlier term of the region accepted (ContourSolver._terms).
-    Without a store the search is the one owner of a store of its own.
+    may be one an earlier term of its group accepted
+    (ContourSettings._search).  Without a store the search is the one owner
+    of a store of its own.
 
     weight may return a stack of m columns, shape (m, N), that share the
     path and xcoef: one search serves them all, and a rung clears when
     every column clears at every time.  With derivative the slope's
-    columns i c W follow them.
+    columns i c W follow them (_columns).
     """
     if store is None:
-        store = (_TailStore(builder, T0, t, _columns([(weight, xcoef)]),
-                            [(x_offset, x_probe, tolerance)], derivative, max_T), 0)
+        store = (_TailStore(builder, T0, t, _columns([(weight, xcoef)], derivative),
+                            [(x_offset, x_probe, tolerance)], max_T), 0)
     store, owner = store
     return store.search(owner, T0)
 
@@ -584,33 +591,30 @@ def _term_tolerance(tolerance, n):
 def _term_probes(term, xs):
     """probes(z, cols) of a term's node table, for its sum over xs.
 
-    The integrands at three probe points of xs, from the columns: the rows
-    W, then the row c.  W exp(i c (x - x0)) and, with the slope, i c W
-    exp(i c (x - x0)) (the value integrands alone left psi_x_error at
-    2.3e-6 on a three-jump profile at tolerance 1e-8).
+    The integrands at three probe points of xs, from the columns (_columns):
+    every row but the last, the slope's i c W included, times
+    exp(i c (x - x0)), c the last row (the value integrands alone left
+    psi_x_error at 2.3e-6 on a three-jump profile at tolerance 1e-8).
     """
     off = term.x_offset
     dx = np.array(sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])}))
     dx = (dx - off)[:, None]
 
     def probes(z, cols):
-        ic = 1j * cols[-1]
-        out = (cols[:-1, None] * np.exp(ic * dx)).reshape(-1, cols.shape[1])
-        return np.concatenate((out, ic * out)) if term.derivative else out
+        return (cols[:-1, None] * np.exp(1j * cols[-1] * dx)).reshape(-1, cols.shape[1])
     return probes
 
 
 def _term_table(term, probes, tolerance, max_panels, store):
     """The node table of a term, as owner store = (PanelStore, i): its rows
-    W, then its row c, at every node.
+    (_columns) at every node.
 
     A build that fails (QuadratureError) is retried once, alone, from the
-    term's own weight and xcoef at tolerance * 1e4: the one place a build
-    is retried.
+    same rows of the term's own weight and xcoef at tolerance * 1e4: the
+    one place a build is retried.
     """
-    def columns(z, tag):
-        return np.vstack((term.weight(z, tag), term.xcoef(z, tag)))
-
+    rows = _columns([(term.weight, term.xcoef)], term.derivative)
+    columns = lambda z, tag: rows(z, tag, (0,))[0]
     try:
         return build_node_table(term.path, columns, tolerance, max_panels=max_panels,
                                 probes=probes, store=store)
@@ -623,13 +627,11 @@ def _term_sum(term, table, xs):
     """(values, errors) of a term at xs and every time, each (times, columns,
     x): the columns of W, then with the slope those of psi_x.
 
-    One table_integral call sums every column, the slope as i c W, and one
-    tails.at call gives the tail corrections and estimates; a term with a
-    level takes exp(-i level t) on its sums and corrections.
+    One table_integral call sums every row of the table but the last, c,
+    and one tails.at call gives the tail corrections and estimates; a term
+    with a level takes exp(-i level t) on its sums and corrections.
     """
     W, C = table.cols[:-1], table.cols[-1]
-    if term.derivative:
-        W = np.concatenate((W, 1j * C * W))
     sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
     corr, tail = term.tails.at(xs[None])
     return term.damp(sums + corr.swapaxes(1, 2)), sum_errs + tail.swapaxes(1, 2)
@@ -656,7 +658,7 @@ def _sums(parts, tolerance):
         terms = [parts[p][1][i] for p, i in owners]
         probes = [_term_probes(term, parts[p][0]) for (p, _), term in zip(owners, terms)]
         store = PanelStore(terms[0].path, _columns(
-            [(term.weight, term.xcoef) for term in terms]), probes)
+            [(term.weight, term.xcoef) for term in terms], terms[0].derivative), probes)
         for k, (p, i) in enumerate(owners):
             xs, part_terms, budget = parts[p]
             table = _term_table(terms[k], probes[k],
@@ -782,11 +784,81 @@ class ContourSettings:
 
         The builder is a value (_Sector), equal for equal (solver, quad,
         rates), so that the terms of all regions on it climb one ladder
-        (ContourSolver._plans), whose tail store builds each rung's path
+        (ContourSettings._search), whose tail store builds each rung's path
         once; a built path is never modified.
         """
         ts = tuple(float(v) for v in np.atleast_1d(t))
         return _Sector(self, quad, ts if quad == 4 else tuple(-v for v in ts))
+
+    def _search(self, groups, ts, derivative):
+        """The IntegralTerms of each group (xs, specs, probes) at the times ts.
+
+        specs are the group's terms as _declare lists them, probes the
+        points where their tails are tested; each term gets the tolerance
+        over the number of its group's terms.  The terms of every group on
+        one ladder (the same builder and first rung T0) are the owners of
+        one _TailStore, in group and term order, and each searches it with
+        choose_truncation.  Within a group, terms on one ladder share one
+        truncation where their tails allow it: each term's search starts at
+        the highest rung an earlier term of the group on its ladder
+        accepted, and a term that accepted a lower rung than a later one is
+        then lifted to that top rung when its tails clear there.  The lift
+        reads the store, which sampled and tested the top rung with the
+        search that accepted it (_TailStore.rung); a term whose tails do not
+        clear there keeps its own rung.  The terms then lie on one path, so
+        their node tables share the nodes of its rotated leg and chirp ray
+        as well as those of its arc and corner legs.
+        """
+        ladders = {}
+        for _, specs, probes in groups:
+            tol = self.tolerance / len(specs)
+            for W, xc, x0, builder, T0, _ in specs:
+                ladders.setdefault((builder, T0), []).append((W, xc, x0, probes, tol))
+        stores = {key: _TailStore(*key, ts, _columns([o[:2] for o in owners], derivative),
+                                  [o[2:] for o in owners])
+                  for key, owners in ladders.items()}
+        # the next owner of each store
+        owner = dict.fromkeys(stores, 0)
+        out = []
+        for _, specs, probes in groups:
+            tol = self.tolerance / len(specs)
+            # the highest rung accepted on each ladder; a rung's path reaches
+            # exactly its truncation
+            top, found = {}, []
+            for W, xc, x0, builder, T0, _ in specs:
+                key = builder, T0
+                path, tails = choose_truncation(builder, W, xc, ts, x0, probes, tol,
+                                                top.get(key, T0), derivative=derivative,
+                                                store=(stores[key], owner[key]))
+                top[key] = path.reach()
+                found.append((key, owner[key], path, tails))
+                owner[key] += 1
+            terms = []
+            for (W, xc, x0, _, _, level), (key, i, path, tails) in zip(specs, found):
+                if path.reach() < top[key]:
+                    cleared, lifted, lifted_tails = stores[key].rung(i, top[key])
+                    if cleared:
+                        path, tails = lifted, lifted_tails
+                terms.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
+            out.append(terms)
+        return out
+
+    def _integrals(self, groups, ts, derivative):
+        """(values, errors) of each group (xs, specs, probes), each (times,
+        columns, x): the sums over xs of its terms (_search, then _sums).
+
+        A group's panel budget is that of its largest truncation and its
+        largest |x - x0|, at time 0 when every term ends on a chirp ray
+        (panel_budget), else at the largest time.  The tail stores, with
+        every block they sampled, are done before any table is built.
+        """
+        parts = []
+        for (xs, _, _), terms in zip(groups, self._search(groups, ts, derivative)):
+            T = max(tm.path.reach() for tm in terms)
+            xspan = max(np.max(np.abs(xs - tm.x_offset)) for tm in terms)
+            chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
+            parts.append((xs, terms, panel_budget(0.0 if chirped else max(ts), xspan, T)))
+        return _sums(parts, self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -823,7 +895,7 @@ class ContourSolver(ContourSettings):
     truncation builder (see choose_truncation) and the first rung T0 of its
     ladder, and the level alpha of a term whose integrand carries
     exp(-i alpha t) (0 for none); terms with the same builder and T0 climb
-    one ladder (_plans).  Region j has one term per neighbouring
+    one ladder (_search).  Region j has one term per neighbouring
     jump on the fourth-quadrant sector boundary, whose weights carry
     exp(i kappa^2 t), with T0 = 2R: at its right jump x_j with c = -nu_j
     and weight -B / (2 pi), at its left jump x_{j-1} with c = +nu_j and
@@ -837,10 +909,11 @@ class ContourSolver(ContourSettings):
     estimate adds truncation residuals to the quadrature error, so it stays
     honest when the tolerance is out of reach.
 
-    The call searches every region's truncations before it builds any
-    table.  Its fourth-quadrant terms climb one ladder and search one tail
-    store (_plans); a region's terms share one rung where their tails allow
-    it (_terms), so that their tables share the nodes of the whole path.
+    A call is one group per region for the call plan of ContourSettings
+    (_integrals): every region's truncations are searched before any table
+    is built, its fourth-quadrant terms climb one ladder and search one
+    tail store, and a region's terms share one rung where their tails allow
+    it (_search), so that their tables share the nodes of the whole path.
     _sums then builds and sums every term, the terms on one path over one
     panel store.  Both stores solve the interface data once per batch of
     nodes for all their terms (_columns), so a tail sample is solved once
@@ -858,7 +931,7 @@ class ContourSolver(ContourSettings):
             sides.append(("right", -1.0, pot.interfaces[region - 1]))
         if region >= 2:
             sides.append(("left", 1.0, pot.interfaces[region - 2]))
-        # one builder: the region's terms climb one ladder (see _terms)
+        # one builder: the region's terms climb one ladder (see _search)
         builder = self.sector(4, ts)
         return [(self._weight(region, side), _Nu(alpha, sgn), x0, builder,
                  2.0 * self.radius, 0.0)
@@ -893,80 +966,18 @@ class ContourSolver(ContourSettings):
             B[:, 2 * ell + 1] = z * (X[:, n + ell] / nus[ell + 1] - X[:, ell])
         return B, nus
 
-    def _plans(self, xmax, ts, derivative):
-        """{region: (specs, searches)} of the regions of xmax, {region: largest |x|}.
+    def _probes(self, region, xmax):
+        """Tail probes of a region whose points reach |x| = xmax: its bounds
+        clipped to +-max(1, xmax), where every time's tails are tested."""
+        xb = max(1.0, xmax)
+        lo, hi = self.potential.region_bounds(region)
+        return (max(lo, -xb), min(hi, xb))
 
-        specs are the region's terms (_declare), searches one (store,
-        owner, probes, tolerance) per term: the _TailStore of its ladder
-        and its owner index there, its probe points (the region bounds
-        clipped to +-max(1, largest |x|)) and its tolerance, the tolerance
-        over the number of the region's terms.  The terms of every region
-        on one ladder (the same builder and first rung T0) are the owners of
-        one store, in region and term order.
-        """
-        ladders, plans = {}, {}
-        for region, xm in xmax.items():
-            specs = self._declare(region, ts)
-            xb = max(1.0, xm)
-            lo, hi = self.potential.region_bounds(region)
-            probes = (max(lo, -xb), min(hi, xb))
-            tol = self.tolerance / len(specs)
-            searches = []
-            for W, xc, x0, builder, T0, _ in specs:
-                owners = ladders.setdefault((builder, T0), [])
-                searches.append(((builder, T0), len(owners), probes, tol))
-                owners.append((W, xc, x0, probes, tol))
-            plans[region] = (specs, searches)
-        stores = {}
-        for (builder, T0), owners in ladders.items():
-            columns = _columns([owner[:2] for owner in owners])
-            stores[builder, T0] = _TailStore(builder, T0, ts, columns,
-                                             [owner[2:] for owner in owners], derivative)
-        return {region: (specs, [(stores[key], i, probes, tol)
-                                 for key, i, probes, tol in searches])
-                for region, (specs, searches) in plans.items()}
-
-    def _terms(self, region, t, derivative, xmax, plan=None):
-        """The region's terms at the time or times t, truncated for |x| up to xmax.
-
-        plan is the region's entry of _plans, whose tail stores the call's
-        other regions may share; by default the region gets stores of its
-        own.  Each term gets tolerance / (number of terms); the tails are
-        probed at the region bounds clipped to +-max(1, xmax), at every
-        time.  Terms that share a ladder (the same builder and first rung
-        T0, as the fourth-quadrant terms of a region do) share one
-        truncation where their tails allow it: each term's search starts at
-        the highest rung an earlier term of the region on its ladder
-        accepted, and a term that accepted a lower rung than a later one is
-        then lifted to that top rung when its tails clear there.  The lift
-        reads the store, which sampled and tested the top rung with the
-        search that accepted it (_TailStore.rung); a term whose tails do
-        not clear there keeps its own rung.  The terms then lie on one path,
-        so their node tables share the nodes of its rotated leg and chirp
-        ray as well as those of its arc and corner legs.  Each term keeps
-        its own node table, and nothing is shared with another region.
-        """
-        specs, searches = plan or self._plans({region: xmax}, t, derivative)[region]
-        # the highest rung accepted on each ladder; a rung's path reaches
-        # exactly its truncation
-        top = {}
-        found = []
-        for (W, xc, x0, builder, T0, _), (store, owner, probes, tol) in zip(
-                specs, searches):
-            path, tails = choose_truncation(builder, W, xc, t, x0, probes, tol,
-                                            top.get(store, T0), derivative=derivative,
-                                            store=(store, owner))
-            top[store] = path.reach()
-            found.append((path, tails))
-        out = []
-        for (W, xc, x0, _, _, level), (store, owner, _, _), (path, tails) in zip(
-                specs, searches, found):
-            if path.reach() < top[store]:
-                cleared, lifted, lifted_tails = store.rung(owner, top[store])
-                if cleared:
-                    path, tails = lifted, lifted_tails
-            out.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
-        return out
+    def _terms(self, region, t, derivative, xmax):
+        """The region's terms at the time or times t, truncated for |x| up to
+        xmax: the one group of a _search, with stores of its own."""
+        group = (None, self._declare(region, t), self._probes(region, xmax))
+        return self._search([group], t, derivative)[0]
 
     def evaluate(self, x, t, region=None, derivative=False):
         return self.evaluate_grid([x], t, region=region, derivative=derivative)[0]
@@ -1013,24 +1024,15 @@ class ContourSolver(ContourSettings):
         # (times, columns, x), the layout of _sums: psi, then psi_x
         F = np.reshape(free, (1 + derivative, nt, xs.size)).swapaxes(0, 1)
         rows = {t: [None] * xs.size for t in live}
-        # every region's terms before any table, so that the terms that ended
-        # on one path share its panel store (_sums); the regions' searches on
-        # one ladder share its tail store (_plans)
-        groups = [(int(j), np.where(regions == j)[0]) for j in np.unique(regions)]
-        xmax = {j: float(np.max(np.abs(xs[idx]))) for j, idx in groups}
-        plans = self._plans(xmax, live, derivative)
-        parts = []
-        for j, idx in groups:
-            sub = xs[idx]
-            terms = self._terms(j, live, derivative, xmax[j], plan=plans[j])
-            T = max(tm.path.reach() for tm in terms)
-            xspan = max(np.max(np.abs(sub - tm.x_offset)) for tm in terms)
-            chirped = all(tm.path.legs[-1].kind == "chirp" for tm in terms)
-            parts.append((sub, terms, panel_budget(0.0 if chirped else live[-1], xspan, T)))
-        # the tail stores, with every block they sampled, are done
-        del plans
-        for (_, idx), (sub, _, _), (vals, errs) in zip(groups, parts,
-                                                        _sums(parts, self.tolerance)):
+        # one group per region, all searched before any table is built
+        idxs, groups = [], []
+        for j in map(int, np.unique(regions)):
+            idxs.append(np.where(regions == j)[0])
+            sub = xs[idxs[-1]]
+            groups.append((sub, self._declare(j, live),
+                           self._probes(j, float(np.max(np.abs(sub))))))
+        for idx, (sub, _, _), (vals, errs) in zip(idxs, groups,
+                                                   self._integrals(groups, live, derivative)):
             for k, t in enumerate(live):
                 # value, error, then psi_x and its error with the slope
                 cols = [c for v, e in zip((F[k][:, idx] + vals[k]).tolist(),

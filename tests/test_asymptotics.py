@@ -26,6 +26,12 @@ def test_zero_speed_ray_rejected():
     ic = InitialCondition.gaussian()
     with pytest.raises(ValueError):
         ray_bracket(STEP, ic, 0.0)
+    # a bool is not a speed, and neither is a non-finite one or a string
+    for gamma in (True, np.True_, False, np.nan, np.inf, "2.0", 2.0 + 1j):
+        for call in (lambda: ray_bracket(STEP, ic, gamma),
+                     lambda: leading_order(STEP, ic, gamma, 20.0)):
+            with pytest.raises(ValueError, match="^gamma"):
+                call()
 
 
 def test_free_bracket_collapses_to_whole_line_transform():
@@ -59,8 +65,10 @@ def test_envelope_scales_as_inverse_sqrt_t():
 
 def test_positive_time_required():
     ic = InitialCondition.gaussian()
-    with pytest.raises(ValueError):
-        leading_order(STEP, ic, 2.0, 0.0)
+    for t in (0.0, -1.0, np.nan, np.inf, [1.0, np.inf], [20.0, np.nan], True,
+              np.True_, [20.0, True], 20.0 + 1j):
+        with pytest.raises(ValueError, match="^t "):
+            leading_order(STEP, ic, 2.0, t)
 
 
 def test_step_ray_approaches_full_solution():

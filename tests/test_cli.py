@@ -176,6 +176,41 @@ def test_unknown_solver_exits_two(tmp_path, capsys, name):
     assert err["field"] == "solver"
 
 
+WELL_CFG = """
+potential.levels = 0, -3, 0
+potential.interfaces = 0, 1
+initial.kind = gaussian
+initial.center = -1.0
+initial.momentum = 0.7
+grid.x = linspace:-2:3:6
+grid.t = 0.4, 0.8
+"""
+
+
+def test_well_solves_alike_with_every_solver_that_takes_it(tmp_path, capsys):
+    # the closed-form well, the interface system and auto (which picks the
+    # interface system for two jumps) agree within their summed estimates
+    out = {}
+    for name in ("well", "general", "auto"):
+        cfg = write(tmp_path, name + ".cfg", scenario(WELL_CFG, "solver = " + name))
+        assert main(["solve", cfg]) == 0
+        out[name] = rows(capsys.readouterr().out)[1]
+    assert len(out["well"]) == 12
+    for a, b in (("well", "general"), ("well", "auto"), ("general", "auto")):
+        for ra, rb in zip(out[a], out[b]):
+            assert (ra["x"], ra["t"]) == (rb["x"], rb["t"])
+            psi_a = complex(float(ra["re_psi"]), float(ra["im_psi"]))
+            psi_b = complex(float(rb["re_psi"]), float(rb["im_psi"]))
+            assert abs(psi_a - psi_b) <= float(ra["err_estimate"]) + float(rb["err_estimate"])
+    # the closed form takes wells only
+    cfg = write(tmp_path, "three.cfg", scenario(THREE_JUMP_CFG, "solver = well")
+                + "grid.x = 0.5\n")
+    assert main(["solve", cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert json.loads(cap.err.strip())["field"] == "solver"
+
+
 def test_start_up_does_not_load_scipy_special(tmp_path):
     # scipy.special alone doubles the start-up time and memory of the package
     code = ("import sys, schrostep, schrostep.cli\n"

@@ -204,22 +204,24 @@ def test_grouped_search_takes_the_largest_single_column_truncation(monkeypatch, 
     # which every column clears: here the T the longest column's own search
     # takes
     calls = []
-    search = interface_map.choose_truncation
+    search = step.choose_truncation
 
     def spy(builder, weight, *args, **kwargs):
         out = search(builder, weight, *args, **kwargs)
         calls.append((builder, weight, args, kwargs, out[0].reach()))
         return out
 
-    monkeypatch.setattr(interface_map, "choose_truncation", spy)
+    monkeypatch.setattr(step, "choose_truncation", spy)
     ells = (1, 2, 3) if case == "space_time map" else 2
     InterfaceMap(THREE, IC, tolerance=1e-8).trace_grid([0.3, 0.6, 0.9, 1.2], ells,
                                                       derivative=True)
     ((builder, weight, args, kwargs, T),) = calls
     m = 6 if case == "space_time map" else 2
     assert np.shape(weight(np.array([1.0 - 1.0j]), "")) == (m, 1)
+    # each column searched alone, in a store of its own
+    alone = dict(kwargs, store=None)
     single = [search(builder, lambda z, tag, j=j: weight(z, tag)[j], *args,
-                     **kwargs)[0].reach() for j in range(m)]
+                     **alone)[0].reach() for j in range(m)]
     assert T == max(single)
 
 

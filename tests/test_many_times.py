@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewisePotential,
-                       StepSolver, WellSolver, contours, interface_map, step,
-                       transforms)
+                       StepSolver, WellSolver, contours, step, transforms)
 from schrostep.oracle import free_gaussian
 
 IC = InitialCondition.gaussian(center=-1.0, width=1.0, momentum=0.7)
@@ -184,7 +183,7 @@ def test_panel_errors_of_every_rate_in_one_pass_match_the_rate_loop():
         edges = np.linspace(0.0, 1.0, 9)
         z, w = contours._panel_nodes(leg, edges[:-1], edges[1:], ts)
         assert w.shape == (4, 2) + z.shape
-        cols = np.stack((term.weight(z.ravel(), leg.tag), term.xcoef(z.ravel(), leg.tag)))
+        (cols,) = step._columns([(term.weight, term.xcoef)], True)(z.ravel(), leg.tag, [0])
         v = probes(z.ravel(), cols)
         assert v.shape == (6, z.size)
         got = contours._errors(v, w, *z.shape)
@@ -229,8 +228,10 @@ def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, 
     assert per_call == [1] * len(sums) and len(sums) >= 2
     monkeypatch.undo()
     for term, table, xs, (vals, errs) in sums:
-        W, C = table.cols
-        v, e = step.table_integral(table, np.stack((W, 1j * C * W)), C, xs - term.x_offset)
+        # the rows W, then the slope's i c W, then c
+        W, slope, C = table.cols
+        assert slope.tobytes() == (1j * C * W).tobytes()
+        v, e = step.table_integral(table, np.stack((W, slope)), C, xs - term.x_offset)
         assert vals.shape == (len(TS), 2, xs.size)
         for k, t in enumerate(sorted(TS)):
             corr, tail = term.tails[k].at(xs)
@@ -244,7 +245,7 @@ def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, 
 
 def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch):
     found, sums = [], []
-    search, sum_table = interface_map.choose_truncation, step.table_integral
+    search, sum_table = step.choose_truncation, step.table_integral
 
     def spy_search(*args, **kwargs):
         found.append(search(*args, **kwargs))
@@ -254,7 +255,7 @@ def test_interface_tail_corrections_of_every_time_in_one_evaluation(monkeypatch)
         sums.append(sum_table(*args))
         return sums[-1]
 
-    monkeypatch.setattr(interface_map, "choose_truncation", spy_search)
+    monkeypatch.setattr(step, "choose_truncation", spy_search)
     monkeypatch.setattr(step, "table_integral", spy_sum)
     per_call = _estimates_in(monkeypatch, step, "_term_sum")
     got = InterfaceMap(THREE, IC).trace_grid(TS, interface=[1, 3], derivative=True)

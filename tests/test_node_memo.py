@@ -227,21 +227,25 @@ def _region_terms(monkeypatch, t):
     (path, tails)) of each choose_truncation call the region's terms made."""
     calls, regions = [], []
     search = schrostep.step.choose_truncation
-    terms_of = schrostep.step.ContourSolver._terms
+    search_groups = schrostep.step.ContourSettings._search
 
     def spy(*args, **kwargs):
         out = search(*args, **kwargs)
         calls.append((args, kwargs, out))
         return out
 
-    def terms_spy(self, region, *args, **kwargs):
+    def groups_spy(self, groups, *args, **kwargs):
         first = len(calls)
-        out = terms_of(self, region, *args, **kwargs)
-        regions.append((region, out, calls[first:]))
+        out = search_groups(self, groups, *args, **kwargs)
+        # one group per region, its searches in term order
+        for (xs, _, _), terms in zip(groups, out):
+            region = int(np.searchsorted(self.potential.interfaces, xs[0], side="right")) + 1
+            regions.append((region, terms, calls[first:first + len(terms)]))
+            first += len(terms)
         return out
 
     monkeypatch.setattr(schrostep.step, "choose_truncation", spy)
-    monkeypatch.setattr(schrostep.step.ContourSolver, "_terms", terms_spy)
+    monkeypatch.setattr(schrostep.step.ContourSettings, "_search", groups_spy)
     solver = GeneralSolver(THREE, IC)
     solver.evaluate_grid(np.linspace(-2.0, 4.0, 13), t, derivative=True)
     return solver, regions

@@ -201,6 +201,23 @@ def test_mirrored_covers_downward_step():
         assert abs(a.value - b.value) <= 5.0 * (a.error + b.error) + 1e-10
 
 
+def test_mirrored_tabulated_step_matches_at_minus_x():
+    # the mirror-symmetry reference for tabulated data: psi'(-x) = psi(x)
+    # and psi_x'(-x) = -psi_x(x), each within the summed estimates
+    xt = np.linspace(-4.5, 2.5, 21)
+    ic = InitialCondition.tabulated(xt, gaussian_ic().evaluate(xt))
+    mpot, mic = mirrored(UP, ic)
+    assert tuple(mpot.levels) == (2.0, 1.0)
+    np.testing.assert_array_equal(mic.x_table, -xt[::-1])
+    xs = np.array([-2.5, -1.0, -0.3, 0.4, 1.5])
+    got = StepSolver(UP, ic).evaluate_grid(xs, 0.5, derivative=True)
+    ref = StepSolver(mpot, mic).evaluate_grid(-xs, 0.5, derivative=True)
+    for a, b in zip(got, ref):
+        assert a.x == -b.x
+        assert abs(a.value - b.value) <= a.error + b.error
+        assert abs(a.psi_x + b.psi_x) <= a.psi_x_error + b.psi_x_error
+
+
 def test_negative_time_rejected():
     s = StepSolver(UP, gaussian_ic())
     with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def _spied_call(name, monkeypatch):
     stores, sampled, calls, searches, terms = [], [], [], [], []
     init, model = step._TailStore.__init__, step._TailStore._model
     data = step.ContourSolver._interface_data
-    search, terms_of = step.choose_truncation, step.ContourSolver._terms
+    search, search_groups = step.choose_truncation, step.ContourSettings._search
 
     def init_spy(self, *args, **kwargs):
         stores.append(self)
@@ -55,16 +55,16 @@ def _spied_call(name, monkeypatch):
         searches.append((args, kwargs, out))
         return out
 
-    def terms_spy(self, *args, **kwargs):
-        out = terms_of(self, *args, **kwargs)
-        terms.extend(out)
+    def groups_spy(self, *args, **kwargs):
+        out = search_groups(self, *args, **kwargs)
+        terms.extend(term for group in out for term in group)
         return out
 
     monkeypatch.setattr(step._TailStore, "__init__", init_spy)
     monkeypatch.setattr(step._TailStore, "_model", model_spy)
     monkeypatch.setattr(step.ContourSolver, "_interface_data", data_spy)
     monkeypatch.setattr(step, "choose_truncation", search_spy)
-    monkeypatch.setattr(step.ContourSolver, "_terms", terms_spy)
+    monkeypatch.setattr(step.ContourSettings, "_search", groups_spy)
     pot, ic, xs, t, derivative = CALLS[name]
     GeneralSolver(pot, ic).evaluate_grid(xs, t, derivative=derivative)
     return stores, sampled, searches, terms

@@ -93,6 +93,23 @@ def test_free_term_derivative_consistency():
     assert abs(dF - fd) < 1e-8
 
 
+def test_free_term_of_a_region_the_table_misses_is_zero():
+    # tabulated data vanish outside their table, so a region the table does
+    # not reach has no free term: exact zeros, value and slope
+    three = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+    xt = np.linspace(1.2, 2.2, 9)
+    ic = InitialCondition.tabulated(xt, np.exp(-(xt - 1.7) ** 2))
+    xs = np.linspace(-3.0, 5.0, 17)
+    for region in (1, 2, 4):
+        for t in (0.1, 2.0):
+            value, slope = free_term(ic, three, region, xs, t, derivative=True)
+            assert value.shape == slope.shape == xs.shape
+            assert not np.any(value) and not np.any(slope)
+            assert not np.any(free_term(ic, three, region, xs, t))
+    # the region that holds the table has a term
+    assert np.all(np.abs(free_term(ic, three, 3, xt, 0.1)) > 0.0)
+
+
 @pytest.mark.parametrize("derivative", [False, True])
 @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
 def test_free_term_on_an_array_matches_each_point_bitwise(kind, derivative):

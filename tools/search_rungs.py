@@ -15,10 +15,11 @@ searches as an owner of a step._TailStore) is listed, one line per search:
 store numbers the request's tail stores, one per truncation ladder.
 start, accepted and final are rungs of the store's ladder, counted from
 its first rung T0 (1): the rung the search started at (a later one when
-ContourSolver._terms starts it where an earlier term of its region
+ContourSettings._search starts it where an earlier term of its group
 stopped), the rung it returned, and the rung its term ended on, which is
-a later one when the term was lifted to its region's top rung ("-" for a
-search outside ContourSolver._terms, such as InterfaceMap's).  T is the
+a later one when the term was lifted to its group's top rung ("-" for a
+search outside ContourSettings._search).  Every solver's and
+InterfaceMap's searches run inside it.  T is the
 accepted rung's truncation and ms the search's time, which includes the
 sampling and testing of the blocks of rungs it was the first to reach.
 Each request then lists its stores, one line per store:
@@ -66,7 +67,7 @@ def serve(req, workdir):
     seconds serving took)."""
     searches, stores = [], []
     init, search = _STORE.__init__, _STORE.search
-    terms = schrostep.step.ContourSolver._terms
+    search_groups = schrostep.step.ContourSettings._search
 
     def init_spy(self, builder, T0, ts, columns, *args, **kwargs):
         calls = [0]
@@ -86,21 +87,22 @@ def serve(req, workdir):
                          path.reach(), spent])
         return path, tails
 
-    def terms_spy(self, *args, **kwargs):
+    def groups_spy(self, *args, **kwargs):
         first = len(searches)
-        out = terms(self, *args, **kwargs)
-        for term, found in zip(out, searches[first:]):
+        out = search_groups(self, *args, **kwargs)
+        terms = [term for group in out for term in group]
+        for term, found in zip(terms, searches[first:]):
             found[3] = _rung(found[0], term.path)
         return out
 
     _STORE.__init__, _STORE.search = init_spy, search_spy
-    schrostep.step.ContourSolver._terms = terms_spy
+    schrostep.step.ContourSettings._search = groups_spy
     began = time.perf_counter()
     try:
         sample_digest.digest(req, workdir)
     finally:
         _STORE.__init__, _STORE.search = init, search
-        schrostep.step.ContourSolver._terms = terms
+        schrostep.step.ContourSettings._search = search_groups
     served = time.perf_counter() - began
     number = {id(store): k for k, (store, _) in enumerate(stores)}
     return ([(number[id(found[0])],) + tuple(found[1:]) for found in searches],
