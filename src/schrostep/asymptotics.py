@@ -19,7 +19,7 @@ that condition raises ForbiddenConeError.
 
 import numpy as np
 
-from .step import _number, _reals
+from .kernels import _number, _reals
 from .transforms import hat_transform
 
 __all__ = ["ForbiddenConeError", "leading_order", "ray_bracket"]
@@ -31,7 +31,8 @@ class ForbiddenConeError(ValueError):
 
 def _check(potential, gamma):
     if potential.njumps != 1:
-        raise ValueError("ray asymptotics cover the single-jump profile only")
+        raise ValueError("potential must have a single jump for the ray asymptotics, "
+                         "got {}".format(potential.njumps))
     if not np.isfinite(_number(gamma, "gamma")):
         raise ValueError("gamma must be finite, got {!r}".format(gamma))
     if gamma == 0.0:
@@ -39,10 +40,14 @@ def _check(potential, gamma):
     j = 1 if gamma < 0.0 else 2
     a1, a2 = potential.levels
     delta = (a1 - a2) if j == 1 else (a2 - a1)
-    radicand = 1.0 + 4.0 * delta / (gamma * gamma)
+    g2 = float(gamma) * float(gamma)
+    radicand = 1.0 + 4.0 * delta / g2 if g2 > 0.0 else np.nan
+    if not radicand < np.inf:
+        raise ValueError("gamma = {!r} is too close to 0: 4 delta / gamma^2 is not "
+                         "finite".format(gamma))
     if radicand <= 0.0:
         raise ForbiddenConeError(
-            "ray gamma = {} has speed |gamma| <= {:.6g}, inside the cone where "
+            "gamma = {} has speed |gamma| <= {:.6g}, inside the cone where "
             "the stationary point meets the branch cut".format(
                 gamma, 2.0 * np.sqrt(-delta)))
     return j, delta, radicand
@@ -64,7 +69,7 @@ def ray_bracket(potential, ic, gamma):
 
 def leading_order(potential, ic, gamma, t):
     """Leading-order psi(gamma t, t); t scalar or array, real, finite and
-    strictly positive (a bool is refused, naming t)."""
+    strictly positive (a bool or a string is refused, naming t)."""
     j = _check(potential, gamma)[0]
     ts = _reals(t)
     if ts is None or not np.all((ts > 0.0) & (ts < np.inf)):

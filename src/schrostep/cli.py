@@ -21,10 +21,19 @@ Subcommands:
 
 Output is tab separated with a header row, %.17g everywhere, to
 output.path or stdout.  Every row is computed before the first is written,
-so a failed run leaves no partial output.  Configuration problems, a key
-no subcommand reads or a key given twice among them, exit with status 2
-and a one-line JSON object on stderr naming the offending field; so does a
-quadrature that cannot meet numerics.tolerance within its panel budget.
+so a failed run leaves no partial output.
+
+The CLI only reads text: a key that is missing, unknown or given twice, a
+value that is not a number, and an empty grid.x or grid.t are its own
+refusals.  Every value it reads goes to the library as it is, and the
+library checks it.  A refusal exits with status 2 and a one-line JSON
+object on stderr naming the key: the one table _KEY_OF gives, per stage of
+the run, the key of the parameter the library's message names first, or
+the stage's default key when it names none; a refusal of the initial data
+or of an evaluation that names no parameter is a bug, and propagates as a
+traceback.  A config file that cannot be read, an output.path that cannot
+be written and a quadrature that cannot meet numerics.tolerance within its
+panel budget are named the same way.
 """
 
 import argparse
@@ -40,7 +49,7 @@ from .contours import QuadratureError
 from .general import GeneralSolver
 from .interface_map import InterfaceMap
 from .kernels import PiecewisePotential
-from .step import ContourSettings, StepSolver
+from .step import StepSolver
 from .transforms import InitialCondition
 from .well import WellSolver
 
@@ -52,6 +61,26 @@ _KEYS = frozenset(
     "initial.center initial.width initial.momentum initial.x initial.values "
     "grid.x grid.t solver numerics.tolerance numerics.R ray.gamma "
     "map.interfaces output.path".split())
+
+# Per stage of a run, the config key of the parameter a refusal (a
+# ValueError or QuadratureError of the library, an OSError of a file) names
+# as its first word; None keys the stage's default, for a message that
+# names no parameter.  The initial data and an evaluation have no default:
+# a refusal there that names no parameter is a bug, and propagates.
+_KEY_OF = {
+    "config": {None: "config"},
+    "potential": {"levels": "potential.levels", "interfaces": "potential.interfaces",
+                  None: "potential.interfaces"},
+    "initial": {"amplitude": "initial.amplitude", "center": "initial.center",
+                "width": "initial.width", "momentum": "initial.momentum",
+                "x": "initial.x", "values": "initial.values"},
+    "solver": {"tolerance": "numerics.tolerance", "radius": "numerics.R",
+               "potential": "potential.levels", None: "solver"},
+    "evaluation": {"x": "grid.x", "t": "grid.t", "interface": "map.interfaces",
+                   "gamma": "ray.gamma", "potential": "potential.interfaces",
+                   "quadrature": "numerics.tolerance"},
+    "output": {None: "output.path"},
+}
 
 
 class ConfigError(ValueError):
@@ -79,129 +108,95 @@ def parse_config(text):
     return out
 
 
-def _field(prefix, error, default):
-    """The key of the parameter a library ValueError names as its first word.
-
-    InitialCondition names the offending parameter first, and so does
-    PiecewisePotential for a level or interface that is not finite; any
-    other message falls back to default.
-    """
-    field = prefix + str(error).split(" ", 1)[0]
-    return field if field in _KEYS else default
-
-
-def _floats(field, val):
+def _call(stage, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a refusal turned into a ConfigError naming
+    the key _KEY_OF[stage] gives for the first word of its message."""
     try:
-        return [float(p) for p in val.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ConfigError(field, "expected comma separated numbers, got {!r}".format(val))
+        return fn(*args, **kwargs)
+    except (ValueError, OSError, QuadratureError) as e:
+        keys = _KEY_OF[stage]
+        field = keys.get(str(e).split(" ", 1)[0], keys.get(None))
+        if field is None:
+            raise
+        raise ConfigError(field, str(e)) from e
 
 
-def _grid(field, val):
-    if val.startswith("linspace:"):
-        parts = val.split(":")[1:]
-        if len(parts) != 3:
-            raise ConfigError(field, "linspace needs start:stop:count")
-        try:
-            xs = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ConfigError(field, "bad linspace spec {!r}".format(val))
-    else:
-        xs = np.array(_floats(field, val))
-    if xs.size == 0:
-        raise ConfigError(field, "no points given")
-    if not np.all(np.isfinite(xs)):
-        raise ConfigError(field, "points must be finite, got {!r}".format(val))
-    return xs
+def _read(cfg, key, parse=float, default=None):
+    """parse(cfg[key]), or default when key is absent; an absent key with no
+    default, or a value parse refuses, is refused naming key."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(key, "missing")
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError as e:
+        raise ConfigError(key, "cannot read {!r}: {}".format(cfg[key], e))
+
+
+def _floats(text):
+    return [float(p) for p in text.split(",") if p.strip() != ""]
+
+
+def _points(text):
+    """Comma separated numbers, or linspace:start:stop:count."""
+    if text.startswith("linspace:"):
+        start, stop, count = text.split(":")[1:]
+        return np.linspace(float(start), float(stop), int(count))
+    return np.array(_floats(text))
+
+
+def _listed(cfg, key, parse, noun):
+    vals = _read(cfg, key, parse)
+    if len(vals) == 0:
+        raise ConfigError(key, "no {} given".format(noun))
+    return vals
+
+
+def _grid(cfg):
+    return _listed(cfg, "grid.x", _points, "points")
+
+
+def _times(cfg):
+    return _listed(cfg, "grid.t", _floats, "times")
 
 
 def build_potential(cfg):
-    if "potential.levels" not in cfg:
-        raise ConfigError("potential.levels", "missing")
-    if "potential.interfaces" not in cfg:
-        raise ConfigError("potential.interfaces", "missing")
-    levels = _floats("potential.levels", cfg["potential.levels"])
-    ifaces = _floats("potential.interfaces", cfg["potential.interfaces"])
-    try:
-        return PiecewisePotential(levels, ifaces)
-    except ValueError as e:
-        raise ConfigError(_field("potential.", e, "potential.interfaces"), str(e))
+    return _call("potential", PiecewisePotential, _read(cfg, "potential.levels", _floats),
+                 _read(cfg, "potential.interfaces", _floats))
 
 
 def build_ic(cfg):
     kind = cfg.get("initial.kind", "gaussian")
     if kind == "gaussian":
-        try:
-            amp = complex(cfg.get("initial.amplitude", "1"))
-        except ValueError:
-            raise ConfigError("initial.amplitude", "not a complex number")
-        try:
-            return InitialCondition.gaussian(
-                amplitude=amp,
-                center=float(cfg.get("initial.center", "0")),
-                width=float(cfg.get("initial.width", "1")),
-                momentum=float(cfg.get("initial.momentum", "0")))
-        except ValueError as e:
-            raise ConfigError(_field("initial.", e, "initial.width"), str(e))
+        return _call("initial", InitialCondition.gaussian,
+                     amplitude=_read(cfg, "initial.amplitude", complex, 1.0),
+                     center=_read(cfg, "initial.center", default=0.0),
+                     width=_read(cfg, "initial.width", default=1.0),
+                     momentum=_read(cfg, "initial.momentum", default=0.0))
     if kind == "tabulated":
-        xs = _floats("initial.x", cfg.get("initial.x", ""))
-        try:
-            vals = [complex(p) for p in cfg.get("initial.values", "").split(",")]
-        except ValueError:
-            raise ConfigError("initial.values", "expected comma separated complex numbers")
-        try:
-            return InitialCondition.tabulated(xs, vals)
-        except ValueError as e:
-            raise ConfigError(_field("initial.", e, "initial.x"), str(e))
+        values = _read(cfg, "initial.values", lambda s: [complex(p) for p in s.split(",")])
+        return _call("initial", InitialCondition.tabulated,
+                     _read(cfg, "initial.x", _floats), values)
     raise ConfigError("initial.kind", "unknown kind {!r}".format(kind))
 
 
-_NUMERICS = (("numerics.tolerance", "tolerance"), ("numerics.R", "radius"))
-
-
-def _numerics(cfg, potential, ic):
-    """Solver keyword arguments from numerics.tolerance and numerics.R.
-
-    Each value is checked on its own by ContourSettings, which every solver
-    and InterfaceMap share, so a bad one is reported under its own field.
-    Without numerics.R the default radius follows from the levels, and a
-    refused one is reported under potential.levels.
-    """
-    if "numerics.R" not in cfg:
-        try:
-            ContourSettings(potential, ic)
-        except ValueError as e:
-            raise ConfigError("potential.levels", str(e))
-    kw = {}
-    for field, arg in _NUMERICS:
-        if field not in cfg:
-            continue
-        try:
-            kw[arg] = float(cfg[field])
-        except ValueError:
-            raise ConfigError(field, "not a number: {!r}".format(cfg[field]))
-        try:
-            ContourSettings(potential, ic, **{arg: kw[arg]})
-        except ValueError as e:
-            raise ConfigError(field, str(e))
-    return kw
+def _numerics(cfg):
+    """Solver keyword arguments from numerics.tolerance and numerics.R."""
+    return {arg: _read(cfg, key) for key, arg in
+            (("numerics.tolerance", "tolerance"), ("numerics.R", "radius")) if key in cfg}
 
 
 def build_solver(cfg, potential, ic):
     name = cfg.get("solver", "auto")
-    kw = _numerics(cfg, potential, ic)
     if name == "auto":
         name = "d4" if potential.njumps == 1 else "general"
-    try:
-        if name in ("d4", "quadrant", "realline"):
-            return StepSolver(potential, ic, representation=name, **kw)
-        if name == "general":
-            return GeneralSolver(potential, ic, **kw)
-        if name == "well":
-            return WellSolver(potential, ic, **kw)
-    except ValueError as e:
-        raise ConfigError("solver", str(e))
-    raise ConfigError("solver", "unknown solver {!r}".format(name))
+    make = {"general": GeneralSolver, "well": WellSolver}.get(name)
+    if name in ("d4", "quadrant", "realline"):
+        make = functools.partial(StepSolver, representation=name)
+    if make is None:
+        raise ConfigError("solver", "unknown solver {!r}".format(name))
+    return _call("solver", make, potential, ic, **_numerics(cfg))
 
 
 def build_scenario(cfg):
@@ -210,16 +205,8 @@ def build_scenario(cfg):
     return pot, ic, build_solver(cfg, pot, ic)
 
 
-def _times(cfg):
-    if "grid.t" not in cfg:
-        raise ConfigError("grid.t", "missing")
-    ts = _floats("grid.t", cfg["grid.t"])
-    if not ts:
-        raise ConfigError("grid.t", "no times given")
-    if not all(np.isfinite(t) and t >= 0.0 for t in ts):
-        raise ConfigError("grid.t", "times must be finite and nonnegative, "
-                                    "got {!r}".format(cfg["grid.t"]))
-    return ts
+def _config(path):
+    return parse_config(_call("config", Path(path).read_text))
 
 
 def _write(cfg, header, rows):
@@ -230,19 +217,16 @@ def _write(cfg, header, rows):
     path = cfg.get("output.path", "-")
     if path == "-":
         sys.stdout.write(text)
-        return
-    with open(path, "w") as out:
-        out.write(text)
+    else:
+        _call("output", Path(path).write_text, text)
 
 
 def cmd_solve(args):
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = _config(args.config)
     pot, ic, solver = build_scenario(cfg)
-    if "grid.x" not in cfg:
-        raise ConfigError("grid.x", "missing")
-    xs = _grid("grid.x", cfg["grid.x"])
+    xs, ts = _grid(cfg), _times(cfg)
     # one call for every time: one node table per term serves them all
-    samples = solver.evaluate_grid(xs, _times(cfg))
+    samples = _call("evaluation", solver.evaluate_grid, xs, ts)
     _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate"),
            [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error)
             for s in samples])
@@ -250,15 +234,13 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    cfg_a = parse_config(Path(args.config).read_text())
-    cfg_b = parse_config(Path(args.config_b).read_text())
+    cfg_a = _config(args.config)
+    cfg_b = _config(args.config_b)
     pot_a, ic_a, sol_a = build_scenario(cfg_a)
     pot_b, ic_b, sol_b = build_scenario(cfg_b)
-    if "grid.x" not in cfg_a:
-        raise ConfigError("grid.x", "missing")
-    xs = _grid("grid.x", cfg_a["grid.x"])
-    ts = _times(cfg_a)
-    pairs = list(zip(sol_a.evaluate_grid(xs, ts), sol_b.evaluate_grid(xs, ts)))
+    xs, ts = _grid(cfg_a), _times(cfg_a)
+    pairs = list(zip(_call("evaluation", sol_a.evaluate_grid, xs, ts),
+                     _call("evaluation", sol_b.evaluate_grid, xs, ts)))
     diffs = [abs(a.value - b.value) for a, b in pairs]
     _write(cfg_a, ("x", "t", "re_psi_a", "im_psi_a", "re_psi_b", "im_psi_b",
                    "abs_diff", "err_a", "err_b"),
@@ -270,48 +252,24 @@ def cmd_compare(args):
 
 
 def cmd_asymptote(args):
-    cfg = parse_config(Path(args.config).read_text())
-    pot = build_potential(cfg)
-    ic = build_ic(cfg)
-    if "ray.gamma" not in cfg:
-        raise ConfigError("ray.gamma", "missing")
-    try:
-        gamma = float(cfg["ray.gamma"])
-    except ValueError:
-        raise ConfigError("ray.gamma", "not a number")
-    ts = _times(cfg)
-    if not all(t > 0.0 for t in ts):
-        raise ConfigError("grid.t", "the leading order needs t > 0, "
-                                    "got {!r}".format(cfg["grid.t"]))
-    try:
-        vals = [leading_order(pot, ic, gamma, t) for t in ts]
-    except ValueError as e:
-        raise ConfigError("ray.gamma", str(e))
+    cfg = _config(args.config)
+    pot, ic = build_potential(cfg), build_ic(cfg)
+    gamma, ts = _read(cfg, "ray.gamma"), _times(cfg)
+    vals = [_call("evaluation", leading_order, pot, ic, gamma, t) for t in ts]
     _write(cfg, ("t", "x", "re_psi", "im_psi", "abs_psi"),
            [(t, gamma * t, v.real, v.imag, abs(v)) for t, v in zip(ts, vals)])
     return 0
 
 
 def cmd_interface_map(args):
-    cfg = parse_config(Path(args.config).read_text())
-    pot = build_potential(cfg)
-    ic = build_ic(cfg)
-    imap = InterfaceMap(pot, ic, **_numerics(cfg, pot, ic))
+    cfg = _config(args.config)
+    pot, ic = build_potential(cfg), build_ic(cfg)
+    imap = _call("solver", InterfaceMap, pot, ic, **_numerics(cfg))
     which = cfg.get("map.interfaces", "all")
-    if which == "all":
-        idx = list(range(1, pot.njumps + 1))
-    else:
-        try:
-            idx = [int(p) for p in which.split(",")]
-        except ValueError:
-            raise ConfigError("map.interfaces",
-                              "expected 'all' or comma separated integers, "
-                              "got {!r}".format(which))
-        if any(not 1 <= i <= pot.njumps for i in idx):
-            raise ConfigError("map.interfaces",
-                              "indices must lie in 1..{}".format(pot.njumps))
+    idx = list(range(1, pot.njumps + 1)) if which == "all" else \
+        _read(cfg, "map.interfaces", lambda s: [int(p) for p in s.split(",")])
     ts = _times(cfg)
-    samples = imap.trace_grid(ts, interface=idx, derivative=True)
+    samples = _call("evaluation", imap.trace_grid, ts, interface=idx, derivative=True)
     _write(cfg, ("x", "t", "re_psi", "im_psi", "abs_psi", "err_estimate",
                  "re_psi_x", "im_psi_x", "err_psi_x"),
            [(s.x, s.t, s.value.real, s.value.imag, abs(s.value), s.error,
@@ -347,14 +305,6 @@ def main(argv=None):
     except ConfigError as e:
         print(json.dumps({"error": str(e), "field": e.field}), file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(json.dumps({"error": str(e), "field": "config"}), file=sys.stderr)
-        return 2
-    except QuadratureError as e:
-        print(json.dumps({"error": str(e), "field": "numerics.tolerance"}),
-              file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

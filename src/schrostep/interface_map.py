@@ -33,8 +33,8 @@ import numpy as np
 # that imports it, and test_tracer_restores_every_binding asserts this one
 from .contours import build_node_table  # noqa: F401
 from .general import solve_unknowns
-from .kernels import SolutionSample, _is_bool
-from .step import ContourSettings, _flag
+from .kernels import SolutionSample, _flag, _is_bool
+from .step import ContourSettings
 
 __all__ = ["InterfaceMap"]
 

@@ -102,6 +102,37 @@ def _holds_bool(v):
     return _is_bool(v)
 
 
+def _reals(v):
+    """v as a float array, or None when an entry is not a real number (a bool
+    or a string is not one, though float() takes '0.5')."""
+    if _holds_bool(v):
+        return None
+    try:
+        a = np.asarray(v)
+        text = a.dtype.kind in "SU" or (a.dtype.kind == "O" and any(
+            isinstance(e, (str, bytes)) for e in a.ravel().tolist()))
+        return None if text or np.iscomplexobj(a) else np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
+def _number(v, name):
+    """The setting v as a float; a bool, a string or a non-number is refused by name."""
+    if not isinstance(v, (bool, np.bool_, str, bytes)):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("{} must be a real number, got {!r}".format(name, v))
+
+
+def _flag(derivative):
+    """derivative as a bool: True or False, numpy bools included; else refused by name."""
+    if _is_bool(derivative):
+        return bool(derivative)
+    raise ValueError("derivative must be True or False, got {!r}".format(derivative))
+
+
 @dataclass(frozen=True)
 class PiecewisePotential:
     """Piecewise-constant potential: n+1 levels separated by n interfaces.

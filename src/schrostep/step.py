@@ -76,7 +76,7 @@ import numpy as np
 
 from .contours import (Leg, PanelStore, QuadratureError, build_node_table,
                        deform_to_real_line, rotated_boundary, table_integral)
-from .kernels import SolutionSample, _holds_bool, _is_bool, nu
+from .kernels import SolutionSample, _flag, _is_bool, _number, _reals, nu
 from .transforms import free_term, hat_transform
 
 __all__ = ["StepSolver", "sigma", "sigma_below", "step_coefficients", "mirrored"]
@@ -680,35 +680,6 @@ def eval_terms(terms, xs, tolerance, max_panels=2000):
     return _sums([(np.asarray(xs, dtype=float), terms, max_panels)], tolerance)[0]
 
 
-def _reals(v):
-    """v as a float array, or None when an entry is not a real number (a bool
-    is not one)."""
-    if _holds_bool(v):
-        return None
-    try:
-        a = np.asarray(v)
-        return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        return None
-
-
-def _number(v, name):
-    """The setting v as a float; a bool, a string or a non-number is refused by name."""
-    if not isinstance(v, (bool, np.bool_, str, bytes)):
-        try:
-            return float(v)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError("{} must be a real number, got {!r}".format(name, v))
-
-
-def _flag(derivative):
-    """derivative as a bool: True or False, numpy bools included; else refused by name."""
-    if _is_bool(derivative):
-        return bool(derivative)
-    raise ValueError("derivative must be True or False, got {!r}".format(derivative))
-
-
 class ContourSettings:
     """Potential, initial data and contour settings, validated once.
 
@@ -717,7 +688,8 @@ class ContourSettings:
     must clear the branch scale sqrt(2 Lambda) and be at most _MAX_T / 2 =
     2000, so that the first truncation rung 2R lies on the ladder and the
     chirp ray starts as at most 1000 pieces.  Both must be real numbers: a
-    bool or a string is refused, naming the field.  The open legs tilt by
+    bool or a string is refused, naming the field.  A default radius that
+    fails names the potential, whose levels set it.  The open legs tilt by
     the constant delta: by Cauchy's theorem every tilt in (0, pi/4) gives
     the same psi.
     """
@@ -737,9 +709,11 @@ class ContourSettings:
             max(1.0, 1.25 * np.sqrt(2.0 * lam))
         R = self.radius
         if not np.sqrt(2.0 * lam) < R <= 0.5 * _MAX_T:
+            what = "radius {}" if radius is not None else \
+                "potential levels give the default radius {}, which"
             raise ValueError(
-                "radius {} must clear the branch scale sqrt(2*Lambda) = {:.6g} and "
-                "be at most {:g}, half the largest truncation".format(
+                (what + " must clear the branch scale sqrt(2*Lambda) = {:.6g} and "
+                 "be at most {:g}, half the largest truncation").format(
                     R, np.sqrt(2.0 * lam), 0.5 * _MAX_T))
 
     def _initial_samples(self, xs, derivative=False):

@@ -26,8 +26,9 @@ def test_zero_speed_ray_rejected():
     ic = InitialCondition.gaussian()
     with pytest.raises(ValueError):
         ray_bracket(STEP, ic, 0.0)
-    # a bool is not a speed, and neither is a non-finite one or a string
-    for gamma in (True, np.True_, False, np.nan, np.inf, "2.0", 2.0 + 1j):
+    # a bool is not a speed, and neither is a non-finite one, a string or
+    # one whose square underflows to 0
+    for gamma in (True, np.True_, False, np.nan, np.inf, "2.0", 2.0 + 1j, 1e-200, -1e-200):
         for call in (lambda: ray_bracket(STEP, ic, gamma),
                      lambda: leading_order(STEP, ic, gamma, 20.0)):
             with pytest.raises(ValueError, match="^gamma"):
@@ -66,7 +67,7 @@ def test_envelope_scales_as_inverse_sqrt_t():
 def test_positive_time_required():
     ic = InitialCondition.gaussian()
     for t in (0.0, -1.0, np.nan, np.inf, [1.0, np.inf], [20.0, np.nan], True,
-              np.True_, [20.0, True], 20.0 + 1j):
+              np.True_, [20.0, True], 20.0 + 1j, "20", ["20"], [20.0, "40"], b"20"):
         with pytest.raises(ValueError, match="^t "):
             leading_order(STEP, ic, 2.0, t)
 

@@ -230,6 +230,34 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, where):
+    # a directory used to end in an IsADirectoryError traceback, and a path
+    # in a missing directory to name the config file
+    out = tmp_path / "out"
+    if where == "a directory":
+        out.mkdir()
+    else:
+        out = out / "out.tsv"
+    cfg = write(tmp_path, "bad.cfg", STEP_CFG + "output.path = {}\n".format(out))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["solve", cfg]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["field"] == "output.path"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_unreadable_config_exits_two_naming_it(tmp_path, capsys):
+    # a directory given as the config used to end in a traceback
+    assert main(["solve", str(tmp_path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert json.loads(cap.err.strip())["field"] == "config"
+
+
 THREE_JUMP_CFG = """
 potential.levels = 0, 1.5, -1, 0.5
 potential.interfaces = 0, 1, 2.5
@@ -302,6 +330,19 @@ grid.t = 0.5
     ("solve", STEP_CFG, "potential.levels = 1, nan", "potential.levels"),
     ("interface-map", THREE_JUMP_CFG, "initial.center = nan", "initial.center"),
     ("asymptote", RAY_CFG, "ray.gamma = nan", "ray.gamma"),
+    # the library's own checks, which the CLI no longer repeats
+    ("interface-map", THREE_JUMP_CFG, "map.interfaces = 0", "map.interfaces"),
+    ("interface-map", THREE_JUMP_CFG, "map.interfaces = 4", "map.interfaces"),
+    ("interface-map", THREE_JUMP_CFG, "grid.t = 0.5, inf", "grid.t"),
+    ("asymptote", RAY_CFG, "grid.t = 20, nan", "grid.t"),
+    ("compare", STEP_CFG, "grid.x = 0, inf", "grid.x"),
+    # an unreadable center used to name initial.width, and the leading
+    # order of three jumps ray.gamma
+    ("solve", STEP_CFG, "initial.center = abc", "initial.center"),
+    ("asymptote", THREE_JUMP_CFG, "ray.gamma = 2.0", "potential.interfaces"),
+    # gamma^2 underflows to 0, and 4 delta / gamma^2 used to raise
+    # ZeroDivisionError
+    ("asymptote", RAY_CFG, "ray.gamma = 1e-200", "ray.gamma"),
 ])
 def test_bad_numeric_field_exits_two_naming_it(tmp_path, capsys, cmd, base, line, field):
     # compare reads its grid from the first file; the second is the base

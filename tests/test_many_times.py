@@ -83,7 +83,10 @@ def test_time_zero_among_the_times_gives_the_initial_samples(name):
 
 @pytest.mark.parametrize("ts", [[], [0.5, -0.25], [0.5, np.nan], [np.inf], -1.0,
                                 [[0.5, 1.0]], "a", [0.5, "a"], 0.5 + 0j,
-                                [0.5, 0.5 + 1j], np.array([0.5 + 0j])])
+                                [0.5, 0.5 + 1j], np.array([0.5 + 0j]),
+                                # float() takes a string, but a time is a number
+                                "0.5", ["0.5"], [0.5, "1.0"], b"0.5",
+                                np.array(["0.5"]), np.array([0.5, "1.0"], dtype=object)])
 def test_bad_times_are_refused_naming_t(ts):
     with pytest.raises(ValueError, match="^t must"):
         SOLVERS["d4"].evaluate_grid(XS, ts)
@@ -93,7 +96,8 @@ def test_bad_times_are_refused_naming_t(ts):
 
 @pytest.mark.parametrize("xs", [0.5, [[0.5, 1.0]], [[0.5], [1.0]], [0.5, np.nan],
                                 ["a"], [0.5 + 1j], np.array([0.5 + 0j]),
-                                [0.5, [1.0]]])
+                                [0.5, [1.0]], ["0.5"], [0.5, "1.0"], [b"0.5"],
+                                np.array(["0.5"]), np.array(["0.5"], dtype=object)])
 def test_bad_points_are_refused_naming_x(xs):
     with pytest.raises(ValueError, match="^x must"):
         SOLVERS["d4"].evaluate_grid(xs, 0.5)

@@ -17,6 +17,9 @@ follow them, each one call over 20 times with the slope on the
 three-jump profile of space_time at SEED: `GeneralSolver` at 201 x in
 [-4, 6] over 20 times in 0.3-1.2 and over 20 log-spaced times in
 0.01-10, and `InterfaceMap` at every jump over the log-spaced times.
+Two CLI lines end the list, both on the d4 step of large_t at SEED: `schrostep
+compare` of the quadrant form against d4 on the workload's grid and time,
+and `schrostep asymptote` along gamma = 2 at t = 20, 40 and 80.
 The library is imported from this checkout's src directory, so
 two checkouts give the same lines exactly when every output agrees to the
 last bit:
@@ -51,8 +54,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import schrostep.cli  # noqa: E402
 from schrostep import GeneralSolver, InterfaceMap  # noqa: E402
-from workloads import (TOLERANCE, WORKLOADS, config_text, ic_of,  # noqa: E402
-                       make_requests, potential_of, solver_of)
+from workloads import (TOLERANCE, WORKLOADS, _config, config_text,  # noqa: E402
+                       ic_of, make_requests, potential_of, solver_of)
 
 
 def _sample_columns(samples, derivative):
@@ -70,21 +73,35 @@ def _digest(cols):
     return hashlib.sha256(b"".join(c.tobytes() for c in cols.values())).hexdigest()
 
 
+# CLI output columns under the names of _sample_columns; compare's second
+# scenario gives value_b and error_b
+_REAL = {"x": "x", "t": "t", "err_estimate": "error", "err_a": "error",
+         "err_b": "error_b", "err_psi_x": "psi_x_error"}
+_COMPLEX = {"psi": "value", "psi_a": "value", "psi_b": "value_b", "psi_x": "psi_x"}
+
+
 def _file_columns(path):
     """The columns of a CLI output file, under the names of _sample_columns."""
     with open(path) as f:
         header = f.readline().rstrip("\n").split("\t")
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
-    col = dict(zip(header, data.T))
-    cols = {"x": col["x"], "t": col["t"],
-            "value": col["re_psi"] + 1j * col["im_psi"]}
-    if "err_estimate" in col:
-        cols["error"] = col["err_estimate"]
-    if "re_psi_x" in col:
-        cols["psi_x"] = col["re_psi_x"] + 1j * col["im_psi_x"]
-    if "err_psi_x" in col:
-        cols["psi_x_error"] = col["err_psi_x"]
+    col = dict(zip(header, np.loadtxt(path, skiprows=1, ndmin=2).T))
+    cols = {name: col[k] for k, name in _REAL.items() if k in col}
+    cols.update((name, col["re_" + k] + 1j * col["im_" + k])
+                for k, name in _COMPLEX.items() if "re_" + k in col)
     return cols
+
+
+def _run_cli(command, configs, workdir):
+    """(SHA-256 hex digest, columns) of the output of one in-process CLI run;
+    each config becomes a scenario file writing to the same output file."""
+    out = workdir / "out.tsv"
+    paths = [workdir / "scenario{}.cfg".format(i) for i in range(len(configs))]
+    for path, config in zip(paths, configs):
+        path.write_text(config_text(config, out))
+    status = schrostep.cli.main([command] + [str(path) for path in paths])
+    if status != 0:
+        raise RuntimeError("schrostep {} exited with {}".format(command, status))
+    return hashlib.sha256(out.read_bytes()).hexdigest(), _file_columns(out)
 
 
 def digest(req, workdir):
@@ -94,13 +111,7 @@ def digest(req, workdir):
                                                derivative=req["derivative"])
         cols = _sample_columns(samples, req["derivative"])
         return _digest(cols), cols
-    out = workdir / "out.tsv"
-    scenario = workdir / "scenario.cfg"
-    scenario.write_text(config_text(req["config"], out))
-    status = schrostep.cli.main([req["command"], str(scenario)])
-    if status != 0:
-        raise RuntimeError("schrostep {} exited with {}".format(req["command"], status))
-    return hashlib.sha256(out.read_bytes()).hexdigest(), _file_columns(out)
+    return _run_cli(req["command"], [req["config"]], workdir)
 
 
 def trace_digests(req):
@@ -131,6 +142,18 @@ def many_time_digests(seed):
         yield label, _digest(cols), cols
 
 
+def cli_digests(seed, workdir):
+    """(label, digest, columns) of the compare and asymptote runs at seed."""
+    req = make_requests("large_t", seed)[0]
+    pot, ic, ts = req["potential"], req["ic"], [req["t"]]
+    grid = "linspace:-4:4:41"
+    yield ("compare quadrant against d4",) + _run_cli(
+        "compare", [_config(pot, ic, ts, grid, "quadrant"), _config(pot, ic, ts, grid, "d4")],
+        workdir)
+    ray = dict(_config(pot, ic, [20.0, 40.0, 80.0]), **{"ray.gamma": "2.0"})
+    yield ("asymptote gamma 2",) + _run_cli("asymptote", [ray], workdir)
+
+
 def _deviation(cols, ref):
     """Lines of max |dpsi| (and / error) of cols against ref, if any differ.
 
@@ -140,7 +163,8 @@ def _deviation(cols, ref):
     if all(np.array_equal(cols[k], ref[k], equal_nan=True) for k in cols if k in ref):
         return []
     out = []
-    for value, error in (("value", "error"), ("psi_x", "psi_x_error")):
+    for value, error in (("value", "error"), ("value_b", "error_b"),
+                         ("psi_x", "psi_x_error")):
         if value not in cols:
             continue
         d = np.abs(cols[value] - ref[value])
@@ -186,8 +210,10 @@ def main(argv):
                     for ell, hexdigest, cols in trace_digests(req):
                         report(workload, i, "trace_grid interface={}".format(ell),
                                hexdigest, cols)
-    for i, line in enumerate(many_time_digests(args.seed)):
-        report("many_times", i, *line)
+        for i, line in enumerate(many_time_digests(args.seed)):
+            report("many_times", i, *line)
+        for i, line in enumerate(cli_digests(args.seed, Path(tmp))):
+            report("cli", i, *line)
     if args.save:
         # a file object, so that np.savez adds no .npz to the name
         with open(args.save, "wb") as f:
