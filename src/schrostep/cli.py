@@ -24,16 +24,17 @@ output.path or stdout.  Every row is computed before the first is written,
 so a failed run leaves no partial output.
 
 The CLI only reads text: a key that is missing, unknown or given twice, a
-value that is not a number, and an empty grid.x or grid.t are its own
-refusals.  Every value it reads goes to the library as it is, and the
-library checks it.  A refusal exits with status 2 and a one-line JSON
-object on stderr naming the key: the one table _KEY_OF gives, per stage of
-the run, the key of the parameter the library's message names first, or
-the stage's default key when it names none; a refusal of the initial data
-or of an evaluation that names no parameter is a bug, and propagates as a
-traceback.  A config file that cannot be read, an output.path that cannot
-be written and a quadrature that cannot meet numerics.tolerance within its
-panel budget are named the same way.
+key the subcommand does not read (_READS), a value that is not a number,
+and an empty grid.x or grid.t are its own refusals.  Every value it reads
+goes to the library as it is, and the library checks it.  A refusal exits
+with status 2 and a one-line JSON object on stderr naming the key: the one
+table _KEY_OF gives, per stage of the run, the key of the parameter the
+library's message names first, or the stage's default key when it names
+none; a refusal of the initial data or of an evaluation that names no
+parameter is a bug, and propagates as a traceback.  A config file that
+cannot be read, an output.path that cannot be written and a quadrature that
+cannot meet numerics.tolerance within its panel budget are named the same
+way.
 """
 
 import argparse
@@ -56,11 +57,20 @@ from .well import WellSolver
 __all__ = ["main", "ConfigError", "parse_config", "build_scenario"]
 
 _FMT = "%.17g"
-_KEYS = frozenset(
-    "potential.levels potential.interfaces initial.kind initial.amplitude "
-    "initial.center initial.width initial.momentum initial.x initial.values "
-    "grid.x grid.t solver numerics.tolerance numerics.R ray.gamma "
-    "map.interfaces output.path".split())
+
+# The keys each subcommand reads; a config giving any other is refused,
+# naming that key, so that no value there passes unchecked.  compare reads
+# both files' scenarios and takes grid.x, grid.t and output.path from the
+# first: the second may give them only as the first does (_FIRST_ONLY).
+_SCENARIO = ("potential.levels potential.interfaces initial.kind initial.amplitude "
+             "initial.center initial.width initial.momentum initial.x initial.values")
+_READS = {cmd: frozenset((_SCENARIO + " " + keys).split()) for cmd, keys in (
+    ("solve", "solver numerics.tolerance numerics.R grid.x grid.t output.path"),
+    ("compare", "solver numerics.tolerance numerics.R grid.x grid.t output.path"),
+    ("asymptote", "ray.gamma grid.t output.path"),
+    ("interface-map", "numerics.tolerance numerics.R map.interfaces grid.t output.path"))}
+_KEYS = frozenset().union(*_READS.values())
+_FIRST_ONLY = ("grid.x", "grid.t", "output.path")
 
 # Per stage of a run, the config key of the parameter a refusal (a
 # ValueError or QuadratureError of the library, an OSError of a file) names
@@ -205,8 +215,13 @@ def build_scenario(cfg):
     return pot, ic, build_solver(cfg, pot, ic)
 
 
-def _config(path):
-    return parse_config(_call("config", Path(path).read_text))
+def _config(path, cmd):
+    """The config at path, refusing a key that cmd does not read."""
+    cfg = parse_config(_call("config", Path(path).read_text))
+    for key in cfg:
+        if key not in _READS[cmd]:
+            raise ConfigError(key, "{} does not read the key {!r}".format(cmd, key))
+    return cfg
 
 
 def _write(cfg, header, rows):
@@ -222,7 +237,7 @@ def _write(cfg, header, rows):
 
 
 def cmd_solve(args):
-    cfg = _config(args.config)
+    cfg = _config(args.config, "solve")
     pot, ic, solver = build_scenario(cfg)
     xs, ts = _grid(cfg), _times(cfg)
     # one call for every time: one node table per term serves them all
@@ -234,8 +249,13 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    cfg_a = _config(args.config)
-    cfg_b = _config(args.config_b)
+    cfg_a = _config(args.config, "compare")
+    cfg_b = _config(args.config_b, "compare")
+    for key in _FIRST_ONLY:
+        if key in cfg_b and cfg_b[key] != cfg_a.get(key):
+            raise ConfigError(key, "compare reads {} from the first file; the second "
+                                   "gives {!r} where the first gives {!r}".format(
+                                       key, cfg_b[key], cfg_a.get(key)))
     pot_a, ic_a, sol_a = build_scenario(cfg_a)
     pot_b, ic_b, sol_b = build_scenario(cfg_b)
     xs, ts = _grid(cfg_a), _times(cfg_a)
@@ -252,7 +272,7 @@ def cmd_compare(args):
 
 
 def cmd_asymptote(args):
-    cfg = _config(args.config)
+    cfg = _config(args.config, "asymptote")
     pot, ic = build_potential(cfg), build_ic(cfg)
     gamma, ts = _read(cfg, "ray.gamma"), _times(cfg)
     vals = [_call("evaluation", leading_order, pot, ic, gamma, t) for t in ts]
@@ -262,7 +282,7 @@ def cmd_asymptote(args):
 
 
 def cmd_interface_map(args):
-    cfg = _config(args.config)
+    cfg = _config(args.config, "interface-map")
     pot, ic = build_potential(cfg), build_ic(cfg)
     imap = _call("solver", InterfaceMap, pot, ic, **_numerics(cfg))
     which = cfg.get("map.interfaces", "all")

@@ -18,10 +18,13 @@ exp((1 + rho)^2 / (2 rho)) <= exp(9/4) (about e^2.1 for the (1, 2) step at
 t = 4), where the arc reaches exp(R^2 t) = e^25.
 
 Quadrature is adaptive Gauss-Kronrod 7-15 with worst-panel-first bisection.
-The caller's integrand data are evaluated once per node, in batches: when
-the refinement needs children nobody has evaluated yet, it runs the loop
-ahead on the errors it knows and evaluates the children of up to 64 panels
-that loop will split; legs sharing a tag share calls of at most 480 nodes.
+The caller's integrand data are evaluated once per node, in batches of at
+most 64 panels: when the refinement needs children nobody has evaluated
+yet, it runs the loop ahead on the errors it knows and evaluates the halves
+of up to 32 panels that loop will split, and a path's first panels go 64 at
+a time.  A batch makes one call of the caller's columns per tag, shared by
+the legs with that tag, so the fixed cost of a call (the half-line
+transforms and the interface sweep behind it) is paid once per batch.
 The bisection itself replays the one-panel-at-a-time loop exactly (heap
 order, error updates, stopping rules), so the panels, nodes and results are
 bit-identical to it; speculation only decides what is evaluated when.
@@ -480,11 +483,11 @@ class NodeTable:
     rates: tuple = (0.0,)
 
 
-# Nodes per call of the caller's column function; a larger call only grows
-# the temporaries of the transforms inside it.
-_CALL_NODES = 480
-# When the refinement needs children nobody has evaluated yet, it evaluates
-# those of up to this many panels it will split next, in one batch.
+# Panels per batch of evaluation: the halves of up to _BATCH_PANELS / 2
+# panels the refinement will split next, or a path's first panels, with
+# one call of the caller's columns per tag.  A larger batch pays a call's
+# fixed cost less often, but grows the temporaries of the transforms inside
+# it (about 2 kB per node on three jumps).
 _BATCH_PANELS = 64
 
 
@@ -596,20 +599,21 @@ def _evaluate(path, columns, probes, spans, first=0):
     columns are the probes).  A panel keeps, per owner, its columns and its
     error estimate (None for the owners before `first`).
 
-    Legs that share a tag and a node count share calls of `columns`, each
-    of at most _CALL_NODES nodes, their line-leg panels first.  The nodes
-    and weights of those line panels are formed in one array pass from each
-    panel's own leg ends (_line_panels): on a sector path, whose legs all
-    share the empty tag, every straight leg of the round at once (a corner
-    path has nine or more).  Each other leg's panels take one _panel_nodes
-    call; either way every rate at once.  A panel's error is the largest
-    over the owner's probes and the path's rates of min(u, (200 u)^1.5),
-    u = |Kronrod - Gauss|, for every panel, probe and rate of a call in one
-    pass (_errors); the panel keeps every rate's weights.  u is
-    taken with hypot and the power with float_power, which round as the
-    scalar abs and ** of a panel-at-a-time loop do (the vectorised complex
-    abs and power may differ in the last bit), so the refinement decisions
-    are bit-identical to that loop.
+    Legs that share a tag and a node count share one call of `columns` per
+    _BATCH_PANELS panels, their line-leg panels first: one call for a batch
+    of the refinement (_next_to_split), one per _BATCH_PANELS first panels
+    of a path.  The nodes and weights of those line panels are formed in
+    one array pass from each panel's own leg ends (_line_panels): on a
+    sector path, whose legs all share the empty tag, every straight leg of
+    the round at once (a corner path has nine or more).  Each other leg's
+    panels take one _panel_nodes call; either way every rate at once.  A
+    panel's error is the largest over the owner's probes and the path's
+    rates of min(u, (200 u)^1.5), u = |Kronrod - Gauss|, for every panel,
+    probe and rate of a call in one pass (_errors); the panel keeps every
+    rate's weights.  u is taken with hypot and the power with float_power,
+    which round as the scalar abs and ** of a panel-at-a-time loop do (the
+    vectorised complex abs and power may differ in the last bit), so the
+    refinement decisions are bit-identical to that loop.
     """
     legs = path.legs
     groups = {}
@@ -635,10 +639,9 @@ def _evaluate(path, columns, probes, spans, first=0):
         z = np.concatenate([z for z, _ in parts])
         w = np.concatenate([w for _, w in parts], axis=2)
         per = z.shape[1]
-        step = _CALL_NODES // per
-        for lo in range(0, len(idx), step):
-            zc = z[lo:lo + step]
-            wc = w[:, :, lo:lo + step]
+        for lo in range(0, len(idx), _BATCH_PANELS):
+            zc = z[lo:lo + _BATCH_PANELS]
+            wc = w[:, :, lo:lo + _BATCH_PANELS]
             n = zc.shape[0]
             zf = zc.ravel()
             cols = [np.asarray(c, dtype=complex).reshape(-1, zf.size)
@@ -696,15 +699,16 @@ def _next_to_split(heap, worst, total, n_alive, tolerance, max_panels, owner):
 
     Runs owner's worst-first loop ahead on the errors already known,
     counting every child not yet evaluated as error-free, and collects up
-    to _BATCH_PANELS panels it splits without known children.  `worst`,
-    just popped from the heap, comes first.
+    to _BATCH_PANELS / 2 panels it splits without known children, whose
+    halves make one batch.  `worst`, just popped from the heap, comes
+    first.
     """
     out = [worst]
     total -= worst.errs[owner]
     n_alive += 1
     seq = itertools.count()
     front = [(heap[0][0], next(seq), 0, heap[0][2])] if heap else []
-    while (front and len(out) < _BATCH_PANELS and total > tolerance
+    while (front and len(out) < _BATCH_PANELS // 2 and total > tolerance
            and n_alive < max_panels):
         _, _, i, p = heapq.heappop(front)
         if p.errs[owner] <= 1e-18:

@@ -57,15 +57,16 @@ with one x-free group, its traces being the same integrals at x = x_j
 with no free term.
 
 Two stores per call hand every term its columns in one layout, the rows W,
-then with the slope the rows i c W, then the row c (_columns, the one
-place the slope is formed): the searches on one truncation ladder read
-one _TailStore, which samples each block of rungs once for all of them,
-and the terms that end on one path build their node tables over one
+then the row c (_columns): the searches on one truncation ladder read one
+_TailStore, which samples each block of rungs once for all of them, and the
+terms that end on one path build their node tables over one
 contours.PanelStore, which evaluates each span once for all of them.  A
-term's tails are one _TailModel with a time axis, and one node table per
-term serves every x and time of the call (_sums).  Columns that share a
-path and an x-coefficient, as InterfaceMap's psi and psi_x do, are one
-term: one search and one table_integral call serve them all.  The slope
+panel store and a node table hold no slope rows i c W: they are formed
+where they are read (_slope), in the tail store's columns, the probes and
+the sum.  A term's tails are one _TailModel with a time axis, and one node
+table per term serves every x and time of the call (_sums).  Columns that
+share a path and an x-coefficient, as InterfaceMap's psi and psi_x do, are
+one term: one search and one table_integral call serve them all.  The slope
 psi_x of a term is such a column; the term records whether it carries it
 (IntegralTerm.derivative).
 """
@@ -328,8 +329,8 @@ class IntegralTerm:
 
     tails is the term's _TailModel, with a time axis; at time t the sum is
     multiplied by exp(-i level t).  derivative records whether the term was
-    searched with the slope, whose rows i c W its table (_columns) and its
-    tails then hold after those of W, and _sums sums.
+    searched with the slope, whose columns i c W (_slope) its tails then
+    hold after those of W, and _sums probes and sums.
     """
 
     def __init__(self, path, weight, xcoef, x_offset, tails, level=0.0,
@@ -376,18 +377,19 @@ class _Nu:
         return self.sgn * nu(self.alpha, np.asarray(z, dtype=complex))
 
 
-def _columns(pairs, derivative):
+def _columns(pairs, derivative=False):
     """columns(z, tag, owners) of a panel or tail store whose owners have the
-    (weight, xcoef) pairs: per owner, its rows W, then with derivative the
-    slope's rows i c W, then its row c.
+    (weight, xcoef) pairs: per owner, its rows W, then with derivative (a
+    tail store's) the slope's rows i c W (_slope), then its row c.
 
     Interface terms (an _InterfaceWeight and a _Nu each) slice theirs from
     one _interface_data call per batch of nodes; other owners call their
-    own weight and xcoef.  The slope is formed here alone, for every store,
-    probe and sum.
+    own weight and xcoef.  A panel store holds only W and c: its probes and
+    sums form the slope where they read it.
     """
     def rows(W, c):
-        return np.vstack((W, 1j * c * W, c) if derivative else (W, c))
+        cols = np.vstack((W, c))
+        return np.vstack((_slope(cols, True), c)) if derivative else cols
 
     if not all(isinstance(W, _InterfaceWeight) and isinstance(c, _Nu) for W, c in pairs):
         return lambda z, tag, owners: [rows(pairs[i][0](z, tag), pairs[i][1](z, tag))
@@ -401,6 +403,13 @@ def _columns(pairs, derivative):
         return [rows(W.of(B), c.sgn * of_level[c.alpha])
                 for W, c in (pairs[i] for i in owners)]
     return columns
+
+
+def _slope(cols, derivative):
+    """The columns summed of a term's rows [W, c]: W, then with derivative
+    the slope's columns i c W, the one place they are formed."""
+    W, c = cols[:-1], cols[-1]
+    return np.concatenate((W, 1j * c * W)) if derivative else W
 
 
 # rungs of the truncation ladder whose tails are sampled and tested at once,
@@ -591,29 +600,30 @@ def _term_tolerance(tolerance, n):
 def _term_probes(term, xs):
     """probes(z, cols) of a term's node table, for its sum over xs.
 
-    The integrands at three probe points of xs, from the columns (_columns):
-    every row but the last, the slope's i c W included, times
-    exp(i c (x - x0)), c the last row (the value integrands alone left
-    psi_x_error at 2.3e-6 on a three-jump profile at tolerance 1e-8).
+    The integrands at three probe points of xs, from the rows [W, c]
+    (_columns): every column summed (_slope), the slope's i c W included,
+    times exp(i c (x - x0)) (the value integrands alone left psi_x_error at
+    2.3e-6 on a three-jump profile at tolerance 1e-8).
     """
     off = term.x_offset
     dx = np.array(sorted({float(xs.min()), float(xs.max()), float(xs[len(xs) // 2])}))
     dx = (dx - off)[:, None]
 
     def probes(z, cols):
-        return (cols[:-1, None] * np.exp(1j * cols[-1] * dx)).reshape(-1, cols.shape[1])
+        F = _slope(cols, term.derivative)
+        return (F[:, None] * np.exp(1j * cols[-1] * dx)).reshape(-1, cols.shape[1])
     return probes
 
 
 def _term_table(term, probes, tolerance, max_panels, store):
     """The node table of a term, as owner store = (PanelStore, i): its rows
-    (_columns) at every node.
+    [W, c] (_columns) at every node.
 
     A build that fails (QuadratureError) is retried once, alone, from the
     same rows of the term's own weight and xcoef at tolerance * 1e4: the
     one place a build is retried.
     """
-    rows = _columns([(term.weight, term.xcoef)], term.derivative)
+    rows = _columns([(term.weight, term.xcoef)])
     columns = lambda z, tag: rows(z, tag, (0,))[0]
     try:
         return build_node_table(term.path, columns, tolerance, max_panels=max_panels,
@@ -627,12 +637,14 @@ def _term_sum(term, table, xs):
     """(values, errors) of a term at xs and every time, each (times, columns,
     x): the columns of W, then with the slope those of psi_x.
 
-    One table_integral call sums every row of the table but the last, c,
-    and one tails.at call gives the tail corrections and estimates; a term
-    with a level takes exp(-i level t) on its sums and corrections.
+    One table_integral call sums the columns of W, then with the slope
+    those of i c W (_slope, from the table's rows [W, c]), and one tails.at
+    call gives the tail corrections and estimates; a term with a level
+    takes exp(-i level t) on its sums and corrections.
     """
-    W, C = table.cols[:-1], table.cols[-1]
-    sums, sum_errs = table_integral(table, W, C, xs - term.x_offset)
+    C = table.cols[-1]
+    sums, sum_errs = table_integral(table, _slope(table.cols, term.derivative), C,
+                                    xs - term.x_offset)
     corr, tail = term.tails.at(xs[None])
     return term.damp(sums + corr.swapaxes(1, 2)), sum_errs + tail.swapaxes(1, 2)
 
@@ -658,7 +670,7 @@ def _sums(parts, tolerance):
         terms = [parts[p][1][i] for p, i in owners]
         probes = [_term_probes(term, parts[p][0]) for (p, _), term in zip(owners, terms)]
         store = PanelStore(terms[0].path, _columns(
-            [(term.weight, term.xcoef) for term in terms], terms[0].derivative), probes)
+            [(term.weight, term.xcoef) for term in terms]), probes)
         for k, (p, i) in enumerate(owners):
             xs, part_terms, budget = parts[p]
             table = _term_table(terms[k], probes[k],

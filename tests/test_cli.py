@@ -116,7 +116,6 @@ initial.kind = gaussian
 initial.center = -3.0
 grid.t = 0.3, 0.6
 map.interfaces = all
-solver = well
 """)
     assert main(["interface-map", cfg]) == 0
     header, body = rows(capsys.readouterr().out)
@@ -368,8 +367,11 @@ def test_radius_past_the_truncation_ladder_exits_two_fast(tmp_path, capsys, cmd,
                                                           field):
     # the first truncation rung 2R must lie within the ladder's cap of 4000:
     # R = 1e8 used to grind through about 5e7 initial chirp pieces, and
-    # R = 1e100 and levels 0, 1e308 to end in a traceback
-    cfg = write(tmp_path, "bad.cfg", scenario(STEP_CFG, line))
+    # R = 1e100 and levels 0, 1e308 to end in a traceback; interface-map
+    # reads neither grid.x nor solver, and refuses them
+    base = STEP_CFG if cmd == "solve" else "\n".join(
+        raw for raw in STEP_CFG.splitlines() if raw.split(" = ")[0] not in ("grid.x", "solver"))
+    cfg = write(tmp_path, "bad.cfg", scenario(base, line))
     start = time.perf_counter()
     assert main([cmd, cfg]) == 2
     assert time.perf_counter() - start < 0.5
@@ -421,6 +423,54 @@ def test_unknown_key_exits_two_naming_it(tmp_path, capsys, cmd, base, line):
     lines = cap.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["field"] == line.split(" = ")[0]
+
+
+@pytest.mark.parametrize("cmd, base, line", [
+    # each used to exit 0, the value never read and never checked
+    ("asymptote", RAY_CFG, "solver = magic"),
+    ("asymptote", RAY_CFG, "numerics.tolerance = -1"),
+    ("asymptote", RAY_CFG, "numerics.R = 1e8"),
+    ("asymptote", RAY_CFG, "map.interfaces = 7"),
+    ("asymptote", RAY_CFG, "grid.x = nan"),
+    ("interface-map", THREE_JUMP_CFG, "solver = well"),
+    ("interface-map", THREE_JUMP_CFG, "grid.x = 0.5"),
+    ("interface-map", THREE_JUMP_CFG, "ray.gamma = 2.0"),
+    ("solve", STEP_CFG, "ray.gamma = 2.0"),
+    ("solve", STEP_CFG, "map.interfaces = 1"),
+    ("compare", STEP_CFG, "map.interfaces = 1"),
+    ("compare", STEP_CFG, "ray.gamma = nan"),
+    # compare takes these from the first file: the second may only repeat them
+    ("compare", STEP_CFG, "grid.x = linspace:-4:4:41"),
+    ("compare", STEP_CFG, "grid.t = 0.25"),
+    ("compare", STEP_CFG, "output.path = other.tsv"),
+])
+def test_key_the_subcommand_does_not_read_exits_two_naming_it(tmp_path, capsys, cmd,
+                                                              base, line):
+    # in compare the key sits in the second file
+    bad = write(tmp_path, "bad.cfg", scenario(base, line))
+    args = [write(tmp_path, "good.cfg", base), bad] if cmd == "compare" else [bad]
+    assert main([cmd] + args) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["field"] == line.split(" = ")[0]
+    assert cmd in err["error"]
+
+
+def test_compare_takes_a_second_file_that_repeats_or_omits_the_grid(tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    a = STEP_CFG + "output.path = {}\n".format(out)
+    b = STEP_CFG.replace("solver = d4", "solver = quadrant")
+    for second in (b + "output.path = {}\n".format(out),
+                   "\n".join(raw for raw in b.splitlines()
+                             if raw.split(" = ")[0] not in ("grid.x", "grid.t"))):
+        assert main(["compare", write(tmp_path, "a.cfg", a),
+                     write(tmp_path, "b.cfg", second)]) == 0
+        assert len(rows(out.read_text())[1]) == 5
+        out.unlink()
+    capsys.readouterr()
 
 
 def test_unreachable_tolerance_exits_two_naming_it(tmp_path, capsys):

@@ -475,7 +475,32 @@ def test_batched_refinement_replays_panel_loop(case):
     np.testing.assert_array_equal(table.cols, columns(table.z, path.legs[0].tag))
     # n_panels / 8 + legs on 15-node panels; a pv panel carries 30 nodes
     assert n_calls <= len(table.z) / 120 + len(path.legs)
-    assert max(calls[:n_calls]) <= 480
+    # one call per batch of at most _BATCH_PANELS panels
+    per = np.bincount(table.panel).max()
+    assert max(calls[:n_calls]) <= contours._BATCH_PANELS * per
+
+
+def test_each_batch_makes_one_column_call(monkeypatch):
+    # a call's fixed cost is paid once per batch: the 100 first panels go
+    # _BATCH_PANELS at a time, and each refinement batch, the halves of up
+    # to _BATCH_PANELS / 2 panels, in one call
+    path = ContourPath(legs=[Leg.line(-12.0, 12.0, splits=np.arange(1, 100) / 100)])
+    batches, calls, evaluate = [], [], contours._evaluate
+
+    def spy(path, columns, probes, spans, *args):
+        batches.append(len(spans))
+        calls.append(0)
+        return evaluate(path, columns, probes, spans, *args)
+
+    def columns(z, tag):
+        calls[-1] += 1
+        return np.exp(-z * z / 16.0) * np.cos(40.0 * z)
+
+    monkeypatch.setattr(contours, "_evaluate", spy)
+    build_node_table(path, columns, 1e-13)
+    assert batches[0] == 100 and calls[0] == 2
+    assert len(batches) > 2 and max(batches[1:]) == contours._BATCH_PANELS
+    assert calls[1:] == [1] * (len(batches) - 1)
 
 
 def test_failed_speculation_falls_back_to_needed_panels(monkeypatch):

@@ -187,7 +187,9 @@ def test_panel_errors_of_every_rate_in_one_pass_match_the_rate_loop():
         edges = np.linspace(0.0, 1.0, 9)
         z, w = contours._panel_nodes(leg, edges[:-1], edges[1:], ts)
         assert w.shape == (4, 2) + z.shape
-        (cols,) = step._columns([(term.weight, term.xcoef)], True)(z.ravel(), leg.tag, [0])
+        # the rows [W, c]; the probes form the slope's i c W
+        (cols,) = step._columns([(term.weight, term.xcoef)])(z.ravel(), leg.tag, [0])
+        assert cols.shape == (2, z.size)
         v = probes(z.ravel(), cols)
         assert v.shape == (6, z.size)
         got = contours._errors(v, w, *z.shape)
@@ -232,10 +234,9 @@ def test_tail_corrections_of_every_time_in_one_evaluation_per_term(monkeypatch, 
     assert per_call == [1] * len(sums) and len(sums) >= 2
     monkeypatch.undo()
     for term, table, xs, (vals, errs) in sums:
-        # the rows W, then the slope's i c W, then c
-        W, slope, C = table.cols
-        assert slope.tobytes() == (1j * C * W).tobytes()
-        v, e = step.table_integral(table, np.stack((W, slope)), C, xs - term.x_offset)
+        # the table holds the rows W and c; the sum forms the slope's i c W
+        W, C = table.cols
+        v, e = step.table_integral(table, np.stack((W, 1j * C * W)), C, xs - term.x_offset)
         assert vals.shape == (len(TS), 2, xs.size)
         for k, t in enumerate(sorted(TS)):
             corr, tail = term.tails[k].at(xs)

@@ -22,9 +22,10 @@ panels counts every span evaluated, distinct the (path, span) pairs among
 them, calls the _evaluate calls.  A last line per request counts the nodes
 at which interface data were solved (general.solve_unknowns, which the
 sector-path solvers and InterfaceMap call, and WellSolver._interface_data),
-and how many of them are distinct by their exact bits:
+how many of them are distinct by their exact bits, and the weight calls
+that solved them (calls of either function):
 
-    workload  request  kind  solved  nodes  distinct
+    workload  request  kind  solved  nodes  distinct  calls
 
 Each workload ends with its totals per leg label, the share of its panels
 on chirp legs, the oscillatory rays of the sector paths (the imaginary leg
@@ -147,9 +148,9 @@ def main(argv):
                 print("{}\t{}\t{}\tevaluated\t{}\t{}\t{}".format(
                     workload, i, kind, *done))
                 work.update(dict(zip(("panels", "distinct", "calls"), done)))
-                rows = (sum(z.size for z in solved), distinct(solved))
-                print("{}\t{}\t{}\tsolved\t{}\t{}".format(workload, i, kind, *rows))
-                work.update(dict(zip(("solved", "solved distinct"), rows)))
+                rows = (sum(z.size for z in solved), distinct(solved), len(solved))
+                print("{}\t{}\t{}\tsolved\t{}\t{}\t{}".format(workload, i, kind, *rows))
+                work.update(dict(zip(("solved", "solved distinct", "weight calls"), rows)))
             for label in panels:
                 print("{}\ttotal\t\t\t{}\t{}\t{}".format(
                     workload, label, panels[label], nodes[label]))
@@ -159,8 +160,8 @@ def main(argv):
                                  chirp / max(total, 1)))
             print("{}\ttotal\t\tevaluated\t{}\t{}\t{}".format(
                 workload, work["panels"], work["distinct"], work["calls"]))
-            print("{}\ttotal\t\tsolved\t{}\t{}".format(
-                workload, work["solved"], work["solved distinct"]))
+            print("{}\ttotal\t\tsolved\t{}\t{}\t{}".format(
+                workload, work["solved"], work["solved distinct"], work["weight calls"]))
     return 0
 
 
