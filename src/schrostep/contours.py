@@ -360,6 +360,24 @@ class ContourPath:
         return max(abs(leg.end()) for leg in self.legs)
 
 
+# per quadrant of a rotated boundary: the angle of e, the axes e and f as
+# exact constants, the labels of its tilted and its axis leg
+_SECTOR_AXES = {
+    4: (0.0, 1.0, -1j, "rotated real leg", "imaginary leg"),
+    1: (0.5 * np.pi, 1j, 1.0, "rotated imaginary leg", "real leg"),
+    3: (-0.5 * np.pi, -1j, -1.0, "rotated imaginary leg", "real leg")}
+
+
+def open_legs(quadrant, radius, truncation, delta):
+    """The two legs of rotated_boundary that reach the truncation T: the
+    tilted leg T u -> R u, u = exp(i (th + delta)) with th the angle of e,
+    and the axis leg R f -> T f."""
+    th, _, f, tilted, axis = _SECTOR_AXES[quadrant]
+    u = np.exp(1j * (th + delta))
+    return [Leg.line(truncation * u, radius * u, tilted),
+            Leg.line(radius * f, truncation * f, axis)]
+
+
 def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     """Sector boundary with one straight leg tilted into a decay sector.
 
@@ -398,23 +416,16 @@ def rotated_boundary(quadrant, radius, truncation, delta, lam=0.0, corner=None):
     T, R = float(truncation), float(radius)
     if corner is not None and not 0.0 < corner < R * R:
         raise ValueError("corner constant {} must lie in (0, radius^2)".format(corner))
-    half_pi = 0.5 * np.pi
-    # angle of e, the axes e and f as exact constants, the two legs' labels
-    th, e, f, tilted, axis = {
-        4: (0.0, 1.0, -1j, "rotated real leg", "imaginary leg"),
-        1: (half_pi, 1j, 1.0, "rotated imaginary leg", "real leg"),
-        3: (-half_pi, -1j, -1.0, "rotated imaginary leg", "real leg")}[quadrant]
-    u = np.exp(1j * (th + delta))
-    legs = [Leg.line(T * u, R * u, tilted)]
+    th, e, f, _, _ = _SECTOR_AXES[quadrant]
+    legs = open_legs(quadrant, R, T, delta)
     if corner is None:
-        legs.append(Leg.arc(R, th + delta, th - half_pi))
+        legs.insert(1, Leg.arc(R, th + delta, th - 0.5 * np.pi))
     else:
-        legs.append(Leg.arc(R, th + delta, th))
         n = max(8, int(np.ceil(np.log2(R * R / corner))))
         p = R * (corner / (R * R)) ** (np.arange(n + 1) / n)
         pts = [R * e] + [pk * e + (corner / pk) * f for pk in p] + [R * f]
-        legs += [Leg.line(a, b, "corner leg") for a, b in zip(pts, pts[1:])]
-    legs.append(Leg.line(R * f, T * f, axis))
+        legs[1:1] = [Leg.arc(R, th + delta, th)] + [
+            Leg.line(a, b, "corner leg") for a, b in zip(pts, pts[1:])]
     return ContourPath(legs=legs).validate_continuity()
 
 

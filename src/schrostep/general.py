@@ -26,7 +26,7 @@ the same code; WellSolver's numerators are the last closed form.  The
 rows do not depend on the region, so within one evaluate_grid call the
 terms read their columns from rows computed once for all of them: the
 tail samples of every term on the fourth-quadrant ladder from one
-solve_unknowns call per block of rungs (step._TailStore), and the nodes
+solve_unknowns call per ladder (step._TailStore), and the nodes
 of the tables of the terms on one path once per span (its panel store),
 each owner's x-coefficient from the nus solve_unknowns returns.  The
 terms themselves (one per neighbouring jump of a region j,

@@ -58,8 +58,9 @@ with no free term.
 
 Two stores per call hand every term its columns in one layout, the rows W,
 then the row c (_columns): the searches on one truncation ladder read one
-_TailStore, which samples each block of rungs once for all of them, and the
-terms that end on one path build their node tables over one
+_TailStore, which samples every rung once for all of them and builds a
+rung's path only where a term ends, and the terms that end on one path
+build their node tables over one
 contours.PanelStore, which evaluates each span once for all of them.  A
 panel store and a node table hold no slope rows i c W: they are formed
 where they are read (_slope), in the tail store's columns, the probes and
@@ -75,8 +76,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contours import (Leg, PanelStore, QuadratureError, build_node_table,
-                       deform_to_real_line, rotated_boundary, table_integral)
+from .contours import (ContourPath, Leg, PanelStore, QuadratureError, build_node_table,
+                       deform_to_real_line, open_legs, rotated_boundary, table_integral)
 from .kernels import SolutionSample, _flag, _is_bool, _number, _reals, nu
 from .transforms import free_term, hat_transform
 
@@ -156,11 +157,6 @@ def _pair_tail(f_outer, f_inner, dist, span):
     return np.where(f_outer == 0.0, 0.0, f_outer * ell)
 
 
-def _leg_nodes(leg, outer_at_start):
-    """The two samples of a decaying leg near its outer end."""
-    return leg.point(np.array([0.0, 0.1]) if outer_at_start else np.array([1.0, 0.9]))
-
-
 class _OscTail:
     """Integration-by-parts tail of one on-axis ray, cut at u = K.
 
@@ -197,24 +193,26 @@ class _OscTail:
         c = np.asarray(c, dtype=complex).real
         lead = np.broadcast_shapes(A.shape[:-2], c.shape[:-1], np.shape(K), np.shape(t),
                                    np.shape(sign), np.shape(x_offset))
-        self.lead = len(lead)
-        # the samples first, then the leading axes (and A's column axis)
-        self.A = np.moveaxis(np.broadcast_to(A, lead + A.shape[-2:]), -1, 0)
-        self.c = np.moveaxis(np.broadcast_to(c, lead + c.shape[-1:]), -1, 0)
+        # every array has the leading axes first (then A's column axis and
+        # the samples), so that take slices each alike
+        self.A = np.broadcast_to(A, lead + A.shape[-2:])
+        self.c = np.broadcast_to(c, lead + c.shape[-1:])
         self.K, self.t, self.sign, self.x0 = (np.broadcast_to(a, lead)
                                               for a in (K, t, sign, x_offset))
         # the sampled-decay bound on |A|, the same at every x
-        self.gen = _pair_tail(abs(self.A[0]), abs(self.A[1]), self.h, self.K[..., None])
+        self.gen = _pair_tail(abs(self.A[..., 0]), abs(self.A[..., 1]), self.h,
+                              self.K[..., None])
 
     def take(self, idx):
-        """The tails at the entry idx of the leading axes."""
-        idx = np.index_exp[idx]
-        s = (slice(None),) + idx
-        return _OscTail(np.moveaxis(self.A[s], 0, -1), np.moveaxis(self.c[s], 0, -1),
-                        self.K[idx], self.t[idx], self.sign[idx], self.x0[idx])
+        """The tails at the entry idx of the leading axes: views of these
+        arrays, the decay bound included."""
+        out = object.__new__(_OscTail)
+        vars(out).update((name, a[idx]) for name, a in vars(self).items())
+        return out
 
     def _fd(self, v):
         h = self.h
+        v = [v[..., j] for j in range(4)]
         d1 = (11.0 * v[0] - 18.0 * v[1] + 9.0 * v[2] - 2.0 * v[3]) / (6.0 * h)
         d2 = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         d3 = (v[0] - 3.0 * v[1] + 3.0 * v[2] - v[3]) / (h ** 3)
@@ -230,7 +228,7 @@ class _OscTail:
         of the points; so do the results, then the column axis.
         """
         x = np.asarray(x, dtype=float)
-        n = x.ndim - self.lead
+        n = x.ndim - self.K.ndim
         # a number, or a column, per leading entry, spread over the points
         each = lambda a: np.reshape(a, np.shape(a) + (1,) * (n + 1))
         col = lambda a: a.reshape(a.shape[:-1] + (1,) * n + a.shape[-1:])
@@ -241,7 +239,7 @@ class _OscTail:
         # a stationary point must not hide beyond the cut
         hidden = ((np.abs(2.0 * t * K) < 1.3 * np.abs(c1 * X))
                   | (np.abs(p1) < 1e-12))
-        A0 = col(self.A[0])
+        A0 = col(self.A[..., 0])
         a1, a2, a3 = (col(d) for d in self._fd(self.A))
         g = 1j * np.where(hidden, 1.0, p1)
         gp = 1j * (-2.0 * t + c2 * X)
@@ -255,7 +253,7 @@ class _OscTail:
         err = np.abs(B3) + 1e-13 * np.abs(B1)
         gen = col(self.gen)
         keep = ~hidden & ~diverging & ~(gen <= err)
-        phi0 = -t * K * K + each(self.c[0]) * X
+        phi0 = -t * K * K + each(self.c[..., 0]) * X
         corr = each(self.sign) * np.exp(1j * phi0) * (-B1 + B2 - B3)
         return np.where(keep, corr, 0.0j), np.where(keep, err, gen)
 
@@ -266,8 +264,8 @@ def _tail_nodes(path, spec):
     In spec order: two samples near the outer end of each "generic" leg,
     then four on each ray of each "osc" entry (see choose_truncation).
     """
-    out = [(path.legs[i].tag, _leg_nodes(path.legs[i], outer_at_start))
-           for i, outer_at_start in spec.get("generic", ())]
+    out = [(path.legs[i].tag, path.legs[i].point([0.0, 0.1] if outer else [1.0, 0.9]))
+           for i, outer in spec.get("generic", ())]
     for i, rays, K in spec.get("osc", ()):
         out += [(path.legs[i].tag, _OscTail.nodes(d, K)) for d, _ in rays]
     return out
@@ -412,12 +410,6 @@ def _slope(cols, derivative):
     return np.concatenate((W, 1j * c * W)) if derivative else W
 
 
-# rungs of the truncation ladder whose tails are sampled and tested at once,
-# rungs 0-3, 4-7, ... of a ladder (most dense_x and tabulated searches of the
-# benchmark accept the fifth or sixth rung, and a search started at the rung
-# an earlier term of its region accepted clears within the block sampled
-# already: tools/search_rungs.py)
-_RUNGS_PER_CALL = 4
 # the largest truncation of the ladder; its first rung is 2R, so a radius
 # above _MAX_T / 2 is refused (ContourSettings)
 _MAX_T = 4000.0
@@ -428,14 +420,20 @@ class _TailStore:
 
     The ladder is builder's rungs T0, 1.6 T0, ..., at most 22, the last
     clipped to max_T.  Its owners are the terms that search it, each given
-    as (x_offset, x_probe, tolerance) with as many probes.  When a search
-    or a lift first reaches a block of _RUNGS_PER_CALL rungs (rungs 0-3,
-    4-7, ...), the store samples every owner's tails there in one call of
-    columns(z, tag, owners) (_columns) and tests them in one array pass: a
-    rung clears for an owner when its worst estimate over the probes and
-    columns is within 0.05 of its tolerance at every time.  The weights
-    leave the path's phase out, so one sample serves every time.  The rows
-    before the last, the slope's i c W among them, are the columns tested.
+    as (x_offset, x_probe, tolerance) with as many probes.  The store
+    samples every owner's tails at every rung when it is made, in one call
+    of columns(z, tag, owners) (_columns), and tests them in one array
+    pass: a rung clears for an owner when its worst estimate over the
+    probes and columns is within 0.05 of its tolerance at every time
+    (cleared, owner by rung).  The weights leave the path's phase out, so
+    one sample serves every time.  The rows before the last, the slope's
+    i c W among them, are the columns tested.
+
+    A builder with the tails(T) of a rung (_Sector) gives the legs its
+    tails sample without the rung's path, which is built when a search
+    returns it or a lift reads it, once: the terms that end on one rung
+    share one path object.  Any other builder builds every rung's path to
+    sample it.
     """
 
     def __init__(self, builder, T0, ts, columns, owners, max_T=_MAX_T):
@@ -449,43 +447,31 @@ class _TailStore:
         self.rungs = [T0]
         while len(self.rungs) < 22 and self.rungs[-1] < max_T:
             self.rungs.append(min(1.6 * self.rungs[-1], max_T))
-        # block b: the (path, spec) of its rungs, their model and whether
-        # each (owner, rung) clears
-        self.blocks = {}
+        # the (path, spec) of each rung index built
+        self.built = {}
+        self.model = self._model()
+        err = self.model.at(self.probes[:, None, None, :])[1]
+        worst = np.max(err, axis=tuple(range(3, err.ndim)))
+        self.cleared = np.all(worst <= self.targets[:, None, None], axis=2)
 
     def search(self, owner, start):
         """(path, tails) of owner at the first rung from start whose tails
         clear, or else at the last rung; start is a rung of the ladder."""
         r = self.rungs.index(start)
-        last = len(self.rungs) - 1
-        while r < last and not self._block(r)[2][owner, r % _RUNGS_PER_CALL]:
+        while r < len(self.rungs) - 1 and not self.cleared[owner, r]:
             r += 1
-        return self.rung(owner, self.rungs[r])[1:]
+        return self.rung(owner, r)
 
-    def rung(self, owner, T):
-        """(cleared, path, tails) of owner at the rung T, tails its
-        _TailModel at every time."""
-        r = self.rungs.index(T)
-        built, model, cleared = self._block(r)
-        j = r % _RUNGS_PER_CALL
-        return bool(cleared[owner, j]), built[j][0], model[owner, j]
+    def rung(self, owner, r):
+        """(path, tails) of owner at the rung index r, tails its _TailModel
+        at every time."""
+        if r not in self.built:
+            self.built[r] = self.builder(self.rungs[r])
+        return self.built[r][0], self.model[owner, r]
 
-    def _block(self, r):
-        """The block of rung index r, sampled and tested on first use."""
-        b = r // _RUNGS_PER_CALL
-        if b not in self.blocks:
-            rungs = self.rungs[b * _RUNGS_PER_CALL:(b + 1) * _RUNGS_PER_CALL]
-            built = [self.builder(T) for T in rungs]
-            model = self._model(rungs, built)
-            err = model.at(self.probes[:, None, None, :])[1]
-            worst = np.max(err, axis=tuple(range(3, err.ndim)))
-            self.blocks[b] = (built, model,
-                              np.all(worst <= self.targets[:, None, None], axis=2))
-        return self.blocks[b]
-
-    def _model(self, rungs, built):
-        """The _TailModel of every owner at the rungs of a block, axes (owner,
-        rung, time), from one columns call on all the block's tail nodes.
+    def _model(self):
+        """The _TailModel of every owner at every rung, axes (owner, rung,
+        time), from one columns call on all the ladder's tail nodes.
 
         The weights w leave out the path's phase, whose rate for time k is
         path.rates[k].  A decaying leg's tail is taken from
@@ -495,6 +481,10 @@ class _TailStore:
         Every rung's spec lists the same legs and rays, which must share
         one tag.
         """
+        tails = getattr(self.builder, "tails", None)
+        if tails is None:
+            self.built = {r: self.builder(T) for r, T in enumerate(self.rungs)}
+        built = [tails(T) for T in self.rungs] if tails else list(self.built.values())
         spec = built[0][1]
         nodes = [_tail_nodes(path, sp) for path, sp in built]
         tags = {tag for each in nodes for tag, _ in each}
@@ -513,8 +503,8 @@ class _TailStore:
         z, W, C = (np.split(a, cuts, axis=-1) for a in (z, W, C))
         ts = np.array(self.ts)
         rates = np.array([path.rates for path, _ in built])
-        span = np.array(rungs)[None, :, None, None]
-        generic = np.zeros((len(self.x0), len(rungs), len(ts), W[0].shape[2]))
+        span = np.array(self.rungs)[None, :, None, None]
+        generic = np.zeros((len(self.x0), len(self.rungs), len(ts), W[0].shape[2]))
         s = 0
         for _ in spec.get("generic", ()):
             phase = np.exp(1j * rates[:, :, None] * (z[s] * z[s])[:, None])
@@ -554,8 +544,9 @@ def choose_truncation(builder, weight, xcoef, t, x_offset, x_probe, tolerance,
     max_T; the first rung whose tails clear 0.05 tolerance at x_probe at
     every time is returned, or else the last.  Returns (path, tails), tails
     the _TailModel of the rung at every time.  A _TailStore samples and
-    tests the rungs four at a time, in one weight and one xcoef call: a
-    call on a few nodes costs numpy's dispatch as much as one on a hundred.
+    tests every rung of the ladder at once, in one weight and one xcoef
+    call (a call on a few nodes costs numpy's dispatch as much as one on a
+    hundred), and builds the path of the rung returned.
 
     store = (_TailStore, i) searches as owner i of that store, whose
     ladder, weight, xcoef, times, offset, probes, tolerance and derivative
@@ -612,7 +603,8 @@ def _term_probes(term, xs):
     def probes(z, cols):
         F = _slope(cols, term.derivative)
         return (F[:, None] * np.exp(1j * cols[-1] * dx)).reshape(-1, cols.shape[1])
-    return probes
+    # an x-free term (InterfaceMap's) probes F itself: every exp(i c dx) is 1
+    return probes if dx.any() else lambda z, cols: _slope(cols, term.derivative)
 
 
 def _term_table(term, probes, tolerance, max_panels, store):
@@ -770,8 +762,9 @@ class ContourSettings:
 
         The builder is a value (_Sector), equal for equal (solver, quad,
         rates), so that the terms of all regions on it climb one ladder
-        (ContourSettings._search), whose tail store builds each rung's path
-        once; a built path is never modified.
+        (ContourSettings._search), whose tail store samples every rung from
+        tails(T), without its path, and builds the path of a rung a term
+        ends on once; a built path is never modified.
         """
         ts = tuple(float(v) for v in np.atleast_1d(t))
         return _Sector(self, quad, ts if quad == 4 else tuple(-v for v in ts))
@@ -789,9 +782,9 @@ class ContourSettings:
         the highest rung an earlier term of the group on its ladder
         accepted, and a term that accepted a lower rung than a later one is
         then lifted to that top rung when its tails clear there.  The lift
-        reads the store, which sampled and tested the top rung with the
-        search that accepted it (_TailStore.rung); a term whose tails do not
-        clear there keeps its own rung.  The terms then lie on one path, so
+        reads the store, which sampled and tested every rung when it was
+        made (_TailStore.cleared); a term whose tails do not clear there
+        keeps its own rung.  The terms then lie on one path, so
         their node tables share the nodes of its rotated leg and chirp ray
         as well as those of its arc and corner legs.
         """
@@ -821,10 +814,9 @@ class ContourSettings:
                 owner[key] += 1
             terms = []
             for (W, xc, x0, _, _, level), (key, i, path, tails) in zip(specs, found):
-                if path.reach() < top[key]:
-                    cleared, lifted, lifted_tails = stores[key].rung(i, top[key])
-                    if cleared:
-                        path, tails = lifted, lifted_tails
+                r = stores[key].rungs.index(top[key])
+                if path.reach() < top[key] and stores[key].cleared[i, r]:
+                    path, tails = stores[key].rung(i, r)
                 terms.append(IntegralTerm(path, W, xc, x0, tails, level, derivative))
             out.append(terms)
         return out
@@ -836,7 +828,7 @@ class ContourSettings:
         A group's panel budget is that of its largest truncation and its
         largest |x - x0|, at time 0 when every term ends on a chirp ray
         (panel_budget), else at the largest time.  The tail stores, with
-        every block they sampled, are done before any table is built.
+        the ladders they sampled, are done before any table is built.
         """
         parts = []
         for (xs, _, _), terms in zip(groups, self._search(groups, ts, derivative)):
@@ -867,7 +859,17 @@ class _Sector:
         path.legs[-1] = Leg.chirp(leg.z0, leg.z1, label=leg.label,
                                   splits=np.arange(1, n) / n)
         path.rates = self.rates
-        ray = {4: -1j, 3: -1.0, 1: 1.0}[quad]
+        return self._spec(path, T)
+
+    def tails(self, T):
+        """(path, spec) of the rung T as its tails read it (_tail_nodes): the
+        path of its two legs that reach T alone (contours.open_legs), with
+        no arc, corner legs or ray pieces, and the spec of those legs."""
+        legs = open_legs(self.quad, self.settings.radius, T, self.settings.delta)
+        return self._spec(ContourPath(legs, rates=self.rates), T)
+
+    def _spec(self, path, T):
+        ray = {4: -1j, 3: -1.0, 1: 1.0}[self.quad]
         return path, {"generic": [(0, True)],
                       "osc": [(len(path.legs) - 1, ((ray, ray),), T)]}
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -12,7 +13,8 @@ from schrostep import (GeneralSolver, InitialCondition, InterfaceMap, PiecewiseP
 from schrostep import step as step_module
 from schrostep.contours import table_integral
 from schrostep.oracle import free_gaussian
-from schrostep.step import _OscTail, _pair_tail, choose_truncation, eval_terms
+from schrostep.step import (_columns, _OscTail, _pair_tail, _TailStore,
+                            choose_truncation, eval_terms)
 
 FREE = PiecewisePotential([0.0, 0.0], [0.0])
 UP = PiecewisePotential([1.0, 2.0], [0.0])
@@ -373,7 +375,8 @@ def test_tabulated_d4_error_estimate_is_honest():
 
 def _scalar_estimate(o, x, j):
     """The one-point integration-by-parts tail of column j, with the branch it took."""
-    A = o.A[:, j]
+    # A holds the columns, then the four samples
+    A = o.A[j]
     gen = _pair_tail(abs(A[0]), abs(A[1]), o.h, o.K)
     X = x - o.x0
     c1, c2, c3 = o._fd(o.c)
@@ -527,7 +530,7 @@ def test_slope_tails_are_the_stacked_column_i_c_w(rep):
     assert vals.shape == errs.shape == (1, 1, xs.size)
 
 
-# -- the truncation ladder, sampled four rungs per weight call -------------
+# -- the truncation ladder, every rung sampled in one weight call ----------
 
 
 def _one_rung(builder, weight, xcoef, t, x_offset, T, derivative=False):
@@ -602,6 +605,78 @@ def test_ladder_matches_the_rung_by_rung_search(search, change):
     assert np.asarray(tails.generic).tobytes() == np.asarray(ref_tails.generic).tobytes()
     for tag in set(calls):
         assert calls.count(tag) <= -(-rungs // 4)
+
+
+THREE = PiecewisePotential([0.0, 1.5, -1.0, 0.5], [0.0, 1.0, 2.5])
+
+# name: (make(radius), its call at the time t); GeneralSolver and
+# InterfaceMap on three jumps, whose regions and traces search one ladder
+LADDER_SOLVERS = {
+    "d4": (lambda r: StepSolver(UP, gaussian_ic(), radius=r),
+           lambda s, t: s.evaluate_grid(np.linspace(-3.0, 3.0, 7), t)),
+    "quadrant": (lambda r: StepSolver(UP, gaussian_ic(), "quadrant", radius=r),
+                 lambda s, t: s.evaluate_grid(np.linspace(-3.0, 3.0, 7), t)),
+    "general": (lambda r: GeneralSolver(THREE, gaussian_ic(), radius=r),
+                lambda s, t: s.evaluate_grid(np.linspace(-2.0, 4.0, 7), t,
+                                             derivative=True)),
+    "well": (lambda r: WellSolver(WELL, gaussian_ic(), radius=r),
+             lambda s, t: s.evaluate_grid(np.linspace(-2.0, 3.0, 6), t)),
+    "interface-map": (lambda r: InterfaceMap(THREE, gaussian_ic(), radius=r),
+                      lambda s, t: s.trace_grid([t], (1, 2, 3), derivative=True)),
+}
+
+
+def _searches_alone(parts, tolerance):
+    """_sums with every term's sums and estimates 0: a call's searches alone."""
+    return [(np.zeros(terms[0].tails.generic.shape + xs.shape, dtype=complex),) * 2
+            for xs, terms, _ in parts]
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.5, 16.0])
+@pytest.mark.parametrize("radius", [None, 100.0, 1000.0])
+@pytest.mark.parametrize("name", list(LADDER_SOLVERS))
+def test_whole_ladder_accepts_the_rung_by_rung_rung(name, radius, t, monkeypatch):
+    # each store samples every rung up to T = 4000 at once, where the
+    # searches stop early, with no RuntimeWarning; each search accepts the
+    # rung a rung-by-rung search from its start accepts, with the same tails
+    make, call = LADDER_SOLVERS[name]
+    searches = []
+
+    def spy(*args, **kwargs):
+        out = choose_truncation(*args, **kwargs)
+        searches.append((args, kwargs["derivative"], out))
+        return out
+
+    monkeypatch.setattr(step_module, "choose_truncation", spy)
+    monkeypatch.setattr(step_module, "_sums", _searches_alone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        call(make(radius), t)
+    assert searches
+    xs = np.linspace(-4.0, 4.0, 9)
+    for args, derivative, (path, (tails,)) in searches:
+        builder, W, xc, ts, x0, probes, tol, start = args
+        ref_path, ref_tails, _ = _truncation_rung_by_rung(*args, derivative=derivative)
+        assert path.reach() == ref_path.reach()
+        for a, b in zip(tails.at(xs), ref_tails.at(xs)):
+            assert a.tobytes() == b.tobytes()
+        # NaN tails at every rung past the accepted one: none clears, and
+        # the search and its tails are as before
+        cut = 1.2 * path.reach()
+        plain = _columns([(lambda z, tag: W(z, tag), xc)], derivative)
+        nan = _columns([(lambda z, tag: np.where(np.abs(z) > cut, np.nan, W(z, tag)), xc)],
+                       derivative)
+        want = _TailStore(builder, start, ts, plain, [(x0, probes, tol)]).search(0, start)
+        store = _TailStore(builder, start, ts, nan, [(x0, probes, tol)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = store.search(0, start)
+        assert got[0].reach() == want[0].reach() == path.reach()
+        for a, b in zip(got[1].at(xs[:, None]), want[1].at(xs[:, None])):
+            assert a.tobytes() == b.tobytes()
+        past = store.rungs.index(path.reach()) + 1
+        assert np.isnan(store.model.generic[0, past:]).all()
+        assert not store.cleared[0, past:].any()
 
 
 def test_ladder_over_several_times_takes_the_first_rung_every_time_clears():

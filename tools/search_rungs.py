@@ -20,20 +20,21 @@ stopped), the rung it returned, and the rung its term ended on, which is
 a later one when the term was lifted to its group's top rung ("-" for a
 search outside ContourSettings._search).  Every solver's and
 InterfaceMap's searches run inside it.  T is the
-accepted rung's truncation and ms the search's time, which includes the
-sampling and testing of the blocks of rungs it was the first to reach.
-Each request then lists its stores, one line per store:
+accepted rung's truncation and ms the search's time.  Each request then
+lists its stores, one line per store:
 
-    workload  request  kind  store  T0  owners  blocks  columns calls
+    workload  request  kind  store  T0  owners  paths built  columns calls  ms
 
-blocks is the number of blocks of step._RUNGS_PER_CALL rungs the store
-sampled and tested for all its owners, and columns calls the calls of its
-columns function (one per leg tag per block: a computation of the interface
-data for every owner at once, or each owner's weight and xcoef calls).
-Each workload ends with its totals: the searches, how many accepted each
-rung, the terms lifted, the stores, the blocks they sampled, their columns
-calls, and the search time with its share of the time taken to serve the
-requests.
+paths built is the number of rung paths the store built (the rungs a
+search returned or a lift read, or every rung for a builder without the
+sector's tail geometry), and columns calls the calls of its columns
+function (one per ladder: a computation of the interface data for every
+owner at once, or each owner's weight and xcoef calls), and ms the time
+taken to make the store, which samples and tests its whole ladder.  Each
+workload ends with its totals: the searches, how many accepted each rung,
+the terms lifted, the stores, the paths they built, their columns calls,
+and the time of the searches and stores with its share of the time taken
+to serve the requests.
 """
 
 import argparse
@@ -54,17 +55,16 @@ _STORE = schrostep.step._TailStore
 
 def _rung(store, path):
     """The rung of path on store's ladder, counted from 1."""
-    for b, (built, _, _) in store.blocks.items():
-        for j, (p, _) in enumerate(built):
-            if p is path:
-                return b * schrostep.step._RUNGS_PER_CALL + j + 1
+    for r, (p, _) in store.built.items():
+        if p is path:
+            return r + 1
     raise LookupError("path not built by the store")
 
 
 def serve(req, workdir):
     """([(store, start, accepted, final, T, seconds)] of every search serving
-    req made, [(T0, owners, blocks, columns calls)] of every tail store, the
-    seconds serving took)."""
+    req made, [(T0, owners, paths built, columns calls, seconds)] of every
+    tail store, the seconds serving took)."""
     searches, stores = [], []
     init, search = _STORE.__init__, _STORE.search
     search_groups = schrostep.step.ContourSettings._search
@@ -76,8 +76,9 @@ def serve(req, workdir):
             calls[0] += 1
             return columns(*a)
 
+        began = time.perf_counter()
         init(self, builder, T0, ts, counted, *args, **kwargs)
-        stores.append((self, calls))
+        stores.append((self, calls, time.perf_counter() - began))
 
     def search_spy(self, owner, start):
         began = time.perf_counter()
@@ -104,10 +105,10 @@ def serve(req, workdir):
         _STORE.__init__, _STORE.search = init, search
         schrostep.step.ContourSettings._search = search_groups
     served = time.perf_counter() - began
-    number = {id(store): k for k, (store, _) in enumerate(stores)}
+    number = {id(store): k for k, (store, _, _) in enumerate(stores)}
     return ([(number[id(found[0])],) + tuple(found[1:]) for found in searches],
-            [(store.rungs[0], len(store.x0), len(store.blocks), calls[0])
-             for store, calls in stores], served)
+            [(store.rungs[0], len(store.x0), len(store.built), calls[0], seconds)
+             for store, calls, seconds in stores], served)
 
 
 def main(argv):
@@ -117,7 +118,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             accepted = Counter()
-            n_stores = blocks = calls = lifted = 0
+            n_stores = paths = calls = lifted = 0
             spent = served = 0.0
             for i, req in enumerate(make_requests(workload, args.seed)):
                 kind = req["command"] if req["kind"] == "cli" else req["kind"]
@@ -129,17 +130,19 @@ def main(argv):
                     accepted[rung] += 1
                     lifted += final not in ("-", rung)
                     spent += s
-                for k, (T0, owners, b, c) in enumerate(stores):
-                    print("{}\t{}\t{}\tstore {}\tT0 {:.6g}\t{} owners\t{} blocks"
-                          "\t{} columns calls".format(workload, i, kind, k, T0, owners, b, c))
+                for k, (T0, owners, b, c, s) in enumerate(stores):
+                    print("{}\t{}\t{}\tstore {}\tT0 {:.6g}\t{} owners\t{} paths built"
+                          "\t{} columns calls\t{:.2f}".format(workload, i, kind, k, T0,
+                                                             owners, b, c, 1e3 * s))
                     n_stores += 1
-                    blocks += b
+                    paths += b
                     calls += c
+                    spent += s
             print("{}\ttotal\t{} searches\taccepted rungs {}\t{} lifted\t{} stores"
-                  "\t{} blocks\t{} columns calls\t{:.1f} ms ({:.0%} of {:.1f} ms serving)"
+                  "\t{} paths built\t{} columns calls\t{:.1f} ms ({:.0%} of {:.1f} ms serving)"
                   .format(workload, sum(accepted.values()),
                           ", ".join("{}: {}".format(r, accepted[r]) for r in sorted(accepted)),
-                          lifted, n_stores, blocks, calls, 1e3 * spent, spent / served,
+                          lifted, n_stores, paths, calls, 1e3 * spent, spent / served,
                           1e3 * served))
     return 0
 
